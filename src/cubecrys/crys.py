@@ -6,6 +6,11 @@ generator describing its action on lattice coordinates, and one rational
 translation part per generator.  The real, geometric form of a point
 element p is theta_bar(p) = L * M_p * L^-1.
 
+The point group itself is held as integer data (PointTable): the
+elements as int tuples, how each generator moves them, and each
+element's order, determinant and trace, all computed in one
+breadth-first pass.
+
 Hexagonal entries use a rational stand-in basis.  Every decision made
 downstream depends only on the integer matrices and their conjugacy
 data (orders, traces, determinants), never on the irrational geometry
@@ -15,22 +20,30 @@ action gives the same verdicts.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 from cubecrys.exactlin import (
     RatMatrix,
     RatVector,
     det,
+    int_det,
     inverse,
     matrix_from_json,
     matrix_to_json,
+    read_json,
     vector_from_json,
     vector_to_json,
+    write_json,
 )
 
-CLOSURE_CAP = 200
+# |W(F4)|, the largest finite subgroup of GL(4, Z).  It bounds every
+# point group in scope: dimension at most 4, and the groups built by
+# stabilize and semidirect_extend, which are isomorphic to one of those.
+CLOSURE_CAP = 1152
 
 GROUP_FORMAT = "cubecrys-group/1"
 
@@ -59,13 +72,43 @@ class FormatError(ValueError):
     """A group file does not parse to the documented format."""
 
 
+@dataclass(frozen=True)
+class PointTable:
+    """A point group as integer data, in breadth-first closure order.
+
+    elements[k] is an integer matrix (a tuple of row tuples), identity
+    first; next[k][j] is the index of elements[k] times generator j;
+    order, det and trace hold the per-element invariants.
+    """
+
+    elements: tuple
+    next: tuple
+    order: tuple
+    det: tuple
+    trace: tuple
+
+
+def _int_mul(a: tuple, b: tuple) -> tuple:
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
+def _integer_generator(m: RatMatrix, k: int, n: int) -> tuple:
+    """Point generator k as int rows, once it is an n x n integer matrix."""
+    if not (m.is_square() and m.rows == n):
+        raise StructureError("point generator %d is not %dx%d" % (k, n, n))
+    if not m.is_integer():
+        raise LatticeInvarianceError(
+            "point generator %d has a non-integer entry; "
+            "it does not preserve the lattice" % k)
+    return tuple(tuple(int(e) for e in row) for row in m.entries)
+
+
 class CrystGroup:
     """A crystallographic group in lattice coordinates.
 
-    Immutable after construction; the point-group closure is computed
-    lazily and cached, along with one generator word per element (used
-    to transport homomorphisms defined on generators to the whole
-    group).
+    Immutable after construction; the point table and the real forms
+    are computed lazily, once, and cached.
     """
 
     def __init__(self, name, dimension, lattice_basis, point_generators,
@@ -76,11 +119,13 @@ class CrystGroup:
         self.point_generators = tuple(point_generators)
         self.translation_parts = tuple(translation_parts)
         self._elements = None
-        self._words = None
+        self._table = None
+        self._real = None
         self._frozen = True
 
     def __setattr__(self, name, value):
-        if getattr(self, "_frozen", False) and name not in ("_elements", "_words"):
+        if getattr(self, "_frozen", False) and name not in (
+                "_elements", "_table", "_real"):
             raise AttributeError("CrystGroup is immutable")
         object.__setattr__(self, name, value)
 
@@ -92,27 +137,38 @@ class CrystGroup:
         if self._elements is not None:
             return
         n = self.dimension
-        ident = RatMatrix.identity(n)
+        gens = [_integer_generator(m, k, n)
+                for k, m in enumerate(self.point_generators)]
+        gen_dets = [int_det(m) for m in gens]
+        ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         elements = [ident]
-        words = [()]
+        dets = [1]
+        successors = []
         index = {ident: 0}
-        head = 0
-        while head < len(elements):
-            current = elements[head]
-            for j, gen in enumerate(self.point_generators):
-                product = current * gen
-                if product not in index:
+        for head, current in enumerate(elements):
+            row = []
+            for j, gen in enumerate(gens):
+                product = _int_mul(current, gen)
+                target = index.get(product)
+                if target is None:
                     if len(elements) >= CLOSURE_CAP:
                         raise StructureError(
                             "point group closure exceeded %d elements; "
                             "a generator has infinite order or the group "
                             "is out of scope" % CLOSURE_CAP)
-                    index[product] = len(elements)
+                    target = index[product] = len(elements)
                     elements.append(product)
-                    words.append(words[head] + (j,))
-            head += 1
-        self._elements = tuple(elements)
-        self._words = tuple(words)
+                    dets.append(dets[head] * gen_dets[j])
+                row.append(target)
+            successors.append(tuple(row))
+        self._table = PointTable(
+            elements=tuple(elements),
+            next=tuple(successors),
+            order=tuple(_order(m, ident, len(elements)) for m in elements),
+            det=tuple(dets),
+            trace=tuple(sum(m[i][i] for i in range(n)) for m in elements),
+        )
+        self._elements = tuple(RatMatrix(m) for m in elements)
 
     def point_elements(self) -> tuple:
         """All point-group elements as integer matrices, identity first.
@@ -123,13 +179,24 @@ class CrystGroup:
         self._closure()
         return self._elements
 
-    def element_words(self) -> tuple:
-        """One generator word (tuple of generator indices) per element."""
+    def point_table(self) -> PointTable:
+        """The point group as integer data, in point_elements order."""
         self._closure()
-        return self._words
+        return self._table
 
     def point_group_order(self) -> int:
         return len(self.point_elements())
+
+
+def _order(m: tuple, ident: tuple, bound: int) -> int:
+    """Least k >= 1 with m**k = identity; a closed group bounds k by |P|."""
+    power = m
+    for k in range(1, bound + 1):
+        if power == ident:
+            return k
+        power = _int_mul(power, m)
+    raise StructureError("an element has no power equal to the identity "
+                         "within %d steps; a generator is singular" % bound)
 
 
 @dataclass(frozen=True)
@@ -168,47 +235,64 @@ def validate(g: CrystGroup) -> ValidationReport:
             "need one translation part per point generator (%d vs %d)"
             % (len(g.translation_parts), len(g.point_generators)))
     for k, m in enumerate(g.point_generators):
-        if not (m.is_square() and m.rows == n):
-            raise StructureError("point generator %d is not %dx%d" % (k, n, n))
-        if not m.is_integer():
-            raise LatticeInvarianceError(
-                "point generator %d has a non-integer entry; "
-                "it does not preserve the lattice" % k)
-        if det(m) not in (1, -1):
+        d_gen = int_det(_integer_generator(m, k, n))
+        if d_gen not in (1, -1):
             raise LatticeInvarianceError(
                 "point generator %d has determinant %s, so its inverse "
-                "does not preserve the lattice" % (k, det(m)))
+                "does not preserve the lattice" % (k, d_gen))
     for k, t in enumerate(g.translation_parts):
         if len(t) != n:
             raise StructureError("translation part %d has length %d, want %d"
                                  % (k, len(t), n))
-    elements = g.point_elements()
-    orders = tuple(sorted(_element_order_in_group(m, len(elements))
-                          for m in elements))
+    table = g.point_table()
+    _check_translations(g, table)
     return ValidationReport(
         name=g.name,
         dimension=n,
-        point_group_order=len(elements),
-        element_orders=orders,
+        point_group_order=len(table.elements),
+        element_orders=tuple(sorted(table.order)),
         lattice_determinant=d,
     )
 
 
-def _element_order_in_group(m: RatMatrix, group_order: int) -> int:
-    ident = RatMatrix.identity(m.rows)
-    power = m
-    for k in range(1, group_order + 1):
-        if power == ident:
-            return k
-        power = power * m
-    raise StructureError("element order exceeds the group order; broken closure")
+def _check_translations(g: CrystGroup, table: PointTable) -> None:
+    """Close the affine generators (M, t mod Z^n) along the point table.
+
+    Translations are int tuples over their common denominator.  The
+    closure has exactly |P| elements iff each point element k carries
+    one class u[k], with u[k * j] = M_k u[j] + u[k] (mod Z^n).
+    """
+    denom = math.lcm(*(e.denominator for t in g.translation_parts for e in t))
+    if denom == 1:
+        return
+    gens = [tuple(int(e * denom) % denom for e in t)
+            for t in g.translation_parts]
+    u = [None] * len(table.elements)
+    u[0] = (0,) * g.dimension
+    for k, row in enumerate(table.next):
+        m = table.elements[k]
+        for j, target in enumerate(row):
+            image = tuple((sum(map(mul, r, gens[j])) + x) % denom
+                          for r, x in zip(m, u[k]))
+            if u[target] is None:
+                u[target] = image
+            elif u[target] != image:
+                raise StructureError(
+                    "translation parts do not fit the lattice: the affine "
+                    "generators close to more than %d elements modulo Z^%d"
+                    % (len(table.elements), g.dimension))
 
 
-def point_group_real(g: CrystGroup) -> list:
-    """The real forms theta_bar(p) = L M_p L^-1, in point_elements order."""
-    L = g.lattice_basis
-    L_inv = inverse(L)
-    return [L * m * L_inv for m in g.point_elements()]
+def point_group_real(g: CrystGroup) -> tuple:
+    """The real forms theta_bar(p) = L M_p L^-1, in point_elements order.
+
+    Computed once per group and cached on it.
+    """
+    if g._real is None:
+        L = g.lattice_basis
+        L_inv = inverse(L)
+        g._real = tuple(L * m * L_inv for m in g.point_elements())
+    return g._real
 
 
 def semidirect_extend(g: CrystGroup, m: int, action, name=None) -> CrystGroup:
@@ -297,19 +381,11 @@ def group_from_json_dict(d: dict) -> CrystGroup:
 
 
 def save_group(g: CrystGroup, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(group_to_json_dict(g), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, group_to_json_dict(g))
 
 
 def load_group(path) -> CrystGroup:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError("not valid JSON at line %d column %d: %s"
-                              % (exc.lineno, exc.colno, exc.msg)) from exc
-    return group_from_json_dict(data)
+    return group_from_json_dict(read_json(path, FormatError))
 
 
 # ---------------------------------------------------------------------------
@@ -369,52 +445,37 @@ CATALOG_POINT_ORDERS["Z:W"] = 6
 CATALOG_NAMES = [name for (name, _, _, _, _) in _CATALOG_DATA] + ["ZxW", "Z:W"]
 
 
-def _build_plane_group(name, basis, gens, parts):
-    return CrystGroup(
-        name=name,
-        dimension=2,
-        lattice_basis=matrix_from_json(basis),
-        point_generators=[matrix_from_json(m) for m in gens],
-        translation_parts=[vector_from_json(t) for t in parts],
-    )
-
-
 def load_catalog() -> list:
     """The 17 wallpaper groups plus W, ZxW and Z:W, all validated."""
-    groups = []
+    return list(_catalog())
+
+
+@lru_cache(maxsize=None)
+def _catalog() -> tuple:
+    """The catalog groups, built and validated once per process."""
     try:
-        for name, basis, gens, parts, expected_order in _CATALOG_DATA:
-            g = _build_plane_group(name, basis, gens, parts)
-            report = validate(g)
-            if report.point_group_order != expected_order:
-                raise CatalogError(
-                    "catalog entry %s has point group order %d, expected %d"
-                    % (name, report.point_group_order, expected_order))
-            groups.append(g)
+        groups = [CrystGroup(name, 2, matrix_from_json(basis),
+                             [matrix_from_json(m) for m in gens],
+                             [vector_from_json(t) for t in parts])
+                  for name, basis, gens, parts, _ in _CATALOG_DATA]
         w = groups[-1]
-        assert w.name == "W"
-        one = RatMatrix([[1]])
-        minus_one = RatMatrix([[-1]])
-        zxw = semidirect_extend(w, 1, [one], name="ZxW")
-        zsw = semidirect_extend(w, 1, [minus_one], name="Z:W")
-        for g in (zxw, zsw):
-            report = validate(g)
-            if report.point_group_order != CATALOG_POINT_ORDERS[g.name]:
+        groups.append(semidirect_extend(w, 1, [RatMatrix([[1]])], name="ZxW"))
+        groups.append(semidirect_extend(w, 1, [RatMatrix([[-1]])],
+                                        name="Z:W"))
+        for g in groups:
+            order = validate(g).point_group_order
+            if order != CATALOG_POINT_ORDERS[g.name]:
                 raise CatalogError(
                     "catalog entry %s has point group order %d, expected %d"
-                    % (g.name, report.point_group_order,
-                       CATALOG_POINT_ORDERS[g.name]))
-            groups.append(g)
-    except CatalogError:
-        raise
+                    % (g.name, order, CATALOG_POINT_ORDERS[g.name]))
     except (ValueError, TypeError) as exc:
         raise CatalogError("embedded catalog data is corrupt: %s" % exc) from exc
-    return groups
+    return tuple(groups)
 
 
 def catalog_entry(name: str) -> CrystGroup:
     """Look up one catalog group by name."""
-    for g in load_catalog():
+    for g in _catalog():
         if g.name == name:
             return g
     raise KeyError("no catalog entry named %r" % name)

@@ -10,10 +10,11 @@ obstruction on rejection.
 The search is exhaustive.  Candidate images for each point-group
 generator are the signed permutations with the same order, determinant
 and trace; a candidate assignment is extended to the whole group along
-generator words, then checked to be an injective homomorphism whose
-character (trace list) matches exactly.  Matching characters of two
-real representations force real conjugacy, and the conjugator is found
-by group averaging over a deterministic seed schedule.
+the point table's generator successors, then checked to be an
+injective homomorphism whose character (trace list) matches exactly.
+Matching characters of two real representations force real conjugacy,
+and the conjugator is found by group averaging over a deterministic
+seed schedule.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from cubecrys.exactlin import (
 from cubecrys.crys import CrystGroup, point_group_real, validate
 from cubecrys.sgnperm import (
     SignedPermutation,
+    SizeCapError,
     enumerate_group,
     from_matrix,
     is_signed_permutation_matrix,
@@ -46,10 +48,6 @@ SEED_CAP = 1000
 ORDER_OBSTRUCTION = "order-obstruction"
 CHARACTER_MISMATCH = "character-mismatch"
 NO_EMBEDDING = "no-embedding"
-
-
-class SizeCapError(ValueError):
-    """Dimension is above the supported search cap."""
 
 
 class ConjugatorSearchError(RuntimeError):
@@ -134,22 +132,12 @@ class Obstruction:
 
 
 @lru_cache(maxsize=None)
-def _signed_perm_characters(n: int):
-    """Realized (order -> set of (det, trace)) data for O(n, Z)."""
-    by_order = {}
+def _signed_perm_index(n: int) -> dict:
+    """enumerate_group(n) grouped by (order, det, trace), in pool order."""
+    index = {}
     for s in enumerate_group(n):
-        by_order.setdefault(s.order(), set()).add((s.determinant(), s.trace()))
-    return by_order
-
-
-def _matrix_order(m: RatMatrix, cap: int) -> int:
-    ident = RatMatrix.identity(m.rows)
-    power = m
-    for k in range(1, cap + 1):
-        if power == ident:
-            return k
-        power = power * m
-    raise ValueError("element order exceeds the group order")
+        index.setdefault((s.order(), s.determinant(), s.trace()), []).append(s)
+    return {key: tuple(pool) for key, pool in index.items()}
 
 
 def quick_obstructions(g: CrystGroup) -> list:
@@ -159,71 +147,58 @@ def quick_obstructions(g: CrystGroup) -> list:
     Orders, determinants and traces are read off the integer matrices:
     they are conjugation invariants, so lattice coordinates suffice.
     """
-    n = g.dimension
-    by_order = _signed_perm_characters(n)
-    group_order = g.point_group_order()
+    index = _signed_perm_index(g.dimension)
+    table = g.point_table()
     found = []
-    for p in g.point_elements():
-        order = _matrix_order(p, group_order)
-        d = int(det(p))
-        t = p.trace()
-        if t.denominator != 1:
-            raise ValueError("point element has non-integer trace")
-        t = int(t)
-        if order not in by_order:
-            found.append(Obstruction(
-                kind=ORDER_OBSTRUCTION, element=p, order=order,
-                determinant=d, trace=t,
-                realized=tuple(sorted(by_order))))
-        elif (d, t) not in by_order[order]:
-            found.append(Obstruction(
-                kind=CHARACTER_MISMATCH, element=p, order=order,
-                determinant=d, trace=t,
-                realized=tuple(sorted(by_order[order]))))
+    for p, order, d, t in zip(g.point_elements(), table.order, table.det,
+                              table.trace):
+        if (order, d, t) in index:
+            continue
+        at_order = tuple(sorted((kd, kt) for ko, kd, kt in index
+                                if ko == order))
+        found.append(Obstruction(
+            kind=CHARACTER_MISMATCH if at_order else ORDER_OBSTRUCTION,
+            element=p, order=order, determinant=d, trace=t,
+            realized=at_order or tuple(sorted({ko for ko, _, _ in index}))))
     return found
 
 
-def _candidate_images(gen: RatMatrix, group_order: int, pool) -> list:
-    """Signed permutations sharing the generator's order, det and trace."""
-    order = _matrix_order(gen, group_order)
-    d = int(det(gen))
-    t = int(gen.trace())
-    return [s for s in pool
-            if s.order() == order and s.determinant() == d and s.trace() == t]
+def _candidate_images(g: CrystGroup) -> list:
+    """Per generator, the signed permutations sharing its order, det and
+    trace, in enumerate_group order."""
+    index = _signed_perm_index(g.dimension)
+    table = g.point_table()
+    return [index.get((table.order[k], table.det[k], table.trace[k]), ())
+            for k in table.next[0]]
 
 
 def _extend_assignment(g: CrystGroup, images: tuple):
     """Extend generator images to the whole group, or return None.
 
-    Checks that the extension along generator words is a well defined
-    injective homomorphism whose order, determinant and trace agree
-    with the point group element by element.
+    Walks the point table: iota[k * j] = iota[k] * images[j] the first
+    time element k * j is reached, an equality check every later time.
+    Then checks that the extension is injective and that its traces
+    agree with the point group element by element.
+
+    Orders and determinants need no check: an injective homomorphism
+    preserves orders, and det o iota and det are homomorphisms to +-1
+    that agree on the generators, because the candidate images match
+    the generators' determinants.
     """
-    elements = g.point_elements()
-    words = g.element_words()
-    index = {p: k for k, p in enumerate(elements)}
+    table = g.point_table()
     n_letters = images[0].n if images else g.dimension
-    iota = []
-    for word in words:
-        s = SignedPermutation.identity(n_letters)
-        for j in word:
-            s = s * images[j]
-        iota.append(s)
-    for k, p in enumerate(elements):
-        for j, gen in enumerate(g.point_generators):
-            target = index[p * gen]
-            if iota[k] * images[j] != iota[target]:
+    iota = [None] * len(table.elements)
+    iota[0] = SignedPermutation.identity(n_letters)
+    for k, row in enumerate(table.next):
+        for image, target in zip(images, row):
+            s = iota[k] * image
+            if iota[target] is None:
+                iota[target] = s
+            elif iota[target] != s:
                 return None
-    if len(set(iota)) != len(elements):
+    if len(set(iota)) != len(iota) or any(
+            s.trace() != t for s, t in zip(iota, table.trace)):
         return None
-    group_order = len(elements)
-    for k, p in enumerate(elements):
-        if iota[k].trace() != int(p.trace()):
-            return None
-        if iota[k].determinant() != int(det(p)):
-            return None
-        if iota[k].order() != _matrix_order(p, group_order):
-            return None
     return iota
 
 
@@ -300,10 +275,7 @@ def is_hyperoctahedral(g: CrystGroup):
             }
         return RejectionCertificate(reason=first.kind, detail=detail)
 
-    pool = enumerate_group(n)
-    group_order = len(elements)
-    candidate_lists = [_candidate_images(gen, group_order, pool)
-                       for gen in g.point_generators]
+    candidate_lists = _candidate_images(g)
     tried = 0
     for images in itertools.product(*candidate_lists):
         tried += 1

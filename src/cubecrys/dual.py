@@ -17,7 +17,6 @@ by scanning all 2^W side choices.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,11 +25,13 @@ from cubecrys.exactlin import (
     RatVector,
     format_rational,
     parse_rational,
+    read_json,
     vector_from_json,
     vector_to_json,
+    write_json,
 )
 from cubecrys.sgnperm import SimplicialComplex
-from cubecrys.walls import GeometricWall
+from cubecrys.walls import GeometricWall, InternalError
 
 WALL_CAP = 24
 MEDIAN_VERTEX_CAP = 2 ** 14
@@ -53,10 +54,6 @@ class MembershipError(KeyError):
 
 class CrossingConditionError(ValueError):
     """The hypothesis of the union construction fails."""
-
-
-class InternalError(RuntimeError):
-    """A structural impossibility occurred; indicates a bug."""
 
 
 # ---------------------------------------------------------------------------
@@ -286,19 +283,11 @@ def wallspace_from_json_dict(d: dict) -> FiniteWallspace:
 
 
 def save_wallspace(ws: FiniteWallspace, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(ws.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, ws.to_json_dict())
 
 
 def load_wallspace(path) -> FiniteWallspace:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise WallspaceError("not valid JSON at line %d column %d: %s"
-                                 % (exc.lineno, exc.colno, exc.msg)) from exc
-    return wallspace_from_json_dict(data)
+    return wallspace_from_json_dict(read_json(path, WallspaceError))
 
 
 # ---------------------------------------------------------------------------
@@ -493,19 +482,11 @@ def complex_from_json_dict(d: dict) -> CubeComplex:
 
 
 def save_complex(c: CubeComplex, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(c.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, c.to_json_dict())
 
 
 def load_complex(path) -> CubeComplex:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ComplexFormatError("not valid JSON at line %d column %d: %s"
-                                     % (exc.lineno, exc.colno, exc.msg)) from exc
-    return complex_from_json_dict(data)
+    return complex_from_json_dict(read_json(path, ComplexFormatError))
 
 
 def dual_complex(ws: FiniteWallspace) -> CubeComplex:

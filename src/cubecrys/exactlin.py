@@ -4,11 +4,15 @@
 guarantees lowest terms, a positive denominator and arbitrary-precision
 integer arithmetic, which is the entire contract we need from a scalar.
 The vector and matrix wrappers below are immutable and hashable so they
-can serve as dictionary keys (group elements are matrices).
+can serve as dictionary keys (group elements are matrices).  The JSON
+forms of rationals and the one read/write path for the package's file
+formats live here too.
 """
 
 from __future__ import annotations
 
+import json
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -288,16 +292,19 @@ def det(m: RatMatrix) -> Fraction:
     """
     if not m.is_square():
         raise ShapeError("determinant of a non-square matrix")
-    n = m.rows
-    scale = Fraction(1)
+    scale = 1
     a = []
     for row in m.entries:
-        lcm = 1
-        for e in row:
-            lcm = lcm * e.denominator // _gcd(lcm, e.denominator)
+        lcm = math.lcm(*(e.denominator for e in row))
         scale *= lcm
         a.append([int(e * lcm) for e in row])
+    return Fraction(int_det(a), scale)
 
+
+def int_det(rows) -> int:
+    """Determinant of a square integer matrix (rows of ints), by Bareiss."""
+    a = [list(row) for row in rows]
+    n = len(a)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -308,19 +315,13 @@ def det(m: RatMatrix) -> Fraction:
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
             a[i][k] = 0
         prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1]) / scale
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+    return sign * a[n - 1][n - 1]
 
 
 def inverse(m: RatMatrix) -> RatMatrix:
@@ -368,26 +369,21 @@ def matrix_from_json(data) -> RatMatrix:
     return RatMatrix([[parse_rational(e) for e in row] for row in data])
 
 
-INFINITE_WITHIN_CAP = "infinite-within-cap"
+def write_json(path, data) -> None:
+    """Write a file format's JSON form: sorted keys, indent 2, newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
-def element_order(m: RatMatrix, cap: int = 48):
-    """Least k >= 1 with m**k = identity, or "infinite-within-cap".
-
-    The default cap of 48 covers every group this package enumerates in
-    dimension three; callers searching larger groups pass their own cap.
-    """
-    if not m.is_square():
-        raise ShapeError("order of a non-square matrix")
-    if det(m) == 0:
-        raise SingularMatrixError("order of a singular matrix is undefined")
-    ident = RatMatrix.identity(m.rows)
-    power = m
-    for k in range(1, cap + 1):
-        if power == ident:
-            return k
-        power = power * m
-    return INFINITE_WITHIN_CAP
+def read_json(path, error):
+    """Parse a JSON file; a syntax error raises `error` with its position."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise error("not valid JSON at line %d column %d: %s"
+                        % (exc.lineno, exc.colno, exc.msg)) from exc
 
 
 def average_intertwiner(

@@ -10,7 +10,6 @@ vertices (sign, axis) with an edge whenever the axes differ.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Sequence
 
@@ -21,7 +20,7 @@ QN_CAP = 8
 
 
 class SizeCapError(ValueError):
-    """Requested dimension is beyond the supported enumeration cap."""
+    """A requested dimension is beyond a supported cap."""
 
 
 class LabelCollisionError(ValueError):
@@ -186,17 +185,6 @@ def from_matrix(m: RatMatrix) -> SignedPermutation:
                 perm[i] = j + 1
                 signs[i] = 1 if e == Fraction(1) else -1
     return SignedPermutation(perm, signs)
-
-
-@dataclass(frozen=True)
-class ElementClass:
-    order: int
-    determinant: int
-
-
-def classify_element(s: SignedPermutation) -> ElementClass:
-    """Order and determinant of a signed permutation."""
-    return ElementClass(order=s.order(), determinant=s.determinant())
 
 
 class SimplicialComplex:

@@ -51,13 +51,9 @@ def canonicalize_direction(v: RatVector) -> RatVector:
     """
     if v.is_zero():
         raise ValueError("the zero vector spans no direction")
-    lcm = 1
-    for e in v:
-        lcm = lcm * e.denominator // math.gcd(lcm, e.denominator)
+    lcm = math.lcm(*(e.denominator for e in v))
     ints = [int(e * lcm) for e in v]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
+    g = math.gcd(*ints)
     ints = [x // g for x in ints]
     for x in ints:
         if x != 0:

@@ -40,18 +40,22 @@ def square_group(name, gens, parts=None):
     )
 
 
-def test_closure_and_words():
+def test_closure_and_successor_table():
     g = square_group("p4", [[[0, -1], [1, 0]]])
     elements = g.point_elements()
     assert len(elements) == 4
     assert elements[0].is_identity()
     assert g.point_group_order() == 4
-    # Each element is the product of its word's generators.
-    for m, word in zip(elements, g.element_words()):
-        product = RatMatrix.identity(2)
-        for j in word:
-            product = product * g.point_generators[j]
-        assert product == m
+    table = g.point_table()
+    assert [RatMatrix(m) for m in table.elements] == list(elements)
+    # Element k times generator j is element next[k][j].
+    for k, row in enumerate(table.next):
+        for j, target in enumerate(row):
+            assert elements[k] * g.point_generators[j] == elements[target]
+    assert table.next == ((1,), (2,), (3,), (0,))
+    assert table.order == (1, 4, 2, 4)
+    assert table.det == (1, 1, 1, 1)
+    assert table.trace == (2, 0, -2, 0)
 
 
 def test_closure_cap_rejects_infinite_order():

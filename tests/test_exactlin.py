@@ -6,14 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cubecrys.exactlin import (
-    INFINITE_WITHIN_CAP,
     RatMatrix,
     RatVector,
     ShapeError,
     SingularMatrixError,
     average_intertwiner,
     det,
-    element_order,
     format_rational,
     inverse,
     matrix_from_json,
@@ -134,16 +132,6 @@ def test_inverse_is_exact(m):
 def test_inverse_with_fractions():
     m = RatMatrix([["1", "-1/2"], ["0", "6/7"]])
     assert m * inverse(m) == RatMatrix.identity(2)
-
-
-def test_element_order():
-    assert element_order(RatMatrix.identity(2)) == 1
-    assert element_order(RatMatrix([[0, -1], [1, 0]])) == 4
-    assert element_order(RatMatrix([[1, -1], [1, 0]])) == 6
-    assert element_order(RatMatrix([[1, 1], [0, 1]])) == INFINITE_WITHIN_CAP
-    assert element_order(RatMatrix([[1, 1], [0, 1]]), cap=5) == INFINITE_WITHIN_CAP
-    with pytest.raises(SingularMatrixError):
-        element_order(RatMatrix([[0, 0], [0, 0]]))
 
 
 def test_json_round_trips():

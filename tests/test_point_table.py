@@ -1,0 +1,252 @@
+"""The integer point table against the RatMatrix code it replaced.
+
+The oracles below are the earlier implementations, kept verbatim in
+spirit: a breadth-first closure over RatMatrix with one generator word
+per element, the RatMatrix order loop, and the words-based extension of
+generator images.  The point table and the table-driven extension must
+agree with them on every group the tests build.
+"""
+
+import itertools
+import math
+
+import pytest
+
+from cubecrys.cli import main
+from cubecrys.crys import (
+    CLOSURE_CAP,
+    CrystGroup,
+    StructureError,
+    load_catalog,
+    save_group,
+    semidirect_extend,
+    validate,
+)
+from cubecrys.decide import (
+    HyperoctahedralWitness,
+    ORDER_OBSTRUCTION,
+    RejectionCertificate,
+    _candidate_images,
+    _extend_assignment,
+    is_hyperoctahedral,
+)
+from cubecrys.exactlin import RatMatrix, RatVector, det, inverse
+from cubecrys.sgnperm import SignedPermutation, enumerate_group
+from cubecrys.walls import stabilize
+
+# ---------------------------------------------------------------------------
+# Oracles
+
+
+def ratmatrix_order(m, cap):
+    """Least k <= cap with m**k = identity, by RatMatrix powers; else None."""
+    ident = RatMatrix.identity(m.rows)
+    power = m
+    for k in range(1, cap + 1):
+        if power == ident:
+            return k
+        power = power * m
+    return None
+
+
+def ratmatrix_closure(g):
+    """Breadth-first closure over RatMatrix: (elements, words)."""
+    ident = RatMatrix.identity(g.dimension)
+    elements, words, index = [ident], [()], {ident: 0}
+    head = 0
+    while head < len(elements):
+        for j, gen in enumerate(g.point_generators):
+            product = elements[head] * gen
+            if product not in index:
+                assert len(elements) < CLOSURE_CAP
+                index[product] = len(elements)
+                elements.append(product)
+                words.append(words[head] + (j,))
+        head += 1
+    return elements, words
+
+
+def words_candidates(g):
+    """Per generator, the signed permutations with its order, det, trace."""
+    order = len(ratmatrix_closure(g)[0])
+    out = []
+    for gen in g.point_generators:
+        key = (ratmatrix_order(gen, order), int(det(gen)), int(gen.trace()))
+        out.append([s for s in enumerate_group(g.dimension)
+                    if (s.order(), s.determinant(), s.trace()) == key])
+    return out
+
+
+def words_extend_assignment(g, images):
+    """Extension of generator images along generator words, checked to
+    be an injective homomorphism preserving order, det and trace."""
+    elements, words = ratmatrix_closure(g)
+    index = {p: k for k, p in enumerate(elements)}
+    n_letters = images[0].n if images else g.dimension
+    iota = []
+    for word in words:
+        s = SignedPermutation.identity(n_letters)
+        for j in word:
+            s = s * images[j]
+        iota.append(s)
+    for k, p in enumerate(elements):
+        for j, gen in enumerate(g.point_generators):
+            if iota[k] * images[j] != iota[index[p * gen]]:
+                return None
+    if len(set(iota)) != len(elements):
+        return None
+    for k, p in enumerate(elements):
+        if iota[k].trace() != int(p.trace()):
+            return None
+        if iota[k].determinant() != int(det(p)):
+            return None
+        if iota[k].order() != ratmatrix_order(p, len(elements)):
+            return None
+    return iota
+
+
+# ---------------------------------------------------------------------------
+# Groups
+
+
+def group(name, basis, gens, parts=None):
+    n = len(basis)
+    gens = [RatMatrix(m) for m in gens]
+    if parts is None:
+        parts = [[0] * n for _ in gens]
+    return CrystGroup(name, n, RatMatrix(basis),
+                      gens, [RatVector(t) for t in parts])
+
+
+I2 = [[1, 0], [0, 1]]
+I4 = [[int(i == j) for j in range(4)] for i in range(4)]
+CYCLE4 = [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+SWAP12 = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+FLIP1 = [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+# Columns: simple roots of D4, a basis of {x in Z^4 : sum x even}.
+D4_BASIS = [[1, 0, 0, 0], [-1, 1, 0, 0], [0, -1, 1, 1], [0, 0, -1, 1]]
+
+
+def b4():
+    return group("B4", I4, [CYCLE4, SWAP12, FLIP1])
+
+
+def wf4():
+    """W(F4): B4 and the reflection in (1, 1, 1, 1), in the D4 lattice."""
+    half = RatMatrix([[1 if i == j else 0 for j in range(4)]
+                      for i in range(4)]) - RatMatrix(
+        [["1/2"] * 4 for _ in range(4)])
+    basis = RatMatrix(D4_BASIS)
+    basis_inv = inverse(basis)
+    gens = [basis_inv * RatMatrix(m) * basis
+            for m in (CYCLE4, SWAP12, FLIP1)] + [basis_inv * half * basis]
+    assert all(m.is_integer() for m in gens)
+    return CrystGroup("W(F4)", 4, basis, gens, [RatVector([0] * 4)] * 4)
+
+
+def _tested_groups():
+    """The catalog, its stabilizations, and the groups built in tests/."""
+    catalog = load_catalog()
+    by_name = {g.name: g for g in catalog}
+    built = [
+        group("p4", I2, [[[0, -1], [1, 0]]]),
+        group("free", I2, []),
+        group("p4-skew", [[2, 1], [1, 1]], [[[0, -1], [1, 0]]]),
+        semidirect_extend(by_name["W"], 2, [RatMatrix.identity(2)],
+                          name="Z2xW"),
+        group("big", [[int(i == j) for j in range(5)] for i in range(5)],
+              [[[-1 if i == j else 0 for j in range(5)] for i in range(5)]]),
+        b4(),
+    ]
+    c = RatMatrix([[1, 2], [1, 3]])
+    for name in ("p6", "p4", "pgg"):
+        g = by_name[name]
+        built.append(CrystGroup(g.name + "-moved", 2, c * g.lattice_basis,
+                                g.point_generators, g.translation_parts))
+    return catalog + [stabilize(g) for g in catalog] + built
+
+
+GROUPS = _tested_groups()
+
+
+# ---------------------------------------------------------------------------
+# Tests
+
+
+def test_element_order():
+    """The RatMatrix loop and the table agree on small examples."""
+    for gens, order in (([], 1), ([[[0, -1], [1, 0]]], 4),
+                        ([[[1, -1], [1, 0]]], 6)):
+        g = group("g", I2, gens)
+        table = g.point_table()
+        assert max(table.order) == order
+        for p, k in zip(g.point_elements(), table.order):
+            assert ratmatrix_order(p, 48) == k
+    shear = RatMatrix([[1, 1], [0, 1]])
+    assert ratmatrix_order(shear, 48) is None
+    with pytest.raises(StructureError):
+        group("shear", I2, [[[1, 1], [0, 1]]]).point_table()
+
+
+@pytest.mark.parametrize("g", GROUPS, ids=lambda g: g.name)
+def test_table_matches_the_ratmatrix_closure(g):
+    elements, _ = ratmatrix_closure(g)
+    assert list(g.point_elements()) == elements
+    table = g.point_table()
+    index = {p: k for k, p in enumerate(elements)}
+    for k, p in enumerate(elements):
+        assert table.elements[k] == tuple(tuple(int(e) for e in row)
+                                          for row in p.entries)
+        assert table.next[k] == tuple(index[p * gen]
+                                      for gen in g.point_generators)
+        assert table.order[k] == ratmatrix_order(p, len(elements))
+        assert table.det[k] == det(p)
+        assert table.trace[k] == p.trace()
+
+
+@pytest.mark.parametrize("g", GROUPS, ids=lambda g: g.name)
+def test_extension_matches_the_words_oracle(g):
+    """Same candidates; on groups with at most 64 generator assignments,
+    the same extension (or None) for every one of them."""
+    candidates = words_candidates(g)
+    assert [list(c) for c in _candidate_images(g)] == candidates
+    if math.prod(len(c) for c in candidates) <= 64:
+        for images in itertools.product(*candidates):
+            assert _extend_assignment(g, images) == \
+                words_extend_assignment(g, images)
+
+
+def test_b4_closes_validates_and_is_accepted():
+    g = b4()
+    report = validate(g)
+    assert report.point_group_order == 384
+    assert report.element_orders == tuple(
+        sorted(s.order() for s in enumerate_group(4)))
+    assert isinstance(is_hyperoctahedral(g), HyperoctahedralWitness)
+
+
+def test_wf4_fills_the_closure_cap_and_is_order_obstructed():
+    g = wf4()
+    assert validate(g).point_group_order == CLOSURE_CAP == 1152
+    assert max(g.point_table().order) == 12
+    result = is_hyperoctahedral(g)
+    assert isinstance(result, RejectionCertificate)
+    assert result.reason == ORDER_OBSTRUCTION
+    assert result.detail["element_order"] == 12
+
+
+def test_translation_parts_must_close_over_the_lattice(tmp_path, capsys):
+    # A mirror with glide (1/3, 0) squares to a translation by (2/3, 0):
+    # its affine closure modulo Z^2 has 6 elements, not |P| = 2.
+    glide = group("glide-1/3", I2, [[[1, 0], [0, -1]]], [["1/3", "0"]])
+    with pytest.raises(StructureError):
+        validate(glide)
+    path = tmp_path / "glide.json"
+    save_group(glide, path)
+    assert main(["validate", str(path)]) == 1
+    assert "translation parts" in capsys.readouterr().err
+    # A genuine glide (pg) and every catalog group pass.
+    pg = group("pg", I2, [[[1, 0], [0, -1]]], [["1/2", "0"]])
+    assert validate(pg).point_group_order == 2
+    for g in load_catalog():
+        validate(g)

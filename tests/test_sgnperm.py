@@ -13,7 +13,6 @@ from cubecrys.sgnperm import (
     SimplicialComplex,
     SizeCapError,
     build_Qn,
-    classify_element,
     enumerate_group,
     from_matrix,
     is_signed_permutation_matrix,
@@ -83,7 +82,6 @@ def test_order_of_a_negative_cycle():
     assert s.order() == 6
     assert s.determinant() == -1
     assert s.trace() == 0
-    assert classify_element(s).order == 6
 
 
 def test_is_signed_permutation_matrix():
