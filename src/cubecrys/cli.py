@@ -166,7 +166,7 @@ def _cmd_cubulate(args):
         basis_source = "lattice"
     fam = direction_class_count(g, basis)
     action = induced_action_on_RN(g, fam)
-    stabilized = stabilize(g, basis)
+    stabilized = stabilize(g, fam)
     separation = check_linear_separation(
         g, fam, _sample_pairs(g.dimension, 100, seed))
     report = {
@@ -249,14 +249,15 @@ def _cmd_boundary(args):
     }
     if bd.is_finite:
         comp = bd.as_complex()
+        f_vector = list(comp.f_vector())
         report["boundary"] = {
             "verdict": "finite",
             "complex": comp.to_json_dict(),
-            "f_vector": list(comp.f_vector()),
+            "f_vector": f_vector,
         }
         lines = [
             "boundary of %s: finite complex" % " * ".join(map(str, factors)),
-            "f-vector: %s" % (list(comp.f_vector()),),
+            "f-vector: %s" % (f_vector,),
         ]
     else:
         report["boundary"] = {

@@ -25,7 +25,6 @@ from functools import lru_cache
 
 from cubecrys.exactlin import (
     RatMatrix,
-    RatVector,
     average_intertwiner,
     det,
     inverse,
@@ -39,6 +38,7 @@ from cubecrys.sgnperm import (
     enumerate_group,
     from_matrix,
     is_signed_permutation_matrix,
+    times_signed_permutation,
     to_matrix,
 )
 
@@ -77,16 +77,14 @@ class HyperoctahedralWitness:
     basis: tuple
 
     def verify(self, g: CrystGroup) -> bool:
-        theta = point_group_real(g)
+        """theta_bar(p) * A == A * iota(p) for every p, A nonsingular and
+        iota injective, all exact."""
         a = self.conjugator
-        a_inv = inverse(a)
-        for p, real_form in zip(g.point_elements(), theta):
-            image = to_matrix(self.iota[p])
-            if a * image * a_inv != real_form:
-                return False
-        if len(set(self.iota.values())) != len(self.iota):
+        if det(a) == 0 or len(set(self.iota.values())) != len(self.iota):
             return False
-        return True
+        return all(real_form * a == times_signed_permutation(a, self.iota[p])
+                   for p, real_form in zip(g.point_elements(),
+                                           point_group_real(g)))
 
     def to_json_dict(self, g: CrystGroup) -> dict:
         theta = point_group_real(g)
@@ -95,7 +93,7 @@ class HyperoctahedralWitness:
         elements = []
         for p, real_form in zip(g.point_elements(), theta):
             s = self.iota[p]
-            residual = real_form - a * to_matrix(s) * a_inv
+            residual = real_form - times_signed_permutation(a, s) * a_inv
             elements.append({
                 "point_element": matrix_to_json(p),
                 "image": s.to_json_dict(),
@@ -305,20 +303,11 @@ def is_hyperoctahedral(g: CrystGroup):
 def hyperoctahedral_basis(g: CrystGroup, w: HyperoctahedralWitness) -> list:
     """The basis moved by signed permutations: the columns of A.
 
-    Re-verifies vector by vector that each point element sends basis
-    vector i to (sign) times basis vector perm(i), exactly as the
-    witness's signed permutations dictate.
+    Column i of theta_bar(p) * A == A * iota(p) says that p sends basis
+    vector i to signs[i] times basis vector perm(i), so re-verifying
+    the witness re-verifies the basis.
     """
-    a = w.conjugator
-    basis = a.columns()
-    theta = point_group_real(g)
-    for p, real_form in zip(g.point_elements(), theta):
-        s = w.iota[p]
-        for i in range(len(basis)):
-            expected = RatVector(
-                [s.signs[i] * e for e in basis[s.perm[i] - 1]])
-            if real_form * basis[i] != expected:
-                raise WitnessCorruptionError(
-                    "witness does not permute the basis as claimed "
-                    "(element %r, basis vector %d)" % (p, i))
-    return basis
+    if not w.verify(g):
+        raise WitnessCorruptionError(
+            "witness does not permute the basis as claimed")
+    return w.conjugator.columns()

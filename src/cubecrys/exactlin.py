@@ -51,7 +51,10 @@ def parse_rational(s) -> Fraction:
     if isinstance(s, int):
         return Fraction(s)
     if isinstance(s, str):
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in %r" % (s,)) from None
     raise ValueError("not a serialized rational: %r" % (s,))
 
 

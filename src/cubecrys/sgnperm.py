@@ -155,6 +155,13 @@ def to_matrix(s: SignedPermutation) -> RatMatrix:
     return RatMatrix(grid)
 
 
+def times_signed_permutation(m: RatMatrix, s: SignedPermutation) -> RatMatrix:
+    """m * to_matrix(s) by relabelling columns: column i of the product
+    is signs[i] times column perm[i] of m."""
+    return RatMatrix([[sign * row[j - 1] for j, sign in zip(s.perm, s.signs)]
+                      for row in m.entries])
+
+
 def is_signed_permutation_matrix(m: RatMatrix) -> bool:
     """True iff every row and column has exactly one entry, and it is +-1."""
     if not m.is_square():
@@ -239,24 +246,21 @@ class SimplicialComplex:
     def degree_sequence(self) -> tuple:
         return tuple(sorted(len(self._adjacency[v]) for v in self.vertices))
 
-    def cliques(self) -> list[frozenset]:
-        """All nonempty cliques of the 1-skeleton, i.e. all simplices."""
-        found = []
-        verts = list(self.vertices)
-        index = {v: i for i, v in enumerate(verts)}
+    def cliques(self):
+        """Every nonempty clique of the 1-skeleton, i.e. every simplex,
+        generated one at a time."""
+        index = {v: i for i, v in enumerate(self.vertices)}
 
         def extend(clique, candidates):
-            for v in list(candidates):
-                new_clique = clique + [v]
-                found.append(frozenset(new_clique))
-                new_candidates = [
+            for v in candidates:
+                new_clique = clique + (v,)
+                yield frozenset(new_clique)
+                yield from extend(new_clique, [
                     u for u in candidates
                     if index[u] > index[v] and u in self._adjacency[v]
-                ]
-                extend(new_clique, new_candidates)
+                ])
 
-        extend([], verts)
-        return found
+        return extend((), self.vertices)
 
     def f_vector(self) -> tuple:
         """Simplex counts by dimension: (vertices, edges, triangles, ...)."""

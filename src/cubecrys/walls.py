@@ -23,7 +23,7 @@ from cubecrys.crys import CrystGroup, point_group_real, validate
 from cubecrys.exactlin import (
     RatMatrix,
     RatVector,
-    det,
+    SingularMatrixError,
     format_rational,
     inverse,
     vector_to_json,
@@ -126,6 +126,10 @@ class WallFamily:
     base_walls: tuple
     classes: tuple
     class_count: int
+    # The point-group real forms the family was built for and, in the
+    # same order, the signed permutation each induces on the classes.
+    real_forms: tuple
+    action: tuple
 
     def dual_coordinates(self, point: RatVector) -> RatVector:
         """Coordinates of a point in the chosen basis."""
@@ -140,6 +144,23 @@ class WallFamily:
         }
 
 
+def _basis_and_inverse(g: CrystGroup, basis):
+    """The basis as vectors, its column matrix and that matrix's inverse."""
+    basis = [RatVector(v) for v in basis]
+    n = g.dimension
+    if len(basis) != n or any(len(v) != n for v in basis):
+        raise RankError("need %d vectors of length %d" % (n, n))
+    b = RatMatrix.from_columns(basis)
+    try:
+        return basis, b, inverse(b)
+    except SingularMatrixError:
+        raise RankError("the supplied vectors are linearly dependent") from None
+
+
+def _base_walls(b_inv: RatMatrix) -> list:
+    return [GeometricWall(b_inv.row(i), 0) for i in range(b_inv.rows)]
+
+
 def standard_walls(g: CrystGroup, basis) -> list:
     """The n base walls through the origin for the given basis.
 
@@ -147,15 +168,7 @@ def standard_walls(g: CrystGroup, basis) -> list:
     dual covector of basis vector i, i.e. row i of the inverse basis
     matrix.
     """
-    basis = [RatVector(v) for v in basis]
-    n = g.dimension
-    if len(basis) != n or any(len(v) != n for v in basis):
-        raise RankError("need %d vectors of length %d" % (n, n))
-    b = RatMatrix.from_columns(basis)
-    if det(b) == 0:
-        raise RankError("the supplied vectors are linearly dependent")
-    b_inv = inverse(b)
-    return [GeometricWall(b_inv.row(i), 0) for i in range(n)]
+    return _base_walls(_basis_and_inverse(g, basis)[2])
 
 
 def direction_class_count(g: CrystGroup, basis) -> WallFamily:
@@ -164,31 +177,36 @@ def direction_class_count(g: CrystGroup, basis) -> WallFamily:
     Lines are tracked by canonical primitive integer representatives,
     which replaces the usual unit-sphere picture with an exact
     projective one.  The class count N satisfies n <= N <= n * |P|.
+
+    The breadth-first search also records the induced action: element
+    t sends class k to the class of t * rep_k, with the sign of the
+    first nonzero entry of t * rep_k (representatives have a positive
+    one).
     """
-    basis = [RatVector(v) for v in basis]
-    walls = standard_walls(g, basis)
-    b = RatMatrix.from_columns(basis)
-    b_inv = inverse(b)
+    basis, b, b_inv = _basis_and_inverse(g, basis)
     theta = point_group_real(g)
+    index = {}
     classes = []
-    seen = set()
-    queue = []
-    for v in basis:
+
+    def class_of(v):
         rep = canonicalize_direction(v)
-        if rep not in seen:
-            seen.add(rep)
+        if rep not in index:
+            index[rep] = len(classes)
             classes.append(rep)
-            queue.append(rep)
-    head = 0
-    while head < len(queue):
-        rep = queue[head]
-        head += 1
-        for t in theta:
-            image = canonicalize_direction(t * rep)
-            if image not in seen:
-                seen.add(image)
-                classes.append(image)
-                queue.append(image)
+        return index[rep]
+
+    for v in basis:
+        class_of(v)
+    perms = [[] for _ in theta]
+    signs = [[] for _ in theta]
+    k = 0
+    while k < len(classes):
+        rep = classes[k]
+        k += 1
+        for perm, sign, t in zip(perms, signs, theta):
+            image = t * rep
+            perm.append(class_of(image) + 1)
+            sign.append(1 if next(e for e in image if e != 0) > 0 else -1)
     n = g.dimension
     count = len(classes)
     if not (n <= count <= n * g.point_group_order()):
@@ -199,9 +217,11 @@ def direction_class_count(g: CrystGroup, basis) -> WallFamily:
         basis=tuple(basis),
         basis_matrix=b,
         dual_matrix=b_inv,
-        base_walls=tuple(walls),
+        base_walls=tuple(_base_walls(b_inv)),
         classes=tuple(classes),
         class_count=count,
+        real_forms=theta,
+        action=tuple(SignedPermutation(p, s) for p, s in zip(perms, signs)),
     )
 
 
@@ -210,6 +230,10 @@ def _integers_strictly_between(a: Fraction, b: Fraction) -> int:
         return 0
     lo, hi = (a, b) if a < b else (b, a)
     return max(0, math.ceil(hi) - math.floor(lo) - 1)
+
+
+def _separation(nu_p, nu_q) -> int:
+    return sum(_integers_strictly_between(a, b) for a, b in zip(nu_p, nu_q))
 
 
 def separation_count(p: RatVector, q: RatVector, fam: WallFamily) -> int:
@@ -221,9 +245,7 @@ def separation_count(p: RatVector, q: RatVector, fam: WallFamily) -> int:
     strictly between the coordinates of p and q.  Walls through p or q
     themselves separate nothing (open-halfspace convention).
     """
-    nu_p = fam.dual_coordinates(p)
-    nu_q = fam.dual_coordinates(q)
-    return sum(_integers_strictly_between(a, b) for a, b in zip(nu_p, nu_q))
+    return _separation(fam.dual_coordinates(p), fam.dual_coordinates(q))
 
 
 @dataclass(frozen=True)
@@ -263,16 +285,17 @@ def check_linear_separation(g: CrystGroup, fam: WallFamily, samples) -> LinearSe
     max_norm_sq = max(v.norm_sq() for v in fam.basis)
     worst = Fraction(0)
     for r1, r2 in samples:
-        sep = separation_count(r1, r2, fam)
-        difference = r1 - r2
-        lhs = difference.norm_sq()
+        nu1 = fam.dual_coordinates(r1)
+        nu2 = fam.dual_coordinates(r2)
+        sep = _separation(nu1, nu2)
+        lhs = (r1 - r2).norm_sq()
         rhs = max_norm_sq * (sep + n) ** 2
         if lhs > rhs:
             raise PropertyViolationError(
                 "separation bound failed for pair (%r, %r): %s > %s"
                 % (r1, r2, lhs, rhs))
-        nu = fam.dual_coordinates(difference)
-        lower = sum(abs(e) for e in nu) - n
+        # nu is linear, so nu(r1 - r2) = nu(r1) - nu(r2).
+        lower = sum(abs(a - b) for a, b in zip(nu1, nu2)) - n
         if sep < lower:
             raise PropertyViolationError(
                 "separation undercount for pair (%r, %r): %d < %s"
@@ -295,46 +318,27 @@ def induced_action_on_RN(g: CrystGroup, fam: WallFamily) -> dict:
     an element's sign on a class is the sign of the rational scalar
     relating the image of the representative to the canonical
     representative of the image line.  The result is a homomorphism
-    into the signed permutations on N letters.
+    into the signed permutations on N letters, recorded by
+    direction_class_count and keyed here by point element.
     """
-    theta = point_group_real(g)
-    index = {rep: k for k, rep in enumerate(fam.classes)}
-    n_classes = fam.class_count
-    action = {}
-    for p, t in zip(g.point_elements(), theta):
-        perm = [0] * n_classes
-        signs = [0] * n_classes
-        for k, rep in enumerate(fam.classes):
-            image = t * rep
-            canonical = canonicalize_direction(image)
-            j = index.get(canonical)
-            if j is None:
-                raise InternalError(
-                    "point element did not preserve the direction classes")
-            for i, e in enumerate(canonical):
-                if e != 0:
-                    scale = image[i] / e
-                    break
-            perm[k] = j + 1
-            signs[k] = 1 if scale > 0 else -1
-        action[p] = SignedPermutation(perm, signs)
-    return action
+    if point_group_real(g) != fam.real_forms:
+        raise InternalError("the wall family was built for another group")
+    return dict(zip(g.point_elements(), fam.action))
 
 
-def stabilize(g: CrystGroup, basis=None) -> CrystGroup:
+def stabilize(g: CrystGroup, fam: WallFamily = None) -> CrystGroup:
     """Pass to the N-dimensional group acting on the wall classes.
 
     The output has lattice Z^N and point generators the induced signed
     permutation matrices; it always lies in the accepted class, with
     the identity as conjugator, because its real form already consists
     of signed permutation matrices.  N is computed from the lattice
-    basis unless another basis is supplied, and the output carries
-    m = N - n extra translation directions.
+    basis unless a wall family of g for another basis is supplied, and
+    the output carries m = N - n extra translation directions.
     """
     validate(g)
-    if basis is None:
-        basis = g.lattice_basis.columns()
-    fam = direction_class_count(g, basis)
+    if fam is None:
+        fam = direction_class_count(g, g.lattice_basis.columns())
     action = induced_action_on_RN(g, fam)
     n_classes = fam.class_count
     new_gens = [to_matrix(action[gen]) for gen in g.point_generators]

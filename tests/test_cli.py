@@ -105,6 +105,19 @@ def test_validate_malformed_file(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_zero_denominator_in_a_group_file_exits_one(capsys, tmp_path):
+    path = group_file(tmp_path, "p4")
+    with open(path) as fh:
+        data = json.load(fh)
+    data["translation_parts"][0][0] = "1/0"
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    for command in ("validate", "classify", "cubulate"):
+        code, _, err = run(capsys, command, path)
+        assert code == 1, command
+        assert "zero denominator" in err, command
+
+
 # -- classify ---------------------------------------------------------
 
 
@@ -173,6 +186,22 @@ def test_cubulate_seed_flag_and_env(capsys, tmp_path, monkeypatch):
     assert cli.SEED_ENV in err
 
 
+def test_cubulate_builds_the_wall_family_once(capsys, tmp_path, monkeypatch):
+    from cubecrys import walls
+    original = walls.direction_class_count
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "direction_class_count", counted)
+    monkeypatch.setattr(walls, "direction_class_count", counted)
+    report = run_json(capsys, "cubulate", group_file(tmp_path, "p6"))
+    assert report["N"] == 3
+    assert len(calls) == 1
+
+
 def test_cubulate_text_output(capsys, tmp_path):
     code, out, _ = run(capsys, "cubulate", group_file(tmp_path, "p4"), "--text")
     assert code == 0
@@ -213,6 +242,18 @@ def test_dual_missing_and_malformed_files(capsys, tmp_path):
     code, _, err = run(capsys, "dual", str(bad))
     assert code == 1
     assert "missing key" in err
+
+
+def test_zero_denominator_in_a_walls_file_exits_one(capsys, tmp_path):
+    path = walls_file(tmp_path)
+    with open(path) as fh:
+        data = json.load(fh)
+    data["walls"][0]["offset"] = "1/0"
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    code, _, err = run(capsys, "dual", path)
+    assert code == 1
+    assert "zero denominator" in err
 
 
 # -- boundary ---------------------------------------------------------

@@ -12,6 +12,7 @@ from cubecrys.decide import (
     ORDER_OBSTRUCTION,
     RejectionCertificate,
     SizeCapError,
+    WitnessCorruptionError,
     hyperoctahedral_basis,
     is_hyperoctahedral,
     quick_obstructions,
@@ -213,3 +214,48 @@ def test_reason_constants_are_distinct():
     # rejects everything the search would).
     assert NO_EMBEDDING == "no-embedding"
     assert len({ORDER_OBSTRUCTION, CHARACTER_MISMATCH, NO_EMBEDDING}) == 3
+
+
+def _conjugation_holds(g, w):
+    """A * iota(p) * A^-1 == theta_bar(p) for every p, by matrix products."""
+    a = w.conjugator
+    a_inv = inverse(a)
+    return all(a * to_matrix(w.iota[p]) * a_inv == real
+               for p, real in zip(g.point_elements(), point_group_real(g)))
+
+
+def _corrupted_witnesses(g, witness):
+    """Swapped iota images, a perturbed conjugator, the zero conjugator."""
+    a = witness.conjugator
+    iota = dict(witness.iota)
+    p, q = [p for p in g.point_elements()
+            if not iota[p].is_identity()][:2]
+    iota[p], iota[q] = iota[q], iota[p]
+    bumped = [list(row) for row in a.entries]
+    bumped[0][1] += 1
+    bumped = RatMatrix(bumped)
+    zero = RatMatrix.zeros(g.dimension, g.dimension)
+    swapped = HyperoctahedralWitness(iota=iota, conjugator=a,
+                                     basis=witness.basis)
+    perturbed = HyperoctahedralWitness(iota=witness.iota, conjugator=bumped,
+                                       basis=tuple(bumped.columns()))
+    assert det(bumped) != 0
+    assert not _conjugation_holds(g, swapped)
+    assert not _conjugation_holds(g, perturbed)
+    # theta_bar(p) * 0 == 0 * iota(p) for every p: only the determinant
+    # check refuses the zero conjugator.
+    return [swapped, perturbed,
+            HyperoctahedralWitness(iota=witness.iota, conjugator=zero,
+                                   basis=tuple(zero.columns()))]
+
+
+@pytest.mark.parametrize("name", ["Z:W", "p4m", "cmm"])
+def test_corrupted_witnesses_fail_verification(name):
+    g = catalog_entry(name)
+    witness = is_hyperoctahedral(g)
+    assert witness.verify(g)
+    for bad in _corrupted_witnesses(g, witness):
+        assert not bad.verify(g)
+        with pytest.raises(WitnessCorruptionError):
+            hyperoctahedral_basis(g, bad)
+

@@ -34,6 +34,12 @@ def test_rational_formatting_round_trip():
         parse_rational(1.5)
 
 
+def test_zero_denominator_is_a_value_error():
+    for text in ("1/0", "-3/0", "0/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_rational(text)
+
+
 def test_rat_rejects_floats():
     with pytest.raises(TypeError):
         rat(0.5)

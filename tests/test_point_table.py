@@ -1,10 +1,13 @@
-"""The integer point table against the RatMatrix code it replaced.
+"""The integer point table and the recorded wall-class action against
+the RatMatrix code they replaced.
 
 The oracles below are the earlier implementations, kept verbatim in
 spirit: a breadth-first closure over RatMatrix with one generator word
-per element, the RatMatrix order loop, and the words-based extension of
-generator images.  The point table and the table-driven extension must
-agree with them on every group the tests build.
+per element, the RatMatrix order loop, the words-based extension of
+generator images, and the per-element loop that computed the action on
+the wall direction classes.  The point table, the table-driven
+extension and the action recorded by direction_class_count must agree
+with them on every group the tests build.
 """
 
 import itertools
@@ -18,21 +21,30 @@ from cubecrys.crys import (
     CrystGroup,
     StructureError,
     load_catalog,
+    point_group_real,
     save_group,
     semidirect_extend,
     validate,
 )
 from cubecrys.decide import (
+    DIMENSION_CAP,
     HyperoctahedralWitness,
     ORDER_OBSTRUCTION,
     RejectionCertificate,
     _candidate_images,
     _extend_assignment,
+    hyperoctahedral_basis,
     is_hyperoctahedral,
 )
 from cubecrys.exactlin import RatMatrix, RatVector, det, inverse
-from cubecrys.sgnperm import SignedPermutation, enumerate_group
-from cubecrys.walls import stabilize
+from cubecrys.sgnperm import SignedPermutation, enumerate_group, to_matrix
+from cubecrys.walls import (
+    InternalError,
+    canonicalize_direction,
+    direction_class_count,
+    induced_action_on_RN,
+    stabilize,
+)
 
 # ---------------------------------------------------------------------------
 # Oracles
@@ -103,6 +115,31 @@ def words_extend_assignment(g, images):
         if iota[k].order() != ratmatrix_order(p, len(elements)):
             return None
     return iota
+
+
+def loop_induced_action(g, fam):
+    """Per point element, the signed permutation of the direction
+    classes, from one product t * rep per element and class."""
+    index = {rep: k for k, rep in enumerate(fam.classes)}
+    action = {}
+    for p, t in zip(g.point_elements(), point_group_real(g)):
+        perm = [0] * fam.class_count
+        signs = [0] * fam.class_count
+        for k, rep in enumerate(fam.classes):
+            image = t * rep
+            canonical = canonicalize_direction(image)
+            j = index.get(canonical)
+            if j is None:
+                raise InternalError(
+                    "point element did not preserve the direction classes")
+            for i, e in enumerate(canonical):
+                if e != 0:
+                    scale = image[i] / e
+                    break
+            perm[k] = j + 1
+            signs[k] = 1 if scale > 0 else -1
+        action[p] = SignedPermutation(perm, signs)
+    return action
 
 
 # ---------------------------------------------------------------------------
@@ -250,3 +287,41 @@ def test_translation_parts_must_close_over_the_lattice(tmp_path, capsys):
     assert validate(pg).point_group_order == 2
     for g in load_catalog():
         validate(g)
+
+
+def _families(g):
+    """The lattice-basis wall family of g and, if g is accepted, the
+    witness-basis one."""
+    families = [direction_class_count(g, g.lattice_basis.columns())]
+    if g.dimension <= DIMENSION_CAP:
+        witness = is_hyperoctahedral(g)
+        if isinstance(witness, HyperoctahedralWitness):
+            families.append(direction_class_count(
+                g, hyperoctahedral_basis(g, witness)))
+    return families
+
+
+@pytest.mark.parametrize("g", GROUPS, ids=lambda g: g.name)
+def test_recorded_action_matches_the_loop_oracle(g):
+    for fam in _families(g):
+        action = induced_action_on_RN(g, fam)
+        assert list(action) == list(g.point_elements())
+        assert action == loop_induced_action(g, fam)
+        s = stabilize(g, fam)
+        assert s.dimension == fam.class_count
+        assert s.point_generators == tuple(
+            to_matrix(action[gen]) for gen in g.point_generators)
+
+
+def test_recorded_action_refuses_a_family_of_another_group():
+    p4 = group("p4", I2, [[[0, -1], [1, 0]]])
+    fam = direction_class_count(p4, p4.lattice_basis.columns())
+    # The same group built again has the same real forms.
+    again = group("p4", I2, [[[0, -1], [1, 0]]])
+    assert induced_action_on_RN(again, fam) == induced_action_on_RN(p4, fam)
+    for other in (group("p2", I2, [[[-1, 0], [0, -1]]]),
+                  group("p4-skew", [[2, 1], [1, 1]], [[[0, -1], [1, 0]]])):
+        with pytest.raises(InternalError):
+            induced_action_on_RN(other, fam)
+        with pytest.raises(InternalError):
+            stabilize(other, fam)

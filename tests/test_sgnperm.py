@@ -18,6 +18,7 @@ from cubecrys.sgnperm import (
     is_signed_permutation_matrix,
     qn_automorphism,
     simplicial_join,
+    times_signed_permutation,
     to_matrix,
 )
 
@@ -113,6 +114,20 @@ def test_cliques_and_f_vector_of_a_triangle():
     c = SimplicialComplex([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
     assert c.f_vector() == (3, 3, 1)
     assert frozenset((1, 2, 3)) in c.cliques()
+
+
+def test_times_signed_permutation_relabels_columns():
+    m = RatMatrix([[1, "2/3", -4], ["-1/2", 0, 5], [7, 3, "1/9"]])
+    for s in enumerate_group(3):
+        assert times_signed_permutation(m, s) == m * to_matrix(s)
+
+
+def test_cliques_are_generated_once_each():
+    q3 = build_Qn(3)
+    cliques = q3.cliques()
+    assert next(cliques) == frozenset({(1, 1)})
+    rest = list(cliques)
+    assert len(set(rest)) == len(rest) == sum(q3.f_vector()) - 1
 
 
 def test_relabel_and_json_round_trip():
