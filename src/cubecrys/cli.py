@@ -31,7 +31,6 @@ from cubecrys.decide import (
     is_hyperoctahedral,
 )
 from cubecrys.dual import (
-    MEDIAN_VERTEX_CAP,
     dual_complex,
     duality_check,
     is_median_graph,
@@ -47,6 +46,9 @@ from cubecrys.walls import (
 )
 
 SEED_ENV = "CUBECRYS_SEED"
+# Larger duals are still enumerated and written, but their reports say
+# "skipped (too many 0-cubes)" for the median and duality checks.
+MEDIAN_VERTEX_CAP = 2 ** 14
 
 
 class CliInputError(ValueError):

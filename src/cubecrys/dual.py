@@ -34,7 +34,6 @@ from cubecrys.sgnperm import SimplicialComplex
 from cubecrys.walls import GeometricWall, InternalError
 
 WALL_CAP = 24
-MEDIAN_VERTEX_CAP = 2 ** 14
 
 WALLS_FORMAT = "cubecrys-walls/1"
 COMPLEX_FORMAT = "cubecrys-complex/1"
@@ -489,6 +488,20 @@ def load_complex(path) -> CubeComplex:
     return complex_from_json_dict(read_json(path, ComplexFormatError))
 
 
+def _clause_flips(forbid, bits: int):
+    """Yield (j, bits with wall j flipped) for each flip meeting every clause.
+
+    Bit k of forbid[j][s][t] is set when side s of wall j rules out
+    side t of wall k (k == j gives the clauses on wall j alone).  bits
+    itself must meet every clause, so only the flipped wall's are read.
+    """
+    for j, rules in enumerate(forbid):
+        flipped = bits ^ (1 << j)
+        rule0, rule1 = rules[flipped >> j & 1]
+        if not (flipped & rule1 or ~flipped & rule0):
+            yield j, flipped
+
+
 def dual_complex(ws: FiniteWallspace) -> CubeComplex:
     """All consistent orientations, found by breadth-first wall flipping.
 
@@ -499,42 +512,30 @@ def dual_complex(ws: FiniteWallspace) -> CubeComplex:
     them without touching the 2^W search space.
     """
     nwalls = len(ws.walls)
-    full = (1 << nwalls) - 1
 
-    # Pairwise compatibility tables, then per-wall bitmasks: ok[j][s][t]
-    # has bit k set when (wall j, side s) tolerates (wall k, side t).
-    ok = [[[0, 0], [0, 0]] for _ in range(nwalls)]
+    # Per-wall bitmasks from the pairwise compatibility tables:
+    # forbid[j][s][t] has bit k set when (wall j, side s) and (wall k,
+    # side t) do not meet.  A side meets itself, never the other side.
+    forbid = [[[0, 1 << j], [1 << j, 0]] for j in range(nwalls)]
     for i in range(nwalls):
         for j in range(i + 1, nwalls):
             for si in (0, 1):
                 for sj in (0, 1):
-                    if ws.sides_compatible(i, si, j, sj):
-                        ok[i][si][sj] |= 1 << j
-                        ok[j][sj][si] |= 1 << i
+                    if not ws.sides_compatible(i, si, j, sj):
+                        forbid[i][si][sj] |= 1 << j
+                        forbid[j][sj][si] |= 1 << i
 
     base_bits = 0
     for i in range(nwalls):
         if ws.base_side(i):
             base_bits |= 1 << i
 
-    def flip_allowed(bits: int, j: int, new_side: int) -> bool:
-        others = full & ~(1 << j)
-        plus_set = bits & others
-        minus_set = ~bits & others
-        return (plus_set & ~ok[j][new_side][1]) == 0 and \
-               (minus_set & ~ok[j][new_side][0]) == 0
-
     orientations = [Orientation(base_bits, nwalls)]
     index = {base_bits: 0}
     edges = []
     head = 0
     while head < len(orientations):
-        at = orientations[head]
-        for j in range(nwalls):
-            new_side = 1 - at.side(j)
-            if not flip_allowed(at.bits, j, new_side):
-                continue
-            nb_bits = at.bits ^ (1 << j)
+        for j, nb_bits in _clause_flips(forbid, orientations[head].bits):
             if nb_bits not in index:
                 index[nb_bits] = len(orientations)
                 orientations.append(Orientation(nb_bits, nwalls))
@@ -578,39 +579,35 @@ def median(c: CubeComplex, x: Orientation, y: Orientation, z: Orientation) -> Or
 
 
 def is_median_graph(c: CubeComplex) -> bool:
-    """Exhaustively test the majority-vote median property.
+    """Is the 1-skeleton a median graph?  Time O(V * W).
 
-    For every vertex triple, the wallwise majority must be a vertex
-    lying on graph geodesics between each of the three pairs.  Uses
-    breadth-first distances, so it does not presuppose that graph
-    distance equals wall-counting distance.
+    A connected set of 0-cubes spans a median graph exactly when it
+    carries every hypercube edge between its members and is closed
+    under the wallwise majority vote.  Majority-closed sets are the
+    solution sets of the one- and two-wall clauses they satisfy
+    (Schaefer), and such a solution set is connected, so a connected
+    set is majority-closed exactly when no flip leaves it for a solution.
     """
-    count = c.vertex_count()
-    if count > MEDIAN_VERTEX_CAP:
-        raise WallCapError(
-            "median check capped at %d vertices, got %d"
-            % (MEDIAN_VERTEX_CAP, count))
-    bits_list = [o.bits for o in c.orientations]
-    index = c._index
-    dist = [c.bfs_distances(i) for i in range(count)]
-    for i in range(count):
-        bi = bits_list[i]
-        for j in range(i, count):
-            bj = bits_list[j]
-            dij = dist[i][j]
-            for k in range(j, count):
-                bk = bits_list[k]
-                m = (bi & bj) | (bi & bk) | (bj & bk)
-                at = index.get(m)
-                if at is None:
-                    return False
-                if dist[i][at] + dist[at][j] != dij:
-                    return False
-                if dist[i][at] + dist[at][k] != dist[i][k]:
-                    return False
-                if dist[j][at] + dist[at][k] != dist[j][k]:
-                    return False
-    return True
+    members = c._index
+    full = (1 << c.num_walls) - 1
+    # ok[j][s][t] has bit k set when some member has side s on wall j
+    # and side t on wall k.
+    ok = [[[0, 0], [0, 0]] for _ in range(c.num_walls)]
+    for bits in members:
+        for j, row in enumerate(ok):
+            seen = row[bits >> j & 1]
+            seen[0] |= full & ~bits
+            seen[1] |= bits
+    forbid = [[(full & ~t0, full & ~t1) for t0, t1 in row] for row in ok]
+    # Each flip to a member crosses an edge of the hypercube; all of
+    # them must be edges of c, and each is found from both ends.
+    inside = 0
+    for bits in members:
+        for _, flipped in _clause_flips(forbid, bits):
+            if flipped not in members:
+                return False
+            inside += 1
+    return inside == 2 * c.edge_count()
 
 
 def hyperplane_wallspace(c: CubeComplex) -> FiniteWallspace:

@@ -33,8 +33,10 @@ def rat(x) -> Fraction:
     """Coerce an int, string like '3/4', or Fraction to a Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, int):
         return Fraction(x)
+    if isinstance(x, str):
+        return parse_rational(x)
     raise TypeError("expected an exact rational, got %r" % (x,))
 
 

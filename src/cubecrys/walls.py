@@ -121,7 +121,6 @@ class WallFamily:
     """Base walls of a basis plus the point-group direction classes."""
 
     basis: tuple
-    basis_matrix: RatMatrix
     dual_matrix: RatMatrix
     base_walls: tuple
     classes: tuple
@@ -145,14 +144,13 @@ class WallFamily:
 
 
 def _basis_and_inverse(g: CrystGroup, basis):
-    """The basis as vectors, its column matrix and that matrix's inverse."""
+    """The basis as vectors and the inverse of its column matrix."""
     basis = [RatVector(v) for v in basis]
     n = g.dimension
     if len(basis) != n or any(len(v) != n for v in basis):
         raise RankError("need %d vectors of length %d" % (n, n))
-    b = RatMatrix.from_columns(basis)
     try:
-        return basis, b, inverse(b)
+        return basis, inverse(RatMatrix.from_columns(basis))
     except SingularMatrixError:
         raise RankError("the supplied vectors are linearly dependent") from None
 
@@ -168,7 +166,7 @@ def standard_walls(g: CrystGroup, basis) -> list:
     dual covector of basis vector i, i.e. row i of the inverse basis
     matrix.
     """
-    return _base_walls(_basis_and_inverse(g, basis)[2])
+    return _base_walls(_basis_and_inverse(g, basis)[1])
 
 
 def direction_class_count(g: CrystGroup, basis) -> WallFamily:
@@ -183,7 +181,7 @@ def direction_class_count(g: CrystGroup, basis) -> WallFamily:
     first nonzero entry of t * rep_k (representatives have a positive
     one).
     """
-    basis, b, b_inv = _basis_and_inverse(g, basis)
+    basis, b_inv = _basis_and_inverse(g, basis)
     theta = point_group_real(g)
     index = {}
     classes = []
@@ -215,7 +213,6 @@ def direction_class_count(g: CrystGroup, basis) -> WallFamily:
             % (count, n, n * g.point_group_order()))
     return WallFamily(
         basis=tuple(basis),
-        basis_matrix=b,
         dual_matrix=b_inv,
         base_walls=tuple(_base_walls(b_inv)),
         classes=tuple(classes),

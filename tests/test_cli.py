@@ -224,6 +224,25 @@ def test_dual_summary(capsys, tmp_path):
     assert len(report["complex"]["zero_cubes"]) == 4
 
 
+def test_dual_of_ten_crossing_lines(capsys, tmp_path):
+    # Lines through the origin with ten directions cross pairwise, so
+    # every one of the 2^10 side choices is a 0-cube.
+    ws = FiniteWallspace.geometric(
+        2, [(-2, 2), (-2, 2)],
+        [GeometricWall(RatVector([1, i]), Fraction(0)) for i in range(10)],
+        RatVector([Fraction(1, 2), Fraction(1, 3)]))
+    path = tmp_path / "lines.json"
+    save_wallspace(ws, path)
+    report = run_json(capsys, "dual", str(path))
+    assert report["summary"] == {
+        "zero_cubes": 1024,
+        "edges": 5120,
+        "walls": 10,
+        "median_graph": True,
+        "duality_round_trip": True,
+    }
+
+
 def test_dual_out_round_trip(capsys, tmp_path):
     out_path = tmp_path / "complex.json"
     report = run_json(capsys, "dual", walls_file(tmp_path),

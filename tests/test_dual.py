@@ -1,6 +1,7 @@
 """Tests for finite wallspaces and their dual cube complexes."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -307,11 +308,86 @@ def hexagon_complex():
     return CubeComplex(3, orientations, edges)
 
 
+def cubic_is_median_graph(c):
+    """Oracle: the vertex-triple scan that is_median_graph replaced.
+
+    For every vertex triple, the wallwise majority must be a vertex
+    lying on graph geodesics between each of the three pairs.  Uses
+    breadth-first distances, so it does not presuppose that graph
+    distance equals wall-counting distance.
+    """
+    count = c.vertex_count()
+    bits_list = [o.bits for o in c.orientations]
+    index = c._index
+    dist = [c.bfs_distances(i) for i in range(count)]
+    for i in range(count):
+        bi = bits_list[i]
+        for j in range(i, count):
+            bj = bits_list[j]
+            dij = dist[i][j]
+            for k in range(j, count):
+                bk = bits_list[k]
+                m = (bi & bj) | (bi & bk) | (bj & bk)
+                at = index.get(m)
+                if at is None:
+                    return False
+                if dist[i][at] + dist[at][j] != dij:
+                    return False
+                if dist[i][at] + dist[at][k] != dist[i][k]:
+                    return False
+                if dist[j][at] + dist[at][k] != dist[j][k]:
+                    return False
+    return True
+
+
+def median_verdicts(c):
+    """The linear check, the cubic oracle and the duality round trip."""
+    verdicts = {is_median_graph(c), cubic_is_median_graph(c), duality_check(c)}
+    assert len(verdicts) == 1, c.to_json_dict()
+    return verdicts.pop()
+
+
+def complex_of(num_walls, bit_sets, drop=()):
+    """The complex on the given 0-cubes with every hypercube edge but drop."""
+    orientations = [Orientation(b, num_walls) for b in bit_sets]
+    index = {b: k for k, b in enumerate(bit_sets)}
+    edges = [(index[b], index[b ^ 1 << j], j)
+             for b in bit_sets for j in range(num_walls)
+             if b >> j & 1 and b ^ 1 << j in index]
+    return CubeComplex(num_walls, orientations,
+                       [e for k, e in enumerate(edges) if k not in drop])
+
+
 def test_the_hexagon_is_not_median():
     c = hexagon_complex()
     assert c.vertex_count() == 6
     assert not is_median_graph(c)
     assert not duality_check(c)
+    assert median_verdicts(c) is False
+
+
+def test_a_lone_vertex_meets_its_one_wall_clause():
+    # V = {"0"} over one wall: the unary clause "wall 0 on side 0"
+    # forbids the flip to "1", so the single vertex is median.
+    c = CubeComplex(1, [Orientation.from_bitstring("0")], [])
+    assert median_verdicts(c) is True
+
+
+def test_a_square_missing_an_edge_is_not_median():
+    square = complex_of(2, [0b00, 0b01, 0b11, 0b10])
+    assert square.edge_count() == 4
+    assert median_verdicts(square) is True
+    path = complex_of(2, [0b00, 0b01, 0b11, 0b10], drop={0})
+    assert path.edge_count() == 3
+    assert median_verdicts(path) is False
+
+
+def test_the_empty_complex_is_median():
+    c = CubeComplex(2, [], [])
+    assert is_median_graph(c) and cubic_is_median_graph(c)
+    # An abstract wallspace needs a point, so the round trip refuses it.
+    with pytest.raises(WallspaceError, match="nonempty"):
+        duality_check(c)
 
 
 def test_duals_are_median_and_self_dual():
@@ -319,6 +395,82 @@ def test_duals_are_median_and_self_dual():
         c = dual_complex(ws)
         assert is_median_graph(c)
         assert duality_check(c)
+
+
+def test_median_check_agrees_with_the_oracles_on_seeded_duals():
+    # The wallspaces of acceptance criterion 8.
+    for ws in seeded_wallspaces(count=50, seed=0, max_walls=10):
+        assert median_verdicts(dual_complex(ws)) is True
+
+
+def connected_subset(rng, n):
+    """A random connected vertex set of Q_n, grown one neighbour at a time."""
+    target = rng.randrange(1, 2 ** n + 1)
+    members = [rng.randrange(2 ** n)]
+    seen = set(members)
+    while len(members) < target:
+        b = rng.choice(members) ^ 1 << rng.randrange(n)
+        if b not in seen:
+            seen.add(b)
+            members.append(b)
+    return members
+
+
+def two_clause_solutions(rng, n):
+    """The solutions of random one- and two-wall clauses: a median set."""
+    clauses = []
+    for _ in range(rng.randrange(n + 2)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        clauses.append((i, rng.randrange(2), j, rng.randrange(2)))
+    return [b for b in range(2 ** n)
+            if all(b >> i & 1 == si or b >> j & 1 == sj
+                   for i, si, j, sj in clauses)]
+
+
+def drop_edges(rng, c):
+    """Drop random edges of c as long as the 1-skeleton stays connected."""
+    edges = list(c.edges)
+    for _ in range(rng.randrange(1, 4)):
+        if not edges:
+            break
+        trial = list(edges)
+        del trial[rng.randrange(len(trial))]
+        try:
+            c = CubeComplex(c.num_walls, c.orientations, trial)
+        except ValueError:
+            continue
+        edges = trial
+    return c
+
+
+def test_median_check_agrees_with_the_oracles_on_fuzzed_subcubes():
+    rng = random.Random(20260)
+    counts = {True: 0, False: 0}
+    dropped = 0
+    trial = 0
+    while counts[True] + counts[False] < 2000:
+        trial += 1
+        n = rng.randrange(1, 6)
+        if trial % 2:
+            bit_sets = connected_subset(rng, n)
+        else:
+            bit_sets = two_clause_solutions(rng, n)
+            if not bit_sets:
+                continue
+            if len(bit_sets) > 1 and trial % 4 == 2:
+                # One vertex fewer, if that leaves the set connected.
+                del bit_sets[rng.randrange(len(bit_sets))]
+        try:
+            c = complex_of(n, bit_sets)
+        except ValueError:
+            continue
+        if trial % 5 == 0:
+            full = c.edge_count()
+            c = drop_edges(rng, c)
+            dropped += c.edge_count() < full
+        counts[median_verdicts(c)] += 1
+    assert counts[True] > 500 and counts[False] > 500, counts
+    assert dropped > 100
 
 
 def test_hyperplane_wallspace_round_trip():

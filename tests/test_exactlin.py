@@ -38,6 +38,8 @@ def test_zero_denominator_is_a_value_error():
     for text in ("1/0", "-3/0", "0/0"):
         with pytest.raises(ValueError, match="zero denominator"):
             parse_rational(text)
+    with pytest.raises(ValueError, match=r"zero denominator in '1/0'"):
+        RatVector(["1/0"])
 
 
 def test_rat_rejects_floats():
