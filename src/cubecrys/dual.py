@@ -8,11 +8,13 @@ Edges join orientations differing on a single wall, and higher cubes
 are implicit in the flag structure (cliques of pairwise flippable
 walls at a vertex).
 
-Consistency of a pair of chosen sides is decided exactly: by rational
-Fourier-Motzkin elimination on the window box for affine walls, and by
-set intersection for abstract walls.  Orientations are enumerated by
-breadth-first wall flipping from the base point's orientation, never
-by scanning all 2^W side choices.
+Consistency of a pair of chosen sides is decided exactly: for affine
+walls by one closed-form minimax test (the smaller of two affine
+functions is positive somewhere in the window box exactly when every
+convex combination of them is, and only n + 2 combinations need
+checking), and by set intersection for abstract walls.  Orientations
+are enumerated by breadth-first wall flipping from the base point's
+orientation, never by scanning all 2^W side choices.
 """
 
 from __future__ import annotations
@@ -56,58 +58,39 @@ class CrossingConditionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Exact feasibility of strict linear systems on a box
+# Exact meeting of two open halfspaces in the window box
 
 
-def _feasible(constraints, nvars: int) -> bool:
-    """Fourier-Motzkin feasibility for constraints sum(c*x) <= / < rhs.
+def _feasible(window, f, g) -> bool:
+    """Do the open halfspaces f > 0 and g > 0 meet the closed window?
 
-    Each constraint is (coeffs, rhs, strict).  Exact over Fractions;
-    intended for the tiny systems arising from two halfspaces plus a
-    window box.
+    f and g are pairs (a, b) standing for <a, x> + b.  The window is
+    compact and convex, so by the minimax theorem
+    max_x min(f, g) = min over t in [0, 1] of max_x (t f + (1 - t) g).
+    The inner maximum takes each axis at the end of its interval that
+    the sign of t a_i + (1 - t) c_i picks, so it is convex and piecewise
+    linear in t and bends only where such a coefficient changes sign:
+    at t = c_i / (c_i - a_i) for a_i c_i < 0.  The sides meet exactly
+    when it is positive at t = 0, at t = 1 and at every such break.
     """
-    cons = [(tuple(Fraction(c) for c in coeffs), Fraction(rhs), strict)
-            for coeffs, rhs, strict in constraints]
-    for var in range(nvars):
-        pos, neg, rest = [], [], []
-        for coeffs, rhs, strict in cons:
-            c = coeffs[var]
-            if c > 0:
-                pos.append((coeffs, rhs, strict))
-            elif c < 0:
-                neg.append((coeffs, rhs, strict))
-            else:
-                rest.append((coeffs, rhs, strict))
-        combined = rest
-        for pc, pr, ps in pos:
-            for nc, nr, ns in neg:
-                a = pc[var]
-                b = -nc[var]
-                coeffs = tuple(pc[i] / a + nc[i] / b for i in range(nvars))
-                combined.append((coeffs, pr / a + nr / b, ps or ns))
-        cons = list(dict.fromkeys(combined))
-    for _, rhs, strict in cons:
-        if rhs < 0 or (strict and rhs == 0):
+    (a, b), (c, d) = f, g
+    breaks = {Fraction(ci, ci - ai) for ai, ci in zip(a, c) if ai * ci < 0}
+    for t in (0, 1, *breaks):
+        s = 1 - t
+        value = t * b + s * d
+        for ai, ci, (lo, hi) in zip(a, c, window):
+            k = t * ai + s * ci
+            value += k * (hi if k > 0 else lo)
+        if value <= 0:
             return False
     return True
 
 
-def _side_constraint(wall: GeometricWall, side: int):
-    """The open halfspace of a wall as one strict constraint."""
-    if side > 0:
-        return (tuple(-e for e in wall.normal), -wall.offset, True)
-    return (tuple(wall.normal), wall.offset, True)
-
-
-def _window_constraints(window):
-    cons = []
-    for k, (lo, hi) in enumerate(window):
-        n = len(window)
-        unit = [Fraction(0)] * n
-        unit[k] = Fraction(1)
-        cons.append((tuple(unit), hi, False))
-        cons.append((tuple(-e for e in unit), -lo, False))
-    return cons
+def _halfspace(wall: GeometricWall, side: int):
+    """Side 1 (plus) or 0 (minus) of a wall as (a, b): <a, x> + b > 0."""
+    if side:
+        return wall.normal, -wall.offset
+    return tuple(-e for e in wall.normal), wall.offset
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +163,15 @@ class FiniteWallspace:
         if len(set(self.walls)) != len(self.walls):
             raise WallspaceError("walls must be pairwise distinct "
                                  "after canonicalization")
-        box = _window_constraints(self.window)
         for w in self.walls:
             if not isinstance(w, GeometricWall):
                 raise WallspaceError("geometric wallspace needs GeometricWall "
                                      "entries")
             if len(w.normal) != n:
                 raise WallspaceError("wall normal has wrong dimension")
-            for side in (-1, 1):
-                if not _feasible(box + [_side_constraint(w, side)], n):
+            for side in (0, 1):
+                h = _halfspace(w, side)
+                if not _feasible(self.window, h, h):
                     raise WallspaceError(
                         "wall %r does not split the window" % (w,))
         p = self.base_point
@@ -236,10 +219,8 @@ class FiniteWallspace:
         if i == j:
             return si == sj
         if self.kind == "geometric":
-            cons = _window_constraints(self.window)
-            cons.append(_side_constraint(self.walls[i], 1 if si else -1))
-            cons.append(_side_constraint(self.walls[j], 1 if sj else -1))
-            return _feasible(cons, self.dimension)
+            return _feasible(self.window, _halfspace(self.walls[i], si),
+                             _halfspace(self.walls[j], sj))
         a = self.walls[i].plus if si else self.walls[i].minus
         b = self.walls[j].plus if sj else self.walls[j].minus
         return bool(a & b)
@@ -353,6 +334,8 @@ class CubeComplex:
     def __init__(self, num_walls, orientations, edges, wallspace=None,
                  wall_json=None):
         orientations = tuple(orientations)
+        if not orientations:
+            raise ValueError("a complex needs at least one 0-cube")
         if len({o.bits for o in orientations}) != len(orientations):
             raise ValueError("duplicate 0-cubes")
         index = {}
@@ -371,17 +354,16 @@ class CubeComplex:
             canon_edges.append((u, v, wall))
             adjacency[u][wall] = v
             adjacency[v][wall] = u
-        if orientations:
-            seen = {0}
-            stack = [0]
-            while stack:
-                at = stack.pop()
-                for nb in adjacency[at].values():
-                    if nb not in seen:
-                        seen.add(nb)
-                        stack.append(nb)
-            if len(seen) != len(orientations):
-                raise ValueError("1-skeleton is not connected")
+        seen = {0}
+        stack = [0]
+        while stack:
+            at = stack.pop()
+            for nb in adjacency[at].values():
+                if nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        if len(seen) != len(orientations):
+            raise ValueError("1-skeleton is not connected")
         self.num_walls = num_walls
         self.orientations = orientations
         self.edges = tuple(sorted(set(canon_edges)))
@@ -750,7 +732,6 @@ def seeded_wallspaces(count: int = 50, seed: int = 0, max_walls: int = 10,
     """
     rng = random.Random(seed)
     window = tuple((Fraction(-6), Fraction(6)) for _ in range(dimension))
-    box = _window_constraints(window)
     out = []
     while len(out) < count:
         target = rng.randrange(3, max_walls + 1)
@@ -766,10 +747,8 @@ def seeded_wallspaces(count: int = 50, seed: int = 0, max_walls: int = 10,
             wall = GeometricWall(RatVector(normal), offset)
             if wall in seen:
                 continue
-            splits = all(
-                _feasible(box + [_side_constraint(wall, side)], dimension)
-                for side in (-1, 1))
-            if not splits:
+            if not all(_feasible(window, h, h)
+                       for h in (_halfspace(wall, 0), _halfspace(wall, 1))):
                 continue
             seen.add(wall)
             walls.append(wall)

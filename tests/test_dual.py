@@ -1,5 +1,6 @@
 """Tests for finite wallspaces and their dual cube complexes."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -52,15 +53,120 @@ def plane_space(walls, base, window=((-2, 2), (-2, 2))):
     return FiniteWallspace.geometric(2, window, walls, RatVector(base))
 
 
+def fourier_motzkin_feasible(constraints, nvars: int) -> bool:
+    """Oracle: the Fourier-Motzkin elimination that _feasible replaced.
+
+    Each constraint is (coeffs, rhs, strict) for sum(c*x) <= / < rhs.
+    Exact over Fractions.
+    """
+    cons = [(tuple(Fraction(c) for c in coeffs), Fraction(rhs), strict)
+            for coeffs, rhs, strict in constraints]
+    for var in range(nvars):
+        pos, neg, rest = [], [], []
+        for coeffs, rhs, strict in cons:
+            c = coeffs[var]
+            if c > 0:
+                pos.append((coeffs, rhs, strict))
+            elif c < 0:
+                neg.append((coeffs, rhs, strict))
+            else:
+                rest.append((coeffs, rhs, strict))
+        combined = rest
+        for pc, pr, ps in pos:
+            for nc, nr, ns in neg:
+                a = pc[var]
+                b = -nc[var]
+                coeffs = tuple(pc[i] / a + nc[i] / b for i in range(nvars))
+                combined.append((coeffs, pr / a + nr / b, ps or ns))
+        cons = list(dict.fromkeys(combined))
+    for _, rhs, strict in cons:
+        if rhs < 0 or (strict and rhs == 0):
+            return False
+    return True
+
+
 def test_feasibility_elimination():
+    feasible = fourier_motzkin_feasible
     # x > 0 and x < 1 meet; x > 0 and x < 0 do not.
-    assert _feasible([((1,), Fraction(1), True), ((-1,), Fraction(0), True)], 1)
-    assert not _feasible([((1,), Fraction(0), True), ((-1,), Fraction(0), True)], 1)
+    assert feasible([((1,), Fraction(1), True), ((-1,), Fraction(0), True)], 1)
+    assert not feasible([((1,), Fraction(0), True), ((-1,), Fraction(0), True)], 1)
     # Closed versus open at the shared boundary value.
-    assert _feasible([((1,), Fraction(0), False), ((-1,), Fraction(0), False)], 1)
-    assert not _feasible([((1,), Fraction(0), False), ((-1,), Fraction(0), True)], 1)
+    assert feasible([((1,), Fraction(0), False), ((-1,), Fraction(0), False)], 1)
+    assert not feasible([((1,), Fraction(0), False), ((-1,), Fraction(0), True)], 1)
     # Two dimensions: the strip 0 < x < 1 with y unconstrained.
-    assert _feasible([((1, 0), Fraction(1), True), ((-1, 0), Fraction(0), True)], 2)
+    assert feasible([((1, 0), Fraction(1), True), ((-1, 0), Fraction(0), True)], 2)
+
+
+def both_verdicts(window, f, g):
+    """_feasible and the oracle on f > 0, g > 0 in the closed window.
+
+    f and g are (coefficients, offset) pairs for <a, x> + b; entries may
+    be anything Fraction accepts.
+    """
+    window = tuple((Fraction(lo), Fraction(hi)) for lo, hi in window)
+    f, g = ((tuple(map(Fraction, a)), Fraction(b)) for a, b in (f, g))
+    n = len(window)
+    cons = []
+    for k, (lo, hi) in enumerate(window):
+        unit = tuple(int(i == k) for i in range(n))
+        cons.append((unit, hi, False))
+        cons.append((tuple(-e for e in unit), -lo, False))
+    for a, b in (f, g):
+        cons.append((tuple(-e for e in a), b, True))
+    return _feasible(window, f, g), fourier_motzkin_feasible(cons, n)
+
+
+def random_halfspace_pair(rng, n):
+    """f and g with small coefficients, often equal, parallel or sparse."""
+    def coeffs():
+        return tuple(rng.choice((0, 0, rng.randrange(-3, 4)))
+                     for _ in range(n))
+
+    def offset():
+        return Fraction(rng.randrange(-12, 13), rng.choice((1, 2, 3)))
+
+    f = (coeffs(), offset())
+    shape = rng.randrange(4)
+    if shape == 0:
+        g = f
+    elif shape == 1:
+        scale = Fraction(rng.choice((-3, -2, -1, 1, 2)), rng.choice((1, 2)))
+        g = (tuple(scale * e for e in f[0]), offset())
+    else:
+        g = (coeffs(), offset())
+    return f, g
+
+
+def test_closed_form_feasibility_agrees_with_fourier_motzkin():
+    rng = random.Random(5)
+    met = 0
+    for _ in range(5000):
+        n = rng.randrange(1, 5)
+        window = []
+        for _ in range(n):
+            lo = Fraction(rng.randrange(-6, 5), rng.choice((1, 2)))
+            window.append((lo, lo + Fraction(rng.randrange(1, 9),
+                                             rng.choice((1, 2)))))
+        f, g = random_halfspace_pair(rng, n)
+        closed, oracle = both_verdicts(window, f, g)
+        assert closed == oracle, (window, f, g)
+        met += closed
+    assert 1000 < met < 4000
+    square = ((-1, 1), (-1, 1))
+    hand = [
+        # x + y > 2 touches the square only at its corner (1, 1).
+        (square, ((1, 1), -2), ((1, 1), -2), False),
+        (square, ((1, 1), -2), ((0, 0), 1), False),
+        (square, ((1, 1), "-19/10"), ((1, 1), "-19/10"), True),
+        # x > 0 and -x > 0 never meet.
+        (((-1, 1),), ((1,), 0), ((-1,), 0), False),
+        # x > 3 and 8 - 3x > 0 are disjoint, yet each is positive at its
+        # own end of [1/2, 7/2]: only the break t = 3/4 rules them out.
+        ((("1/2", "7/2"),), ((1,), -3), ((-3,), 8), False),
+        ((("1/2", "7/2"),), ((1,), -2), ((-3,), 8), True),
+    ]
+    for window, f, g, expected in hand:
+        assert both_verdicts(window, f, g) == (expected, expected)
 
 
 # -- wallspace validation ---------------------------------------------
@@ -382,12 +488,6 @@ def test_a_square_missing_an_edge_is_not_median():
     assert median_verdicts(path) is False
 
 
-def test_the_empty_complex_is_median():
-    c = CubeComplex(2, [], [])
-    assert is_median_graph(c) and cubic_is_median_graph(c)
-    # An abstract wallspace needs a point, so the round trip refuses it.
-    with pytest.raises(WallspaceError, match="nonempty"):
-        duality_check(c)
 
 
 def test_duals_are_median_and_self_dual():
@@ -565,6 +665,21 @@ def test_seeded_wallspaces_are_deterministic():
             != [ws.to_json_dict() for ws in other])
 
 
+SEEDED_DIGESTS = {
+    0: "10da40cd9b081c5a3b7578f7050e71a8ee88f6d05d77b1c023bf925e39e7936c",
+    1: "fee46af9a7026b053b874c871e01ff5f21c5d13d4a1e74c3bf59172877fc3fe2",
+    2: "f9a612aa443bf5300c1c79def2df704e80c22a0a05c474ad2dbf247ea9ab2e34",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SEEDED_DIGESTS))
+def test_seeded_wallspaces_are_pinned(seed):
+    # The dual-check benchmark corpus is built from exactly these calls.
+    spaces = seeded_wallspaces(count=32, seed=seed, max_walls=5)
+    text = json.dumps([ws.to_json_dict() for ws in spaces], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SEEDED_DIGESTS[seed]
+
+
 def test_seeded_wallspaces_are_valid_and_bounded():
     spaces = seeded_wallspaces(count=10, seed=2, max_walls=6)
     assert len(spaces) == 10
@@ -655,6 +770,11 @@ def test_cube_complex_rejects_disconnected_skeletons():
     b = Orientation.from_bitstring("11")
     with pytest.raises(ValueError, match="connected"):
         CubeComplex(2, [a, b], [])
+
+
+def test_cube_complex_rejects_an_empty_vertex_set():
+    with pytest.raises(ValueError, match="at least one 0-cube"):
+        CubeComplex(2, [], [])
 
 
 def test_cube_complex_rejects_width_mismatch():
