@@ -18,7 +18,7 @@ import random
 import sys
 from fractions import Fraction
 
-from cubecrys.boundary import parse_product, product_boundary
+from cubecrys.boundary import atomic_boundary, parse_product, product_boundary
 from cubecrys.crys import (
     load_catalog,
     load_group,
@@ -46,8 +46,10 @@ from cubecrys.walls import (
 )
 
 SEED_ENV = "CUBECRYS_SEED"
-# Larger duals are still enumerated and written, but their reports say
-# "skipped (too many 0-cubes)" for the median and duality checks.
+# A report-format constant, not a cost bound: larger duals are still
+# enumerated and written, but their reports say "skipped (too many
+# 0-cubes)" for the median and duality checks, and the dual-enum answers
+# pin that wording.
 MEDIAN_VERTEX_CAP = 2 ** 14
 
 
@@ -240,6 +242,25 @@ def _cmd_dual(args):
     return report, lines
 
 
+def _join_f_vector(factors) -> list:
+    """f-vector of the join of the factors' finite boundaries.
+
+    f-polynomials f(t) = 1 + sum f_i t^(i+1) multiply under joins, so
+    this costs a product of short polynomials instead of enumerating
+    every simplex; the constant term is dropped.
+    """
+    poly = [1]
+    for f in factors:
+        (part,) = atomic_boundary(f).parts
+        factor = [1, *part.f_vector()]
+        product = [0] * (len(poly) + len(factor) - 1)
+        for i, a in enumerate(poly):
+            for j, b in enumerate(factor):
+                product[i + j] += a * b
+        poly = product
+    return poly[1:]
+
+
 def _cmd_boundary(args):
     factors = parse_product(args.expression)
     bd = product_boundary(factors)
@@ -251,7 +272,7 @@ def _cmd_boundary(args):
     }
     if bd.is_finite:
         comp = bd.as_complex()
-        f_vector = list(comp.f_vector())
+        f_vector = _join_f_vector(factors)
         report["boundary"] = {
             "verdict": "finite",
             "complex": comp.to_json_dict(),

@@ -13,20 +13,30 @@ and trace; a candidate assignment is extended to the whole group along
 the point table's generator successors, then checked to be an
 injective homomorphism whose character (trace list) matches exactly.
 Matching characters of two real representations force real conjugacy,
-and the conjugator is found by group averaging over a deterministic
-seed schedule.
+and the conjugator is a group average of a seed matrix.  Averaging is
+linear in the seed, so the n^2 matrix units are averaged once and each
+seed costs one integer combination of those averages and one
+determinant.  The seed walk starts with a fixed schedule of 1000 small
+seeds, which pins the witness bytes, then takes every point of
+{0..n}^(n^2) with at most n nonzero entries.  That part always ends at
+a nonsingular average: equal characters make the representations
+equivalent over Q, so the determinant on the span of the averages is a
+nonzero polynomial of degree n; one of its monomials uses at most n
+entries, and by Schwartz-Zippel it does not vanish on {0..n} over them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from cubecrys.exactlin import (
     RatMatrix,
-    average_intertwiner,
     det,
+    int_det,
     inverse,
     matrix_to_json,
     vector_to_json,
@@ -39,24 +49,16 @@ from cubecrys.sgnperm import (
     from_matrix,
     is_signed_permutation_matrix,
     times_signed_permutation,
-    to_matrix,
 )
 
 DIMENSION_CAP = 4
-SEED_CAP = 1000
+# Length of the fixed seed schedule walked first.  Witnesses found
+# within it keep their bytes, whatever the walk does after it.
+SCHEDULE_PREFIX = 1000
 
 ORDER_OBSTRUCTION = "order-obstruction"
 CHARACTER_MISMATCH = "character-mismatch"
 NO_EMBEDDING = "no-embedding"
-
-
-class ConjugatorSearchError(RuntimeError):
-    """Characters matched but no invertible conjugator was found.
-
-    This cannot happen for a genuinely matching pair of rational
-    representations unless the seed schedule is exhausted; it is kept
-    as a hard error rather than silently rejecting.
-    """
 
 
 class WitnessCorruptionError(RuntimeError):
@@ -200,27 +202,70 @@ def _extend_assignment(g: CrystGroup, images: tuple):
     return iota
 
 
-def _seed_matrices(n: int):
-    """Deterministic conjugator seeds: identity, then small dense grids."""
-    yield RatMatrix.identity(n)
-    emitted = 1
-    for alphabet in ((0, 1), (-1, 0, 1)):
-        for flat in itertools.product(alphabet, repeat=n * n):
-            m = RatMatrix([list(flat[i * n:(i + 1) * n]) for i in range(n)])
-            yield m
-            emitted += 1
-            if emitted >= SEED_CAP:
-                return
+def _unit_averages(theta, iota):
+    """(d, units): d is the lcm of the real forms' denominators and
+    units[i * n + j] is d * sum_p theta(p) * E_ij * iota(p)^-1, flat
+    row-major ints.  E_ij * iota(p)^-1 is signs[j] * E_(i, perm(j)), so
+    each term is signs[j] times column i of theta(p) in column perm(j).
+    """
+    n = theta[0].rows
+    d = math.lcm(*(e.denominator for t in theta for row in t.entries
+                   for e in row))
+    units = [[0] * (n * n) for _ in range(n * n)]
+    for t, s in zip(theta, iota):
+        scaled = [[e.numerator * (d // e.denominator) for e in row]
+                  for row in t.entries]
+        for i in range(n):
+            for j, (target, sign) in enumerate(zip(s.perm, s.signs)):
+                unit = units[i * n + j]
+                for r in range(n):
+                    unit[r * n + target - 1] += sign * scaled[r][i]
+    return d, units
 
 
-def _build_conjugator(theta_images, iota_matrices):
-    for seed in _seed_matrices(theta_images[0].rows):
-        a = average_intertwiner(theta_images, iota_matrices, seed)
-        if det(a) != 0:
-            return a
-    raise ConjugatorSearchError(
-        "characters match but every averaging seed produced a singular "
-        "conjugator; seed schedule exhausted at %d" % SEED_CAP)
+def _combine(units, seed) -> list:
+    """sum of seed[k] * units[k], flat row-major."""
+    total = [0] * len(units)
+    for c, unit in zip(seed, units):
+        if c:
+            for k, u in enumerate(unit):
+                total[k] += c * u
+    return total
+
+
+def _seeds(n: int):
+    """Seed matrices as flat row-major coefficient sequences: the
+    SCHEDULE_PREFIX seeds of the identity, {0,1}^(n^2) and
+    {-1,0,1}^(n^2), then the points of {0..n}^(n^2) with at most n
+    nonzero entries, smallest support first."""
+    size = n * n
+    identity = tuple(int(i == j) for i in range(n) for j in range(n))
+    yield from itertools.islice(
+        itertools.chain([identity],
+                        itertools.product((0, 1), repeat=size),
+                        itertools.product((-1, 0, 1), repeat=size)),
+        SCHEDULE_PREFIX)
+    for k in range(1, n + 1):
+        for support in itertools.combinations(range(size), k):
+            for values in itertools.product(range(1, n + 1), repeat=k):
+                seed = [0] * size
+                for index, value in zip(support, values):
+                    seed[index] = value
+                yield seed
+
+
+def _build_conjugator(theta, iota):
+    """The first nonsingular average sum_p theta(p) * B * iota(p)^-1 over
+    the seeds B of _seeds, for real forms theta and signed permutations
+    iota in the same element order with equal characters.  The walk
+    always ends there (module docstring)."""
+    n = theta[0].rows
+    d, units = _unit_averages(theta, iota)
+    for seed in _seeds(n):
+        total = _combine(units, seed)
+        rows = [total[i * n:(i + 1) * n] for i in range(n)]
+        if int_det(rows):
+            return RatMatrix([[Fraction(x, d) for x in row] for row in rows])
 
 
 def is_hyperoctahedral(g: CrystGroup):
@@ -280,8 +325,7 @@ def is_hyperoctahedral(g: CrystGroup):
         iota_list = _extend_assignment(g, images)
         if iota_list is None:
             continue
-        iota_matrices = [to_matrix(s) for s in iota_list]
-        a = _build_conjugator(theta, iota_matrices)
+        a = _build_conjugator(theta, iota_list)
         witness = HyperoctahedralWitness(
             iota={p: s for p, s in zip(elements, iota_list)},
             conjugator=a,

@@ -1,11 +1,14 @@
 """End-to-end tests for the command-line frontend."""
 
+import itertools
 import json
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from cubecrys import cli
+from cubecrys.boundary import parse_product, product_boundary
 from cubecrys.crys import catalog_entry, save_group
 from cubecrys.dual import (
     FiniteWallspace,
@@ -283,6 +286,23 @@ def test_boundary_finite(capsys):
     assert report["boundary"]["verdict"] == "finite"
     assert report["boundary"]["f_vector"] == [4, 4]
     assert report["factors"] == ["Line", "Line"]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_boundary_f_vector_matches_the_clique_count(k):
+    """The f-polynomial product against enumerating every simplex, on
+    every product of k factors up to order (the f-vector ignores it)."""
+    for combo in itertools.combinations_with_replacement(
+            ("Point", "HalfLine", "Line"), k):
+        factors = parse_product("*".join(combo))
+        expected = list(product_boundary(factors).as_complex().f_vector())
+        assert cli._join_f_vector(factors) == expected, combo
+
+
+def test_boundary_of_forty_lines(capsys):
+    report = run_json(capsys, "boundary", "*".join(["Line"] * 40))
+    assert report["boundary"]["f_vector"] == [
+        comb(40, k + 1) * 2 ** (k + 1) for k in range(40)]
 
 
 def test_boundary_symbolic(capsys):

@@ -1,10 +1,23 @@
 """Tests for the embedding decision procedure."""
 
 import itertools
+import json
+import random
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cubecrys.crys import CrystGroup, catalog_entry, semidirect_extend
+from cubecrys.cli import main
+from cubecrys.crys import (
+    CrystGroup,
+    catalog_entry,
+    load_group,
+    save_group,
+    semidirect_extend,
+)
 from cubecrys.decide import (
     CHARACTER_MISMATCH,
     HyperoctahedralWitness,
@@ -13,13 +26,29 @@ from cubecrys.decide import (
     RejectionCertificate,
     SizeCapError,
     WitnessCorruptionError,
+    _build_conjugator,
+    _combine,
+    _unit_averages,
     hyperoctahedral_basis,
     is_hyperoctahedral,
     quick_obstructions,
 )
 from cubecrys.crys import point_group_real
-from cubecrys.exactlin import RatMatrix, RatVector, det, inverse
-from cubecrys.sgnperm import enumerate_group, to_matrix
+from cubecrys.exactlin import (
+    RatMatrix,
+    RatVector,
+    average_intertwiner,
+    det,
+    inverse,
+    matrix_from_json,
+)
+from cubecrys.sgnperm import (
+    SignedPermutation,
+    enumerate_group,
+    is_signed_permutation_matrix,
+    to_matrix,
+)
+from test_point_table import D4_BASIS, wf4
 
 
 def test_realized_orders_in_dimension_two():
@@ -259,3 +288,184 @@ def test_corrupted_witnesses_fail_verification(name):
         with pytest.raises(WitnessCorruptionError):
             hyperoctahedral_basis(g, bad)
 
+
+
+# ---------------------------------------------------------------------------
+# The conjugator against the seed-by-seed averaging it replaced
+
+
+def old_seed_matrices(n):
+    """The earlier seed schedule: identity, then small dense grids, cut
+    off at 1000 seeds."""
+    yield RatMatrix.identity(n)
+    emitted = 1
+    for alphabet in ((0, 1), (-1, 0, 1)):
+        for flat in itertools.product(alphabet, repeat=n * n):
+            m = RatMatrix([list(flat[i * n:(i + 1) * n]) for i in range(n)])
+            yield m
+            emitted += 1
+            if emitted >= 1000:
+                return
+
+
+def old_build_conjugator(theta_images, iota_matrices):
+    """The earlier conjugator: average every seed over the whole group.
+    Returns None where it used to raise on an exhausted schedule."""
+    for seed in old_seed_matrices(theta_images[0].rows):
+        a = average_intertwiner(theta_images, iota_matrices, seed)
+        if det(a) != 0:
+            return a
+    return None
+
+
+def _skewed(name, gens):
+    """perfbench's skew file without the seeded reframing: lattice basis
+    R U, generators U^-1 g U."""
+    n = len(gens[0])
+    skew = {3: [[2, 1, 0], [0, 1, 1], [1, 0, 1]],
+            4: [[2, 1, 0, 0], [0, 1, 1, 0], [0, 0, 2, 1], [1, 0, 0, 1]]}[n]
+    shear = {3: [[1, 1, 0], [0, 1, 0], [0, 0, 1]],
+             4: [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1],
+                 [0, 0, 0, 1]]}[n]
+    u = RatMatrix(shear)
+    r = RatMatrix([[Fraction(x, 2) for x in row] for row in skew])
+    return CrystGroup(name, n, r * u,
+                      [inverse(u) * RatMatrix(g) * u for g in gens],
+                      [RatVector([0] * n)] * len(gens))
+
+
+def _pinned_groups():
+    return {
+        "Z:W": catalog_entry("Z:W"),
+        "p4-skew": CrystGroup("p4-skew", 2, RatMatrix([[2, 1], [1, 1]]),
+                              [RatMatrix([[0, -1], [1, 0]])],
+                              [RatVector([0, 0])]),
+        "m-skew": _skewed("m-skew", [[[1, 0, 0], [0, 1, 0], [0, 0, -1]]]),
+        "C2^2.p-skew": _skewed("C2^2.p-skew", [
+            [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+            [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]]),
+    }
+
+
+# Conjugator rows of every accepted group that takes the search path:
+# the catalog's only one (Z:W), p4-skew, and two groups whose identity
+# seed averages to a singular matrix (the old loop needed 72 and 17
+# seeds).  Recorded from the seed-by-seed averaging; must never change.
+PINNED_CONJUGATORS = {
+    "Z:W": [["-25/12", "1", "13/12"], ["1", "2/7", "-9/7"],
+            ["2", "2", "2"]],
+    "p4-skew": [["-8", "-6"], ["-6", "-2"]],
+    "m-skew": [["0", "0", "2"], ["4/3", "-4/3", "2/3"],
+               ["4/3", "2/3", "2/3"]],
+    "C2^2.p-skew": [["1", "-3", "-1", "3"], ["-2", "0", "0", "2"],
+                    ["-1", "-3", "1", "3"], ["2", "0", "0", "2"]],
+}
+
+
+@lru_cache(maxsize=None)
+def _pinned_case(name):
+    """(group, real forms, iota list) of a pinned group's witness."""
+    g = _pinned_groups()[name]
+    witness = is_hyperoctahedral(g)
+    return g, point_group_real(g), [witness.iota[p]
+                                    for p in g.point_elements()]
+
+
+def _assert_matches_old_loop(theta, iota):
+    """Where the old loop finds a conjugator, the new one is the same
+    matrix; returns whether the old loop found one."""
+    old = old_build_conjugator(theta, [to_matrix(s) for s in iota])
+    if old is not None:
+        assert _build_conjugator(theta, iota) == old
+    return old is not None
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CONJUGATORS))
+def test_witness_conjugators_are_pinned(name):
+    g, theta, iota = _pinned_case(name)
+    witness = is_hyperoctahedral(g)
+    assert witness.verify(g)
+    assert witness.conjugator == matrix_from_json(PINNED_CONJUGATORS[name])
+    assert _assert_matches_old_loop(theta, iota)
+    if name in ("m-skew", "C2^2.p-skew"):
+        # The pin lies past the identity seed.
+        n = g.dimension
+        assert det(average_intertwiner(
+            theta, [to_matrix(s) for s in iota], RatMatrix.identity(n))) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(PINNED_CONJUGATORS)),
+       flat=st.lists(st.integers(-5, 5), min_size=16, max_size=16))
+def test_unit_averages_combine_to_the_seed_average(name, flat):
+    g, theta, iota = _pinned_case(name)
+    n = g.dimension
+    seed = flat[:n * n]
+    d, units = _unit_averages(theta, iota)
+    total = _combine(units, seed)
+    combined = RatMatrix([[Fraction(x, d) for x in total[i * n:(i + 1) * n]]
+                          for i in range(n)])
+    b = RatMatrix([seed[i * n:(i + 1) * n] for i in range(n)])
+    assert combined == average_intertwiner(
+        theta, [to_matrix(s) for s in iota], b)
+
+
+# Two C4 subgroups of W(F4) in the D4 lattice, character (4, -2, 0, -2):
+# every one of the old loop's 1000 seeds averages to a singular matrix.
+# The walk reaches a nonsingular average after 4,265 and 10,025 seeds.
+C4_GENERATORS = [
+    [[0, -1, 0, 1], [0, -1, 0, 0], [0, 0, -1, 0], [-1, 0, 0, 0]],
+    [[1, 0, -1, 0], [0, 1, -2, 0], [0, 1, -1, 0], [0, 1, -1, -1]],
+]
+
+
+@pytest.mark.parametrize("gen", C4_GENERATORS)
+def test_c4_past_the_old_schedule_is_accepted(tmp_path, capsys, gen):
+    g = CrystGroup("C4", 4, RatMatrix(D4_BASIS), [RatMatrix(gen)],
+                   [RatVector([0] * 4)])
+    path = tmp_path / "c4.json"
+    save_group(g, path)
+    assert main(["classify", "--json", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "accepted"
+    payload = report["classification"]
+    loaded = load_group(str(path))
+    iota = {matrix_from_json(e["point_element"]):
+            SignedPermutation.from_json_dict(e["image"])
+            for e in payload["elements"]}
+    a = matrix_from_json(payload["conjugator"])
+    witness = HyperoctahedralWitness(iota=iota, conjugator=a,
+                                     basis=tuple(a.columns()))
+    assert witness.verify(loaded)
+
+
+def test_wf4_subgroup_fuzz():
+    """Subgroups of W(F4) on 1-3 random elements, one per (order,
+    character) type: every verdict is a verified witness or a
+    certificate, and every conjugator the old loop finds is unchanged.
+    The draws reach a group where the old loop found none."""
+    wf = wf4()
+    elements = wf.point_elements()
+    rng = random.Random(0)
+    seen = set()
+    old_failures = 0
+    for _ in range(60):
+        gens = rng.sample(elements, rng.randint(1, 3))
+        g = CrystGroup("sub", 4, wf.lattice_basis, gens,
+                       [RatVector([0] * 4)] * len(gens))
+        table = g.point_table()
+        key = (len(table.elements), tuple(sorted(table.trace)))
+        if key in seen:
+            continue
+        seen.add(key)
+        result = is_hyperoctahedral(g)
+        if isinstance(result, RejectionCertificate):
+            assert result.reason in (ORDER_OBSTRUCTION, CHARACTER_MISMATCH)
+            continue
+        assert result.verify(g)
+        theta = point_group_real(g)
+        if all(is_signed_permutation_matrix(t) for t in theta):
+            continue
+        iota = [result.iota[p] for p in g.point_elements()]
+        old_failures += not _assert_matches_old_loop(theta, iota)
+    assert old_failures >= 1
