@@ -98,12 +98,9 @@ class BoundaryDescriptor:
                 raise ValueError("boundary part must be a SimplicialComplex "
                                  "or the %r tag" % (INFINITE_DISCRETE,))
         if all(isinstance(p, SimplicialComplex) for p in parts) and len(parts) > 1:
-            tagged = [p.relabel(lambda lab, _k=k: (_k, lab))
-                      for k, p in enumerate(parts)]
-            joined = tagged[0]
-            for p in tagged[1:]:
-                joined = simplicial_join(joined, p)
-            parts = (joined,)
+            parts = (simplicial_join(*(
+                p.relabel(lambda lab, _k=k: (_k, lab))
+                for k, p in enumerate(parts))),)
         object.__setattr__(self, "parts", parts)
 
     def __setattr__(self, name, value):

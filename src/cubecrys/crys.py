@@ -4,7 +4,8 @@ A group is recorded in lattice coordinates: an exact lattice basis L
 (columns are the lattice generators), one integer matrix per point-group
 generator describing its action on lattice coordinates, and one rational
 translation part per generator.  The real, geometric form of a point
-element p is theta_bar(p) = L * M_p * L^-1.
+element p is theta_bar(p) = L * M_p * L^-1, computed once per group as
+the integer matrix d * theta_bar(p) for one common scale d.
 
 The point group itself is held as integer data (PointTable): the
 elements as int tuples, how each generator moves them, and each
@@ -30,7 +31,10 @@ from cubecrys.exactlin import (
     RatMatrix,
     RatVector,
     det,
+    from_format,
     int_det,
+    int_mul,
+    integral,
     inverse,
     matrix_from_json,
     matrix_to_json,
@@ -88,11 +92,6 @@ class PointTable:
     trace: tuple
 
 
-def _int_mul(a: tuple, b: tuple) -> tuple:
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
-
-
 def _integer_generator(m: RatMatrix, k: int, n: int) -> tuple:
     """Point generator k as int rows, once it is an n x n integer matrix."""
     if not (m.is_square() and m.rows == n):
@@ -120,12 +119,13 @@ class CrystGroup:
         self.translation_parts = tuple(translation_parts)
         self._elements = None
         self._table = None
+        self._real_int = None
         self._real = None
         self._frozen = True
 
     def __setattr__(self, name, value):
         if getattr(self, "_frozen", False) and name not in (
-                "_elements", "_table", "_real"):
+                "_elements", "_table", "_real_int", "_real"):
             raise AttributeError("CrystGroup is immutable")
         object.__setattr__(self, name, value)
 
@@ -148,7 +148,7 @@ class CrystGroup:
         for head, current in enumerate(elements):
             row = []
             for j, gen in enumerate(gens):
-                product = _int_mul(current, gen)
+                product = int_mul(current, gen)
                 target = index.get(product)
                 if target is None:
                     if len(elements) >= CLOSURE_CAP:
@@ -194,7 +194,7 @@ def _order(m: tuple, ident: tuple, bound: int) -> int:
     for k in range(1, bound + 1):
         if power == ident:
             return k
-        power = _int_mul(power, m)
+        power = int_mul(power, m)
     raise StructureError("an element has no power equal to the identity "
                          "within %d steps; a generator is singular" % bound)
 
@@ -283,15 +283,27 @@ def _check_translations(g: CrystGroup, table: PointTable) -> None:
                     % (len(table.elements), g.dimension))
 
 
-def point_group_real(g: CrystGroup) -> tuple:
-    """The real forms theta_bar(p) = L M_p L^-1, in point_elements order.
+def integer_real_forms(g: CrystGroup) -> tuple:
+    """(d, forms): forms[k] = d * theta_bar(p_k) = (eL) M_p (f L^-1) as
+    int rows, d = e * f, in point_elements order.
 
     Computed once per group and cached on it.
     """
+    if g._real_int is None:
+        e, lattice = integral(g.lattice_basis)
+        f, lattice_inv = integral(inverse(g.lattice_basis))
+        g._real_int = (e * f, tuple(int_mul(int_mul(lattice, m), lattice_inv)
+                                    for m in g.point_table().elements))
+    return g._real_int
+
+
+def point_group_real(g: CrystGroup) -> tuple:
+    """The real forms theta_bar(p) = L M_p L^-1 as RatMatrix, in
+    point_elements order: a cached view of integer_real_forms."""
     if g._real is None:
-        L = g.lattice_basis
-        L_inv = inverse(L)
-        g._real = tuple(L * m * L_inv for m in g.point_elements())
+        d, forms = integer_real_forms(g)
+        g._real = tuple(RatMatrix([[Fraction(x, d) for x in row]
+                                   for row in m]) for m in forms)
     return g._real
 
 
@@ -360,24 +372,13 @@ def group_to_json_dict(g: CrystGroup) -> dict:
 
 
 def group_from_json_dict(d: dict) -> CrystGroup:
-    if not isinstance(d, dict):
-        raise FormatError("group file must be a JSON object")
-    if d.get("format") != GROUP_FORMAT:
-        raise FormatError(
-            "unsupported format tag %r (expected %r)"
-            % (d.get("format"), GROUP_FORMAT))
-    try:
-        return CrystGroup(
-            name=d["name"],
-            dimension=d["dimension"],
-            lattice_basis=matrix_from_json(d["lattice_basis"]),
-            point_generators=[matrix_from_json(m) for m in d["point_generators"]],
-            translation_parts=[vector_from_json(t) for t in d["translation_parts"]],
-        )
-    except KeyError as exc:
-        raise FormatError("group file is missing key %s" % exc) from exc
-    except (ValueError, TypeError) as exc:
-        raise FormatError("malformed group file: %s" % exc) from exc
+    return from_format(d, GROUP_FORMAT, FormatError, lambda d: CrystGroup(
+        name=d["name"],
+        dimension=d["dimension"],
+        lattice_basis=matrix_from_json(d["lattice_basis"]),
+        point_generators=[matrix_from_json(m) for m in d["point_generators"]],
+        translation_parts=[vector_from_json(t) for t in d["translation_parts"]],
+    ))
 
 
 def save_group(g: CrystGroup, path) -> None:

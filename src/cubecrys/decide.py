@@ -28,7 +28,6 @@ entries, and by Schwartz-Zippel it does not vanish on {0..n} over them.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,18 +35,20 @@ from functools import lru_cache
 from cubecrys.exactlin import (
     RatMatrix,
     det,
+    format_rational,
     int_det,
+    int_mul,
+    integral,
     inverse,
     matrix_to_json,
     vector_to_json,
 )
-from cubecrys.crys import CrystGroup, point_group_real, validate
+from cubecrys.crys import CrystGroup, integer_real_forms, validate
 from cubecrys.sgnperm import (
     SignedPermutation,
     SizeCapError,
     enumerate_group,
-    from_matrix,
-    is_signed_permutation_matrix,
+    signed_permutation_of,
     times_signed_permutation,
 )
 
@@ -78,32 +79,44 @@ class HyperoctahedralWitness:
     conjugator: RatMatrix
     basis: tuple
 
+    def _defects(self, g: CrystGroup):
+        """(d c, defects): defects[k] = (d theta_bar(p))(cA) - d (cA) iota(p)
+        as int rows for the k-th point element p, with cA integral; over
+        d c it is theta_bar(p) A - A iota(p)."""
+        d, forms = integer_real_forms(g)
+        c, ca = integral(self.conjugator)
+        dca = [[d * x for x in row] for row in ca]
+        return d * c, [
+            tuple(tuple(x - y for x, y in zip(left, right)) for left, right
+                  in zip(int_mul(form, ca),
+                         times_signed_permutation(dca, self.iota[p])))
+            for p, form in zip(g.point_elements(), forms)]
+
     def verify(self, g: CrystGroup) -> bool:
-        """theta_bar(p) * A == A * iota(p) for every p, A nonsingular and
-        iota injective, all exact."""
-        a = self.conjugator
-        if det(a) == 0 or len(set(self.iota.values())) != len(self.iota):
-            return False
-        return all(real_form * a == times_signed_permutation(a, self.iota[p])
-                   for p, real_form in zip(g.point_elements(),
-                                           point_group_real(g)))
+        """theta_bar(p) * A == A * iota(p) for every p (every defect
+        vanishes), A nonsingular and iota injective, all exact."""
+        return (len(set(self.iota.values())) == len(self.iota)
+                and det(self.conjugator) != 0
+                and not any(any(row) for defect in self._defects(g)[1]
+                            for row in defect))
 
     def to_json_dict(self, g: CrystGroup) -> dict:
-        theta = point_group_real(g)
-        a = self.conjugator
-        a_inv = inverse(a)
+        """The report; each residual theta_bar(p) - A iota(p) A^-1 is
+        the defect times A^-1 over d c."""
+        scale, defects = self._defects(g)
+        h, a_inv = integral(inverse(self.conjugator))
         elements = []
-        for p, real_form in zip(g.point_elements(), theta):
-            s = self.iota[p]
-            residual = real_form - times_signed_permutation(a, s) * a_inv
+        for p, defect in zip(g.point_elements(), defects):
             elements.append({
                 "point_element": matrix_to_json(p),
-                "image": s.to_json_dict(),
-                "conjugation_residual": matrix_to_json(residual),
+                "image": self.iota[p].to_json_dict(),
+                "conjugation_residual": [
+                    [format_rational(Fraction(x, scale * h)) for x in row]
+                    for row in int_mul(defect, a_inv)],
             })
         return {
             "verdict": "accepted",
-            "conjugator": matrix_to_json(a),
+            "conjugator": matrix_to_json(self.conjugator),
             "basis": [vector_to_json(v) for v in self.basis],
             "elements": elements,
         }
@@ -202,25 +215,21 @@ def _extend_assignment(g: CrystGroup, images: tuple):
     return iota
 
 
-def _unit_averages(theta, iota):
-    """(d, units): d is the lcm of the real forms' denominators and
-    units[i * n + j] is d * sum_p theta(p) * E_ij * iota(p)^-1, flat
-    row-major ints.  E_ij * iota(p)^-1 is signs[j] * E_(i, perm(j)), so
-    each term is signs[j] times column i of theta(p) in column perm(j).
+def _unit_averages(forms, iota):
+    """units[i * n + j] = sum_p forms(p) * E_ij * iota(p)^-1, flat
+    row-major ints, for the integer real forms.  E_ij * iota(p)^-1 is
+    signs[j] * E_(i, perm(j)), so each term is signs[j] times column i
+    of forms(p) in column perm(j).
     """
-    n = theta[0].rows
-    d = math.lcm(*(e.denominator for t in theta for row in t.entries
-                   for e in row))
+    n = len(forms[0])
     units = [[0] * (n * n) for _ in range(n * n)]
-    for t, s in zip(theta, iota):
-        scaled = [[e.numerator * (d // e.denominator) for e in row]
-                  for row in t.entries]
+    for t, s in zip(forms, iota):
         for i in range(n):
             for j, (target, sign) in enumerate(zip(s.perm, s.signs)):
                 unit = units[i * n + j]
                 for r in range(n):
-                    unit[r * n + target - 1] += sign * scaled[r][i]
-    return d, units
+                    unit[r * n + target - 1] += sign * t[r][i]
+    return units
 
 
 def _combine(units, seed) -> list:
@@ -254,18 +263,31 @@ def _seeds(n: int):
                 yield seed
 
 
-def _build_conjugator(theta, iota):
-    """The first nonsingular average sum_p theta(p) * B * iota(p)^-1 over
-    the seeds B of _seeds, for real forms theta and signed permutations
-    iota in the same element order with equal characters.  The walk
-    always ends there (module docstring)."""
-    n = theta[0].rows
-    d, units = _unit_averages(theta, iota)
+def _build_conjugator(d, forms, iota):
+    """The first nonsingular average sum_p theta_bar(p) * B * iota(p)^-1
+    over the seeds B of _seeds, for integer real forms d * theta_bar
+    and signed permutations iota in the same element order with equal
+    characters.  The walk always ends there (module docstring)."""
+    n = len(forms[0])
+    units = _unit_averages(forms, iota)
     for seed in _seeds(n):
         total = _combine(units, seed)
         rows = [total[i * n:(i + 1) * n] for i in range(n)]
         if int_det(rows):
             return RatMatrix([[Fraction(x, d) for x in row] for row in rows])
+
+
+def _verified(g: CrystGroup, iota_list, a: RatMatrix):
+    """The witness (iota_list in point_elements order, A), re-verified."""
+    witness = HyperoctahedralWitness(
+        iota=dict(zip(g.point_elements(), iota_list)),
+        conjugator=a,
+        basis=tuple(a.columns()),
+    )
+    if not witness.verify(g):
+        raise WitnessCorruptionError(
+            "constructed witness failed exact re-verification")
+    return witness
 
 
 def is_hyperoctahedral(g: CrystGroup):
@@ -280,24 +302,6 @@ def is_hyperoctahedral(g: CrystGroup):
         raise SizeCapError(
             "decision supported up to dimension %d, got %d" % (DIMENSION_CAP, n))
     validate(g)
-    elements = g.point_elements()
-    theta = point_group_real(g)
-
-    # Fast path: the real forms are already signed permutation matrices.
-    # Taking iota = theta_bar with the identity conjugator keeps the
-    # witness canonical for groups built from signed permutation data
-    # (in particular every stabilized group).
-    if all(is_signed_permutation_matrix(t) for t in theta):
-        iota = {p: from_matrix(t) for p, t in zip(elements, theta)}
-        witness = HyperoctahedralWitness(
-            iota=iota,
-            conjugator=RatMatrix.identity(n),
-            basis=tuple(RatMatrix.identity(n).columns()),
-        )
-        if not witness.verify(g):
-            raise WitnessCorruptionError("identity witness failed verification")
-        return witness
-
     obstructions = quick_obstructions(g)
     if obstructions:
         first = min(obstructions,
@@ -318,23 +322,26 @@ def is_hyperoctahedral(g: CrystGroup):
             }
         return RejectionCertificate(reason=first.kind, detail=detail)
 
+    # Fast path: the generators' real forms are already signed
+    # permutation matrices, hence so are all of them.  Taking iota =
+    # theta_bar with the identity conjugator keeps the witness canonical
+    # for groups built from signed permutation data (in particular every
+    # stabilized group).
+    d, forms = integer_real_forms(g)
+    images = tuple(signed_permutation_of(forms[k], d)
+                   for k in g.point_table().next[0])
+    if None not in images:
+        return _verified(g, _extend_assignment(g, images),
+                         RatMatrix.identity(n))
+
     candidate_lists = _candidate_images(g)
     tried = 0
     for images in itertools.product(*candidate_lists):
         tried += 1
         iota_list = _extend_assignment(g, images)
-        if iota_list is None:
-            continue
-        a = _build_conjugator(theta, iota_list)
-        witness = HyperoctahedralWitness(
-            iota={p: s for p, s in zip(elements, iota_list)},
-            conjugator=a,
-            basis=tuple(a.columns()),
-        )
-        if not witness.verify(g):
-            raise WitnessCorruptionError(
-                "constructed conjugator failed exact re-verification")
-        return witness
+        if iota_list is not None:
+            return _verified(g, iota_list,
+                             _build_conjugator(d, forms, iota_list))
 
     return RejectionCertificate(
         reason=NO_EMBEDDING,

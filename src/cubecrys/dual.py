@@ -26,6 +26,7 @@ from fractions import Fraction
 from cubecrys.exactlin import (
     RatVector,
     format_rational,
+    from_format,
     parse_rational,
     read_json,
     vector_from_json,
@@ -239,27 +240,16 @@ class FiniteWallspace:
 
 
 def wallspace_from_json_dict(d: dict) -> FiniteWallspace:
-    if not isinstance(d, dict) or d.get("format") != WALLS_FORMAT:
-        raise WallspaceError(
-            "unsupported wallspace format %r (expected %r)"
-            % (d.get("format") if isinstance(d, dict) else d, WALLS_FORMAT))
-    try:
-        walls = [GeometricWall(vector_from_json(w["normal"]),
-                               parse_rational(w["offset"]))
-                 for w in d["walls"]]
-        return FiniteWallspace.geometric(
+    return from_format(d, WALLS_FORMAT, WallspaceError, lambda d: (
+        FiniteWallspace.geometric(
             dimension=d["dimension"],
             window=[(parse_rational(lo), parse_rational(hi))
                     for lo, hi in d["window"]],
-            walls=walls,
+            walls=[GeometricWall(vector_from_json(w["normal"]),
+                                 parse_rational(w["offset"]))
+                   for w in d["walls"]],
             base_point=vector_from_json(d["base_point"]),
-        )
-    except KeyError as exc:
-        raise WallspaceError("wallspace file is missing key %s" % exc) from exc
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, WallspaceError):
-            raise
-        raise WallspaceError("malformed wallspace file: %s" % exc) from exc
+        )))
 
 
 def save_wallspace(ws: FiniteWallspace, path) -> None:
@@ -428,27 +418,19 @@ class ComplexFormatError(ValueError):
 
 
 def complex_from_json_dict(d: dict) -> CubeComplex:
-    if not isinstance(d, dict) or d.get("format") != COMPLEX_FORMAT:
-        raise ComplexFormatError(
-            "unsupported complex format %r (expected %r)"
-            % (d.get("format") if isinstance(d, dict) else d, COMPLEX_FORMAT))
-    try:
-        zero = list(d["zero_cubes"])
-        edge_pairs = [tuple(e) for e in d["edges"]]
-        walls_json = list(d.get("walls", []))
-    except (KeyError, TypeError) as exc:
-        raise ComplexFormatError("malformed complex file: %s" % exc) from exc
+    return from_format(d, COMPLEX_FORMAT, ComplexFormatError, _complex_from)
+
+
+def _complex_from(d: dict) -> CubeComplex:
+    zero = list(d["zero_cubes"])
     if not zero:
         raise ComplexFormatError("a complex needs at least one 0-cube")
     width = len(zero[0])
-    try:
-        orientations = [Orientation.from_bitstring(s) for s in zero]
-    except ValueError as exc:
-        raise ComplexFormatError(str(exc)) from exc
+    orientations = [Orientation.from_bitstring(s) for s in zero]
     if any(o.n != width for o in orientations):
         raise ComplexFormatError("0-cube bitstrings differ in length")
     edges = []
-    for u, v in edge_pairs:
+    for u, v in d["edges"]:
         if not (0 <= u < len(zero) and 0 <= v < len(zero)):
             raise ComplexFormatError("edge endpoint out of range: %r" % ((u, v),))
         x = orientations[u].bits ^ orientations[v].bits
@@ -456,10 +438,8 @@ def complex_from_json_dict(d: dict) -> CubeComplex:
             raise ComplexFormatError(
                 "edge %r does not flip exactly one wall" % ((u, v),))
         edges.append((u, v, x.bit_length() - 1))
-    try:
-        return CubeComplex(width, orientations, edges, wall_json=walls_json)
-    except ValueError as exc:
-        raise ComplexFormatError(str(exc)) from exc
+    return CubeComplex(width, orientations, edges,
+                       wall_json=list(d.get("walls", [])))
 
 
 def save_complex(c: CubeComplex, path) -> None:
@@ -521,12 +501,12 @@ def dual_complex(ws: FiniteWallspace) -> CubeComplex:
             if nb_bits not in index:
                 index[nb_bits] = len(orientations)
                 orientations.append(Orientation(nb_bits, nwalls))
-            u, v = head, index[nb_bits]
-            edges.append((min(u, v), max(u, v), j))
+            v = index[nb_bits]
+            if v > head:
+                edges.append((head, v, j))
         head += 1
 
-    complex_ = CubeComplex(nwalls, orientations, sorted(set(edges)),
-                           wallspace=ws)
+    complex_ = CubeComplex(nwalls, orientations, edges, wallspace=ws)
     realized = set(complex_.realized_walls())
     if nwalls and realized != set(range(nwalls)):
         missing = sorted(set(range(nwalls)) - realized)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -290,20 +291,26 @@ class RatMatrix:
 
 
 def det(m: RatMatrix) -> Fraction:
-    """Exact determinant by Bareiss fraction-free elimination.
-
-    Denominators are cleared row by row first, so the elimination runs
-    over plain integers and every intermediate division is exact.
-    """
+    """Exact determinant by Bareiss fraction-free elimination on the
+    integral multiple d * m, so every intermediate division is exact."""
     if not m.is_square():
         raise ShapeError("determinant of a non-square matrix")
-    scale = 1
-    a = []
-    for row in m.entries:
-        lcm = math.lcm(*(e.denominator for e in row))
-        scale *= lcm
-        a.append([int(e * lcm) for e in row])
-    return Fraction(int_det(a), scale)
+    d, rows = integral(m)
+    return Fraction(int_det(rows), d ** m.rows)
+
+
+def integral(m: RatMatrix):
+    """(d, rows): the least d >= 1 with d * m integral, and d * m as a
+    tuple of int row tuples."""
+    d = math.lcm(*(e.denominator for row in m.entries for e in row))
+    return d, tuple(tuple(e.numerator * (d // e.denominator) for e in row)
+                    for row in m.entries)
+
+
+def int_mul(a, b) -> tuple:
+    """Product of two integer matrices given as rows of ints."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def int_det(rows) -> int:
@@ -389,6 +396,26 @@ def read_json(path, error):
         except json.JSONDecodeError as exc:
             raise error("not valid JSON at line %d column %d: %s"
                         % (exc.lineno, exc.colno, exc.msg)) from exc
+
+
+def from_format(d, tag: str, error, build):
+    """build(d) for a JSON object whose "format" is tag.
+
+    A wrong tag, a missing key or a malformed value raises `error`, the
+    file format's own error class; an `error` raised by build passes
+    through unchanged.
+    """
+    if not isinstance(d, dict) or d.get("format") != tag:
+        raise error("unsupported format %r (expected %r)"
+                    % (d.get("format") if isinstance(d, dict) else d, tag))
+    try:
+        return build(d)
+    except error:
+        raise
+    except KeyError as exc:
+        raise error("%s file is missing key %s" % (tag, exc)) from exc
+    except (ValueError, TypeError) as exc:
+        raise error("malformed %s file: %s" % (tag, exc)) from exc
 
 
 def average_intertwiner(

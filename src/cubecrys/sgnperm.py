@@ -10,7 +10,7 @@ vertices (sign, axis) with an edge whenever the axes differ.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+from collections import Counter
 from typing import Hashable, Iterable, Sequence
 
 from cubecrys.exactlin import RatMatrix
@@ -155,43 +155,39 @@ def to_matrix(s: SignedPermutation) -> RatMatrix:
     return RatMatrix(grid)
 
 
-def times_signed_permutation(m: RatMatrix, s: SignedPermutation) -> RatMatrix:
-    """m * to_matrix(s) by relabelling columns: column i of the product
-    is signs[i] times column perm[i] of m."""
-    return RatMatrix([[sign * row[j - 1] for j, sign in zip(s.perm, s.signs)]
-                      for row in m.entries])
+def times_signed_permutation(rows, s: SignedPermutation) -> tuple:
+    """rows * to_matrix(s) for an integer matrix given as rows, by
+    relabelling columns: column i of the product is signs[i] times
+    column perm[i] of rows."""
+    return tuple(tuple(sign * row[j - 1] for j, sign in zip(s.perm, s.signs))
+                 for row in rows)
+
+
+def signed_permutation_of(rows, scale=1):
+    """The signed permutation whose matrix is rows / scale, for a square
+    matrix given as rows, or None."""
+    hits = [[(r + 1, x) for r, x in enumerate(col) if x] for col in zip(*rows)]
+    if any(len(h) != 1 or abs(h[0][1]) != scale for h in hits):
+        return None
+    try:
+        return SignedPermutation([h[0][0] for h in hits],
+                                 [h[0][1] // scale for h in hits])
+    except ValueError:  # two columns have their entry in one row
+        return None
 
 
 def is_signed_permutation_matrix(m: RatMatrix) -> bool:
     """True iff every row and column has exactly one entry, and it is +-1."""
     if not m.is_square():
         raise ValueError("expected a square matrix")
-    n = m.rows
-    for i in range(n):
-        row_hits = [j for j in range(n) if m.entries[i][j] != 0]
-        if len(row_hits) != 1 or m.entries[i][row_hits[0]] not in (1, -1):
-            return False
-    for j in range(n):
-        col_hits = [i for i in range(n) if m.entries[i][j] != 0]
-        if len(col_hits) != 1:
-            return False
-    return True
+    return signed_permutation_of(m.entries) is not None
 
 
 def from_matrix(m: RatMatrix) -> SignedPermutation:
     """Recover the signed permutation from its matrix form."""
     if not is_signed_permutation_matrix(m):
         raise ValueError("matrix is not a signed permutation matrix")
-    n = m.rows
-    perm = [0] * n
-    signs = [0] * n
-    for i in range(n):
-        for j in range(n):
-            e = m.entries[j][i]
-            if e != 0:
-                perm[i] = j + 1
-                signs[i] = 1 if e == Fraction(1) else -1
-    return SignedPermutation(perm, signs)
+    return signed_permutation_of(m.entries)
 
 
 class SimplicialComplex:
@@ -344,21 +340,21 @@ def build_Qn(n: int) -> SimplicialComplex:
     return SimplicialComplex(vertices, edges)
 
 
-def simplicial_join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
-    """Join of two complexes: everything in a is coned to everything in b."""
-    overlap = set(a.vertices) & set(b.vertices)
+def simplicial_join(*complexes: SimplicialComplex) -> SimplicialComplex:
+    """Join of complexes: every vertex is coned to every vertex of the
+    other complexes."""
+    vertices = [v for c in complexes for v in c.vertices]
+    overlap = [v for v, count in Counter(vertices).items() if count > 1]
     if overlap:
         raise LabelCollisionError(
-            "complexes share vertex labels %r; relabel before joining" % (sorted_repr(overlap),)
+            "complexes share vertex labels %r; relabel before joining"
+            % (sorted(overlap, key=repr),)
         )
-    vertices = list(a.vertices) + list(b.vertices)
-    edges = [tuple(e) for e in a.edges] + [tuple(e) for e in b.edges]
-    edges += [(u, v) for u in a.vertices for v in b.vertices]
+    edges = [tuple(e) for c in complexes for e in c.edges]
+    for k, a in enumerate(complexes):
+        edges += [(u, v) for b in complexes[k + 1:]
+                  for u in a.vertices for v in b.vertices]
     return SimplicialComplex(vertices, edges)
-
-
-def sorted_repr(labels):
-    return sorted(labels, key=repr)
 
 
 def qn_automorphism(s: SignedPermutation):

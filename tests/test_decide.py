@@ -1,5 +1,6 @@
 """Tests for the embedding decision procedure."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -12,8 +13,10 @@ from hypothesis import strategies as st
 
 from cubecrys.cli import main
 from cubecrys.crys import (
+    CATALOG_NAMES,
     CrystGroup,
     catalog_entry,
+    integer_real_forms,
     load_group,
     save_group,
     semidirect_extend,
@@ -48,7 +51,7 @@ from cubecrys.sgnperm import (
     is_signed_permutation_matrix,
     to_matrix,
 )
-from test_point_table import D4_BASIS, wf4
+from test_point_table import D4_BASIS, GROUPS, wf4
 
 
 def test_realized_orders_in_dimension_two():
@@ -371,12 +374,13 @@ def _pinned_case(name):
                                     for p in g.point_elements()]
 
 
-def _assert_matches_old_loop(theta, iota):
+def _assert_matches_old_loop(g, iota):
     """Where the old loop finds a conjugator, the new one is the same
     matrix; returns whether the old loop found one."""
-    old = old_build_conjugator(theta, [to_matrix(s) for s in iota])
+    old = old_build_conjugator(point_group_real(g),
+                               [to_matrix(s) for s in iota])
     if old is not None:
-        assert _build_conjugator(theta, iota) == old
+        assert _build_conjugator(*integer_real_forms(g), iota) == old
     return old is not None
 
 
@@ -386,7 +390,7 @@ def test_witness_conjugators_are_pinned(name):
     witness = is_hyperoctahedral(g)
     assert witness.verify(g)
     assert witness.conjugator == matrix_from_json(PINNED_CONJUGATORS[name])
-    assert _assert_matches_old_loop(theta, iota)
+    assert _assert_matches_old_loop(g, iota)
     if name in ("m-skew", "C2^2.p-skew"):
         # The pin lies past the identity seed.
         n = g.dimension
@@ -401,7 +405,8 @@ def test_unit_averages_combine_to_the_seed_average(name, flat):
     g, theta, iota = _pinned_case(name)
     n = g.dimension
     seed = flat[:n * n]
-    d, units = _unit_averages(theta, iota)
+    d, forms = integer_real_forms(g)
+    units = _unit_averages(forms, iota)
     total = _combine(units, seed)
     combined = RatMatrix([[Fraction(x, d) for x in total[i * n:(i + 1) * n]]
                           for i in range(n)])
@@ -463,9 +468,74 @@ def test_wf4_subgroup_fuzz():
             assert result.reason in (ORDER_OBSTRUCTION, CHARACTER_MISMATCH)
             continue
         assert result.verify(g)
-        theta = point_group_real(g)
-        if all(is_signed_permutation_matrix(t) for t in theta):
+        if all(is_signed_permutation_matrix(t) for t in point_group_real(g)):
             continue
         iota = [result.iota[p] for p in g.point_elements()]
-        old_failures += not _assert_matches_old_loop(theta, iota)
+        old_failures += not _assert_matches_old_loop(g, iota)
     assert old_failures >= 1
+
+
+# ---------------------------------------------------------------------------
+# The integer real forms against the RatMatrix products they replaced
+
+
+def ratmatrix_real_forms(g):
+    """L * M_p * L^-1 for every point element, by RatMatrix products."""
+    basis = g.lattice_basis
+    basis_inv = inverse(basis)
+    return tuple(basis * m * basis_inv for m in g.point_elements())
+
+
+@pytest.mark.parametrize(
+    "g", GROUPS + [wf4()] + [_pinned_groups()[name]
+                             for name in sorted(PINNED_CONJUGATORS)],
+    ids=lambda g: g.name)
+def test_integer_real_forms_match_the_ratmatrix_products(g):
+    d, forms = integer_real_forms(g)
+    expected = ratmatrix_real_forms(g)
+    assert len(forms) == len(expected)
+    for form, real in zip(forms, expected):
+        assert RatMatrix([[Fraction(x, d) for x in row]
+                          for row in form]) == real
+    assert point_group_real(g) == expected
+
+
+# sha256 of `classify --json` stdout, recorded before the witness check
+# and the conjugator moved to integer real forms; must never change.
+CLASSIFY_DIGESTS = {
+    "p1": "d35affc219aae6e2cad029f4ffd5bc7a1b3765b73c23ecc4cb13711afa5c8f66",
+    "p2": "4afa41e012a77d04cf4f446bb3760723af708fe7c002f9f0bf6f0e113cd9d063",
+    "pm": "f50b4338560814fed1b5e353204a6c81b08abafdaed7f3a91c4994cdb488300f",
+    "pg": "341ca2982bdf56ddde699ebfdc23c186390be3fa323adc9796c2b1bd2a6e33b3",
+    "cm": "a202e9e518aaa5ac16e1023d990affc88e85942e0a74c25ceef1d42b6173e310",
+    "pmm": "4d2529cc7b184581e208d186a00fe159cbc0c149f8b1022a8f880695432521c0",
+    "pmg": "2cdb0e19e5b4a2a99be3891401671133ae632abae31c659ab868ccad74850601",
+    "pgg": "343cabeafc2832f328f6e947566fd0d5c453af329aba96c8a6075438ab49c65f",
+    "cmm": "2895ebf586c61d44227da60071bb673625c9de3d6a9f3f12734fba314f465472",
+    "p4": "25411d77e885098bc81985a11df4ef80578cdff62faf6e0770395a1b17104f9c",
+    "p4m": "2421ec3c2ab158a6b172f39a4691766de86fc0945eb59ab51123f228760a3c32",
+    "p4g": "4e989ffd5ccda8ad4f6da6a16d6b7067fefa2d256dd432f16fb5e57f0a37afd2",
+    "p3": "dd516b35b6dea0f1c7cba971ecc0a86c40c7aae26569d49da0a62f4763aa8b9d",
+    "p3m1": "dab744e364f55de2e6e3cd171320815b6bb9764c5b24844def821a643bf76981",
+    "p31m": "43526a81421dffb7d8474f775eb29e99bdc70f2ed1a1b4127faea2d7736ab02a",
+    "p6": "9b68edb46958b608b1cdefaab6625cab0ae0b35b94670e1e7e9a5415ca15def6",
+    "p6m": "a4040b18d02661fe518df0bf8157bac61ee04da1c77ab67a255e3d7df5a66853",
+    "W": "abd4e17bbb9003bd716271af22f2cebca0e19e1f0bd372ddf0c1a7fa2a7fd116",
+    "ZxW": "a02feb315d92904f829b6bd28e86cafca42a0868c6418d30760f7caf2bbc09b0",
+    "Z:W": "70f8c8cf01eddaf68517016732421d90b8a6af238d8e3ffe2fff86f5305fa174",
+    "p4-skew": "13b5b6716ca435c53c8c71f9d696c11f5ca714011cd744d5128df73066dae471",
+    "m-skew": "03f2f1aefe1e5429f873f6291d142b59930057d179e87395b0666a91d163a1d1",
+    "C2^2.p-skew":
+        "511b3b846569f97e9967de79b63937cc1b3511711ff35981dc2a00e9d71e83c0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFY_DIGESTS))
+def test_classify_json_is_pinned(tmp_path, capsys, name):
+    g = (catalog_entry(name) if name in CATALOG_NAMES
+         else _pinned_groups()[name])
+    path = tmp_path / "group.json"
+    save_group(g, path)
+    assert main(["classify", "--json", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_DIGESTS[name]

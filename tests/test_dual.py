@@ -747,6 +747,11 @@ def test_complex_file_errors(tmp_path):
                                 "edges": [[0, 7]]}))
     with pytest.raises(ComplexFormatError, match="out of range"):
         load_complex(path)
+    path.write_text(json.dumps({"format": "cubecrys-complex/1",
+                                "zero_cubes": ["00", "01"],
+                                "edges": [[0, "1"]]}))
+    with pytest.raises(ComplexFormatError, match="malformed"):
+        load_complex(path)
 
 
 # -- constructor validation -------------------------------------------

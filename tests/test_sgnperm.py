@@ -1,7 +1,9 @@
 """Tests for signed permutations and the hyperoctahedron."""
 
+import functools
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -117,9 +119,10 @@ def test_cliques_and_f_vector_of_a_triangle():
 
 
 def test_times_signed_permutation_relabels_columns():
-    m = RatMatrix([[1, "2/3", -4], ["-1/2", 0, 5], [7, 3, "1/9"]])
+    rows = ((1, 6, -4), (-3, 0, 5), (7, 3, 9))
     for s in enumerate_group(3):
-        assert times_signed_permutation(m, s) == m * to_matrix(s)
+        assert (RatMatrix(times_signed_permutation(rows, s))
+                == RatMatrix(rows) * to_matrix(s))
 
 
 def test_cliques_are_generated_once_each():
@@ -163,6 +166,35 @@ def test_simplicial_join():
     assert j.f_vector() == (3, 2)
     with pytest.raises(LabelCollisionError):
         simplicial_join(a, SimplicialComplex(["q"], []))
+
+
+def _seeded_complexes(rng, count):
+    """count small random complexes with pairwise disjoint labels."""
+    out = []
+    for k in range(count):
+        verts = [(k, i) for i in range(rng.randint(0, 4))]
+        edges = [e for e in itertools.combinations(verts, 2)
+                 if rng.random() < 0.5]
+        out.append(SimplicialComplex(verts, edges))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_n_way_join_equals_the_pairwise_fold(seed):
+    rng = random.Random(seed)
+    complexes = _seeded_complexes(rng, rng.randint(1, 5))
+    joined = simplicial_join(*complexes)
+    folded = functools.reduce(simplicial_join, complexes)
+    assert joined.to_json_dict() == folded.to_json_dict()
+    assert joined.vertices == tuple(v for c in complexes for v in c.vertices)
+
+
+def test_join_refuses_a_label_shared_by_the_first_and_third():
+    a = SimplicialComplex(["p", "q"], [("p", "q")])
+    b = SimplicialComplex(["r"], [])
+    c = SimplicialComplex(["s", "q"], [])
+    with pytest.raises(LabelCollisionError):
+        simplicial_join(a, b, c)
 
 
 def test_join_of_antipodal_pairs_is_qn():
