@@ -35,9 +35,14 @@ from cubecrys.dual import (
     duality_check,
     is_median_graph,
     load_wallspace,
-    save_complex,
 )
-from cubecrys.exactlin import RatVector, format_rational, matrix_to_json
+from cubecrys.exactlin import (
+    RatVector,
+    format_rational,
+    json_text,
+    matrix_to_json,
+    write_json,
+)
 from cubecrys.walls import (
     check_linear_separation,
     direction_class_count,
@@ -236,7 +241,7 @@ def _cmd_dual(args):
         "duality round-trip: %s" % summary["duality_round_trip"],
     ]
     if args.out:
-        save_complex(c, args.out)
+        write_json(args.out, report["complex"])
         report["written"] = args.out
         lines.append("complex written to %s" % args.out)
     return report, lines
@@ -411,7 +416,7 @@ def main(argv=None) -> int:
         return 2
 
     if getattr(args, "json", False):
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json_text(report))
     else:
         print("\n".join(lines))
     return 0

@@ -289,7 +289,9 @@ class Orientation:
         return Orientation(self.bits ^ (1 << i), self.n)
 
     def to_bitstring(self) -> str:
-        return "".join("1" if self.side(i) else "0" for i in range(self.n))
+        # bin() of bits with a 1 above wall n - 1, read backwards
+        # without its "0b1": "" for no walls.
+        return bin(self.bits | 1 << self.n)[:2:-1]
 
     @staticmethod
     def from_bitstring(s: str) -> "Orientation":
@@ -326,37 +328,39 @@ class CubeComplex:
         orientations = tuple(orientations)
         if not orientations:
             raise ValueError("a complex needs at least one 0-cube")
-        if len({o.bits for o in orientations}) != len(orientations):
+        bits = [o.bits for o in orientations]
+        index = dict(zip(bits, range(len(bits))))
+        if len(index) != len(bits):
             raise ValueError("duplicate 0-cubes")
-        index = {}
-        for k, o in enumerate(orientations):
-            if o.n != num_walls:
-                raise ValueError("orientation width differs from wall count")
-            index[o.bits] = k
+        if any(o.n != num_walls for o in orientations):
+            raise ValueError("orientation width differs from wall count")
         canon_edges = []
-        adjacency = [dict() for _ in orientations]
+        adjacency = [{} for _ in bits]
         for u, v, wall in edges:
-            bu, bv = orientations[u].bits, orientations[v].bits
-            if bu ^ bv != 1 << wall:
+            if bits[u] ^ bits[v] != 1 << wall:
                 raise ValueError(
                     "edge (%d, %d) does not flip exactly wall %d" % (u, v, wall))
-            u, v = min(u, v), max(u, v)
+            if u > v:
+                u, v = v, u
             canon_edges.append((u, v, wall))
             adjacency[u][wall] = v
             adjacency[v][wall] = u
-        seen = {0}
+        seen = bytearray(len(bits))
+        seen[0] = 1
         stack = [0]
         while stack:
-            at = stack.pop()
-            for nb in adjacency[at].values():
-                if nb not in seen:
-                    seen.add(nb)
+            for nb in adjacency[stack.pop()].values():
+                if not seen[nb]:
+                    seen[nb] = 1
                     stack.append(nb)
-        if len(seen) != len(orientations):
+        if 0 in seen:
             raise ValueError("1-skeleton is not connected")
         self.num_walls = num_walls
         self.orientations = orientations
-        self.edges = tuple(sorted(set(canon_edges)))
+        # Sorting first and then dropping repeats gives the same tuple
+        # as sorted(set(...)), but timsort is near linear on the nearly
+        # sorted edges dual_complex hands over.
+        self.edges = tuple(dict.fromkeys(sorted(canon_edges)))
         self.wallspace = wallspace
         self.wall_json = wall_json
         self._index = index
@@ -492,20 +496,20 @@ def dual_complex(ws: FiniteWallspace) -> CubeComplex:
         if ws.base_side(i):
             base_bits |= 1 << i
 
-    orientations = [Orientation(base_bits, nwalls)]
+    # The search walks int bitmasks; queue[k] is 0-cube k.
+    queue = [base_bits]
     index = {base_bits: 0}
     edges = []
-    head = 0
-    while head < len(orientations):
-        for j, nb_bits in _clause_flips(forbid, orientations[head].bits):
-            if nb_bits not in index:
-                index[nb_bits] = len(orientations)
-                orientations.append(Orientation(nb_bits, nwalls))
-            v = index[nb_bits]
+    for head, bits in enumerate(queue):
+        for j, nb_bits in _clause_flips(forbid, bits):
+            v = index.get(nb_bits)
+            if v is None:
+                v = index[nb_bits] = len(queue)
+                queue.append(nb_bits)
             if v > head:
                 edges.append((head, v, j))
-        head += 1
 
+    orientations = [Orientation(b, nwalls) for b in queue]
     complex_ = CubeComplex(nwalls, orientations, edges, wallspace=ws)
     realized = set(complex_.realized_walls())
     if nwalls and realized != set(range(nwalls)):

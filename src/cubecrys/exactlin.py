@@ -381,11 +381,97 @@ def matrix_from_json(data) -> RatMatrix:
     return RatMatrix([[parse_rational(e) for e in row] for row in data])
 
 
+_LEAF_ENCODERS = {}
+# Exact types only: a subclass of a scalar type takes the slow path.
+_SCALAR_TYPES = {str, int, float, bool, type(None)}
+_ROW_TYPES = {list, tuple}
+
+
+def _leaf_encode(pad: str):
+    """The C encoder's `encode`, with `pad` after every item separator."""
+    encode = _LEAF_ENCODERS.get(pad)
+    if encode is None:
+        encode = _LEAF_ENCODERS[pad] = json.JSONEncoder(
+            separators=("," + pad, ": ")).encode
+    return encode
+
+
+def json_text(obj) -> str:
+    """Exactly json.dumps(obj, indent=2, sort_keys=True), only faster.
+
+    An `indent` makes `json` fall back to its pure-Python encoder.  Here
+    dicts and lists are walked in Python, but a list of scalars, or a
+    list of rows of numbers (a matrix, an edge list), goes to the C
+    encoder in one call, with the newline and indent carried in its
+    item separator.
+    """
+    out = []
+    _emit(obj, "\n", out.append)
+    return "".join(out)
+
+
+def _emit(obj, pad: str, put) -> None:
+    """Append the indent-2 text of obj, nested at indent `pad`, to put."""
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            put("{}")
+            return
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                if not (key is None or isinstance(key, (int, float))):
+                    raise TypeError("keys must be str, int, float, bool or "
+                                    "None, not %s" % type(key).__name__)
+                key = _leaf_encode("")(key)
+            put(sep + _leaf_encode("")(key) + ": ")
+            _emit(value, inner, put)
+            sep = "," + inner
+        put(pad + "}")
+    elif not isinstance(obj, (list, tuple)):
+        put(_leaf_encode("")(obj))
+    elif not obj:
+        put("[]")
+    else:
+        kinds = set(map(type, obj))
+        if kinds <= _SCALAR_TYPES:
+            put("[" + inner + _leaf_encode(inner)(obj)[1:-1] + pad + "]")
+        elif not (kinds <= _ROW_TYPES and _emit_rows(obj, pad, put)):
+            sep = "[" + inner
+            for value in obj:
+                put(sep)
+                _emit(value, inner, put)
+                sep = "," + inner
+            put(pad + "]")
+
+
+def _emit_rows(rows, pad: str, put) -> bool:
+    """Emit a list of non-empty rows of numbers in one C call, if it is one.
+
+    rows is a list of lists and tuples.  They are encoded with their
+    items' indent in the item separator, so only the breaks between
+    rows need rewriting.  That rewrite is exact when the text holds no
+    string and no object, and every `[` opens the whole list or a
+    non-empty row; otherwise emit nothing.
+    """
+    row_pad = pad + "  "
+    item_pad = row_pad + "  "
+    text = _leaf_encode(item_pad)(rows)
+    if ('"' in text or "{" in text or "[]" in text
+            or text.count("[") != len(rows) + 1):
+        return False
+    put("[" + row_pad + "[" + item_pad
+        + text[2:-2].replace("]," + item_pad + "[",
+                             row_pad + "]," + row_pad + "[" + item_pad)
+        + row_pad + "]" + pad + "]")
+    return True
+
+
 def write_json(path, data) -> None:
     """Write a file format's JSON form: sorted keys, indent 2, newline."""
+    text = json_text(data)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_json(path, error):

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line frontend."""
 
+import hashlib
 import itertools
 import json
 from fractions import Fraction
@@ -230,12 +231,8 @@ def test_dual_summary(capsys, tmp_path):
 def test_dual_of_ten_crossing_lines(capsys, tmp_path):
     # Lines through the origin with ten directions cross pairwise, so
     # every one of the 2^10 side choices is a 0-cube.
-    ws = FiniteWallspace.geometric(
-        2, [(-2, 2), (-2, 2)],
-        [GeometricWall(RatVector([1, i]), Fraction(0)) for i in range(10)],
-        RatVector([Fraction(1, 2), Fraction(1, 3)]))
     path = tmp_path / "lines.json"
-    save_wallspace(ws, path)
+    save_wallspace(ten_crossing_lines(), path)
     report = run_json(capsys, "dual", str(path))
     assert report["summary"] == {
         "zero_cubes": 1024,
@@ -244,6 +241,55 @@ def test_dual_of_ten_crossing_lines(capsys, tmp_path):
         "median_graph": True,
         "duality_round_trip": True,
     }
+
+
+def ten_crossing_lines():
+    return FiniteWallspace.geometric(
+        2, [(-2, 2), (-2, 2)],
+        [GeometricWall(RatVector([1, i]), Fraction(0)) for i in range(10)],
+        RatVector([Fraction(1, 2), Fraction(1, 3)]))
+
+
+def spatial_arrangement():
+    """15 planes in a 3-D box: eleven through the origin, and two pairs
+    of parallel planes; planes of different directions cross in the
+    box, so there are 2^11 * 3 * 3 = 18,432 0-cubes, above
+    MEDIAN_VERTEX_CAP."""
+    normals = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 0),
+               (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1), (1, 1, 1),
+               (1, 1, -1)]
+    walls = [GeometricWall(RatVector(n), Fraction(0)) for n in normals]
+    walls += [GeometricWall(RatVector(n), Fraction(c))
+              for n in ((1, -1, 1), (-1, 1, 1)) for c in (-1, 1)]
+    return FiniteWallspace.geometric(
+        3, [(-10, 10)] * 3, walls,
+        RatVector([Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)]))
+
+
+# sha256 of `dual walls.json --json --out complex.json` stdout and of
+# complex.json, recorded before the report and the complex files moved
+# to exactlin.json_text; every byte must stay the same.
+DUAL_PINS = {
+    "ten_crossing_lines": (
+        "8d31decc51e8af3dd37841e70c44b68621125d17ed90138b6a56a3a82bde276a",
+        "06846a62d5f2179f2bdfe94f815fc50cb1e8b2ed720a0c5f79a3bfbf0871d0e6"),
+    "spatial_arrangement": (
+        "74ff1f13220fc7a8320ebdae82f523cce5070b67925f5ed8140349c9d87a64c4",
+        "de091734ed3c3a12b17c80651ea8bd04cb8f06f1b9daa3f9972752a3150a9d35"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUAL_PINS))
+def test_dual_report_and_complex_file_bytes_are_pinned(
+        name, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    save_wallspace(globals()[name](), "walls.json")
+    code, out, err = run(capsys, "dual", "walls.json", "--json",
+                         "--out", "complex.json")
+    assert code == 0, err
+    written = (tmp_path / "complex.json").read_bytes()
+    assert (hashlib.sha256(out.encode("utf-8")).hexdigest(),
+            hashlib.sha256(written).hexdigest()) == DUAL_PINS[name]
 
 
 def test_dual_out_round_trip(capsys, tmp_path):

@@ -250,6 +250,14 @@ def test_orientation_basics():
         o.bits = 3
 
 
+def test_to_bitstring_matches_the_per_bit_join():
+    for n in range(7):
+        for bits in range(1 << n):
+            o = Orientation(bits, n)
+            assert o.to_bitstring() == "".join(
+                "1" if o.side(i) else "0" for i in range(n))
+
+
 @given(st.lists(st.sampled_from("01"), min_size=0, max_size=20))
 def test_orientation_bitstring_round_trip(chars):
     s = "".join(chars)
@@ -755,6 +763,23 @@ def test_complex_file_errors(tmp_path):
 
 
 # -- constructor validation -------------------------------------------
+
+
+def test_cube_complex_sorts_and_dedupes_edges_like_sorted_set():
+    ws = plane_space([vertical(-1), vertical(1), horizontal(0),
+                      GeometricWall(RatVector([1, 1]), Fraction(0))],
+                     ["1/2", "1/3"])
+    c = dual_complex(ws)
+    rng = random.Random(0)
+    for _ in range(20):
+        edges = list(c.edges) + rng.sample(c.edges, len(c.edges) // 2)
+        edges = [(v, u, w) if rng.random() < 0.5 else (u, v, w)
+                 for u, v, w in edges]
+        rng.shuffle(edges)
+        rebuilt = CubeComplex(c.num_walls, c.orientations, edges)
+        assert rebuilt.edges == tuple(sorted(set(
+            (min(u, v), max(u, v), w) for u, v, w in edges)))
+        assert rebuilt.edges == c.edges
 
 
 def test_cube_complex_rejects_duplicates():

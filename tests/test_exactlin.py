@@ -1,9 +1,10 @@
 """Tests for the exact rational linear algebra layer."""
 
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cubecrys.exactlin import (
     RatMatrix,
@@ -14,6 +15,7 @@ from cubecrys.exactlin import (
     det,
     format_rational,
     inverse,
+    json_text,
     matrix_from_json,
     matrix_to_json,
     parse_rational,
@@ -148,6 +150,68 @@ def test_json_round_trips():
     m = RatMatrix([["1/2", "-3"], ["0", "5/7"]])
     assert matrix_to_json(m) == [["1/2", "-3"], ["0", "5/7"]]
     assert matrix_from_json(matrix_to_json(m)) == m
+
+
+# Strings that look like the separators and brackets json_text splices.
+_TRICKY = st.sampled_from(['"', "]", ",", "\n", "\u00e9\u6f22", "[]",
+                           "],\n  [", "{", "a\\b"])
+_TEXT = st.one_of(st.text(max_size=6), _TRICKY)
+_NUMBERS = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-10 ** 60, max_value=10 ** 60),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(), st.none())
+_SCALARS = st.one_of(_NUMBERS, _TEXT)
+# Keys of one dict must sort against each other, so each dict draws
+# all its keys from one family: str, numbers (bool is an int) or None.
+_KEY_FAMILIES = st.sampled_from([
+    _TEXT,
+    st.one_of(st.integers(min_value=-10 ** 30, max_value=10 ** 30),
+              st.floats(allow_nan=False), st.booleans()),
+    st.none()])
+# Rows of numbers (json_text's one-call path), some empty, some ragged,
+# and some nested one level deeper, which must fall back.
+_ROWS = st.lists(st.one_of(
+    st.lists(_NUMBERS, max_size=4),
+    st.lists(_NUMBERS, max_size=3).map(tuple),
+    st.lists(st.lists(_NUMBERS, max_size=2), max_size=2)), max_size=4)
+
+
+def _json_trees():
+    return st.recursive(
+        st.one_of(_SCALARS, _ROWS, st.just([]), st.just({}), st.just(())),
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=3).map(tuple),
+            _KEY_FAMILIES.flatmap(lambda keys: st.dictionaries(
+                keys, children, max_size=4))),
+        max_leaves=20)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_trees())
+def test_json_text_is_json_dumps_indent_2(tree):
+    assert json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+def test_json_text_hand_cases():
+    cases = [
+        [], {}, (), 0, "x", None, [[]], [[], []], [[1], []], [[1, [2]]],
+        [[1, 2], [3, 4, 5]], ([1.5, -2], (3,)), [["a", 1]], [[{"a": 1}]],
+        {1: [], 2.5: {}, True: [[0]]}, {None: [1e300, float("nan")]},
+        {"edges": [[0, 1], [1, 2]], "zero_cubes": ["01", "11"]},
+        [10 ** 40, -10 ** 40, [10 ** 40]],
+    ]
+    for x in cases:
+        assert json_text(x) == json.dumps(x, indent=2, sort_keys=True), x
+
+
+def test_json_text_rejects_what_json_rejects():
+    for bad in ({(1, 2): 0}, {"a": object()}, [object()], [[object()]]):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            json_text(bad)
 
 
 def test_average_intertwiner_single_element():
