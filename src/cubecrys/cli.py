@@ -232,7 +232,6 @@ def _cmd_dual(args):
         "command": "dual",
         "input_digest": _digest_file(args.walls_file),
         "summary": summary,
-        "complex": c.to_json_dict(),
     }
     lines = [
         "dual complex: %d 0-cubes, %d edges from %d walls"
@@ -240,6 +239,8 @@ def _cmd_dual(args):
         "median graph: %s" % summary["median_graph"],
         "duality round-trip: %s" % summary["duality_round_trip"],
     ]
+    if args.json or args.out:
+        report["complex"] = c.to_json_dict()
     if args.out:
         write_json(args.out, report["complex"])
         report["written"] = args.out

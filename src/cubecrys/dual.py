@@ -1,26 +1,31 @@
 """Dual cube complexes of finite wallspaces.
 
 A finite wallspace is a rational window with finitely many affine
-walls, or (abstractly) a finite point set with two-sided partitions.
-The dual complex has one 0-cube per consistent orientation: a choice
-of one open side per wall such that all chosen sides pairwise meet.
-Edges join orientations differing on a single wall, and higher cubes
-are implicit in the flag structure (cliques of pairwise flippable
-walls at a vertex).
+walls.  The dual complex has one 0-cube per consistent orientation: a
+choice of one open side per wall such that all chosen sides pairwise
+meet.  Edges join orientations differing on a single wall, and higher
+cubes are implicit in the flag structure (cliques of pairwise
+flippable walls at a vertex).
 
 Consistency of a pair of chosen sides is decided exactly: for affine
 walls by one closed-form minimax test (the smaller of two affine
 functions is positive somewhere in the window box exactly when every
 convex combination of them is, and only n + 2 combinations need
-checking), and by set intersection for abstract walls.  Orientations
-are enumerated by breadth-first wall flipping from the base point's
-orientation, never by scanning all 2^W side choices.
+checking).  Orientations are enumerated by breadth-first wall
+flipping from the base point's orientation, never by scanning all 2^W
+side choices.
+
+A complex is in turn the dual of its own hyperplanes: two hyperplane
+sides meet exactly when some 0-cube lies on both, so their
+compatibility table is the table of one- and two-wall clauses that the
+0-cubes satisfy.  The median check, the duality round trip and the
+crossing test all read that one table, and the one flip walk that
+enumerates duals walks it.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from cubecrys.exactlin import (
@@ -98,46 +103,24 @@ def _halfspace(wall: GeometricWall, side: int):
 # Wallspaces
 
 
-@dataclass(frozen=True)
-class AbstractWall:
-    """A two-sided partition of a finite point set."""
-
-    minus: frozenset
-    plus: frozenset
-
-    def to_json_dict(self) -> dict:
-        return {"minus": sorted(self.minus, key=repr),
-                "plus": sorted(self.plus, key=repr)}
-
-
 class FiniteWallspace:
-    """A finite collection of walls, geometric or abstract.
+    """A rational window box, finitely many affine walls and a base point.
 
-    Geometric wallspaces carry a rational window box and a base point
-    lying on no wall; abstract wallspaces carry an explicit point set
-    and a base point.  Both expose the same pairwise side-compatibility
-    interface to the dual construction.
+    Every wall splits the window, and the base point lies in the window
+    on no wall.
     """
 
-    __slots__ = ("kind", "dimension", "window", "walls", "base_point", "points")
+    __slots__ = ("dimension", "window", "walls", "base_point")
 
-    def __init__(self, kind, walls, base_point, dimension=None, window=None,
-                 points=None):
+    def __init__(self, dimension, window, walls, base_point):
         if len(walls) > WALL_CAP:
             raise WallCapError(
                 "at most %d walls supported, got %d" % (WALL_CAP, len(walls)))
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "walls", tuple(walls))
-        object.__setattr__(self, "base_point", base_point)
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "window", window)
-        object.__setattr__(self, "points", points)
-        if kind == "geometric":
-            self._validate_geometric()
-        elif kind == "abstract":
-            self._validate_abstract()
-        else:
-            raise WallspaceError("unknown wallspace kind %r" % (kind,))
+        object.__setattr__(self, "walls", tuple(walls))
+        object.__setattr__(self, "base_point", base_point)
+        self._validate()
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteWallspace is immutable")
@@ -145,17 +128,11 @@ class FiniteWallspace:
     @staticmethod
     def geometric(dimension, window, walls, base_point) -> "FiniteWallspace":
         window = tuple((Fraction(lo), Fraction(hi)) for lo, hi in window)
-        return FiniteWallspace("geometric", walls, base_point,
-                               dimension=dimension, window=window)
+        return FiniteWallspace(dimension, window, walls, base_point)
 
-    @staticmethod
-    def abstract(points, walls, base_point) -> "FiniteWallspace":
-        return FiniteWallspace("abstract", walls, base_point,
-                               points=tuple(points))
-
-    def _validate_geometric(self):
+    def _validate(self):
         n = self.dimension
-        if n is None or self.window is None or len(self.window) != n:
+        if len(self.window) != n:
             raise WallspaceError("window must give one (lo, hi) pair per axis")
         for lo, hi in self.window:
             if not lo < hi:
@@ -185,50 +162,20 @@ class FiniteWallspace:
             if w.side(p) == 0:
                 raise WallspaceError("base point lies on wall %r" % (w,))
 
-    def _validate_abstract(self):
-        if not self.points:
-            raise WallspaceError("abstract wallspace needs a nonempty point set")
-        ptset = set(self.points)
-        seen = set()
-        for w in self.walls:
-            if not isinstance(w, AbstractWall):
-                raise WallspaceError("abstract wallspace needs AbstractWall "
-                                     "entries")
-            if not w.minus or not w.plus:
-                raise WallspaceError("a wall side is empty")
-            if w.minus & w.plus:
-                raise WallspaceError("wall sides overlap")
-            if w.minus | w.plus != ptset:
-                raise WallspaceError("wall sides do not cover the point set")
-            key = frozenset((w.minus, w.plus))
-            if key in seen:
-                raise WallspaceError("duplicate abstract wall")
-            seen.add(key)
-        if self.base_point not in ptset:
-            raise WallspaceError("base point is not in the point set")
-
     # -- side primitives ----------------------------------------------
 
     def base_side(self, i: int) -> int:
         """0 or 1: which side of wall i the base point lies on."""
-        if self.kind == "geometric":
-            return 1 if self.walls[i].side(self.base_point) > 0 else 0
-        return 1 if self.base_point in self.walls[i].plus else 0
+        return 1 if self.walls[i].side(self.base_point) > 0 else 0
 
     def sides_compatible(self, i: int, si: int, j: int, sj: int) -> bool:
         """Do the chosen open sides of walls i and j meet?"""
         if i == j:
             return si == sj
-        if self.kind == "geometric":
-            return _feasible(self.window, _halfspace(self.walls[i], si),
-                             _halfspace(self.walls[j], sj))
-        a = self.walls[i].plus if si else self.walls[i].minus
-        b = self.walls[j].plus if sj else self.walls[j].minus
-        return bool(a & b)
+        return _feasible(self.window, _halfspace(self.walls[i], si),
+                         _halfspace(self.walls[j], sj))
 
     def to_json_dict(self) -> dict:
-        if self.kind != "geometric":
-            raise WallspaceError("only geometric wallspaces have a file form")
         return {
             "format": WALLS_FORMAT,
             "dimension": self.dimension,
@@ -405,7 +352,7 @@ class CubeComplex:
     def to_json_dict(self) -> dict:
         if self.wall_json is not None:
             walls_json = self.wall_json
-        elif self.wallspace is not None and self.wallspace.kind == "geometric":
+        elif self.wallspace is not None:
             walls_json = [w.to_json_dict() for w in self.wallspace.walls]
         else:
             walls_json = []
@@ -454,18 +401,55 @@ def load_complex(path) -> CubeComplex:
     return complex_from_json_dict(read_json(path, ComplexFormatError))
 
 
-def _clause_flips(forbid, bits: int):
-    """Yield (j, bits with wall j flipped) for each flip meeting every clause.
+def _member_clauses(members, nwalls: int) -> list:
+    """The one- and two-wall clauses that every bitmask of members meets.
+
+    Bit k of forbid[j][s][t] is set when no member has side s on wall j
+    and side t on wall k (k == j gives the clauses on wall j alone).
+    For the 0-cubes of a complex this is the compatibility table of its
+    hyperplanes: two sides meet exactly when a 0-cube lies on both.
+    """
+    full = (1 << nwalls) - 1
+    # ok[j][s][t] has bit k set when some member has side s on wall j
+    # and side t on wall k.
+    ok = [[[0, 0], [0, 0]] for _ in range(nwalls)]
+    for bits in members:
+        for j, row in enumerate(ok):
+            seen = row[bits >> j & 1]
+            seen[0] |= full & ~bits
+            seen[1] |= bits
+    return [[(full & ~t0, full & ~t1) for t0, t1 in row] for row in ok]
+
+
+def _flip_closure(forbid, start: int, within=None):
+    """All bitmasks reached from start by flips that meet every clause.
 
     Bit k of forbid[j][s][t] is set when side s of wall j rules out
-    side t of wall k (k == j gives the clauses on wall j alone).  bits
-    itself must meet every clause, so only the flipped wall's are read.
+    side t of wall k.  start must meet every clause, so a flip of wall
+    j is tested against wall j's clauses only.  Returns (queue, edges)
+    in breadth-first order: queue[k] is the k-th bitmask reached, and
+    edges holds each flip (u, v, j) between queue indices u < v once.
+    Returns None as soon as a bitmask outside `within` is reached.
     """
-    for j, rules in enumerate(forbid):
-        flipped = bits ^ (1 << j)
-        rule0, rule1 = rules[flipped >> j & 1]
-        if not (flipped & rule1 or ~flipped & rule0):
-            yield j, flipped
+    flips = [(j, 1 << j, rules) for j, rules in enumerate(forbid)]
+    queue = [start]
+    index = {start: 0}
+    edges = []
+    for head, bits in enumerate(queue):
+        for j, bit, rules in flips:
+            flipped = bits ^ bit
+            rule0, rule1 = rules[1] if flipped & bit else rules[0]
+            if flipped & rule1 or ~flipped & rule0:
+                continue
+            v = index.get(flipped)
+            if v is None:
+                if within is not None and flipped not in within:
+                    return None
+                v = index[flipped] = len(queue)
+                queue.append(flipped)
+            if v > head:
+                edges.append((head, v, j))
+    return queue, edges
 
 
 def dual_complex(ws: FiniteWallspace) -> CubeComplex:
@@ -497,18 +481,7 @@ def dual_complex(ws: FiniteWallspace) -> CubeComplex:
             base_bits |= 1 << i
 
     # The search walks int bitmasks; queue[k] is 0-cube k.
-    queue = [base_bits]
-    index = {base_bits: 0}
-    edges = []
-    for head, bits in enumerate(queue):
-        for j, nb_bits in _clause_flips(forbid, bits):
-            v = index.get(nb_bits)
-            if v is None:
-                v = index[nb_bits] = len(queue)
-                queue.append(nb_bits)
-            if v > head:
-                edges.append((head, v, j))
-
+    queue, edges = _flip_closure(forbid, base_bits)
     orientations = [Orientation(b, nwalls) for b in queue]
     complex_ = CubeComplex(nwalls, orientations, edges, wallspace=ws)
     realized = set(complex_.realized_walls())
@@ -551,60 +524,30 @@ def is_median_graph(c: CubeComplex) -> bool:
     carries every hypercube edge between its members and is closed
     under the wallwise majority vote.  Majority-closed sets are the
     solution sets of the one- and two-wall clauses they satisfy
-    (Schaefer), and such a solution set is connected, so a connected
-    set is majority-closed exactly when no flip leaves it for a solution.
+    (Schaefer).  Every edge of c is a flip between two solutions, so
+    the flip walk from one 0-cube reaches them all, and the set is
+    majority-closed exactly when the walk never leaves it.
     """
     members = c._index
-    full = (1 << c.num_walls) - 1
-    # ok[j][s][t] has bit k set when some member has side s on wall j
-    # and side t on wall k.
-    ok = [[[0, 0], [0, 0]] for _ in range(c.num_walls)]
-    for bits in members:
-        for j, row in enumerate(ok):
-            seen = row[bits >> j & 1]
-            seen[0] |= full & ~bits
-            seen[1] |= bits
-    forbid = [[(full & ~t0, full & ~t1) for t0, t1 in row] for row in ok]
-    # Each flip to a member crosses an edge of the hypercube; all of
-    # them must be edges of c, and each is found from both ends.
-    inside = 0
-    for bits in members:
-        for _, flipped in _clause_flips(forbid, bits):
-            if flipped not in members:
-                return False
-            inside += 1
-    return inside == 2 * c.edge_count()
-
-
-def hyperplane_wallspace(c: CubeComplex) -> FiniteWallspace:
-    """The abstract wallspace of the complex's own hyperplanes.
-
-    Each realized wall splits the vertex set into its two side classes;
-    the result is a valid abstract wallspace over the vertex indices,
-    ready to be fed back into dual_complex.
-    """
-    points = tuple(range(c.vertex_count()))
-    walls = []
-    for wall in c.realized_walls():
-        minus = frozenset(i for i, o in enumerate(c.orientations)
-                          if not o.side(wall))
-        plus = frozenset(i for i, o in enumerate(c.orientations)
-                         if o.side(wall))
-        walls.append(AbstractWall(minus=minus, plus=plus))
-    return FiniteWallspace.abstract(points, walls, base_point=0)
+    closure = _flip_closure(_member_clauses(members, c.num_walls),
+                            c.orientations[0].bits, within=members)
+    # The walk finds each hypercube edge between members once; all of
+    # them must be edges of c.
+    return closure is not None and len(closure[1]) == c.edge_count()
 
 
 def duality_check(c: CubeComplex) -> bool:
-    """Dualizing the hyperplane wallspace must reproduce the complex.
+    """Dualizing the complex's own hyperplanes must give back the complex.
 
-    The canonical correspondence sends a vertex to the orientation
-    choosing, for every hyperplane, the side class containing it; on
-    bit vectors this is the identity (after restricting to realized
-    walls), so the check compares bitmask sets and labeled edge sets
-    exactly.
+    The hyperplanes are the realized walls.  A vertex goes to the
+    orientation choosing, for every hyperplane, the side class holding
+    it: on bit vectors this is the projection onto the realized walls.
+    Two side classes meet exactly when a projected 0-cube lies on both,
+    so the dual is the flip walk on the projected 0-cubes' clause table
+    from 0-cube 0.  The check compares bitmask sets and labelled edge
+    sets exactly, and stops once the walk leaves the projected 0-cubes.
     """
     realized = c.realized_walls()
-    rebuilt = dual_complex(hyperplane_wallspace(c))
 
     def project(bits: int) -> int:
         out = 0
@@ -613,34 +556,28 @@ def duality_check(c: CubeComplex) -> bool:
                 out |= 1 << new_pos
         return out
 
-    original_vertices = {project(o.bits) for o in c.orientations}
+    projected = [project(o.bits) for o in c.orientations]
+    original_vertices = set(projected)
     if len(original_vertices) != c.vertex_count():
         return False
-    rebuilt_vertices = {o.bits for o in rebuilt.orientations}
-    if original_vertices != rebuilt_vertices:
+    closure = _flip_closure(
+        _member_clauses(original_vertices, len(realized)), projected[0],
+        within=original_vertices)
+    if closure is None:
+        return False
+    queue, edges = closure
+    if len(queue) != len(original_vertices):
         return False
     wall_position = {wall: pos for pos, wall in enumerate(realized)}
     original_edges = set()
     for u, v, wall in c.edges:
-        bu = project(c.orientations[u].bits)
-        bv = project(c.orientations[v].bits)
+        bu, bv = projected[u], projected[v]
         original_edges.add((min(bu, bv), max(bu, bv), wall_position[wall]))
     rebuilt_edges = set()
-    for u, v, wall in rebuilt.edges:
-        bu = rebuilt.orientations[u].bits
-        bv = rebuilt.orientations[v].bits
+    for u, v, wall in edges:
+        bu, bv = queue[u], queue[v]
         rebuilt_edges.add((min(bu, bv), max(bu, bv), wall))
     return original_edges == rebuilt_edges
-
-
-def _walls_cross(c: CubeComplex, i: int, j: int) -> bool:
-    """Two walls cross when all four side combinations occur."""
-    seen = set()
-    for o in c.orientations:
-        seen.add((o.side(i), o.side(j)))
-        if len(seen) == 4:
-            return True
-    return False
 
 
 def union_orientation(c: CubeComplex, x: Orientation, y: Orientation,
@@ -664,9 +601,12 @@ def union_orientation(c: CubeComplex, x: Orientation, y: Orientation,
             "separator sets are not disjoint; both flip walls %r" % (shared,))
     set1 = [i for i in range(c.num_walls) if s1 >> i & 1]
     set2 = [i for i in range(c.num_walls) if s2 >> i & 1]
+    forbid = _member_clauses(c._index, c.num_walls)
     for i in set1:
         for j in set2:
-            if not _walls_cross(c, i, j):
+            # Walls i and j cross when a 0-cube shows each side pair,
+            # so that none of the four clauses rules j out.
+            if any(rule >> j & 1 for rules in forbid[i] for rule in rules):
                 raise CrossingConditionError(
                     "walls %d and %d do not cross" % (i, j))
     result = Orientation(x.bits ^ s1 ^ s2, c.num_walls)

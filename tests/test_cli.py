@@ -12,9 +12,11 @@ from cubecrys import cli
 from cubecrys.boundary import parse_product, product_boundary
 from cubecrys.crys import catalog_entry, save_group
 from cubecrys.dual import (
+    CubeComplex,
     FiniteWallspace,
     load_complex,
     save_wallspace,
+    seeded_wallspaces,
 )
 from cubecrys.exactlin import RatVector
 from cubecrys.walls import GeometricWall
@@ -292,6 +294,25 @@ def test_dual_report_and_complex_file_bytes_are_pinned(
             hashlib.sha256(written).hexdigest()) == DUAL_PINS[name]
 
 
+# sha256 of the `dual --json` stdout of the 32 wallspaces of
+# seeded_wallspaces(count=32, seed=0, max_walls=5), joined in order:
+# the dual-check benchmark's shape, median and duality fields included.
+SEEDED_DUAL_PIN = (
+    "03e39fb0f774145d55aa02a3a6e6cf891cacd730dded03c37bc4c3201c92a297")
+
+
+def test_dual_reports_on_seeded_wallspaces_are_pinned(capsys, tmp_path):
+    digest = hashlib.sha256()
+    spaces = seeded_wallspaces(count=32, seed=0, max_walls=5)
+    for i, ws in enumerate(spaces):
+        path = tmp_path / ("w%d.json" % i)
+        save_wallspace(ws, path)
+        code, out, err = run(capsys, "dual", str(path), "--json")
+        assert code == 0, err
+        digest.update(out.encode("utf-8"))
+    assert digest.hexdigest() == SEEDED_DUAL_PIN
+
+
 def test_dual_out_round_trip(capsys, tmp_path):
     out_path = tmp_path / "complex.json"
     report = run_json(capsys, "dual", walls_file(tmp_path),
@@ -299,6 +320,24 @@ def test_dual_out_round_trip(capsys, tmp_path):
     back = load_complex(out_path)
     assert back.to_json_dict() == report["complex"]
     assert report["written"] == str(out_path)
+
+
+def test_dual_text_mode_builds_no_complex_dict(capsys, tmp_path, monkeypatch):
+    calls = []
+    original = CubeComplex.to_json_dict
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(CubeComplex, "to_json_dict", counted)
+    path = walls_file(tmp_path)
+    code, out, err = run(capsys, "dual", path)
+    assert code == 0, err
+    assert out.startswith("dual complex: 4 0-cubes") and calls == []
+    code, _, err = run(capsys, "dual", path, "--out", str(tmp_path / "c.json"))
+    assert code == 0, err
+    assert len(calls) == 1
 
 
 def test_dual_missing_and_malformed_files(capsys, tmp_path):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from cubecrys.boundary import is_isomorphic
 from cubecrys.dual import (
-    AbstractWall,
     CrossingConditionError,
     CubeComplex,
     ComplexFormatError,
@@ -22,10 +21,10 @@ from cubecrys.dual import (
     WallCapError,
     WallspaceError,
     _feasible,
+    _member_clauses,
     distance,
     dual_complex,
     duality_check,
-    hyperplane_wallspace,
     is_median_graph,
     link_of_vertex,
     load_complex,
@@ -174,7 +173,6 @@ def test_closed_form_feasibility_agrees_with_fourier_motzkin():
 
 def test_geometric_wallspace_accepts_a_crossing_pair():
     ws = plane_space([vertical(0), horizontal(0)], ["1/2", "1/3"])
-    assert ws.kind == "geometric"
     assert ws.base_side(0) == 1
     assert ws.base_side(1) == 1
 
@@ -212,25 +210,6 @@ def test_wall_cap():
     assert len(walls) == WALL_CAP + 1
     with pytest.raises(WallCapError):
         plane_space(walls, ["13/7", 0], window=((-2, 2), (-2, 2)))
-
-
-def test_abstract_wallspace_validation():
-    pts = (1, 2, 3, 4)
-    good = AbstractWall(frozenset({1, 2}), frozenset({3, 4}))
-    FiniteWallspace.abstract(pts, [good], base_point=1)
-    with pytest.raises(WallspaceError, match="empty"):
-        FiniteWallspace.abstract(pts, [AbstractWall(frozenset(), frozenset(pts))], 1)
-    with pytest.raises(WallspaceError, match="overlap"):
-        FiniteWallspace.abstract(
-            pts, [AbstractWall(frozenset({1, 2}), frozenset({2, 3, 4}))], 1)
-    with pytest.raises(WallspaceError, match="cover"):
-        FiniteWallspace.abstract(
-            pts, [AbstractWall(frozenset({1}), frozenset({2, 3}))], 1)
-    with pytest.raises(WallspaceError, match="duplicate"):
-        FiniteWallspace.abstract(
-            pts, [good, AbstractWall(frozenset({3, 4}), frozenset({1, 2}))], 1)
-    with pytest.raises(WallspaceError, match="base point"):
-        FiniteWallspace.abstract(pts, [good], base_point=9)
 
 
 # -- orientations -----------------------------------------------------
@@ -297,28 +276,6 @@ def test_dual_of_a_grid():
         assert c.vertex_count() == (k1 + 1) * (k2 + 1)
         assert c.edge_count() == k1 * (k2 + 1) + k2 * (k1 + 1)
         assert is_median_graph(c)
-
-
-def test_dual_of_an_abstract_crossing_pair():
-    ws = FiniteWallspace.abstract(
-        (1, 2, 3, 4),
-        [AbstractWall(frozenset({1, 2}), frozenset({3, 4})),
-         AbstractWall(frozenset({1, 3}), frozenset({2, 4}))],
-        base_point=1)
-    c = dual_complex(ws)
-    assert c.vertex_count() == 4
-    assert c.edge_count() == 4
-
-
-def test_dual_of_nested_abstract_walls_is_a_path():
-    ws = FiniteWallspace.abstract(
-        (1, 2, 3, 4),
-        [AbstractWall(frozenset({1}), frozenset({2, 3, 4})),
-         AbstractWall(frozenset({1, 2}), frozenset({3, 4}))],
-        base_point=2)
-    c = dual_complex(ws)
-    assert c.vertex_count() == 3
-    assert c.edge_count() == 2
 
 
 def brute_force_masks(ws):
@@ -454,9 +411,56 @@ def cubic_is_median_graph(c):
     return True
 
 
+def frozenset_duality_check(c):
+    """Oracle: the hyperplane round trip that duality_check replaced.
+
+    Each realized wall splits the 0-cube indices into two side classes,
+    kept as frozensets, and two sides are compatible when their classes
+    intersect.  The consistent orientations are found by breadth-first
+    flipping from 0-cube 0's sides, with no bound on how far the walk
+    goes, and compared with the 0-cubes projected onto the realized
+    walls: vertex sets, then labelled edge sets.
+    """
+    realized = c.realized_walls()
+    n = len(realized)
+    sides = [(frozenset(k for k, o in enumerate(c.orientations)
+                        if not o.side(wall)),
+              frozenset(k for k, o in enumerate(c.orientations)
+                        if o.side(wall)))
+             for wall in realized]
+    meet = {(p, s, q, t): bool(sides[p][s] & sides[q][t])
+            for p in range(n) for q in range(n) for s in (0, 1)
+            for t in (0, 1)}
+
+    def project(bits):
+        return sum(1 << p for p, wall in enumerate(realized)
+                   if bits >> wall & 1)
+
+    start = project(c.orientations[0].bits)
+    queue, found, edges = [start], {start}, set()
+    for bits in queue:
+        for p in range(n):
+            flipped = bits ^ 1 << p
+            if all(meet[p, flipped >> p & 1, q, flipped >> q & 1]
+                   for q in range(n) if q != p):
+                edges.add((min(bits, flipped), max(bits, flipped), p))
+                if flipped not in found:
+                    found.add(flipped)
+                    queue.append(flipped)
+    vertices = {project(o.bits) for o in c.orientations}
+    position = {wall: p for p, wall in enumerate(realized)}
+    original_edges = set()
+    for u, v, wall in c.edges:
+        bu, bv = project(c.orientations[u].bits), project(c.orientations[v].bits)
+        original_edges.add((min(bu, bv), max(bu, bv), position[wall]))
+    return (len(vertices) == c.vertex_count() and found == vertices
+            and edges == original_edges)
+
+
 def median_verdicts(c):
-    """The linear check, the cubic oracle and the duality round trip."""
-    verdicts = {is_median_graph(c), cubic_is_median_graph(c), duality_check(c)}
+    """The linear check, the cubic oracle and both duality round trips."""
+    verdicts = {is_median_graph(c), cubic_is_median_graph(c),
+                duality_check(c), frozenset_duality_check(c)}
     assert len(verdicts) == 1, c.to_json_dict()
     return verdicts.pop()
 
@@ -478,6 +482,27 @@ def test_the_hexagon_is_not_median():
     assert not is_median_graph(c)
     assert not duality_check(c)
     assert median_verdicts(c) is False
+
+
+def crossing_cycle(num_walls):
+    """The cycle 0 -> 1 -> 11 -> ... -> 1...1 -> 01...1 -> ... -> 0...01.
+
+    Walls are set one at a time in order, then cleared in the same
+    order.  Every pair of walls shows all four side pairs, so the
+    clause closure of its 2 * num_walls 0-cubes is the whole cube.
+    """
+    bit_sets = [(1 << k) - 1 for k in range(num_walls + 1)]
+    bit_sets += [bit_sets[-1] ^ ((1 << k) - 1) for k in range(1, num_walls)]
+    return complex_of(num_walls, bit_sets)
+
+
+def test_a_long_crossing_cycle_is_not_median():
+    c = crossing_cycle(30)
+    assert (c.vertex_count(), c.edge_count()) == (60, 60)
+    assert len(c.realized_walls()) == 30 > WALL_CAP
+    assert not is_median_graph(c)
+    assert not duality_check(c)
+    assert not cubic_is_median_graph(c)
 
 
 def test_a_lone_vertex_meets_its_one_wall_clause():
@@ -581,17 +606,47 @@ def test_median_check_agrees_with_the_oracles_on_fuzzed_subcubes():
     assert dropped > 100
 
 
-def test_hyperplane_wallspace_round_trip():
-    c = grid_complex()
-    ws = hyperplane_wallspace(c)
-    assert ws.kind == "abstract"
-    assert len(ws.walls) == 4
-    rebuilt = dual_complex(ws)
-    assert rebuilt.vertex_count() == c.vertex_count()
-    assert rebuilt.edge_count() == c.edge_count()
-
-
 # -- unions of separations --------------------------------------------
+
+
+def walls_cross_by_scan(c, i, j):
+    """Oracle: the per-pair scan that union_orientation used to run.
+
+    Two walls cross when all four side combinations occur.
+    """
+    seen = set()
+    for o in c.orientations:
+        seen.add((o.side(i), o.side(j)))
+        if len(seen) == 4:
+            return True
+    return False
+
+
+def test_clause_table_crossing_matches_the_pairwise_scan():
+    verdicts = {True: 0, False: 0}
+    for ws in seeded_wallspaces(count=8, seed=13, max_walls=7):
+        c = dual_complex(ws)
+        forbid = _member_clauses(c._index, c.num_walls)
+        for i in range(c.num_walls):
+            for j in range(c.num_walls):
+                if i == j:
+                    continue
+                cross = walls_cross_by_scan(c, i, j)
+                assert cross == (not any(rule >> j & 1 for rules in forbid[i]
+                                         for rule in rules))
+                verdicts[cross] += 1
+                # union_orientation reads the same table wherever a
+                # 0-cube has both flips.
+                for x in c.orientations:
+                    y, z = x.flip(i), x.flip(j)
+                    if c.contains(y) and c.contains(z):
+                        if cross:
+                            union_orientation(c, x, y, z)
+                        else:
+                            with pytest.raises(CrossingConditionError,
+                                               match="cross"):
+                                union_orientation(c, x, y, z)
+    assert verdicts[True] > 0 and verdicts[False] > 0, verdicts
 
 
 def test_union_across_a_square():
@@ -692,7 +747,6 @@ def test_seeded_wallspaces_are_valid_and_bounded():
     spaces = seeded_wallspaces(count=10, seed=2, max_walls=6)
     assert len(spaces) == 10
     for ws in spaces:
-        assert ws.kind == "geometric"
         assert 3 <= len(ws.walls) <= 6
         for w in ws.walls:
             assert w.side(ws.base_point) != 0
