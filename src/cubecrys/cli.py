@@ -27,12 +27,10 @@ from cubecrys.crys import (
 )
 from cubecrys.decide import (
     HyperoctahedralWitness,
-    hyperoctahedral_basis,
     is_hyperoctahedral,
 )
 from cubecrys.dual import (
     dual_complex,
-    duality_check,
     is_median_graph,
     load_wallspace,
 )
@@ -53,8 +51,8 @@ from cubecrys.walls import (
 SEED_ENV = "CUBECRYS_SEED"
 # A report-format constant, not a cost bound: larger duals are still
 # enumerated and written, but their reports say "skipped (too many
-# 0-cubes)" for the median and duality checks, and the dual-enum answers
-# pin that wording.
+# 0-cubes)" for the median and round-trip verdicts, and the dual-enum
+# answers pin that wording.
 MEDIAN_VERTEX_CAP = 2 ** 14
 
 
@@ -127,33 +125,30 @@ def _cmd_validate(args):
     return report, lines
 
 
-def _classification_payload(g, result):
-    if isinstance(result, HyperoctahedralWitness):
-        return result.to_json_dict(g)
-    return result.to_json_dict()
-
-
 def _cmd_classify(args):
     g = load_group(args.group_file)
     result = is_hyperoctahedral(g)
-    payload = _classification_payload(g, result)
+    accepted = isinstance(result, HyperoctahedralWitness)
+    verdict = "accepted" if accepted else "rejected"
     report = {
         "command": "classify",
         "input_digest": _digest_file(args.group_file),
         "group": g.name,
-        "classification": payload,
-        "verdict": payload["verdict"],
+        "verdict": verdict,
     }
-    lines = ["group %r: %s" % (g.name, payload["verdict"])]
-    if payload["verdict"] == "accepted":
+    if args.json:
+        report["classification"] = (result.to_json_dict(g) if accepted
+                                    else result.to_json_dict())
+    lines = ["group %r: %s" % (g.name, verdict)]
+    if accepted:
         lines.append("conjugator rows:")
-        for row in payload["conjugator"]:
+        for row in matrix_to_json(result.conjugator):
             lines.append("  [%s]" % ", ".join(row))
         lines.append("all %d conjugation residuals are zero"
-                     % len(payload["elements"]))
+                     % len(result.iota))
     else:
-        lines.append("reason: %s" % payload["reason"])
-        lines.append("detail: %s" % json.dumps(payload["detail"],
+        lines.append("reason: %s" % result.reason)
+        lines.append("detail: %s" % json.dumps(result.detail,
                                                sort_keys=True))
     return report, lines
 
@@ -168,7 +163,7 @@ def _cmd_cubulate(args):
             raise CliInputError(
                 "--use-witness-basis needs an accepted group, but %r is "
                 "rejected (%s)" % (g.name, result.reason))
-        basis = hyperoctahedral_basis(g, result)
+        basis = result.basis
         basis_source = "witness"
     else:
         basis = g.lattice_basis.columns()
@@ -222,12 +217,13 @@ def _cmd_dual(args):
         "edges": c.edge_count(),
         "walls": len(ws.walls),
     }
+    # duality_check is is_median_graph on every CubeComplex, so one
+    # verdict fills both fields.
     if c.vertex_count() <= MEDIAN_VERTEX_CAP:
-        summary["median_graph"] = is_median_graph(c)
-        summary["duality_round_trip"] = duality_check(c)
+        verdict = is_median_graph(c)
     else:
-        summary["median_graph"] = "skipped (too many 0-cubes)"
-        summary["duality_round_trip"] = "skipped (too many 0-cubes)"
+        verdict = "skipped (too many 0-cubes)"
+    summary["median_graph"] = summary["duality_round_trip"] = verdict
     report = {
         "command": "dual",
         "input_digest": _digest_file(args.walls_file),
@@ -269,34 +265,30 @@ def _join_f_vector(factors) -> list:
 
 def _cmd_boundary(args):
     factors = parse_product(args.expression)
-    bd = product_boundary(factors)
     report = {
         "command": "boundary",
         "input_digest": _digest_text(args.expression),
         "expression": args.expression,
         "factors": [str(f) for f in factors],
     }
-    if bd.is_finite:
-        comp = bd.as_complex()
+    product = " * ".join(map(str, factors))
+    if all(atomic_boundary(f).is_finite for f in factors):
         f_vector = _join_f_vector(factors)
-        report["boundary"] = {
-            "verdict": "finite",
-            "complex": comp.to_json_dict(),
-            "f_vector": f_vector,
-        }
+        report["boundary"] = {"verdict": "finite", "f_vector": f_vector}
+        if args.json:
+            report["boundary"]["complex"] = (
+                product_boundary(factors).as_complex().to_json_dict())
         lines = [
-            "boundary of %s: finite complex" % " * ".join(map(str, factors)),
+            "boundary of %s: finite complex" % product,
             "f-vector: %s" % (f_vector,),
         ]
     else:
+        description = product_boundary(factors).describe()
         report["boundary"] = {
             "verdict": "symbolic",
-            "description": bd.describe(),
+            "description": description,
         }
-        lines = [
-            "boundary of %s: %s"
-            % (" * ".join(map(str, factors)), bd.describe()),
-        ]
+        lines = ["boundary of %s: %s" % (product, description)]
     return report, lines
 
 

@@ -31,6 +31,7 @@ from cubecrys.exactlin import (
     RatMatrix,
     RatVector,
     det,
+    dimension_from_json,
     from_format,
     int_det,
     int_mul,
@@ -374,7 +375,7 @@ def group_to_json_dict(g: CrystGroup) -> dict:
 def group_from_json_dict(d: dict) -> CrystGroup:
     return from_format(d, GROUP_FORMAT, FormatError, lambda d: CrystGroup(
         name=d["name"],
-        dimension=d["dimension"],
+        dimension=dimension_from_json(d["dimension"], FormatError),
         lattice_basis=matrix_from_json(d["lattice_basis"]),
         point_generators=[matrix_from_json(m) for m in d["point_generators"]],
         translation_parts=[vector_from_json(t) for t in d["translation_parts"]],

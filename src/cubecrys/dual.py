@@ -18,9 +18,10 @@ side choices.
 A complex is in turn the dual of its own hyperplanes: two hyperplane
 sides meet exactly when some 0-cube lies on both, so their
 compatibility table is the table of one- and two-wall clauses that the
-0-cubes satisfy.  The median check, the duality round trip and the
-crossing test all read that one table, and the one flip walk that
-enumerates duals walks it.
+0-cubes satisfy.  The median check and the crossing test read that one
+table, and the one flip walk that enumerates duals walks it.  The
+duality round trip holds exactly when the 1-skeleton is a median graph
+(Roller; Chepoi), so duality_check is the median check.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from fractions import Fraction
 
 from cubecrys.exactlin import (
     RatVector,
+    dimension_from_json,
     format_rational,
     from_format,
     parse_rational,
@@ -189,7 +191,7 @@ class FiniteWallspace:
 def wallspace_from_json_dict(d: dict) -> FiniteWallspace:
     return from_format(d, WALLS_FORMAT, WallspaceError, lambda d: (
         FiniteWallspace.geometric(
-            dimension=d["dimension"],
+            dimension=dimension_from_json(d["dimension"], WallspaceError),
             window=[(parse_rational(lo), parse_rational(hi))
                     for lo, hi in d["window"]],
             walls=[GeometricWall(vector_from_json(w["normal"]),
@@ -539,45 +541,17 @@ def is_median_graph(c: CubeComplex) -> bool:
 def duality_check(c: CubeComplex) -> bool:
     """Dualizing the complex's own hyperplanes must give back the complex.
 
-    The hyperplanes are the realized walls.  A vertex goes to the
-    orientation choosing, for every hyperplane, the side class holding
-    it: on bit vectors this is the projection onto the realized walls.
-    Two side classes meet exactly when a projected 0-cube lies on both,
-    so the dual is the flip walk on the projected 0-cubes' clause table
-    from 0-cube 0.  The check compares bitmask sets and labelled edge
-    sets exactly, and stops once the walk leaves the projected 0-cubes.
+    This is is_median_graph (Roller; Chepoi).  The complex is connected
+    and each edge flips one wall, so an unrealized wall has the same
+    side on every 0-cube: projecting onto the realized walls is
+    injective, and the one-wall clauses of the unrealized walls forbid
+    flipping them.  Every edge of c is a flip between two 0-cubes that
+    both meet every clause, so the dual's walk from 0-cube 0 reaches
+    all 0-cubes, and the edges it finds are all the hypercube edges
+    between them, a superset of c.edges.  The edge sets are equal
+    exactly when their counts are, which is the median test.
     """
-    realized = c.realized_walls()
-
-    def project(bits: int) -> int:
-        out = 0
-        for new_pos, wall in enumerate(realized):
-            if bits >> wall & 1:
-                out |= 1 << new_pos
-        return out
-
-    projected = [project(o.bits) for o in c.orientations]
-    original_vertices = set(projected)
-    if len(original_vertices) != c.vertex_count():
-        return False
-    closure = _flip_closure(
-        _member_clauses(original_vertices, len(realized)), projected[0],
-        within=original_vertices)
-    if closure is None:
-        return False
-    queue, edges = closure
-    if len(queue) != len(original_vertices):
-        return False
-    wall_position = {wall: pos for pos, wall in enumerate(realized)}
-    original_edges = set()
-    for u, v, wall in c.edges:
-        bu, bv = projected[u], projected[v]
-        original_edges.add((min(bu, bv), max(bu, bv), wall_position[wall]))
-    rebuilt_edges = set()
-    for u, v, wall in edges:
-        bu, bv = queue[u], queue[v]
-        rebuilt_edges.add((min(bu, bv), max(bu, bv), wall))
-    return original_edges == rebuilt_edges
+    return is_median_graph(c)
 
 
 def union_orientation(c: CubeComplex, x: Orientation, y: Orientation,

@@ -504,6 +504,14 @@ def from_format(d, tag: str, error, build):
         raise error("malformed %s file: %s" % (tag, exc)) from exc
 
 
+def dimension_from_json(value, error) -> int:
+    """A file's "dimension": a JSON integer, not a bool, at least 1."""
+    if type(value) is not int or value < 1:
+        raise error("dimension must be an integer >= 1, got %s"
+                    % json.dumps(value))
+    return value
+
+
 def average_intertwiner(
     theta_images: Sequence[RatMatrix],
     iota_images: Sequence[RatMatrix],

@@ -8,9 +8,10 @@ from math import comb
 
 import pytest
 
-from cubecrys import cli
+from cubecrys import boundary, cli, dual
 from cubecrys.boundary import parse_product, product_boundary
 from cubecrys.crys import catalog_entry, save_group
+from cubecrys.decide import HyperoctahedralWitness
 from cubecrys.dual import (
     CubeComplex,
     FiniteWallspace,
@@ -124,6 +125,30 @@ def test_zero_denominator_in_a_group_file_exits_one(capsys, tmp_path):
         assert "zero denominator" in err, command
 
 
+def test_fractional_dimension_in_a_group_file_exits_one(capsys, tmp_path):
+    path = group_file(tmp_path, "p4")
+    with open(path) as fh:
+        data = json.load(fh)
+    data["dimension"] = 2.7
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    code, _, err = run(capsys, "validate", path)
+    assert code == 1
+    assert "dimension" in err
+
+
+def count_defect_passes(monkeypatch):
+    calls = []
+    original = HyperoctahedralWitness._defects
+
+    def counted(self, g):
+        calls.append(g)
+        return original(self, g)
+
+    monkeypatch.setattr(HyperoctahedralWitness, "_defects", counted)
+    return calls
+
+
 # -- classify ---------------------------------------------------------
 
 
@@ -149,6 +174,15 @@ def test_classify_character_mismatch(capsys, tmp_path):
     report = run_json(capsys, "classify", group_file(tmp_path, "ZxW"))
     assert report["verdict"] == "rejected"
     assert report["classification"]["reason"] == "character-mismatch"
+
+
+def test_classify_text_mode_checks_the_witness_once(capsys, tmp_path,
+                                                   monkeypatch):
+    calls = count_defect_passes(monkeypatch)
+    code, out, err = run(capsys, "classify", group_file(tmp_path, "Z:W"))
+    assert code == 0, err
+    assert "residuals are zero" in out
+    assert len(calls) == 1
 
 
 # -- cubulate ---------------------------------------------------------
@@ -205,6 +239,15 @@ def test_cubulate_builds_the_wall_family_once(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(walls, "direction_class_count", counted)
     report = run_json(capsys, "cubulate", group_file(tmp_path, "p6"))
     assert report["N"] == 3
+    assert len(calls) == 1
+
+
+def test_cubulate_witness_basis_checks_the_witness_once(capsys, tmp_path,
+                                                       monkeypatch):
+    calls = count_defect_passes(monkeypatch)
+    report = run_json(capsys, "cubulate", group_file(tmp_path, "Z:W"),
+                      "--use-witness-basis")
+    assert report["basis_source"] == "witness"
     assert len(calls) == 1
 
 
@@ -340,6 +383,23 @@ def test_dual_text_mode_builds_no_complex_dict(capsys, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_dual_walks_the_flip_closure_once_per_verdict(capsys, tmp_path,
+                                                      monkeypatch):
+    # One walk enumerates the dual and one decides both report fields.
+    calls = []
+    original = dual._flip_closure
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dual, "_flip_closure", counted)
+    code, out, err = run(capsys, "dual", walls_file(tmp_path))
+    assert code == 0, err
+    assert "median graph: True" in out and "round-trip: True" in out
+    assert len(calls) == 2
+
+
 def test_dual_missing_and_malformed_files(capsys, tmp_path):
     code, _, err = run(capsys, "dual", "/nonexistent/walls.json")
     assert code == 1
@@ -388,6 +448,16 @@ def test_boundary_of_forty_lines(capsys):
     report = run_json(capsys, "boundary", "*".join(["Line"] * 40))
     assert report["boundary"]["f_vector"] == [
         comb(40, k + 1) * 2 ** (k + 1) for k in range(40)]
+
+
+def test_boundary_text_mode_builds_no_join(capsys, monkeypatch):
+    def refused(*parts):
+        raise AssertionError("text mode built the joined complex")
+
+    monkeypatch.setattr(boundary, "simplicial_join", refused)
+    code, out, err = run(capsys, "boundary", "*".join(["Line"] * 12))
+    assert code == 0, err
+    assert out.splitlines()[1].startswith("f-vector: [24, 264,")
 
 
 def test_boundary_symbolic(capsys):

@@ -164,6 +164,14 @@ def test_group_file_format_errors(tmp_path):
     assert "line 1" in str(err.value)
 
 
+@pytest.mark.parametrize("dimension", [2.7, "2", 2.0, True, 0, -1])
+def test_group_file_dimension_must_be_a_positive_json_integer(dimension):
+    d = group_to_json_dict(catalog_entry("p2"))
+    d["dimension"] = dimension
+    with pytest.raises(FormatError, match="dimension"):
+        group_from_json_dict(d)
+
+
 def test_catalog_has_twenty_validated_entries():
     groups = load_catalog()
     assert [g.name for g in groups] == CATALOG_NAMES

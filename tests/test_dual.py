@@ -34,6 +34,7 @@ from cubecrys.dual import (
     save_wallspace,
     seeded_wallspaces,
     union_orientation,
+    wallspace_from_json_dict,
 )
 from cubecrys.exactlin import RatVector
 from cubecrys.sgnperm import build_Qn
@@ -510,6 +511,11 @@ def test_a_lone_vertex_meets_its_one_wall_clause():
     # forbids the flip to "1", so the single vertex is median.
     c = CubeComplex(1, [Orientation.from_bitstring("0")], [])
     assert median_verdicts(c) is True
+    # Walls that never flip: wall 1 of an edge, wall 2 of a square.
+    assert median_verdicts(complex_of(2, [0b00, 0b01])) is True
+    square = [0b000, 0b001, 0b011, 0b010]
+    assert median_verdicts(complex_of(3, square)) is True
+    assert median_verdicts(complex_of(3, square, drop={0})) is False
 
 
 def test_a_square_missing_an_edge_is_not_median():
@@ -777,6 +783,14 @@ def test_wallspace_file_errors(tmp_path):
     path.write_text(json.dumps(good))
     with pytest.raises(WallspaceError, match="missing key"):
         load_wallspace(path)
+
+
+@pytest.mark.parametrize("dimension", [2.7, "2", 2.0, True, 0, -1])
+def test_wallspace_file_dimension_must_be_a_positive_json_integer(dimension):
+    d = plane_space([vertical(0)], ["1/2", 0]).to_json_dict()
+    d["dimension"] = dimension
+    with pytest.raises(WallspaceError, match="dimension"):
+        wallspace_from_json_dict(d)
 
 
 def test_complex_file_round_trip(tmp_path):
