@@ -114,7 +114,7 @@ class CrystGroup:
     def __init__(self, name, dimension, lattice_basis, point_generators,
                  translation_parts):
         self.name = str(name)
-        self.dimension = int(dimension)
+        self.dimension = dimension_from_json(dimension, StructureError)
         self.lattice_basis = lattice_basis
         self.point_generators = tuple(point_generators)
         self.translation_parts = tuple(translation_parts)

@@ -28,7 +28,7 @@ entries, and by Schwartz-Zippel it does not vanish on {0..n} over them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -78,6 +78,9 @@ class HyperoctahedralWitness:
     iota: dict
     conjugator: RatMatrix
     basis: tuple
+    # (g, d c, defects) for the group g the witness was verified on, so
+    # that its report reuses the defects; None until then.
+    verified: tuple = field(default=None, compare=False, repr=False)
 
     def _defects(self, g: CrystGroup):
         """(d c, defects): defects[k] = (d theta_bar(p))(cA) - d (cA) iota(p)
@@ -95,15 +98,21 @@ class HyperoctahedralWitness:
     def verify(self, g: CrystGroup) -> bool:
         """theta_bar(p) * A == A * iota(p) for every p (every defect
         vanishes), A nonsingular and iota injective, all exact."""
+        return self._holds(self._defects(g)[1])
+
+    def _holds(self, defects) -> bool:
         return (len(set(self.iota.values())) == len(self.iota)
                 and det(self.conjugator) != 0
-                and not any(any(row) for defect in self._defects(g)[1]
+                and not any(any(row) for defect in defects
                             for row in defect))
 
     def to_json_dict(self, g: CrystGroup) -> dict:
         """The report; each residual theta_bar(p) - A iota(p) A^-1 is
         the defect times A^-1 over d c."""
-        scale, defects = self._defects(g)
+        if self.verified is not None and self.verified[0] is g:
+            _, scale, defects = self.verified
+        else:
+            scale, defects = self._defects(g)
         h, a_inv = integral(inverse(self.conjugator))
         elements = []
         for p, defect in zip(g.point_elements(), defects):
@@ -284,10 +293,11 @@ def _verified(g: CrystGroup, iota_list, a: RatMatrix):
         conjugator=a,
         basis=tuple(a.columns()),
     )
-    if not witness.verify(g):
+    scale, defects = witness._defects(g)
+    if not witness._holds(defects):
         raise WitnessCorruptionError(
             "constructed witness failed exact re-verification")
-    return witness
+    return replace(witness, verified=(g, scale, defects))
 
 
 def is_hyperoctahedral(g: CrystGroup):

@@ -11,9 +11,16 @@ Consistency of a pair of chosen sides is decided exactly: for affine
 walls by one closed-form minimax test (the smaller of two affine
 functions is positive somewhere in the window box exactly when every
 convex combination of them is, and only n + 2 combinations need
-checking).  Orientations are enumerated by breadth-first wall
-flipping from the base point's orientation, never by scanning all 2^W
-side choices.
+checking), run on integers: the window and both sides of each wall are
+scaled to integers once, by positive factors.  Orientations are
+enumerated by breadth-first wall flipping from the base point's
+orientation, never by scanning all 2^W side choices.
+
+A complex is stored as its 0-cube bitmasks and the induced edges it
+leaves out.  Two 0-cubes of a dual are joined exactly when they differ
+on one wall (its 1-skeleton is the subgraph of the hypercube induced on
+its 0-cubes; Chepoi), so for a dual that set is empty, and edges,
+adjacency, links and the JSON layout are derived on demand.
 
 A complex is in turn the dual of its own hyperplanes: two hyperplane
 sides meet exactly when some 0-cube lies on both, so their
@@ -27,7 +34,11 @@ duality round trip holds exactly when the 1-skeleton is a median graph
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from fractions import Fraction
+from itertools import compress, repeat
+from math import gcd, lcm
+from operator import add, gt, xor
 
 from cubecrys.exactlin import (
     RatVector,
@@ -69,36 +80,61 @@ class CrossingConditionError(ValueError):
 # Exact meeting of two open halfspaces in the window box
 
 
+def _integer_window(window):
+    """(scale, box): the window box times the lcm of its denominators."""
+    scale = lcm(*(x.denominator for bounds in window for x in bounds))
+    return scale, tuple((int(lo * scale), int(hi * scale))
+                        for lo, hi in window)
+
+
+def _integer_halfspace(a, b, scale):
+    """<a, x> + b > 0 over x = y / scale, as int (A, B): <A, y> + B > 0.
+
+    The halfspace in y is multiplied by the lcm of the denominators, a
+    positive integer, so its side of every point is unchanged.
+    """
+    b = b * scale
+    m = lcm(b.denominator, *(e.denominator for e in a))
+    return tuple(int(e * m) for e in a), int(b * m)
+
+
 def _feasible(window, f, g) -> bool:
     """Do the open halfspaces f > 0 and g > 0 meet the closed window?
 
-    f and g are pairs (a, b) standing for <a, x> + b.  The window is
-    compact and convex, so by the minimax theorem
+    The window is a box of int (lo, hi) pairs, and f and g are int pairs
+    (a, b) standing for <a, x> + b.  The window is compact and convex,
+    so by the minimax theorem
     max_x min(f, g) = min over t in [0, 1] of max_x (t f + (1 - t) g).
     The inner maximum takes each axis at the end of its interval that
     the sign of t a_i + (1 - t) c_i picks, so it is convex and piecewise
     linear in t and bends only where such a coefficient changes sign:
     at t = c_i / (c_i - a_i) for a_i c_i < 0.  The sides meet exactly
     when it is positive at t = 0, at t = 1 and at every such break.
+    With t = p / q in lowest terms, q times it is an integer.
     """
     (a, b), (c, d) = f, g
-    breaks = {Fraction(ci, ci - ai) for ai, ci in zip(a, c) if ai * ci < 0}
-    for t in (0, 1, *breaks):
-        s = 1 - t
-        value = t * b + s * d
+    breaks = set()
+    for ai, ci in zip(a, c):
+        if ai * ci < 0:
+            p, q = abs(ci), abs(ci) + abs(ai)
+            r = gcd(p, q)
+            breaks.add((p // r, q // r))
+    for p, q in ((0, 1), (1, 1), *breaks):
+        s = q - p
+        value = p * b + s * d
         for ai, ci, (lo, hi) in zip(a, c, window):
-            k = t * ai + s * ci
+            k = p * ai + s * ci
             value += k * (hi if k > 0 else lo)
         if value <= 0:
             return False
     return True
 
 
-def _halfspace(wall: GeometricWall, side: int):
-    """Side 1 (plus) or 0 (minus) of a wall as (a, b): <a, x> + b > 0."""
-    if side:
-        return wall.normal, -wall.offset
-    return tuple(-e for e in wall.normal), wall.offset
+def _wall_sides(wall: GeometricWall, scale):
+    """(minus, plus): the two open sides of a wall as int halfspaces
+    over the window scaled by `scale`."""
+    plus = _integer_halfspace(wall.normal, -wall.offset, scale)
+    return (tuple(-e for e in plus[0]), -plus[1]), plus
 
 
 # ---------------------------------------------------------------------------
@@ -109,10 +145,13 @@ class FiniteWallspace:
     """A rational window box, finitely many affine walls and a base point.
 
     Every wall splits the window, and the base point lies in the window
-    on no wall.
+    on no wall.  Side tests run on integers: the window scaled once by
+    the lcm of its denominators, and both sides of each wall as int
+    halfspaces over it.
     """
 
-    __slots__ = ("dimension", "window", "walls", "base_point")
+    __slots__ = ("dimension", "window", "walls", "base_point", "_box",
+                 "_sides")
 
     def __init__(self, dimension, window, walls, base_point):
         if len(walls) > WALL_CAP:
@@ -140,20 +179,24 @@ class FiniteWallspace:
             if not lo < hi:
                 raise WallspaceError("degenerate window interval [%s, %s]"
                                      % (lo, hi))
+        scale, box = _integer_window(self.window)
         if len(set(self.walls)) != len(self.walls):
             raise WallspaceError("walls must be pairwise distinct "
                                  "after canonicalization")
+        sides = []
         for w in self.walls:
             if not isinstance(w, GeometricWall):
                 raise WallspaceError("geometric wallspace needs GeometricWall "
                                      "entries")
             if len(w.normal) != n:
                 raise WallspaceError("wall normal has wrong dimension")
-            for side in (0, 1):
-                h = _halfspace(w, side)
-                if not _feasible(self.window, h, h):
+            sides.append(_wall_sides(w, scale))
+            for h in sides[-1]:
+                if not _feasible(box, h, h):
                     raise WallspaceError(
                         "wall %r does not split the window" % (w,))
+        object.__setattr__(self, "_box", box)
+        object.__setattr__(self, "_sides", tuple(sides))
         p = self.base_point
         if len(p) != n:
             raise WallspaceError("base point has wrong dimension")
@@ -174,8 +217,7 @@ class FiniteWallspace:
         """Do the chosen open sides of walls i and j meet?"""
         if i == j:
             return si == sj
-        return _feasible(self.window, _halfspace(self.walls[i], si),
-                         _halfspace(self.walls[j], sj))
+        return _feasible(self._box, self._sides[i][si], self._sides[j][sj])
 
     def to_json_dict(self) -> dict:
         return {
@@ -266,10 +308,19 @@ class Orientation:
 class CubeComplex:
     """0-cubes, single-wall edges, and the implicit flag structure.
 
-    Vertices are indexed in discovery order; edges are triples
-    (u, v, wall) with u < v.  Cubes above dimension one are never
-    stored: a k-cube at a vertex is a k-clique of pairwise jointly
-    flippable walls, which link_of_vertex exposes.
+    A complex is its list of 0-cube bitmasks (bit i set: the plus side
+    of wall i), indexed in the order given, and the set of induced edges
+    it leaves out.  Two 0-cubes that differ on one wall are joined by an
+    edge unless that set holds the pair; it is empty for every dual,
+    whose 1-skeleton is the subgraph of the hypercube induced on its
+    0-cubes.  Edges (u, v, wall) with u < v, adjacency, links and the
+    JSON layout are derived on demand.  Cubes above dimension one are
+    never stored: a k-cube at a vertex is a k-clique of pairwise
+    jointly flippable walls, which link_of_vertex exposes.
+
+    The constructor checks its arguments: distinct 0-cubes of one width,
+    edges that flip exactly the wall they name, a connected 1-skeleton.
+    Repeated and reversed edges count once.
     """
 
     def __init__(self, num_walls, orientations, edges, wallspace=None,
@@ -283,43 +334,107 @@ class CubeComplex:
             raise ValueError("duplicate 0-cubes")
         if any(o.n != num_walls for o in orientations):
             raise ValueError("orientation width differs from wall count")
-        canon_edges = []
-        adjacency = [{} for _ in bits]
+        count = len(bits)
+        given = set()
+        adjacency = [[] for _ in bits]
         for u, v, wall in edges:
+            if not (0 <= u < count and 0 <= v < count):
+                raise ValueError("edge endpoint out of range: %r" % ((u, v),))
             if bits[u] ^ bits[v] != 1 << wall:
                 raise ValueError(
                     "edge (%d, %d) does not flip exactly wall %d" % (u, v, wall))
             if u > v:
                 u, v = v, u
-            canon_edges.append((u, v, wall))
-            adjacency[u][wall] = v
-            adjacency[v][wall] = u
-        seen = bytearray(len(bits))
+            given.add(u * count + v)
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+        seen = bytearray(count)
         seen[0] = 1
         stack = [0]
         while stack:
-            for nb in adjacency[stack.pop()].values():
+            for nb in adjacency[stack.pop()]:
                 if not seen[nb]:
                     seen[nb] = 1
                     stack.append(nb)
         if 0 in seen:
             raise ValueError("1-skeleton is not connected")
+        realized = 0
+        for u, v in map(divmod, given, repeat(count)):
+            realized |= bits[u] ^ bits[v]
+        self._setup(num_walls, bits, index, len(given), realized,
+                    wallspace, wall_json)
+        self._missing = frozenset(self._edge_keys()) - given
+
+    @classmethod
+    def _walked(cls, num_walls, bits, index, edge_count, realized,
+                wallspace):
+        """The complex on a flip walk's 0-cubes, unchecked: the walk's
+        breadth-first order makes them distinct, of one width, connected
+        and joined by single flips, and it joins every induced pair."""
+        c = cls.__new__(cls)
+        c._setup(num_walls, bits, index, edge_count, realized, wallspace,
+                 None)
+        return c
+
+    def _setup(self, num_walls, bits, index, edge_count, realized,
+               wallspace, wall_json):
         self.num_walls = num_walls
-        self.orientations = orientations
-        # Sorting first and then dropping repeats gives the same tuple
-        # as sorted(set(...)), but timsort is near linear on the nearly
-        # sorted edges dual_complex hands over.
-        self.edges = tuple(dict.fromkeys(sorted(canon_edges)))
         self.wallspace = wallspace
         self.wall_json = wall_json
+        self._bits = bits
         self._index = index
-        self._adjacency = adjacency
+        self._edge_count = edge_count
+        self._realized = realized
+        self._orientations = _Orientations(bits, num_walls)
+        # Keys u * V + v (u < v, V 0-cubes) of the induced edges left out.
+        self._missing = frozenset()
+
+    @property
+    def orientations(self) -> "_Orientations":
+        """The 0-cubes as Orientations, in index order."""
+        return self._orientations
+
+    @property
+    def edges(self) -> tuple:
+        """Every edge (u, v, wall), u < v, in sorted order."""
+        bits = self._bits
+        return tuple((u, v, (bits[u] ^ bits[v]).bit_length() - 1)
+                     for u, v in map(divmod, self._edge_keys(),
+                                     repeat(len(bits))))
+
+    def _edge_keys(self) -> list:
+        """The edges as sorted keys u * V + v with u < v.
+
+        Per wall, one dict lookup per 0-cube finds the other end of its
+        edge across that wall, if any; the lookups and the u < v filter
+        run in C.
+        """
+        bits = self._bits
+        count = len(bits)
+        get = self._index.get
+        us = list(range(count))
+        starts = [u * count for u in us]
+        keys = []
+        for j in range(self.num_walls):
+            ends = list(map(get, map(xor, bits, repeat(1 << j)), repeat(-1)))
+            later = list(map(gt, ends, us))
+            keys += map(add, compress(starts, later), compress(ends, later))
+        if self._missing:
+            keys = [k for k in keys if k not in self._missing]
+        keys.sort()
+        return keys
+
+    def _joined(self, u: int, v: int) -> bool:
+        """Is the induced pair of 0-cubes u and v an edge?"""
+        if u > v:
+            u, v = v, u
+        return u * len(self._bits) + v not in self._missing
 
     def vertex_count(self) -> int:
-        return len(self.orientations)
+        return len(self._bits)
 
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self._edge_count
 
     def index_of(self, x: Orientation) -> int:
         if x.n != self.num_walls or x.bits not in self._index:
@@ -331,23 +446,31 @@ class CubeComplex:
         return x.n == self.num_walls and x.bits in self._index
 
     def realized_walls(self) -> list:
-        return sorted({wall for _, _, wall in self.edges})
+        return [j for j in range(self.num_walls) if self._realized >> j & 1]
 
     def neighbors(self, idx: int) -> dict:
         """Map wall -> neighbor index at the given vertex."""
-        return dict(self._adjacency[idx])
+        b = self._bits[idx]
+        get = self._index.get
+        out = {}
+        for j in range(self.num_walls):
+            nb = get(b ^ 1 << j)
+            if nb is not None and self._joined(idx, nb):
+                out[j] = nb
+        return out
 
     def bfs_distances(self, start: int) -> list:
-        dist = [-1] * len(self.orientations)
+        bits = self._bits
+        get = self._index.get
+        flips = [1 << j for j in range(self.num_walls)]
+        dist = [-1] * len(bits)
         dist[start] = 0
         queue = [start]
-        head = 0
-        while head < len(queue):
-            at = queue[head]
-            head += 1
-            for nb in self._adjacency[at].values():
-                if dist[nb] < 0:
-                    dist[nb] = dist[at] + 1
+        for at in queue:
+            step = dist[at] + 1
+            for nb in map(get, map(xor, repeat(bits[at]), flips)):
+                if nb is not None and dist[nb] < 0 and self._joined(at, nb):
+                    dist[nb] = step
                     queue.append(nb)
         return dist
 
@@ -358,12 +481,31 @@ class CubeComplex:
             walls_json = [w.to_json_dict() for w in self.wallspace.walls]
         else:
             walls_json = []
+        # Orientation.to_bitstring, on the bare bitmasks.
+        top = 1 << self.num_walls
+        count = len(self._bits)
         return {
             "format": COMPLEX_FORMAT,
             "walls": walls_json,
-            "zero_cubes": [o.to_bitstring() for o in self.orientations],
-            "edges": [[u, v] for u, v, _ in self.edges],
+            "zero_cubes": [bin(b | top)[:2:-1] for b in self._bits],
+            "edges": [[k // count, k % count] for k in self._edge_keys()],
         }
+
+
+class _Orientations(Sequence):
+    """The 0-cubes of a complex as Orientations, each made when read."""
+
+    __slots__ = ("_bits", "_n")
+
+    def __init__(self, bits, n):
+        self._bits = bits
+        self._n = n
+
+    def __len__(self):
+        return len(self._bits)
+
+    def __getitem__(self, k):
+        return Orientation(self._bits[k], self._n)
 
 
 class ComplexFormatError(ValueError):
@@ -428,30 +570,38 @@ def _flip_closure(forbid, start: int, within=None):
 
     Bit k of forbid[j][s][t] is set when side s of wall j rules out
     side t of wall k.  start must meet every clause, so a flip of wall
-    j is tested against wall j's clauses only.  Returns (queue, edges)
-    in breadth-first order: queue[k] is the k-th bitmask reached, and
-    edges holds each flip (u, v, j) between queue indices u < v once.
-    Returns None as soon as a bitmask outside `within` is reached.
+    j is tested against wall j's clauses only.  Returns (queue, index,
+    edges, realized): queue[k] is the k-th bitmask reached in
+    breadth-first order and index[queue[k]] == k; edges counts the flips
+    between reached bitmasks, each once; realized has bit j set when
+    some flip crosses wall j.  Returns None as soon as a bitmask outside
+    `within` is reached.
     """
-    flips = [(j, 1 << j, rules) for j, rules in enumerate(forbid)]
+    flips = [(1 << j, *minus, *plus) for j, (minus, plus) in enumerate(forbid)]
     queue = [start]
     index = {start: 0}
-    edges = []
-    for head, bits in enumerate(queue):
-        for j, bit, rules in flips:
+    found = 0
+    realized = 0
+    for bits in queue:
+        for bit, minus0, minus1, plus0, plus1 in flips:
             flipped = bits ^ bit
-            rule0, rule1 = rules[1] if flipped & bit else rules[0]
-            if flipped & rule1 or ~flipped & rule0:
+            if flipped & bit:
+                if flipped & plus1 or ~flipped & plus0:
+                    continue
+            elif flipped & minus1 or ~flipped & minus0:
                 continue
-            v = index.get(flipped)
-            if v is None:
+            found += 1
+            if flipped not in index:
                 if within is not None and flipped not in within:
                     return None
-                v = index[flipped] = len(queue)
+                index[flipped] = len(queue)
                 queue.append(flipped)
-            if v > head:
-                edges.append((head, v, j))
-    return queue, edges
+                # A wall that some flip crosses is crossed on the
+                # breadth-first tree too: a tree path joins the flip's
+                # two ends.
+                realized |= bit
+    # Both ends of a flip meet every clause, so it is found from each.
+    return queue, index, found >> 1, realized
 
 
 def dual_complex(ws: FiniteWallspace) -> CubeComplex:
@@ -483,16 +633,13 @@ def dual_complex(ws: FiniteWallspace) -> CubeComplex:
             base_bits |= 1 << i
 
     # The search walks int bitmasks; queue[k] is 0-cube k.
-    queue, edges = _flip_closure(forbid, base_bits)
-    orientations = [Orientation(b, nwalls) for b in queue]
-    complex_ = CubeComplex(nwalls, orientations, edges, wallspace=ws)
-    realized = set(complex_.realized_walls())
-    if nwalls and realized != set(range(nwalls)):
-        missing = sorted(set(range(nwalls)) - realized)
+    queue, index, edges, realized = _flip_closure(forbid, base_bits)
+    if realized != (1 << nwalls) - 1:
+        missing = [j for j in range(nwalls) if not realized >> j & 1]
         raise InternalError(
             "walls %r produced no edge; the flip graph looks disconnected"
             % (missing,))
-    return complex_
+    return CubeComplex._walked(nwalls, queue, index, edges, realized, ws)
 
 
 def distance(c: CubeComplex, x: Orientation, y: Orientation) -> int:
@@ -531,11 +678,11 @@ def is_median_graph(c: CubeComplex) -> bool:
     majority-closed exactly when the walk never leaves it.
     """
     members = c._index
-    closure = _flip_closure(_member_clauses(members, c.num_walls),
-                            c.orientations[0].bits, within=members)
-    # The walk finds each hypercube edge between members once; all of
+    closure = _flip_closure(_member_clauses(c._bits, c.num_walls),
+                            c._bits[0], within=members)
+    # The walk counts each hypercube edge between members once; all of
     # them must be edges of c.
-    return closure is not None and len(closure[1]) == c.edge_count()
+    return closure is not None and closure[2] == c.edge_count()
 
 
 def duality_check(c: CubeComplex) -> bool:
@@ -605,13 +752,9 @@ def link_of_vertex(c: CubeComplex, v: Orientation) -> SimplicialComplex:
     for a in range(len(flippable)):
         for b in range(a + 1, len(flippable)):
             i, j = flippable[a], flippable[b]
-            corner = v.bits ^ (1 << i) ^ (1 << j)
-            if corner not in c._index:
-                continue
-            corner_idx = c._index[corner]
-            ni, nj = adjacent[i], adjacent[j]
-            if (c._adjacency[ni].get(j) == corner_idx
-                    and c._adjacency[nj].get(i) == corner_idx):
+            corner = c._index.get(v.bits ^ (1 << i) ^ (1 << j))
+            if (corner is not None and c._joined(adjacent[i], corner)
+                    and c._joined(adjacent[j], corner)):
                 edges.append((i, j))
     return SimplicialComplex(flippable, edges)
 
@@ -630,6 +773,7 @@ def seeded_wallspaces(count: int = 50, seed: int = 0, max_walls: int = 10,
     """
     rng = random.Random(seed)
     window = tuple((Fraction(-6), Fraction(6)) for _ in range(dimension))
+    scale, box = _integer_window(window)
     out = []
     while len(out) < count:
         target = rng.randrange(3, max_walls + 1)
@@ -645,8 +789,7 @@ def seeded_wallspaces(count: int = 50, seed: int = 0, max_walls: int = 10,
             wall = GeometricWall(RatVector(normal), offset)
             if wall in seen:
                 continue
-            if not all(_feasible(window, h, h)
-                       for h in (_halfspace(wall, 0), _halfspace(wall, 1))):
+            if not all(_feasible(box, h, h) for h in _wall_sides(wall, scale)):
                 continue
             seen.add(wall)
             walls.append(wall)

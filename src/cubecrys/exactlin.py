@@ -505,7 +505,8 @@ def from_format(d, tag: str, error, build):
 
 
 def dimension_from_json(value, error) -> int:
-    """A file's "dimension": a JSON integer, not a bool, at least 1."""
+    """A "dimension", from a file or a constructor: a JSON integer, not a
+    bool, at least 1."""
     if type(value) is not int or value < 1:
         raise error("dimension must be an integer >= 1, got %s"
                     % json.dumps(value))

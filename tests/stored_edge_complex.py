@@ -1,0 +1,178 @@
+"""Oracle: the cube complex that stores its edges, as dual.py built it
+before a complex became its 0-cube list.
+
+StoredEdgeComplex keeps one Orientation per 0-cube, one adjacency dict
+per vertex and the sorted, deduplicated edge triples; stored_edge_dual
+is the flip walk that appended each edge it found.  The tests build the
+same complexes both ways and compare every derived view.
+"""
+
+from cubecrys.dual import (
+    COMPLEX_FORMAT,
+    MembershipError,
+    Orientation,
+    _member_clauses,
+)
+from cubecrys.sgnperm import SimplicialComplex
+
+
+class StoredEdgeComplex:
+    """0-cubes, single-wall edges, and the implicit flag structure.
+
+    Vertices are indexed in discovery order; edges are triples
+    (u, v, wall) with u < v.
+    """
+
+    def __init__(self, num_walls, orientations, edges, wallspace=None,
+                 wall_json=None):
+        orientations = tuple(orientations)
+        if not orientations:
+            raise ValueError("a complex needs at least one 0-cube")
+        bits = [o.bits for o in orientations]
+        index = dict(zip(bits, range(len(bits))))
+        if len(index) != len(bits):
+            raise ValueError("duplicate 0-cubes")
+        if any(o.n != num_walls for o in orientations):
+            raise ValueError("orientation width differs from wall count")
+        canon_edges = []
+        adjacency = [{} for _ in bits]
+        for u, v, wall in edges:
+            if bits[u] ^ bits[v] != 1 << wall:
+                raise ValueError(
+                    "edge (%d, %d) does not flip exactly wall %d" % (u, v, wall))
+            if u > v:
+                u, v = v, u
+            canon_edges.append((u, v, wall))
+            adjacency[u][wall] = v
+            adjacency[v][wall] = u
+        seen = bytearray(len(bits))
+        seen[0] = 1
+        stack = [0]
+        while stack:
+            for nb in adjacency[stack.pop()].values():
+                if not seen[nb]:
+                    seen[nb] = 1
+                    stack.append(nb)
+        if 0 in seen:
+            raise ValueError("1-skeleton is not connected")
+        self.num_walls = num_walls
+        self.orientations = orientations
+        self.edges = tuple(dict.fromkeys(sorted(canon_edges)))
+        self.wallspace = wallspace
+        self.wall_json = wall_json
+        self._index = index
+        self._adjacency = adjacency
+
+    def vertex_count(self) -> int:
+        return len(self.orientations)
+
+    def edge_count(self) -> int:
+        return len(self.edges)
+
+    def index_of(self, x: Orientation) -> int:
+        if x.n != self.num_walls or x.bits not in self._index:
+            raise MembershipError(
+                "orientation %r is not a 0-cube of this complex" % (x,))
+        return self._index[x.bits]
+
+    def realized_walls(self) -> list:
+        return sorted({wall for _, _, wall in self.edges})
+
+    def neighbors(self, idx: int) -> dict:
+        return dict(self._adjacency[idx])
+
+    def bfs_distances(self, start: int) -> list:
+        dist = [-1] * len(self.orientations)
+        dist[start] = 0
+        queue = [start]
+        head = 0
+        while head < len(queue):
+            at = queue[head]
+            head += 1
+            for nb in self._adjacency[at].values():
+                if dist[nb] < 0:
+                    dist[nb] = dist[at] + 1
+                    queue.append(nb)
+        return dist
+
+    def to_json_dict(self) -> dict:
+        if self.wall_json is not None:
+            walls_json = self.wall_json
+        elif self.wallspace is not None:
+            walls_json = [w.to_json_dict() for w in self.wallspace.walls]
+        else:
+            walls_json = []
+        return {
+            "format": COMPLEX_FORMAT,
+            "walls": walls_json,
+            "zero_cubes": [o.to_bitstring() for o in self.orientations],
+            "edges": [[u, v] for u, v, _ in self.edges],
+        }
+
+
+def stored_edge_walk(forbid, start, within=None):
+    """(queue, edges): the flip walk that lists each flip (u, v, j) with
+    u < v once, or None once it leaves `within`."""
+    flips = [(j, 1 << j, rules) for j, rules in enumerate(forbid)]
+    queue = [start]
+    index = {start: 0}
+    edges = []
+    for head, bits in enumerate(queue):
+        for j, bit, rules in flips:
+            flipped = bits ^ bit
+            rule0, rule1 = rules[1] if flipped & bit else rules[0]
+            if flipped & rule1 or ~flipped & rule0:
+                continue
+            v = index.get(flipped)
+            if v is None:
+                if within is not None and flipped not in within:
+                    return None
+                v = index[flipped] = len(queue)
+                queue.append(flipped)
+            if v > head:
+                edges.append((head, v, j))
+    return queue, edges
+
+
+def stored_edge_dual(ws) -> StoredEdgeComplex:
+    """The dual of ws with every edge the walk found stored."""
+    nwalls = len(ws.walls)
+    forbid = [[[0, 1 << j], [1 << j, 0]] for j in range(nwalls)]
+    for i in range(nwalls):
+        for j in range(i + 1, nwalls):
+            for si in (0, 1):
+                for sj in (0, 1):
+                    if not ws.sides_compatible(i, si, j, sj):
+                        forbid[i][si][sj] |= 1 << j
+                        forbid[j][sj][si] |= 1 << i
+    base = sum(1 << i for i in range(nwalls) if ws.base_side(i))
+    queue, edges = stored_edge_walk(forbid, base)
+    return StoredEdgeComplex(nwalls, [Orientation(b, nwalls) for b in queue],
+                             edges, wallspace=ws)
+
+
+def stored_is_median_graph(c: StoredEdgeComplex) -> bool:
+    """The linear median check on the stored edges."""
+    closure = stored_edge_walk(_member_clauses(c._index, c.num_walls),
+                               c.orientations[0].bits, within=c._index)
+    return closure is not None and len(closure[1]) == c.edge_count()
+
+
+def stored_link_of_vertex(c: StoredEdgeComplex, v: Orientation):
+    """The flag complex of edges at v, read off the adjacency dicts."""
+    at = c.index_of(v)
+    adjacent = c.neighbors(at)
+    flippable = sorted(adjacent)
+    edges = []
+    for a in range(len(flippable)):
+        for b in range(a + 1, len(flippable)):
+            i, j = flippable[a], flippable[b]
+            corner = v.bits ^ (1 << i) ^ (1 << j)
+            if corner not in c._index:
+                continue
+            corner_idx = c._index[corner]
+            ni, nj = adjacent[i], adjacent[j]
+            if (c._adjacency[ni].get(j) == corner_idx
+                    and c._adjacency[nj].get(i) == corner_idx):
+                edges.append((i, j))
+    return SimplicialComplex(flippable, edges)

@@ -185,6 +185,16 @@ def test_classify_text_mode_checks_the_witness_once(capsys, tmp_path,
     assert len(calls) == 1
 
 
+def test_classify_json_checks_the_witness_once(capsys, tmp_path, monkeypatch):
+    # The report's residuals come from the defects the check computed.
+    calls = count_defect_passes(monkeypatch)
+    report = run_json(capsys, "classify", group_file(tmp_path, "Z:W"))
+    assert report["verdict"] == "accepted"
+    assert all(set(sum(e["conjugation_residual"], [])) == {"0"}
+               for e in report["classification"]["elements"])
+    assert len(calls) == 1
+
+
 # -- cubulate ---------------------------------------------------------
 
 

@@ -172,6 +172,13 @@ def test_group_file_dimension_must_be_a_positive_json_integer(dimension):
         group_from_json_dict(d)
 
 
+@pytest.mark.parametrize("dimension", [2.7, True, "2", 0, -1])
+def test_group_dimension_must_be_a_positive_integer(dimension):
+    with pytest.raises(StructureError, match="dimension must be an integer"):
+        CrystGroup("x", dimension, RatMatrix.identity(2),
+                   [RatMatrix([[-1, 0], [0, -1]])], [RatVector([0, 0])])
+
+
 def test_catalog_has_twenty_validated_entries():
     groups = load_catalog()
     assert [g.name for g in groups] == CATALOG_NAMES

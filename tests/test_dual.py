@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,10 +22,13 @@ from cubecrys.dual import (
     WallCapError,
     WallspaceError,
     _feasible,
+    _integer_halfspace,
+    _integer_window,
     _member_clauses,
     distance,
     dual_complex,
     duality_check,
+    complex_from_json_dict,
     is_median_graph,
     link_of_vertex,
     load_complex,
@@ -36,9 +40,16 @@ from cubecrys.dual import (
     union_orientation,
     wallspace_from_json_dict,
 )
-from cubecrys.exactlin import RatVector
+from cubecrys.exactlin import RatVector, json_text
 from cubecrys.sgnperm import build_Qn
 from cubecrys.walls import GeometricWall
+from stored_edge_complex import (
+    StoredEdgeComplex,
+    stored_edge_dual,
+    stored_is_median_graph,
+    stored_link_of_vertex,
+)
+from test_cli import spatial_arrangement
 
 
 def vertical(offset):
@@ -85,6 +96,32 @@ def fourier_motzkin_feasible(constraints, nvars: int) -> bool:
     return True
 
 
+def fraction_feasible(window, f, g) -> bool:
+    """Oracle: the minimax test over Fractions that _feasible replaced.
+
+    The window holds rational (lo, hi) pairs and f, g rational (a, b)
+    pairs for <a, x> + b; the breaks t are Fractions.
+    """
+    (a, b), (c, d) = f, g
+    breaks = {Fraction(ci, ci - ai) for ai, ci in zip(a, c) if ai * ci < 0}
+    for t in (0, 1, *breaks):
+        s = 1 - t
+        value = t * b + s * d
+        for ai, ci, (lo, hi) in zip(a, c, window):
+            k = t * ai + s * ci
+            value += k * (hi if k > 0 else lo)
+        if value <= 0:
+            return False
+    return True
+
+
+def fraction_halfspace(wall, side):
+    """Side 1 (plus) or 0 (minus) of a wall as rational (a, b)."""
+    if side:
+        return wall.normal, -wall.offset
+    return tuple(-e for e in wall.normal), wall.offset
+
+
 def test_feasibility_elimination():
     feasible = fourier_motzkin_feasible
     # x > 0 and x < 1 meet; x > 0 and x < 0 do not.
@@ -97,14 +134,18 @@ def test_feasibility_elimination():
     assert feasible([((1, 0), Fraction(1), True), ((-1, 0), Fraction(0), True)], 2)
 
 
-def both_verdicts(window, f, g):
-    """_feasible and the oracle on f > 0, g > 0 in the closed window.
+def three_verdicts(window, f, g):
+    """_feasible, and both oracles, on f > 0, g > 0 in the closed window.
 
     f and g are (coefficients, offset) pairs for <a, x> + b; entries may
-    be anything Fraction accepts.
+    be anything Fraction accepts.  _feasible gets the window and both
+    sides scaled to integers the way FiniteWallspace scales them.
     """
     window = tuple((Fraction(lo), Fraction(hi)) for lo, hi in window)
     f, g = ((tuple(map(Fraction, a)), Fraction(b)) for a, b in (f, g))
+    scale, box = _integer_window(window)
+    integer = _feasible(box, _integer_halfspace(*f, scale),
+                        _integer_halfspace(*g, scale))
     n = len(window)
     cons = []
     for k, (lo, hi) in enumerate(window):
@@ -113,7 +154,8 @@ def both_verdicts(window, f, g):
         cons.append((tuple(-e for e in unit), -lo, False))
     for a, b in (f, g):
         cons.append((tuple(-e for e in a), b, True))
-    return _feasible(window, f, g), fourier_motzkin_feasible(cons, n)
+    return (integer, fraction_feasible(window, f, g),
+            fourier_motzkin_feasible(cons, n))
 
 
 def random_halfspace_pair(rng, n):
@@ -148,8 +190,8 @@ def test_closed_form_feasibility_agrees_with_fourier_motzkin():
             window.append((lo, lo + Fraction(rng.randrange(1, 9),
                                              rng.choice((1, 2)))))
         f, g = random_halfspace_pair(rng, n)
-        closed, oracle = both_verdicts(window, f, g)
-        assert closed == oracle, (window, f, g)
+        closed, fraction, oracle = three_verdicts(window, f, g)
+        assert closed == fraction == oracle, (window, f, g)
         met += closed
     assert 1000 < met < 4000
     square = ((-1, 1), (-1, 1))
@@ -166,7 +208,45 @@ def test_closed_form_feasibility_agrees_with_fourier_motzkin():
         ((("1/2", "7/2"),), ((1,), -2), ((-3,), 8), True),
     ]
     for window, f, g, expected in hand:
-        assert both_verdicts(window, f, g) == (expected, expected)
+        assert three_verdicts(window, f, g) == (expected,) * 3
+
+
+def test_integer_side_test_on_windows_with_thirds_and_fifths():
+    rng = random.Random(11)
+    met = 0
+    for _ in range(600):
+        n = rng.randrange(1, 4)
+        window = []
+        for _ in range(n):
+            lo = Fraction(rng.randrange(-18, 15), rng.choice((1, 3, 5)))
+            window.append((lo, lo + Fraction(rng.randrange(1, 20),
+                                             rng.choice((2, 3, 5)))))
+        f, g = random_halfspace_pair(rng, n)
+        closed, fraction, oracle = three_verdicts(window, f, g)
+        assert closed == fraction == oracle, (window, f, g)
+        met += closed
+    assert 100 < met < 500
+
+
+def test_integer_side_table_matches_the_fraction_table():
+    # Every side pair of seeded wallspaces in dimensions 1-4, through
+    # FiniteWallspace's integer sides and through the Fraction test.
+    pairs = 0
+    for dimension in range(1, 5):
+        for ws in seeded_wallspaces(count=10, seed=dimension, max_walls=7,
+                                    dimension=dimension):
+            assert all(isinstance(x, int) for bounds in ws._box
+                       for x in bounds)
+            for i, wi in enumerate(ws.walls):
+                for j, wj in enumerate(ws.walls):
+                    for si in (0, 1):
+                        for sj in (0, 1):
+                            pairs += 1
+                            assert ws.sides_compatible(i, si, j, sj) == (
+                                si == sj if i == j else fraction_feasible(
+                                    ws.window, fraction_halfspace(wi, si),
+                                    fraction_halfspace(wj, sj)))
+    assert pairs > 2000
 
 
 # -- wallspace validation ---------------------------------------------
@@ -863,6 +943,14 @@ def test_cube_complex_rejects_bad_edges():
         CubeComplex(2, [a, b], [(0, 1, 0)])
 
 
+def test_cube_complex_rejects_edge_endpoints_out_of_range():
+    a = Orientation.from_bitstring("00")
+    b = Orientation.from_bitstring("10")
+    for edge in ((-1, 0, 0), (0, 2, 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            CubeComplex(2, [a, b], [(0, 1, 0), edge])
+
+
 def test_cube_complex_rejects_disconnected_skeletons():
     a = Orientation.from_bitstring("00")
     b = Orientation.from_bitstring("11")
@@ -878,3 +966,169 @@ def test_cube_complex_rejects_an_empty_vertex_set():
 def test_cube_complex_rejects_width_mismatch():
     with pytest.raises(ValueError, match="width"):
         CubeComplex(2, [Orientation(0, 3)], [])
+
+
+# -- the 0-cube list against the stored-edge oracle -------------------
+
+
+def assert_matches_stored_edges(c, old, starts=(0,), step=1, median=True):
+    """c derives what old stores: vertices, edges, adjacency, links (at
+    every step-th vertex), distances from each start, the median verdict
+    and the JSON bytes."""
+    assert tuple(c.orientations) == old.orientations
+    assert c.edges == old.edges
+    assert (c.vertex_count(), c.edge_count()) == (old.vertex_count(),
+                                                  old.edge_count())
+    assert c.realized_walls() == old.realized_walls()
+    for k in range(0, old.vertex_count(), step):
+        o = old.orientations[k]
+        assert c.neighbors(k) == old.neighbors(k)
+        assert link_of_vertex(c, o) == stored_link_of_vertex(old, o)
+    for start in starts:
+        assert c.bfs_distances(start) == old.bfs_distances(start)
+    if median:
+        assert is_median_graph(c) == stored_is_median_graph(old)
+    assert json_text(c.to_json_dict()) == json_text(old.to_json_dict())
+
+
+def assert_same_complex(a, b):
+    """Two CubeComplexes with the same stored state."""
+    assert (a.num_walls, a._bits, a._index, a._missing, a.edge_count(),
+            a._realized) == (b.num_walls, b._bits, b._index, b._missing,
+                             b.edge_count(), b._realized)
+    assert a.to_json_dict() == b.to_json_dict()
+
+
+def test_a_walked_dual_stores_only_its_zero_cubes():
+    ws = plane_space([vertical("-1/2"), vertical("1/2"),
+                      horizontal("-1/3"), horizontal("1/3")],
+                     ["39/20", "3/2"], window=(("-9/4", 2), (-2, "5/3")))
+    # The side test sees integers only.
+    assert all(type(x) is int for bounds in ws._box for x in bounds)
+    assert all(type(x) is int for sides in ws._sides for a, b in sides
+               for x in (*a, b))
+    c = dual_complex(ws)
+    assert set(vars(c)) == {"num_walls", "wallspace", "wall_json", "_bits",
+                            "_index", "_edge_count", "_realized",
+                            "_orientations", "_missing"}
+    assert all(type(b) is int for b in c._bits)
+    assert all(type(b) is int and type(k) is int
+               for b, k in c._index.items())
+    assert c._missing == frozenset() and c._orientations._bits is c._bits
+    assert (c.vertex_count(), c.edge_count()) == (9, 12)
+
+
+def test_walked_duals_match_the_stored_edge_oracle():
+    for dimension in range(1, 5):
+        for ws in seeded_wallspaces(count=8, seed=40 + dimension,
+                                    max_walls=8, dimension=dimension):
+            c = dual_complex(ws)
+            assert c._missing == frozenset()
+            assert_matches_stored_edges(c, stored_edge_dual(ws),
+                                        starts=range(c.vertex_count()))
+            checked = CubeComplex(c.num_walls, c.orientations, c.edges,
+                                  wallspace=ws)
+            assert_same_complex(c, checked)
+
+
+def test_spatial_arrangement_matches_the_stored_edge_oracle():
+    ws = spatial_arrangement()
+    c = dual_complex(ws)
+    assert (c.vertex_count(), c.edge_count()) == (18432, 125952)
+    assert_matches_stored_edges(c, stored_edge_dual(ws), starts=(0, 18431),
+                                step=97, median=False)
+    assert_same_complex(c, CubeComplex(c.num_walls, c.orientations, c.edges,
+                                       wallspace=ws))
+
+
+def fuzzed_complex_input(rng):
+    """(walls, orientations, edges): a connected 0-cube set's hypercube
+    edges with some dropped, some repeated and some reversed."""
+    n = rng.randrange(1, 6)
+    bit_sets = (connected_subset(rng, n) if rng.random() < 0.5
+                else two_clause_solutions(rng, n))
+    orientations = [Orientation(b, n) for b in bit_sets]
+    index = {b: k for k, b in enumerate(bit_sets)}
+    edges = [(index[b], index[b ^ 1 << j], j)
+             for b in bit_sets for j in range(n)
+             if b >> j & 1 and b ^ 1 << j in index]
+    rng.shuffle(edges)
+    del edges[:rng.choice((0, 0, 1, 2))]
+    edges += [(v, u, w) for u, v, w in rng.sample(edges, len(edges) // 3)]
+    return n, orientations, edges
+
+
+def test_checked_complexes_match_the_stored_edge_oracle():
+    rng = random.Random(4242)
+    built = {True: 0, False: 0}
+    refused = 0
+    while sum(built.values()) < 600:
+        n, orientations, edges = fuzzed_complex_input(rng)
+        try:
+            old = StoredEdgeComplex(n, orientations, edges)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                CubeComplex(n, orientations, edges)
+            refused += 1
+            continue
+        c = CubeComplex(n, orientations, edges)
+        assert_matches_stored_edges(c, old, starts=range(c.vertex_count()))
+        built[is_median_graph(c)] += 1
+    assert built[True] > 100 and built[False] > 100, built
+    assert refused > 10
+
+
+# -- loaded complexes -------------------------------------------------
+
+
+def square_file(zero_cubes, edges):
+    return {"format": "cubecrys-complex/1", "walls": [],
+            "zero_cubes": zero_cubes, "edges": edges}
+
+
+def test_loaded_zero_cubes_need_no_breadth_first_order():
+    c = complex_from_json_dict(square_file(
+        ["11", "00", "10", "01"], [[1, 2], [1, 3], [0, 2], [3, 0]]))
+    assert [o.to_bitstring() for o in c.orientations] == ["11", "00",
+                                                         "10", "01"]
+    assert c.edges == ((0, 2, 1), (0, 3, 0), (1, 2, 0), (1, 3, 1))
+    assert is_median_graph(c) and duality_check(c)
+
+
+def test_a_loaded_complex_missing_one_induced_edge_is_not_median():
+    c = complex_from_json_dict(square_file(
+        ["00", "10", "11", "01"], [[0, 1], [1, 2], [2, 3]]))
+    assert c.edge_count() == 3
+    assert c._missing == frozenset({3})  # the pair (0, 3)
+    assert c.neighbors(0) == {0: 1} and c.neighbors(3) == {0: 2}
+    assert c.bfs_distances(0) == [0, 1, 2, 3]
+    assert not is_median_graph(c) and not duality_check(c)
+    assert link_of_vertex(c, Orientation.from_bitstring("10")).f_vector() \
+        == (2,)
+
+
+def test_loaded_repeated_and_reversed_edges_count_once():
+    c = complex_from_json_dict(square_file(
+        ["00", "10", "11", "01"],
+        [[1, 0], [0, 1], [1, 2], [2, 1], [2, 3], [0, 3], [3, 0], [1, 2]]))
+    assert c.edge_count() == 4
+    assert c.to_json_dict()["edges"] == [[0, 1], [0, 3], [1, 2], [2, 3]]
+    assert is_median_graph(c)
+
+
+def test_a_loaded_disconnected_skeleton_is_refused():
+    with pytest.raises(ComplexFormatError, match="connected"):
+        complex_from_json_dict(square_file(["00", "10", "11", "01"],
+                                           [[0, 1], [2, 3]]))
+
+
+def test_complex_files_round_trip_byte_for_byte(tmp_path):
+    path, again = tmp_path / "c.json", tmp_path / "again.json"
+    for c in (grid_complex(),
+              complex_from_json_dict(square_file(
+                  ["00", "10", "11", "01"], [[0, 1], [1, 2], [2, 3]]))):
+        save_complex(c, path)
+        back = load_complex(path)
+        save_complex(back, again)
+        assert again.read_bytes() == path.read_bytes()
+        assert_same_complex(back, c)
