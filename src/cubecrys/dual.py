@@ -20,7 +20,10 @@ A complex is stored as its 0-cube bitmasks and the induced edges it
 leaves out.  Two 0-cubes of a dual are joined exactly when they differ
 on one wall (its 1-skeleton is the subgraph of the hypercube induced on
 its 0-cubes; Chepoi), so for a dual that set is empty, and edges,
-adjacency, links and the JSON layout are derived on demand.
+adjacency, links and the JSON layout are derived on demand.  The JSON
+edge list is an IndexPairs over the sorted edge keys u * V + v, which
+json_text renders from the keys in one join, with no [u, v] list per
+edge.
 
 A complex is in turn the dual of its own hyperplanes: two hyperplane
 sides meet exactly when some 0-cube lies on both, so their
@@ -41,6 +44,7 @@ from math import gcd, lcm
 from operator import add, gt, xor
 
 from cubecrys.exactlin import (
+    IndexPairs,
     RatVector,
     dimension_from_json,
     format_rational,
@@ -452,10 +456,11 @@ class CubeComplex:
         """Map wall -> neighbor index at the given vertex."""
         b = self._bits[idx]
         get = self._index.get
+        missing = self._missing
         out = {}
         for j in range(self.num_walls):
             nb = get(b ^ 1 << j)
-            if nb is not None and self._joined(idx, nb):
+            if nb is not None and (not missing or self._joined(idx, nb)):
                 out[j] = nb
         return out
 
@@ -463,18 +468,24 @@ class CubeComplex:
         bits = self._bits
         get = self._index.get
         flips = [1 << j for j in range(self.num_walls)]
+        missing = self._missing
         dist = [-1] * len(bits)
         dist[start] = 0
         queue = [start]
         for at in queue:
             step = dist[at] + 1
             for nb in map(get, map(xor, repeat(bits[at]), flips)):
-                if nb is not None and dist[nb] < 0 and self._joined(at, nb):
+                if nb is not None and dist[nb] < 0 and (
+                        not missing or self._joined(at, nb)):
                     dist[nb] = step
                     queue.append(nb)
         return dist
 
     def to_json_dict(self) -> dict:
+        """The complex file's dict.  Its "edges" is an IndexPairs over
+        the sorted edge keys: it equals the list of [u, v] rows, and
+        json_text renders it in one join without making them, but
+        json.dumps needs default=list to write it."""
         if self.wall_json is not None:
             walls_json = self.wall_json
         elif self.wallspace is not None:
@@ -488,7 +499,7 @@ class CubeComplex:
             "format": COMPLEX_FORMAT,
             "walls": walls_json,
             "zero_cubes": [bin(b | top)[:2:-1] for b in self._bits],
-            "edges": [[k // count, k % count] for k in self._edge_keys()],
+            "edges": IndexPairs(self._edge_keys(), count),
         }
 
 
@@ -505,6 +516,8 @@ class _Orientations(Sequence):
         return len(self._bits)
 
     def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(Orientation, self._bits[k], repeat(self._n)))
         return Orientation(self._bits[k], self._n)
 
 
@@ -753,8 +766,9 @@ def link_of_vertex(c: CubeComplex, v: Orientation) -> SimplicialComplex:
         for b in range(a + 1, len(flippable)):
             i, j = flippable[a], flippable[b]
             corner = c._index.get(v.bits ^ (1 << i) ^ (1 << j))
-            if (corner is not None and c._joined(adjacent[i], corner)
-                    and c._joined(adjacent[j], corner)):
+            if corner is not None and (
+                    not c._missing or (c._joined(adjacent[i], corner)
+                                       and c._joined(adjacent[j], corner))):
                 edges.append((i, j))
     return SimplicialComplex(flippable, edges)
 

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from operator import mul
-from typing import Iterable, Sequence, Union
+from itertools import repeat
+from operator import eq, floordiv, mod, mul
+from typing import Iterable, Union
 
 Rational = Fraction
 
@@ -396,6 +398,39 @@ def _leaf_encode(pad: str):
     return encode
 
 
+class IndexPairs(Sequence):
+    """Read-only rows [u, v] of indices below count, held as keys
+    u * count + v and each made when read.
+
+    It equals a list of the same rows, and a slice is a list of rows,
+    as for the list it stands in for.  json_text renders it from the
+    keys without making the rows; json.dumps needs default=list.
+    """
+
+    __slots__ = ("_keys", "_count")
+
+    def __init__(self, keys, count: int):
+        self._keys = keys
+        self._count = count
+
+    def __len__(self):
+        return len(self._keys)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return list(map(list, map(divmod, self._keys[k],
+                                      repeat(self._count))))
+        return list(divmod(self._keys[k], self._count))
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, IndexPairs)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self):
+        return "IndexPairs(%r, %r)" % (self._keys, self._count)
+
+
 def json_text(obj) -> str:
     """Exactly json.dumps(obj, indent=2, sort_keys=True), only faster.
 
@@ -403,7 +438,7 @@ def json_text(obj) -> str:
     dicts and lists are walked in Python, but a list of scalars, or a
     list of rows of numbers (a matrix, an edge list), goes to the C
     encoder in one call, with the newline and indent carried in its
-    item separator.
+    item separator.  An IndexPairs is one join over its keys.
     """
     out = []
     _emit(obj, "\n", out.append)
@@ -428,6 +463,8 @@ def _emit(obj, pad: str, put) -> None:
             _emit(value, inner, put)
             sep = "," + inner
         put(pad + "}")
+    elif isinstance(obj, IndexPairs):
+        _emit_pairs(obj, pad, put)
     elif not isinstance(obj, (list, tuple)):
         put(_leaf_encode("")(obj))
     elif not obj:
@@ -452,11 +489,16 @@ def _emit_rows(rows, pad: str, put) -> bool:
     items' indent in the item separator, so only the breaks between
     rows need rewriting.  That rewrite is exact when the text holds no
     string and no object, and every `[` opens the whole list or a
-    non-empty row; otherwise emit nothing.
+    non-empty row; otherwise, or if the C encoder refuses an item (an
+    IndexPairs, which _emit renders, or one that _emit refuses too),
+    emit nothing.
     """
     row_pad = pad + "  "
     item_pad = row_pad + "  "
-    text = _leaf_encode(item_pad)(rows)
+    try:
+        text = _leaf_encode(item_pad)(rows)
+    except TypeError:
+        return False
     if ('"' in text or "{" in text or "[]" in text
             or text.count("[") != len(rows) + 1):
         return False
@@ -465,6 +507,29 @@ def _emit_rows(rows, pad: str, put) -> bool:
                              row_pad + "]," + row_pad + "[" + item_pad)
         + row_pad + "]" + pad + "]")
     return True
+
+
+def _emit_pairs(pairs: IndexPairs, pad: str, put) -> None:
+    """Emit the rows of pairs in one join over two string tables.
+
+    Row u's head is str(u) and the item break; row v's tail is str(v)
+    and the break to the next row.  The keys pick a head and a tail
+    each, and the last break is cut.
+    """
+    keys, count = pairs._keys, pairs._count
+    if not keys:
+        put("[]")
+        return
+    row_pad = pad + "  "
+    item_pad = row_pad + "  "
+    step = "," + row_pad + "[" + item_pad
+    heads = [s + "," + item_pad for s in map(str, range(count))]
+    tails = [s + row_pad + "]" + step for s in map(str, range(count))]
+    flat = [None] * (2 * len(keys))
+    flat[0::2] = map(heads.__getitem__, map(floordiv, keys, repeat(count)))
+    flat[1::2] = map(tails.__getitem__, map(mod, keys, repeat(count)))
+    put("[" + row_pad + "[" + item_pad + "".join(flat)[:-len(step)]
+        + pad + "]")
 
 
 def write_json(path, data) -> None:

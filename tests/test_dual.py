@@ -40,7 +40,7 @@ from cubecrys.dual import (
     union_orientation,
     wallspace_from_json_dict,
 )
-from cubecrys.exactlin import RatVector, json_text
+from cubecrys.exactlin import IndexPairs, RatVector, json_text
 from cubecrys.sgnperm import build_Qn
 from cubecrys.walls import GeometricWall
 from stored_edge_complex import (
@@ -976,6 +976,15 @@ def assert_matches_stored_edges(c, old, starts=(0,), step=1, median=True):
     every step-th vertex), distances from each start, the median verdict
     and the JSON bytes."""
     assert tuple(c.orientations) == old.orientations
+    rows, old_rows = c.to_json_dict()["edges"], old.to_json_dict()["edges"]
+    assert rows == old_rows
+    n = old.vertex_count()
+    for cut in (slice(None), slice(1, None, 2), slice(-3, None),
+                slice(None, None, -1), slice(n, None)):
+        assert c.orientations[cut] == old.orientations[cut]
+        assert rows[cut] == old_rows[cut]
+    for k in (-1, -n):
+        assert c.orientations[k] == old.orientations[k]
     assert c.edges == old.edges
     assert (c.vertex_count(), c.edge_count()) == (old.vertex_count(),
                                                   old.edge_count())
@@ -1120,6 +1129,51 @@ def test_a_loaded_disconnected_skeleton_is_refused():
     with pytest.raises(ComplexFormatError, match="connected"):
         complex_from_json_dict(square_file(["00", "10", "11", "01"],
                                            [[0, 1], [2, 3]]))
+
+
+def test_orientation_slices_are_tuples_like_the_stored_tuple():
+    c = grid_complex()
+    old = stored_edge_dual(c.wallspace)
+    assert c.orientations[0:2] == old.orientations[0:2]
+    assert type(c.orientations[0:2]) is tuple
+    assert c.orientations[-2:] == old.orientations[-2:]
+    assert c.orientations[::-3] == old.orientations[::-3]
+    assert c.orientations[-1] == old.orientations[-1] \
+        == Orientation.from_bitstring(old.orientations[-1].to_bitstring())
+    assert c.orientations[5:2] == ()
+    with pytest.raises(IndexError):
+        c.orientations[c.vertex_count()]
+    with pytest.raises(IndexError):
+        c.orientations[-c.vertex_count() - 1]
+
+
+def test_complex_dicts_round_trip():
+    dropped = complex_from_json_dict(square_file(
+        ["00", "10", "11", "01"], [[0, 1], [1, 2], [2, 3]]))
+    seeded = [dual_complex(ws) for ws in seeded_wallspaces(
+        count=4, seed=7, max_walls=8, dimension=3)]
+    for c in (grid_complex(), dropped, *seeded):
+        d = c.to_json_dict()
+        assert isinstance(d["edges"], IndexPairs)
+        back = complex_from_json_dict(d)
+        assert_same_complex(back, c)
+        assert back.to_json_dict() == d
+        assert json.loads(json_text(d)) == d
+
+
+def test_writing_a_complex_makes_no_edge_row(tmp_path, monkeypatch):
+    def refuse(self, k):
+        raise AssertionError("an edge row was made")
+
+    for c in (grid_complex(), complex_from_json_dict(square_file(
+            ["00", "10", "11", "01"], [[0, 1], [1, 2], [2, 3]]))):
+        expected = json.dumps(c.to_json_dict(), indent=2, sort_keys=True,
+                              default=list)
+        with monkeypatch.context() as m:
+            m.setattr(IndexPairs, "__getitem__", refuse)
+            assert json_text(c.to_json_dict()) == expected
+            save_complex(c, tmp_path / "c.json")
+        assert (tmp_path / "c.json").read_text() == expected + "\n"
 
 
 def test_complex_files_round_trip_byte_for_byte(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubecrys.exactlin import (
+    IndexPairs,
     RatMatrix,
     RatVector,
     ShapeError,
@@ -212,6 +213,82 @@ def test_json_text_rejects_what_json_rejects():
             json.dumps(bad, indent=2, sort_keys=True)
         with pytest.raises(TypeError):
             json_text(bad)
+
+
+# IndexPairs: (count, sorted keys u * count + v), the empty set included.
+_PAIR_KEYS = st.integers(min_value=1, max_value=50).flatmap(
+    lambda count: st.tuples(st.just(count), st.sets(
+        st.integers(min_value=0, max_value=count * count - 1),
+        max_size=40).map(sorted)))
+# Up to three levels of nesting: the rows under a key of a dict with
+# other keys, or at a place in a list of other items.
+_NESTINGS = st.lists(st.one_of(
+    st.tuples(st.just("dict"), _TEXT,
+              st.dictionaries(_TEXT, _SCALARS, max_size=2)),
+    st.tuples(st.just("list"), st.integers(min_value=0, max_value=2),
+              st.lists(_SCALARS, max_size=2))), max_size=3)
+
+
+def _nest(value, nestings):
+    for kind, where, others in nestings:
+        if kind == "dict":
+            value = {**others, where: value}
+        else:
+            value = others[:where] + [value] + others[where:]
+    return value
+
+
+def _rows(count, keys):
+    return [[k // count, k % count] for k in keys]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAIR_KEYS, _NESTINGS)
+def test_json_text_renders_index_pairs_as_their_rows(pair_keys, nestings):
+    count, keys = pair_keys
+    tree = _nest(IndexPairs(keys, count), nestings)
+    expected = json.dumps(_nest(_rows(count, keys), nestings), indent=2,
+                          sort_keys=True)
+    assert json_text(tree) == expected
+    assert json.dumps(tree, indent=2, sort_keys=True, default=list) \
+        == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PAIR_KEYS, st.slices(45))
+def test_index_pairs_read_as_their_rows(pair_keys, cut):
+    count, keys = pair_keys
+    rows = _rows(count, keys)
+    pairs = IndexPairs(keys, count)
+    assert pairs == rows and rows == pairs
+    assert not (pairs != rows or rows != pairs)
+    assert pairs == IndexPairs(list(keys), count)
+    assert len(pairs) == len(rows) and list(pairs) == rows
+    for i in range(-len(rows), len(rows)):
+        assert pairs[i] == rows[i]
+    for i in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError):
+            pairs[i]
+    assert pairs[cut] == rows[cut] and type(pairs[cut]) is list
+    assert pairs != rows + [[0, 0]] and rows + [[0, 0]] != pairs
+    assert pairs != tuple(rows)
+    if rows:
+        assert pairs != rows[:-1]
+        assert pairs != [list(r) for r in rows[:-1]] + [[count, 0]]
+        assert pairs != [tuple(r) for r in rows]
+
+
+def test_json_text_of_index_pairs_makes_no_row(monkeypatch):
+    def refuse(self, k):
+        raise AssertionError("a row was made")
+
+    tree = {"edges": IndexPairs([1, 5, 6], 3), "empty": [IndexPairs([], 0)],
+            "nested": [[IndexPairs([2], 2)], [1]]}
+    expected = json.dumps({"edges": [[0, 1], [1, 2], [2, 0]], "empty": [[]],
+                           "nested": [[[[1, 0]]], [1]]},
+                          indent=2, sort_keys=True)
+    monkeypatch.setattr(IndexPairs, "__getitem__", refuse)
+    assert json_text(tree) == expected
 
 
 def test_average_intertwiner_single_element():
