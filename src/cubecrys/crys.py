@@ -121,12 +121,11 @@ class CrystGroup:
         self._elements = None
         self._table = None
         self._real_int = None
-        self._real = None
         self._frozen = True
 
     def __setattr__(self, name, value):
         if getattr(self, "_frozen", False) and name not in (
-                "_elements", "_table", "_real_int", "_real"):
+                "_elements", "_table", "_real_int"):
             raise AttributeError("CrystGroup is immutable")
         object.__setattr__(self, name, value)
 
@@ -285,27 +284,31 @@ def _check_translations(g: CrystGroup, table: PointTable) -> None:
 
 
 def integer_real_forms(g: CrystGroup) -> tuple:
-    """(d, forms): forms[k] = d * theta_bar(p_k) = (eL) M_p (f L^-1) as
-    int rows, d = e * f, in point_elements order.
-
-    Computed once per group and cached on it.
+    """(d, forms): forms[k] = d * theta_bar(p_k) as int rows, in
+    point_elements order, for the least d >= 1 making every form
+    integral: (eL) M_p (f L^-1) and e * f over the gcd of all their
+    entries (forms[0] = d * I).  So the pair and the rational real forms
+    determine each other.  Computed once per group and cached on it.
     """
     if g._real_int is None:
         e, lattice = integral(g.lattice_basis)
         f, lattice_inv = integral(inverse(g.lattice_basis))
-        g._real_int = (e * f, tuple(int_mul(int_mul(lattice, m), lattice_inv)
-                                    for m in g.point_table().elements))
+        forms = tuple(int_mul(int_mul(lattice, m), lattice_inv)
+                      for m in g.point_table().elements)
+        h = math.gcd(e * f, *(x for m in forms for row in m for x in row))
+        if h > 1:
+            forms = tuple(tuple(tuple(x // h for x in row) for row in m)
+                          for m in forms)
+        g._real_int = (e * f // h, forms)
     return g._real_int
 
 
 def point_group_real(g: CrystGroup) -> tuple:
     """The real forms theta_bar(p) = L M_p L^-1 as RatMatrix, in
-    point_elements order: a cached view of integer_real_forms."""
-    if g._real is None:
-        d, forms = integer_real_forms(g)
-        g._real = tuple(RatMatrix([[Fraction(x, d) for x in row]
-                                   for row in m]) for m in forms)
-    return g._real
+    point_elements order: an uncached view of integer_real_forms."""
+    d, forms = integer_real_forms(g)
+    return tuple(RatMatrix([[Fraction(x, d) for x in row] for row in m])
+                 for m in forms)
 
 
 def semidirect_extend(g: CrystGroup, m: int, action, name=None) -> CrystGroup:

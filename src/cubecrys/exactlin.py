@@ -386,7 +386,6 @@ def matrix_from_json(data) -> RatMatrix:
 _LEAF_ENCODERS = {}
 # Exact types only: a subclass of a scalar type takes the slow path.
 _SCALAR_TYPES = {str, int, float, bool, type(None)}
-_ROW_TYPES = {list, tuple}
 
 
 def _leaf_encode(pad: str):
@@ -435,10 +434,9 @@ def json_text(obj) -> str:
     """Exactly json.dumps(obj, indent=2, sort_keys=True), only faster.
 
     An `indent` makes `json` fall back to its pure-Python encoder.  Here
-    dicts and lists are walked in Python, but a list of scalars, or a
-    list of rows of numbers (a matrix, an edge list), goes to the C
-    encoder in one call, with the newline and indent carried in its
-    item separator.  An IndexPairs is one join over its keys.
+    dicts and lists are walked in Python, but a list of scalars goes to
+    the C encoder in one call, with the newline and indent carried in
+    its item separator.  An IndexPairs is one join over its keys.
     """
     out = []
     _emit(obj, "\n", out.append)
@@ -469,44 +467,15 @@ def _emit(obj, pad: str, put) -> None:
         put(_leaf_encode("")(obj))
     elif not obj:
         put("[]")
+    elif set(map(type, obj)) <= _SCALAR_TYPES:
+        put("[" + inner + _leaf_encode(inner)(obj)[1:-1] + pad + "]")
     else:
-        kinds = set(map(type, obj))
-        if kinds <= _SCALAR_TYPES:
-            put("[" + inner + _leaf_encode(inner)(obj)[1:-1] + pad + "]")
-        elif not (kinds <= _ROW_TYPES and _emit_rows(obj, pad, put)):
-            sep = "[" + inner
-            for value in obj:
-                put(sep)
-                _emit(value, inner, put)
-                sep = "," + inner
-            put(pad + "]")
-
-
-def _emit_rows(rows, pad: str, put) -> bool:
-    """Emit a list of non-empty rows of numbers in one C call, if it is one.
-
-    rows is a list of lists and tuples.  They are encoded with their
-    items' indent in the item separator, so only the breaks between
-    rows need rewriting.  That rewrite is exact when the text holds no
-    string and no object, and every `[` opens the whole list or a
-    non-empty row; otherwise, or if the C encoder refuses an item (an
-    IndexPairs, which _emit renders, or one that _emit refuses too),
-    emit nothing.
-    """
-    row_pad = pad + "  "
-    item_pad = row_pad + "  "
-    try:
-        text = _leaf_encode(item_pad)(rows)
-    except TypeError:
-        return False
-    if ('"' in text or "{" in text or "[]" in text
-            or text.count("[") != len(rows) + 1):
-        return False
-    put("[" + row_pad + "[" + item_pad
-        + text[2:-2].replace("]," + item_pad + "[",
-                             row_pad + "]," + row_pad + "[" + item_pad)
-        + row_pad + "]" + pad + "]")
-    return True
+        sep = "[" + inner
+        for value in obj:
+            put(sep)
+            _emit(value, inner, put)
+            sep = "," + inner
+        put(pad + "]")
 
 
 def _emit_pairs(pairs: IndexPairs, pad: str, put) -> None:

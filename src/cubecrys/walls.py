@@ -10,7 +10,11 @@ controls which cube complex the group acts on.
 Directions are handled projectively and exactly: a direction class is
 the canonical primitive integer vector spanning the line (coprime
 coordinates, first nonzero entry positive), so no unit-sphere
-normalization and no irrational norm ever appears.
+normalization and no irrational norm ever appears.  The point group
+acts through the integer real forms d * theta_bar(p) of
+crys.integer_real_forms, the ones the decider reads: the scale d never
+changes a line, and the dual coordinates are int rows over one
+denominator.
 """
 
 from __future__ import annotations
@@ -18,13 +22,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from cubecrys.crys import CrystGroup, point_group_real, validate
+from cubecrys.crys import CrystGroup, integer_real_forms, validate
 from cubecrys.exactlin import (
     RatMatrix,
     RatVector,
+    ShapeError,
     SingularMatrixError,
     format_rational,
+    integral,
     inverse,
     vector_to_json,
 )
@@ -43,24 +50,32 @@ class InternalError(RuntimeError):
     """A structural impossibility occurred; indicates a bug."""
 
 
-def canonicalize_direction(v: RatVector) -> RatVector:
-    """Primitive integer representative of the line through v.
+def _integral(v) -> tuple:
+    """(c, ints): the least c >= 1 with c * v integral, and c * v as a
+    list of ints, for a sequence v of ints or Fractions."""
+    c = math.lcm(*(e.denominator for e in v))
+    return c, [e.numerator * (c // e.denominator) for e in v]
+
+
+def _primitive(v) -> tuple:
+    """The primitive int tuple spanning the line through v, a sequence
+    of ints or Fractions.
 
     Clears denominators, divides by the gcd, and flips sign so the
     first nonzero coordinate is positive.
     """
-    if v.is_zero():
-        raise ValueError("the zero vector spans no direction")
-    lcm = math.lcm(*(e.denominator for e in v))
-    ints = [int(e * lcm) for e in v]
+    ints = _integral(v)[1]
     g = math.gcd(*ints)
-    ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return RatVector(ints)
+    if g == 0:
+        raise ValueError("the zero vector spans no direction")
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
+
+
+def canonicalize_direction(v: RatVector) -> RatVector:
+    """Primitive integer representative of the line through v."""
+    return RatVector(_primitive(v))
 
 
 class GeometricWall:
@@ -121,18 +136,24 @@ class WallFamily:
     """Base walls of a basis plus the point-group direction classes."""
 
     basis: tuple
-    dual_matrix: RatMatrix
+    # (e, rows): the inverse basis matrix as e times it in int rows.
+    dual_matrix: tuple
     base_walls: tuple
     classes: tuple
     class_count: int
-    # The point-group real forms the family was built for and, in the
-    # same order, the signed permutation each induces on the classes.
-    real_forms: tuple
+    # The integer real forms (d, forms) the family was built for and, in
+    # the same order, the signed permutation each induces on the classes.
+    forms: tuple
     action: tuple
 
     def dual_coordinates(self, point: RatVector) -> RatVector:
         """Coordinates of a point in the chosen basis."""
-        return self.dual_matrix * point
+        e, rows = self.dual_matrix
+        if len(point) != len(rows):
+            raise ShapeError("matrix-vector size mismatch")
+        c, ints = _integral(point)
+        return RatVector(Fraction(sum(map(mul, row, ints)), e * c)
+                         for row in rows)
 
     def to_json_dict(self) -> dict:
         return {
@@ -155,8 +176,8 @@ def _basis_and_inverse(g: CrystGroup, basis):
         raise RankError("the supplied vectors are linearly dependent") from None
 
 
-def _base_walls(b_inv: RatMatrix) -> list:
-    return [GeometricWall(b_inv.row(i), 0) for i in range(b_inv.rows)]
+def _base_walls(rows) -> list:
+    return [GeometricWall(row, 0) for row in rows]
 
 
 def standard_walls(g: CrystGroup, basis) -> list:
@@ -166,7 +187,7 @@ def standard_walls(g: CrystGroup, basis) -> list:
     dual covector of basis vector i, i.e. row i of the inverse basis
     matrix.
     """
-    return _base_walls(_basis_and_inverse(g, basis)[1])
+    return _base_walls(_basis_and_inverse(g, basis)[1].entries)
 
 
 def direction_class_count(g: CrystGroup, basis) -> WallFamily:
@@ -179,15 +200,16 @@ def direction_class_count(g: CrystGroup, basis) -> WallFamily:
     The breadth-first search also records the induced action: element
     t sends class k to the class of t * rep_k, with the sign of the
     first nonzero entry of t * rep_k (representatives have a positive
-    one).
+    one).  It runs on the integer forms d * t, which have the same
+    lines and signs.
     """
     basis, b_inv = _basis_and_inverse(g, basis)
-    theta = point_group_real(g)
+    _, forms = integer_real_forms(g)
     index = {}
     classes = []
 
     def class_of(v):
-        rep = canonicalize_direction(v)
+        rep = _primitive(v)
         if rep not in index:
             index[rep] = len(classes)
             classes.append(rep)
@@ -195,14 +217,14 @@ def direction_class_count(g: CrystGroup, basis) -> WallFamily:
 
     for v in basis:
         class_of(v)
-    perms = [[] for _ in theta]
-    signs = [[] for _ in theta]
+    perms = [[] for _ in forms]
+    signs = [[] for _ in forms]
     k = 0
     while k < len(classes):
         rep = classes[k]
         k += 1
-        for perm, sign, t in zip(perms, signs, theta):
-            image = t * rep
+        for perm, sign, form in zip(perms, signs, forms):
+            image = [sum(map(mul, row, rep)) for row in form]
             perm.append(class_of(image) + 1)
             sign.append(1 if next(e for e in image if e != 0) > 0 else -1)
     n = g.dimension
@@ -211,13 +233,14 @@ def direction_class_count(g: CrystGroup, basis) -> WallFamily:
         raise InternalError(
             "class count %d escaped the bound %d <= N <= %d"
             % (count, n, n * g.point_group_order()))
+    dual_matrix = integral(b_inv)
     return WallFamily(
         basis=tuple(basis),
-        dual_matrix=b_inv,
-        base_walls=tuple(_base_walls(b_inv)),
-        classes=tuple(classes),
+        dual_matrix=dual_matrix,
+        base_walls=tuple(_base_walls(dual_matrix[1])),
+        classes=tuple(RatVector(c) for c in classes),
         class_count=count,
-        real_forms=theta,
+        forms=integer_real_forms(g),
         action=tuple(SignedPermutation(p, s) for p, s in zip(perms, signs)),
     )
 
@@ -318,7 +341,7 @@ def induced_action_on_RN(g: CrystGroup, fam: WallFamily) -> dict:
     into the signed permutations on N letters, recorded by
     direction_class_count and keyed here by point element.
     """
-    if point_group_real(g) != fam.real_forms:
+    if integer_real_forms(g) != fam.forms:
         raise InternalError("the wall family was built for another group")
     return dict(zip(g.point_elements(), fam.action))
 

@@ -366,6 +366,134 @@ def test_dual_reports_on_seeded_wallspaces_are_pinned(capsys, tmp_path):
     assert digest.hexdigest() == SEEDED_DUAL_PIN
 
 
+# sha256 of `cubulate --seed 0` stdout in --json and in text mode, per
+# catalog group: on the lattice basis for all 20, with
+# --use-witness-basis for the 13 accepted ones.  Recorded while the
+# wall family still ran on RatMatrix real forms; every byte must stay
+# the same.
+CUBULATE_LATTICE_PINS = {
+    "p1": (
+        "6f1641e8183377c5cb9c2c2c5fc1b630aa49b349586c18159666a3bfd9f3898a",
+        "565d08c459c86c8e5d683c3ccef35d632cfe561f0fe44de0c12dcc82a8d5bb23"),
+    "p2": (
+        "03132c52ec5d63398885053f4181b2dce9343420af6cdbc62bc1ff0ddab49103",
+        "61b1a0a11e5ceaa0d85a79d91ed012b7d7ba194ef7e3e41b1057f851b061df9a"),
+    "pm": (
+        "0083f8afd4ffe46ae9cc9e8cf879f419ac9c065db626925b8225d86d2b919d86",
+        "1f684b010f1e181547bdc57d0b99ae2177fcd0919f0f19951ce169ebac0c2f21"),
+    "pg": (
+        "ccde467ed5085d0cd06dd25291c6ec3cd3e0c3bacc6822670324f72765326fcb",
+        "51bda7fe3c4de535673875accd70d961c2fff6864fbabd3efb1b1f9498379281"),
+    "cm": (
+        "e09c6187d170a6cb39bbbef7c2891a1a49f6d154170e4ac30d08ee2523ed0bdb",
+        "404ca4e9ea987b1668f4dc2037de2e553ab4606c78386bc117a1aee2234d98a6"),
+    "pmm": (
+        "825f1cbe435af409428dace6e748632689d3f72cbe87cf10deec24a1c6a4ee4e",
+        "082eeba760cfd03ea7fe7f5eec365972ff0654e8e767fa0e9577636975500cba"),
+    "pmg": (
+        "6f909e85b5fee891eea07bd58b736e16b10ebe464a6d4ff612cd8ccc0a6ee7e6",
+        "48124144f33384820c6125117c8a2951a4cb5fc1b1be162ff254762c92c55b26"),
+    "pgg": (
+        "53cbbc1ff69ac8312238a0b1cb5f056dd5181f848b747578f22be52e5c9b5b1c",
+        "1c06fc789de8c52fbe7aa72c79e53ab4fc82553e23a161430eec8336ebc1b3c8"),
+    "cmm": (
+        "65e8ea155d97e90fb28e16e7f89f4d6e9808318222aae93bb2d5b7e8fc31e1c6",
+        "77187d8336c956d9601ab48d49bc19bf55419cc87272f8d2560d08efba6342f5"),
+    "p4": (
+        "3e0bae07a93de05a34cdb802bdb17152ba76d8b5cc4bd3cbd110ce1bae5fe085",
+        "40b41fbdc9c952ad4957da0f7c3e2fdf4a194e5b0bf1142076803bcb93cc699f"),
+    "p4m": (
+        "482338309151de63d07191d2648a2808e5b6d378e20e0b9d9cfd46a08f2dd928",
+        "48c1d3f4739bee9db33b2f5a17cc05b14a15d9a668dce7dbe85f7968f284dc04"),
+    "p4g": (
+        "f6a76775a4193429a17dbdb370788823c49d3bf44805f649175dfcdd3ebf2a6b",
+        "17977cd8fd6caf8b655c90aadb6961fec77afb342d4718225c1ce0b7350e823f"),
+    "p3": (
+        "baa8ff2278ec0cd5c8c291f5b896f0f78bf62a44be33818e053cb3f923d0e453",
+        "10a61128d434ed811e582a10dad02643a94c135113dd025a295e75283890564c"),
+    "p3m1": (
+        "a2de68fc5a15f556d563662b457e0af7b3868fce53ea9b0cf91c54b3e0d2d71d",
+        "c1bc08eb612f0a0e5ac6bc0e0a00f26a7c242bf9c522734d1d96d3bf7600913f"),
+    "p31m": (
+        "f554da1b16c1276b6762c1c47e31fd8975532e98b2e8e00db6037c3ff1719fe0",
+        "f1e49825032fbfb162105f8d8558fd6cfaa15199b9f2d11012f91ce5306888e0"),
+    "p6": (
+        "e9e7a77ed17c143040d436682d46346237d98e6f6b70a1dae056c602ecd2438c",
+        "987d908656fbb5af8c27e00debed87e11ddba3dd3abbc912b0ab9604a9a25a1a"),
+    "p6m": (
+        "94b22694f41651f40edcb0e72eb2baa98dc3dd7188b45bf7938cdec1d24bc95c",
+        "9250dd7145b5ac83a805b7b271770d80e3a0fb6580b9954528ad64d3ccec59a6"),
+    "W": (
+        "28b4ac92885db1494975e37734db12592ab1ade5c2f39d7a457deb9892ec453c",
+        "efc0a2918056d91b7e89c2c984bf8844a6607c216be913acbee162f10ae7ee6c"),
+    "ZxW": (
+        "904de690229879f32c87da7b193fc37df68545c17346f3113db5b08af3ab22a9",
+        "b85612d9c14a1452875f63a11e17103481893b7f1a307e7bca702caf74f7970a"),
+    "Z:W": (
+        "1f92df935c0f323f6edfac80b8a934774adf371487617fe71534f963f31df984",
+        "0caecb9a8a829a6d6edc808131910f012d3e28d822b3be8c98c1c2d22098bc71"),
+}
+
+CUBULATE_WITNESS_PINS = {
+    "p1": (
+        "1064f781e0534508f13f5295b47dc194f6f006a870bba2ffdf76928245ee4bb3",
+        "c45189d6bed1bdbc257f141291d051c532d81f956354ae7683d9b2c27040f28d"),
+    "p2": (
+        "e653bfd1237d3f2f44b0c191cbc4f1ac22b06fa5ecdd09e914b86661df817d64",
+        "0e818c831cb725f4f0c889dd89259ab2a267525d7c118cea23f2883c7f88a209"),
+    "pm": (
+        "0b9684c4c27f74566648b84ae5a81b9ef0117ff9b138ab36b83eb428c0f96ff2",
+        "256cedb6e20e423f6a128ae5c5092af805d1c13d2ded7f1f9100c6a4a2acfc41"),
+    "pg": (
+        "313e03860a08d79e97ca11cff8bcd5f8ae145695156c1fc2071503439b5295c3",
+        "e1792a328748c4b46a1d95ee540f8e0455265a3c145892897e392db4c070176c"),
+    "cm": (
+        "709cf7a80d750c463a2b5f960fce252ddf3127d861a1a7356da400494aba2a1c",
+        "374b08b9f6e8738e1f182b2170d1b86e3b0c133a15886472b569a5eddea13fa6"),
+    "pmm": (
+        "518b96d1421173369bd26150a57182b9b1f4b07d7c14142971ccb23f89996256",
+        "f88d14eb11b0a91a2c6b1c2b3add50754e6095f8ecb3b670b6446ead8c64dd00"),
+    "pmg": (
+        "b7e112b248e9e157e1582abb7bf41222e9551aaf870fdb383d28af434e161675",
+        "dc21ee7fa2e3d8812a950b144af4de62f93833e1a6b9e8a80383cdf3b2be74bb"),
+    "pgg": (
+        "a4c53ab2c20cd8d0efdc0f0e1e05246f9fb75ad2b1dc68c78e087699ae676f93",
+        "353d4bb26a72f750983fce6b19f26dadecf90a7f7493a30ed77144ba284cc918"),
+    "cmm": (
+        "332f7ec0206257ac704353566fe8251aad05b9c35c95ca418e6915bbf736ec1d",
+        "30813f64e1f4adfa1afb3fa719b2e4bb02b120eb90c982ba424c2031a46ad31d"),
+    "p4": (
+        "1e313d56d6a3ee2fbe3ad51fe3244d5e5bb3183eff0e3f545ca612e903a09895",
+        "d6536447597ffc46a93c52fba04b4f7694e8e523a2a2d0e62c6b4f2edeceb222"),
+    "p4m": (
+        "a61c09403d645caa4d5799b2d4d14aa21653f6c1c3d1c0c1db40613354254401",
+        "47e00d8a68abb102f274437e1d0e524e5618081fb8c7c531f945c12662cd692b"),
+    "p4g": (
+        "e9f30c44a44c6dbfd7198e5700c9ea97c44d8d4a19823bb0fd725a569b8d1c39",
+        "e1183ea545f7e5b0b3a28b348c7d1f1eed77ff4fb14dd571cc3fe392ed8e2602"),
+    "Z:W": (
+        "f56efd3c84ab0ac07ae0df29357d76ce211ef898763fec8a0e97e8ff1cd08bad",
+        "0f166e95a021b37667601e4f6c36232791c2f7a7393e029889915abc2aa55585"),
+}
+
+
+@pytest.mark.parametrize("basis, name", [
+    (basis, name) for basis, pins in (("lattice", CUBULATE_LATTICE_PINS),
+                                      ("witness", CUBULATE_WITNESS_PINS))
+    for name in pins])
+def test_cubulate_report_bytes_are_pinned(basis, name, capsys, tmp_path):
+    path = group_file(tmp_path, name)
+    extra = ["--use-witness-basis"] if basis == "witness" else []
+    digests = []
+    for mode in (["--json"], []):
+        code, out, err = run(capsys, "cubulate", path, "--seed", "0",
+                             *mode, *extra)
+        assert code == 0, err
+        digests.append(hashlib.sha256(out.encode("utf-8")).hexdigest())
+    pins = CUBULATE_WITNESS_PINS if extra else CUBULATE_LATTICE_PINS
+    assert tuple(digests) == pins[name]
+
+
 def test_dual_out_round_trip(capsys, tmp_path):
     out_path = tmp_path / "complex.json"
     report = run_json(capsys, "dual", walls_file(tmp_path),

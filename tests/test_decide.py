@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -492,6 +493,9 @@ def ratmatrix_real_forms(g):
     ids=lambda g: g.name)
 def test_integer_real_forms_match_the_ratmatrix_products(g):
     d, forms = integer_real_forms(g)
+    # d is the least scale: forms[0] = d * I, so no common factor is left.
+    assert math.gcd(d, *(x for form in forms for row in form
+                         for x in row)) == 1
     expected = ratmatrix_real_forms(g)
     assert len(forms) == len(expected)
     for form, real in zip(forms, expected):

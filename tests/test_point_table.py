@@ -1,17 +1,20 @@
-"""The integer point table and the recorded wall-class action against
-the RatMatrix code they replaced.
+"""The integer point table and the wall family against the RatMatrix
+code they replaced.
 
 The oracles below are the earlier implementations, kept verbatim in
 spirit: a breadth-first closure over RatMatrix with one generator word
 per element, the RatMatrix order loop, the words-based extension of
-generator images, and the per-element loop that computed the action on
-the wall direction classes.  The point table, the table-driven
-extension and the action recorded by direction_class_count must agree
-with them on every group the tests build.
+generator images, the per-element loop that computed the action on the
+wall direction classes, the class walk over RatMatrix real forms, and
+dual coordinates as one RatMatrix product.  The point table, the
+table-driven extension and the wall family built on integer real forms
+must agree with them on every group the tests build.
 """
 
 import itertools
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -36,13 +39,15 @@ from cubecrys.decide import (
     hyperoctahedral_basis,
     is_hyperoctahedral,
 )
-from cubecrys.exactlin import RatMatrix, RatVector, det, inverse
+from cubecrys.exactlin import RatMatrix, RatVector, ShapeError, det, inverse
 from cubecrys.sgnperm import SignedPermutation, enumerate_group, to_matrix
 from cubecrys.walls import (
     InternalError,
     canonicalize_direction,
+    check_linear_separation,
     direction_class_count,
     induced_action_on_RN,
+    separation_count,
     stabilize,
 )
 
@@ -140,6 +145,36 @@ def loop_induced_action(g, fam):
             signs[k] = 1 if scale > 0 else -1
         action[p] = SignedPermutation(perm, signs)
     return action
+
+
+def ratmatrix_direction_classes(g, basis):
+    """(classes, class_count, action) of the breadth-first class walk
+    over the RatMatrix real forms, one product t * rep per element and
+    class."""
+    theta = point_group_real(g)
+    index, classes = {}, []
+
+    def class_of(v):
+        rep = canonicalize_direction(v)
+        if rep not in index:
+            index[rep] = len(classes)
+            classes.append(rep)
+        return index[rep]
+
+    for v in basis:
+        class_of(RatVector(v))
+    perms = [[] for _ in theta]
+    signs = [[] for _ in theta]
+    k = 0
+    while k < len(classes):
+        rep = classes[k]
+        k += 1
+        for perm, sign, t in zip(perms, signs, theta):
+            image = t * rep
+            perm.append(class_of(image) + 1)
+            sign.append(1 if next(e for e in image if e != 0) > 0 else -1)
+    return (tuple(classes), len(classes),
+            tuple(SignedPermutation(p, s) for p, s in zip(perms, signs)))
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +324,58 @@ def test_translation_parts_must_close_over_the_lattice(tmp_path, capsys):
         validate(g)
 
 
-def _families(g):
-    """The lattice-basis wall family of g and, if g is accepted, the
-    witness-basis one."""
-    families = [direction_class_count(g, g.lattice_basis.columns())]
+def _bases(g):
+    """The lattice basis of g and, if g is accepted, the witness basis."""
+    bases = [g.lattice_basis.columns()]
     if g.dimension <= DIMENSION_CAP:
         witness = is_hyperoctahedral(g)
         if isinstance(witness, HyperoctahedralWitness):
-            families.append(direction_class_count(
-                g, hyperoctahedral_basis(g, witness)))
-    return families
+            bases.append(hyperoctahedral_basis(g, witness))
+    return bases
+
+
+def _families(g):
+    return [direction_class_count(g, basis) for basis in _bases(g)]
+
+
+@pytest.mark.parametrize("g", GROUPS + [wf4()], ids=lambda g: g.name)
+def test_class_walk_matches_the_ratmatrix_oracle(g):
+    for basis in _bases(g):
+        fam = direction_class_count(g, basis)
+        assert (fam.classes, fam.class_count, fam.action) == \
+            ratmatrix_direction_classes(g, basis)
+
+
+def _seeded_point(rng, n):
+    """Mixed denominators, negative entries and zeros."""
+    return RatVector([rng.choice((0, Fraction(rng.randrange(-40, 41),
+                                              rng.randrange(1, 13))))
+                      for _ in range(n)])
+
+
+@pytest.mark.parametrize("g", GROUPS, ids=lambda g: g.name)
+def test_dual_coordinates_match_the_ratmatrix_product(g):
+    rng = random.Random(g.name)
+    for basis in _bases(g):
+        fam = direction_class_count(g, basis)
+        b_inv = inverse(RatMatrix.from_columns(fam.basis))
+        points = [RatVector([0] * g.dimension)] + [
+            _seeded_point(rng, g.dimension) for _ in range(20)]
+        for point in points:
+            assert fam.dual_coordinates(point) == b_inv * point
+
+
+def test_a_point_of_the_wrong_length_is_refused():
+    p4 = group("p4", I2, [[[0, -1], [1, 0]]])
+    fam = direction_class_count(p4, p4.lattice_basis.columns())
+    short, point, long = (RatVector([Fraction(1, 2)] * k) for k in (1, 2, 3))
+    for bad in (short, long):
+        with pytest.raises(ShapeError):
+            separation_count(point, bad, fam)
+        with pytest.raises(ShapeError):
+            separation_count(bad, point, fam)
+        with pytest.raises(ShapeError):
+            check_linear_separation(p4, fam, [(point, bad)])
 
 
 @pytest.mark.parametrize("g", GROUPS, ids=lambda g: g.name)
@@ -316,9 +393,14 @@ def test_recorded_action_matches_the_loop_oracle(g):
 def test_recorded_action_refuses_a_family_of_another_group():
     p4 = group("p4", I2, [[[0, -1], [1, 0]]])
     fam = direction_class_count(p4, p4.lattice_basis.columns())
-    # The same group built again has the same real forms.
-    again = group("p4", I2, [[[0, -1], [1, 0]]])
-    assert induced_action_on_RN(again, fam) == induced_action_on_RN(p4, fam)
+    # The same group built again, or on a scaled lattice basis, has the
+    # same real forms.
+    for basis in (I2, [[2, 0], [0, 2]], [["2/3", 0], [0, "2/3"]]):
+        again = group("p4", basis, [[[0, -1], [1, 0]]])
+        assert induced_action_on_RN(again, fam) == \
+            induced_action_on_RN(p4, fam)
+        assert stabilize(again, fam).point_generators == \
+            stabilize(p4, fam).point_generators
     for other in (group("p2", I2, [[[-1, 0], [0, -1]]]),
                   group("p4-skew", [[2, 1], [1, 1]], [[[0, -1], [1, 0]]])):
         with pytest.raises(InternalError):

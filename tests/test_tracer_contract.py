@@ -78,5 +78,8 @@ def test_every_target_resolves_counts_and_is_restored(tmp_path, capsys):
                    for original in originals), name
     for name in ("crys.closure.elements", "walls.classes", "dual.zero_cubes"):
         assert tracer.counters.get(name, 0) > 0, name
+    # Every run above, cubulate included, works on integer real forms.
+    for name in ("crys.point_group_real", "exactlin.matmul"):
+        assert tracer.calls.get(name, 0) == 0, name
     for owner, attr, original in patches:
         assert current(owner, attr) is original, (owner, attr)
