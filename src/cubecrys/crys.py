@@ -291,8 +291,8 @@ def integer_real_forms(g: CrystGroup) -> tuple:
     determine each other.  Computed once per group and cached on it.
     """
     if g._real_int is None:
-        e, lattice = integral(g.lattice_basis)
-        f, lattice_inv = integral(inverse(g.lattice_basis))
+        e, lattice = integral(g.lattice_basis.entries)
+        f, lattice_inv = integral(inverse(g.lattice_basis).entries)
         forms = tuple(int_mul(int_mul(lattice, m), lattice_inv)
                       for m in g.point_table().elements)
         h = math.gcd(e * f, *(x for m in forms for row in m for x in row))

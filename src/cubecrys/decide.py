@@ -87,7 +87,7 @@ class HyperoctahedralWitness:
         as int rows for the k-th point element p, with cA integral; over
         d c it is theta_bar(p) A - A iota(p)."""
         d, forms = integer_real_forms(g)
-        c, ca = integral(self.conjugator)
+        c, ca = integral(self.conjugator.entries)
         dca = [[d * x for x in row] for row in ca]
         return d * c, [
             tuple(tuple(x - y for x, y in zip(left, right)) for left, right
@@ -113,7 +113,7 @@ class HyperoctahedralWitness:
             _, scale, defects = self.verified
         else:
             scale, defects = self._defects(g)
-        h, a_inv = integral(inverse(self.conjugator))
+        h, a_inv = integral(inverse(self.conjugator).entries)
         elements = []
         for p, defect in zip(g.point_elements(), defects):
             elements.append({

@@ -92,35 +92,6 @@ class RatVector:
     def __repr__(self):
         return "RatVector([%s])" % ", ".join(format_rational(e) for e in self.entries)
 
-    def __add__(self, other: "RatVector") -> "RatVector":
-        if len(self) != len(other):
-            raise ShapeError("vector lengths differ: %d vs %d" % (len(self), len(other)))
-        return RatVector(a + b for a, b in zip(self, other))
-
-    def __sub__(self, other: "RatVector") -> "RatVector":
-        if len(self) != len(other):
-            raise ShapeError("vector lengths differ: %d vs %d" % (len(self), len(other)))
-        return RatVector(a - b for a, b in zip(self, other))
-
-    def __rmul__(self, c: Scalar) -> "RatVector":
-        c = rat(c)
-        return RatVector(c * e for e in self.entries)
-
-    def __neg__(self):
-        return RatVector(-e for e in self.entries)
-
-    def dot(self, other: "RatVector") -> Fraction:
-        if len(self) != len(other):
-            raise ShapeError("vector lengths differ: %d vs %d" % (len(self), len(other)))
-        return sum((a * b for a, b in zip(self, other)), Fraction(0))
-
-    def norm_sq(self) -> Fraction:
-        """Squared Euclidean norm (always rational)."""
-        return self.dot(self)
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
-
 
 class RatMatrix:
     """An immutable rows x cols matrix of Fractions."""
@@ -154,12 +125,6 @@ class RatMatrix:
         return RatMatrix([[0] * cols for _ in range(rows)])
 
     @staticmethod
-    def diagonal(diag: Iterable[Scalar]) -> "RatMatrix":
-        d = [rat(x) for x in diag]
-        n = len(d)
-        return RatMatrix([[d[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @staticmethod
     def from_columns(cols: Sequence[RatVector]) -> "RatMatrix":
         if not cols:
             raise ShapeError("need at least one column")
@@ -187,9 +152,6 @@ class RatMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
-
-    def row(self, i: int) -> RatVector:
-        return RatVector(self.entries[i])
 
     def column(self, j: int) -> RatVector:
         return RatVector(self.entries[i][j] for i in range(self.rows))
@@ -245,17 +207,6 @@ class RatMatrix:
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
         )
 
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ShapeError("matrix shapes differ in subtraction")
-        return RatMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
-        )
-
-    def __rmul__(self, c: Scalar) -> "RatMatrix":
-        c = rat(c)
-        return RatMatrix([[c * e for e in row] for row in self.entries])
-
     def __mul__(self, other):
         if isinstance(other, RatMatrix):
             if self.cols != other.rows:
@@ -277,36 +228,22 @@ class RatMatrix:
             )
         return NotImplemented
 
-    def __pow__(self, k: int) -> "RatMatrix":
-        if not self.is_square():
-            raise ShapeError("power of a non-square matrix")
-        if k < 0:
-            return inverse(self) ** (-k)
-        result = RatMatrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
 
 def det(m: RatMatrix) -> Fraction:
     """Exact determinant by Bareiss fraction-free elimination on the
     integral multiple d * m, so every intermediate division is exact."""
     if not m.is_square():
         raise ShapeError("determinant of a non-square matrix")
-    d, rows = integral(m)
+    d, rows = integral(m.entries)
     return Fraction(int_det(rows), d ** m.rows)
 
 
-def integral(m: RatMatrix):
-    """(d, rows): the least d >= 1 with d * m integral, and d * m as a
-    tuple of int row tuples."""
-    d = math.lcm(*(e.denominator for row in m.entries for e in row))
+def integral(rows):
+    """(d, ints): the least d >= 1 with d * rows integral, and d * rows
+    as a tuple of int row tuples, for rows of ints or Fractions."""
+    d = math.lcm(*(e.denominator for row in rows for e in row))
     return d, tuple(tuple(e.numerator * (d // e.denominator) for e in row)
-                    for row in m.entries)
+                    for row in rows)
 
 
 def int_mul(a, b) -> tuple:

@@ -50,13 +50,6 @@ class InternalError(RuntimeError):
     """A structural impossibility occurred; indicates a bug."""
 
 
-def _integral(v) -> tuple:
-    """(c, ints): the least c >= 1 with c * v integral, and c * v as a
-    list of ints, for a sequence v of ints or Fractions."""
-    c = math.lcm(*(e.denominator for e in v))
-    return c, [e.numerator * (c // e.denominator) for e in v]
-
-
 def _primitive(v) -> tuple:
     """The primitive int tuple spanning the line through v, a sequence
     of ints or Fractions.
@@ -64,7 +57,7 @@ def _primitive(v) -> tuple:
     Clears denominators, divides by the gcd, and flips sign so the
     first nonzero coordinate is positive.
     """
-    ints = _integral(v)[1]
+    ints = integral((v,))[1][0]
     g = math.gcd(*ints)
     if g == 0:
         raise ValueError("the zero vector spans no direction")
@@ -106,7 +99,10 @@ class GeometricWall:
 
     def side(self, point: RatVector) -> int:
         """-1, 0 or +1 according to <normal, point> - offset."""
-        value = self.normal.dot(point) - self.offset
+        if len(point) != len(self.normal):
+            raise ShapeError("vector lengths differ: %d vs %d"
+                             % (len(self.normal), len(point)))
+        value = sum(map(mul, self.normal, point)) - self.offset
         if value < 0:
             return -1
         if value > 0:
@@ -145,15 +141,6 @@ class WallFamily:
     # the same order, the signed permutation each induces on the classes.
     forms: tuple
     action: tuple
-
-    def dual_coordinates(self, point: RatVector) -> RatVector:
-        """Coordinates of a point in the chosen basis."""
-        e, rows = self.dual_matrix
-        if len(point) != len(rows):
-            raise ShapeError("matrix-vector size mismatch")
-        c, ints = _integral(point)
-        return RatVector(Fraction(sum(map(mul, row, ints)), e * c)
-                         for row in rows)
 
     def to_json_dict(self) -> dict:
         return {
@@ -233,7 +220,7 @@ def direction_class_count(g: CrystGroup, basis) -> WallFamily:
         raise InternalError(
             "class count %d escaped the bound %d <= N <= %d"
             % (count, n, n * g.point_group_order()))
-    dual_matrix = integral(b_inv)
+    dual_matrix = integral(b_inv.entries)
     return WallFamily(
         basis=tuple(basis),
         dual_matrix=dual_matrix,
@@ -245,15 +232,29 @@ def direction_class_count(g: CrystGroup, basis) -> WallFamily:
     )
 
 
-def _integers_strictly_between(a: Fraction, b: Fraction) -> int:
-    if a == b:
-        return 0
-    lo, hi = (a, b) if a < b else (b, a)
-    return max(0, math.ceil(hi) - math.floor(lo) - 1)
+def _pair_counts(fam: WallFamily, p, q) -> tuple:
+    """(sep, gap, m, c, dist) for the points p and q.
 
-
-def _separation(nu_p, nu_q) -> int:
-    return sum(_integers_strictly_between(a, b) for a, b in zip(nu_p, nu_q))
+    c is the least common denominator of p and q, and the family's int
+    rows e B^-1 give the dual coordinates of p and q as a_i / m and
+    b_i / m over m = e c.  sep is the number of integers strictly
+    between a_i / m and b_i / m, summed over i; gap is sum |a_i - b_i|
+    and dist is c^2 |p - q|^2.
+    """
+    e, rows = fam.dual_matrix
+    if len(p) != len(rows) or len(q) != len(rows):
+        raise ShapeError("matrix-vector size mismatch")
+    c, (ints_p, ints_q) = integral((p, q))
+    m = e * c
+    sep = gap = 0
+    for row in rows:
+        a = sum(map(mul, row, ints_p))
+        b = sum(map(mul, row, ints_q))
+        lo, hi = (a, b) if a < b else (b, a)
+        sep += max(0, -(-hi // m) - lo // m - 1)
+        gap += hi - lo
+    dist = sum((x - y) ** 2 for x, y in zip(ints_p, ints_q))
+    return sep, gap, m, c, dist
 
 
 def separation_count(p: RatVector, q: RatVector, fam: WallFamily) -> int:
@@ -265,7 +266,7 @@ def separation_count(p: RatVector, q: RatVector, fam: WallFamily) -> int:
     strictly between the coordinates of p and q.  Walls through p or q
     themselves separate nothing (open-halfspace convention).
     """
-    return _separation(fam.dual_coordinates(p), fam.dual_coordinates(q))
+    return _pair_counts(fam, p, q)[0]
 
 
 @dataclass(frozen=True)
@@ -302,30 +303,30 @@ def check_linear_separation(g: CrystGroup, fam: WallFamily, samples) -> LinearSe
     if not samples:
         raise ValueError("need at least one sample pair")
     n = g.dimension
-    max_norm_sq = max(v.norm_sq() for v in fam.basis)
-    worst = Fraction(0)
+    max_norm_sq = max(sum(x * x for x in v) for v in fam.basis)
+    num, den = max_norm_sq.numerator, max_norm_sq.denominator
+    # The worst ratio so far, as an int numerator and denominator.
+    top, bottom = 0, 1
     for r1, r2 in samples:
-        nu1 = fam.dual_coordinates(r1)
-        nu2 = fam.dual_coordinates(r2)
-        sep = _separation(nu1, nu2)
-        lhs = (r1 - r2).norm_sq()
-        rhs = max_norm_sq * (sep + n) ** 2
+        sep, gap, m, c, dist = _pair_counts(fam, r1, r2)
+        # |r1 - r2|^2 = dist / c^2 and max_i |t_i|^2 = num / den.
+        lhs = dist * den
+        rhs = c * c * num * (sep + n) ** 2
         if lhs > rhs:
             raise PropertyViolationError(
                 "separation bound failed for pair (%r, %r): %s > %s"
-                % (r1, r2, lhs, rhs))
-        # nu is linear, so nu(r1 - r2) = nu(r1) - nu(r2).
-        lower = sum(abs(a - b) for a, b in zip(nu1, nu2)) - n
-        if sep < lower:
+                % (r1, r2, Fraction(dist, c * c),
+                   max_norm_sq * (sep + n) ** 2))
+        # nu is linear, so sum_i |nu_i| = gap / m.
+        if sep * m < gap - n * m:
             raise PropertyViolationError(
                 "separation undercount for pair (%r, %r): %d < %s"
-                % (r1, r2, sep, lower))
-        ratio = lhs / rhs
-        if ratio > worst:
-            worst = ratio
+                % (r1, r2, sep, Fraction(gap - n * m, m)))
+        if lhs * bottom > top * rhs:
+            top, bottom = lhs, rhs
     return LinearSeparationReport(
         pairs_checked=len(samples),
-        worst_ratio=worst,
+        worst_ratio=Fraction(top, bottom),
         max_basis_norm_sq=max_norm_sq,
         lower_bound_checked=True,
     )

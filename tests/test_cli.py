@@ -3,11 +3,16 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import cubecrys
 from cubecrys import boundary, cli, dual
 from cubecrys.boundary import parse_product, product_boundary
 from cubecrys.crys import catalog_entry, save_group
@@ -636,6 +641,20 @@ def test_catalog_text_table(capsys):
     lines = out.strip().splitlines()
     assert lines[0].split() == ["name", "dim", "|P|", "verdict", "N", "reason"]
     assert len(lines) == 22  # header, rule, 20 rows
+
+
+def test_python_dash_m_runs_the_same_main(capsys):
+    """`python -m cubecrys` goes through __main__.py to the same main."""
+    src = str(Path(cubecrys.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run([sys.executable, "-m", "cubecrys", "catalog"],
+                          capture_output=True, env=env, timeout=120)
+    code, out, err = run(capsys, "catalog")
+    assert (proc.returncode, code) == (0, 0)
+    assert proc.stdout == out.encode()
+    assert proc.stderr == err.encode() == b""
 
 
 # -- internal failures ------------------------------------------------

@@ -104,7 +104,7 @@ def test_point_group_real_conjugates_by_the_basis():
         assert t == L * m * inverse(L)
     # The rhombic basis turns the swap into an orthogonal reflection.
     swap_real = reals[g.point_elements().index(RatMatrix([[0, 1], [1, 0]]))]
-    assert swap_real == RatMatrix.diagonal([1, -1])
+    assert swap_real == RatMatrix([[1, 0], [0, -1]])
 
 
 def test_semidirect_extend_block_structure():

@@ -220,7 +220,8 @@ def test_dimension_cap():
         name="big",
         dimension=5,
         lattice_basis=RatMatrix.identity(5),
-        point_generators=[RatMatrix.diagonal([-1] * 5)],
+        point_generators=[RatMatrix([[-int(i == j) for j in range(5)]
+                                    for i in range(5)])],
         translation_parts=[RatVector([0] * 5)],
     )
     with pytest.raises(SizeCapError):

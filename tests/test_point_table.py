@@ -41,8 +41,15 @@ from cubecrys.decide import (
 )
 from cubecrys.exactlin import RatMatrix, RatVector, ShapeError, det, inverse
 from cubecrys.sgnperm import SignedPermutation, enumerate_group, to_matrix
+from test_walls import (
+    fraction_check_linear_separation,
+    fraction_dual_matrix,
+    fraction_separation,
+    shrunk,
+)
 from cubecrys.walls import (
     InternalError,
+    PropertyViolationError,
     canonicalize_direction,
     check_linear_separation,
     direction_class_count,
@@ -205,9 +212,8 @@ def b4():
 
 def wf4():
     """W(F4): B4 and the reflection in (1, 1, 1, 1), in the D4 lattice."""
-    half = RatMatrix([[1 if i == j else 0 for j in range(4)]
-                      for i in range(4)]) - RatMatrix(
-        [["1/2"] * 4 for _ in range(4)])
+    half = RatMatrix([[int(i == j) - Fraction(1, 2) for j in range(4)]
+                      for i in range(4)])
     basis = RatMatrix(D4_BASIS)
     basis_inv = inverse(basis)
     gens = [basis_inv * RatMatrix(m) * basis
@@ -346,23 +352,55 @@ def test_class_walk_matches_the_ratmatrix_oracle(g):
             ratmatrix_direction_classes(g, basis)
 
 
-def _seeded_point(rng, n):
-    """Mixed denominators, negative entries and zeros."""
-    return RatVector([rng.choice((0, Fraction(rng.randrange(-40, 41),
-                                              rng.randrange(1, 13))))
-                      for _ in range(n)])
+def _seeded_pairs(rng, fam):
+    """Sample pairs with denominators 1-7 and negative entries, equal
+    pairs, and points on walls (some dual coordinate an integer)."""
+    n = len(fam.basis)
+
+    def coordinates():
+        return [Fraction(rng.randrange(-40, 41), rng.randrange(1, 8))
+                for _ in range(n)]
+
+    def on_walls():
+        nu = coordinates()
+        nu[rng.randrange(n)] = rng.randrange(-5, 6)
+        return RatVector(sum(c * t[k] for c, t in zip(nu, fam.basis))
+                         for k in range(n))
+
+    pairs = [(RatVector([0] * n), on_walls())]
+    for _ in range(10):
+        p, w = RatVector(coordinates()), on_walls()
+        pairs += [(p, RatVector(coordinates())), (p, p), (w, w),
+                  (w, on_walls()), (p, w)]
+    return pairs
 
 
-@pytest.mark.parametrize("g", GROUPS, ids=lambda g: g.name)
+def _outcome(check, g, fam, pairs):
+    """The report of a separation check, or its violation message."""
+    try:
+        return check(g, fam, pairs)
+    except PropertyViolationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("g", GROUPS + [wf4()], ids=lambda g: g.name)
 def test_dual_coordinates_match_the_ratmatrix_product(g):
+    """The int dual rows are e B^-1, and the separation count and
+    report read off them equal the Fraction oracle on b_inv * p."""
     rng = random.Random(g.name)
     for basis in _bases(g):
         fam = direction_class_count(g, basis)
         b_inv = inverse(RatMatrix.from_columns(fam.basis))
-        points = [RatVector([0] * g.dimension)] + [
-            _seeded_point(rng, g.dimension) for _ in range(20)]
-        for point in points:
-            assert fam.dual_coordinates(point) == b_inv * point
+        assert fraction_dual_matrix(fam) == b_inv
+        pairs = _seeded_pairs(rng, fam)
+        for p, q in pairs:
+            assert separation_count(p, q, fam) == \
+                fraction_separation(fam, p, q)
+        assert check_linear_separation(g, fam, pairs) == \
+            fraction_check_linear_separation(g, fam, pairs)
+        small = shrunk(fam)
+        assert _outcome(check_linear_separation, g, small, pairs) == \
+            _outcome(fraction_check_linear_separation, g, small, pairs)
 
 
 def test_a_point_of_the_wrong_length_is_refused():

@@ -1,5 +1,12 @@
-"""Tests for the standard wall family and its direction classes."""
+"""Tests for the standard wall family and its direction classes.
 
+The separation count and its linear bounds run on the family's int
+dual rows; the Fraction path they replaced is kept below as the oracle
+(`fraction_separation`, `fraction_check_linear_separation`).
+"""
+
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -7,10 +14,12 @@ import pytest
 
 from cubecrys.crys import CrystGroup, catalog_entry, load_catalog, validate
 from cubecrys.decide import HyperoctahedralWitness, hyperoctahedral_basis, is_hyperoctahedral
-from cubecrys.exactlin import RatMatrix, RatVector
+from cubecrys.exactlin import RatMatrix, RatVector, ShapeError
 from cubecrys.sgnperm import from_matrix
 from cubecrys.walls import (
     GeometricWall,
+    LinearSeparationReport,
+    PropertyViolationError,
     RankError,
     canonicalize_direction,
     check_linear_separation,
@@ -20,6 +29,73 @@ from cubecrys.walls import (
     stabilize,
     standard_walls,
 )
+
+
+# ---------------------------------------------------------------------------
+# The Fraction separation path, as an oracle
+
+
+def fraction_dual_matrix(fam):
+    """B^-1 as a RatMatrix, from the family's int rows e B^-1."""
+    e, rows = fam.dual_matrix
+    return RatMatrix([[Fraction(x, e) for x in row] for row in rows])
+
+
+def _integers_strictly_between(a, b):
+    if a == b:
+        return 0
+    lo, hi = (a, b) if a < b else (b, a)
+    return max(0, math.ceil(hi) - math.floor(lo) - 1)
+
+
+def fraction_separation(fam, p, q):
+    """The separation count over the Fraction dual coordinates
+    b_inv * p and b_inv * q."""
+    b_inv = fraction_dual_matrix(fam)
+    return sum(_integers_strictly_between(a, b)
+               for a, b in zip(b_inv * p, b_inv * q))
+
+
+def fraction_check_linear_separation(g, fam, samples):
+    """check_linear_separation with every quantity a Fraction."""
+    samples = list(samples)
+    if not samples:
+        raise ValueError("need at least one sample pair")
+    n = g.dimension
+    b_inv = fraction_dual_matrix(fam)
+    max_norm_sq = max(sum(x * x for x in v) for v in fam.basis)
+    worst = Fraction(0)
+    for r1, r2 in samples:
+        nu1 = b_inv * r1
+        nu2 = b_inv * r2
+        sep = sum(_integers_strictly_between(a, b) for a, b in zip(nu1, nu2))
+        lhs = sum((a - b) ** 2 for a, b in zip(r1, r2))
+        rhs = max_norm_sq * (sep + n) ** 2
+        if lhs > rhs:
+            raise PropertyViolationError(
+                "separation bound failed for pair (%r, %r): %s > %s"
+                % (r1, r2, lhs, rhs))
+        lower = sum(abs(a - b) for a, b in zip(nu1, nu2)) - n
+        if sep < lower:
+            raise PropertyViolationError(
+                "separation undercount for pair (%r, %r): %d < %s"
+                % (r1, r2, sep, lower))
+        ratio = lhs / rhs
+        if ratio > worst:
+            worst = ratio
+    return LinearSeparationReport(
+        pairs_checked=len(samples),
+        worst_ratio=worst,
+        max_basis_norm_sq=max_norm_sq,
+        lower_bound_checked=True,
+    )
+
+
+def shrunk(fam, factor=100):
+    """The family with its basis divided by factor and its walls kept,
+    so the upper separation bound fails on any far-apart pair."""
+    return dataclasses.replace(fam, basis=tuple(
+        RatVector(x / factor for x in v) for v in fam.basis))
 
 
 def trivial_group(n=2, name="free"):
@@ -50,6 +126,8 @@ def test_geometric_wall_is_canonically_scaled():
     assert w.side(RatVector([0, 0])) == -1
     assert w.side(RatVector([2, 0])) == 1
     assert w.side(RatVector(["3/2", 0])) == 0
+    with pytest.raises(ShapeError):
+        w.side(RatVector([1, 0, 0]))
 
 
 def test_standard_walls_square_basis():
@@ -73,7 +151,7 @@ def test_standard_walls_are_dual_to_the_basis():
     walls = standard_walls(g, basis)
     for i, w in enumerate(walls):
         for j, v in enumerate(basis):
-            assert (w.normal.dot(v) == 0) == (i != j)
+            assert (sum(a * b for a, b in zip(w.normal, v)) == 0) == (i != j)
 
 
 def test_standard_walls_need_a_basis():
@@ -129,7 +207,7 @@ def test_separation_count_square_lattice():
     assert separation_count(q, p, fam) == 3
     assert separation_count(p, p, fam) == 0
     # The lower bound sum |nu_i| - n = (5/2 + 3/2) - 2 = 2.
-    nu = fam.dual_coordinates(p - q)
+    nu = fraction_dual_matrix(fam) * RatVector(a - b for a, b in zip(p, q))
     assert sum(abs(e) for e in nu) - 2 == 2
 
 
@@ -162,8 +240,8 @@ def test_separation_triangle_inequality_on_collinear_triples():
         p = RatVector([Fraction(rng.randrange(-70, 71), 7) for _ in range(2)])
         r = RatVector([Fraction(rng.randrange(-70, 71), 7) for _ in range(2)])
         t = Fraction(rng.randrange(1, 9), 9)
-        q = p + t * (r - p)
-        if any(e.denominator == 1 for e in fam.dual_coordinates(q)):
+        q = RatVector(a + t * (c - a) for a, c in zip(p, r))
+        if any(e.denominator == 1 for e in fraction_dual_matrix(fam) * q):
             continue
         sep_pr = separation_count(p, r, fam)
         assert sep_pr <= separation_count(p, q, fam) + separation_count(q, r, fam)
@@ -199,6 +277,19 @@ def test_linear_separation_on_catalog_groups():
         report = check_linear_separation(g, fam, samples)
         assert report.pairs_checked == 100
         assert report.worst_ratio <= 1
+
+
+def test_a_violated_upper_bound_names_the_pair():
+    g = catalog_entry("p6")
+    fam = shrunk(direction_class_count(g, g.lattice_basis.columns()))
+    p = RatVector([Fraction(1, 4), Fraction(1, 4)])
+    q = RatVector([Fraction(11, 4), Fraction(7, 4)])
+    message = ("separation bound failed for pair (RatVector([1/4, 1/4]), "
+               "RatVector([11/4, 7/4])): 17/2 > 49/10000")
+    for check in (check_linear_separation, fraction_check_linear_separation):
+        with pytest.raises(PropertyViolationError) as info:
+            check(g, fam, [(q, q), (p, q)])
+        assert str(info.value) == message
 
 
 def test_check_linear_separation_needs_samples():
