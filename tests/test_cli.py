@@ -26,6 +26,8 @@ from cubecrys.dual import (
 )
 from cubecrys.exactlin import RatVector
 from cubecrys.walls import GeometricWall
+from test_decide import _pinned_groups
+from test_point_table import wf4
 
 
 def run(capsys, *argv):
@@ -498,6 +500,124 @@ def test_cubulate_report_bytes_are_pinned(basis, name, capsys, tmp_path):
     pins = CUBULATE_WITNESS_PINS if extra else CUBULATE_LATTICE_PINS
     assert tuple(digests) == pins[name]
 
+
+# sha256 of `classify --json`, `classify` (text) and `validate --json`
+# stdout, per group: the 20 catalog groups, W(F4) (1,152 elements) and
+# m-skew, a 3-D group that takes the embedding search.  The reports
+# print every point element and obstruction element.  Recorded while
+# the point group was still held as one RatMatrix per element; every
+# byte must stay the same.
+CLASSIFY_VALIDATE_PINS = {
+    "p1": (
+        "d35affc219aae6e2cad029f4ffd5bc7a1b3765b73c23ecc4cb13711afa5c8f66",
+        "53c58a99182339e797adba2d09c9125876c78853a8e7466fd46387d9a24960e6",
+        "0c518f63b308e78820e706994aecb0561cb4e326ad95a46cd2f0e3e3e1f31982"),
+    "p2": (
+        "4afa41e012a77d04cf4f446bb3760723af708fe7c002f9f0bf6f0e113cd9d063",
+        "f6416fab47ee6eb5038a17f3de06f33a3b7169b319423424b85eca5a2353b19e",
+        "c79c3baea6f971cb25509d5301f6594562991a9bb25519c0cf95cbcc608f4178"),
+    "pm": (
+        "f50b4338560814fed1b5e353204a6c81b08abafdaed7f3a91c4994cdb488300f",
+        "e9569d36e0deaeb55f3fa85da916139348d406f5493ae94d247b952b46334b95",
+        "74e065d7e90bfc1061744e69779d250a5c87d59ce37e35dd2d6d6a0702d3322b"),
+    "pg": (
+        "341ca2982bdf56ddde699ebfdc23c186390be3fa323adc9796c2b1bd2a6e33b3",
+        "fbdf8d241541311c7087d7805d6f0f5e5a30889cdc23621ab2d4fe8ee30d34c2",
+        "b504aca726686dc86b7bec592a9dca7903917ef4087205f2333987a0435598fb"),
+    "cm": (
+        "a202e9e518aaa5ac16e1023d990affc88e85942e0a74c25ceef1d42b6173e310",
+        "a510cc42cbb86e5df2b99dc86ba8a72a6ab9ea5810b195c37438cc9a4a4caad5",
+        "960c43efe832d4ad092e00d19a2d61b16b614930017fb56c59c448da1cec3186"),
+    "pmm": (
+        "4d2529cc7b184581e208d186a00fe159cbc0c149f8b1022a8f880695432521c0",
+        "f62baf7b07526e6bc3434a62c543dcdfcf7db75192b1c2707c09b8fd2d13821f",
+        "2ac61b82eb0bbfa89c0141ca1e8685b52d4a3ee4714bd98cc3751bf4fe6d36e9"),
+    "pmg": (
+        "2cdb0e19e5b4a2a99be3891401671133ae632abae31c659ab868ccad74850601",
+        "607f0656b90ddbed417c2a2d8b8019f12d2866f7e628ace210497ccabc01de86",
+        "dac2cd6479799adb1cc91a867c4e5e4f4d63a3a68546dcb36c7cdc7498d7b27b"),
+    "pgg": (
+        "343cabeafc2832f328f6e947566fd0d5c453af329aba96c8a6075438ab49c65f",
+        "ca7ef89896a64796c5ea3360f03b457d1758a7eece2b55342e546504b09135ec",
+        "0fcb261f9ed08610f933651a9df0a2774a202705e0d0d8588c205d4255072e06"),
+    "cmm": (
+        "2895ebf586c61d44227da60071bb673625c9de3d6a9f3f12734fba314f465472",
+        "75b1093a9696efdd93dc9bd2372c4a680411ae2056604ffd07d389e6a22c9c6b",
+        "db059596b87134d1fac92e370b9ef4540a52069dd3779a531ae044ffcc30773c"),
+    "p4": (
+        "25411d77e885098bc81985a11df4ef80578cdff62faf6e0770395a1b17104f9c",
+        "fd0b40bc1c5930ab1b777b9969166ec805bf4d2bddfb682aecd05238c294c54f",
+        "5e5fb35487b69b2e45b1521879a49979ce9ace94cab099e567125c44044ddb44"),
+    "p4m": (
+        "2421ec3c2ab158a6b172f39a4691766de86fc0945eb59ab51123f228760a3c32",
+        "2a79672655d58983d9b2f18430bc814b567f11f878fbfcb6b043f2c8d1daf21e",
+        "8b325d5e349ea01795690b5326bc58f393d16dfd2e580e97bb13ea96eb587776"),
+    "p4g": (
+        "4e989ffd5ccda8ad4f6da6a16d6b7067fefa2d256dd432f16fb5e57f0a37afd2",
+        "c0b445f034c03643c7b3fdb034ddfd7fba70b90aad17be03137febbf7264ddff",
+        "70ae30858376fc3b04cc63085508d6e1a87b2ffd301d6f7a4ffe727c323075bb"),
+    "p3": (
+        "dd516b35b6dea0f1c7cba971ecc0a86c40c7aae26569d49da0a62f4763aa8b9d",
+        "9d607a55be8c18ff28eda4fe049cfe9b9e6b43c41f9d03b0c3e090caca5cd28b",
+        "614d44351fc738bea215ca05ba326f6587e2eaa5460196209bd39429ef3e1af6"),
+    "p3m1": (
+        "dab744e364f55de2e6e3cd171320815b6bb9764c5b24844def821a643bf76981",
+        "c023f58e7cc580abc851e9fbd1c760962176196436dc452e8bde52e8b07e866f",
+        "ba3cbb9950ec3704a8173e5e59f862a3192f7fe180ed0687bdaf4ff71c3b03d1"),
+    "p31m": (
+        "43526a81421dffb7d8474f775eb29e99bdc70f2ed1a1b4127faea2d7736ab02a",
+        "c9aedbb8761c3d8793eca5c99f76a9e0c4d3fe72a99d2730eaf64c72944d2356",
+        "5b4704bce88211317ba05a984c5e00ce73a1ca3c923e6380f6513e5222508c17"),
+    "p6": (
+        "9b68edb46958b608b1cdefaab6625cab0ae0b35b94670e1e7e9a5415ca15def6",
+        "18fd83d8ba2d5cd1c90c2dc228cec037b943c7c88e6eceecd14c2daead7739d3",
+        "fa18e7528a22d526159295ee4607b1e83f28d99808f0e54ab63773552346e839"),
+    "p6m": (
+        "a4040b18d02661fe518df0bf8157bac61ee04da1c77ab67a255e3d7df5a66853",
+        "8ed42ce5817fb5dfe4c2a0aa9dfaf3a29e51eab9222e4d7becd8e4d7595c185e",
+        "9ce8418610dabcc6ab958138ce7419faee5a89b7511e20e56c2177634955cf38"),
+    "W": (
+        "abd4e17bbb9003bd716271af22f2cebca0e19e1f0bd372ddf0c1a7fa2a7fd116",
+        "2fc51fb947bc2abcf6a226a5d97d6f3f181fded98d145bc189466999f1e77f43",
+        "a25aa9c59f659a1e6bd218278c4c55e6d6d4943dbead6113e25e64d02d57ed22"),
+    "ZxW": (
+        "a02feb315d92904f829b6bd28e86cafca42a0868c6418d30760f7caf2bbc09b0",
+        "139cbd69ff639d08eb11ba30b908d20268c4387be69bfe7cf7a75b455f0ed0e0",
+        "e18057b293201819df195e4d72066cc4a1c735744b6fea06479891296123121f"),
+    "Z:W": (
+        "70f8c8cf01eddaf68517016732421d90b8a6af238d8e3ffe2fff86f5305fa174",
+        "8fe9f7432f62b81c96e76b41996c522fe70e7696a807fc35dd0bf8a2416e69cb",
+        "abc251f0110da0d223a9230d600c5ccdfc3cbf9469123e53e81dc06f71d30ddf"),
+    "W(F4)": (
+        "9a822be9452af4dd6c8e3214e0f40f846e462691ab7b91d720f6af1d57cbb63e",
+        "2c2d07aa7685f8ac46562879a90ecb769f934378a38d1f80e65812888bf87c1a",
+        "9a525e6deb694eb044c04941e677627276a0cf52a6f23b71a7ca05f7a9a6ad35"),
+    "m-skew": (
+        "03f2f1aefe1e5429f873f6291d142b59930057d179e87395b0666a91d163a1d1",
+        "624ba4257144aed493ab97b5184ae35adfa09303db30157dc858d055d2210556",
+        "869fb4f7efec05bb74f32e048e2df14e015620b64a95bf04d62b8099f6b1d47a"),
+}
+
+
+def _pinned_group(name):
+    if name == "W(F4)":
+        return wf4()
+    if name == "m-skew":
+        return _pinned_groups()[name]
+    return catalog_entry(name)
+
+
+@pytest.mark.parametrize("name", list(CLASSIFY_VALIDATE_PINS))
+def test_classify_and_validate_report_bytes_are_pinned(name, capsys,
+                                                       tmp_path):
+    path = tmp_path / "group.json"
+    save_group(_pinned_group(name), path)
+    digests = []
+    for argv in (["classify", "--json"], ["classify"], ["validate", "--json"]):
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 0, err
+        digests.append(hashlib.sha256(out.encode("utf-8")).hexdigest())
+    assert tuple(digests) == CLASSIFY_VALIDATE_PINS[name]
 
 def test_dual_out_round_trip(capsys, tmp_path):
     out_path = tmp_path / "complex.json"
