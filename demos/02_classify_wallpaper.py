@@ -33,9 +33,8 @@ def main():
         if g.name != "p4":
             continue
         witness = is_hyperoctahedral(g)
-        print("p4 witness conjugator:", matrix_to_json(witness.conjugator))
-        for p in g.point_elements():
-            s = witness.iota[p]
+        print("p4 witness conjugator:", matrix_to_json(witness.conjugator.entries))
+        for p, s in zip(g.point_elements(), witness.iota):
             print("  %s -> perm %s signs %s"
                   % (matrix_to_json(p), list(s.perm), list(s.signs)))
         print("  verified:", witness.verify(g))

@@ -44,9 +44,11 @@ print("upper-bound ratio for that pair:",
 print()
 
 # The point group permutes (and flips) the N direction classes, which
-# is exactly how it will act on the cube complex.
+# is exactly how it will act on the cube complex.  The action lists one
+# signed permutation per point element, in point_elements order, and the
+# point table's first row says where each generator sits in that order.
 action = induced_action_on_RN(g, fam)
-rot = action[g.point_generators[0]]
+rot = action[g.point_table().next[0][0]]
 print("induced action of the sixfold rotation on the %d classes:"
       % fam.class_count)
 print("  perm %s signs %s, order %d, det %d"

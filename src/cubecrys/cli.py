@@ -142,7 +142,7 @@ def _cmd_classify(args):
     lines = ["group %r: %s" % (g.name, verdict)]
     if accepted:
         lines.append("conjugator rows:")
-        for row in matrix_to_json(result.conjugator):
+        for row in matrix_to_json(result.conjugator.entries):
             lines.append("  [%s]" % ", ".join(row))
         lines.append("all %d conjugation residuals are zero"
                      % len(result.iota))
@@ -169,7 +169,7 @@ def _cmd_cubulate(args):
         basis = g.lattice_basis.columns()
         basis_source = "lattice"
     fam = direction_class_count(g, basis)
-    action = induced_action_on_RN(g, fam)
+    action = tuple(zip(g.point_elements(), induced_action_on_RN(g, fam)))
     stabilized = stabilize(g, fam)
     separation = check_linear_separation(
         g, fam, _sample_pairs(g.dimension, 100, seed))
@@ -183,7 +183,7 @@ def _cmd_cubulate(args):
         "wall_family": fam.to_json_dict(),
         "induced_action": [
             {"point_element": matrix_to_json(p), "image": s.to_json_dict()}
-            for p, s in action.items()
+            for p, s in action
         ],
         "stabilized_group": group_to_json_dict(stabilized),
         "linear_separation": separation.to_json_dict(),
@@ -196,7 +196,7 @@ def _cmd_cubulate(args):
         lines.append("  class %d: direction (%s)"
                      % (k, ", ".join(format_rational(e) for e in rep)))
     lines.append("induced signed permutations:")
-    for p, s in action.items():
+    for p, s in action:
         lines.append("  %s -> perm %s signs %s"
                      % (matrix_to_json(p), list(s.perm), list(s.signs)))
     lines.append("stabilized group: %r (dimension %d)"

@@ -8,9 +8,9 @@ element p is theta_bar(p) = L * M_p * L^-1, computed once per group as
 the integer matrix d * theta_bar(p) for one common scale d.
 
 The point group itself is held as integer data (PointTable): the
-elements as int tuples, how each generator moves them, and each
-element's order, determinant and trace, all computed in one
-breadth-first pass.
+elements as int rows (their only form), how each generator moves them,
+and each element's order, determinant and trace, all computed in one
+breadth-first pass; per-element data are tuples in the same order.
 
 Hexagonal entries use a rational stand-in basis.  Every decision made
 downstream depends only on the integer matrices and their conjugacy
@@ -168,13 +168,15 @@ class CrystGroup:
             det=tuple(dets),
             trace=tuple(sum(m[i][i] for i in range(n)) for m in elements),
         )
-        self._elements = tuple(RatMatrix(m) for m in elements)
+        # Set last, so a failed closure leaves it None.
+        self._elements = self._table.elements
 
     def point_elements(self) -> tuple:
-        """All point-group elements as integer matrices, identity first.
+        """All point-group elements as int rows, identity first: the
+        point table's elements tuple itself.
 
         The order is the deterministic breadth-first closure order and
-        is shared by every per-element list in the package.
+        is shared by every per-element tuple in the package.
         """
         self._closure()
         return self._elements
@@ -369,8 +371,9 @@ def group_to_json_dict(g: CrystGroup) -> dict:
         "format": GROUP_FORMAT,
         "name": g.name,
         "dimension": g.dimension,
-        "lattice_basis": matrix_to_json(g.lattice_basis),
-        "point_generators": [matrix_to_json(m) for m in g.point_generators],
+        "lattice_basis": matrix_to_json(g.lattice_basis.entries),
+        "point_generators": [matrix_to_json(m.entries)
+                             for m in g.point_generators],
         "translation_parts": [vector_to_json(t) for t in g.translation_parts],
     }
 

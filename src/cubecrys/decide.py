@@ -70,12 +70,12 @@ class WitnessCorruptionError(RuntimeError):
 class HyperoctahedralWitness:
     """Accepting evidence: an embedding iota and the conjugator A.
 
-    iota maps each point element (integer matrix, lattice coordinates)
-    to a signed permutation; A satisfies, for every point element p,
+    iota[k] is the signed permutation of the k-th point element, in
+    point_elements order; A satisfies, for every point element p,
     A * iota(p) * A^-1 = theta_bar(p) exactly.
     """
 
-    iota: dict
+    iota: tuple
     conjugator: RatMatrix
     basis: tuple
     # (g, d c, defects) for the group g the witness was verified on, so
@@ -92,16 +92,16 @@ class HyperoctahedralWitness:
         return d * c, [
             tuple(tuple(x - y for x, y in zip(left, right)) for left, right
                   in zip(int_mul(form, ca),
-                         times_signed_permutation(dca, self.iota[p])))
-            for p, form in zip(g.point_elements(), forms)]
+                         times_signed_permutation(dca, s)))
+            for form, s in zip(forms, self.iota)]
 
     def verify(self, g: CrystGroup) -> bool:
         """theta_bar(p) * A == A * iota(p) for every p (every defect
-        vanishes), A nonsingular and iota injective, all exact."""
-        return self._holds(self._defects(g)[1])
+        vanishes), iota one injective image per p, A nonsingular."""
+        return self._holds(g, self._defects(g)[1])
 
-    def _holds(self, defects) -> bool:
-        return (len(set(self.iota.values())) == len(self.iota)
+    def _holds(self, g: CrystGroup, defects) -> bool:
+        return (len(set(self.iota)) == len(self.iota) == g.point_group_order()
                 and det(self.conjugator) != 0
                 and not any(any(row) for defect in defects
                             for row in defect))
@@ -114,20 +114,17 @@ class HyperoctahedralWitness:
         else:
             scale, defects = self._defects(g)
         h, a_inv = integral(inverse(self.conjugator).entries)
-        elements = []
-        for p, defect in zip(g.point_elements(), defects):
-            elements.append({
+        return {
+            "verdict": "accepted",
+            "conjugator": matrix_to_json(self.conjugator.entries),
+            "basis": [vector_to_json(v) for v in self.basis],
+            "elements": [{
                 "point_element": matrix_to_json(p),
-                "image": self.iota[p].to_json_dict(),
+                "image": s.to_json_dict(),
                 "conjugation_residual": [
                     [format_rational(Fraction(x, scale * h)) for x in row]
                     for row in int_mul(defect, a_inv)],
-            })
-        return {
-            "verdict": "accepted",
-            "conjugator": matrix_to_json(self.conjugator),
-            "basis": [vector_to_json(v) for v in self.basis],
-            "elements": elements,
+            } for p, s, defect in zip(g.point_elements(), self.iota, defects)],
         }
 
 
@@ -146,7 +143,7 @@ class RejectionCertificate:
 @dataclass(frozen=True)
 class Obstruction:
     kind: str
-    element: RatMatrix
+    element: tuple
     order: int
     determinant: int
     trace: int
@@ -286,15 +283,11 @@ def _build_conjugator(d, forms, iota):
             return RatMatrix([[Fraction(x, d) for x in row] for row in rows])
 
 
-def _verified(g: CrystGroup, iota_list, a: RatMatrix):
-    """The witness (iota_list in point_elements order, A), re-verified."""
-    witness = HyperoctahedralWitness(
-        iota=dict(zip(g.point_elements(), iota_list)),
-        conjugator=a,
-        basis=tuple(a.columns()),
-    )
+def _verified(g: CrystGroup, iota, a: RatMatrix):
+    """The witness (iota in point_elements order, A), re-verified."""
+    witness = HyperoctahedralWitness(tuple(iota), a, tuple(a.columns()))
     scale, defects = witness._defects(g)
-    if not witness._holds(defects):
+    if not witness._holds(g, defects):
         raise WitnessCorruptionError(
             "constructed witness failed exact re-verification")
     return replace(witness, verified=(g, scale, defects))
@@ -316,20 +309,14 @@ def is_hyperoctahedral(g: CrystGroup):
     if obstructions:
         first = min(obstructions,
                     key=lambda o: (o.kind != ORDER_OBSTRUCTION,))
+        detail = {"element": matrix_to_json(first.element),
+                  "element_order": first.order}
         if first.kind == ORDER_OBSTRUCTION:
-            detail = {
-                "element": matrix_to_json(first.element),
-                "element_order": first.order,
-                "realized_orders": list(first.realized),
-            }
+            detail["realized_orders"] = list(first.realized)
         else:
-            detail = {
-                "element": matrix_to_json(first.element),
-                "element_order": first.order,
-                "determinant": first.determinant,
-                "trace": first.trace,
-                "realized_characters_at_order": [list(c) for c in first.realized],
-            }
+            detail.update(
+                determinant=first.determinant, trace=first.trace,
+                realized_characters_at_order=[list(c) for c in first.realized])
         return RejectionCertificate(reason=first.kind, detail=detail)
 
     # Fast path: the generators' real forms are already signed

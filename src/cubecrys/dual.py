@@ -533,12 +533,16 @@ def _complex_from(d: dict) -> CubeComplex:
     zero = list(d["zero_cubes"])
     if not zero:
         raise ComplexFormatError("a complex needs at least one 0-cube")
+    if any(type(s) is not str for s in zero):
+        raise TypeError("a 0-cube must be a bitstring")
     width = len(zero[0])
     orientations = [Orientation.from_bitstring(s) for s in zero]
     if any(o.n != width for o in orientations):
         raise ComplexFormatError("0-cube bitstrings differ in length")
     edges = []
     for u, v in d["edges"]:
+        if not (type(u) is type(v) is int):
+            raise TypeError("edge endpoint is not an integer: %r" % ((u, v),))
         if not (0 <= u < len(zero) and 0 <= v < len(zero)):
             raise ComplexFormatError("edge endpoint out of range: %r" % ((u, v),))
         x = orientations[u].bits ^ orientations[v].bits

@@ -3,10 +3,11 @@
 `Rational` is the standard library `fractions.Fraction`: it already
 guarantees lowest terms, a positive denominator and arbitrary-precision
 integer arithmetic, which is the entire contract we need from a scalar.
-The vector and matrix wrappers below are immutable and hashable so they
-can serve as dictionary keys (group elements are matrices).  The JSON
-forms of rationals and the one read/write path for the package's file
-formats live here too.
+The vector and matrix wrappers below are immutable; they carry the
+rationals of file IO, the reports and the conjugator.  Point-group
+elements are int rows (crys.PointTable), as the integer kernels take.
+The JSON forms of rationals and the one read/write path for the
+package's file formats live here too.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ def format_rational(x: Fraction) -> str:
 
 
 def parse_rational(s) -> Fraction:
-    """Inverse of format_rational; also tolerates plain ints."""
-    if isinstance(s, int):
+    """Inverse of format_rational; also takes plain ints, not bools."""
+    if type(s) is int:
         return Fraction(s)
     if isinstance(s, str):
         try:
@@ -311,9 +312,9 @@ def vector_from_json(data) -> RatVector:
     return RatVector(parse_rational(e) for e in data)
 
 
-def matrix_to_json(m: RatMatrix) -> list:
-    """Row-major nested arrays with 'p/q' rational entries."""
-    return [[format_rational(e) for e in row] for row in m.entries]
+def matrix_to_json(rows) -> list:
+    """Row-major 'p/q' strings, from rows of ints or Fractions."""
+    return [[format_rational(e) for e in row] for row in rows]
 
 
 def matrix_from_json(data) -> RatMatrix:

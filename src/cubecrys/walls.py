@@ -332,7 +332,7 @@ def check_linear_separation(g: CrystGroup, fam: WallFamily, samples) -> LinearSe
     )
 
 
-def induced_action_on_RN(g: CrystGroup, fam: WallFamily) -> dict:
+def induced_action_on_RN(g: CrystGroup, fam: WallFamily) -> tuple:
     """How each point element permutes the direction classes.
 
     The positive direction of a class is its canonical representative;
@@ -340,11 +340,12 @@ def induced_action_on_RN(g: CrystGroup, fam: WallFamily) -> dict:
     relating the image of the representative to the canonical
     representative of the image line.  The result is a homomorphism
     into the signed permutations on N letters, recorded by
-    direction_class_count and keyed here by point element.
+    direction_class_count: one signed permutation per point element,
+    in point_elements order.
     """
     if integer_real_forms(g) != fam.forms:
         raise InternalError("the wall family was built for another group")
-    return dict(zip(g.point_elements(), fam.action))
+    return fam.action
 
 
 def stabilize(g: CrystGroup, fam: WallFamily = None) -> CrystGroup:
@@ -362,7 +363,7 @@ def stabilize(g: CrystGroup, fam: WallFamily = None) -> CrystGroup:
         fam = direction_class_count(g, g.lattice_basis.columns())
     action = induced_action_on_RN(g, fam)
     n_classes = fam.class_count
-    new_gens = [to_matrix(action[gen]) for gen in g.point_generators]
+    new_gens = [to_matrix(action[k]) for k in g.point_table().next[0]]
     stabilized = CrystGroup(
         name=g.name + "-stab",
         dimension=n_classes,

@@ -94,7 +94,7 @@ def test_criterion_04_sixfold_symmetry_examples():
     twisted = catalog_entry("Z:W")
     witness = is_hyperoctahedral(twisted)
     assert isinstance(witness, HyperoctahedralWitness)
-    image = witness.iota[twisted.point_generators[0]]
+    image = witness.iota[twisted.point_table().next[0][0]]
     assert image.order() == 6
     assert image.determinant() == -1
     print("[PASS] criterion 4: W, ZxW, Z2xW rejected; Z:W accepted with an "
@@ -210,8 +210,8 @@ def test_criterion_07_witness_soundness_and_exhaustive_oracle():
             accepted += 1
             a = result.conjugator
             a_inv = inverse(a)
-            for p, real_form in zip(g.point_elements(), point_group_real(g)):
-                assert a * to_matrix(result.iota[p]) * a_inv == real_form, g.name
+            for s, real_form in zip(result.iota, point_group_real(g)):
+                assert a * to_matrix(s) * a_inv == real_form, g.name
             if g.dimension <= 3:
                 assert embedding_exists(g), g.name
         else:

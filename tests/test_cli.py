@@ -132,6 +132,35 @@ def test_zero_denominator_in_a_group_file_exits_one(capsys, tmp_path):
         assert "zero denominator" in err, command
 
 
+def put_entry(path, where, value):
+    """Rewrite the JSON file at path with value at the key path where."""
+    with open(path) as fh:
+        data = json.load(fh)
+    *outer, last = where
+    holder = data
+    for key in outer:
+        holder = holder[key]
+    holder[last] = value
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+
+
+# A JSON true or false is no rational, even where it would read as the
+# entry's own value 1 or 0.
+@pytest.mark.parametrize("where, value", [
+    (("lattice_basis", 0, 0), True),
+    (("point_generators", 0, 1, 0), True),
+    (("translation_parts", 0, 1), False),
+])
+def test_a_boolean_in_a_group_file_exits_one(where, value, capsys, tmp_path):
+    path = group_file(tmp_path, "p4")
+    put_entry(path, where, value)
+    for command in ("validate", "classify", "cubulate"):
+        code, out, err = run(capsys, command, path)
+        assert (code, out) == (1, ""), command
+        assert "malformed cubecrys-group/1 file" in err, command
+
+
 def test_fractional_dimension_in_a_group_file_exits_one(capsys, tmp_path):
     path = group_file(tmp_path, "p4")
     with open(path) as fh:
@@ -672,6 +701,19 @@ def test_dual_missing_and_malformed_files(capsys, tmp_path):
     code, _, err = run(capsys, "dual", str(bad))
     assert code == 1
     assert "missing key" in err
+
+
+@pytest.mark.parametrize("where, value", [
+    (("window", 0, 0), False),
+    (("walls", 0, "normal", 0), True),
+    (("walls", 1, "offset"), False),
+])
+def test_a_boolean_in_a_walls_file_exits_one(where, value, capsys, tmp_path):
+    path = walls_file(tmp_path)
+    put_entry(path, where, value)
+    code, out, err = run(capsys, "dual", path)
+    assert (code, out) == (1, "")
+    assert "malformed cubecrys-walls/1 file" in err
 
 
 def test_zero_denominator_in_a_walls_file_exits_one(capsys, tmp_path):

@@ -44,14 +44,15 @@ def test_closure_and_successor_table():
     g = square_group("p4", [[[0, -1], [1, 0]]])
     elements = g.point_elements()
     assert len(elements) == 4
-    assert elements[0].is_identity()
+    assert elements[0] == ((1, 0), (0, 1))
     assert g.point_group_order() == 4
     table = g.point_table()
-    assert [RatMatrix(m) for m in table.elements] == list(elements)
+    assert elements is table.elements
     # Element k times generator j is element next[k][j].
     for k, row in enumerate(table.next):
         for j, target in enumerate(row):
-            assert elements[k] * g.point_generators[j] == elements[target]
+            assert (RatMatrix(elements[k]) * g.point_generators[j]
+                    == RatMatrix(elements[target]))
     assert table.next == ((1,), (2,), (3,), (0,))
     assert table.order == (1, 4, 2, 4)
     assert table.det == (1, 1, 1, 1)
@@ -101,9 +102,9 @@ def test_point_group_real_conjugates_by_the_basis():
     L = g.lattice_basis
     reals = point_group_real(g)
     for m, t in zip(g.point_elements(), reals):
-        assert t == L * m * inverse(L)
+        assert t == L * RatMatrix(m) * inverse(L)
     # The rhombic basis turns the swap into an orthogonal reflection.
-    swap_real = reals[g.point_elements().index(RatMatrix([[0, 1], [1, 0]]))]
+    swap_real = reals[g.point_elements().index(((0, 1), (1, 0)))]
     assert swap_real == RatMatrix([[1, 0], [0, -1]])
 
 

@@ -45,6 +45,7 @@ from cubecrys.exactlin import (
     det,
     inverse,
     matrix_from_json,
+    matrix_to_json,
 )
 from cubecrys.sgnperm import (
     SignedPermutation,
@@ -76,8 +77,8 @@ def test_fast_path_accepts_signed_permutation_groups():
         assert isinstance(result, HyperoctahedralWitness), name
         assert result.conjugator == RatMatrix.identity(g.dimension)
         assert result.verify(g)
-        for p, real in zip(g.point_elements(), point_group_real(g)):
-            assert to_matrix(result.iota[p]) == real
+        for s, real in zip(result.iota, point_group_real(g)):
+            assert to_matrix(s) == real
 
 
 def test_hexagonal_groups_are_order_obstructed():
@@ -115,15 +116,14 @@ def test_twisted_extension_is_accepted():
     witness = is_hyperoctahedral(g)
     assert isinstance(witness, HyperoctahedralWitness)
     assert witness.verify(g)
-    gen = g.point_generators[0]
-    image = witness.iota[gen]
+    image = witness.iota[g.point_table().next[0][0]]
     assert image.order() == 6
     assert image.determinant() == -1
     # The conjugation identity, element by element and entry for entry.
     a = witness.conjugator
     a_inv = inverse(a)
-    for p, real in zip(g.point_elements(), point_group_real(g)):
-        assert a * to_matrix(witness.iota[p]) * a_inv == real
+    for s, real in zip(witness.iota, point_group_real(g)):
+        assert a * to_matrix(s) * a_inv == real
 
 
 def test_witness_json_embeds_zero_residuals():
@@ -141,8 +141,7 @@ def test_hyperoctahedral_basis_is_permuted_with_signs():
     witness = is_hyperoctahedral(g)
     basis = hyperoctahedral_basis(g, witness)
     assert len(basis) == 3
-    for p, real in zip(g.point_elements(), point_group_real(g)):
-        s = witness.iota[p]
+    for s, real in zip(witness.iota, point_group_real(g)):
         for i in range(3):
             expected = RatVector([s.signs[i] * e for e in basis[s.perm[i] - 1]])
             assert real * basis[i] == expected
@@ -254,22 +253,21 @@ def _conjugation_holds(g, w):
     """A * iota(p) * A^-1 == theta_bar(p) for every p, by matrix products."""
     a = w.conjugator
     a_inv = inverse(a)
-    return all(a * to_matrix(w.iota[p]) * a_inv == real
-               for p, real in zip(g.point_elements(), point_group_real(g)))
+    return all(a * to_matrix(s) * a_inv == real
+               for s, real in zip(w.iota, point_group_real(g)))
 
 
 def _corrupted_witnesses(g, witness):
     """Swapped iota images, a perturbed conjugator, the zero conjugator."""
     a = witness.conjugator
-    iota = dict(witness.iota)
-    p, q = [p for p in g.point_elements()
-            if not iota[p].is_identity()][:2]
+    iota = list(witness.iota)
+    p, q = [k for k, s in enumerate(iota) if not s.is_identity()][:2]
     iota[p], iota[q] = iota[q], iota[p]
     bumped = [list(row) for row in a.entries]
     bumped[0][1] += 1
     bumped = RatMatrix(bumped)
     zero = RatMatrix.zeros(g.dimension, g.dimension)
-    swapped = HyperoctahedralWitness(iota=iota, conjugator=a,
+    swapped = HyperoctahedralWitness(iota=tuple(iota), conjugator=a,
                                      basis=witness.basis)
     perturbed = HyperoctahedralWitness(iota=witness.iota, conjugator=bumped,
                                        basis=tuple(bumped.columns()))
@@ -292,6 +290,24 @@ def test_corrupted_witnesses_fail_verification(name):
         assert not bad.verify(g)
         with pytest.raises(WitnessCorruptionError):
             hyperoctahedral_basis(g, bad)
+
+
+@pytest.mark.parametrize("name", ["Z:W", "p4m", "cmm"])
+def test_a_witness_one_image_short_fails_verification(name):
+    """The defects zip iota with the real forms, so a witness for all
+    but the last element has no nonzero defect; only the length check
+    refuses it."""
+    g = catalog_entry(name)
+    witness = is_hyperoctahedral(g)
+    short = HyperoctahedralWitness(iota=witness.iota[:-1],
+                                   conjugator=witness.conjugator,
+                                   basis=witness.basis)
+    _, defects = short._defects(g)
+    assert len(defects) == g.point_group_order() - 1
+    assert not any(any(row) for defect in defects for row in defect)
+    assert not short.verify(g)
+    with pytest.raises(WitnessCorruptionError):
+        hyperoctahedral_basis(g, short)
 
 
 
@@ -372,8 +388,7 @@ def _pinned_case(name):
     """(group, real forms, iota list) of a pinned group's witness."""
     g = _pinned_groups()[name]
     witness = is_hyperoctahedral(g)
-    return g, point_group_real(g), [witness.iota[p]
-                                    for p in g.point_elements()]
+    return g, point_group_real(g), list(witness.iota)
 
 
 def _assert_matches_old_loop(g, iota):
@@ -437,9 +452,11 @@ def test_c4_past_the_old_schedule_is_accepted(tmp_path, capsys, gen):
     assert report["verdict"] == "accepted"
     payload = report["classification"]
     loaded = load_group(str(path))
-    iota = {matrix_from_json(e["point_element"]):
-            SignedPermutation.from_json_dict(e["image"])
-            for e in payload["elements"]}
+    # The report lists the elements in point_elements order.
+    assert [e["point_element"] for e in payload["elements"]] == [
+        matrix_to_json(p) for p in loaded.point_elements()]
+    iota = tuple(SignedPermutation.from_json_dict(e["image"])
+                 for e in payload["elements"])
     a = matrix_from_json(payload["conjugator"])
     witness = HyperoctahedralWitness(iota=iota, conjugator=a,
                                      basis=tuple(a.columns()))
@@ -457,7 +474,8 @@ def test_wf4_subgroup_fuzz():
     seen = set()
     old_failures = 0
     for _ in range(60):
-        gens = rng.sample(elements, rng.randint(1, 3))
+        gens = [RatMatrix(m)
+                for m in rng.sample(elements, rng.randint(1, 3))]
         g = CrystGroup("sub", 4, wf.lattice_basis, gens,
                        [RatVector([0] * 4)] * len(gens))
         table = g.point_table()
@@ -472,8 +490,7 @@ def test_wf4_subgroup_fuzz():
         assert result.verify(g)
         if all(is_signed_permutation_matrix(t) for t in point_group_real(g)):
             continue
-        iota = [result.iota[p] for p in g.point_elements()]
-        old_failures += not _assert_matches_old_loop(g, iota)
+        old_failures += not _assert_matches_old_loop(g, result.iota)
     assert old_failures >= 1
 
 
@@ -485,7 +502,8 @@ def ratmatrix_real_forms(g):
     """L * M_p * L^-1 for every point element, by RatMatrix products."""
     basis = g.lattice_basis
     basis_inv = inverse(basis)
-    return tuple(basis * m * basis_inv for m in g.point_elements())
+    return tuple(basis * RatMatrix(m) * basis_inv
+                 for m in g.point_elements())
 
 
 @pytest.mark.parametrize(

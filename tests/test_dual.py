@@ -1131,6 +1131,22 @@ def test_a_loaded_disconnected_skeleton_is_refused():
                                            [[0, 1], [2, 3]]))
 
 
+def test_a_loaded_edge_endpoint_must_be_an_int():
+    # [false, true] would otherwise read as the edge (0, 1).
+    for edge in ([False, True], [0, True], [0.0, 1], ["0", 1]):
+        with pytest.raises(ComplexFormatError, match="integer"):
+            complex_from_json_dict(square_file(["00", "10", "11", "01"],
+                                               [edge, [1, 2], [2, 3]]))
+
+
+def test_a_loaded_zero_cube_must_be_a_string():
+    # ["1", "0"] would otherwise read as the bitstring "10".
+    for cube in (["1", "0"], 10, None):
+        with pytest.raises(ComplexFormatError, match="bitstring"):
+            complex_from_json_dict(square_file(["00", cube, "11", "01"],
+                                               [[0, 1], [1, 2], [2, 3]]))
+
+
 def test_orientation_slices_are_tuples_like_the_stored_tuple():
     c = grid_complex()
     old = stored_edge_dual(c.wallspace)

@@ -130,11 +130,12 @@ def words_extend_assignment(g, images):
 
 
 def loop_induced_action(g, fam):
-    """Per point element, the signed permutation of the direction
-    classes, from one product t * rep per element and class."""
+    """Per point element, in point_elements order, the signed
+    permutation of the direction classes, from one product t * rep per
+    element and class."""
     index = {rep: k for k, rep in enumerate(fam.classes)}
-    action = {}
-    for p, t in zip(g.point_elements(), point_group_real(g)):
+    action = []
+    for t in point_group_real(g):
         perm = [0] * fam.class_count
         signs = [0] * fam.class_count
         for k, rep in enumerate(fam.classes):
@@ -150,8 +151,8 @@ def loop_induced_action(g, fam):
                     break
             perm[k] = j + 1
             signs[k] = 1 if scale > 0 else -1
-        action[p] = SignedPermutation(perm, signs)
-    return action
+        action.append(SignedPermutation(perm, signs))
+    return tuple(action)
 
 
 def ratmatrix_direction_classes(g, basis):
@@ -259,7 +260,7 @@ def test_element_order():
         table = g.point_table()
         assert max(table.order) == order
         for p, k in zip(g.point_elements(), table.order):
-            assert ratmatrix_order(p, 48) == k
+            assert ratmatrix_order(RatMatrix(p), 48) == k
     shear = RatMatrix([[1, 1], [0, 1]])
     assert ratmatrix_order(shear, 48) is None
     with pytest.raises(StructureError):
@@ -269,7 +270,7 @@ def test_element_order():
 @pytest.mark.parametrize("g", GROUPS, ids=lambda g: g.name)
 def test_table_matches_the_ratmatrix_closure(g):
     elements, _ = ratmatrix_closure(g)
-    assert list(g.point_elements()) == elements
+    assert [RatMatrix(m) for m in g.point_elements()] == elements
     table = g.point_table()
     index = {p: k for k, p in enumerate(elements)}
     for k, p in enumerate(elements):
@@ -301,6 +302,33 @@ def test_b4_closes_validates_and_is_accepted():
     assert report.element_orders == tuple(
         sorted(s.order() for s in enumerate_group(4)))
     assert isinstance(is_hyperoctahedral(g), HyperoctahedralWitness)
+
+
+def test_the_table_rows_are_the_only_form_of_an_element(monkeypatch):
+    g = wf4()
+    built = []
+    init = RatMatrix.__init__
+
+    def counting_init(self, rows):
+        built.append(rows)
+        init(self, rows)
+
+    monkeypatch.setattr(RatMatrix, "__init__", counting_init)
+    table = g.point_table()
+    assert len(built) == 0
+    monkeypatch.undo()
+    assert len(table.elements) == CLOSURE_CAP
+    assert g.point_elements() is table.elements
+    assert type(g.point_elements()) is tuple
+
+
+def test_a_failed_closure_leaves_no_elements():
+    # _elements is what the benchmark tracer reads for the closure size.
+    shear = group("shear", I2, [[[1, 1], [0, 1]]])
+    with pytest.raises(StructureError):
+        shear.point_table()
+    assert shear._elements is None
+    assert shear._table is None
 
 
 def test_wf4_fills_the_closure_cap_and_is_order_obstructed():
@@ -420,12 +448,15 @@ def test_a_point_of_the_wrong_length_is_refused():
 def test_recorded_action_matches_the_loop_oracle(g):
     for fam in _families(g):
         action = induced_action_on_RN(g, fam)
-        assert list(action) == list(g.point_elements())
+        assert type(action) is tuple
+        assert len(action) == g.point_group_order()
         assert action == loop_induced_action(g, fam)
         s = stabilize(g, fam)
         assert s.dimension == fam.class_count
+        # The oracle for next[0][j]: each generator's image by its matrix.
+        index = {RatMatrix(p): k for k, p in enumerate(g.point_elements())}
         assert s.point_generators == tuple(
-            to_matrix(action[gen]) for gen in g.point_generators)
+            to_matrix(action[index[gen]]) for gen in g.point_generators)
 
 
 def test_recorded_action_refuses_a_family_of_another_group():

@@ -14,7 +14,7 @@ import pytest
 
 from cubecrys.crys import CrystGroup, catalog_entry, load_catalog, validate
 from cubecrys.decide import HyperoctahedralWitness, hyperoctahedral_basis, is_hyperoctahedral
-from cubecrys.exactlin import RatMatrix, RatVector, ShapeError
+from cubecrys.exactlin import RatMatrix, RatVector, ShapeError, int_mul
 from cubecrys.sgnperm import from_matrix
 from cubecrys.walls import (
     GeometricWall,
@@ -303,11 +303,12 @@ def test_induced_action_p4():
     g = catalog_entry("p4")
     fam = direction_class_count(g, g.lattice_basis.columns())
     action = induced_action_on_RN(g, fam)
-    rotation = action[g.point_generators[0]]
+    elements = g.point_elements()
+    rotation = action[elements.index(((0, -1), (1, 0)))]
     assert rotation.perm == (2, 1)
     assert sorted(rotation.signs) == [-1, 1]
-    identity = action[RatMatrix.identity(2)]
-    assert identity.is_identity()
+    assert elements[0] == ((1, 0), (0, 1))
+    assert action[0].is_identity()
 
 
 def test_induced_action_is_a_homomorphism():
@@ -316,16 +317,18 @@ def test_induced_action_is_a_homomorphism():
         fam = direction_class_count(g, g.lattice_basis.columns())
         action = induced_action_on_RN(g, fam)
         elements = g.point_elements()
-        for a in elements:
-            for b in elements:
-                assert action[a * b] == action[a] * action[b], name
+        index = {p: k for k, p in enumerate(elements)}
+        for a, p in enumerate(elements):
+            for b, q in enumerate(elements):
+                assert (action[index[int_mul(p, q)]]
+                        == action[a] * action[b]), name
 
 
 def test_induced_action_of_the_twisted_generator():
     g = catalog_entry("Z:W")
     fam = direction_class_count(g, g.lattice_basis.columns())
     action = induced_action_on_RN(g, fam)
-    image = action[g.point_generators[0]]
+    image = action[g.point_table().next[0][0]]
     # N = 4: three hexagonal wall directions plus the twisted axis.
     assert fam.class_count == 4
     assert image.order() == 6
