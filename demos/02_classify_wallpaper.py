@@ -33,7 +33,7 @@ def main():
         if g.name != "p4":
             continue
         witness = is_hyperoctahedral(g)
-        print("p4 witness conjugator:", matrix_to_json(witness.conjugator.entries))
+        print("p4 witness conjugator:", matrix_to_json(witness.conjugator))
         for p, s in zip(g.point_elements(), witness.iota):
             print("  %s -> perm %s signs %s"
                   % (matrix_to_json(p), list(s.perm), list(s.signs)))

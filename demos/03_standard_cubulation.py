@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from cubecrys.crys import catalog_entry, validate
 from cubecrys.decide import HyperoctahedralWitness, is_hyperoctahedral
-from cubecrys.exactlin import RatVector, format_rational
+from cubecrys.exactlin import format_rational, identity
 from cubecrys.walls import (
     check_linear_separation,
     direction_class_count,
@@ -19,7 +19,7 @@ from cubecrys.walls import (
 )
 
 g = catalog_entry("p6")
-fam = direction_class_count(g, g.lattice_basis.columns())
+fam = direction_class_count(g, zip(*g.lattice_basis))
 print("group %s: N = %d wall direction classes" % (g.name, fam.class_count))
 for k, rep in enumerate(fam.classes):
     print("  class %d: direction (%s)"
@@ -29,9 +29,9 @@ print()
 # Counting walls between two points.  Only walls strictly between the
 # endpoints count, so nearby points are separated by no wall at all.
 square = catalog_entry("p1")
-square_fam = direction_class_count(square, square.lattice_basis.columns())
-p = RatVector([Fraction(1, 4), Fraction(1, 4)])
-q = RatVector([Fraction(11, 4), Fraction(7, 4)])
+square_fam = direction_class_count(square, zip(*square.lattice_basis))
+p = (Fraction(1, 4), Fraction(1, 4))
+q = (Fraction(11, 4), Fraction(7, 4))
 print("separating walls between (1/4, 1/4) and (11/4, 7/4):",
       separation_count(p, q, square_fam))
 
@@ -66,4 +66,4 @@ print("stabilized group %r in dimension %d: %s"
          "accepted" if isinstance(result, HyperoctahedralWitness)
          else "rejected"))
 print("  conjugator is the identity:",
-      result.conjugator.is_identity())
+      result.conjugator == identity(s.dimension))

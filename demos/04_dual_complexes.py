@@ -20,16 +20,15 @@ from cubecrys.dual import (
     seeded_wallspaces,
     union_orientation,
 )
-from cubecrys.exactlin import RatVector
 from cubecrys.walls import GeometricWall
 
 
 def vertical(offset):
-    return GeometricWall(RatVector([1, 0]), Fraction(offset))
+    return GeometricWall([1, 0], Fraction(offset))
 
 
 def horizontal(offset):
-    return GeometricWall(RatVector([0, 1]), Fraction(offset))
+    return GeometricWall([0, 1], Fraction(offset))
 
 
 # Two crossing walls cut the window into four chambers; the dual is a
@@ -37,7 +36,7 @@ def horizontal(offset):
 ws = FiniteWallspace.geometric(
     2, [(-2, 2), (-2, 2)],
     [vertical(0), horizontal(0)],
-    RatVector([Fraction(1, 2), Fraction(1, 3)]))
+    [Fraction(1, 2), Fraction(1, 3)])
 c = dual_complex(ws)
 print("two crossing walls: %d 0-cubes, %d edges"
       % (c.vertex_count(), c.edge_count()))
@@ -48,7 +47,7 @@ print("two crossing walls: %d 0-cubes, %d edges"
 grid = FiniteWallspace.geometric(
     2, [(-2, 2), (-2, 2)],
     [vertical("-1/2"), vertical("1/2"), horizontal("-1/2"), horizontal("1/2")],
-    RatVector([Fraction(39, 20), Fraction(39, 20)]))
+    [Fraction(39, 20), Fraction(39, 20)])
 gc = dual_complex(grid)
 center = Orientation.from_bitstring("1010")
 print("grid: %d 0-cubes, median graph: %s, duality round-trip: %s"

@@ -9,6 +9,6 @@ boundaries of products of elementary complexes.
 
 __version__ = "0.1.0"
 
-from cubecrys.exactlin import Rational, RatMatrix, RatVector
+from cubecrys.exactlin import Rational
 
-__all__ = ["Rational", "RatMatrix", "RatVector", "__version__"]
+__all__ = ["Rational", "__version__"]

@@ -35,7 +35,6 @@ from cubecrys.dual import (
     load_wallspace,
 )
 from cubecrys.exactlin import (
-    RatVector,
     format_rational,
     json_text,
     matrix_to_json,
@@ -96,9 +95,8 @@ def _sample_pairs(n: int, count: int, seed: int):
     rng = random.Random(seed)
 
     def point():
-        return RatVector([Fraction(rng.randrange(-2000, 2001),
-                                   rng.randrange(1, 8))
-                          for _ in range(n)])
+        return tuple(Fraction(rng.randrange(-2000, 2001), rng.randrange(1, 8))
+                     for _ in range(n))
 
     return [(point(), point()) for _ in range(count)]
 
@@ -142,7 +140,7 @@ def _cmd_classify(args):
     lines = ["group %r: %s" % (g.name, verdict)]
     if accepted:
         lines.append("conjugator rows:")
-        for row in matrix_to_json(result.conjugator.entries):
+        for row in matrix_to_json(result.conjugator):
             lines.append("  [%s]" % ", ".join(row))
         lines.append("all %d conjugation residuals are zero"
                      % len(result.iota))
@@ -166,7 +164,7 @@ def _cmd_cubulate(args):
         basis = result.basis
         basis_source = "witness"
     else:
-        basis = g.lattice_basis.columns()
+        basis = zip(*g.lattice_basis)
         basis_source = "lattice"
     fam = direction_class_count(g, basis)
     action = tuple(zip(g.point_elements(), induced_action_on_RN(g, fam)))
@@ -296,7 +294,7 @@ def _cmd_catalog(args):
     rows = []
     for g in load_catalog():
         result = is_hyperoctahedral(g)
-        fam = direction_class_count(g, g.lattice_basis.columns())
+        fam = direction_class_count(g, zip(*g.lattice_basis))
         if isinstance(result, HyperoctahedralWitness):
             verdict, reason = "accepted", ""
         else:

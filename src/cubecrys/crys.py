@@ -3,9 +3,12 @@
 A group is recorded in lattice coordinates: an exact lattice basis L
 (columns are the lattice generators), one integer matrix per point-group
 generator describing its action on lattice coordinates, and one rational
-translation part per generator.  The real, geometric form of a point
-element p is theta_bar(p) = L * M_p * L^-1, computed once per group as
-the integer matrix d * theta_bar(p) for one common scale d.
+translation part per generator.  Matrices are Fraction rows and vectors
+Fraction tuples; the constructor reads every entry with
+exactlin.parse_rational, as the group file reader does.  The real,
+geometric form of a point element p is theta_bar(p) = L * M_p * L^-1,
+computed once per group as the integer matrix d * theta_bar(p) for one
+common scale d.
 
 The point group itself is held as integer data (PointTable): the
 elements as int rows (their only form), how each generator moves them,
@@ -29,10 +32,10 @@ from operator import mul
 
 from cubecrys.exactlin import (
     RatMatrix,
-    RatVector,
     det,
     dimension_from_json,
     from_format,
+    identity,
     int_det,
     int_mul,
     integral,
@@ -93,31 +96,43 @@ class PointTable:
     trace: tuple
 
 
-def _integer_generator(m: RatMatrix, k: int, n: int) -> tuple:
+def _is_square(rows, n: int) -> bool:
+    return len(rows) == n and all(len(row) == n for row in rows)
+
+
+def _is_integer(rows) -> bool:
+    return all(e.denominator == 1 for row in rows for e in row)
+
+
+def _integer_generator(m, k: int, n: int) -> tuple:
     """Point generator k as int rows, once it is an n x n integer matrix."""
-    if not (m.is_square() and m.rows == n):
+    if not _is_square(m, n):
         raise StructureError("point generator %d is not %dx%d" % (k, n, n))
-    if not m.is_integer():
+    if not _is_integer(m):
         raise LatticeInvarianceError(
             "point generator %d has a non-integer entry; "
             "it does not preserve the lattice" % k)
-    return tuple(tuple(int(e) for e in row) for row in m.entries)
+    return tuple(tuple(int(e) for e in row) for row in m)
 
 
 class CrystGroup:
     """A crystallographic group in lattice coordinates.
 
-    Immutable after construction; the point table and the real forms
-    are computed lazily, once, and cached.
+    The lattice basis and the point generators are Fraction rows and
+    the translation parts Fraction tuples, read from any rows of ints,
+    Fractions or strings; an entry that is a bool or a float raises
+    ValueError.  Immutable after construction; the point table and the
+    real forms are computed lazily, once, and cached.
     """
 
     def __init__(self, name, dimension, lattice_basis, point_generators,
                  translation_parts):
         self.name = str(name)
         self.dimension = dimension_from_json(dimension, StructureError)
-        self.lattice_basis = lattice_basis
-        self.point_generators = tuple(point_generators)
-        self.translation_parts = tuple(translation_parts)
+        self.lattice_basis = matrix_from_json(lattice_basis)
+        self.point_generators = tuple(map(matrix_from_json, point_generators))
+        self.translation_parts = tuple(map(vector_from_json,
+                                           translation_parts))
         self._elements = None
         self._table = None
         self._real_int = None
@@ -140,7 +155,7 @@ class CrystGroup:
         gens = [_integer_generator(m, k, n)
                 for k, m in enumerate(self.point_generators)]
         gen_dets = [int_det(m) for m in gens]
-        ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        ident = identity(n)
         elements = [ident]
         dets = [1]
         successors = []
@@ -226,10 +241,9 @@ def validate(g: CrystGroup) -> ValidationReport:
     data does not describe a crystallographic group within scope.
     """
     n = g.dimension
-    L = g.lattice_basis
-    if not (L.is_square() and L.rows == n):
+    if not _is_square(g.lattice_basis, n):
         raise BasisError("lattice basis must be %dx%d" % (n, n))
-    d = det(L)
+    d = det(g.lattice_basis)
     if d == 0:
         raise BasisError("lattice basis is singular")
     if len(g.translation_parts) != len(g.point_generators):
@@ -293,8 +307,8 @@ def integer_real_forms(g: CrystGroup) -> tuple:
     determine each other.  Computed once per group and cached on it.
     """
     if g._real_int is None:
-        e, lattice = integral(g.lattice_basis.entries)
-        f, lattice_inv = integral(inverse(g.lattice_basis).entries)
+        e, lattice = integral(g.lattice_basis)
+        f, lattice_inv = integral(inverse(g.lattice_basis))
         forms = tuple(int_mul(int_mul(lattice, m), lattice_inv)
                       for m in g.point_table().elements)
         h = math.gcd(e * f, *(x for m in forms for row in m for x in row))
@@ -307,7 +321,8 @@ def integer_real_forms(g: CrystGroup) -> tuple:
 
 def point_group_real(g: CrystGroup) -> tuple:
     """The real forms theta_bar(p) = L M_p L^-1 as RatMatrix, in
-    point_elements order: an uncached view of integer_real_forms."""
+    point_elements order: an uncached view of integer_real_forms, kept
+    for the test oracles."""
     d, forms = integer_real_forms(g)
     return tuple(RatMatrix([[Fraction(x, d) for x in row] for row in m])
                  for m in forms)
@@ -317,9 +332,9 @@ def semidirect_extend(g: CrystGroup, m: int, action, name=None) -> CrystGroup:
     """Extend by m new lattice directions with a point-group action.
 
     action supplies one finite-order integer m x m matrix per point
-    generator of g; the extended generators are block diagonal.  The
-    assignment must respect the point-group relations, which is checked
-    by comparing closure sizes.
+    generator of g, as rows; the extended generators are block diagonal.
+    The assignment must respect the point-group relations, which is
+    checked by comparing closure sizes.
     """
     if m < 0:
         raise ExtensionError("cannot extend by a negative number of directions")
@@ -329,24 +344,20 @@ def semidirect_extend(g: CrystGroup, m: int, action, name=None) -> CrystGroup:
         raise ExtensionError(
             "need one action matrix per point generator (%d vs %d)"
             % (len(action), len(g.point_generators)))
+    action = [matrix_from_json(a) for a in action]
     for k, a in enumerate(action):
-        if not (a.is_square() and a.rows == m):
+        if not _is_square(a, m):
             raise ExtensionError("action matrix %d is not %dx%d" % (k, m, m))
-        if not a.is_integer():
+        if not _is_integer(a):
             raise ExtensionError("action matrix %d has non-integer entries" % k)
     n = g.dimension
-    new_gens = [
-        RatMatrix.block_diagonal([gen, act])
-        for gen, act in zip(g.point_generators, action)
-    ]
     new_group = CrystGroup(
         name=name if name is not None else g.name + "-ext",
         dimension=n + m,
-        lattice_basis=RatMatrix.block_diagonal(
-            [g.lattice_basis, RatMatrix.identity(m)]),
-        point_generators=new_gens,
-        translation_parts=tuple(
-            RatVector(list(t) + [0] * m) for t in g.translation_parts),
+        lattice_basis=_block_diagonal(g.lattice_basis, identity(m)),
+        point_generators=[_block_diagonal(gen, act)
+                          for gen, act in zip(g.point_generators, action)],
+        translation_parts=[t + (0,) * m for t in g.translation_parts],
     )
     base_order = g.point_group_order()
     try:
@@ -362,6 +373,12 @@ def semidirect_extend(g: CrystGroup, m: int, action, name=None) -> CrystGroup:
     return new_group
 
 
+def _block_diagonal(a, b) -> tuple:
+    """The square matrices a and b, given as rows, on the diagonal."""
+    return (tuple(row + (0,) * len(b) for row in a)
+            + tuple((0,) * len(a) + row for row in b))
+
+
 # ---------------------------------------------------------------------------
 # Group files
 
@@ -371,9 +388,8 @@ def group_to_json_dict(g: CrystGroup) -> dict:
         "format": GROUP_FORMAT,
         "name": g.name,
         "dimension": g.dimension,
-        "lattice_basis": matrix_to_json(g.lattice_basis.entries),
-        "point_generators": [matrix_to_json(m.entries)
-                             for m in g.point_generators],
+        "lattice_basis": matrix_to_json(g.lattice_basis),
+        "point_generators": [matrix_to_json(m) for m in g.point_generators],
         "translation_parts": [vector_to_json(t) for t in g.translation_parts],
     }
 
@@ -462,14 +478,11 @@ def load_catalog() -> list:
 def _catalog() -> tuple:
     """The catalog groups, built and validated once per process."""
     try:
-        groups = [CrystGroup(name, 2, matrix_from_json(basis),
-                             [matrix_from_json(m) for m in gens],
-                             [vector_from_json(t) for t in parts])
+        groups = [CrystGroup(name, 2, basis, gens, parts)
                   for name, basis, gens, parts, _ in _CATALOG_DATA]
         w = groups[-1]
-        groups.append(semidirect_extend(w, 1, [RatMatrix([[1]])], name="ZxW"))
-        groups.append(semidirect_extend(w, 1, [RatMatrix([[-1]])],
-                                        name="Z:W"))
+        groups.append(semidirect_extend(w, 1, [[[1]]], name="ZxW"))
+        groups.append(semidirect_extend(w, 1, [[[-1]]], name="Z:W"))
         for g in groups:
             order = validate(g).point_group_order
             if order != CATALOG_POINT_ORDERS[g.name]:

@@ -33,9 +33,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from cubecrys.exactlin import (
-    RatMatrix,
     det,
     format_rational,
+    identity,
     int_det,
     int_mul,
     integral,
@@ -71,12 +71,13 @@ class HyperoctahedralWitness:
     """Accepting evidence: an embedding iota and the conjugator A.
 
     iota[k] is the signed permutation of the k-th point element, in
-    point_elements order; A satisfies, for every point element p,
-    A * iota(p) * A^-1 = theta_bar(p) exactly.
+    point_elements order; the conjugator A, as Fraction rows, satisfies
+    A * iota(p) * A^-1 = theta_bar(p) exactly for every point element
+    p.  basis holds the columns of A as tuples.
     """
 
     iota: tuple
-    conjugator: RatMatrix
+    conjugator: tuple
     basis: tuple
     # (g, d c, defects) for the group g the witness was verified on, so
     # that its report reuses the defects; None until then.
@@ -87,7 +88,7 @@ class HyperoctahedralWitness:
         as int rows for the k-th point element p, with cA integral; over
         d c it is theta_bar(p) A - A iota(p)."""
         d, forms = integer_real_forms(g)
-        c, ca = integral(self.conjugator.entries)
+        c, ca = integral(self.conjugator)
         dca = [[d * x for x in row] for row in ca]
         return d * c, [
             tuple(tuple(x - y for x, y in zip(left, right)) for left, right
@@ -113,10 +114,10 @@ class HyperoctahedralWitness:
             _, scale, defects = self.verified
         else:
             scale, defects = self._defects(g)
-        h, a_inv = integral(inverse(self.conjugator).entries)
+        h, a_inv = integral(inverse(self.conjugator))
         return {
             "verdict": "accepted",
-            "conjugator": matrix_to_json(self.conjugator.entries),
+            "conjugator": matrix_to_json(self.conjugator),
             "basis": [vector_to_json(v) for v in self.basis],
             "elements": [{
                 "point_element": matrix_to_json(p),
@@ -269,23 +270,29 @@ def _seeds(n: int):
                 yield seed
 
 
+def _over(rows, d: int = 1) -> tuple:
+    """The int rows over d, as Fraction rows."""
+    return tuple(tuple(Fraction(x, d) for x in row) for row in rows)
+
+
 def _build_conjugator(d, forms, iota):
     """The first nonsingular average sum_p theta_bar(p) * B * iota(p)^-1
-    over the seeds B of _seeds, for integer real forms d * theta_bar
-    and signed permutations iota in the same element order with equal
-    characters.  The walk always ends there (module docstring)."""
+    over the seeds B of _seeds, as Fraction rows, for integer real forms
+    d * theta_bar and signed permutations iota in the same element order
+    with equal characters.  The walk always ends there (module
+    docstring)."""
     n = len(forms[0])
     units = _unit_averages(forms, iota)
     for seed in _seeds(n):
         total = _combine(units, seed)
         rows = [total[i * n:(i + 1) * n] for i in range(n)]
         if int_det(rows):
-            return RatMatrix([[Fraction(x, d) for x in row] for row in rows])
+            return _over(rows, d)
 
 
-def _verified(g: CrystGroup, iota, a: RatMatrix):
+def _verified(g: CrystGroup, iota, a):
     """The witness (iota in point_elements order, A), re-verified."""
-    witness = HyperoctahedralWitness(tuple(iota), a, tuple(a.columns()))
+    witness = HyperoctahedralWitness(tuple(iota), a, tuple(zip(*a)))
     scale, defects = witness._defects(g)
     if not witness._holds(g, defects):
         raise WitnessCorruptionError(
@@ -329,7 +336,7 @@ def is_hyperoctahedral(g: CrystGroup):
                    for k in g.point_table().next[0])
     if None not in images:
         return _verified(g, _extend_assignment(g, images),
-                         RatMatrix.identity(n))
+                         _over(identity(n)))
 
     candidate_lists = _candidate_images(g)
     tried = 0
@@ -349,7 +356,8 @@ def is_hyperoctahedral(g: CrystGroup):
 
 
 def hyperoctahedral_basis(g: CrystGroup, w: HyperoctahedralWitness) -> list:
-    """The basis moved by signed permutations: the columns of A.
+    """The basis moved by signed permutations: the columns of A, as
+    tuples.
 
     Column i of theta_bar(p) * A == A * iota(p) says that p sends basis
     vector i to signs[i] times basis vector perm(i), so re-verifying
@@ -358,4 +366,4 @@ def hyperoctahedral_basis(g: CrystGroup, w: HyperoctahedralWitness) -> list:
     if not w.verify(g):
         raise WitnessCorruptionError(
             "witness does not permute the basis as claimed")
-    return w.conjugator.columns()
+    return list(zip(*w.conjugator))

@@ -45,7 +45,6 @@ from operator import add, gt, xor
 
 from cubecrys.exactlin import (
     IndexPairs,
-    RatVector,
     dimension_from_json,
     format_rational,
     from_format,
@@ -172,8 +171,12 @@ class FiniteWallspace:
 
     @staticmethod
     def geometric(dimension, window, walls, base_point) -> "FiniteWallspace":
-        window = tuple((Fraction(lo), Fraction(hi)) for lo, hi in window)
-        return FiniteWallspace(dimension, window, walls, base_point)
+        """The wallspace on a window of (lo, hi) pairs and a base point,
+        each entry read by exactlin.parse_rational."""
+        window = tuple((parse_rational(lo), parse_rational(hi))
+                       for lo, hi in window)
+        return FiniteWallspace(dimension, window, walls,
+                               vector_from_json(base_point))
 
     def _validate(self):
         n = self.dimension
@@ -240,11 +243,15 @@ def wallspace_from_json_dict(d: dict) -> FiniteWallspace:
             dimension=dimension_from_json(d["dimension"], WallspaceError),
             window=[(parse_rational(lo), parse_rational(hi))
                     for lo, hi in d["window"]],
-            walls=[GeometricWall(vector_from_json(w["normal"]),
-                                 parse_rational(w["offset"]))
-                   for w in d["walls"]],
+            walls=[_wall_from_json(w) for w in d["walls"]],
             base_point=vector_from_json(d["base_point"]),
         )))
+
+
+def _wall_from_json(w) -> GeometricWall:
+    """A wall from its JSON object {"normal": [...], "offset": "p/q"}."""
+    return GeometricWall(vector_from_json(w["normal"]),
+                         parse_rational(w["offset"]))
 
 
 def save_wallspace(ws: FiniteWallspace, path) -> None:
@@ -539,6 +546,15 @@ def _complex_from(d: dict) -> CubeComplex:
     orientations = [Orientation.from_bitstring(s) for s in zero]
     if any(o.n != width for o in orientations):
         raise ComplexFormatError("0-cube bitstrings differ in length")
+    walls = d.get("walls", [])
+    if not isinstance(walls, list):
+        raise ComplexFormatError('"walls" must be a list')
+    if walls and len(walls) != width:
+        raise ComplexFormatError(
+            '"walls" lists %d walls, but the 0-cubes have %d bits'
+            % (len(walls), width))
+    if len({len(_wall_from_json(w).normal) for w in walls}) > 1:
+        raise ComplexFormatError("wall normals differ in length")
     edges = []
     for u, v in d["edges"]:
         if not (type(u) is type(v) is int):
@@ -550,8 +566,7 @@ def _complex_from(d: dict) -> CubeComplex:
             raise ComplexFormatError(
                 "edge %r does not flip exactly one wall" % ((u, v),))
         edges.append((u, v, x.bit_length() - 1))
-    return CubeComplex(width, orientations, edges,
-                       wall_json=list(d.get("walls", [])))
+    return CubeComplex(width, orientations, edges, wall_json=list(walls))
 
 
 def save_complex(c: CubeComplex, path) -> None:
@@ -804,7 +819,7 @@ def seeded_wallspaces(count: int = 50, seed: int = 0, max_walls: int = 10,
             if all(x == 0 for x in normal):
                 continue
             offset = Fraction(rng.randrange(-9, 10), rng.choice((1, 2, 3)))
-            wall = GeometricWall(RatVector(normal), offset)
+            wall = GeometricWall(normal, offset)
             if wall in seen:
                 continue
             if not all(_feasible(box, h, h) for h in _wall_sides(wall, scale)):
@@ -815,8 +830,8 @@ def seeded_wallspaces(count: int = 50, seed: int = 0, max_walls: int = 10,
             continue
         base = None
         for _ in range(500):
-            candidate = RatVector([Fraction(rng.randrange(-550, 551), 97)
-                                   for _ in range(dimension)])
+            candidate = tuple(Fraction(rng.randrange(-550, 551), 97)
+                              for _ in range(dimension))
             if all(w.side(candidate) != 0 for w in walls):
                 base = candidate
                 break

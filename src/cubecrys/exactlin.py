@@ -1,13 +1,15 @@
-"""Exact rational scalars, vectors and matrices.
+"""Exact rational scalars and matrices as plain rows.
 
 `Rational` is the standard library `fractions.Fraction`: it already
 guarantees lowest terms, a positive denominator and arbitrary-precision
 integer arithmetic, which is the entire contract we need from a scalar.
-The vector and matrix wrappers below are immutable; they carry the
-rationals of file IO, the reports and the conjugator.  Point-group
-elements are int rows (crys.PointTable), as the integer kernels take.
-The JSON forms of rationals and the one read/write path for the
-package's file formats live here too.
+A vector is a tuple and a matrix is a tuple of row tuples, of ints or
+Fractions; every rational entry that comes from a file or a library
+constructor is read by parse_rational, which refuses bools and floats.
+Point-group elements are int rows (crys.PointTable), as the integer
+kernels take.  RatMatrix survives only as the type of the test oracles
+and of average_intertwiner.  The JSON forms of rationals and the one
+read/write path for the package's file formats live here too.
 """
 
 from __future__ import annotations
@@ -18,11 +20,8 @@ from collections.abc import Sequence
 from fractions import Fraction
 from itertools import repeat
 from operator import eq, floordiv, mod, mul
-from typing import Iterable, Union
 
 Rational = Fraction
-
-Scalar = Union[int, Fraction]
 
 
 class ShapeError(ValueError):
@@ -33,27 +32,19 @@ class SingularMatrixError(ZeroDivisionError):
     """Inversion was attempted on a matrix with vanishing determinant."""
 
 
-def rat(x) -> Fraction:
-    """Coerce an int, string like '3/4', or Fraction to a Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return parse_rational(x)
-    raise TypeError("expected an exact rational, got %r" % (x,))
-
-
-def format_rational(x: Fraction) -> str:
+def format_rational(x) -> str:
     """Serialize as 'p/q', or plain 'p' when the denominator is 1."""
-    x = rat(x)
+    x = parse_rational(x)
     if x.denominator == 1:
         return str(x.numerator)
     return "%d/%d" % (x.numerator, x.denominator)
 
 
 def parse_rational(s) -> Fraction:
-    """Inverse of format_rational; also takes plain ints, not bools."""
+    """The one reader of a rational entry: a Fraction, an int that is
+    not a bool, or a string like '3/4'.  Inverse of format_rational."""
+    if isinstance(s, Fraction):
+        return s
     if type(s) is int:
         return Fraction(s)
     if isinstance(s, str):
@@ -64,179 +55,27 @@ def parse_rational(s) -> Fraction:
     raise ValueError("not a serialized rational: %r" % (s,))
 
 
-class RatVector:
-    """An immutable vector of Fractions."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Iterable[Scalar]):
-        object.__setattr__(self, "entries", tuple(rat(e) for e in entries))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatVector is immutable")
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __eq__(self, other):
-        return isinstance(other, RatVector) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(("RatVector", self.entries))
-
-    def __repr__(self):
-        return "RatVector([%s])" % ", ".join(format_rational(e) for e in self.entries)
+def identity(n: int) -> tuple:
+    """The n x n identity as int rows."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-class RatMatrix:
-    """An immutable rows x cols matrix of Fractions."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows_of_entries: Sequence[Sequence[Scalar]]):
-        grid = tuple(tuple(rat(e) for e in row) for row in rows_of_entries)
-        if not grid:
-            raise ShapeError("matrix needs at least one row")
-        width = len(grid[0])
-        if width == 0:
-            raise ShapeError("matrix needs at least one column")
-        if any(len(row) != width for row in grid):
-            raise ShapeError("ragged rows in matrix literal")
-        object.__setattr__(self, "rows", len(grid))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "entries", grid)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatMatrix is immutable")
-
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def identity(n: int) -> "RatMatrix":
-        return RatMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "RatMatrix":
-        return RatMatrix([[0] * cols for _ in range(rows)])
-
-    @staticmethod
-    def from_columns(cols: Sequence[RatVector]) -> "RatMatrix":
-        if not cols:
-            raise ShapeError("need at least one column")
-        n = len(cols[0])
-        if any(len(c) != n for c in cols):
-            raise ShapeError("columns of unequal length")
-        return RatMatrix([[cols[j][i] for j in range(len(cols))] for i in range(n)])
-
-    @staticmethod
-    def block_diagonal(blocks: Sequence["RatMatrix"]) -> "RatMatrix":
-        size = sum(b.rows for b in blocks)
-        if any(b.rows != b.cols for b in blocks):
-            raise ShapeError("block_diagonal wants square blocks")
-        grid = [[Fraction(0)] * size for _ in range(size)]
-        at = 0
-        for b in blocks:
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    grid[at + i][at + j] = b.entries[i][j]
-            at += b.rows
-        return RatMatrix(grid)
-
-    # -- basic queries ------------------------------------------------
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def column(self, j: int) -> RatVector:
-        return RatVector(self.entries[i][j] for i in range(self.rows))
-
-    def columns(self) -> list[RatVector]:
-        return [self.column(j) for j in range(self.cols)]
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def is_integer(self) -> bool:
-        return all(e.denominator == 1 for row in self.entries for e in row)
-
-    def is_identity(self) -> bool:
-        return self.is_square() and all(
-            self.entries[i][j] == (1 if i == j else 0)
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
-
-    def trace(self) -> Fraction:
-        if not self.is_square():
-            raise ShapeError("trace of a non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), Fraction(0))
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix([[self.entries[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RatMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash(("RatMatrix", self.entries))
-
-    def __repr__(self):
-        body = "; ".join(
-            ", ".join(format_rational(e) for e in row) for row in self.entries
-        )
-        return "RatMatrix[%s]" % body
-
-    # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ShapeError("matrix shapes differ in addition")
-        return RatMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, RatMatrix):
-            if self.cols != other.rows:
-                raise ShapeError(
-                    "cannot multiply %dx%d by %dx%d"
-                    % (self.rows, self.cols, other.rows, other.cols)
-                )
-            ot = other.transpose().entries
-            return RatMatrix(
-                [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in ot]
-                 for row in self.entries]
-            )
-        if isinstance(other, RatVector):
-            if self.cols != len(other):
-                raise ShapeError("matrix-vector size mismatch")
-            return RatVector(
-                sum((a * b for a, b in zip(row, other)), Fraction(0))
-                for row in self.entries
-            )
-        return NotImplemented
+def _square(rows, what: str) -> int:
+    """The size n of an n x n matrix given as rows; ShapeError if not
+    square."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ShapeError("%s of a non-square matrix" % what)
+    return n
 
 
-def det(m: RatMatrix) -> Fraction:
-    """Exact determinant by Bareiss fraction-free elimination on the
-    integral multiple d * m, so every intermediate division is exact."""
-    if not m.is_square():
-        raise ShapeError("determinant of a non-square matrix")
-    d, rows = integral(m.entries)
-    return Fraction(int_det(rows), d ** m.rows)
+def det(rows) -> Fraction:
+    """Exact determinant of a square matrix given as rows of ints or
+    Fractions, by Bareiss fraction-free elimination on the integral
+    multiple d * rows, so every intermediate division is exact."""
+    n = _square(rows, "determinant")
+    d, ints = integral(rows)
+    return Fraction(int_det(ints), d ** n)
 
 
 def integral(rows):
@@ -276,12 +115,11 @@ def int_det(rows) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def inverse(m: RatMatrix) -> RatMatrix:
-    """Exact inverse by Gauss-Jordan elimination over the rationals."""
-    if not m.is_square():
-        raise ShapeError("inverse of a non-square matrix")
-    n = m.rows
-    aug = [list(m.entries[i]) + [Fraction(1 if i == j else 0) for j in range(n)]
+def inverse(rows) -> tuple:
+    """Exact inverse of a square matrix given as rows of ints or
+    Fractions, as Fraction rows, by Gauss-Jordan elimination."""
+    n = _square(rows, "inverse")
+    aug = [[Fraction(e) for e in rows[i]] + [Fraction(int(i == j)) for j in range(n)]
            for i in range(n)]
     for col in range(n):
         pivot = None
@@ -290,10 +128,9 @@ def inverse(m: RatMatrix) -> RatMatrix:
                 pivot = r
                 break
         if pivot is None:
-            d = det(m)
             raise SingularMatrixError(
-                "matrix is singular: determinant = %s" % format_rational(d)
-            )
+                "matrix is singular: determinant = %s"
+                % format_rational(det(rows)))
         aug[col], aug[pivot] = aug[pivot], aug[col]
         pv = aug[col][col]
         aug[col] = [e / pv for e in aug[col]]
@@ -301,15 +138,17 @@ def inverse(m: RatMatrix) -> RatMatrix:
             if r != col and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [e - f * p for e, p in zip(aug[r], aug[col])]
-    return RatMatrix([row[n:] for row in aug])
+    return tuple(tuple(row[n:]) for row in aug)
 
 
-def vector_to_json(v: RatVector) -> list:
+def vector_to_json(v) -> list:
     return [format_rational(e) for e in v]
 
 
-def vector_from_json(data) -> RatVector:
-    return RatVector(parse_rational(e) for e in data)
+def vector_from_json(data) -> tuple:
+    """A vector as a tuple of Fractions, each entry read by
+    parse_rational."""
+    return tuple(map(parse_rational, data))
 
 
 def matrix_to_json(rows) -> list:
@@ -317,8 +156,18 @@ def matrix_to_json(rows) -> list:
     return [[format_rational(e) for e in row] for row in rows]
 
 
-def matrix_from_json(data) -> RatMatrix:
-    return RatMatrix([[parse_rational(e) for e in row] for row in data])
+def matrix_from_json(data) -> tuple:
+    """A matrix as Fraction rows, each entry read by parse_rational;
+    ShapeError if it has no row, no column or ragged rows."""
+    grid = tuple(map(vector_from_json, data))
+    if not grid:
+        raise ShapeError("matrix needs at least one row")
+    width = len(grid[0])
+    if width == 0:
+        raise ShapeError("matrix needs at least one column")
+    if any(len(row) != width for row in grid):
+        raise ShapeError("ragged rows in matrix literal")
+    return grid
 
 
 _LEAF_ENCODERS = {}
@@ -485,6 +334,67 @@ def dimension_from_json(value, error) -> int:
     return value
 
 
+# ---------------------------------------------------------------------------
+# The test oracles' matrix type
+
+
+class RatMatrix:
+    """An immutable rows x cols matrix of Fractions: the test oracles'
+    type, and average_intertwiner's.  Nothing else in the package
+    builds one."""
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows_of_entries):
+        grid = matrix_from_json(rows_of_entries)
+        object.__setattr__(self, "rows", len(grid))
+        object.__setattr__(self, "cols", len(grid[0]))
+        object.__setattr__(self, "entries", grid)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RatMatrix is immutable")
+
+    @staticmethod
+    def zeros(rows: int, cols: int) -> "RatMatrix":
+        return RatMatrix([[0] * cols for _ in range(rows)])
+
+    def is_square(self) -> bool:
+        return self.rows == self.cols
+
+    def __eq__(self, other):
+        return isinstance(other, RatMatrix) and self.entries == other.entries
+
+    def __hash__(self):
+        return hash(("RatMatrix", self.entries))
+
+    def __repr__(self):
+        body = "; ".join(
+            ", ".join(format_rational(e) for e in row) for row in self.entries
+        )
+        return "RatMatrix[%s]" % body
+
+    def __add__(self, other: "RatMatrix") -> "RatMatrix":
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ShapeError("matrix shapes differ in addition")
+        return RatMatrix(
+            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
+        )
+
+    def __mul__(self, other: "RatMatrix") -> "RatMatrix":
+        if not isinstance(other, RatMatrix):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise ShapeError(
+                "cannot multiply %dx%d by %dx%d"
+                % (self.rows, self.cols, other.rows, other.cols)
+            )
+        cols = tuple(zip(*other.entries))
+        return RatMatrix(
+            [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols]
+             for row in self.entries]
+        )
+
+
 def average_intertwiner(
     theta_images: Sequence[RatMatrix],
     iota_images: Sequence[RatMatrix],
@@ -513,5 +423,5 @@ def average_intertwiner(
         raise ShapeError("seed does not match the representation dimension")
     total = RatMatrix.zeros(n, n)
     for t, i in zip(theta_images, iota_images):
-        total = total + t * seed_b * inverse(i)
+        total = total + t * seed_b * RatMatrix(inverse(i.entries))
     return total

@@ -13,8 +13,6 @@ import itertools
 from collections import Counter
 from typing import Hashable, Iterable, Sequence
 
-from cubecrys.exactlin import RatMatrix
-
 ENUMERATION_CAP = 6
 QN_CAP = 8
 
@@ -146,13 +144,13 @@ def enumerate_group(n: int) -> list[SignedPermutation]:
     return out
 
 
-def to_matrix(s: SignedPermutation) -> RatMatrix:
-    """The matrix sending e_i to signs[i] * e_{perm[i]}."""
+def to_matrix(s: SignedPermutation) -> tuple:
+    """The matrix sending e_i to signs[i] * e_{perm[i]}, as int rows."""
     n = s.n
     grid = [[0] * n for _ in range(n)]
     for i in range(n):
         grid[s.perm[i] - 1][i] = s.signs[i]
-    return RatMatrix(grid)
+    return tuple(map(tuple, grid))
 
 
 def times_signed_permutation(rows, s: SignedPermutation) -> tuple:
@@ -164,30 +162,17 @@ def times_signed_permutation(rows, s: SignedPermutation) -> tuple:
 
 
 def signed_permutation_of(rows, scale=1):
-    """The signed permutation whose matrix is rows / scale, for a square
-    matrix given as rows, or None."""
+    """The signed permutation whose matrix is rows / scale, for a matrix
+    given as rows, or None (also when rows is not square)."""
     hits = [[(r + 1, x) for r, x in enumerate(col) if x] for col in zip(*rows)]
-    if any(len(h) != 1 or abs(h[0][1]) != scale for h in hits):
+    if len(hits) != len(rows) or any(len(h) != 1 or abs(h[0][1]) != scale
+                                     for h in hits):
         return None
     try:
         return SignedPermutation([h[0][0] for h in hits],
                                  [h[0][1] // scale for h in hits])
     except ValueError:  # two columns have their entry in one row
         return None
-
-
-def is_signed_permutation_matrix(m: RatMatrix) -> bool:
-    """True iff every row and column has exactly one entry, and it is +-1."""
-    if not m.is_square():
-        raise ValueError("expected a square matrix")
-    return signed_permutation_of(m.entries) is not None
-
-
-def from_matrix(m: RatMatrix) -> SignedPermutation:
-    """Recover the signed permutation from its matrix form."""
-    if not is_signed_permutation_matrix(m):
-        raise ValueError("matrix is not a signed permutation matrix")
-    return signed_permutation_of(m.entries)
 
 
 class SimplicialComplex:

@@ -26,13 +26,14 @@ from operator import mul
 
 from cubecrys.crys import CrystGroup, integer_real_forms, validate
 from cubecrys.exactlin import (
-    RatMatrix,
-    RatVector,
     ShapeError,
     SingularMatrixError,
     format_rational,
+    identity,
     integral,
     inverse,
+    parse_rational,
+    vector_from_json,
     vector_to_json,
 )
 from cubecrys.sgnperm import SignedPermutation, to_matrix
@@ -66,26 +67,21 @@ def _primitive(v) -> tuple:
     return tuple(x // g for x in ints)
 
 
-def canonicalize_direction(v: RatVector) -> RatVector:
-    """Primitive integer representative of the line through v."""
-    return RatVector(_primitive(v))
-
-
 class GeometricWall:
     """An affine wall {x : <normal, x> = offset}, canonically scaled.
 
-    The normal is stored as a primitive integer vector with positive
-    leading entry and the offset is rescaled to match, so two wall
-    descriptions coincide exactly when they describe the same affine
-    subspace.
+    The entries are read by exactlin.parse_rational.  The normal is
+    stored as a primitive int tuple with positive leading entry and the
+    offset is rescaled to match, so two wall descriptions coincide
+    exactly when they describe the same affine subspace.
     """
 
     __slots__ = ("normal", "offset")
 
     def __init__(self, normal, offset):
-        normal = RatVector(normal)
-        offset = Fraction(offset)
-        canonical = canonicalize_direction(normal)
+        normal = vector_from_json(normal)
+        offset = parse_rational(offset)
+        canonical = _primitive(normal)
         # The scale relating the input normal to its canonical form.
         for i, e in enumerate(canonical):
             if e != 0:
@@ -97,7 +93,7 @@ class GeometricWall:
     def __setattr__(self, name, value):
         raise AttributeError("GeometricWall is immutable")
 
-    def side(self, point: RatVector) -> int:
+    def side(self, point) -> int:
         """-1, 0 or +1 according to <normal, point> - offset."""
         if len(point) != len(self.normal):
             raise ShapeError("vector lengths differ: %d vs %d"
@@ -152,13 +148,14 @@ class WallFamily:
 
 
 def _basis_and_inverse(g: CrystGroup, basis):
-    """The basis as vectors and the inverse of its column matrix."""
-    basis = [RatVector(v) for v in basis]
+    """The basis as Fraction tuples and the inverse of its column
+    matrix, as Fraction rows."""
+    basis = [vector_from_json(v) for v in basis]
     n = g.dimension
     if len(basis) != n or any(len(v) != n for v in basis):
         raise RankError("need %d vectors of length %d" % (n, n))
     try:
-        return basis, inverse(RatMatrix.from_columns(basis))
+        return basis, inverse(tuple(zip(*basis)))
     except SingularMatrixError:
         raise RankError("the supplied vectors are linearly dependent") from None
 
@@ -174,7 +171,7 @@ def standard_walls(g: CrystGroup, basis) -> list:
     dual covector of basis vector i, i.e. row i of the inverse basis
     matrix.
     """
-    return _base_walls(_basis_and_inverse(g, basis)[1].entries)
+    return _base_walls(_basis_and_inverse(g, basis)[1])
 
 
 def direction_class_count(g: CrystGroup, basis) -> WallFamily:
@@ -220,12 +217,12 @@ def direction_class_count(g: CrystGroup, basis) -> WallFamily:
         raise InternalError(
             "class count %d escaped the bound %d <= N <= %d"
             % (count, n, n * g.point_group_order()))
-    dual_matrix = integral(b_inv.entries)
+    dual_matrix = integral(b_inv)
     return WallFamily(
         basis=tuple(basis),
         dual_matrix=dual_matrix,
         base_walls=tuple(_base_walls(dual_matrix[1])),
-        classes=tuple(RatVector(c) for c in classes),
+        classes=tuple(classes),
         class_count=count,
         forms=integer_real_forms(g),
         action=tuple(SignedPermutation(p, s) for p, s in zip(perms, signs)),
@@ -257,7 +254,7 @@ def _pair_counts(fam: WallFamily, p, q) -> tuple:
     return sep, gap, m, c, dist
 
 
-def separation_count(p: RatVector, q: RatVector, fam: WallFamily) -> int:
+def separation_count(p, q, fam: WallFamily) -> int:
     """Number of basis-translate walls with p and q strictly on
     opposite sides.
 
@@ -314,14 +311,14 @@ def check_linear_separation(g: CrystGroup, fam: WallFamily, samples) -> LinearSe
         rhs = c * c * num * (sep + n) ** 2
         if lhs > rhs:
             raise PropertyViolationError(
-                "separation bound failed for pair (%r, %r): %s > %s"
-                % (r1, r2, Fraction(dist, c * c),
+                "separation bound failed for pair %s: %s > %s"
+                % (_pair_text(r1, r2), Fraction(dist, c * c),
                    max_norm_sq * (sep + n) ** 2))
         # nu is linear, so sum_i |nu_i| = gap / m.
         if sep * m < gap - n * m:
             raise PropertyViolationError(
-                "separation undercount for pair (%r, %r): %d < %s"
-                % (r1, r2, sep, Fraction(gap - n * m, m)))
+                "separation undercount for pair %s: %d < %s"
+                % (_pair_text(r1, r2), sep, Fraction(gap - n * m, m)))
         if lhs * bottom > top * rhs:
             top, bottom = lhs, rhs
     return LinearSeparationReport(
@@ -330,6 +327,12 @@ def check_linear_separation(g: CrystGroup, fam: WallFamily, samples) -> LinearSe
         max_basis_norm_sq=max_norm_sq,
         lower_bound_checked=True,
     )
+
+
+def _pair_text(p, q) -> str:
+    """'([p_1, ..], [q_1, ..])' with each entry as 'p/q'."""
+    return "(%s)" % ", ".join(
+        "[%s]" % ", ".join(map(format_rational, v)) for v in (p, q))
 
 
 def induced_action_on_RN(g: CrystGroup, fam: WallFamily) -> tuple:
@@ -360,17 +363,16 @@ def stabilize(g: CrystGroup, fam: WallFamily = None) -> CrystGroup:
     """
     validate(g)
     if fam is None:
-        fam = direction_class_count(g, g.lattice_basis.columns())
+        fam = direction_class_count(g, zip(*g.lattice_basis))
     action = induced_action_on_RN(g, fam)
     n_classes = fam.class_count
     new_gens = [to_matrix(action[k]) for k in g.point_table().next[0]]
     stabilized = CrystGroup(
         name=g.name + "-stab",
         dimension=n_classes,
-        lattice_basis=RatMatrix.identity(n_classes),
+        lattice_basis=identity(n_classes),
         point_generators=new_gens,
-        translation_parts=tuple(RatVector([0] * n_classes)
-                                for _ in g.point_generators),
+        translation_parts=[(0,) * n_classes] * len(new_gens),
     )
     validate(stabilized)
     if stabilized.point_group_order() != g.point_group_order():

@@ -45,7 +45,7 @@ from cubecrys.dual import (
     link_of_vertex,
     seeded_wallspaces,
 )
-from cubecrys.exactlin import RatMatrix, RatVector, inverse
+from cubecrys.exactlin import RatMatrix, identity, inverse
 from cubecrys.sgnperm import build_Qn, enumerate_group, to_matrix
 from cubecrys.walls import (
     GeometricWall,
@@ -89,7 +89,7 @@ def test_criterion_04_sixfold_symmetry_examples():
     assert isinstance(is_hyperoctahedral(w), RejectionCertificate)
     assert isinstance(is_hyperoctahedral(catalog_entry("ZxW")),
                       RejectionCertificate)
-    z2xw = semidirect_extend(w, 2, [RatMatrix.identity(2)], name="Z2xW")
+    z2xw = semidirect_extend(w, 2, [identity(2)], name="Z2xW")
     assert isinstance(is_hyperoctahedral(z2xw), RejectionCertificate)
     twisted = catalog_entry("Z:W")
     witness = is_hyperoctahedral(twisted)
@@ -126,12 +126,12 @@ def test_criterion_06_stabilization_accepts_every_rejection():
     for g in load_catalog():
         if isinstance(is_hyperoctahedral(g), HyperoctahedralWitness):
             continue
-        fam = direction_class_count(g, g.lattice_basis.columns())
+        fam = direction_class_count(g, zip(*g.lattice_basis))
         s = stabilize(g)
         assert s.dimension == fam.class_count, g.name
         witness = is_hyperoctahedral(s)
         assert isinstance(witness, HyperoctahedralWitness), g.name
-        assert witness.conjugator == RatMatrix.identity(s.dimension), g.name
+        assert witness.conjugator == identity(s.dimension), g.name
     print("[PASS] criterion 6: every rejected catalog group stabilizes to "
           "an accepted group with identity conjugator")
 
@@ -164,13 +164,13 @@ def extend_generator_images(g, gen_images):
     """
     n = g.dimension
     ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    img = {RatMatrix.identity(n): ident}
-    frontier = [RatMatrix.identity(n)]
+    img = {RatMatrix(ident): ident}
+    frontier = [RatMatrix(ident)]
     while frontier:
         fresh = []
         for a in frontier:
             for gen, image in zip(g.point_generators, gen_images):
-                b = a * gen
+                b = a * RatMatrix(gen)
                 bb = int_mul(img[a], image)
                 if b in img:
                     if img[b] != bb:
@@ -196,7 +196,8 @@ def embedding_exists(g):
             continue
         if len(set(img.values())) != order:
             continue
-        if all(sum(m[i][i] for i in range(len(m))) == p.trace()
+        if all(sum(m[i][i] for i in range(len(m)))
+               == sum(p.entries[i][i] for i in range(len(m)))
                for p, m in img.items()):
             return True
     return False
@@ -208,10 +209,11 @@ def test_criterion_07_witness_soundness_and_exhaustive_oracle():
         result = is_hyperoctahedral(g)
         if isinstance(result, HyperoctahedralWitness):
             accepted += 1
-            a = result.conjugator
-            a_inv = inverse(a)
+            a = RatMatrix(result.conjugator)
+            a_inv = RatMatrix(inverse(result.conjugator))
             for s, real_form in zip(result.iota, point_group_real(g)):
-                assert a * to_matrix(s) * a_inv == real_form, g.name
+                assert a * RatMatrix(to_matrix(s)) * a_inv == real_form, \
+                    g.name
             if g.dimension <= 3:
                 assert embedding_exists(g), g.name
         else:
@@ -244,16 +246,14 @@ def test_criterion_09_linear_separation_bounds():
     rng = random.Random(0)
     names = []
     for g in load_catalog():
-        fam = direction_class_count(g, g.lattice_basis.columns())
+        fam = direction_class_count(g, zip(*g.lattice_basis))
         pairs = []
         for _ in range(100):
             pairs.append((
-                RatVector([Fraction(rng.randrange(-2000, 2001),
-                                    rng.randrange(1, 8))
-                           for _ in range(g.dimension)]),
-                RatVector([Fraction(rng.randrange(-2000, 2001),
-                                    rng.randrange(1, 8))
-                           for _ in range(g.dimension)]),
+                [Fraction(rng.randrange(-2000, 2001), rng.randrange(1, 8))
+                 for _ in range(g.dimension)],
+                [Fraction(rng.randrange(-2000, 2001), rng.randrange(1, 8))
+                 for _ in range(g.dimension)],
             ))
         report = check_linear_separation(g, fam, pairs)
         assert report.pairs_checked == 100
@@ -271,8 +271,8 @@ def interior_grid_vertex_link(n):
         for offset in (Fraction(-1, 2), Fraction(1, 2)):
             normal = [Fraction(0)] * n
             normal[axis] = Fraction(1)
-            walls.append(GeometricWall(RatVector(normal), offset))
-    base = RatVector([Fraction(39, 20)] * n)
+            walls.append(GeometricWall(normal, offset))
+    base = [Fraction(39, 20)] * n
     ws = FiniteWallspace.geometric(n, [(-2, 2)] * n, walls, base)
     c = dual_complex(ws)
     center_bits = 0

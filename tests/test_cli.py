@@ -24,7 +24,6 @@ from cubecrys.dual import (
     save_wallspace,
     seeded_wallspaces,
 )
-from cubecrys.exactlin import RatVector
 from cubecrys.walls import GeometricWall
 from test_decide import _pinned_groups
 from test_point_table import wf4
@@ -51,9 +50,9 @@ def group_file(tmp_path, name):
 def walls_file(tmp_path):
     ws = FiniteWallspace.geometric(
         2, [(-2, 2), (-2, 2)],
-        [GeometricWall(RatVector([1, 0]), Fraction(0)),
-         GeometricWall(RatVector([0, 1]), Fraction(0))],
-        RatVector([Fraction(1, 2), Fraction(1, 3)]))
+        [GeometricWall([1, 0], Fraction(0)),
+         GeometricWall([0, 1], Fraction(0))],
+        [Fraction(1, 2), Fraction(1, 3)])
     path = tmp_path / "walls.json"
     save_wallspace(ws, path)
     return str(path)
@@ -337,8 +336,8 @@ def test_dual_of_ten_crossing_lines(capsys, tmp_path):
 def ten_crossing_lines():
     return FiniteWallspace.geometric(
         2, [(-2, 2), (-2, 2)],
-        [GeometricWall(RatVector([1, i]), Fraction(0)) for i in range(10)],
-        RatVector([Fraction(1, 2), Fraction(1, 3)]))
+        [GeometricWall([1, i], Fraction(0)) for i in range(10)],
+        [Fraction(1, 2), Fraction(1, 3)])
 
 
 def spatial_arrangement():
@@ -349,12 +348,12 @@ def spatial_arrangement():
     normals = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 0),
                (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1), (1, 1, 1),
                (1, 1, -1)]
-    walls = [GeometricWall(RatVector(n), Fraction(0)) for n in normals]
-    walls += [GeometricWall(RatVector(n), Fraction(c))
+    walls = [GeometricWall(n, Fraction(0)) for n in normals]
+    walls += [GeometricWall(n, Fraction(c))
               for n in ((1, -1, 1), (-1, 1, 1)) for c in (-1, 1)]
     return FiniteWallspace.geometric(
         3, [(-10, 10)] * 3, walls,
-        RatVector([Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)]))
+        [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)])
 
 
 # sha256 of `dual walls.json --json --out complex.json` stdout and of

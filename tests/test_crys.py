@@ -24,17 +24,21 @@ from cubecrys.crys import (
     semidirect_extend,
     validate,
 )
-from cubecrys.exactlin import RatMatrix, RatVector, det, inverse
+from cubecrys.exactlin import RatMatrix, ShapeError, det, identity, inverse
+
+
+def trace(rows):
+    """The trace of a square matrix given as rows."""
+    return sum(rows[i][i] for i in range(len(rows)))
 
 
 def square_group(name, gens, parts=None):
-    gens = [RatMatrix(m) for m in gens]
     if parts is None:
-        parts = [RatVector([0, 0]) for _ in gens]
+        parts = [[0, 0] for _ in gens]
     return CrystGroup(
         name=name,
         dimension=2,
-        lattice_basis=RatMatrix.identity(2),
+        lattice_basis=identity(2),
         point_generators=gens,
         translation_parts=parts,
     )
@@ -51,7 +55,7 @@ def test_closure_and_successor_table():
     # Element k times generator j is element next[k][j].
     for k, row in enumerate(table.next):
         for j, target in enumerate(row):
-            assert (RatMatrix(elements[k]) * g.point_generators[j]
+            assert (RatMatrix(elements[k]) * RatMatrix(g.point_generators[j])
                     == RatMatrix(elements[target]))
     assert table.next == ((1,), (2,), (3,), (0,))
     assert table.order == (1, 4, 2, 4)
@@ -82,10 +86,11 @@ def test_validate_reports_orders():
 
 def test_validate_rejects_bad_data():
     with pytest.raises(BasisError):
-        validate(CrystGroup("g", 2, RatMatrix([[1, 1], [1, 1]]), [], []))
+        validate(CrystGroup("g", 2, [[1, 1], [1, 1]], [], []))
     with pytest.raises(BasisError):
-        validate(CrystGroup("g", 2, RatMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
-                            [], []))
+        validate(CrystGroup("g", 2, identity(3), [], []))
+    with pytest.raises(BasisError):
+        validate(CrystGroup("g", 2, [[1, 0]], [], []))
     with pytest.raises(StructureError):
         validate(square_group("g", [[[-1, 0], [0, -1]]], parts=[]))
     with pytest.raises(LatticeInvarianceError):
@@ -94,15 +99,15 @@ def test_validate_rejects_bad_data():
         validate(square_group("g", [[[2, 0], [0, 1]]]))
     with pytest.raises(StructureError):
         validate(square_group("g", [[[0, -1], [1, 0]]],
-                              parts=[RatVector([0, 0, 0])]))
+                              parts=[[0, 0, 0]]))
 
 
 def test_point_group_real_conjugates_by_the_basis():
     g = catalog_entry("cm")
-    L = g.lattice_basis
+    L = RatMatrix(g.lattice_basis)
     reals = point_group_real(g)
     for m, t in zip(g.point_elements(), reals):
-        assert t == L * RatMatrix(m) * inverse(L)
+        assert t == L * RatMatrix(m) * RatMatrix(inverse(g.lattice_basis))
     # The rhombic basis turns the swap into an orthogonal reflection.
     swap_real = reals[g.point_elements().index(((0, 1), (1, 0)))]
     assert swap_real == RatMatrix([[1, 0], [0, -1]])
@@ -110,13 +115,16 @@ def test_point_group_real_conjugates_by_the_basis():
 
 def test_semidirect_extend_block_structure():
     w = catalog_entry("W")
-    ext = semidirect_extend(w, 1, [RatMatrix([[-1]])], name="tw")
+    ext = semidirect_extend(w, 1, [[[-1]]], name="tw")
     assert ext.dimension == 3
     assert ext.point_group_order() == w.point_group_order()
     gen = ext.point_generators[0]
-    assert gen[2, 2] == -1
-    assert gen[0, 2] == 0 and gen[2, 0] == 0
-    assert ext.translation_parts[0] == RatVector([0, 0, 0])
+    assert gen[2][2] == -1
+    assert gen[0][2] == 0 and gen[2][0] == 0
+    assert gen[:2] == tuple(row + (0,) for row in w.point_generators[0])
+    assert ext.lattice_basis == (w.lattice_basis[0] + (0,),
+                                 w.lattice_basis[1] + (0,), (0, 0, 1))
+    assert ext.translation_parts[0] == (0, 0, 0)
     # m = 0 is a no-op.
     assert semidirect_extend(w, 0, []) is w
 
@@ -128,13 +136,15 @@ def test_semidirect_extend_rejects_wrong_action():
     with pytest.raises(ExtensionError):
         semidirect_extend(w, 1, [])
     with pytest.raises(ExtensionError):
-        semidirect_extend(w, 1, [RatMatrix([["1/2"]])])
+        semidirect_extend(w, 1, [[["1/2"]]])
+    with pytest.raises(ExtensionError):
+        semidirect_extend(w, 1, [[[1, 0]]])
     # Order 2 on the new direction cannot satisfy the order-6 relation
     # wordlessly: (gen, -1) has order lcm(6, 2) = 6, fine; but an
     # action violating the relations must be caught.  Use order 4.
     with pytest.raises(ExtensionError):
         semidirect_extend(catalog_entry("p2"), 2,
-                          [RatMatrix([[0, -1], [1, 0]])])
+                          [[[0, -1], [1, 0]]])
 
 
 def test_group_file_round_trip(tmp_path):
@@ -176,8 +186,8 @@ def test_group_file_dimension_must_be_a_positive_json_integer(dimension):
 @pytest.mark.parametrize("dimension", [2.7, True, "2", 0, -1])
 def test_group_dimension_must_be_a_positive_integer(dimension):
     with pytest.raises(StructureError, match="dimension must be an integer"):
-        CrystGroup("x", dimension, RatMatrix.identity(2),
-                   [RatMatrix([[-1, 0], [0, -1]])], [RatVector([0, 0])])
+        CrystGroup("x", dimension, identity(2),
+                   [[[-1, 0], [0, -1]]], [[0, 0]])
 
 
 def test_catalog_has_twenty_validated_entries():
@@ -207,12 +217,12 @@ def test_hexagonal_entries_have_the_right_element_orders():
     w = catalog_entry("W")
     assert validate(w).element_orders == (1, 2, 3, 3, 6, 6)
     gen = w.point_generators[0]
-    assert det(gen) == 1 and gen.trace() == 1
+    assert det(gen) == 1 and trace(gen) == 1
 
 
 def test_pg_carries_a_genuine_glide():
     pg = catalog_entry("pg")
-    assert pg.translation_parts[0] == RatVector([Fraction(1, 2), 0])
+    assert pg.translation_parts[0] == (Fraction(1, 2), 0)
 
 
 def test_catalog_entry_lookup():
@@ -227,9 +237,50 @@ def test_zw_twisted_and_untwisted_differ():
     assert zxw.dimension == 3 and zsw.dimension == 3
     gen_plus = zxw.point_generators[0]
     gen_minus = zsw.point_generators[0]
-    assert gen_plus[2, 2] == 1
-    assert gen_minus[2, 2] == -1
+    assert gen_plus[2][2] == 1
+    assert gen_minus[2][2] == -1
     assert det(gen_plus) == 1
     assert det(gen_minus) == -1
-    assert gen_plus.trace() == 2
-    assert gen_minus.trace() == 0
+    assert trace(gen_plus) == 2
+    assert trace(gen_minus) == 0
+
+
+def test_entries_are_read_as_fraction_rows():
+    g = CrystGroup("g", 2, [["1", "1/2"], [0, 1]], [[[-1, 0], [0, -1]]],
+                   [[Fraction(1, 2), "0"]])
+    assert g.lattice_basis == ((1, Fraction(1, 2)), (0, 1))
+    assert g.point_generators == (((-1, 0), (0, -1)),)
+    assert g.translation_parts == ((Fraction(1, 2), 0),)
+    assert all(type(e) is Fraction for m in (g.lattice_basis,
+                                              *g.point_generators)
+               for row in m for e in row)
+    with pytest.raises(ShapeError, match="ragged rows"):
+        CrystGroup("g", 2, [[1, 0], [0]], [], [])
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("where", ["lattice_basis", "point_generators",
+                                   "translation_parts"])
+def test_the_constructor_refuses_bools(where, value):
+    args = {"lattice_basis": [[1, 0], [0, 1]],
+            "point_generators": [[[-1, 0], [0, -1]]],
+            "translation_parts": [[0, 0]]}
+    if where == "translation_parts":
+        args[where] = [[value, 0]]
+    elif where == "point_generators":
+        args[where] = [[[value, 0], [0, -1]]]
+    else:
+        args[where] = [[1, 0], [0, value]]
+    with pytest.raises(ValueError, match="not a serialized rational"):
+        CrystGroup("g", 2, **args)
+
+
+def test_a_non_integer_generator_loads_and_fails_in_validate(tmp_path):
+    d = group_to_json_dict(catalog_entry("p2"))
+    d["point_generators"] = [[["1/2", "0"], ["0", "1"]]]
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(d))
+    g = load_group(path)
+    with pytest.raises(LatticeInvarianceError,
+                       match="point generator 0 has a non-integer entry"):
+        validate(g)

@@ -40,9 +40,9 @@ from cubecrys.decide import (
 from cubecrys.crys import point_group_real
 from cubecrys.exactlin import (
     RatMatrix,
-    RatVector,
     average_intertwiner,
     det,
+    identity,
     inverse,
     matrix_from_json,
     matrix_to_json,
@@ -50,10 +50,18 @@ from cubecrys.exactlin import (
 from cubecrys.sgnperm import (
     SignedPermutation,
     enumerate_group,
-    is_signed_permutation_matrix,
+    signed_permutation_of,
     to_matrix,
 )
 from test_point_table import D4_BASIS, GROUPS, wf4
+
+
+def is_signed_permutation_matrix(m: RatMatrix) -> bool:
+    return signed_permutation_of(m.entries) is not None
+
+
+def ratmatrix_of(s: SignedPermutation) -> RatMatrix:
+    return RatMatrix(to_matrix(s))
 
 
 def test_realized_orders_in_dimension_two():
@@ -75,10 +83,10 @@ def test_fast_path_accepts_signed_permutation_groups():
         g = catalog_entry(name)
         result = is_hyperoctahedral(g)
         assert isinstance(result, HyperoctahedralWitness), name
-        assert result.conjugator == RatMatrix.identity(g.dimension)
+        assert result.conjugator == identity(g.dimension)
         assert result.verify(g)
         for s, real in zip(result.iota, point_group_real(g)):
-            assert to_matrix(s) == real
+            assert ratmatrix_of(s) == real
 
 
 def test_hexagonal_groups_are_order_obstructed():
@@ -104,7 +112,7 @@ def test_untwisted_extension_fails_on_characters():
 
 def test_two_fixed_directions_still_mismatch():
     w = catalog_entry("W")
-    g = semidirect_extend(w, 2, [RatMatrix.identity(2)], name="Z2xW")
+    g = semidirect_extend(w, 2, [identity(2)], name="Z2xW")
     result = is_hyperoctahedral(g)
     assert isinstance(result, RejectionCertificate)
     assert result.reason == CHARACTER_MISMATCH
@@ -120,10 +128,10 @@ def test_twisted_extension_is_accepted():
     assert image.order() == 6
     assert image.determinant() == -1
     # The conjugation identity, element by element and entry for entry.
-    a = witness.conjugator
-    a_inv = inverse(a)
+    a = RatMatrix(witness.conjugator)
+    a_inv = RatMatrix(inverse(witness.conjugator))
     for s, real in zip(witness.iota, point_group_real(g)):
-        assert a * to_matrix(s) * a_inv == real
+        assert a * ratmatrix_of(s) * a_inv == real
 
 
 def test_witness_json_embeds_zero_residuals():
@@ -141,28 +149,28 @@ def test_hyperoctahedral_basis_is_permuted_with_signs():
     witness = is_hyperoctahedral(g)
     basis = hyperoctahedral_basis(g, witness)
     assert len(basis) == 3
+    assert basis == list(witness.basis)
     for s, real in zip(witness.iota, point_group_real(g)):
         for i in range(3):
-            expected = RatVector([s.signs[i] * e for e in basis[s.perm[i] - 1]])
-            assert real * basis[i] == expected
+            expected = [[s.signs[i] * e] for e in basis[s.perm[i] - 1]]
+            assert real * RatMatrix([[e] for e in basis[i]]) == \
+                RatMatrix(expected)
 
 
 def test_search_path_with_skew_coordinates():
     """A quarter turn written in a skew lattice basis is still accepted,
     now through the candidate search and averaged conjugator."""
-    skew = RatMatrix([[2, 1], [1, 1]])
     g = CrystGroup(
         name="p4-skew",
         dimension=2,
-        lattice_basis=skew,
-        point_generators=[RatMatrix([[0, -1], [1, 0]])],
-        translation_parts=[RatVector([0, 0])],
+        lattice_basis=[[2, 1], [1, 1]],
+        point_generators=[[[0, -1], [1, 0]]],
+        translation_parts=[[0, 0]],
     )
     witness = is_hyperoctahedral(g)
     assert isinstance(witness, HyperoctahedralWitness)
     assert witness.verify(g)
     # The real form here is genuinely not a signed permutation matrix.
-    from cubecrys.sgnperm import is_signed_permutation_matrix
     assert not all(is_signed_permutation_matrix(t)
                    for t in point_group_real(g))
 
@@ -177,7 +185,7 @@ def test_verdicts_are_ambient_basis_invariant():
         moved = CrystGroup(
             name=g.name + "-moved",
             dimension=2,
-            lattice_basis=c * g.lattice_basis,
+            lattice_basis=(c * RatMatrix(g.lattice_basis)).entries,
             point_generators=g.point_generators,
             translation_parts=g.translation_parts,
         )
@@ -211,17 +219,17 @@ def test_stabilized_groups_take_the_identity_fast_path():
         s = stabilize(catalog_entry(name))
         witness = is_hyperoctahedral(s)
         assert isinstance(witness, HyperoctahedralWitness), name
-        assert witness.conjugator == RatMatrix.identity(s.dimension)
+        assert witness.conjugator == identity(s.dimension)
 
 
 def test_dimension_cap():
     g = CrystGroup(
         name="big",
         dimension=5,
-        lattice_basis=RatMatrix.identity(5),
-        point_generators=[RatMatrix([[-int(i == j) for j in range(5)]
-                                    for i in range(5)])],
-        translation_parts=[RatVector([0] * 5)],
+        lattice_basis=identity(5),
+        point_generators=[[[-int(i == j) for j in range(5)]
+                           for i in range(5)]],
+        translation_parts=[[0] * 5],
     )
     with pytest.raises(SizeCapError):
         is_hyperoctahedral(g)
@@ -236,7 +244,7 @@ def test_exhaustive_search_confirms_w_rejection():
         s for s in enumerate_group(2)
         if s.order() == 6
         and s.determinant() == int(det(gen))
-        and s.trace() == int(gen.trace())
+        and s.trace() == int(sum(gen[i][i] for i in range(len(gen))))
     ]
     assert candidates == []
 
@@ -251,9 +259,9 @@ def test_reason_constants_are_distinct():
 
 def _conjugation_holds(g, w):
     """A * iota(p) * A^-1 == theta_bar(p) for every p, by matrix products."""
-    a = w.conjugator
-    a_inv = inverse(a)
-    return all(a * to_matrix(s) * a_inv == real
+    a = RatMatrix(w.conjugator)
+    a_inv = RatMatrix(inverse(w.conjugator))
+    return all(a * ratmatrix_of(s) * a_inv == real
                for s, real in zip(w.iota, point_group_real(g)))
 
 
@@ -263,14 +271,14 @@ def _corrupted_witnesses(g, witness):
     iota = list(witness.iota)
     p, q = [k for k, s in enumerate(iota) if not s.is_identity()][:2]
     iota[p], iota[q] = iota[q], iota[p]
-    bumped = [list(row) for row in a.entries]
+    bumped = [list(row) for row in a]
     bumped[0][1] += 1
-    bumped = RatMatrix(bumped)
-    zero = RatMatrix.zeros(g.dimension, g.dimension)
+    bumped = matrix_from_json(bumped)
+    zero = RatMatrix.zeros(g.dimension, g.dimension).entries
     swapped = HyperoctahedralWitness(iota=tuple(iota), conjugator=a,
                                      basis=witness.basis)
     perturbed = HyperoctahedralWitness(iota=witness.iota, conjugator=bumped,
-                                       basis=tuple(bumped.columns()))
+                                       basis=tuple(zip(*bumped)))
     assert det(bumped) != 0
     assert not _conjugation_holds(g, swapped)
     assert not _conjugation_holds(g, perturbed)
@@ -278,7 +286,7 @@ def _corrupted_witnesses(g, witness):
     # check refuses the zero conjugator.
     return [swapped, perturbed,
             HyperoctahedralWitness(iota=witness.iota, conjugator=zero,
-                                   basis=tuple(zero.columns()))]
+                                   basis=tuple(zip(*zero)))]
 
 
 @pytest.mark.parametrize("name", ["Z:W", "p4m", "cmm"])
@@ -318,7 +326,7 @@ def test_a_witness_one_image_short_fails_verification(name):
 def old_seed_matrices(n):
     """The earlier seed schedule: identity, then small dense grids, cut
     off at 1000 seeds."""
-    yield RatMatrix.identity(n)
+    yield RatMatrix(identity(n))
     emitted = 1
     for alphabet in ((0, 1), (-1, 0, 1)):
         for flat in itertools.product(alphabet, repeat=n * n):
@@ -334,7 +342,7 @@ def old_build_conjugator(theta_images, iota_matrices):
     Returns None where it used to raise on an exhausted schedule."""
     for seed in old_seed_matrices(theta_images[0].rows):
         a = average_intertwiner(theta_images, iota_matrices, seed)
-        if det(a) != 0:
+        if det(a.entries) != 0:
             return a
     return None
 
@@ -349,18 +357,18 @@ def _skewed(name, gens):
              4: [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1],
                  [0, 0, 0, 1]]}[n]
     u = RatMatrix(shear)
+    u_inv = RatMatrix(inverse(shear))
     r = RatMatrix([[Fraction(x, 2) for x in row] for row in skew])
-    return CrystGroup(name, n, r * u,
-                      [inverse(u) * RatMatrix(g) * u for g in gens],
-                      [RatVector([0] * n)] * len(gens))
+    return CrystGroup(name, n, (r * u).entries,
+                      [(u_inv * RatMatrix(g) * u).entries for g in gens],
+                      [[0] * n] * len(gens))
 
 
 def _pinned_groups():
     return {
         "Z:W": catalog_entry("Z:W"),
-        "p4-skew": CrystGroup("p4-skew", 2, RatMatrix([[2, 1], [1, 1]]),
-                              [RatMatrix([[0, -1], [1, 0]])],
-                              [RatVector([0, 0])]),
+        "p4-skew": CrystGroup("p4-skew", 2, [[2, 1], [1, 1]],
+                              [[[0, -1], [1, 0]]], [[0, 0]]),
         "m-skew": _skewed("m-skew", [[[1, 0, 0], [0, 1, 0], [0, 0, -1]]]),
         "C2^2.p-skew": _skewed("C2^2.p-skew", [
             [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
@@ -395,9 +403,9 @@ def _assert_matches_old_loop(g, iota):
     """Where the old loop finds a conjugator, the new one is the same
     matrix; returns whether the old loop found one."""
     old = old_build_conjugator(point_group_real(g),
-                               [to_matrix(s) for s in iota])
+                               [ratmatrix_of(s) for s in iota])
     if old is not None:
-        assert _build_conjugator(*integer_real_forms(g), iota) == old
+        assert _build_conjugator(*integer_real_forms(g), iota) == old.entries
     return old is not None
 
 
@@ -412,7 +420,8 @@ def test_witness_conjugators_are_pinned(name):
         # The pin lies past the identity seed.
         n = g.dimension
         assert det(average_intertwiner(
-            theta, [to_matrix(s) for s in iota], RatMatrix.identity(n))) == 0
+            theta, [ratmatrix_of(s) for s in iota],
+            RatMatrix(identity(n))).entries) == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -429,7 +438,7 @@ def test_unit_averages_combine_to_the_seed_average(name, flat):
                           for i in range(n)])
     b = RatMatrix([seed[i * n:(i + 1) * n] for i in range(n)])
     assert combined == average_intertwiner(
-        theta, [to_matrix(s) for s in iota], b)
+        theta, [ratmatrix_of(s) for s in iota], b)
 
 
 # Two C4 subgroups of W(F4) in the D4 lattice, character (4, -2, 0, -2):
@@ -443,8 +452,7 @@ C4_GENERATORS = [
 
 @pytest.mark.parametrize("gen", C4_GENERATORS)
 def test_c4_past_the_old_schedule_is_accepted(tmp_path, capsys, gen):
-    g = CrystGroup("C4", 4, RatMatrix(D4_BASIS), [RatMatrix(gen)],
-                   [RatVector([0] * 4)])
+    g = CrystGroup("C4", 4, D4_BASIS, [gen], [[0] * 4])
     path = tmp_path / "c4.json"
     save_group(g, path)
     assert main(["classify", "--json", str(path)]) == 0
@@ -459,7 +467,7 @@ def test_c4_past_the_old_schedule_is_accepted(tmp_path, capsys, gen):
                  for e in payload["elements"])
     a = matrix_from_json(payload["conjugator"])
     witness = HyperoctahedralWitness(iota=iota, conjugator=a,
-                                     basis=tuple(a.columns()))
+                                     basis=tuple(zip(*a)))
     assert witness.verify(loaded)
 
 
@@ -474,10 +482,9 @@ def test_wf4_subgroup_fuzz():
     seen = set()
     old_failures = 0
     for _ in range(60):
-        gens = [RatMatrix(m)
-                for m in rng.sample(elements, rng.randint(1, 3))]
+        gens = rng.sample(elements, rng.randint(1, 3))
         g = CrystGroup("sub", 4, wf.lattice_basis, gens,
-                       [RatVector([0] * 4)] * len(gens))
+                       [[0] * 4] * len(gens))
         table = g.point_table()
         key = (len(table.elements), tuple(sorted(table.trace)))
         if key in seen:
@@ -500,8 +507,8 @@ def test_wf4_subgroup_fuzz():
 
 def ratmatrix_real_forms(g):
     """L * M_p * L^-1 for every point element, by RatMatrix products."""
-    basis = g.lattice_basis
-    basis_inv = inverse(basis)
+    basis = RatMatrix(g.lattice_basis)
+    basis_inv = RatMatrix(inverse(g.lattice_basis))
     return tuple(basis * RatMatrix(m) * basis_inv
                  for m in g.point_elements())
 

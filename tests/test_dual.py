@@ -40,7 +40,7 @@ from cubecrys.dual import (
     union_orientation,
     wallspace_from_json_dict,
 )
-from cubecrys.exactlin import IndexPairs, RatVector, json_text
+from cubecrys.exactlin import IndexPairs, json_text
 from cubecrys.sgnperm import build_Qn
 from cubecrys.walls import GeometricWall
 from stored_edge_complex import (
@@ -53,15 +53,15 @@ from test_cli import spatial_arrangement
 
 
 def vertical(offset):
-    return GeometricWall(RatVector([1, 0]), Fraction(offset))
+    return GeometricWall([1, 0], Fraction(offset))
 
 
 def horizontal(offset):
-    return GeometricWall(RatVector([0, 1]), Fraction(offset))
+    return GeometricWall([0, 1], Fraction(offset))
 
 
 def plane_space(walls, base, window=((-2, 2), (-2, 2))):
-    return FiniteWallspace.geometric(2, window, walls, RatVector(base))
+    return FiniteWallspace.geometric(2, window, walls, base)
 
 
 def fourier_motzkin_feasible(constraints, nvars: int) -> bool:
@@ -275,7 +275,7 @@ def test_base_point_outside_the_window_is_rejected():
 
 def test_duplicate_walls_are_rejected():
     # Same wall written with two different normal scalings.
-    dup = GeometricWall(RatVector([-2, 0]), Fraction(0))
+    dup = GeometricWall([-2, 0], Fraction(0))
     with pytest.raises(WallspaceError, match="distinct"):
         plane_space([vertical(0), dup], ["1/2", "1/3"])
 
@@ -283,7 +283,7 @@ def test_duplicate_walls_are_rejected():
 def test_degenerate_window_is_rejected():
     with pytest.raises(WallspaceError, match="degenerate"):
         FiniteWallspace.geometric(2, [(0, 0), (-1, 1)],
-                                  [vertical(0)], RatVector([1, 0]))
+                                  [vertical(0)], [1, 0])
 
 
 def test_wall_cap():
@@ -910,12 +910,68 @@ def test_complex_file_errors(tmp_path):
         load_complex(path)
 
 
+@pytest.mark.parametrize("walls", [
+    [True, "x", 3],
+    [True, "x"],
+    "ab",
+    None,
+    [{"normal": ["1", "0"], "offset": "0"}],
+    [{"normal": ["1", "0"], "offset": "0"}, {"normal": ["1"], "offset": "0"}],
+    [{"normal": ["1", "0"], "offset": "0"}, {"normal": ["0", "1"]}],
+    [{"normal": ["1", "0"], "offset": "0"}, {"normal": [True, "1"],
+                                            "offset": "0"}],
+    [{"normal": ["1", "0"], "offset": "0"}, {"normal": ["0", "1"],
+                                            "offset": False}],
+    [{"normal": ["1", "0"], "offset": "0"}, {"normal": ["0", "0"],
+                                            "offset": "0"}],
+], ids=repr)
+def test_complex_walls_are_one_wall_per_bit(walls):
+    d = {"format": "cubecrys-complex/1", "walls": walls,
+         "zero_cubes": ["00", "10"], "edges": [[0, 1]]}
+    with pytest.raises(ComplexFormatError):
+        complex_from_json_dict(d)
+
+
+def test_complex_walls_may_be_absent_empty_or_one_per_bit():
+    walls = [{"normal": ["1", "0"], "offset": "0"},
+             {"normal": ["0", "2"], "offset": "1/3"}]
+    for given_walls in (None, [], walls):
+        d = {"format": "cubecrys-complex/1", "zero_cubes": ["00", "10"],
+             "edges": [[0, 1]]}
+        if given_walls is not None:
+            d["walls"] = given_walls
+        # The walls are stored as given, not rewritten canonically.
+        assert complex_from_json_dict(d).to_json_dict()["walls"] == \
+            (given_walls or [])
+
+
+def test_written_complexes_with_walls_round_trip_byte_for_byte(tmp_path):
+    path, again = tmp_path / "c.json", tmp_path / "again.json"
+    spaces = (seeded_wallspaces(count=3, seed=3, max_walls=6)
+              + seeded_wallspaces(count=3, seed=4, max_walls=6, dimension=3))
+    for ws in spaces:
+        c = dual_complex(ws)
+        save_complex(c, path)
+        assert len(json.loads(path.read_text())["walls"]) == len(ws.walls)
+        save_complex(load_complex(path), again)
+        assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_a_wallspace_refuses_bools(value):
+    with pytest.raises(ValueError, match="not a serialized rational"):
+        plane_space([vertical(0)], [value, "1/3"])
+    with pytest.raises(ValueError, match="not a serialized rational"):
+        plane_space([vertical(0)], ["1/2", "1/3"],
+                    window=((-2, 2), (value, 2)))
+
+
 # -- constructor validation -------------------------------------------
 
 
 def test_cube_complex_sorts_and_dedupes_edges_like_sorted_set():
     ws = plane_space([vertical(-1), vertical(1), horizontal(0),
-                      GeometricWall(RatVector([1, 1]), Fraction(0))],
+                      GeometricWall([1, 1], Fraction(0))],
                      ["1/2", "1/3"])
     c = dual_complex(ws)
     rng = random.Random(0)

@@ -39,9 +39,10 @@ from cubecrys.decide import (
     hyperoctahedral_basis,
     is_hyperoctahedral,
 )
-from cubecrys.exactlin import RatMatrix, RatVector, ShapeError, det, inverse
+from cubecrys.exactlin import RatMatrix, ShapeError, det, identity, inverse
 from cubecrys.sgnperm import SignedPermutation, enumerate_group, to_matrix
 from test_walls import (
+    apply,
     fraction_check_linear_separation,
     fraction_dual_matrix,
     fraction_separation,
@@ -50,7 +51,7 @@ from test_walls import (
 from cubecrys.walls import (
     InternalError,
     PropertyViolationError,
-    canonicalize_direction,
+    _primitive,
     check_linear_separation,
     direction_class_count,
     induced_action_on_RN,
@@ -62,9 +63,14 @@ from cubecrys.walls import (
 # Oracles
 
 
+def trace(m: RatMatrix):
+    """The trace of a square RatMatrix, as a Fraction."""
+    return sum((m.entries[i][i] for i in range(m.rows)), Fraction(0))
+
+
 def ratmatrix_order(m, cap):
     """Least k <= cap with m**k = identity, by RatMatrix powers; else None."""
-    ident = RatMatrix.identity(m.rows)
+    ident = RatMatrix(identity(m.rows))
     power = m
     for k in range(1, cap + 1):
         if power == ident:
@@ -75,12 +81,12 @@ def ratmatrix_order(m, cap):
 
 def ratmatrix_closure(g):
     """Breadth-first closure over RatMatrix: (elements, words)."""
-    ident = RatMatrix.identity(g.dimension)
+    ident = RatMatrix(identity(g.dimension))
     elements, words, index = [ident], [()], {ident: 0}
     head = 0
     while head < len(elements):
         for j, gen in enumerate(g.point_generators):
-            product = elements[head] * gen
+            product = elements[head] * RatMatrix(gen)
             if product not in index:
                 assert len(elements) < CLOSURE_CAP
                 index[product] = len(elements)
@@ -94,8 +100,9 @@ def words_candidates(g):
     """Per generator, the signed permutations with its order, det, trace."""
     order = len(ratmatrix_closure(g)[0])
     out = []
-    for gen in g.point_generators:
-        key = (ratmatrix_order(gen, order), int(det(gen)), int(gen.trace()))
+    for gen in map(RatMatrix, g.point_generators):
+        key = (ratmatrix_order(gen, order), int(det(gen.entries)),
+               int(trace(gen)))
         out.append([s for s in enumerate_group(g.dimension)
                     if (s.order(), s.determinant(), s.trace()) == key])
     return out
@@ -115,14 +122,14 @@ def words_extend_assignment(g, images):
         iota.append(s)
     for k, p in enumerate(elements):
         for j, gen in enumerate(g.point_generators):
-            if iota[k] * images[j] != iota[index[p * gen]]:
+            if iota[k] * images[j] != iota[index[p * RatMatrix(gen)]]:
                 return None
     if len(set(iota)) != len(elements):
         return None
     for k, p in enumerate(elements):
-        if iota[k].trace() != int(p.trace()):
+        if iota[k].trace() != int(trace(p)):
             return None
-        if iota[k].determinant() != int(det(p)):
+        if iota[k].determinant() != int(det(p.entries)):
             return None
         if iota[k].order() != ratmatrix_order(p, len(elements)):
             return None
@@ -139,8 +146,8 @@ def loop_induced_action(g, fam):
         perm = [0] * fam.class_count
         signs = [0] * fam.class_count
         for k, rep in enumerate(fam.classes):
-            image = t * rep
-            canonical = canonicalize_direction(image)
+            image = apply(t, rep)
+            canonical = _primitive(image)
             j = index.get(canonical)
             if j is None:
                 raise InternalError(
@@ -163,14 +170,14 @@ def ratmatrix_direction_classes(g, basis):
     index, classes = {}, []
 
     def class_of(v):
-        rep = canonicalize_direction(v)
+        rep = _primitive(v)
         if rep not in index:
             index[rep] = len(classes)
             classes.append(rep)
         return index[rep]
 
     for v in basis:
-        class_of(RatVector(v))
+        class_of(v)
     perms = [[] for _ in theta]
     signs = [[] for _ in theta]
     k = 0
@@ -178,7 +185,7 @@ def ratmatrix_direction_classes(g, basis):
         rep = classes[k]
         k += 1
         for perm, sign, t in zip(perms, signs, theta):
-            image = t * rep
+            image = apply(t, rep)
             perm.append(class_of(image) + 1)
             sign.append(1 if next(e for e in image if e != 0) > 0 else -1)
     return (tuple(classes), len(classes),
@@ -191,11 +198,9 @@ def ratmatrix_direction_classes(g, basis):
 
 def group(name, basis, gens, parts=None):
     n = len(basis)
-    gens = [RatMatrix(m) for m in gens]
     if parts is None:
         parts = [[0] * n for _ in gens]
-    return CrystGroup(name, n, RatMatrix(basis),
-                      gens, [RatVector(t) for t in parts])
+    return CrystGroup(name, n, basis, gens, parts)
 
 
 I2 = [[1, 0], [0, 1]]
@@ -216,11 +221,12 @@ def wf4():
     half = RatMatrix([[int(i == j) - Fraction(1, 2) for j in range(4)]
                       for i in range(4)])
     basis = RatMatrix(D4_BASIS)
-    basis_inv = inverse(basis)
-    gens = [basis_inv * RatMatrix(m) * basis
-            for m in (CYCLE4, SWAP12, FLIP1)] + [basis_inv * half * basis]
-    assert all(m.is_integer() for m in gens)
-    return CrystGroup("W(F4)", 4, basis, gens, [RatVector([0] * 4)] * 4)
+    basis_inv = RatMatrix(inverse(D4_BASIS))
+    gens = [(basis_inv * m * basis).entries
+            for m in map(RatMatrix, (CYCLE4, SWAP12, FLIP1))]
+    gens.append((basis_inv * half * basis).entries)
+    assert all(e.denominator == 1 for m in gens for row in m for e in row)
+    return CrystGroup("W(F4)", 4, D4_BASIS, gens, [[0] * 4] * 4)
 
 
 def _tested_groups():
@@ -231,8 +237,7 @@ def _tested_groups():
         group("p4", I2, [[[0, -1], [1, 0]]]),
         group("free", I2, []),
         group("p4-skew", [[2, 1], [1, 1]], [[[0, -1], [1, 0]]]),
-        semidirect_extend(by_name["W"], 2, [RatMatrix.identity(2)],
-                          name="Z2xW"),
+        semidirect_extend(by_name["W"], 2, [identity(2)], name="Z2xW"),
         group("big", [[int(i == j) for j in range(5)] for i in range(5)],
               [[[-1 if i == j else 0 for j in range(5)] for i in range(5)]]),
         b4(),
@@ -240,7 +245,8 @@ def _tested_groups():
     c = RatMatrix([[1, 2], [1, 3]])
     for name in ("p6", "p4", "pgg"):
         g = by_name[name]
-        built.append(CrystGroup(g.name + "-moved", 2, c * g.lattice_basis,
+        built.append(CrystGroup(g.name + "-moved", 2,
+                                (c * RatMatrix(g.lattice_basis)).entries,
                                 g.point_generators, g.translation_parts))
     return catalog + [stabilize(g) for g in catalog] + built
 
@@ -276,11 +282,11 @@ def test_table_matches_the_ratmatrix_closure(g):
     for k, p in enumerate(elements):
         assert table.elements[k] == tuple(tuple(int(e) for e in row)
                                           for row in p.entries)
-        assert table.next[k] == tuple(index[p * gen]
+        assert table.next[k] == tuple(index[p * RatMatrix(gen)]
                                       for gen in g.point_generators)
         assert table.order[k] == ratmatrix_order(p, len(elements))
-        assert table.det[k] == det(p)
-        assert table.trace[k] == p.trace()
+        assert table.det[k] == det(p.entries)
+        assert table.trace[k] == trace(p)
 
 
 @pytest.mark.parametrize("g", GROUPS, ids=lambda g: g.name)
@@ -360,7 +366,7 @@ def test_translation_parts_must_close_over_the_lattice(tmp_path, capsys):
 
 def _bases(g):
     """The lattice basis of g and, if g is accepted, the witness basis."""
-    bases = [g.lattice_basis.columns()]
+    bases = [list(zip(*g.lattice_basis))]
     if g.dimension <= DIMENSION_CAP:
         witness = is_hyperoctahedral(g)
         if isinstance(witness, HyperoctahedralWitness):
@@ -392,13 +398,13 @@ def _seeded_pairs(rng, fam):
     def on_walls():
         nu = coordinates()
         nu[rng.randrange(n)] = rng.randrange(-5, 6)
-        return RatVector(sum(c * t[k] for c, t in zip(nu, fam.basis))
-                         for k in range(n))
+        return tuple(sum(c * t[k] for c, t in zip(nu, fam.basis))
+                     for k in range(n))
 
-    pairs = [(RatVector([0] * n), on_walls())]
+    pairs = [((0,) * n, on_walls())]
     for _ in range(10):
-        p, w = RatVector(coordinates()), on_walls()
-        pairs += [(p, RatVector(coordinates())), (p, p), (w, w),
+        p, w = tuple(coordinates()), on_walls()
+        pairs += [(p, tuple(coordinates())), (p, p), (w, w),
                   (w, on_walls()), (p, w)]
     return pairs
 
@@ -418,8 +424,8 @@ def test_dual_coordinates_match_the_ratmatrix_product(g):
     rng = random.Random(g.name)
     for basis in _bases(g):
         fam = direction_class_count(g, basis)
-        b_inv = inverse(RatMatrix.from_columns(fam.basis))
-        assert fraction_dual_matrix(fam) == b_inv
+        columns = tuple(zip(*fam.basis))
+        assert fraction_dual_matrix(fam) == RatMatrix(inverse(columns))
         pairs = _seeded_pairs(rng, fam)
         for p, q in pairs:
             assert separation_count(p, q, fam) == \
@@ -433,8 +439,8 @@ def test_dual_coordinates_match_the_ratmatrix_product(g):
 
 def test_a_point_of_the_wrong_length_is_refused():
     p4 = group("p4", I2, [[[0, -1], [1, 0]]])
-    fam = direction_class_count(p4, p4.lattice_basis.columns())
-    short, point, long = (RatVector([Fraction(1, 2)] * k) for k in (1, 2, 3))
+    fam = direction_class_count(p4, zip(*p4.lattice_basis))
+    short, point, long = ((Fraction(1, 2),) * k for k in (1, 2, 3))
     for bad in (short, long):
         with pytest.raises(ShapeError):
             separation_count(point, bad, fam)
@@ -456,12 +462,13 @@ def test_recorded_action_matches_the_loop_oracle(g):
         # The oracle for next[0][j]: each generator's image by its matrix.
         index = {RatMatrix(p): k for k, p in enumerate(g.point_elements())}
         assert s.point_generators == tuple(
-            to_matrix(action[index[gen]]) for gen in g.point_generators)
+            to_matrix(action[index[RatMatrix(gen)]])
+            for gen in g.point_generators)
 
 
 def test_recorded_action_refuses_a_family_of_another_group():
     p4 = group("p4", I2, [[[0, -1], [1, 0]]])
-    fam = direction_class_count(p4, p4.lattice_basis.columns())
+    fam = direction_class_count(p4, zip(*p4.lattice_basis))
     # The same group built again, or on a scaled lattice basis, has the
     # same real forms.
     for basis in (I2, [[2, 0], [0, 2]], [["2/3", 0], [0, "2/3"]]):

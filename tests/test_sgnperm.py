@@ -4,11 +4,12 @@ import functools
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cubecrys.exactlin import RatMatrix
+from cubecrys.exactlin import RatMatrix, int_mul
 from cubecrys.sgnperm import (
     LabelCollisionError,
     SignedPermutation,
@@ -16,9 +17,8 @@ from cubecrys.sgnperm import (
     SizeCapError,
     build_Qn,
     enumerate_group,
-    from_matrix,
-    is_signed_permutation_matrix,
     qn_automorphism,
+    signed_permutation_of,
     simplicial_join,
     times_signed_permutation,
     to_matrix,
@@ -61,22 +61,24 @@ def test_enumeration_is_sorted_and_deterministic():
 
 @given(signed_perms(), signed_perms())
 def test_to_matrix_is_a_homomorphism(s, t):
-    assert to_matrix(s * t) == to_matrix(s) * to_matrix(t)
+    assert to_matrix(s * t) == int_mul(to_matrix(s), to_matrix(t))
 
 
 @given(signed_perms())
 def test_inverse_and_round_trip(s):
     assert (s * s.inverse()).is_identity()
     assert (s.inverse() * s).is_identity()
-    assert from_matrix(to_matrix(s)) == s
+    assert signed_permutation_of(to_matrix(s)) == s
+    assert signed_permutation_of(to_matrix(s), 1) == s
 
 
 @given(signed_perms())
 def test_determinant_and_trace_match_matrix(s):
     from cubecrys.exactlin import det
     m = to_matrix(s)
+    assert all(type(x) is int for row in m for x in row)
     assert det(m) == s.determinant()
-    assert m.trace() == s.trace()
+    assert sum(m[i][i] for i in range(len(m))) == s.trace()
 
 
 def test_order_of_a_negative_cycle():
@@ -88,12 +90,17 @@ def test_order_of_a_negative_cycle():
 
 
 def test_is_signed_permutation_matrix():
-    assert is_signed_permutation_matrix(RatMatrix([[0, -1], [1, 0]]))
-    assert not is_signed_permutation_matrix(RatMatrix([[1, 1], [0, 1]]))
-    assert not is_signed_permutation_matrix(RatMatrix([[2, 0], [0, 1]]))
-    assert not is_signed_permutation_matrix(RatMatrix([["1/2", 0], [0, 1]]))
-    with pytest.raises(ValueError):
-        is_signed_permutation_matrix(RatMatrix([[1, 0]]))
+    assert signed_permutation_of([[0, -1], [1, 0]]) == \
+        SignedPermutation((2, 1), (1, -1))
+    assert signed_permutation_of([[1, 1], [0, 1]]) is None
+    assert signed_permutation_of([[2, 0], [0, 1]]) is None
+    assert signed_permutation_of([[Fraction(1, 2), 0], [0, 1]]) is None
+    assert signed_permutation_of([[1, 0], [1, 0]]) is None
+    assert signed_permutation_of([[1, 0]]) is None
+    assert signed_permutation_of([[1], [0]]) is None
+    # Over a scale: the rows are d times a signed permutation matrix.
+    assert signed_permutation_of([[0, 3], [-3, 0]], 3) == \
+        SignedPermutation((2, 1), (-1, 1))
 
 
 def test_simplicial_complex_basics():
@@ -122,7 +129,7 @@ def test_times_signed_permutation_relabels_columns():
     rows = ((1, 6, -4), (-3, 0, 5), (7, 3, 9))
     for s in enumerate_group(3):
         assert (RatMatrix(times_signed_permutation(rows, s))
-                == RatMatrix(rows) * to_matrix(s))
+                == RatMatrix(rows) * RatMatrix(to_matrix(s)))
 
 
 def test_cliques_are_generated_once_each():

@@ -14,7 +14,6 @@ import types
 from cubecrys import cli
 from cubecrys.crys import catalog_entry, save_group
 from cubecrys.dual import FiniteWallspace, save_wallspace
-from cubecrys.exactlin import RatVector
 from cubecrys.walls import GeometricWall
 
 SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
@@ -50,9 +49,8 @@ def test_every_target_resolves_counts_and_is_restored(tmp_path, capsys):
     walls = tmp_path / "walls.json"
     save_wallspace(FiniteWallspace.geometric(
         2, [(-2, 2), (-2, 2)],
-        [GeometricWall(RatVector([1, 0]), 0),
-         GeometricWall(RatVector([0, 1]), 0)],
-        RatVector(["1/2", "1/3"])), walls)
+        [GeometricWall([1, 0], 0), GeometricWall([0, 1], 0)],
+        ["1/2", "1/3"]), walls)
 
     tracer = spans.Tracer()
     try:
@@ -83,3 +81,49 @@ def test_every_target_resolves_counts_and_is_restored(tmp_path, capsys):
         assert tracer.calls.get(name, 0) == 0, name
     for owner, attr, original in patches:
         assert current(owner, attr) is original, (owner, attr)
+
+
+def test_no_production_path_builds_a_ratmatrix(tmp_path, capsys,
+                                                monkeypatch):
+    """RatMatrix is the type of the test oracles and of the two tracer
+    targets point_group_real and average_intertwiner, which nothing in
+    the package calls: every subcommand runs on rows."""
+    from cubecrys.crys import _catalog, load_catalog
+    from cubecrys.dual import seeded_wallspaces
+    from cubecrys.exactlin import RatMatrix
+    from test_decide import _pinned_groups
+    from test_point_table import wf4
+
+    groups = load_catalog() + [wf4(), _pinned_groups()["m-skew"]]
+    group_files = []
+    for k, g in enumerate(groups):
+        group_files.append(str(tmp_path / ("g%d.json" % k)))
+        save_group(g, group_files[-1])
+    walls_files = []
+    for k, ws in enumerate(seeded_wallspaces(count=3, seed=0)):
+        walls_files.append(str(tmp_path / ("w%d.json" % k)))
+        save_wallspace(ws, walls_files[-1])
+    out = str(tmp_path / "complex.json")
+
+    def refuse(self, rows):
+        raise AssertionError("a RatMatrix was built")
+
+    monkeypatch.setattr(RatMatrix, "__init__", refuse)
+    assert len(_catalog.__wrapped__()) == 20
+    runs = 0
+    for path in group_files:
+        for argv in (["validate", path], ["classify", "--json", path],
+                     ["cubulate", "--json", path],
+                     ["cubulate", "--json", "--use-witness-basis", path]):
+            code = cli.main(argv)
+            assert code == 0 or "--use-witness-basis" in argv, \
+                capsys.readouterr().err
+            runs += code == 0
+    for path in walls_files:
+        assert cli.main(["dual", "--json", "--out", out, path]) == 0
+    for expression in ("Line*Line*Line", "HalfLine*RegularTree(3)"):
+        assert cli.main(["boundary", "--json", expression]) == 0
+    assert cli.main(["catalog", "--json"]) == 0
+    capsys.readouterr()
+    # 22 groups validate, classify and cubulate; 14 take a witness basis.
+    assert runs == 3 * 22 + 14
