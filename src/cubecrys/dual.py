@@ -16,14 +16,15 @@ scaled to integers once, by positive factors.  Orientations are
 enumerated by breadth-first wall flipping from the base point's
 orientation, never by scanning all 2^W side choices.
 
-A complex is stored as its 0-cube bitmasks and the induced edges it
-leaves out.  Two 0-cubes of a dual are joined exactly when they differ
-on one wall (its 1-skeleton is the subgraph of the hypercube induced on
-its 0-cubes; Chepoi), so for a dual that set is empty, and edges,
-adjacency, links and the JSON layout are derived on demand.  The JSON
-edge list is an IndexPairs over the sorted edge keys u * V + v, which
-json_text renders from the keys in one join, with no [u, v] list per
-edge.
+A complex is stored as its 0-cube bitmasks, one 8-byte code per edge
+and the induced edges it leaves out.  Two 0-cubes of a dual are joined
+exactly when they differ on one wall (its 1-skeleton is the subgraph of
+the hypercube induced on its 0-cubes; Chepoi), so for a dual that set
+is empty, and adjacency and links are derived on demand.  The flip walk
+that enumerates a dual keeps each edge as it crosses it; the edge list
+and the JSON layout sort those codes when asked.  The JSON edge list is
+an IndexPairs over the sorted codes, which json_text renders in one
+join, with no [u, v] list per edge.
 
 A complex is in turn the dual of its own hyperplanes: two hyperplane
 sides meet exactly when some 0-cube lies on both, so their
@@ -37,11 +38,12 @@ duality round trip holds exactly when the 1-skeleton is a median graph
 from __future__ import annotations
 
 import random
+from array import array
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import compress, repeat
 from math import gcd, lcm
-from operator import add, gt, xor
+from operator import gt, or_, xor
 
 from cubecrys.exactlin import (
     IndexPairs,
@@ -320,14 +322,18 @@ class CubeComplex:
     """0-cubes, single-wall edges, and the implicit flag structure.
 
     A complex is its list of 0-cube bitmasks (bit i set: the plus side
-    of wall i), indexed in the order given, and the set of induced edges
+    of wall i), indexed in the order given, one code u << s | v per
+    edge (u < v) in an array("q"), and the codes of the induced edges
     it leaves out.  Two 0-cubes that differ on one wall are joined by an
     edge unless that set holds the pair; it is empty for every dual,
     whose 1-skeleton is the subgraph of the hypercube induced on its
-    0-cubes.  Edges (u, v, wall) with u < v, adjacency, links and the
-    JSON layout are derived on demand.  Cubes above dimension one are
-    never stored: a k-cube at a vertex is a k-clique of pairwise
-    jointly flippable walls, which link_of_vertex exposes.
+    0-cubes.  A dual's codes are the ones its flip walk kept, with s the
+    wall count; a loaded complex codes its given edges with s the bit
+    length of its largest index.  Edges (u, v, wall) in sorted order
+    and the JSON layout sort the codes when asked; adjacency and links
+    are derived on demand.  Cubes above dimension one are never stored:
+    a k-cube at a vertex is a k-clique of pairwise jointly flippable
+    walls, which link_of_vertex exposes.
 
     The constructor checks its arguments: distinct 0-cubes of one width,
     edges that flip exactly the wall they name, a connected 1-skeleton.
@@ -346,6 +352,9 @@ class CubeComplex:
         if any(o.n != num_walls for o in orientations):
             raise ValueError("orientation width differs from wall count")
         count = len(bits)
+        # A file's 0-cubes may be wider than WALL_CAP, so its codes take
+        # the bits of an index, not of a wall, and fit in 8 bytes.
+        shift = (count - 1).bit_length()
         given = set()
         adjacency = [[] for _ in bits]
         for u, v, wall in edges:
@@ -356,7 +365,7 @@ class CubeComplex:
                     "edge (%d, %d) does not flip exactly wall %d" % (u, v, wall))
             if u > v:
                 u, v = v, u
-            given.add(u * count + v)
+            given.add(u << shift | v)
             adjacency[u].append(v)
             adjacency[v].append(u)
         seen = bytearray(count)
@@ -369,35 +378,50 @@ class CubeComplex:
                     stack.append(nb)
         if 0 in seen:
             raise ValueError("1-skeleton is not connected")
+        mask = (1 << shift) - 1
         realized = 0
-        for u, v in map(divmod, given, repeat(count)):
-            realized |= bits[u] ^ bits[v]
-        self._setup(num_walls, bits, index, len(given), realized,
-                    wallspace, wall_json)
-        self._missing = frozenset(self._edge_keys()) - given
+        for code in given:
+            realized |= bits[code >> shift] ^ bits[code & mask]
+        self._setup(num_walls, bits, index, array("q", given), shift,
+                    realized, wallspace, wall_json)
+        # Per wall, one dict lookup per 0-cube finds the other end of
+        # its edge across that wall, if any; the lookups and the u < v
+        # filter run in C.
+        us = list(range(count))
+        starts = [u << shift for u in us]
+        induced = set()
+        for j in range(num_walls):
+            ends = list(map(index.get, map(xor, bits, repeat(1 << j)),
+                            repeat(-1)))
+            later = list(map(gt, ends, us))
+            induced.update(map(or_, compress(starts, later),
+                               compress(ends, later)))
+        self._missing = frozenset(induced - given)
 
     @classmethod
-    def _walked(cls, num_walls, bits, index, edge_count, realized,
-                wallspace):
-        """The complex on a flip walk's 0-cubes, unchecked: the walk's
-        breadth-first order makes them distinct, of one width, connected
-        and joined by single flips, and it joins every induced pair."""
+    def _walked(cls, num_walls, bits, index, codes, realized, wallspace):
+        """The complex on a flip walk's 0-cubes and edge codes, unchecked:
+        the walk's breadth-first order makes the 0-cubes distinct, of one
+        width, connected and joined by single flips, and it keeps every
+        induced pair once."""
         c = cls.__new__(cls)
-        c._setup(num_walls, bits, index, edge_count, realized, wallspace,
-                 None)
+        c._setup(num_walls, bits, index, codes, num_walls, realized,
+                 wallspace, None)
         return c
 
-    def _setup(self, num_walls, bits, index, edge_count, realized,
+    def _setup(self, num_walls, bits, index, codes, shift, realized,
                wallspace, wall_json):
         self.num_walls = num_walls
         self.wallspace = wallspace
         self.wall_json = wall_json
         self._bits = bits
         self._index = index
-        self._edge_count = edge_count
+        # One code u << shift | v per edge, u < v, in no set order.
+        self._edges = codes
+        self._shift = shift
         self._realized = realized
         self._orientations = _Orientations(bits, num_walls)
-        # Keys u * V + v (u < v, V 0-cubes) of the induced edges left out.
+        # Codes u << shift | v (u < v) of the induced edges left out.
         self._missing = frozenset()
 
     @property
@@ -408,44 +432,28 @@ class CubeComplex:
     @property
     def edges(self) -> tuple:
         """Every edge (u, v, wall), u < v, in sorted order."""
-        bits = self._bits
+        bits, shift = self._bits, self._shift
+        mask = (1 << shift) - 1
         return tuple((u, v, (bits[u] ^ bits[v]).bit_length() - 1)
-                     for u, v in map(divmod, self._edge_keys(),
-                                     repeat(len(bits))))
+                     for u, v in ((k >> shift, k & mask)
+                                  for k in self._edge_keys()))
 
     def _edge_keys(self) -> list:
-        """The edges as sorted keys u * V + v with u < v.
-
-        Per wall, one dict lookup per 0-cube finds the other end of its
-        edge across that wall, if any; the lookups and the u < v filter
-        run in C.
-        """
-        bits = self._bits
-        count = len(bits)
-        get = self._index.get
-        us = list(range(count))
-        starts = [u * count for u in us]
-        keys = []
-        for j in range(self.num_walls):
-            ends = list(map(get, map(xor, bits, repeat(1 << j)), repeat(-1)))
-            later = list(map(gt, ends, us))
-            keys += map(add, compress(starts, later), compress(ends, later))
-        if self._missing:
-            keys = [k for k in keys if k not in self._missing]
-        keys.sort()
-        return keys
+        """The edge codes u << s | v (u < v), sorted, which sorts the
+        edges by (u, v)."""
+        return sorted(self._edges)
 
     def _joined(self, u: int, v: int) -> bool:
         """Is the induced pair of 0-cubes u and v an edge?"""
         if u > v:
             u, v = v, u
-        return u * len(self._bits) + v not in self._missing
+        return u << self._shift | v not in self._missing
 
     def vertex_count(self) -> int:
         return len(self._bits)
 
     def edge_count(self) -> int:
-        return self._edge_count
+        return len(self._edges)
 
     def index_of(self, x: Orientation) -> int:
         if x.n != self.num_walls or x.bits not in self._index:
@@ -490,7 +498,7 @@ class CubeComplex:
 
     def to_json_dict(self) -> dict:
         """The complex file's dict.  Its "edges" is an IndexPairs over
-        the sorted edge keys: it equals the list of [u, v] rows, and
+        the sorted edge codes: it equals the list of [u, v] rows, and
         json_text renders it in one join without making them, but
         json.dumps needs default=list to write it."""
         if self.wall_json is not None:
@@ -501,12 +509,12 @@ class CubeComplex:
             walls_json = []
         # Orientation.to_bitstring, on the bare bitmasks.
         top = 1 << self.num_walls
-        count = len(self._bits)
         return {
             "format": COMPLEX_FORMAT,
             "walls": walls_json,
             "zero_cubes": [bin(b | top)[:2:-1] for b in self._bits],
-            "edges": IndexPairs(self._edge_keys(), count),
+            "edges": IndexPairs(self._edge_keys(), len(self._bits),
+                                self._shift),
         }
 
 
@@ -602,38 +610,51 @@ def _flip_closure(forbid, start: int, within=None):
 
     Bit k of forbid[j][s][t] is set when side s of wall j rules out
     side t of wall k.  start must meet every clause, so a flip of wall
-    j is tested against wall j's clauses only.  Returns (queue, index,
-    edges, realized): queue[k] is the k-th bitmask reached in
-    breadth-first order and index[queue[k]] == k; edges counts the flips
-    between reached bitmasks, each once; realized has bit j set when
-    some flip crosses wall j.  Returns None as soon as a bitmask outside
-    `within` is reached.
+    j is tested against wall j's clauses only, and only when it reaches
+    a new bitmask: a flip between two reached bitmasks is valid, as both
+    ends meet every clause.  Returns (queue, index, codes, realized):
+    queue[k] is the k-th bitmask reached in breadth-first order and
+    index[queue[k]] == k; codes is an array("q") holding each flip
+    between reached bitmasks once, as u << s | v with u < v, in walk
+    order; realized has bit j set when some flip crosses wall j.  s is
+    the wall count W, or with `within` the bit length of
+    len(within) - 1, which every index reached stays below (a file's
+    complex may be wider than WALL_CAP).  Returns None as soon as a
+    bitmask outside `within` is reached.
     """
     flips = [(1 << j, *minus, *plus) for j, (minus, plus) in enumerate(forbid)]
+    shift = (len(forbid) if within is None
+             else (len(within) - 1).bit_length())
     queue = [start]
     index = {start: 0}
-    found = 0
+    get = index.get
+    codes = array("q")
+    keep = codes.append
     realized = 0
-    for bits in queue:
+    for at, bits in enumerate(queue):
+        code = at << shift
         for bit, minus0, minus1, plus0, plus1 in flips:
             flipped = bits ^ bit
-            if flipped & bit:
-                if flipped & plus1 or ~flipped & plus0:
+            to = get(flipped)
+            if to is None:
+                if flipped & bit:
+                    if flipped & plus1 or ~flipped & plus0:
+                        continue
+                elif flipped & minus1 or ~flipped & minus0:
                     continue
-            elif flipped & minus1 or ~flipped & minus0:
-                continue
-            found += 1
-            if flipped not in index:
                 if within is not None and flipped not in within:
                     return None
-                index[flipped] = len(queue)
+                to = index[flipped] = len(queue)
                 queue.append(flipped)
                 # A wall that some flip crosses is crossed on the
                 # breadth-first tree too: a tree path joins the flip's
                 # two ends.
                 realized |= bit
-    # Both ends of a flip meet every clause, so it is found from each.
-    return queue, index, found >> 1, realized
+            elif to < at:
+                # Kept when the walk stood at `to`.
+                continue
+            keep(code | to)
+    return queue, index, codes, realized
 
 
 def dual_complex(ws: FiniteWallspace) -> CubeComplex:
@@ -665,13 +686,13 @@ def dual_complex(ws: FiniteWallspace) -> CubeComplex:
             base_bits |= 1 << i
 
     # The search walks int bitmasks; queue[k] is 0-cube k.
-    queue, index, edges, realized = _flip_closure(forbid, base_bits)
+    queue, index, codes, realized = _flip_closure(forbid, base_bits)
     if realized != (1 << nwalls) - 1:
         missing = [j for j in range(nwalls) if not realized >> j & 1]
         raise InternalError(
             "walls %r produced no edge; the flip graph looks disconnected"
             % (missing,))
-    return CubeComplex._walked(nwalls, queue, index, edges, realized, ws)
+    return CubeComplex._walked(nwalls, queue, index, codes, realized, ws)
 
 
 def distance(c: CubeComplex, x: Orientation, y: Orientation) -> int:
@@ -712,9 +733,9 @@ def is_median_graph(c: CubeComplex) -> bool:
     members = c._index
     closure = _flip_closure(_member_clauses(c._bits, c.num_walls),
                             c._bits[0], within=members)
-    # The walk counts each hypercube edge between members once; all of
+    # The walk keeps each hypercube edge between members once; all of
     # them must be edges of c.
-    return closure is not None and closure[2] == c.edge_count()
+    return closure is not None and len(closure[2]) == c.edge_count()
 
 
 def duality_check(c: CubeComplex) -> bool:

@@ -19,7 +19,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import repeat
-from operator import eq, floordiv, mod, mul
+from operator import and_, eq, mul, rshift
 
 Rational = Fraction
 
@@ -186,27 +186,32 @@ def _leaf_encode(pad: str):
 
 class IndexPairs(Sequence):
     """Read-only rows [u, v] of indices below count, held as keys
-    u * count + v and each made when read.
+    u << shift | v (count <= 2 ** shift) and each made when read.
 
     It equals a list of the same rows, and a slice is a list of rows,
     as for the list it stands in for.  json_text renders it from the
     keys without making the rows; json.dumps needs default=list.
     """
 
-    __slots__ = ("_keys", "_count")
+    __slots__ = ("_keys", "_count", "_shift")
 
-    def __init__(self, keys, count: int):
+    def __init__(self, keys, count: int, shift: int):
         self._keys = keys
         self._count = count
+        self._shift = shift
 
     def __len__(self):
         return len(self._keys)
 
     def __getitem__(self, k):
+        shift = self._shift
+        mask = (1 << shift) - 1
         if isinstance(k, slice):
-            return list(map(list, map(divmod, self._keys[k],
-                                      repeat(self._count))))
-        return list(divmod(self._keys[k], self._count))
+            keys = self._keys[k]
+            return list(map(list, zip(map(rshift, keys, repeat(shift)),
+                                      map(and_, keys, repeat(mask)))))
+        key = self._keys[k]
+        return [key >> shift, key & mask]
 
     def __eq__(self, other):
         if not isinstance(other, (list, IndexPairs)):
@@ -214,7 +219,8 @@ class IndexPairs(Sequence):
         return len(self) == len(other) and all(map(eq, self, other))
 
     def __repr__(self):
-        return "IndexPairs(%r, %r)" % (self._keys, self._count)
+        return "IndexPairs(%r, %r, %r)" % (self._keys, self._count,
+                                           self._shift)
 
 
 def json_text(obj) -> str:
@@ -272,7 +278,7 @@ def _emit_pairs(pairs: IndexPairs, pad: str, put) -> None:
     and the break to the next row.  The keys pick a head and a tail
     each, and the last break is cut.
     """
-    keys, count = pairs._keys, pairs._count
+    keys, count, shift = pairs._keys, pairs._count, pairs._shift
     if not keys:
         put("[]")
         return
@@ -282,8 +288,9 @@ def _emit_pairs(pairs: IndexPairs, pad: str, put) -> None:
     heads = [s + "," + item_pad for s in map(str, range(count))]
     tails = [s + row_pad + "]" + step for s in map(str, range(count))]
     flat = [None] * (2 * len(keys))
-    flat[0::2] = map(heads.__getitem__, map(floordiv, keys, repeat(count)))
-    flat[1::2] = map(tails.__getitem__, map(mod, keys, repeat(count)))
+    flat[0::2] = map(heads.__getitem__, map(rshift, keys, repeat(shift)))
+    flat[1::2] = map(tails.__getitem__, map(and_, keys,
+                                            repeat((1 << shift) - 1)))
     put("[" + row_pad + "[" + item_pad + "".join(flat)[:-len(step)]
         + pad + "]")
 

@@ -134,8 +134,9 @@ def stored_edge_walk(forbid, start, within=None):
     return queue, edges
 
 
-def stored_edge_dual(ws) -> StoredEdgeComplex:
-    """The dual of ws with every edge the walk found stored."""
+def window_clauses(ws):
+    """(forbid, base): the clause table of ws's pairwise side tests, in
+    _flip_closure's layout, and the base point's bitmask."""
     nwalls = len(ws.walls)
     forbid = [[[0, 1 << j], [1 << j, 0]] for j in range(nwalls)]
     for i in range(nwalls):
@@ -146,7 +147,13 @@ def stored_edge_dual(ws) -> StoredEdgeComplex:
                         forbid[i][si][sj] |= 1 << j
                         forbid[j][sj][si] |= 1 << i
     base = sum(1 << i for i in range(nwalls) if ws.base_side(i))
-    queue, edges = stored_edge_walk(forbid, base)
+    return forbid, base
+
+
+def stored_edge_dual(ws) -> StoredEdgeComplex:
+    """The dual of ws with every edge the walk found stored."""
+    nwalls = len(ws.walls)
+    queue, edges = stored_edge_walk(*window_clauses(ws))
     return StoredEdgeComplex(nwalls, [Orientation(b, nwalls) for b in queue],
                              edges, wallspace=ws)
 

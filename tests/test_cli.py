@@ -356,6 +356,16 @@ def spatial_arrangement():
         [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)])
 
 
+def fourteen_crossing_lines():
+    """14 lines through (7/100, 1/100), so they cross pairwise: 2^14 =
+    16,384 0-cubes, exactly MEDIAN_VERTEX_CAP, the largest complex that
+    `cubecrys dual` still checks."""
+    return FiniteWallspace.geometric(
+        2, [(-2, 2), (-2, 2)],
+        [GeometricWall([1, i - 7], Fraction(i, 100)) for i in range(14)],
+        [Fraction(1, 2), Fraction(1, 3)])
+
+
 # sha256 of `dual walls.json --json --out complex.json` stdout and of
 # complex.json, recorded before the report and the complex files moved
 # to exactlin.json_text; every byte must stay the same.
@@ -380,6 +390,28 @@ def test_dual_report_and_complex_file_bytes_are_pinned(
     written = (tmp_path / "complex.json").read_bytes()
     assert (hashlib.sha256(out.encode("utf-8")).hexdigest(),
             hashlib.sha256(written).hexdigest()) == DUAL_PINS[name]
+
+
+# sha256 of `dual walls.json --json` stdout and of its text-mode stdout
+# on fourteen_crossing_lines, recorded before the flip walk kept its
+# edges: the one pinned input on which both the enumeration and the
+# median walk run at full size.
+CROSSING_14_PINS = (
+    "b4cf74c0cf60bc52a4d9ca79aae981a5414c0f74282981c232d31f454ca7e37a",
+    "0bd3e88bbe33e9342b3a84e98d05f0ad16a8bfb147e4a7b6c5ceefa4b20b3a44")
+
+
+def test_dual_bytes_at_the_median_vertex_cap_are_pinned(capsys, tmp_path,
+                                                        monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    save_wallspace(fourteen_crossing_lines(), "walls.json")
+    digests = []
+    for mode in (["--json"], []):
+        code, out, err = run(capsys, "dual", "walls.json", *mode)
+        assert code == 0, err
+        digests.append(hashlib.sha256(out.encode("utf-8")).hexdigest())
+    assert tuple(digests) == CROSSING_14_PINS
+    assert "16384 0-cubes, 114688 edges" in out and "median graph: True" in out
 
 
 # sha256 of the `dual --json` stdout of the 32 wallspaces of

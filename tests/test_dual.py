@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import re
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from cubecrys.dual import (
     WallCapError,
     WallspaceError,
     _feasible,
+    _flip_closure,
     _integer_halfspace,
     _integer_window,
     _member_clauses,
@@ -46,10 +48,16 @@ from cubecrys.walls import GeometricWall
 from stored_edge_complex import (
     StoredEdgeComplex,
     stored_edge_dual,
+    stored_edge_walk,
     stored_is_median_graph,
     stored_link_of_vertex,
+    window_clauses,
 )
-from test_cli import spatial_arrangement
+from test_cli import (
+    fourteen_crossing_lines,
+    spatial_arrangement,
+    ten_crossing_lines,
+)
 
 
 def vertical(offset):
@@ -1064,7 +1072,7 @@ def assert_same_complex(a, b):
     assert a.to_json_dict() == b.to_json_dict()
 
 
-def test_a_walked_dual_stores_only_its_zero_cubes():
+def test_a_walked_dual_stores_its_zero_cubes_and_one_code_per_edge():
     ws = plane_space([vertical("-1/2"), vertical("1/2"),
                       horizontal("-1/3"), horizontal("1/3")],
                      ["39/20", "3/2"], window=(("-9/4", 2), (-2, "5/3")))
@@ -1074,12 +1082,17 @@ def test_a_walked_dual_stores_only_its_zero_cubes():
                for x in (*a, b))
     c = dual_complex(ws)
     assert set(vars(c)) == {"num_walls", "wallspace", "wall_json", "_bits",
-                            "_index", "_edge_count", "_realized",
+                            "_index", "_edges", "_shift", "_realized",
                             "_orientations", "_missing"}
     assert all(type(b) is int for b in c._bits)
     assert all(type(b) is int and type(k) is int
                for b, k in c._index.items())
     assert c._missing == frozenset() and c._orientations._bits is c._bits
+    # The walk's edges, one 8-byte code u << W | v each, u < v.
+    assert type(c._edges) is array and c._edges.typecode == "q"
+    assert c._edges.itemsize == 8 and c._shift == c.num_walls == 4
+    assert len(c._edges) == c.edge_count()
+    assert sorted((u << 4 | v) for u, v, _ in c.edges) == sorted(c._edges)
     assert (c.vertex_count(), c.edge_count()) == (9, 12)
 
 
@@ -1143,6 +1156,105 @@ def test_checked_complexes_match_the_stored_edge_oracle():
     assert refused > 10
 
 
+# -- the flip walk's edge codes against the stored-edge walk ---------
+
+
+def per_wall_keys(bits, nwalls):
+    """Oracle: the sorted codes u << W | v (u < v) of the induced edges,
+    found by one index lookup per 0-cube and wall."""
+    index = {b: k for k, b in enumerate(bits)}
+    return sorted(u << nwalls | v for u, b in enumerate(bits)
+                  for j in range(nwalls)
+                  if (v := index.get(b ^ 1 << j, -1)) > u)
+
+
+def assert_walk_matches_stored_edges(forbid, start, within=None):
+    """_flip_closure and stored_edge_walk agree on the queue, the index,
+    the edges (as codes u << s | v) and the walls they cross.  Returns
+    the walk."""
+    walk = _flip_closure(forbid, start, within)
+    old = stored_edge_walk(forbid, start, within)
+    assert (walk is None) == (old is None)
+    if walk is None:
+        return None
+    (queue, index, codes, realized), (old_queue, old_edges) = walk, old
+    nwalls = len(forbid)
+    shift = nwalls if within is None else (len(within) - 1).bit_length()
+    assert queue == old_queue
+    assert index == {b: k for k, b in enumerate(old_queue)}
+    assert type(codes) is array and codes.typecode == "q"
+    assert len(codes) == len(old_edges)
+    assert sorted(codes) == sorted(u << shift | v for u, v, _ in old_edges)
+    crossed = 0
+    for _, _, j in old_edges:
+        crossed |= 1 << j
+    assert realized == crossed
+    return walk
+
+
+def walk_test_spaces():
+    yield from (ws for dimension in range(1, 5)
+                for ws in seeded_wallspaces(count=6, seed=60 + dimension,
+                                            max_walls=8, dimension=dimension))
+    yield spatial_arrangement()
+    yield ten_crossing_lines()
+    yield fourteen_crossing_lines()
+    yield plane_space([], ["1/2", "1/3"])
+    yield plane_space([vertical("1/3")], ["1/2", "1/3"])
+
+
+def test_the_flip_walk_keeps_the_stored_edge_walks_edges():
+    sizes = []
+    for ws in walk_test_spaces():
+        forbid, base = window_clauses(ws)
+        queue, _, codes, _ = assert_walk_matches_stored_edges(forbid, base)
+        c = dual_complex(ws)
+        assert c._bits == queue and sorted(c._edges) == sorted(codes)
+        assert c.edge_count() == len(codes)
+        assert c._edge_keys() == per_wall_keys(c._bits, c.num_walls)
+        sizes.append((len(ws.walls), c.vertex_count(), c.edge_count()))
+    assert sizes[-5:] == [(15, 18432, 125952), (10, 1024, 5120),
+                          (14, 16384, 114688), (0, 1, 0), (1, 2, 1)]
+
+
+def test_a_walk_inside_members_stops_where_the_stored_edge_walk_does():
+    rng = random.Random(4242)
+    walked = {True: 0, False: 0}
+    while sum(walked.values()) < 600:
+        n, orientations, edges = fuzzed_complex_input(rng)
+        try:
+            c = CubeComplex(n, orientations, edges)
+        except ValueError:
+            continue
+        walk = assert_walk_matches_stored_edges(
+            _member_clauses(c._bits, n), c._bits[0], within=c._index)
+        walked[walk is None] += 1
+    assert walked[True] > 50 and walked[False] > 100, walked
+
+
+class CountedRule(int):
+    """A clause bitmask that counts the clause tests reading it."""
+
+    reads = 0
+
+    def __rand__(self, other):
+        CountedRule.reads += 1
+        return int(other) & int(self)
+
+
+def test_the_flip_walk_tests_clauses_only_on_flips_to_new_bitmasks():
+    # Every 2^10 side choice of ten crossing lines is a 0-cube, so only
+    # the 1,023 discovery flips reach a new bitmask; the other 9,217 of
+    # the 10 * 1024 flips join two reached ones and read no clause.
+    forbid, base = window_clauses(ten_crossing_lines())
+    counted = [[[CountedRule(t) for t in row] for row in rules]
+               for rules in forbid]
+    CountedRule.reads = 0
+    queue, _, codes, _ = _flip_closure(counted, base)
+    assert (len(queue), len(codes)) == (1024, 5120)
+    assert 1023 <= CountedRule.reads <= 2 * 1023
+
+
 # -- loaded complexes -------------------------------------------------
 
 
@@ -1170,6 +1282,17 @@ def test_a_loaded_complex_missing_one_induced_edge_is_not_median():
     assert not is_median_graph(c) and not duality_check(c)
     assert link_of_vertex(c, Orientation.from_bitstring("10")).f_vector() \
         == (2,)
+
+
+def test_a_loaded_complex_wider_than_the_wall_cap_keeps_8_byte_codes():
+    # An index shifted by 70 walls would not fit an 8-byte code.
+    zero = ["0" * 70, "1" + "0" * 69, "11" + "0" * 68]
+    c = complex_from_json_dict(square_file(zero, [[2, 1], [0, 1]]))
+    assert (c._edges.typecode, c._shift) == ("q", 2)
+    assert sorted(c._edges) == [0 << 2 | 1, 1 << 2 | 2]
+    assert c.edges == ((0, 1, 0), (1, 2, 1))
+    assert c.to_json_dict()["edges"] == [[0, 1], [1, 2]]
+    assert is_median_graph(c)
 
 
 def test_loaded_repeated_and_reversed_edges_count_once():

@@ -216,11 +216,15 @@ def test_json_text_rejects_what_json_rejects():
             json_text(bad)
 
 
-# IndexPairs: (count, sorted keys u * count + v), the empty set included.
+# IndexPairs: (count, shift, sorted keys u << shift | v with u, v below
+# count), the empty set and shifts wider than an index included.
 _PAIR_KEYS = st.integers(min_value=1, max_value=50).flatmap(
-    lambda count: st.tuples(st.just(count), st.sets(
-        st.integers(min_value=0, max_value=count * count - 1),
-        max_size=40).map(sorted)))
+    lambda count: st.integers(min_value=(count - 1).bit_length(),
+                              max_value=8).flatmap(
+        lambda shift: st.tuples(st.just(count), st.just(shift), st.sets(
+            st.tuples(st.integers(0, count - 1), st.integers(0, count - 1))
+            .map(lambda uv: uv[0] << shift | uv[1]),
+            max_size=40).map(sorted))))
 # Up to three levels of nesting: the rows under a key of a dict with
 # other keys, or at a place in a list of other items.
 _NESTINGS = st.lists(st.one_of(
@@ -239,16 +243,16 @@ def _nest(value, nestings):
     return value
 
 
-def _rows(count, keys):
-    return [[k // count, k % count] for k in keys]
+def _rows(shift, keys):
+    return [[k >> shift, k & (1 << shift) - 1] for k in keys]
 
 
 @settings(max_examples=300, deadline=None)
 @given(_PAIR_KEYS, _NESTINGS)
 def test_json_text_renders_index_pairs_as_their_rows(pair_keys, nestings):
-    count, keys = pair_keys
-    tree = _nest(IndexPairs(keys, count), nestings)
-    expected = json.dumps(_nest(_rows(count, keys), nestings), indent=2,
+    count, shift, keys = pair_keys
+    tree = _nest(IndexPairs(keys, count, shift), nestings)
+    expected = json.dumps(_nest(_rows(shift, keys), nestings), indent=2,
                           sort_keys=True)
     assert json_text(tree) == expected
     assert json.dumps(tree, indent=2, sort_keys=True, default=list) \
@@ -258,12 +262,13 @@ def test_json_text_renders_index_pairs_as_their_rows(pair_keys, nestings):
 @settings(max_examples=200, deadline=None)
 @given(_PAIR_KEYS, st.slices(45))
 def test_index_pairs_read_as_their_rows(pair_keys, cut):
-    count, keys = pair_keys
-    rows = _rows(count, keys)
-    pairs = IndexPairs(keys, count)
+    count, shift, keys = pair_keys
+    rows = _rows(shift, keys)
+    pairs = IndexPairs(keys, count, shift)
     assert pairs == rows and rows == pairs
     assert not (pairs != rows or rows != pairs)
-    assert pairs == IndexPairs(list(keys), count)
+    assert pairs == IndexPairs(list(keys), count, shift)
+    assert pairs == IndexPairs([u << 9 | v for u, v in rows], count, 9)
     assert len(pairs) == len(rows) and list(pairs) == rows
     for i in range(-len(rows), len(rows)):
         assert pairs[i] == rows[i]
@@ -283,8 +288,9 @@ def test_json_text_of_index_pairs_makes_no_row(monkeypatch):
     def refuse(self, k):
         raise AssertionError("a row was made")
 
-    tree = {"edges": IndexPairs([1, 5, 6], 3), "empty": [IndexPairs([], 0)],
-            "nested": [[IndexPairs([2], 2)], [1]]}
+    tree = {"edges": IndexPairs([1, 6, 8], 3, 2),
+            "empty": [IndexPairs([], 0, 0)],
+            "nested": [[IndexPairs([2], 2, 1)], [1]]}
     expected = json.dumps({"edges": [[0, 1], [1, 2], [2, 0]], "empty": [[]],
                            "nested": [[[[1, 0]]], [1]]},
                           indent=2, sort_keys=True)
