@@ -6,11 +6,17 @@ where a group is rejected by the classifier (a rejection is an answer,
 not a failure).  Exit code 1 is for bad input: unknown flags, missing
 or malformed files, out-of-scope sizes.  Exit code 2 signals an
 internal invariant failure and should be reported as a bug.
+
+main(argv) may be called repeatedly in one process.  It builds its
+argument parser on the first call and reuses it, so importing this
+module builds none; argparse keeps no state between parses, and each
+call reads its flags and $CUBECRYS_SEED afresh.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -325,6 +331,7 @@ def _cmd_catalog(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cubecrys",
                      description="Exact tools for cubulating "

@@ -39,11 +39,12 @@ from __future__ import annotations
 
 import random
 from array import array
+from collections import deque
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import compress, repeat
 from math import gcd, lcm
-from operator import gt, or_, xor
+from operator import gt, mul, or_, xor
 
 from cubecrys.exactlin import (
     IndexPairs,
@@ -156,7 +157,7 @@ class FiniteWallspace:
     """
 
     __slots__ = ("dimension", "window", "walls", "base_point", "_box",
-                 "_sides")
+                 "_sides", "_base")
 
     def __init__(self, dimension, window, walls, base_point):
         if len(walls) > WALL_CAP:
@@ -212,15 +213,26 @@ class FiniteWallspace:
         for (lo, hi), x in zip(self.window, p):
             if not (lo <= x <= hi):
                 raise WallspaceError("base point lies outside the window")
-        for w in self.walls:
-            if w.side(p) == 0:
+        # The base point y = scale * p in the scaled window, as ints
+        # P = c y over the lcm c of y's denominators: it lies on the
+        # plus side (A, B) of a wall when <A, P> + B c > 0.
+        y = [x * scale for x in p]
+        c = lcm(*(e.denominator for e in y))
+        point = [int(e * c) for e in y]
+        base = 0
+        for i, (w, (_, (a, b))) in enumerate(zip(self.walls, sides)):
+            value = sum(map(mul, a, point)) + b * c
+            if value == 0:
                 raise WallspaceError("base point lies on wall %r" % (w,))
+            if value > 0:
+                base |= 1 << i
+        object.__setattr__(self, "_base", base)
 
     # -- side primitives ----------------------------------------------
 
     def base_side(self, i: int) -> int:
         """0 or 1: which side of wall i the base point lies on."""
-        return 1 if self.walls[i].side(self.base_point) > 0 else 0
+        return self._base >> i & 1
 
     def sides_compatible(self, i: int, si: int, j: int, sj: int) -> bool:
         """Do the chosen open sides of walls i and j meet?"""
@@ -615,21 +627,20 @@ def _flip_closure(forbid, start: int, within=None):
     ends meet every clause.  Returns (queue, index, codes, realized):
     queue[k] is the k-th bitmask reached in breadth-first order and
     index[queue[k]] == k; codes is an array("q") holding each flip
-    between reached bitmasks once, as u << s | v with u < v, in walk
-    order; realized has bit j set when some flip crosses wall j.  s is
-    the wall count W, or with `within` the bit length of
-    len(within) - 1, which every index reached stays below (a file's
-    complex may be wider than WALL_CAP).  Returns None as soon as a
-    bitmask outside `within` is reached.
+    between reached bitmasks once, as u << W | v with u < v and W the
+    wall count, in walk order; realized has bit j set when some flip
+    crosses wall j.  With `within`, the walk only checks membership:
+    codes stays empty, and None is returned as soon as a bitmask
+    outside `within` is reached.
     """
     flips = [(1 << j, *minus, *plus) for j, (minus, plus) in enumerate(forbid)]
-    shift = (len(forbid) if within is None
-             else (len(within) - 1).bit_length())
+    shift = len(forbid)
     queue = [start]
     index = {start: 0}
     get = index.get
     codes = array("q")
-    keep = codes.append
+    # With `within`, a zero-length deque drops each code.
+    keep = codes.append if within is None else deque(maxlen=0).append
     realized = 0
     for at, bits in enumerate(queue):
         code = at << shift
@@ -680,13 +691,9 @@ def dual_complex(ws: FiniteWallspace) -> CubeComplex:
                         forbid[i][si][sj] |= 1 << j
                         forbid[j][sj][si] |= 1 << i
 
-    base_bits = 0
-    for i in range(nwalls):
-        if ws.base_side(i):
-            base_bits |= 1 << i
-
-    # The search walks int bitmasks; queue[k] is 0-cube k.
-    queue, index, codes, realized = _flip_closure(forbid, base_bits)
+    # The search walks int bitmasks from the base point's; queue[k] is
+    # 0-cube k.
+    queue, index, codes, realized = _flip_closure(forbid, ws._base)
     if realized != (1 << nwalls) - 1:
         missing = [j for j in range(nwalls) if not realized >> j & 1]
         raise InternalError(
@@ -728,14 +735,13 @@ def is_median_graph(c: CubeComplex) -> bool:
     solution sets of the one- and two-wall clauses they satisfy
     (Schaefer).  Every edge of c is a flip between two solutions, so
     the flip walk from one 0-cube reaches them all, and the set is
-    majority-closed exactly when the walk never leaves it.
+    majority-closed exactly when the walk never leaves it.  c carries
+    every hypercube edge between its 0-cubes exactly when it leaves out
+    no induced edge.
     """
-    members = c._index
-    closure = _flip_closure(_member_clauses(c._bits, c.num_walls),
-                            c._bits[0], within=members)
-    # The walk keeps each hypercube edge between members once; all of
-    # them must be edges of c.
-    return closure is not None and len(closure[2]) == c.edge_count()
+    return not c._missing and _flip_closure(
+        _member_clauses(c._bits, c.num_walls), c._bits[0],
+        within=c._index) is not None
 
 
 def duality_check(c: CubeComplex) -> bool:
@@ -749,7 +755,8 @@ def duality_check(c: CubeComplex) -> bool:
     both meet every clause, so the dual's walk from 0-cube 0 reaches
     all 0-cubes, and the edges it finds are all the hypercube edges
     between them, a superset of c.edges.  The edge sets are equal
-    exactly when their counts are, which is the median test.
+    exactly when c leaves out no induced edge, which is the median
+    test.
     """
     return is_median_graph(c)
 

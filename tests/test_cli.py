@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line frontend."""
 
+import argparse
 import hashlib
 import itertools
 import json
@@ -83,6 +84,92 @@ def test_json_and_text_are_mutually_exclusive(capsys, tmp_path):
     code, _, err = run(capsys, "catalog", "--json", "--text")
     assert code == 1
     assert "usage error" in err
+
+
+def counted_parser_inits(monkeypatch):
+    """Clear main's parser cache and count every ArgumentParser built."""
+    inits = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        inits.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    return inits
+
+
+def test_main_builds_its_parser_once(capsys, tmp_path, monkeypatch):
+    group, walls = group_file(tmp_path, "p4"), walls_file(tmp_path)
+    calls = [["validate", group], ["classify", group, "--json"],
+             ["cubulate", group, "--seed", "2"], ["dual", walls, "--json"],
+             ["boundary", "Line*Line", "--text"]] * 4
+    calls[-1] = ["catalog"]
+    inits = counted_parser_inits(monkeypatch)
+    codes = []
+    for argv in calls:
+        codes.append(run(capsys, *argv)[0])
+        # The top parser, the shared --json/--text parent and one
+        # parser per subcommand.
+        assert len(inits) == 8
+    assert codes == [0] * 20 and {c[0] for c in calls} == set(cli._HANDLERS)
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_a_reused_parser_answers_each_call_as_a_fresh_one(capsys, tmp_path,
+                                                         monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    group, walls = group_file(tmp_path, "p4"), walls_file(tmp_path)
+    calls = [
+        ({}, ["dual", walls, "--json", "--out", "complex.json"]),
+        ({}, ["dual", walls]),
+        ({}, ["cubulate", group, "--seed", "3"]),
+        ({cli.SEED_ENV: "7"}, ["cubulate", group]),
+        ({}, ["catalog", "--frobnicate"]),
+        ({}, ["catalog", "--json", "--text"]),
+        ({}, ["--help"]),
+        ({}, []),
+    ]
+
+    def answers(fresh):
+        cli._build_parser.cache_clear()
+        out = []
+        for env, argv in calls:
+            if fresh:
+                cli._build_parser.cache_clear()
+            monkeypatch.delenv(cli.SEED_ENV, raising=False)
+            for key, value in env.items():
+                monkeypatch.setenv(key, value)
+            out.append(run(capsys, *argv))
+        return out, (tmp_path / "complex.json").read_bytes()
+
+    reused, fresh = answers(False), answers(True)
+    assert reused == fresh
+    codes = [code for code, _, _ in reused[0]]
+    assert codes == [0, 0, 0, 0, 1, 1, 0, 1]
+    text = reused[0][1][1]
+    assert "0-cubes" in text and "written" not in text
+    assert "(seed 3)" in reused[0][2][1] and "(seed 7)" in reused[0][3][1]
+    assert "usage: cubecrys" in reused[0][6][1]
+    assert all("usage error" in reused[0][k][2] for k in (4, 5, 7))
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = str(Path(cubecrys.__file__).resolve().parents[1])
+    script = (
+        "import argparse\n"
+        "inits = []\n"
+        "original = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    inits.append(self)\n"
+        "    original(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import cubecrys.cli\n"
+        "print(len(inits))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"0\n", b"")
 
 
 # -- validate ---------------------------------------------------------

@@ -276,6 +276,53 @@ def test_base_point_on_a_wall_is_rejected():
         plane_space([vertical(0), horizontal(0)], [0, "1/3"])
 
 
+def fraction_base_sides(walls, point):
+    """Oracle: the base point's bit per wall by GeometricWall.side, or
+    the first wall it lies on."""
+    sides = [w.side(point) for w in walls]
+    if 0 in sides:
+        return walls[sides.index(0)]
+    return [int(side > 0) for side in sides]
+
+
+def test_integer_base_sides_match_the_fraction_side_test():
+    # Seeded base points; and, for each wall, the point on it that
+    # differs from the base point on one axis, and the two points one
+    # 1/97 step from it along that axis.
+    checked = on_wall = 0
+    for dimension in range(1, 5):
+        for ws in seeded_wallspaces(count=6, seed=90 + dimension,
+                                    max_walls=7, dimension=dimension):
+            p = ws.base_point
+            points = [p]
+            for w in ws.walls:
+                k = next(k for k, e in enumerate(w.normal) if e)
+                gap = w.offset - sum(e * x for e, x in zip(w.normal, p))
+                foot = p[k] + gap / w.normal[k]
+                for step in (-1, 0, 1):
+                    q = list(p)
+                    q[k] = foot + Fraction(step, 97)
+                    points.append(tuple(q))
+            for q in points:
+                if any(not lo <= x <= hi for (lo, hi), x in zip(ws.window, q)):
+                    continue
+                expected = fraction_base_sides(ws.walls, q)
+                if isinstance(expected, GeometricWall):
+                    with pytest.raises(WallspaceError) as info:
+                        FiniteWallspace(dimension, ws.window, ws.walls, q)
+                    assert str(info.value) == (
+                        "base point lies on wall %r" % (expected,))
+                    on_wall += 1
+                    continue
+                built = FiniteWallspace(dimension, ws.window, ws.walls, q)
+                assert [built.base_side(i)
+                        for i in range(len(ws.walls))] == expected
+                assert built._base == sum(bit << i for i, bit
+                                          in enumerate(expected))
+                checked += 1
+    assert checked > 200 and on_wall > 50, (checked, on_wall)
+
+
 def test_base_point_outside_the_window_is_rejected():
     with pytest.raises(WallspaceError, match="outside"):
         plane_space([vertical(0)], [3, 0])
@@ -546,10 +593,22 @@ def frozenset_duality_check(c):
             and edges == original_edges)
 
 
+def counted_edges_is_median_graph(c):
+    """Oracle: the verdict that counted the bounded walk's edges.
+
+    The walk inside the 0-cubes lists every hypercube edge between
+    them, and c must carry them all."""
+    walk = stored_edge_walk(_member_clauses(c._bits, c.num_walls),
+                            c._bits[0], within=c._index)
+    return walk is not None and len(walk[1]) == c.edge_count()
+
+
 def median_verdicts(c):
-    """The linear check, the cubic oracle and both duality round trips."""
-    verdicts = {is_median_graph(c), cubic_is_median_graph(c),
-                duality_check(c), frozenset_duality_check(c)}
+    """The linear check, the edge-count and cubic oracles and both
+    duality round trips."""
+    verdicts = {is_median_graph(c), counted_edges_is_median_graph(c),
+                cubic_is_median_graph(c), duality_check(c),
+                frozenset_duality_check(c)}
     assert len(verdicts) == 1, c.to_json_dict()
     return verdicts.pop()
 
@@ -698,6 +757,28 @@ def test_median_check_agrees_with_the_oracles_on_fuzzed_subcubes():
         counts[median_verdicts(c)] += 1
     assert counts[True] > 500 and counts[False] > 500, counts
     assert dropped > 100
+
+
+def test_median_check_agrees_with_the_edge_count_on_duals():
+    rng = random.Random(1808)
+    verdicts = []
+    for dimension in range(1, 5):
+        for ws in seeded_wallspaces(count=8, seed=80 + dimension,
+                                    max_walls=8, dimension=dimension):
+            c = dual_complex(ws)
+            verdicts.append((is_median_graph(c),
+                             counted_edges_is_median_graph(c)))
+            # The same 0-cubes with edges left out, if still connected.
+            c = drop_edges(rng, c)
+            if c._missing:
+                verdicts.append((is_median_graph(c),
+                                 counted_edges_is_median_graph(c)))
+    c = dual_complex(fourteen_crossing_lines())
+    assert c.vertex_count() == 2 ** 14
+    verdicts.append((is_median_graph(c), counted_edges_is_median_graph(c)))
+    assert all(new == old for new, old in verdicts)
+    assert verdicts.count((True, True)) == 33
+    assert verdicts.count((False, False)) > 10
 
 
 # -- unions of separations --------------------------------------------
@@ -1170,8 +1251,8 @@ def per_wall_keys(bits, nwalls):
 
 def assert_walk_matches_stored_edges(forbid, start, within=None):
     """_flip_closure and stored_edge_walk agree on the queue, the index,
-    the edges (as codes u << s | v) and the walls they cross.  Returns
-    the walk."""
+    the edges (as codes u << W | v; none are kept for a walk `within`)
+    and the walls they cross.  Returns the walk."""
     walk = _flip_closure(forbid, start, within)
     old = stored_edge_walk(forbid, start, within)
     assert (walk is None) == (old is None)
@@ -1179,12 +1260,14 @@ def assert_walk_matches_stored_edges(forbid, start, within=None):
         return None
     (queue, index, codes, realized), (old_queue, old_edges) = walk, old
     nwalls = len(forbid)
-    shift = nwalls if within is None else (len(within) - 1).bit_length()
     assert queue == old_queue
     assert index == {b: k for k, b in enumerate(old_queue)}
     assert type(codes) is array and codes.typecode == "q"
-    assert len(codes) == len(old_edges)
-    assert sorted(codes) == sorted(u << shift | v for u, v, _ in old_edges)
+    if within is None:
+        assert sorted(codes) == sorted(u << nwalls | v
+                                       for u, v, _ in old_edges)
+    else:
+        assert len(codes) == 0
     crossed = 0
     for _, _, j in old_edges:
         crossed |= 1 << j
