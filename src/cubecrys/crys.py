@@ -5,7 +5,8 @@ A group is recorded in lattice coordinates: an exact lattice basis L
 generator describing its action on lattice coordinates, and one rational
 translation part per generator.  Matrices are Fraction rows and vectors
 Fraction tuples; the constructor reads every entry with
-exactlin.parse_rational, as the group file reader does.  The real,
+exactlin.parse_rational, and the group file reader hands it the file's
+entries as they are.  The real,
 geometric form of a point element p is theta_bar(p) = L * M_p * L^-1,
 computed once per group as the integer matrix d * theta_bar(p) for one
 common scale d.
@@ -50,7 +51,8 @@ from cubecrys.exactlin import (
 
 # |W(F4)|, the largest finite subgroup of GL(4, Z).  It bounds every
 # point group in scope: dimension at most 4, and the groups built by
-# stabilize and semidirect_extend, which are isomorphic to one of those.
+# semidirect_extend and stabilize, which are isomorphic to one of those
+# (stabilize checks that on its input's table and closes nothing).
 CLOSURE_CAP = 1152
 
 GROUP_FORMAT = "cubecrys-group/1"
@@ -278,11 +280,10 @@ def _check_translations(g: CrystGroup, table: PointTable) -> None:
     closure has exactly |P| elements iff each point element k carries
     one class u[k], with u[k * j] = M_k u[j] + u[k] (mod Z^n).
     """
-    denom = math.lcm(*(e.denominator for t in g.translation_parts for e in t))
+    denom, gens = integral(g.translation_parts)
     if denom == 1:
         return
-    gens = [tuple(int(e * denom) % denom for e in t)
-            for t in g.translation_parts]
+    gens = [tuple(x % denom for x in t) for t in gens]
     u = [None] * len(table.elements)
     u[0] = (0,) * g.dimension
     for k, row in enumerate(table.next):
@@ -398,9 +399,9 @@ def group_from_json_dict(d: dict) -> CrystGroup:
     return from_format(d, GROUP_FORMAT, FormatError, lambda d: CrystGroup(
         name=d["name"],
         dimension=dimension_from_json(d["dimension"], FormatError),
-        lattice_basis=matrix_from_json(d["lattice_basis"]),
-        point_generators=[matrix_from_json(m) for m in d["point_generators"]],
-        translation_parts=[vector_from_json(t) for t in d["translation_parts"]],
+        lattice_basis=d["lattice_basis"],
+        point_generators=d["point_generators"],
+        translation_parts=d["translation_parts"],
     ))
 
 

@@ -28,7 +28,7 @@ entries, and by Schwartz-Zippel it does not vanish on {0..n} over them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -80,8 +80,10 @@ class HyperoctahedralWitness:
     conjugator: tuple
     basis: tuple
     # (g, d c, defects) for the group g the witness was verified on, so
-    # that its report reuses the defects; None until then.
-    verified: tuple = field(default=None, compare=False, repr=False)
+    # that its report reuses the defects; None until then, and None in
+    # a copy made by dataclasses.replace.
+    verified: tuple = field(default=None, init=False, compare=False,
+                            repr=False)
 
     def _defects(self, g: CrystGroup):
         """(d c, defects): defects[k] = (d theta_bar(p))(cA) - d (cA) iota(p)
@@ -297,7 +299,8 @@ def _verified(g: CrystGroup, iota, a):
     if not witness._holds(g, defects):
         raise WitnessCorruptionError(
             "constructed witness failed exact re-verification")
-    return replace(witness, verified=(g, scale, defects))
+    object.__setattr__(witness, "verified", (g, scale, defects))
+    return witness
 
 
 def is_hyperoctahedral(g: CrystGroup):

@@ -43,7 +43,7 @@ from collections import deque
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import compress, repeat
-from math import gcd, lcm
+from math import gcd
 from operator import gt, mul, or_, xor
 
 from cubecrys.exactlin import (
@@ -51,7 +51,7 @@ from cubecrys.exactlin import (
     dimension_from_json,
     format_rational,
     from_format,
-    parse_rational,
+    integral,
     read_json,
     vector_from_json,
     vector_to_json,
@@ -84,24 +84,6 @@ class CrossingConditionError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Exact meeting of two open halfspaces in the window box
-
-
-def _integer_window(window):
-    """(scale, box): the window box times the lcm of its denominators."""
-    scale = lcm(*(x.denominator for bounds in window for x in bounds))
-    return scale, tuple((int(lo * scale), int(hi * scale))
-                        for lo, hi in window)
-
-
-def _integer_halfspace(a, b, scale):
-    """<a, x> + b > 0 over x = y / scale, as int (A, B): <A, y> + B > 0.
-
-    The halfspace in y is multiplied by the lcm of the denominators, a
-    positive integer, so its side of every point is unchanged.
-    """
-    b = b * scale
-    m = lcm(b.denominator, *(e.denominator for e in a))
-    return tuple(int(e * m) for e in a), int(b * m)
 
 
 def _feasible(window, f, g) -> bool:
@@ -138,9 +120,15 @@ def _feasible(window, f, g) -> bool:
 
 def _wall_sides(wall: GeometricWall, scale):
     """(minus, plus): the two open sides of a wall as int halfspaces
-    over the window scaled by `scale`."""
-    plus = _integer_halfspace(wall.normal, -wall.offset, scale)
-    return (tuple(-e for e in plus[0]), -plus[1]), plus
+    (A, B), <A, y> + B > 0, over the window scaled by `scale`.
+
+    With offset p/q, <normal, x> > p/q over x = y / scale is
+    <q normal, y> - scale p > 0: a positive multiple, so every point
+    keeps its side.
+    """
+    p, q = wall.offset.numerator, wall.offset.denominator
+    a = tuple(q * e for e in wall.normal)
+    return (tuple(-e for e in a), scale * p), (a, -scale * p)
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +163,8 @@ class FiniteWallspace:
     @staticmethod
     def geometric(dimension, window, walls, base_point) -> "FiniteWallspace":
         """The wallspace on a window of (lo, hi) pairs and a base point,
-        each entry read by exactlin.parse_rational."""
-        window = tuple((parse_rational(lo), parse_rational(hi))
-                       for lo, hi in window)
+        each read by exactlin.vector_from_json."""
+        window = tuple((lo, hi) for lo, hi in map(vector_from_json, window))
         return FiniteWallspace(dimension, window, walls,
                                vector_from_json(base_point))
 
@@ -189,7 +176,7 @@ class FiniteWallspace:
             if not lo < hi:
                 raise WallspaceError("degenerate window interval [%s, %s]"
                                      % (lo, hi))
-        scale, box = _integer_window(self.window)
+        scale, box = integral(self.window)
         if len(set(self.walls)) != len(self.walls):
             raise WallspaceError("walls must be pairwise distinct "
                                  "after canonicalization")
@@ -216,9 +203,7 @@ class FiniteWallspace:
         # The base point y = scale * p in the scaled window, as ints
         # P = c y over the lcm c of y's denominators: it lies on the
         # plus side (A, B) of a wall when <A, P> + B c > 0.
-        y = [x * scale for x in p]
-        c = lcm(*(e.denominator for e in y))
-        point = [int(e * c) for e in y]
+        c, (point,) = integral(([x * scale for x in p],))
         base = 0
         for i, (w, (_, (a, b))) in enumerate(zip(self.walls, sides)):
             value = sum(map(mul, a, point)) + b * c
@@ -255,17 +240,11 @@ def wallspace_from_json_dict(d: dict) -> FiniteWallspace:
     return from_format(d, WALLS_FORMAT, WallspaceError, lambda d: (
         FiniteWallspace.geometric(
             dimension=dimension_from_json(d["dimension"], WallspaceError),
-            window=[(parse_rational(lo), parse_rational(hi))
-                    for lo, hi in d["window"]],
-            walls=[_wall_from_json(w) for w in d["walls"]],
-            base_point=vector_from_json(d["base_point"]),
+            window=d["window"],
+            walls=[GeometricWall(w["normal"], w["offset"])
+                   for w in d["walls"]],
+            base_point=d["base_point"],
         )))
-
-
-def _wall_from_json(w) -> GeometricWall:
-    """A wall from its JSON object {"normal": [...], "offset": "p/q"}."""
-    return GeometricWall(vector_from_json(w["normal"]),
-                         parse_rational(w["offset"]))
 
 
 def save_wallspace(ws: FiniteWallspace, path) -> None:
@@ -368,7 +347,6 @@ class CubeComplex:
         # the bits of an index, not of a wall, and fit in 8 bytes.
         shift = (count - 1).bit_length()
         given = set()
-        adjacency = [[] for _ in bits]
         for u, v, wall in edges:
             if not (0 <= u < count and 0 <= v < count):
                 raise ValueError("edge endpoint out of range: %r" % ((u, v),))
@@ -378,18 +356,6 @@ class CubeComplex:
             if u > v:
                 u, v = v, u
             given.add(u << shift | v)
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        seen = bytearray(count)
-        seen[0] = 1
-        stack = [0]
-        while stack:
-            for nb in adjacency[stack.pop()]:
-                if not seen[nb]:
-                    seen[nb] = 1
-                    stack.append(nb)
-        if 0 in seen:
-            raise ValueError("1-skeleton is not connected")
         mask = (1 << shift) - 1
         realized = 0
         for code in given:
@@ -409,6 +375,8 @@ class CubeComplex:
             induced.update(map(or_, compress(starts, later),
                                compress(ends, later)))
         self._missing = frozenset(induced - given)
+        if -1 in self.bfs_distances(0):
+            raise ValueError("1-skeleton is not connected")
 
     @classmethod
     def _walked(cls, num_walls, bits, index, codes, realized, wallspace):
@@ -557,7 +525,9 @@ def complex_from_json_dict(d: dict) -> CubeComplex:
 
 
 def _complex_from(d: dict) -> CubeComplex:
-    zero = list(d["zero_cubes"])
+    zero = d["zero_cubes"]
+    if not isinstance(zero, list):
+        raise TypeError('"zero_cubes" must be a list of bitstrings')
     if not zero:
         raise ComplexFormatError("a complex needs at least one 0-cube")
     if any(type(s) is not str for s in zero):
@@ -573,7 +543,8 @@ def _complex_from(d: dict) -> CubeComplex:
         raise ComplexFormatError(
             '"walls" lists %d walls, but the 0-cubes have %d bits'
             % (len(walls), width))
-    if len({len(_wall_from_json(w).normal) for w in walls}) > 1:
+    if len({len(GeometricWall(w["normal"], w["offset"]).normal)
+            for w in walls}) > 1:
         raise ComplexFormatError("wall normals differ in length")
     edges = []
     for u, v in d["edges"]:
@@ -834,7 +805,7 @@ def seeded_wallspaces(count: int = 50, seed: int = 0, max_walls: int = 10,
     """
     rng = random.Random(seed)
     window = tuple((Fraction(-6), Fraction(6)) for _ in range(dimension))
-    scale, box = _integer_window(window)
+    scale, box = integral(window)
     out = []
     while len(out) < count:
         target = rng.randrange(3, max_walls + 1)
@@ -856,14 +827,14 @@ def seeded_wallspaces(count: int = 50, seed: int = 0, max_walls: int = 10,
             walls.append(wall)
         if len(walls) < 3:
             continue
-        base = None
         for _ in range(500):
-            candidate = tuple(Fraction(rng.randrange(-550, 551), 97)
-                              for _ in range(dimension))
-            if all(w.side(candidate) != 0 for w in walls):
-                base = candidate
-                break
-        if base is None:
-            continue
-        out.append(FiniteWallspace.geometric(dimension, window, walls, base))
+            base = tuple(Fraction(rng.randrange(-550, 551), 97)
+                         for _ in range(dimension))
+            try:
+                ws = FiniteWallspace.geometric(dimension, window, walls, base)
+            except WallspaceError:
+                # The base point lies on a wall; draw another.
+                continue
+            out.append(ws)
+            break
     return out

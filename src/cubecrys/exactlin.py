@@ -147,7 +147,10 @@ def vector_to_json(v) -> list:
 
 def vector_from_json(data) -> tuple:
     """A vector as a tuple of Fractions, each entry read by
-    parse_rational."""
+    parse_rational; a string or a dict is refused, not iterated."""
+    if isinstance(data, (str, dict)):
+        raise ValueError("a vector must be an array, not a %s"
+                         % type(data).__name__)
     return tuple(map(parse_rational, data))
 
 

@@ -360,23 +360,32 @@ def stabilize(g: CrystGroup, fam: WallFamily = None) -> CrystGroup:
     of signed permutation matrices.  N is computed from the lattice
     basis unless a wall family of g for another basis is supplied, and
     the output carries m = N - n extra translation directions.
+
+    The output's point group is the image of the induced action, so it
+    is isomorphic to g's exactly when the action is an injective
+    homomorphism.  That is checked along g's point table, on the signed
+    permutations themselves: the output's own table is never built.
     """
     validate(g)
     if fam is None:
         fam = direction_class_count(g, zip(*g.lattice_basis))
     action = induced_action_on_RN(g, fam)
+    table = g.point_table()
+    gens = [action[k] for k in table.next[0]]
+    for k, row in enumerate(table.next):
+        for j, target in enumerate(row):
+            if action[target] != action[k] * gens[j]:
+                raise InternalError(
+                    "the induced action is not a homomorphism at point "
+                    "element %d and generator %d" % (k, j))
+    if len(set(action)) != len(table.elements):
+        raise InternalError("the induced action is not injective")
     n_classes = fam.class_count
-    new_gens = [to_matrix(action[k]) for k in g.point_table().next[0]]
-    stabilized = CrystGroup(
+    new_gens = [to_matrix(s) for s in gens]
+    return CrystGroup(
         name=g.name + "-stab",
         dimension=n_classes,
         lattice_basis=identity(n_classes),
         point_generators=new_gens,
         translation_parts=[(0,) * n_classes] * len(new_gens),
     )
-    validate(stabilized)
-    if stabilized.point_group_order() != g.point_group_order():
-        raise InternalError(
-            "stabilization changed the point group order from %d to %d"
-            % (g.point_group_order(), stabilized.point_group_order()))
-    return stabilized

@@ -247,6 +247,26 @@ def test_a_boolean_in_a_group_file_exits_one(where, value, capsys, tmp_path):
         assert "malformed cubecrys-group/1 file" in err, command
 
 
+# A string is no row, though each of its characters reads as an entry;
+# the first case passed `validate` as the identity lattice.
+@pytest.mark.parametrize("changes", [
+    [(("lattice_basis",), ["10", "01"]), (("point_generators",), []),
+     (("translation_parts",), [])],
+    [(("lattice_basis", 1), "01")],
+    [(("point_generators", 0, 0), "01")],
+    [(("translation_parts", 0), "00")],
+    [(("translation_parts", 0), {"0": 0, "1": 0})],
+], ids=repr)
+def test_a_string_row_in_a_group_file_exits_one(changes, capsys, tmp_path):
+    path = group_file(tmp_path, "p4")
+    for where, value in changes:
+        put_entry(path, where, value)
+    for command in ("validate", "classify", "cubulate"):
+        code, out, err = run(capsys, command, path)
+        assert (code, out) == (1, ""), command
+        assert "malformed cubecrys-group/1 file" in err, command
+
+
 def test_fractional_dimension_in_a_group_file_exits_one(capsys, tmp_path):
     path = group_file(tmp_path, "p4")
     with open(path) as fh:
@@ -827,6 +847,20 @@ def test_dual_missing_and_malformed_files(capsys, tmp_path):
     (("walls", 1, "offset"), False),
 ])
 def test_a_boolean_in_a_walls_file_exits_one(where, value, capsys, tmp_path):
+    path = walls_file(tmp_path)
+    put_entry(path, where, value)
+    code, out, err = run(capsys, "dual", path)
+    assert (code, out) == (1, "")
+    assert "malformed cubecrys-walls/1 file" in err
+
+
+@pytest.mark.parametrize("where, value", [
+    (("walls", 0, "normal"), "10"),
+    (("base_point",), "11"),
+    (("window", 0), "02"),
+])
+def test_a_string_row_in_a_walls_file_exits_one(where, value, capsys,
+                                                tmp_path):
     path = walls_file(tmp_path)
     put_entry(path, where, value)
     code, out, err = run(capsys, "dual", path)

@@ -1,5 +1,6 @@
 """Tests for the embedding decision procedure."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -255,6 +256,23 @@ def test_reason_constants_are_distinct():
     # rejects everything the search would).
     assert NO_EMBEDDING == "no-embedding"
     assert len({ORDER_OBSTRUCTION, CHARACTER_MISMATCH, NO_EMBEDDING}) == 3
+
+
+def test_a_replaced_witness_reports_its_own_residuals():
+    # The cached defects belong to the witness verify() ran on; a copy
+    # with other images must compute its own.
+    g = catalog_entry("Z:W")
+    witness = is_hyperoctahedral(g)
+    rotated = dataclasses.replace(witness,
+                                  iota=witness.iota[1:] + witness.iota[:1])
+    assert rotated.verified is None
+    assert not rotated.verify(g)
+    report = rotated.to_json_dict(g)
+    assert any(x != "0" for entry in report["elements"]
+               for row in entry["conjugation_residual"] for x in row)
+    fresh = HyperoctahedralWitness(rotated.iota, rotated.conjugator,
+                                   rotated.basis)
+    assert report == fresh.to_json_dict(g)
 
 
 def _conjugation_holds(g, w):

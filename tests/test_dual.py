@@ -24,8 +24,6 @@ from cubecrys.dual import (
     WallspaceError,
     _feasible,
     _flip_closure,
-    _integer_halfspace,
-    _integer_window,
     _member_clauses,
     distance,
     dual_complex,
@@ -42,7 +40,7 @@ from cubecrys.dual import (
     union_orientation,
     wallspace_from_json_dict,
 )
-from cubecrys.exactlin import IndexPairs, json_text
+from cubecrys.exactlin import IndexPairs, integral, json_text
 from cubecrys.sgnperm import build_Qn
 from cubecrys.walls import GeometricWall
 from stored_edge_complex import (
@@ -146,14 +144,19 @@ def three_verdicts(window, f, g):
     """_feasible, and both oracles, on f > 0, g > 0 in the closed window.
 
     f and g are (coefficients, offset) pairs for <a, x> + b; entries may
-    be anything Fraction accepts.  _feasible gets the window and both
-    sides scaled to integers the way FiniteWallspace scales them.
+    be anything Fraction accepts.  _feasible gets the window scaled to
+    integers the way FiniteWallspace scales it, and each side, over the
+    scaled window, times the lcm of its denominators.
     """
     window = tuple((Fraction(lo), Fraction(hi)) for lo, hi in window)
     f, g = ((tuple(map(Fraction, a)), Fraction(b)) for a, b in (f, g))
-    scale, box = _integer_window(window)
-    integer = _feasible(box, _integer_halfspace(*f, scale),
-                        _integer_halfspace(*g, scale))
+    scale, box = integral(window)
+
+    def ints(a, b):
+        *a, b = integral(((*a, b * scale),))[1][0]
+        return tuple(a), b
+
+    integer = _feasible(box, ints(*f), ints(*g))
     n = len(window)
     cons = []
     for k, (lo, hi) in enumerate(window):
@@ -918,6 +921,21 @@ def test_seeded_wallspaces_are_pinned(seed):
     assert hashlib.sha256(text.encode()).hexdigest() == SEEDED_DIGESTS[seed]
 
 
+def test_seeded_wallspaces_are_pinned_across_dimensions():
+    # Pins the random draws, including the base points drawn again
+    # because they lie on a wall.
+    digest = hashlib.sha256()
+    for dimension in (1, 2, 3, 4):
+        for seed in range(6):
+            for max_walls in (5, 8, 12):
+                for ws in seeded_wallspaces(seed=seed, max_walls=max_walls,
+                                            dimension=dimension):
+                    digest.update(json.dumps(ws.to_json_dict(),
+                                             sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "abf04ae4d923d1c90567891515bbb91517216e5b2616d4534325370ead7eaba1")
+
+
 def test_seeded_wallspaces_are_valid_and_bounded():
     spaces = seeded_wallspaces(count=10, seed=2, max_walls=6)
     assert len(spaces) == 10
@@ -996,6 +1014,20 @@ def test_complex_file_errors(tmp_path):
                                 "zero_cubes": ["00", "01"],
                                 "edges": [[0, "1"]]}))
     with pytest.raises(ComplexFormatError, match="malformed"):
+        load_complex(path)
+
+
+@pytest.mark.parametrize("d", [
+    {"zero_cubes": "01", "edges": [[0, 1]]},
+    {"zero_cubes": {"0": 1, "1": 1}, "edges": [[0, 1]]},
+    {"walls": [{"normal": "1", "offset": "0"}], "zero_cubes": ["0", "1"],
+     "edges": [[0, 1]]},
+], ids=repr)
+def test_a_string_where_a_complex_file_needs_an_array(d, tmp_path):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({"format": "cubecrys-complex/1", **d}))
+    with pytest.raises(ComplexFormatError,
+                       match="malformed cubecrys-complex/1 file"):
         load_complex(path)
 
 

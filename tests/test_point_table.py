@@ -39,7 +39,14 @@ from cubecrys.decide import (
     hyperoctahedral_basis,
     is_hyperoctahedral,
 )
-from cubecrys.exactlin import RatMatrix, ShapeError, det, identity, inverse
+from cubecrys.exactlin import (
+    RatMatrix,
+    ShapeError,
+    det,
+    identity,
+    int_mul,
+    inverse,
+)
 from cubecrys.sgnperm import SignedPermutation, enumerate_group, to_matrix
 from test_walls import (
     apply,
@@ -287,6 +294,27 @@ def test_table_matches_the_ratmatrix_closure(g):
         assert table.order[k] == ratmatrix_order(p, len(elements))
         assert table.det[k] == det(p.entries)
         assert table.trace[k] == trace(p)
+
+
+@pytest.mark.parametrize("g", GROUPS, ids=lambda g: g.name)
+def test_the_stabilized_point_group_has_the_input_order(g):
+    s = stabilize(g)
+    assert s._elements is None
+    assert s.point_group_order() == g.point_group_order()
+
+
+def test_stabilize_b4_in_a_generic_basis_builds_no_point_table():
+    # Conjugating B4 by this unimodular U keeps its real forms, but the
+    # lattice basis columns fall into 268 direction classes.
+    u = ((1, 2, 3, 5), (0, 1, 1, 2), (0, 0, 1, 3), (0, 0, 0, 1))
+    u_inv = tuple(tuple(int(e) for e in row) for row in inverse(u))
+    gens = [int_mul(int_mul(u_inv, m), u)
+            for m in (CYCLE4, SWAP12, FLIP1)]
+    g = CrystGroup("B4-generic", 4, u, gens, [[0] * 4] * 3)
+    s = stabilize(g)
+    assert s.dimension == 268
+    assert s._elements is None
+    assert len(s.point_generators) == 3
 
 
 @pytest.mark.parametrize("g", GROUPS, ids=lambda g: g.name)

@@ -21,9 +21,10 @@ from cubecrys.exactlin import (
     identity,
     int_mul,
 )
-from cubecrys.sgnperm import signed_permutation_of
+from cubecrys.sgnperm import SignedPermutation, signed_permutation_of
 from cubecrys.walls import (
     GeometricWall,
+    InternalError,
     LinearSeparationReport,
     PropertyViolationError,
     RankError,
@@ -405,3 +406,28 @@ def test_stabilize_every_rejected_catalog_group():
         witness = is_hyperoctahedral(s)
         assert isinstance(witness, HyperoctahedralWitness), name
         assert witness.conjugator == identity(s.dimension), name
+
+
+def test_stabilize_refuses_an_action_that_is_no_homomorphism():
+    # Swapping two images off the generators keeps the generators, so
+    # the closure of the stabilized group still has 8 elements; only the
+    # check along the input's point table sees the broken action.
+    g = catalog_entry("p4m")
+    fam = direction_class_count(g, zip(*g.lattice_basis))
+    gens = set(g.point_table().next[0])
+    p, q = [k for k in range(1, len(fam.action)) if k not in gens][:2]
+    action = list(fam.action)
+    action[p], action[q] = action[q], action[p]
+    broken = dataclasses.replace(fam, action=tuple(action))
+    with pytest.raises(InternalError, match="not a homomorphism"):
+        stabilize(g, broken)
+
+
+def test_stabilize_refuses_an_action_that_is_not_injective():
+    g = catalog_entry("p4m")
+    fam = direction_class_count(g, zip(*g.lattice_basis))
+    flat = dataclasses.replace(
+        fam, action=(SignedPermutation.identity(fam.class_count),)
+        * len(fam.action))
+    with pytest.raises(InternalError, match="not injective"):
+        stabilize(g, flat)
