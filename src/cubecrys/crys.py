@@ -13,8 +13,10 @@ common scale d.
 
 The point group itself is held as integer data (PointTable): the
 elements as int rows (their only form), how each generator moves them,
-and each element's order, determinant and trace, all computed in one
-breadth-first pass; per-element data are tuples in the same order.
+and each element's order, determinant and trace.  One breadth-first
+pass builds the elements, the successors and the determinants; the
+orders are then walked on the successors, with no matrix product, and
+per-element data are tuples in the same order.
 
 Hexagonal entries use a rational stand-in basis.  Every decision made
 downstream depends only on the integer matrices and their conjugacy
@@ -41,6 +43,7 @@ from cubecrys.exactlin import (
     int_mul,
     integral,
     inverse,
+    json_array,
     matrix_from_json,
     matrix_to_json,
     read_json,
@@ -123,8 +126,10 @@ class CrystGroup:
     The lattice basis and the point generators are Fraction rows and
     the translation parts Fraction tuples, read from any rows of ints,
     Fractions or strings; an entry that is a bool or a float raises
-    ValueError.  Immutable after construction; the point table and the
-    real forms are computed lazily, once, and cached.
+    ValueError, and so does a string or a dict in place of the list of
+    generators or of translation parts.  Immutable after construction;
+    the point table and the real forms are computed lazily, once, and
+    cached.
     """
 
     def __init__(self, name, dimension, lattice_basis, point_generators,
@@ -132,9 +137,10 @@ class CrystGroup:
         self.name = str(name)
         self.dimension = dimension_from_json(dimension, StructureError)
         self.lattice_basis = matrix_from_json(lattice_basis)
-        self.point_generators = tuple(map(matrix_from_json, point_generators))
-        self.translation_parts = tuple(map(vector_from_json,
-                                           translation_parts))
+        self.point_generators = tuple(map(matrix_from_json, json_array(
+            point_generators, '"point_generators"')))
+        self.translation_parts = tuple(map(vector_from_json, json_array(
+            translation_parts, '"translation_parts"')))
         self._elements = None
         self._table = None
         self._real_int = None
@@ -159,6 +165,7 @@ class CrystGroup:
         gen_dets = [int_det(m) for m in gens]
         ident = identity(n)
         elements = [ident]
+        words = [()]
         dets = [1]
         successors = []
         index = {ident: 0}
@@ -175,13 +182,14 @@ class CrystGroup:
                             "is out of scope" % CLOSURE_CAP)
                     target = index[product] = len(elements)
                     elements.append(product)
+                    words.append(words[head] + (j,))
                     dets.append(dets[head] * gen_dets[j])
                 row.append(target)
             successors.append(tuple(row))
         self._table = PointTable(
             elements=tuple(elements),
             next=tuple(successors),
-            order=tuple(_order(m, ident, len(elements)) for m in elements),
+            order=_orders(successors, words),
             det=tuple(dets),
             trace=tuple(sum(m[i][i] for i in range(n)) for m in elements),
         )
@@ -207,15 +215,31 @@ class CrystGroup:
         return len(self.point_elements())
 
 
-def _order(m: tuple, ident: tuple, bound: int) -> int:
-    """Least k >= 1 with m**k = identity; a closed group bounds k by |P|."""
-    power = m
-    for k in range(1, bound + 1):
-        if power == ident:
-            return k
-        power = int_mul(power, m)
-    raise StructureError("an element has no power equal to the identity "
-                         "within %d steps; a generator is singular" % bound)
+def _orders(successors, words) -> tuple:
+    """Each element's order, walked on the point table.
+
+    words[k] lists the generators whose product, identity first, is
+    element k, so x * elements[k] is x moved along words[k] through
+    successors, and the order of element k is the number of such moves
+    from the identity (index 0) back to it.  A closed group bounds it by
+    |P|; a singular generator can close to a finite set where no power
+    of it is the identity, so the walk stops there.
+    """
+    bound = len(successors)
+    orders = []
+    for word in words:
+        x = 0
+        for k in range(1, bound + 1):
+            for j in word:
+                x = successors[x][j]
+            if x == 0:
+                orders.append(k)
+                break
+        else:
+            raise StructureError(
+                "an element has no power equal to the identity within %d "
+                "steps; a generator is singular" % bound)
+    return tuple(orders)
 
 
 @dataclass(frozen=True)

@@ -111,12 +111,24 @@ class HyperoctahedralWitness:
 
     def to_json_dict(self, g: CrystGroup) -> dict:
         """The report; each residual theta_bar(p) - A iota(p) A^-1 is
-        the defect times A^-1 over d c."""
+        the defect times A^-1 over d c.  A is nonsingular, so a residual
+        is zero exactly when its defect is: a zero defect reports rows
+        of "0", and A^-1 is computed once, for the first nonzero one."""
         if self.verified is not None and self.verified[0] is g:
             _, scale, defects = self.verified
         else:
             scale, defects = self._defects(g)
-        h, a_inv = integral(inverse(self.conjugator))
+        residuals = []
+        a_inv = None
+        for defect in defects:
+            if not any(map(any, defect)):
+                residuals.append([["0"] * len(row) for row in defect])
+                continue
+            if a_inv is None:
+                h, a_inv = integral(inverse(self.conjugator))
+            residuals.append([
+                [format_rational(Fraction(x, scale * h)) for x in row]
+                for row in int_mul(defect, a_inv)])
         return {
             "verdict": "accepted",
             "conjugator": matrix_to_json(self.conjugator),
@@ -124,10 +136,9 @@ class HyperoctahedralWitness:
             "elements": [{
                 "point_element": matrix_to_json(p),
                 "image": s.to_json_dict(),
-                "conjugation_residual": [
-                    [format_rational(Fraction(x, scale * h)) for x in row]
-                    for row in int_mul(defect, a_inv)],
-            } for p, s, defect in zip(g.point_elements(), self.iota, defects)],
+                "conjugation_residual": residual,
+            } for p, s, residual in zip(g.point_elements(), self.iota,
+                                        residuals)],
         }
 
 

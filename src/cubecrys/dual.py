@@ -52,6 +52,7 @@ from cubecrys.exactlin import (
     format_rational,
     from_format,
     integral,
+    json_array,
     read_json,
     vector_from_json,
     vector_to_json,
@@ -242,7 +243,7 @@ def wallspace_from_json_dict(d: dict) -> FiniteWallspace:
             dimension=dimension_from_json(d["dimension"], WallspaceError),
             window=d["window"],
             walls=[GeometricWall(w["normal"], w["offset"])
-                   for w in d["walls"]],
+                   for w in json_array(d["walls"], '"walls"')],
             base_point=d["base_point"],
         )))
 
@@ -547,7 +548,7 @@ def _complex_from(d: dict) -> CubeComplex:
             for w in walls}) > 1:
         raise ComplexFormatError("wall normals differ in length")
     edges = []
-    for u, v in d["edges"]:
+    for u, v in json_array(d["edges"], '"edges"'):
         if not (type(u) is type(v) is int):
             raise TypeError("edge endpoint is not an integer: %r" % ((u, v),))
         if not (0 <= u < len(zero) and 0 <= v < len(zero)):

@@ -34,6 +34,8 @@ class SingularMatrixError(ZeroDivisionError):
 
 def format_rational(x) -> str:
     """Serialize as 'p/q', or plain 'p' when the denominator is 1."""
+    if type(x) is int:
+        return str(x)
     x = parse_rational(x)
     if x.denominator == 1:
         return str(x.numerator)
@@ -145,13 +147,20 @@ def vector_to_json(v) -> list:
     return [format_rational(e) for e in v]
 
 
+def json_array(data, what: str):
+    """data itself where a JSON array belongs: a string or a dict is
+    refused (ValueError naming `what`), not iterated as no items or as
+    its characters or keys."""
+    if isinstance(data, (str, dict)):
+        raise ValueError("%s must be an array, not a %s"
+                         % (what, type(data).__name__))
+    return data
+
+
 def vector_from_json(data) -> tuple:
     """A vector as a tuple of Fractions, each entry read by
     parse_rational; a string or a dict is refused, not iterated."""
-    if isinstance(data, (str, dict)):
-        raise ValueError("a vector must be an array, not a %s"
-                         % type(data).__name__)
-    return tuple(map(parse_rational, data))
+    return tuple(map(parse_rational, json_array(data, "a vector")))
 
 
 def matrix_to_json(rows) -> list:

@@ -59,12 +59,16 @@ class SignedPermutation:
         return SignedPermutation(range(1, n + 1), (1,) * n)
 
     def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
-        if self.n != other.n:
+        """The product, built without __init__'s checks: a product of
+        two signed permutations is always one."""
+        if len(self.perm) != len(other.perm):
             raise ValueError("cannot compose signed permutations of different sizes")
         # (s*t)(e_i) = s(t.signs[i] e_{t.perm[i]})
-        perm = tuple(self.perm[other.perm[i] - 1] for i in range(self.n))
-        signs = tuple(other.signs[i] * self.signs[other.perm[i] - 1] for i in range(self.n))
-        return SignedPermutation(perm, signs)
+        perm, signs = self.perm, self.signs
+        return _unchecked(
+            tuple([perm[i - 1] for i in other.perm]),
+            tuple([sign * signs[i - 1]
+                   for sign, i in zip(other.signs, other.perm)]))
 
     def inverse(self) -> "SignedPermutation":
         perm = [0] * self.n
@@ -130,6 +134,19 @@ class SignedPermutation:
     @staticmethod
     def from_json_dict(d: dict) -> "SignedPermutation":
         return SignedPermutation(d["perm"], d["signs"])
+
+
+_set_perm = SignedPermutation.perm.__set__
+_set_signs = SignedPermutation.signs.__set__
+
+
+def _unchecked(perm: tuple, signs: tuple) -> SignedPermutation:
+    """The signed permutation (perm, signs), for tuples already known to
+    be one, built without __init__'s checks."""
+    s = object.__new__(SignedPermutation)
+    _set_perm(s, perm)
+    _set_signs(s, signs)
+    return s
 
 
 def enumerate_group(n: int) -> list[SignedPermutation]:

@@ -248,7 +248,10 @@ def test_a_boolean_in_a_group_file_exits_one(where, value, capsys, tmp_path):
 
 
 # A string is no row, though each of its characters reads as an entry;
-# the first case passed `validate` as the identity lattice.
+# the first case passed `validate` as the identity lattice.  Nor is an
+# empty string or an object a list of generators or of translation
+# parts: both iterate as no items, and the sixth case passed `validate`
+# as the trivial group.
 @pytest.mark.parametrize("changes", [
     [(("lattice_basis",), ["10", "01"]), (("point_generators",), []),
      (("translation_parts",), [])],
@@ -256,6 +259,10 @@ def test_a_boolean_in_a_group_file_exits_one(where, value, capsys, tmp_path):
     [(("point_generators", 0, 0), "01")],
     [(("translation_parts", 0), "00")],
     [(("translation_parts", 0), {"0": 0, "1": 0})],
+    [(("point_generators",), ""), (("translation_parts",), "")],
+    [(("point_generators",), {}), (("translation_parts",), {})],
+    [(("point_generators",), "")],
+    [(("translation_parts",), "")],
 ], ids=repr)
 def test_a_string_row_in_a_group_file_exits_one(changes, capsys, tmp_path):
     path = group_file(tmp_path, "p4")
@@ -265,6 +272,7 @@ def test_a_string_row_in_a_group_file_exits_one(changes, capsys, tmp_path):
         code, out, err = run(capsys, command, path)
         assert (code, out) == (1, ""), command
         assert "malformed cubecrys-group/1 file" in err, command
+        assert "must be an array, not a" in err, command
 
 
 def test_fractional_dimension_in_a_group_file_exits_one(capsys, tmp_path):
@@ -858,6 +866,9 @@ def test_a_boolean_in_a_walls_file_exits_one(where, value, capsys, tmp_path):
     (("walls", 0, "normal"), "10"),
     (("base_point",), "11"),
     (("window", 0), "02"),
+    # These gave a wallspace with no walls, and a dual of one 0-cube.
+    (("walls",), ""),
+    (("walls",), {}),
 ])
 def test_a_string_row_in_a_walls_file_exits_one(where, value, capsys,
                                                 tmp_path):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubecrys import cli, decide
 from cubecrys.cli import main
 from cubecrys.crys import (
     CATALOG_NAMES,
@@ -43,10 +44,14 @@ from cubecrys.exactlin import (
     RatMatrix,
     average_intertwiner,
     det,
+    format_rational,
     identity,
+    int_mul,
+    integral,
     inverse,
     matrix_from_json,
     matrix_to_json,
+    vector_to_json,
 )
 from cubecrys.sgnperm import (
     SignedPermutation,
@@ -273,6 +278,90 @@ def test_a_replaced_witness_reports_its_own_residuals():
     fresh = HyperoctahedralWitness(rotated.iota, rotated.conjugator,
                                    rotated.basis)
     assert report == fresh.to_json_dict(g)
+
+
+def inverse_route_report(w, g):
+    """to_json_dict as it was: every residual the defect times A^-1 over
+    d c, by inverse, int_mul and one Fraction per entry."""
+    scale, defects = w._defects(g)
+    h, a_inv = integral(inverse(w.conjugator))
+    return {
+        "verdict": "accepted",
+        "conjugator": matrix_to_json(w.conjugator),
+        "basis": [vector_to_json(v) for v in w.basis],
+        "elements": [{
+            "point_element": matrix_to_json(p),
+            "image": s.to_json_dict(),
+            "conjugation_residual": [
+                [format_rational(Fraction(x, scale * h)) for x in row]
+                for row in int_mul(defect, a_inv)],
+        } for p, s, defect in zip(g.point_elements(), w.iota, defects)],
+    }
+
+
+def _accepted_groups():
+    """The nontrivial accepted groups among those the tests build."""
+    return [g for g in GROUPS if g.dimension <= 4
+            and g.point_group_order() > 1
+            and isinstance(is_hyperoctahedral(g), HyperoctahedralWitness)]
+
+
+@pytest.mark.parametrize("g", _accepted_groups(), ids=lambda g: g.name)
+def test_residuals_match_the_inverse_route(g):
+    """Accepted witnesses, and copies with the images of a random third
+    of the elements other than the identity replaced: zero and nonzero
+    defects mixed."""
+    witness = is_hyperoctahedral(g)
+    reports = [(witness.to_json_dict(g), inverse_route_report(witness, g))]
+    rng = random.Random(g.name)
+    signed = enumerate_group(g.dimension)
+    nonzero = 0
+    for _ in range(3):
+        iota = list(witness.iota)
+        for k in rng.sample(range(1, len(iota)), max(1, len(iota) // 3)):
+            # Any other image leaves a nonzero defect, since A is
+            # nonsingular.
+            iota[k] = rng.choice([s for s in signed if s != iota[k]])
+        bad = dataclasses.replace(witness, iota=tuple(iota))
+        report = bad.to_json_dict(g)
+        reports.append((report, inverse_route_report(bad, g)))
+        nonzero += sum(any(x != "0" for row in e["conjugation_residual"]
+                           for x in row) for e in report["elements"])
+    for report, oracle in reports:
+        assert json.dumps(report, sort_keys=True) == \
+            json.dumps(oracle, sort_keys=True)
+    assert nonzero >= 3
+
+
+def test_an_accepted_classify_report_computes_no_inverse(capsys, tmp_path,
+                                                         monkeypatch):
+    # Every defect of an accepted witness is zero, so its report needs
+    # neither A^-1 nor a product with it.
+    def refuse(*args):
+        raise AssertionError("called after the verdict")
+
+    def decided(g):
+        result = is_hyperoctahedral(g)
+        monkeypatch.setattr(decide, "inverse", refuse)
+        monkeypatch.setattr(decide, "int_mul", refuse)
+        return result
+
+    for name in ("p4m", "Z:W", "cmm"):
+        path = tmp_path / "g.json"
+        save_group(catalog_entry(name), path)
+        monkeypatch.setattr(cli, "is_hyperoctahedral", decided)
+        assert main(["classify", "--json", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "accepted"
+        monkeypatch.undo()
+    skew = CrystGroup("p4-skew", 2, [[2, 1], [1, 1]], [[[0, -1], [1, 0]]],
+                      [[0, 0]])
+    witness = is_hyperoctahedral(skew)
+    assert witness.conjugator != identity(2)
+    monkeypatch.setattr(decide, "inverse", refuse)
+    monkeypatch.setattr(decide, "int_mul", refuse)
+    assert all(x == "0" for e in witness.to_json_dict(skew)["elements"]
+               for row in e["conjugation_residual"] for x in row)
 
 
 def _conjugation_holds(g, w):

@@ -1022,6 +1022,10 @@ def test_complex_file_errors(tmp_path):
     {"zero_cubes": {"0": 1, "1": 1}, "edges": [[0, 1]]},
     {"walls": [{"normal": "1", "offset": "0"}], "zero_cubes": ["0", "1"],
      "edges": [[0, 1]]},
+    # These loaded as a complex with no edge given.
+    {"zero_cubes": ["0"], "edges": ""},
+    {"zero_cubes": ["0", "1"], "edges": ""},
+    {"zero_cubes": ["0", "1"], "edges": {}},
 ], ids=repr)
 def test_a_string_where_a_complex_file_needs_an_array(d, tmp_path):
     path = tmp_path / "complex.json"

@@ -1,5 +1,6 @@
 """Tests for the exact rational linear algebra layer."""
 
+import enum
 import json
 from fractions import Fraction
 
@@ -35,6 +36,21 @@ def test_rational_formatting_round_trip():
     assert parse_rational(Fraction(-2, 6)) == Fraction(-1, 3)
     with pytest.raises(ValueError):
         parse_rational(1.5)
+
+
+@pytest.mark.parametrize("x", [0, 1, -1, 7, -12, 2 ** 64 + 1, -(2 ** 70)])
+def test_an_int_formats_as_its_fraction_does(x):
+    assert format_rational(x) == format_rational(Fraction(x)) == str(x)
+
+
+class Small(enum.IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize("x", [True, False, 1.0, Small.ONE], ids=repr)
+def test_formatting_refuses_what_is_not_an_int_or_a_rational(x):
+    with pytest.raises(ValueError, match="not a serialized rational"):
+        format_rational(x)
 
 
 def test_zero_denominator_is_a_value_error():

@@ -11,13 +11,16 @@ table-driven extension and the wall family built on integer real forms
 must agree with them on every group the tests build.
 """
 
+import contextlib
 import itertools
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
 
+from cubecrys import crys
 from cubecrys.cli import main
 from cubecrys.crys import (
     CLOSURE_CAP,
@@ -84,6 +87,18 @@ def ratmatrix_order(m, cap):
             return k
         power = power * m
     return None
+
+
+def matrix_power_order(m, ident, bound):
+    """The order loop the table walk replaced: least k >= 1 with
+    m**k = identity, by int_mul powers; StructureError past bound = |P|."""
+    power = m
+    for k in range(1, bound + 1):
+        if power == ident:
+            return k
+        power = int_mul(power, m)
+    raise StructureError("an element has no power equal to the identity "
+                         "within %d steps; a generator is singular" % bound)
 
 
 def ratmatrix_closure(g):
@@ -363,6 +378,84 @@ def test_a_failed_closure_leaves_no_elements():
         shear.point_table()
     assert shear._elements is None
     assert shear._table is None
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once `seconds` of wall time pass,
+    so that a walk that never ends fails instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError("no answer within %s s" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("gens", [[[[0]]], [[[1, 0], [0, 0]]]],
+                         ids=["zero-1d", "projection-2d"])
+def test_a_singular_generator_closing_to_a_finite_set_is_refused(gens):
+    # Both close to {I, M} with M * M = M: no power of M is I.
+    n = len(gens[0])
+    g = group("singular", [[int(i == j) for j in range(n)] for i in range(n)],
+              gens)
+    with deadline(10), pytest.raises(StructureError) as info:
+        g.point_table()
+    assert str(info.value) == (
+        "an element has no power equal to the identity within 2 steps; "
+        "a generator is singular")
+    assert g._elements is None
+    ident = identity(n)
+    with pytest.raises(StructureError) as oracle:
+        matrix_power_order(tuple(map(tuple, gens[0])), ident, 2)
+    assert str(oracle.value) == str(info.value)
+
+
+def test_the_closure_multiplies_only_inside_its_loop(monkeypatch):
+    # One int_mul per element and generator; the orders take none.
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return int_mul(a, b)
+
+    monkeypatch.setattr(crys, "int_mul", counted)
+    g = wf4()
+    table = g.point_table()
+    assert len(calls) == len(table.elements) * len(g.point_generators)
+
+
+def _assert_orders_match_matrix_powers(g):
+    table = g.point_table()
+    ident = identity(g.dimension)
+    assert table.order == tuple(
+        matrix_power_order(m, ident, len(table.elements))
+        for m in table.elements)
+
+
+@pytest.mark.parametrize("g", GROUPS + [wf4()], ids=lambda g: g.name)
+def test_table_orders_match_matrix_powers(g):
+    _assert_orders_match_matrix_powers(g)
+
+
+def test_table_orders_match_matrix_powers_on_wf4_subgroups():
+    """Subgroups of W(F4) on 1-3 random elements, drawn as in the
+    decider's W(F4) fuzz."""
+    wf = wf4()
+    elements = wf.point_elements()
+    rng = random.Random(0)
+    orders = set()
+    for _ in range(60):
+        gens = rng.sample(elements, rng.randint(1, 3))
+        g = CrystGroup("sub", 4, wf.lattice_basis, gens,
+                       [[0] * 4] * len(gens))
+        _assert_orders_match_matrix_powers(g)
+        orders.add(g.point_group_order())
+    assert len(orders) > 5
 
 
 def test_wf4_fills_the_closure_cap_and_is_order_obstructed():

@@ -64,6 +64,55 @@ def test_to_matrix_is_a_homomorphism(s, t):
     assert to_matrix(s * t) == int_mul(to_matrix(s), to_matrix(t))
 
 
+def checked_product(s, t):
+    """s * t as __mul__ built it before: the old formula, through
+    SignedPermutation's checked constructor."""
+    n = s.n
+    return SignedPermutation(
+        tuple(s.perm[t.perm[i] - 1] for i in range(n)),
+        tuple(t.signs[i] * s.signs[t.perm[i] - 1] for i in range(n)))
+
+
+def _same_product(s, t):
+    product, oracle = s * t, checked_product(s, t)
+    assert product == oracle and hash(product) == hash(oracle)
+    assert type(product) is SignedPermutation
+    assert type(product.perm) is tuple and type(product.signs) is tuple
+
+
+def test_unchecked_products_match_the_checked_formula_on_b3():
+    group = enumerate_group(3)
+    for s, t in itertools.product(group, repeat=2):
+        _same_product(s, t)
+
+
+def test_unchecked_products_match_the_checked_formula_on_b4():
+    group = enumerate_group(4)
+    rng = random.Random(0)
+    for _ in range(5000):
+        _same_product(rng.choice(group), rng.choice(group))
+
+
+def test_a_product_is_immutable_and_builds_nothing_checked(monkeypatch):
+    s = SignedPermutation((2, 3, 1), (1, 1, -1))
+    calls = []
+    init = SignedPermutation.__init__
+
+    def counting_init(self, perm, signs):
+        calls.append((perm, signs))
+        init(self, perm, signs)
+
+    monkeypatch.setattr(SignedPermutation, "__init__", counting_init)
+    product = s * s
+    assert calls == []
+    with pytest.raises(AttributeError, match="immutable"):
+        product.perm = (1, 2, 3)
+    with pytest.raises(ValueError, match="different sizes"):
+        s * SignedPermutation.identity(2)
+    with pytest.raises(ValueError, match="different sizes"):
+        SignedPermutation.identity(4) * s
+
+
 @given(signed_perms())
 def test_inverse_and_round_trip(s):
     assert (s * s.inverse()).is_identity()
