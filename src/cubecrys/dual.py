@@ -16,15 +16,15 @@ scaled to integers once, by positive factors.  Orientations are
 enumerated by breadth-first wall flipping from the base point's
 orientation, never by scanning all 2^W side choices.
 
-A complex is stored as its 0-cube bitmasks, one 8-byte code per edge
-and the induced edges it leaves out.  Two 0-cubes of a dual are joined
-exactly when they differ on one wall (its 1-skeleton is the subgraph of
-the hypercube induced on its 0-cubes; Chepoi), so for a dual that set
-is empty, and adjacency and links are derived on demand.  The flip walk
-that enumerates a dual keeps each edge as it crosses it; the edge list
-and the JSON layout sort those codes when asked.  The JSON edge list is
-an IndexPairs over the sorted codes, which json_text renders in one
-join, with no [u, v] list per edge.
+A complex is the dual that the flip walk enumerated, stored as its
+0-cube bitmasks and one 8-byte code per edge.  Two 0-cubes of a dual
+are joined exactly when they differ on one wall (its 1-skeleton is the
+subgraph of the hypercube induced on its 0-cubes; Chepoi), so
+adjacency and links are derived on demand.  The flip walk keeps each
+edge as it crosses it; the edge list and the JSON layout sort those
+codes when asked.  The JSON edge list is an IndexPairs over the sorted
+codes, which json_text renders in one join, with no [u, v] list per
+edge.  The complex file is written, never read.
 
 A complex is in turn the dual of its own hyperplanes: two hyperplane
 sides meet exactly when some 0-cube lies on both, so their
@@ -42,9 +42,9 @@ from array import array
 from collections import deque
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import repeat
 from math import gcd
-from operator import gt, mul, or_, xor
+from operator import mul, xor
 
 from cubecrys.exactlin import (
     IndexPairs,
@@ -311,99 +311,33 @@ class Orientation:
 
 
 class CubeComplex:
-    """0-cubes, single-wall edges, and the implicit flag structure.
+    """The dual that dual_complex walked: 0-cubes, single-wall edges,
+    and the implicit flag structure.
 
     A complex is its list of 0-cube bitmasks (bit i set: the plus side
-    of wall i), indexed in the order given, one code u << s | v per
-    edge (u < v) in an array("q"), and the codes of the induced edges
-    it leaves out.  Two 0-cubes that differ on one wall are joined by an
-    edge unless that set holds the pair; it is empty for every dual,
-    whose 1-skeleton is the subgraph of the hypercube induced on its
-    0-cubes.  A dual's codes are the ones its flip walk kept, with s the
-    wall count; a loaded complex codes its given edges with s the bit
-    length of its largest index.  Edges (u, v, wall) in sorted order
-    and the JSON layout sort the codes when asked; adjacency and links
-    are derived on demand.  Cubes above dimension one are never stored:
-    a k-cube at a vertex is a k-clique of pairwise jointly flippable
-    walls, which link_of_vertex exposes.
+    of wall i) in the walk's breadth-first order, and the walk's code
+    u << W | v per edge (u < v, W the wall count) in an array("q").  Its
+    1-skeleton is the subgraph of the hypercube induced on its 0-cubes:
+    two 0-cubes that differ on one wall are joined.  Edges (u, v, wall)
+    in sorted order and the JSON layout sort the codes when asked;
+    adjacency and links are derived on demand.  Cubes above dimension
+    one are never stored: a k-cube at a vertex is a k-clique of pairwise
+    jointly flippable walls, which link_of_vertex exposes.
 
-    The constructor checks its arguments: distinct 0-cubes of one width,
-    edges that flip exactly the wall they name, a connected 1-skeleton.
-    Repeated and reversed edges count once.
+    The constructor checks nothing: the walk makes the 0-cubes
+    distinct, of one width and connected, and keeps every induced pair
+    once.
     """
 
-    def __init__(self, num_walls, orientations, edges, wallspace=None,
-                 wall_json=None):
-        orientations = tuple(orientations)
-        if not orientations:
-            raise ValueError("a complex needs at least one 0-cube")
-        bits = [o.bits for o in orientations]
-        index = dict(zip(bits, range(len(bits))))
-        if len(index) != len(bits):
-            raise ValueError("duplicate 0-cubes")
-        if any(o.n != num_walls for o in orientations):
-            raise ValueError("orientation width differs from wall count")
-        count = len(bits)
-        # A file's 0-cubes may be wider than WALL_CAP, so its codes take
-        # the bits of an index, not of a wall, and fit in 8 bytes.
-        shift = (count - 1).bit_length()
-        given = set()
-        for u, v, wall in edges:
-            if not (0 <= u < count and 0 <= v < count):
-                raise ValueError("edge endpoint out of range: %r" % ((u, v),))
-            if bits[u] ^ bits[v] != 1 << wall:
-                raise ValueError(
-                    "edge (%d, %d) does not flip exactly wall %d" % (u, v, wall))
-            if u > v:
-                u, v = v, u
-            given.add(u << shift | v)
-        mask = (1 << shift) - 1
-        realized = 0
-        for code in given:
-            realized |= bits[code >> shift] ^ bits[code & mask]
-        self._setup(num_walls, bits, index, array("q", given), shift,
-                    realized, wallspace, wall_json)
-        # Per wall, one dict lookup per 0-cube finds the other end of
-        # its edge across that wall, if any; the lookups and the u < v
-        # filter run in C.
-        us = list(range(count))
-        starts = [u << shift for u in us]
-        induced = set()
-        for j in range(num_walls):
-            ends = list(map(index.get, map(xor, bits, repeat(1 << j)),
-                            repeat(-1)))
-            later = list(map(gt, ends, us))
-            induced.update(map(or_, compress(starts, later),
-                               compress(ends, later)))
-        self._missing = frozenset(induced - given)
-        if -1 in self.bfs_distances(0):
-            raise ValueError("1-skeleton is not connected")
-
-    @classmethod
-    def _walked(cls, num_walls, bits, index, codes, realized, wallspace):
-        """The complex on a flip walk's 0-cubes and edge codes, unchecked:
-        the walk's breadth-first order makes the 0-cubes distinct, of one
-        width, connected and joined by single flips, and it keeps every
-        induced pair once."""
-        c = cls.__new__(cls)
-        c._setup(num_walls, bits, index, codes, num_walls, realized,
-                 wallspace, None)
-        return c
-
-    def _setup(self, num_walls, bits, index, codes, shift, realized,
-               wallspace, wall_json):
-        self.num_walls = num_walls
+    def __init__(self, wallspace, bits, index, codes, realized):
+        self.num_walls = len(wallspace.walls)
         self.wallspace = wallspace
-        self.wall_json = wall_json
         self._bits = bits
         self._index = index
-        # One code u << shift | v per edge, u < v, in no set order.
+        # One code u << num_walls | v per edge, u < v, in walk order.
         self._edges = codes
-        self._shift = shift
         self._realized = realized
-        self._orientations = _Orientations(bits, num_walls)
-        # Codes u << shift | v (u < v) of the induced edges left out.
-        self._missing = frozenset()
+        self._orientations = _Orientations(bits, self.num_walls)
 
     @property
     def orientations(self) -> "_Orientations":
@@ -413,22 +347,16 @@ class CubeComplex:
     @property
     def edges(self) -> tuple:
         """Every edge (u, v, wall), u < v, in sorted order."""
-        bits, shift = self._bits, self._shift
+        bits, shift = self._bits, self.num_walls
         mask = (1 << shift) - 1
         return tuple((u, v, (bits[u] ^ bits[v]).bit_length() - 1)
                      for u, v in ((k >> shift, k & mask)
                                   for k in self._edge_keys()))
 
     def _edge_keys(self) -> list:
-        """The edge codes u << s | v (u < v), sorted, which sorts the
+        """The edge codes u << W | v (u < v), sorted, which sorts the
         edges by (u, v)."""
         return sorted(self._edges)
-
-    def _joined(self, u: int, v: int) -> bool:
-        """Is the induced pair of 0-cubes u and v an edge?"""
-        if u > v:
-            u, v = v, u
-        return u << self._shift | v not in self._missing
 
     def vertex_count(self) -> int:
         return len(self._bits)
@@ -452,11 +380,10 @@ class CubeComplex:
         """Map wall -> neighbor index at the given vertex."""
         b = self._bits[idx]
         get = self._index.get
-        missing = self._missing
         out = {}
         for j in range(self.num_walls):
             nb = get(b ^ 1 << j)
-            if nb is not None and (not missing or self._joined(idx, nb)):
+            if nb is not None:
                 out[j] = nb
         return out
 
@@ -464,15 +391,13 @@ class CubeComplex:
         bits = self._bits
         get = self._index.get
         flips = [1 << j for j in range(self.num_walls)]
-        missing = self._missing
         dist = [-1] * len(bits)
         dist[start] = 0
         queue = [start]
         for at in queue:
             step = dist[at] + 1
             for nb in map(get, map(xor, repeat(bits[at]), flips)):
-                if nb is not None and dist[nb] < 0 and (
-                        not missing or self._joined(at, nb)):
+                if nb is not None and dist[nb] < 0:
                     dist[nb] = step
                     queue.append(nb)
         return dist
@@ -482,20 +407,14 @@ class CubeComplex:
         the sorted edge codes: it equals the list of [u, v] rows, and
         json_text renders it in one join without making them, but
         json.dumps needs default=list to write it."""
-        if self.wall_json is not None:
-            walls_json = self.wall_json
-        elif self.wallspace is not None:
-            walls_json = [w.to_json_dict() for w in self.wallspace.walls]
-        else:
-            walls_json = []
         # Orientation.to_bitstring, on the bare bitmasks.
         top = 1 << self.num_walls
         return {
             "format": COMPLEX_FORMAT,
-            "walls": walls_json,
+            "walls": [w.to_json_dict() for w in self.wallspace.walls],
             "zero_cubes": [bin(b | top)[:2:-1] for b in self._bits],
             "edges": IndexPairs(self._edge_keys(), len(self._bits),
-                                self._shift),
+                                self.num_walls),
         }
 
 
@@ -515,58 +434,6 @@ class _Orientations(Sequence):
         if isinstance(k, slice):
             return tuple(map(Orientation, self._bits[k], repeat(self._n)))
         return Orientation(self._bits[k], self._n)
-
-
-class ComplexFormatError(ValueError):
-    """A complex file does not match the documented layout."""
-
-
-def complex_from_json_dict(d: dict) -> CubeComplex:
-    return from_format(d, COMPLEX_FORMAT, ComplexFormatError, _complex_from)
-
-
-def _complex_from(d: dict) -> CubeComplex:
-    zero = d["zero_cubes"]
-    if not isinstance(zero, list):
-        raise TypeError('"zero_cubes" must be a list of bitstrings')
-    if not zero:
-        raise ComplexFormatError("a complex needs at least one 0-cube")
-    if any(type(s) is not str for s in zero):
-        raise TypeError("a 0-cube must be a bitstring")
-    width = len(zero[0])
-    orientations = [Orientation.from_bitstring(s) for s in zero]
-    if any(o.n != width for o in orientations):
-        raise ComplexFormatError("0-cube bitstrings differ in length")
-    walls = d.get("walls", [])
-    if not isinstance(walls, list):
-        raise ComplexFormatError('"walls" must be a list')
-    if walls and len(walls) != width:
-        raise ComplexFormatError(
-            '"walls" lists %d walls, but the 0-cubes have %d bits'
-            % (len(walls), width))
-    if len({len(GeometricWall(w["normal"], w["offset"]).normal)
-            for w in walls}) > 1:
-        raise ComplexFormatError("wall normals differ in length")
-    edges = []
-    for u, v in json_array(d["edges"], '"edges"'):
-        if not (type(u) is type(v) is int):
-            raise TypeError("edge endpoint is not an integer: %r" % ((u, v),))
-        if not (0 <= u < len(zero) and 0 <= v < len(zero)):
-            raise ComplexFormatError("edge endpoint out of range: %r" % ((u, v),))
-        x = orientations[u].bits ^ orientations[v].bits
-        if x == 0 or x & (x - 1):
-            raise ComplexFormatError(
-                "edge %r does not flip exactly one wall" % ((u, v),))
-        edges.append((u, v, x.bit_length() - 1))
-    return CubeComplex(width, orientations, edges, wall_json=list(walls))
-
-
-def save_complex(c: CubeComplex, path) -> None:
-    write_json(path, c.to_json_dict())
-
-
-def load_complex(path) -> CubeComplex:
-    return complex_from_json_dict(read_json(path, ComplexFormatError))
 
 
 def _member_clauses(members, nwalls: int) -> list:
@@ -671,7 +538,7 @@ def dual_complex(ws: FiniteWallspace) -> CubeComplex:
         raise InternalError(
             "walls %r produced no edge; the flip graph looks disconnected"
             % (missing,))
-    return CubeComplex._walked(nwalls, queue, index, codes, realized, ws)
+    return CubeComplex(ws, queue, index, codes, realized)
 
 
 def distance(c: CubeComplex, x: Orientation, y: Orientation) -> int:
@@ -698,22 +565,30 @@ def median(c: CubeComplex, x: Orientation, y: Orientation, z: Orientation) -> Or
     return result
 
 
+def is_median_set(members, nwalls: int) -> bool:
+    """Do the bitmasks of members, over nwalls walls, span a median
+    graph in the hypercube?  Time O(V * W).
+
+    members is a nonempty set or dict of bitmasks that the hypercube
+    edges between them connect.  Such a set spans a median graph
+    exactly when it is closed under the wallwise majority vote.
+    Majority-closed sets are the solution sets of the one- and two-wall
+    clauses they satisfy (Schaefer).  Every hypercube edge between
+    members is a flip between two solutions, so the flip walk from one
+    member reaches them all, and the set is majority-closed exactly
+    when the walk never leaves it.
+    """
+    return _flip_closure(_member_clauses(members, nwalls),
+                         next(iter(members)), within=members) is not None
+
+
 def is_median_graph(c: CubeComplex) -> bool:
     """Is the 1-skeleton a median graph?  Time O(V * W).
 
-    A connected set of 0-cubes spans a median graph exactly when it
-    carries every hypercube edge between its members and is closed
-    under the wallwise majority vote.  Majority-closed sets are the
-    solution sets of the one- and two-wall clauses they satisfy
-    (Schaefer).  Every edge of c is a flip between two solutions, so
-    the flip walk from one 0-cube reaches them all, and the set is
-    majority-closed exactly when the walk never leaves it.  c carries
-    every hypercube edge between its 0-cubes exactly when it leaves out
-    no induced edge.
+    The 1-skeleton is the subgraph of the hypercube induced on the
+    connected 0-cubes, so this is is_median_set on them.
     """
-    return not c._missing and _flip_closure(
-        _member_clauses(c._bits, c.num_walls), c._bits[0],
-        within=c._index) is not None
+    return is_median_set(c._index, c.num_walls)
 
 
 def duality_check(c: CubeComplex) -> bool:
@@ -726,9 +601,8 @@ def duality_check(c: CubeComplex) -> bool:
     flipping them.  Every edge of c is a flip between two 0-cubes that
     both meet every clause, so the dual's walk from 0-cube 0 reaches
     all 0-cubes, and the edges it finds are all the hypercube edges
-    between them, a superset of c.edges.  The edge sets are equal
-    exactly when c leaves out no induced edge, which is the median
-    test.
+    between them, which are c.edges.  So the round trip holds exactly
+    when the walk finds no other 0-cube, which is the median test.
     """
     return is_median_graph(c)
 
@@ -775,19 +649,14 @@ def link_of_vertex(c: CubeComplex, v: Orientation) -> SimplicialComplex:
 
     Link vertices are the walls flippable at v; two are adjacent when
     the corresponding square exists (the double flip is again a
-    0-cube connected by the four boundary edges).
+    0-cube, so all four boundary edges are there).
     """
-    at = c.index_of(v)
-    adjacent = c.neighbors(at)
-    flippable = sorted(adjacent)
+    flippable = sorted(c.neighbors(c.index_of(v)))
     edges = []
     for a in range(len(flippable)):
         for b in range(a + 1, len(flippable)):
             i, j = flippable[a], flippable[b]
-            corner = c._index.get(v.bits ^ (1 << i) ^ (1 << j))
-            if corner is not None and (
-                    not c._missing or (c._joined(adjacent[i], corner)
-                                       and c._joined(adjacent[j], corner))):
+            if (v.bits ^ (1 << i) ^ (1 << j)) in c._index:
                 edges.append((i, j))
     return SimplicialComplex(flippable, edges)
 

@@ -5,6 +5,11 @@ StoredEdgeComplex keeps one Orientation per 0-cube, one adjacency dict
 per vertex and the sorted, deduplicated edge triples; stored_edge_dual
 is the flip walk that appended each edge it found.  The tests build the
 same complexes both ways and compare every derived view.
+
+It is also the one complex that may leave out induced edges: the tests
+build hand-made and edge-dropped complexes as StoredEdgeComplex, and
+is_median_complex judges them by dual.is_median_set on their 0-cubes
+plus the check for left-out edges.
 """
 
 from cubecrys.dual import (
@@ -12,6 +17,7 @@ from cubecrys.dual import (
     MembershipError,
     Orientation,
     _member_clauses,
+    is_median_set,
 )
 from cubecrys.sgnperm import SimplicialComplex
 
@@ -23,8 +29,7 @@ class StoredEdgeComplex:
     (u, v, wall) with u < v.
     """
 
-    def __init__(self, num_walls, orientations, edges, wallspace=None,
-                 wall_json=None):
+    def __init__(self, num_walls, orientations, edges, wallspace=None):
         orientations = tuple(orientations)
         if not orientations:
             raise ValueError("a complex needs at least one 0-cube")
@@ -59,7 +64,6 @@ class StoredEdgeComplex:
         self.orientations = orientations
         self.edges = tuple(dict.fromkeys(sorted(canon_edges)))
         self.wallspace = wallspace
-        self.wall_json = wall_json
         self._index = index
         self._adjacency = adjacency
 
@@ -96,9 +100,7 @@ class StoredEdgeComplex:
         return dist
 
     def to_json_dict(self) -> dict:
-        if self.wall_json is not None:
-            walls_json = self.wall_json
-        elif self.wallspace is not None:
+        if self.wallspace is not None:
             walls_json = [w.to_json_dict() for w in self.wallspace.walls]
         else:
             walls_json = []
@@ -183,3 +185,19 @@ def stored_link_of_vertex(c: StoredEdgeComplex, v: Orientation):
                     and c._adjacency[nj].get(i) == corner_idx):
                 edges.append((i, j))
     return SimplicialComplex(flippable, edges)
+
+
+def left_out_edges(c) -> set:
+    """The pairs (u, v, wall), u < v, of c's 0-cubes that differ on one
+    wall but are not an edge of c."""
+    bits = [o.bits for o in c.orientations]
+    induced = {(u, v, j) for u, b in enumerate(bits)
+               for j in range(c.num_walls)
+               if (v := c._index.get(b ^ 1 << j, -1)) > u}
+    return induced - set(c.edges)
+
+
+def is_median_complex(c) -> bool:
+    """The median verdict on any complex: no induced edge left out, and
+    the 0-cubes a median set by dual.is_median_set."""
+    return not left_out_edges(c) and is_median_set(c._index, c.num_walls)

@@ -21,11 +21,12 @@ from cubecrys.decide import HyperoctahedralWitness
 from cubecrys.dual import (
     CubeComplex,
     FiniteWallspace,
-    load_complex,
+    load_wallspace,
     save_wallspace,
     seeded_wallspaces,
 )
 from cubecrys.walls import GeometricWall
+from stored_edge_complex import stored_edge_dual
 from test_decide import _pinned_groups
 from test_point_table import wf4
 
@@ -796,10 +797,12 @@ def test_classify_and_validate_report_bytes_are_pinned(name, capsys,
 
 def test_dual_out_round_trip(capsys, tmp_path):
     out_path = tmp_path / "complex.json"
-    report = run_json(capsys, "dual", walls_file(tmp_path),
-                      "--out", str(out_path))
-    back = load_complex(out_path)
-    assert back.to_json_dict() == report["complex"]
+    path = walls_file(tmp_path)
+    report = run_json(capsys, "dual", path, "--out", str(out_path))
+    expected = stored_edge_dual(load_wallspace(path)).to_json_dict()
+    assert out_path.read_text() == json.dumps(expected, indent=2,
+                                              sort_keys=True) + "\n"
+    assert report["complex"] == expected
     assert report["written"] == str(out_path)
 
 
