@@ -16,7 +16,10 @@ elements as int rows (their only form), how each generator moves them,
 and each element's order, determinant and trace.  One breadth-first
 pass builds the elements, the successors and the determinants; the
 orders are then walked on the successors, with no matrix product, and
-per-element data are tuples in the same order.
+per-element data are tuples in the same order.  PointTable.extend is
+the one walk that carries generator images to every element: the
+decider's embedding, the translation classes, a semidirect extension's
+action and the action on wall classes all go through it.
 
 Hexagonal entries use a rational stand-in basis.  Every decision made
 downstream depends only on the integer matrices and their conjugacy
@@ -55,7 +58,7 @@ from cubecrys.exactlin import (
 # |W(F4)|, the largest finite subgroup of GL(4, Z).  It bounds every
 # point group in scope: dimension at most 4, and the groups built by
 # semidirect_extend and stabilize, which are isomorphic to one of those
-# (stabilize checks that on its input's table and closes nothing).
+# (each checks that on its input's table and closes nothing).
 CLOSURE_CAP = 1152
 
 GROUP_FORMAT = "cubecrys-group/1"
@@ -99,6 +102,27 @@ class PointTable:
     order: tuple
     det: tuple
     trace: tuple
+
+    def extend(self, one, images, product):
+        """Extend generator images to a value per element, or None.
+
+        values[0] is one, and values[k * j] is product(values[k],
+        images[j]) the first time element k * j is reached, compared
+        with it every later time; a mismatch (None) means the images
+        break a relation of the point group.  Breadth-first order sets
+        values[k] before row k is walked.
+        """
+        values = [None] * len(self.elements)
+        values[0] = one
+        for k, row in enumerate(self.next):
+            value = values[k]
+            for image, target in zip(images, row):
+                arrival = product(value, image)
+                if values[target] is None:
+                    values[target] = arrival
+                elif values[target] != arrival:
+                    return None
+        return values
 
 
 def _is_square(rows, n: int) -> bool:
@@ -298,30 +322,31 @@ def validate(g: CrystGroup) -> ValidationReport:
 
 
 def _check_translations(g: CrystGroup, table: PointTable) -> None:
-    """Close the affine generators (M, t mod Z^n) along the point table.
+    """Extend the affine generators (M, t mod Z^n) along the point table.
 
-    Translations are int tuples over their common denominator.  The
-    closure has exactly |P| elements iff each point element k carries
-    one class u[k], with u[k * j] = M_k u[j] + u[k] (mod Z^n).
+    Translations are int tuples over their common denominator, and an
+    element is the pair (k, u) of its point table index and translation
+    class, with (k, u) * (j, t) = (k * j, M_k t + u mod Z^n).  The
+    affine generators close to exactly |P| elements iff that extends to
+    one class per point element.
     """
     denom, gens = integral(g.translation_parts)
     if denom == 1:
         return
-    gens = [tuple(x % denom for x in t) for t in gens]
-    u = [None] * len(table.elements)
-    u[0] = (0,) * g.dimension
-    for k, row in enumerate(table.next):
-        m = table.elements[k]
-        for j, target in enumerate(row):
-            image = tuple((sum(map(mul, r, gens[j])) + x) % denom
-                          for r, x in zip(m, u[k]))
-            if u[target] is None:
-                u[target] = image
-            elif u[target] != image:
-                raise StructureError(
-                    "translation parts do not fit the lattice: the affine "
-                    "generators close to more than %d elements modulo Z^%d"
-                    % (len(table.elements), g.dimension))
+
+    def product(value, image):
+        k, u = value
+        j, t = image
+        return (table.next[k][j],
+                tuple((sum(map(mul, row, t)) + x) % denom
+                      for row, x in zip(table.elements[k], u)))
+
+    if table.extend((0, (0,) * g.dimension), list(enumerate(gens)),
+                    product) is None:
+        raise StructureError(
+            "translation parts do not fit the lattice: the affine "
+            "generators close to more than %d elements modulo Z^%d"
+            % (len(table.elements), g.dimension))
 
 
 def integer_real_forms(g: CrystGroup) -> tuple:
@@ -356,10 +381,11 @@ def point_group_real(g: CrystGroup) -> tuple:
 def semidirect_extend(g: CrystGroup, m: int, action, name=None) -> CrystGroup:
     """Extend by m new lattice directions with a point-group action.
 
-    action supplies one finite-order integer m x m matrix per point
-    generator of g, as rows; the extended generators are block diagonal.
-    The assignment must respect the point-group relations, which is
-    checked by comparing closure sizes.
+    action supplies one integer m x m matrix per point generator of g,
+    as rows; the extended generators are block diagonal.  The action
+    must extend along g's point table to a homomorphism, so that the
+    extended point group is its graph and has g's order; the extended
+    group's own closure is not built.
     """
     if m < 0:
         raise ExtensionError("cannot extend by a negative number of directions")
@@ -375,8 +401,14 @@ def semidirect_extend(g: CrystGroup, m: int, action, name=None) -> CrystGroup:
             raise ExtensionError("action matrix %d is not %dx%d" % (k, m, m))
         if not _is_integer(a):
             raise ExtensionError("action matrix %d has non-integer entries" % k)
+    images = [tuple(tuple(int(e) for e in row) for row in a) for a in action]
+    if g.point_table().extend(identity(m), images, int_mul) is None:
+        raise ExtensionError(
+            "action violates the point-group relations: it does not "
+            "extend along the %d elements of the base point group"
+            % g.point_group_order())
     n = g.dimension
-    new_group = CrystGroup(
+    return CrystGroup(
         name=name if name is not None else g.name + "-ext",
         dimension=n + m,
         lattice_basis=_block_diagonal(g.lattice_basis, identity(m)),
@@ -384,18 +416,6 @@ def semidirect_extend(g: CrystGroup, m: int, action, name=None) -> CrystGroup:
                           for gen, act in zip(g.point_generators, action)],
         translation_parts=[t + (0,) * m for t in g.translation_parts],
     )
-    base_order = g.point_group_order()
-    try:
-        extended_order = new_group.point_group_order()
-    except StructureError as exc:
-        raise ExtensionError(
-            "extension closure did not stay finite: %s" % exc) from exc
-    if extended_order != base_order:
-        raise ExtensionError(
-            "action violates the point-group relations: extended closure "
-            "has %d elements, base point group has %d"
-            % (extended_order, base_order))
-    return new_group
 
 
 def _block_diagonal(a, b) -> tuple:

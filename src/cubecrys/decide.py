@@ -31,6 +31,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from cubecrys.exactlin import (
     det,
@@ -208,10 +209,9 @@ def _candidate_images(g: CrystGroup) -> list:
 def _extend_assignment(g: CrystGroup, images: tuple):
     """Extend generator images to the whole group, or return None.
 
-    Walks the point table: iota[k * j] = iota[k] * images[j] the first
-    time element k * j is reached, an equality check every later time.
-    Then checks that the extension is injective and that its traces
-    agree with the point group element by element.
+    PointTable.extend walks the point table with iota[k * j] =
+    iota[k] * images[j]; then the extension must be injective, with
+    traces that agree with the point group element by element.
 
     Orders and determinants need no check: an injective homomorphism
     preserves orders, and det o iota and det are homomorphisms to +-1
@@ -220,16 +220,8 @@ def _extend_assignment(g: CrystGroup, images: tuple):
     """
     table = g.point_table()
     n_letters = images[0].n if images else g.dimension
-    iota = [None] * len(table.elements)
-    iota[0] = SignedPermutation.identity(n_letters)
-    for k, row in enumerate(table.next):
-        for image, target in zip(images, row):
-            s = iota[k] * image
-            if iota[target] is None:
-                iota[target] = s
-            elif iota[target] != s:
-                return None
-    if len(set(iota)) != len(iota) or any(
+    iota = table.extend(SignedPermutation.identity(n_letters), images, mul)
+    if iota is None or len(set(iota)) != len(iota) or any(
             s.trace() != t for s, t in zip(iota, table.trace)):
         return None
     return iota
@@ -368,16 +360,3 @@ def is_hyperoctahedral(g: CrystGroup):
             "assignments_tried": tried,
         })
 
-
-def hyperoctahedral_basis(g: CrystGroup, w: HyperoctahedralWitness) -> list:
-    """The basis moved by signed permutations: the columns of A, as
-    tuples.
-
-    Column i of theta_bar(p) * A == A * iota(p) says that p sends basis
-    vector i to signs[i] times basis vector perm(i), so re-verifying
-    the witness re-verifies the basis.
-    """
-    if not w.verify(g):
-        raise WitnessCorruptionError(
-            "witness does not permute the basis as claimed")
-    return list(zip(*w.conjugator))

@@ -45,10 +45,10 @@ def format_rational(x) -> str:
 def parse_rational(s) -> Fraction:
     """The one reader of a rational entry: a Fraction, an int that is
     not a bool, or a string like '3/4'.  Inverse of format_rational."""
-    if isinstance(s, Fraction):
-        return s
     if type(s) is int:
         return Fraction(s)
+    if isinstance(s, Fraction):
+        return s
     if isinstance(s, str):
         try:
             return Fraction(s)

@@ -14,7 +14,10 @@ normalization and no irrational norm ever appears.  The point group
 acts through the integer real forms d * theta_bar(p) of
 crys.integer_real_forms, the ones the decider reads: the scale d never
 changes a line, and the dual coordinates are int rows over one
-denominator.
+denominator.  Only the generators' forms are applied to the classes;
+the action of every other element, a signed permutation of the N
+classes, follows along the point table (crys.PointTable.extend), as
+the decider's embedding does.
 """
 
 from __future__ import annotations
@@ -181,14 +184,19 @@ def direction_class_count(g: CrystGroup, basis) -> WallFamily:
     which replaces the usual unit-sphere picture with an exact
     projective one.  The class count N satisfies n <= N <= n * |P|.
 
-    The breadth-first search also records the induced action: element
-    t sends class k to the class of t * rep_k, with the sign of the
-    first nonzero entry of t * rep_k (representatives have a positive
-    one).  It runs on the integer forms d * t, which have the same
-    lines and signs.
+    The orbit is walked under the generators only, on their integer
+    forms d * t, which have the same lines and signs: generator t sends
+    class k to the class of t * rep_k, with the sign of the first
+    nonzero entry of t * rep_k (representatives have a positive one).
+    PointTable.extend carries these signed permutations to every
+    element, which also checks that they form a homomorphism.  The
+    classes are then numbered as a walk under every element would:
+    the basis lines first, then each class's images in point_elements
+    order.
     """
     basis, b_inv = _basis_and_inverse(g, basis)
     _, forms = integer_real_forms(g)
+    table = g.point_table()
     index = {}
     classes = []
 
@@ -201,31 +209,52 @@ def direction_class_count(g: CrystGroup, basis) -> WallFamily:
 
     for v in basis:
         class_of(v)
-    perms = [[] for _ in forms]
-    signs = [[] for _ in forms]
+    first = len(classes)
+    gen_forms = [forms[k] for k in table.next[0]]
+    perms = [[] for _ in gen_forms]
+    signs = [[] for _ in gen_forms]
     k = 0
     while k < len(classes):
         rep = classes[k]
         k += 1
-        for perm, sign, form in zip(perms, signs, forms):
+        for perm, sign, form in zip(perms, signs, gen_forms):
             image = [sum(map(mul, row, rep)) for row in form]
             perm.append(class_of(image) + 1)
             sign.append(1 if next(e for e in image if e != 0) > 0 else -1)
     n = g.dimension
     count = len(classes)
-    if not (n <= count <= n * g.point_group_order()):
+    if not (n <= count <= n * len(table.elements)):
         raise InternalError(
             "class count %d escaped the bound %d <= N <= %d"
-            % (count, n, n * g.point_group_order()))
+            % (count, n, n * len(table.elements)))
+    walked = table.extend(
+        SignedPermutation.identity(count),
+        [SignedPermutation(p, s) for p, s in zip(perms, signs)], mul)
+    if walked is None:
+        raise InternalError("the action on the classes is not a homomorphism")
+    # order[i] is the walked number of class i; position inverts it.
+    order = list(range(first))
+    position = order + [None] * (count - first)
+    for c in order:
+        if len(order) == count:
+            break
+        for s in walked:
+            target = s.perm[c] - 1
+            if position[target] is None:
+                position[target] = len(order)
+                order.append(target)
     dual_matrix = integral(b_inv)
     return WallFamily(
         basis=tuple(basis),
         dual_matrix=dual_matrix,
         base_walls=tuple(_base_walls(dual_matrix[1])),
-        classes=tuple(classes),
+        classes=tuple(classes[c] for c in order),
         class_count=count,
         forms=integer_real_forms(g),
-        action=tuple(SignedPermutation(p, s) for p, s in zip(perms, signs)),
+        action=tuple(SignedPermutation([position[s.perm[c] - 1] + 1
+                                        for c in order],
+                                       [s.signs[c] for c in order])
+                     for s in walked),
     )
 
 
@@ -363,8 +392,10 @@ def stabilize(g: CrystGroup, fam: WallFamily = None) -> CrystGroup:
 
     The output's point group is the image of the induced action, so it
     is isomorphic to g's exactly when the action is an injective
-    homomorphism.  That is checked along g's point table, on the signed
-    permutations themselves: the output's own table is never built.
+    homomorphism.  fam is the caller's, so that is checked here: the
+    generators' signed permutations, extended along g's point table by
+    PointTable.extend, must give fam's action, with |P| distinct
+    images.  The output's own table is never built.
     """
     validate(g)
     if fam is None:
@@ -372,12 +403,8 @@ def stabilize(g: CrystGroup, fam: WallFamily = None) -> CrystGroup:
     action = induced_action_on_RN(g, fam)
     table = g.point_table()
     gens = [action[k] for k in table.next[0]]
-    for k, row in enumerate(table.next):
-        for j, target in enumerate(row):
-            if action[target] != action[k] * gens[j]:
-                raise InternalError(
-                    "the induced action is not a homomorphism at point "
-                    "element %d and generator %d" % (k, j))
+    if table.extend(action[0], gens, mul) != list(action):
+        raise InternalError("the induced action is not a homomorphism")
     if len(set(action)) != len(table.elements):
         raise InternalError("the induced action is not injective")
     n_classes = fam.class_count

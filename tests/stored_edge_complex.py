@@ -42,6 +42,9 @@ class StoredEdgeComplex:
         canon_edges = []
         adjacency = [{} for _ in bits]
         for u, v, wall in edges:
+            if not (0 <= u < len(bits) and 0 <= v < len(bits)):
+                raise ValueError("edge (%d, %d) has an endpoint outside "
+                                 "the %d 0-cubes" % (u, v, len(bits)))
             if bits[u] ^ bits[v] != 1 << wall:
                 raise ValueError(
                     "edge (%d, %d) does not flip exactly wall %d" % (u, v, wall))

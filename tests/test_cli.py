@@ -28,7 +28,7 @@ from cubecrys.dual import (
 from cubecrys.walls import GeometricWall
 from stored_edge_complex import stored_edge_dual
 from test_decide import _pinned_groups
-from test_point_table import wf4
+from test_point_table import b4_generic, wf4
 
 
 def run(capsys, *argv):
@@ -676,6 +676,27 @@ def test_cubulate_report_bytes_are_pinned(basis, name, capsys, tmp_path):
     pins = CUBULATE_WITNESS_PINS if extra else CUBULATE_LATTICE_PINS
     assert tuple(digests) == pins[name]
 
+
+
+# sha256 of `cubulate --seed 0` stdout in --json and in text mode for
+# B4 in the generic lattice basis U (N = 268), recorded while the class
+# walk still applied every element's form to every class.
+B4_GENERIC_CUBULATE_PINS = (
+    "2e5f8585dd73e273870f74de0d8b2ce40384762d800359d0d54a2679e85535f4",
+    "c5c39860d26530e320f5a2d45ca69c727eaea8aab7e0e04ff7556dbc95772eb7")
+
+
+def test_cubulate_report_bytes_are_pinned_in_a_generic_basis(capsys,
+                                                             tmp_path):
+    path = tmp_path / "b4-generic.json"
+    save_group(b4_generic(), path)
+    digests = []
+    for mode in (["--json"], []):
+        code, out, err = run(capsys, "cubulate", str(path), "--seed", "0",
+                             *mode)
+        assert code == 0, err
+        digests.append(hashlib.sha256(out.encode("utf-8")).hexdigest())
+    assert tuple(digests) == B4_GENERIC_CUBULATE_PINS
 
 # sha256 of `classify --json`, `classify` (text) and `validate --json`
 # stdout, per group: the 20 catalog groups, W(F4) (1,152 elements) and

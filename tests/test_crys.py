@@ -145,6 +145,33 @@ def test_semidirect_extend_rejects_wrong_action():
     with pytest.raises(ExtensionError):
         semidirect_extend(catalog_entry("p2"), 2,
                           [[[0, -1], [1, 0]]])
+    # A shear has infinite order, so it breaks W's order-6 relation.
+    with pytest.raises(ExtensionError):
+        semidirect_extend(w, 2, [[[1, 1], [0, 1]]])
+
+
+def test_semidirect_extend_checks_on_the_base_table_only():
+    """The action is extended along W's point table; the extended
+    group's closure is not built until asked for."""
+    w = catalog_entry("W")
+    for action in ([[[1]]], [[[-1]]]):
+        ext = semidirect_extend(w, 1, action)
+        assert ext._elements is None
+        assert ext.point_group_order() == w.point_group_order()
+    ext = semidirect_extend(w, 2, [[[0, -1], [1, 1]]])
+    assert ext._elements is None
+    assert validate(ext).point_group_order == 6
+
+
+def test_extend_walks_generator_images_along_the_table():
+    """values[k * j] = product(values[k], images[j]), or None when the
+    images break a relation: the quarter turn of p4 to Z/4 and Z/3."""
+    table = catalog_entry("p4").point_table()
+    assert table.extend(0, [1], lambda a, b: (a + b) % 4) == [0, 1, 2, 3]
+    assert table.extend(0, [1], lambda a, b: (a + b) % 3) is None
+    p4m = catalog_entry("p4m").point_table()
+    dets = [p4m.det[k] for k in p4m.next[0]]
+    assert p4m.extend(1, dets, int.__mul__) == list(p4m.det)
 
 
 def test_group_file_round_trip(tmp_path):

@@ -669,6 +669,16 @@ def test_a_lone_vertex_meets_its_one_wall_clause():
     assert median_verdicts(complex_of(3, square, drop={0})) is False
 
 
+def test_a_stored_edge_endpoint_must_be_a_zero_cube():
+    """-1 would wrap to the last 0-cube and 2 would index past it."""
+    zero_cubes = [Orientation(0, 2), Orientation(1, 2)]
+    for edge in ((-1, 0, 0), (0, -1, 0), (2, 0, 1), (0, 2, 1)):
+        with pytest.raises(ValueError, match="outside the 2 0-cubes"):
+            StoredEdgeComplex(2, zero_cubes, [edge])
+    assert StoredEdgeComplex(2, zero_cubes, [(1, 0, 0)]).edges == \
+        ((0, 1, 0),)
+
+
 def test_a_square_missing_an_edge_is_not_median():
     square = complex_of(2, [0b00, 0b01, 0b11, 0b10])
     assert square.edge_count() == 4

@@ -14,13 +14,14 @@ must agree with them on every group the tests build.
 import contextlib
 import itertools
 import math
+import operator
 import random
 import signal
 from fractions import Fraction
 
 import pytest
 
-from cubecrys import crys
+from cubecrys import crys, walls
 from cubecrys.cli import main
 from cubecrys.crys import (
     CLOSURE_CAP,
@@ -39,7 +40,6 @@ from cubecrys.decide import (
     RejectionCertificate,
     _candidate_images,
     _extend_assignment,
-    hyperoctahedral_basis,
     is_hyperoctahedral,
 )
 from cubecrys.exactlin import (
@@ -318,18 +318,39 @@ def test_the_stabilized_point_group_has_the_input_order(g):
     assert s.point_group_order() == g.point_group_order()
 
 
-def test_stabilize_b4_in_a_generic_basis_builds_no_point_table():
-    # Conjugating B4 by this unimodular U keeps its real forms, but the
-    # lattice basis columns fall into 268 direction classes.
+def b4_generic():
+    """B4 conjugated by a unimodular U: the same real forms, but the
+    lattice basis columns fall into 268 direction classes."""
     u = ((1, 2, 3, 5), (0, 1, 1, 2), (0, 0, 1, 3), (0, 0, 0, 1))
     u_inv = tuple(tuple(int(e) for e in row) for row in inverse(u))
     gens = [int_mul(int_mul(u_inv, m), u)
             for m in (CYCLE4, SWAP12, FLIP1)]
-    g = CrystGroup("B4-generic", 4, u, gens, [[0] * 4] * 3)
+    return CrystGroup("B4-generic", 4, u, gens, [[0] * 4] * 3)
+
+
+def test_stabilize_b4_in_a_generic_basis_builds_no_point_table():
+    g = b4_generic()
     s = stabilize(g)
     assert s.dimension == 268
     assert s._elements is None
     assert len(s.point_generators) == 3
+
+
+def test_the_class_walk_applies_only_the_generator_forms(monkeypatch):
+    """n lines of the basis, N classes under each generator and n base
+    walls: 812 primitive lines for B4-generic, not N * |P| = 102,912
+    for the classes alone."""
+    g = b4_generic()
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return _primitive(v)
+
+    monkeypatch.setattr(walls, "_primitive", counted)
+    fam = direction_class_count(g, zip(*g.lattice_basis))
+    assert fam.class_count == 268
+    assert len(calls) == 4 + 268 * 3 + 4 == 812
 
 
 @pytest.mark.parametrize("g", GROUPS, ids=lambda g: g.name)
@@ -485,13 +506,55 @@ def test_translation_parts_must_close_over_the_lattice(tmp_path, capsys):
         validate(g)
 
 
+def affine_closure_size(g):
+    """The number of affine maps (M, t mod Z^n) the generators close to,
+    by a breadth-first closure over Fractions: the check the table walk
+    replaced."""
+    n = g.dimension
+    gens = [(tuple(tuple(int(e) for e in row) for row in m),
+             tuple(x % 1 for x in t))
+            for m, t in zip(g.point_generators, g.translation_parts)]
+    elements = [(identity(n), (Fraction(0),) * n)]
+    seen = set(elements)
+    for m, u in elements:
+        for a, t in gens:
+            image = (int_mul(m, a),
+                     tuple((sum(map(operator.mul, row, t)) + x) % 1
+                           for row, x in zip(m, u)))
+            if image not in seen:
+                seen.add(image)
+                elements.append(image)
+    return len(elements)
+
+
+@pytest.mark.parametrize("base", load_catalog(), ids=lambda g: g.name)
+def test_the_translation_check_matches_the_affine_closure(base):
+    """validate accepts translation parts exactly when the affine
+    generators close to |P| elements modulo the lattice."""
+    rng = random.Random(base.name)
+    n = base.dimension
+    trials = [base.translation_parts]
+    for _ in range(12):
+        trials.append([[Fraction(rng.randrange(4), rng.choice((1, 2, 2, 3)))
+                        for _ in range(n)] for _ in base.point_generators])
+    for parts in trials:
+        g = CrystGroup(base.name, n, base.lattice_basis,
+                       base.point_generators, parts)
+        closes = affine_closure_size(g) == base.point_group_order()
+        try:
+            validate(g)
+            assert closes, parts
+        except StructureError:
+            assert not closes, parts
+
+
 def _bases(g):
     """The lattice basis of g and, if g is accepted, the witness basis."""
     bases = [list(zip(*g.lattice_basis))]
     if g.dimension <= DIMENSION_CAP:
         witness = is_hyperoctahedral(g)
         if isinstance(witness, HyperoctahedralWitness):
-            bases.append(hyperoctahedral_basis(g, witness))
+            bases.append(witness.basis)
     return bases
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from cubecrys.crys import CrystGroup, catalog_entry, load_catalog, validate
-from cubecrys.decide import HyperoctahedralWitness, hyperoctahedral_basis, is_hyperoctahedral
+from cubecrys.decide import HyperoctahedralWitness, is_hyperoctahedral
 from cubecrys.exactlin import (
     RatMatrix,
     ShapeError,
@@ -226,7 +226,7 @@ def test_witness_basis_gives_minimal_class_count():
         g = catalog_entry(name)
         witness = is_hyperoctahedral(g)
         assert isinstance(witness, HyperoctahedralWitness)
-        fam = direction_class_count(g, hyperoctahedral_basis(g, witness))
+        fam = direction_class_count(g, witness.basis)
         assert fam.class_count == g.dimension, name
 
 
