@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass
 
 from cubecrys.sgnperm import (
+    QN_CAP,
     SimplicialComplex,
     SizeCapError,
     build_Qn,
@@ -110,10 +111,6 @@ class BoundaryDescriptor:
     def is_finite(self) -> bool:
         return all(isinstance(p, SimplicialComplex) for p in self.parts)
 
-    @property
-    def is_symbolic(self) -> bool:
-        return not self.is_finite
-
     def as_complex(self) -> SimplicialComplex:
         if not self.is_finite:
             raise ValueError("boundary involves an infinite discrete part "
@@ -183,8 +180,9 @@ def boundary_of_Rn(n: int) -> SimplicialComplex:
     Isomorphic to the n-th hyperoctahedron: each line contributes an
     opposite pair of ends, and ends from distinct lines span joins.
     """
-    if not 1 <= n <= 8:
-        raise ValueError("dimension must be between 1 and 8, got %d" % n)
+    if not 1 <= n <= QN_CAP:
+        raise ValueError("dimension must be between 1 and %d, got %d"
+                         % (QN_CAP, n))
     return product_boundary([FactorDescriptor(LINE)] * n).as_complex()
 
 

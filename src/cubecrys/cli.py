@@ -184,14 +184,14 @@ def _cmd_cubulate(args):
         "basis_source": basis_source,
         "seed": seed,
         "N": fam.class_count,
-        "wall_family": fam.to_json_dict(),
-        "induced_action": [
-            {"point_element": matrix_to_json(p), "image": s.to_json_dict()}
-            for p, s in action
-        ],
-        "stabilized_group": group_to_json_dict(stabilized),
-        "linear_separation": separation.to_json_dict(),
     }
+    if args.json:
+        report["wall_family"] = fam.to_json_dict()
+        report["induced_action"] = [
+            {"point_element": matrix_to_json(p), "image": s.to_json_dict()}
+            for p, s in action]
+        report["stabilized_group"] = group_to_json_dict(stabilized)
+        report["linear_separation"] = separation.to_json_dict()
     lines = [
         "group %r, %s basis" % (g.name, basis_source),
         "wall direction classes: N = %d" % fam.class_count,

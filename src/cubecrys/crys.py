@@ -94,11 +94,14 @@ class PointTable:
 
     elements[k] is an integer matrix (a tuple of row tuples), identity
     first; next[k][j] is the index of elements[k] times generator j;
-    order, det and trace hold the per-element invariants.
+    words[k] lists the generators whose product, identity first, is
+    elements[k] (the closure's path to it); order, det and trace hold
+    the per-element invariants.
     """
 
     elements: tuple
     next: tuple
+    words: tuple
     order: tuple
     det: tuple
     trace: tuple
@@ -213,6 +216,7 @@ class CrystGroup:
         self._table = PointTable(
             elements=tuple(elements),
             next=tuple(successors),
+            words=tuple(words),
             order=_orders(successors, words),
             det=tuple(dets),
             trace=tuple(sum(m[i][i] for i in range(n)) for m in elements),
@@ -242,12 +246,11 @@ class CrystGroup:
 def _orders(successors, words) -> tuple:
     """Each element's order, walked on the point table.
 
-    words[k] lists the generators whose product, identity first, is
-    element k, so x * elements[k] is x moved along words[k] through
-    successors, and the order of element k is the number of such moves
-    from the identity (index 0) back to it.  A closed group bounds it by
-    |P|; a singular generator can close to a finite set where no power
-    of it is the identity, so the walk stops there.
+    x * elements[k] is x moved along words[k] (PointTable.words)
+    through successors, and the order of element k is the number of
+    such moves from the identity (index 0) back to it.  A closed group
+    bounds it by |P|; a singular generator can close to a finite set
+    where no power of it is the identity, so the walk stops there.
     """
     bound = len(successors)
     orders = []

@@ -326,17 +326,17 @@ class CubeComplex:
 
     The constructor checks nothing: the walk makes the 0-cubes
     distinct, of one width and connected, and keeps every induced pair
-    once.
+    once, and dual_complex refuses a walk in which some wall labels no
+    edge.
     """
 
-    def __init__(self, wallspace, bits, index, codes, realized):
+    def __init__(self, wallspace, bits, index, codes):
         self.num_walls = len(wallspace.walls)
         self.wallspace = wallspace
         self._bits = bits
         self._index = index
         # One code u << num_walls | v per edge, u < v, in walk order.
         self._edges = codes
-        self._realized = realized
         self._orientations = _Orientations(bits, self.num_walls)
 
     @property
@@ -372,9 +372,6 @@ class CubeComplex:
 
     def contains(self, x: Orientation) -> bool:
         return x.n == self.num_walls and x.bits in self._index
-
-    def realized_walls(self) -> list:
-        return [j for j in range(self.num_walls) if self._realized >> j & 1]
 
     def neighbors(self, idx: int) -> dict:
         """Map wall -> neighbor index at the given vertex."""
@@ -538,7 +535,7 @@ def dual_complex(ws: FiniteWallspace) -> CubeComplex:
         raise InternalError(
             "walls %r produced no edge; the flip graph looks disconnected"
             % (missing,))
-    return CubeComplex(ws, queue, index, codes, realized)
+    return CubeComplex(ws, queue, index, codes)
 
 
 def distance(c: CubeComplex, x: Orientation, y: Orientation) -> int:
@@ -594,15 +591,13 @@ def is_median_graph(c: CubeComplex) -> bool:
 def duality_check(c: CubeComplex) -> bool:
     """Dualizing the complex's own hyperplanes must give back the complex.
 
-    This is is_median_graph (Roller; Chepoi).  The complex is connected
-    and each edge flips one wall, so an unrealized wall has the same
-    side on every 0-cube: projecting onto the realized walls is
-    injective, and the one-wall clauses of the unrealized walls forbid
-    flipping them.  Every edge of c is a flip between two 0-cubes that
-    both meet every clause, so the dual's walk from 0-cube 0 reaches
-    all 0-cubes, and the edges it finds are all the hypercube edges
-    between them, which are c.edges.  So the round trip holds exactly
-    when the walk finds no other 0-cube, which is the median test.
+    This is is_median_graph (Roller; Chepoi).  Every wall of c labels
+    an edge, so its hyperplanes are its walls.  Every edge of c is a
+    flip between two 0-cubes that both meet every clause, so the dual's
+    walk from 0-cube 0 reaches all 0-cubes, and the edges it finds are
+    all the hypercube edges between them, which are c.edges.  So the
+    round trip holds exactly when the walk finds no other 0-cube, which
+    is the median test.
     """
     return is_median_graph(c)
 

@@ -33,23 +33,30 @@ class SingularMatrixError(ZeroDivisionError):
 
 
 def format_rational(x) -> str:
-    """Serialize as 'p/q', or plain 'p' when the denominator is 1."""
-    if type(x) is int:
-        return str(x)
-    x = parse_rational(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
+    """Serialize as 'p/q', or plain 'p' when the denominator is 1, which
+    is str of an int or of a Fraction."""
+    return str(x if type(x) is int else parse_rational(x))
+
+
+# One shared Fraction each for 0, 1 and -1, read from an int or a
+# string; Fractions are immutable, so sharing them is safe.
+_SHARED = {k: Fraction(k) for k in (0, 1, -1)}
+_SHARED.update({str(k): f for k, f in _SHARED.items()})
 
 
 def parse_rational(s) -> Fraction:
     """The one reader of a rational entry: a Fraction, an int that is
-    not a bool, or a string like '3/4'.  Inverse of format_rational."""
+    not a bool, or a string like '3/4'.  Inverse of format_rational.
+    0, 1 and -1, as ints or strings, give one shared Fraction each."""
     if type(s) is int:
-        return Fraction(s)
+        shared = _SHARED.get(s)
+        return Fraction(s) if shared is None else shared
     if isinstance(s, Fraction):
         return s
     if isinstance(s, str):
+        shared = _SHARED.get(s)
+        if shared is not None:
+            return shared
         try:
             return Fraction(s)
         except ZeroDivisionError:

@@ -131,10 +131,6 @@ class SignedPermutation:
     def to_json_dict(self) -> dict:
         return {"perm": list(self.perm), "signs": list(self.signs)}
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "SignedPermutation":
-        return SignedPermutation(d["perm"], d["signs"])
-
 
 _set_perm = SignedPermutation.perm.__set__
 _set_signs = SignedPermutation.signs.__set__

@@ -163,98 +163,86 @@ def _basis_and_inverse(g: CrystGroup, basis):
         raise RankError("the supplied vectors are linearly dependent") from None
 
 
-def _base_walls(rows) -> list:
-    return [GeometricWall(row, 0) for row in rows]
-
-
-def standard_walls(g: CrystGroup, basis) -> list:
-    """The n base walls through the origin for the given basis.
-
-    Wall i is the span of the other basis vectors; its normal is the
-    dual covector of basis vector i, i.e. row i of the inverse basis
-    matrix.
-    """
-    return _base_walls(_basis_and_inverse(g, basis)[1])
-
-
 def direction_class_count(g: CrystGroup, basis) -> WallFamily:
     """Orbit of the basis-vector lines under the point group.
 
     Lines are tracked by canonical primitive integer representatives,
     which replaces the usual unit-sphere picture with an exact
     projective one.  The class count N satisfies n <= N <= n * |P|.
+    Base wall i is the span of the other basis vectors; its normal is
+    the dual covector of basis vector i, row i of the inverse basis
+    matrix.
 
     The orbit is walked under the generators only, on their integer
     forms d * t, which have the same lines and signs: generator t sends
     class k to the class of t * rep_k, with the sign of the first
     nonzero entry of t * rep_k (representatives have a positive one).
-    PointTable.extend carries these signed permutations to every
-    element, which also checks that they form a homomorphism.  The
-    classes are then numbered as a walk under every element would:
-    the basis lines first, then each class's images in point_elements
-    order.
+    The classes are numbered as a walk under every element would: the
+    basis lines first, then each basis line's orbit in point_elements
+    order, where element k moves a class along its generator word,
+    last letter first.  The generators' signed permutations, relabelled
+    into that numbering, are extended to every element once by
+    PointTable.extend, which also checks that they form a homomorphism.
     """
     basis, b_inv = _basis_and_inverse(g, basis)
     _, forms = integer_real_forms(g)
     table = g.point_table()
     index = {}
-    classes = []
+    walked = []
 
     def class_of(v):
         rep = _primitive(v)
         if rep not in index:
-            index[rep] = len(classes)
-            classes.append(rep)
+            index[rep] = len(walked)
+            walked.append(rep)
         return index[rep]
 
     for v in basis:
         class_of(v)
-    first = len(classes)
     gen_forms = [forms[k] for k in table.next[0]]
     perms = [[] for _ in gen_forms]
     signs = [[] for _ in gen_forms]
     k = 0
-    while k < len(classes):
-        rep = classes[k]
+    while k < len(walked):
+        rep = walked[k]
         k += 1
         for perm, sign, form in zip(perms, signs, gen_forms):
             image = [sum(map(mul, row, rep)) for row in form]
-            perm.append(class_of(image) + 1)
+            perm.append(class_of(image))
             sign.append(1 if next(e for e in image if e != 0) > 0 else -1)
     n = g.dimension
-    count = len(classes)
+    count = len(walked)
     if not (n <= count <= n * len(table.elements)):
         raise InternalError(
             "class count %d escaped the bound %d <= N <= %d"
             % (count, n, n * len(table.elements)))
-    walked = table.extend(
-        SignedPermutation.identity(count),
-        [SignedPermutation(p, s) for p, s in zip(perms, signs)], mul)
-    if walked is None:
-        raise InternalError("the action on the classes is not a homomorphism")
     # order[i] is the walked number of class i; position inverts it.
-    order = list(range(first))
-    position = order + [None] * (count - first)
-    for c in order:
-        if len(order) == count:
-            break
-        for s in walked:
-            target = s.perm[c] - 1
-            if position[target] is None:
-                position[target] = len(order)
-                order.append(target)
+    order = list(range(n))
+    position = order + [None] * (count - n)
+    for c in range(n):
+        for word in table.words:
+            x = c
+            for j in reversed(word):
+                x = perms[j][x]
+            if position[x] is None:
+                position[x] = len(order)
+                order.append(x)
+    action = table.extend(
+        SignedPermutation.identity(count),
+        [SignedPermutation([position[perm[c]] + 1 for c in order],
+                           [sign[c] for c in order])
+         for perm, sign in zip(perms, signs)], mul)
+    if action is None:
+        raise InternalError("the action on the classes is not a homomorphism")
     dual_matrix = integral(b_inv)
     return WallFamily(
         basis=tuple(basis),
         dual_matrix=dual_matrix,
-        base_walls=tuple(_base_walls(dual_matrix[1])),
-        classes=tuple(classes[c] for c in order),
+        base_walls=tuple(GeometricWall(row, 0) for row in dual_matrix[1]),
+        classes=tuple(walked[c] for c in order),
         class_count=count,
         forms=integer_real_forms(g),
-        action=tuple(SignedPermutation([position[s.perm[c] - 1] + 1
-                                        for c in order],
-                                       [s.signs[c] for c in order])
-                     for s in walked),
+        action=tuple(action),
     )
 
 

@@ -82,9 +82,6 @@ class StoredEdgeComplex:
                 "orientation %r is not a 0-cube of this complex" % (x,))
         return self._index[x.bits]
 
-    def realized_walls(self) -> list:
-        return sorted({wall for _, _, wall in self.edges})
-
     def neighbors(self, idx: int) -> dict:
         return dict(self._adjacency[idx])
 

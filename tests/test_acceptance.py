@@ -284,7 +284,7 @@ def interior_grid_vertex_link(n):
 
 def test_criterion_10_boundary_zoo():
     tree = atomic_boundary(FactorDescriptor("RegularTree", 3))
-    assert tree.is_symbolic and tree.describe() == INFINITE_DISCRETE
+    assert not tree.is_finite and tree.describe() == INFINITE_DISCRETE
     half = FactorDescriptor("HalfLine")
     line = FactorDescriptor("Line")
     assert product_boundary([half, half]).as_complex().f_vector() == (2, 1)

@@ -71,7 +71,7 @@ def test_atomic_boundaries():
     assert line_end.f_vector() == (2,)
     assert line_end.num_edges() == 0
     tree = atomic_boundary(FactorDescriptor(REGULAR_TREE, 3))
-    assert tree.is_symbolic
+    assert not tree.is_finite
     assert tree.describe() == INFINITE_DISCRETE
     with pytest.raises(ValueError, match="infinite"):
         tree.as_complex()
@@ -118,7 +118,6 @@ def test_product_boundary_is_associative_via_descriptors():
 
 def test_tree_factors_stay_symbolic():
     b = product_boundary([LINE_F, FactorDescriptor(REGULAR_TREE, 3)])
-    assert b.is_symbolic
     assert not b.is_finite
     assert "infinite-discrete" in b.describe()
     assert "complex(2 vertices, 0 edges)" in b.describe()
@@ -148,7 +147,8 @@ def test_boundary_of_Rn_counts():
 def test_boundary_of_Rn_range():
     with pytest.raises(ValueError):
         boundary_of_Rn(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="^dimension must be between 1 and 8, got 9$"):
         boundary_of_Rn(9)
 
 

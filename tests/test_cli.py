@@ -28,7 +28,7 @@ from cubecrys.dual import (
 from cubecrys.walls import GeometricWall
 from stored_edge_complex import stored_edge_dual
 from test_decide import _pinned_groups
-from test_point_table import b4_generic, wf4
+from test_point_table import b4_generic, wf4, wf4_generic
 
 
 def run(capsys, *argv):
@@ -684,19 +684,47 @@ def test_cubulate_report_bytes_are_pinned(basis, name, capsys, tmp_path):
 B4_GENERIC_CUBULATE_PINS = (
     "2e5f8585dd73e273870f74de0d8b2ce40384762d800359d0d54a2679e85535f4",
     "c5c39860d26530e320f5a2d45ca69c727eaea8aab7e0e04ff7556dbc95772eb7")
+# The same for W(F4) in the lattice basis D4 * U (N = 444), recorded
+# while the classes were still renumbered along every element's action.
+WF4_GENERIC_CUBULATE_PINS = (
+    "1989d78166a6a1e1a4e499ab9e039b060624b6ef3ce6c7de570acc44367868dc",
+    "b12e172664a36e884d6dde373ac8faaa996793eeb437f44f3dd227c4c8524c9c")
 
 
-def test_cubulate_report_bytes_are_pinned_in_a_generic_basis(capsys,
-                                                             tmp_path):
-    path = tmp_path / "b4-generic.json"
-    save_group(b4_generic(), path)
+def cubulate_digests(capsys, tmp_path, g):
+    """sha256 of `cubulate --seed 0` stdout on g, in --json and text mode."""
+    path = tmp_path / "generic.json"
+    save_group(g, path)
     digests = []
     for mode in (["--json"], []):
         code, out, err = run(capsys, "cubulate", str(path), "--seed", "0",
                              *mode)
         assert code == 0, err
         digests.append(hashlib.sha256(out.encode("utf-8")).hexdigest())
-    assert tuple(digests) == B4_GENERIC_CUBULATE_PINS
+    return tuple(digests)
+
+
+def test_cubulate_report_bytes_are_pinned_in_a_generic_basis(capsys,
+                                                             tmp_path):
+    assert (cubulate_digests(capsys, tmp_path, b4_generic())
+            == B4_GENERIC_CUBULATE_PINS)
+
+
+def test_cubulate_report_bytes_are_pinned_for_444_classes(capsys, tmp_path):
+    assert (cubulate_digests(capsys, tmp_path, wf4_generic())
+            == WF4_GENERIC_CUBULATE_PINS)
+
+
+def test_text_cubulate_renders_no_json_parts(capsys, tmp_path, monkeypatch):
+    path = group_file(tmp_path, "p4")
+    expected = run(capsys, "cubulate", path)
+
+    def refuse(g):
+        raise AssertionError("text mode rendered the stabilized group")
+
+    monkeypatch.setattr(cli, "group_to_json_dict", refuse)
+    assert run(capsys, "cubulate", path) == expected
+    assert expected[0] == 0
 
 # sha256 of `classify --json`, `classify` (text) and `validate --json`
 # stdout, per group: the 20 catalog groups, W(F4) (1,152 elements) and

@@ -564,7 +564,7 @@ def test_c4_past_the_old_schedule_is_accepted(tmp_path, capsys, gen):
     # The report lists the elements in point_elements order.
     assert [e["point_element"] for e in payload["elements"]] == [
         matrix_to_json(p) for p in loaded.point_elements()]
-    iota = tuple(SignedPermutation.from_json_dict(e["image"])
+    iota = tuple(SignedPermutation(e["image"]["perm"], e["image"]["signs"])
                  for e in payload["elements"])
     a = matrix_from_json(payload["conjugator"])
     witness = HyperoctahedralWitness(iota=iota, conjugator=a,

@@ -444,10 +444,15 @@ def test_dual_matches_the_exhaustive_scan():
         assert got == expected_edges
 
 
+def crossed_walls(c):
+    """The walls that label some edge of c, sorted."""
+    return sorted({wall for _, _, wall in c.edges})
+
+
 def test_every_wall_is_realized_by_some_edge():
     for ws in seeded_wallspaces(count=5, seed=8, max_walls=8):
         c = dual_complex(ws)
-        assert c.realized_walls() == list(range(len(ws.walls)))
+        assert crossed_walls(c) == list(range(len(ws.walls)))
 
 
 # -- metric structure -------------------------------------------------
@@ -558,7 +563,7 @@ def frozenset_duality_check(c):
     goes, and compared with the 0-cubes projected onto the realized
     walls: vertex sets, then labelled edge sets.
     """
-    realized = c.realized_walls()
+    realized = crossed_walls(c)
     n = len(realized)
     sides = [(frozenset(k for k, o in enumerate(c.orientations)
                         if not o.side(wall)),
@@ -650,7 +655,7 @@ def crossing_cycle(num_walls):
 def test_a_long_crossing_cycle_is_not_median():
     c = crossing_cycle(30)
     assert (c.vertex_count(), c.edge_count()) == (60, 60)
-    assert len(c.realized_walls()) == 30 > WALL_CAP
+    assert len(crossed_walls(c)) == 30 > WALL_CAP
     assert not left_out_edges(c)
     assert not is_median_set(c._index, 30)
     assert not is_median_complex(c)
@@ -1071,7 +1076,6 @@ def assert_matches_stored_edges(c, old, starts=(0,), step=1, median=True):
     assert c.edges == old.edges
     assert (c.vertex_count(), c.edge_count()) == (old.vertex_count(),
                                                   old.edge_count())
-    assert c.realized_walls() == old.realized_walls()
     for k in range(0, old.vertex_count(), step):
         o = old.orientations[k]
         assert c.neighbors(k) == old.neighbors(k)
@@ -1093,7 +1097,7 @@ def test_a_walked_dual_stores_its_zero_cubes_and_one_code_per_edge():
                for x in (*a, b))
     c = dual_complex(ws)
     assert set(vars(c)) == {"num_walls", "wallspace", "_bits", "_index",
-                            "_edges", "_realized", "_orientations"}
+                            "_edges", "_orientations"}
     assert all(type(b) is int for b in c._bits)
     assert all(type(b) is int and type(k) is int
                for b, k in c._index.items())

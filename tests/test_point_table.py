@@ -307,6 +307,10 @@ def test_table_matches_the_ratmatrix_closure(g):
         assert table.next[k] == tuple(index[p * RatMatrix(gen)]
                                       for gen in g.point_generators)
         assert table.order[k] == ratmatrix_order(p, len(elements))
+        word = RatMatrix(identity(g.dimension))
+        for j in table.words[k]:
+            word = word * RatMatrix(g.point_generators[j])
+        assert word == p
         assert table.det[k] == det(p.entries)
         assert table.trace[k] == trace(p)
 
@@ -318,14 +322,31 @@ def test_the_stabilized_point_group_has_the_input_order(g):
     assert s.point_group_order() == g.point_group_order()
 
 
+# A unimodular change of lattice basis that puts the lattice basis
+# columns of B4 and W(F4) in hundreds of direction classes.
+GENERIC_U = ((1, 2, 3, 5), (0, 1, 1, 2), (0, 0, 1, 3), (0, 0, 0, 1))
+
+
+def in_generic_basis(name, g):
+    """g with lattice basis L * U and generators U^-1 M U, U = GENERIC_U:
+    the same group and real forms."""
+    u_inv = tuple(tuple(int(e) for e in row) for row in inverse(GENERIC_U))
+    gens = [int_mul(int_mul(u_inv, [[int(e) for e in row] for row in m]),
+                    GENERIC_U)
+            for m in g.point_generators]
+    return CrystGroup(name, 4, int_mul(g.lattice_basis, GENERIC_U), gens,
+                      [[0] * 4] * len(gens))
+
+
 def b4_generic():
-    """B4 conjugated by a unimodular U: the same real forms, but the
-    lattice basis columns fall into 268 direction classes."""
-    u = ((1, 2, 3, 5), (0, 1, 1, 2), (0, 0, 1, 3), (0, 0, 0, 1))
-    u_inv = tuple(tuple(int(e) for e in row) for row in inverse(u))
-    gens = [int_mul(int_mul(u_inv, m), u)
-            for m in (CYCLE4, SWAP12, FLIP1)]
-    return CrystGroup("B4-generic", 4, u, gens, [[0] * 4] * 3)
+    """B4 in the lattice basis U: the lattice basis columns fall into
+    268 direction classes."""
+    return in_generic_basis("B4-generic", b4())
+
+
+def wf4_generic():
+    """W(F4) in the lattice basis D4 * U: 444 direction classes."""
+    return in_generic_basis("W(F4)-D4U", wf4())
 
 
 def test_stabilize_b4_in_a_generic_basis_builds_no_point_table():
@@ -351,6 +372,33 @@ def test_the_class_walk_applies_only_the_generator_forms(monkeypatch):
     fam = direction_class_count(g, zip(*g.lattice_basis))
     assert fam.class_count == 268
     assert len(calls) == 4 + 268 * 3 + 4 == 812
+
+
+def test_the_class_action_checks_only_the_generators(monkeypatch):
+    """The identity and the generators' signed permutations are built
+    with the checked constructor; every other element's is a product."""
+    g = b4_generic()
+    calls = []
+    init = SignedPermutation.__init__
+
+    def counting_init(self, perm, signs):
+        calls.append(len(perm))
+        init(self, perm, signs)
+
+    monkeypatch.setattr(SignedPermutation, "__init__", counting_init)
+    direction_class_count(g, zip(*g.lattice_basis))
+    assert len(calls) <= len(g.point_generators) + 1 == 4
+
+
+def test_a_stabilized_group_shares_its_three_entry_values():
+    """Its lattice basis, generators and translation parts hold only 0,
+    1 and -1, read by parse_rational as one shared Fraction each."""
+    s = stabilize(b4_generic())
+    entries = [e for m in (s.lattice_basis, *s.point_generators,
+                           s.translation_parts)
+               for row in m for e in row]
+    assert len(entries) == 268 * 268 * 4 + 268 * 3
+    assert len({id(e) for e in entries}) == 3
 
 
 @pytest.mark.parametrize("g", GROUPS, ids=lambda g: g.name)

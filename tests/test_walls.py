@@ -34,7 +34,6 @@ from cubecrys.walls import (
     induced_action_on_RN,
     separation_count,
     stabilize,
-    standard_walls,
 )
 
 
@@ -158,19 +157,19 @@ def test_a_wall_refuses_bools(value):
     with pytest.raises(ValueError, match="not a serialized rational"):
         GeometricWall([1, 0], value)
     with pytest.raises(ValueError, match="not a serialized rational"):
-        standard_walls(trivial_group(), [[1, 0], [0, value]])
+        direction_class_count(trivial_group(), [[1, 0], [0, value]])
 
 
 def test_standard_walls_square_basis():
     g = trivial_group()
-    walls = standard_walls(g, [(1, 0), (0, 1)])
+    walls = direction_class_count(g, [(1, 0), (0, 1)]).base_walls
     assert walls[0] == GeometricWall((1, 0), 0)
     assert walls[1] == GeometricWall((0, 1), 0)
 
 
 def test_standard_walls_one_dimension():
     g = trivial_group(n=1)
-    walls = standard_walls(g, [(2,)])
+    walls = direction_class_count(g, [(2,)]).base_walls
     assert len(walls) == 1
     assert walls[0] == GeometricWall((1,), 0)
 
@@ -179,7 +178,7 @@ def test_standard_walls_are_dual_to_the_basis():
     """Wall i must contain every basis vector except the i-th."""
     g = trivial_group()
     basis = [(1, Fraction(1, 2)), (1, Fraction(-1, 2))]
-    walls = standard_walls(g, basis)
+    walls = direction_class_count(g, basis).base_walls
     for i, w in enumerate(walls):
         for j, v in enumerate(basis):
             assert (sum(a * b for a, b in zip(w.normal, v)) == 0) == (i != j)
@@ -188,9 +187,9 @@ def test_standard_walls_are_dual_to_the_basis():
 def test_standard_walls_need_a_basis():
     g = trivial_group()
     with pytest.raises(RankError):
-        standard_walls(g, [(1, 0), (2, 0)])
+        direction_class_count(g, [(1, 0), (2, 0)])
     with pytest.raises(RankError):
-        standard_walls(g, [(1, 0)])
+        direction_class_count(g, [(1, 0)])
 
 
 def test_direction_classes_trivial_group():
