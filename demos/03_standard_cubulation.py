@@ -14,6 +14,7 @@ from cubecrys.walls import (
     check_linear_separation,
     direction_class_count,
     induced_action_on_RN,
+    scaled_pair,
     separation_count,
     stabilize,
 )
@@ -38,7 +39,7 @@ print("separating walls between (1/4, 1/4) and (11/4, 7/4):",
 # The wall count grows linearly with distance, in both directions:
 # squared distance is at most max|basis|^2 (count + n)^2, and the count
 # is at least the dual-coordinate l1 length minus n.
-report = check_linear_separation(square, square_fam, [(p, q)])
+report = check_linear_separation(square, square_fam, [scaled_pair(p, q)])
 print("upper-bound ratio for that pair:",
       format_rational(report.worst_ratio))
 print()

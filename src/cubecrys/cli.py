@@ -5,7 +5,10 @@ Exit code 0 means the computation ran to completion, including the case
 where a group is rejected by the classifier (a rejection is an answer,
 not a failure).  Exit code 1 is for bad input: unknown flags, missing
 or malformed files, out-of-scope sizes.  Exit code 2 signals an
-internal invariant failure and should be reported as a bug.
+internal invariant failure and should be reported as a bug.  A stdout
+closed by its reader (`cubecrys catalog --json | head -c 1`) also gives
+exit code 1, the code Python itself exits with on EPIPE, with nothing
+written to stderr.
 
 main(argv) may be called repeatedly in one process.  It builds its
 argument parser on the first call and reuses it, so importing this
@@ -19,10 +22,10 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import random
 import sys
-from fractions import Fraction
 
 from cubecrys.boundary import atomic_boundary, parse_product, product_boundary
 from cubecrys.crys import (
@@ -97,14 +100,51 @@ def _resolve_seed(flag_value):
             "environment variable %s=%r is not an integer" % (SEED_ENV, raw))
 
 
+def _emit(text: str) -> int:
+    """Print text to stdout and flush it: exit code 0, or 1 when the
+    reader has closed the pipe."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: send that to devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return 0
+
+
 def _sample_pairs(n: int, count: int, seed: int):
-    rng = random.Random(seed)
+    """count pairs of points of Q^n, each as the triple (c, p, q) that
+    walls.check_linear_separation reads: the points are p / c and q / c.
 
-    def point():
-        return tuple(Fraction(rng.randrange(-2000, 2001), rng.randrange(1, 8))
-                     for _ in range(n))
-
-    return [(point(), point()) for _ in range(count)]
+    The sample is the stream of random.Random(seed) read point after
+    point, each coordinate as Fraction(randrange(-2000, 2001),
+    randrange(1, 8)).  Those two randrange calls return getrandbits(12),
+    drawn again while >= 4001, minus 2000, and getrandbits(3), drawn
+    again while 7, plus 1; that is how the stream is read here, so no
+    Fraction is built.  c is the lcm of the pair's 2n denominators as
+    drawn (at most 420, and not always the least one): the separation
+    report does not depend on it.
+    """
+    bits = random.Random(seed).getrandbits
+    pairs = []
+    for _ in range(count):
+        nums, dens = [], []
+        for _ in range(2 * n):
+            x = bits(12)
+            while x >= 4001:
+                x = bits(12)
+            d = bits(3)
+            while d == 7:
+                d = bits(3)
+            nums.append(x - 2000)
+            dens.append(d + 1)
+        c = math.lcm(*dens)
+        ints = [x * (c // d) for x, d in zip(nums, dens)]
+        pairs.append((c, ints[:n], ints[n:]))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +454,8 @@ def main(argv=None) -> int:
         return 2
 
     if getattr(args, "json", False):
-        print(json_text(report))
-    else:
-        print("\n".join(lines))
-    return 0
+        return _emit(json_text(report))
+    return _emit("\n".join(lines))
 
 
 if __name__ == "__main__":

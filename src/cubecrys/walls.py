@@ -246,29 +246,39 @@ def direction_class_count(g: CrystGroup, basis) -> WallFamily:
     )
 
 
-def _pair_counts(fam: WallFamily, p, q) -> tuple:
-    """(sep, gap, m, c, dist) for the points p and q.
+def scaled_pair(p, q) -> tuple:
+    """(c, p_ints, q_ints): the points p and q, sequences of ints or
+    Fractions, as int vectors over their least common denominator c.
 
-    c is the least common denominator of p and q, and the family's int
-    rows e B^-1 give the dual coordinates of p and q as a_i / m and
-    b_i / m over m = e c.  sep is the number of integers strictly
-    between a_i / m and b_i / m, summed over i; gap is sum |a_i - b_i|
-    and dist is c^2 |p - q|^2.
+    This is the one form check_linear_separation reads a sample pair in.
+    """
+    c, (ints_p, ints_q) = integral((p, q))
+    return c, ints_p, ints_q
+
+
+def _pair_counts(fam: WallFamily, c, p, q) -> tuple:
+    """(sep, gap, m, dist) for the points p / c and q / c, where p and q
+    are int vectors and c >= 1 an int.
+
+    The family's int rows e B^-1 give the dual coordinates of the points
+    as a_i / m and b_i / m over m = e c.  sep is the number of integers
+    strictly between a_i / m and b_i / m, summed over i; gap is
+    sum |a_i - b_i| and dist is c^2 times the squared distance.  sep,
+    gap / m and dist / c^2 do not depend on c.
     """
     e, rows = fam.dual_matrix
     if len(p) != len(rows) or len(q) != len(rows):
         raise ShapeError("matrix-vector size mismatch")
-    c, (ints_p, ints_q) = integral((p, q))
     m = e * c
     sep = gap = 0
     for row in rows:
-        a = sum(map(mul, row, ints_p))
-        b = sum(map(mul, row, ints_q))
+        a = sum(map(mul, row, p))
+        b = sum(map(mul, row, q))
         lo, hi = (a, b) if a < b else (b, a)
         sep += max(0, -(-hi // m) - lo // m - 1)
         gap += hi - lo
-    dist = sum((x - y) ** 2 for x, y in zip(ints_p, ints_q))
-    return sep, gap, m, c, dist
+    dist = sum((x - y) ** 2 for x, y in zip(p, q))
+    return sep, gap, m, dist
 
 
 def separation_count(p, q, fam: WallFamily) -> int:
@@ -280,7 +290,7 @@ def separation_count(p, q, fam: WallFamily) -> int:
     strictly between the coordinates of p and q.  Walls through p or q
     themselves separate nothing (open-halfspace convention).
     """
-    return _pair_counts(fam, p, q)[0]
+    return _pair_counts(fam, *scaled_pair(p, q))[0]
 
 
 @dataclass(frozen=True)
@@ -302,7 +312,9 @@ class LinearSeparationReport:
 def check_linear_separation(g: CrystGroup, fam: WallFamily, samples) -> LinearSeparationReport:
     """Verify the wall-counting inequalities on explicit sample pairs.
 
-    For each pair (r1, r2), with # the separation count and nu the dual
+    Each sample is a pair (r1, r2) = (p / c, q / c) given as the triple
+    (c, p, q) of an int c >= 1 and two int vectors, the form
+    scaled_pair gives.  With # the separation count and nu the dual
     coordinates of r1 - r2, checks exactly that
 
         |r1 - r2|^2 <= max_i |t_i|^2 * (# + n)^2   and
@@ -311,7 +323,8 @@ def check_linear_separation(g: CrystGroup, fam: WallFamily, samples) -> LinearSe
     A violated pair raises PropertyViolationError; these inequalities
     are theorems, so the check doubles as a self-test of the wall
     machinery.  The worst ratio of left to right side of the first
-    inequality is reported.
+    inequality is reported.  Neither the ratio nor a violation message
+    depends on which common denominator c a pair is given over.
     """
     samples = list(samples)
     if not samples:
@@ -321,21 +334,21 @@ def check_linear_separation(g: CrystGroup, fam: WallFamily, samples) -> LinearSe
     num, den = max_norm_sq.numerator, max_norm_sq.denominator
     # The worst ratio so far, as an int numerator and denominator.
     top, bottom = 0, 1
-    for r1, r2 in samples:
-        sep, gap, m, c, dist = _pair_counts(fam, r1, r2)
+    for c, p, q in samples:
+        sep, gap, m, dist = _pair_counts(fam, c, p, q)
         # |r1 - r2|^2 = dist / c^2 and max_i |t_i|^2 = num / den.
         lhs = dist * den
         rhs = c * c * num * (sep + n) ** 2
         if lhs > rhs:
             raise PropertyViolationError(
                 "separation bound failed for pair %s: %s > %s"
-                % (_pair_text(r1, r2), Fraction(dist, c * c),
+                % (_pair_text(c, p, q), Fraction(dist, c * c),
                    max_norm_sq * (sep + n) ** 2))
         # nu is linear, so sum_i |nu_i| = gap / m.
         if sep * m < gap - n * m:
             raise PropertyViolationError(
                 "separation undercount for pair %s: %d < %s"
-                % (_pair_text(r1, r2), sep, Fraction(gap - n * m, m)))
+                % (_pair_text(c, p, q), sep, Fraction(gap - n * m, m)))
         if lhs * bottom > top * rhs:
             top, bottom = lhs, rhs
     return LinearSeparationReport(
@@ -346,10 +359,11 @@ def check_linear_separation(g: CrystGroup, fam: WallFamily, samples) -> LinearSe
     )
 
 
-def _pair_text(p, q) -> str:
-    """'([p_1, ..], [q_1, ..])' with each entry as 'p/q'."""
+def _pair_text(c, p, q) -> str:
+    """'([p_1/c, ..], [q_1/c, ..])' with each entry in lowest terms."""
     return "(%s)" % ", ".join(
-        "[%s]" % ", ".join(map(format_rational, v)) for v in (p, q))
+        "[%s]" % ", ".join(format_rational(Fraction(x, c)) for x in v)
+        for v in (p, q))
 
 
 def induced_action_on_RN(g: CrystGroup, fam: WallFamily) -> tuple:

@@ -51,6 +51,7 @@ from cubecrys.walls import (
     GeometricWall,
     check_linear_separation,
     direction_class_count,
+    scaled_pair,
     stabilize,
 )
 
@@ -255,7 +256,8 @@ def test_criterion_09_linear_separation_bounds():
                 [Fraction(rng.randrange(-2000, 2001), rng.randrange(1, 8))
                  for _ in range(g.dimension)],
             ))
-        report = check_linear_separation(g, fam, pairs)
+        report = check_linear_separation(
+            g, fam, [scaled_pair(p, q) for p, q in pairs])
         assert report.pairs_checked == 100
         assert report.lower_bound_checked
         assert report.worst_ratio <= 1

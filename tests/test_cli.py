@@ -691,14 +691,15 @@ WF4_GENERIC_CUBULATE_PINS = (
     "b12e172664a36e884d6dde373ac8faaa996793eeb437f44f3dd227c4c8524c9c")
 
 
-def cubulate_digests(capsys, tmp_path, g):
-    """sha256 of `cubulate --seed 0` stdout on g, in --json and text mode."""
+def cubulate_digests(capsys, tmp_path, g, seed=0):
+    """sha256 of `cubulate --seed seed` stdout on g, in --json and text
+    mode."""
     path = tmp_path / "generic.json"
     save_group(g, path)
     digests = []
     for mode in (["--json"], []):
-        code, out, err = run(capsys, "cubulate", str(path), "--seed", "0",
-                             *mode)
+        code, out, err = run(capsys, "cubulate", str(path), "--seed",
+                             str(seed), *mode)
         assert code == 0, err
         digests.append(hashlib.sha256(out.encode("utf-8")).hexdigest())
     return tuple(digests)
@@ -713,6 +714,48 @@ def test_cubulate_report_bytes_are_pinned_in_a_generic_basis(capsys,
 def test_cubulate_report_bytes_are_pinned_for_444_classes(capsys, tmp_path):
     assert (cubulate_digests(capsys, tmp_path, wf4_generic())
             == WF4_GENERIC_CUBULATE_PINS)
+
+
+# sha256 of `cubulate --seed S` stdout in --json and in text mode at
+# seeds other than 0, recorded while the separation sample was still
+# drawn as Fractions from randrange.
+CUBULATE_SEED_PINS = {
+    ("p4m", 1): (
+        "f331e47642537cc4ee719bba17ffe911af0958413de0332e63ca975dafeb62d7",
+        "07a6b3fdb2244a2595d2d7c2b2daada427042ca66f8eb04b1a7266661934248e"),
+    ("p4m", 987654321): (
+        "7d79d3f1e6c17f44de24601881973581783d47b214d98a8ae5c99fbfbe9fe00e",
+        "a820c1368d204f21b2a0eb1d0833948a698047383007f411e2bf23b62602c1fa"),
+    ("p4m", -3): (
+        "4653b29b415c8e0b1d75f79fc86db93525e970d22ca8bc1016460b8dfbf483c0",
+        "2ffc63b051e3ef39cf5e535d1e37fd5607e72908c16c07213e4af962f5f750d6"),
+    ("pg", 1): (
+        "9394c10a371b391cb0a8eb7716666416bad9502db9d0a73b58f9625424ebe215",
+        "0d3ea7d8b59c791ffd0019f5244285a7d036024a47a463ebbd83fb688b57d405"),
+    ("pg", 987654321): (
+        "854ba11eeddac48cdaa6ffab0160d87adeed89318c47dcd5313cef817fca75c3",
+        "1e036506f509f3a05db41ce5ca2dfc9aab2f2bf2e954903149cfd0c40cfc4570"),
+    ("pg", -3): (
+        "28fe108c53b22ae9a1ab53aede8d6f0ed27c78da19716a0d5ed717f8134f31fc",
+        "f0c18cefcfd58ae0a714d6d57238396a8b2bd42ef2722d3c6981743e6f06d711"),
+    ("B4-generic", 1): (
+        "a1d56d661024849df735e9fbe2d01ab292b5a2e32c38cd1cb4c2c910ba281899",
+        "2d00fc20feebdc805f5fc0b2fbf1da71a704cd423dd9c112c01fd9fc42fe759e"),
+    ("B4-generic", 987654321): (
+        "8aa407a51e38507c101ecce53a98da2718a2b57a8a7fbdcb91a7020c1744d721",
+        "13d902087ef9be1e700b88278843195aa93ed39648ad0f16d676567d46b130c6"),
+    ("B4-generic", -3): (
+        "843e2135b50714ec6019067d594b043c5b9908788c5969cdce2241e076158b41",
+        "46aff36531892cc88a6e8b5fc71410215ca82e7dc463269521dad59b245463db"),
+}
+
+
+@pytest.mark.parametrize("name, seed", list(CUBULATE_SEED_PINS))
+def test_cubulate_report_bytes_are_pinned_at_other_seeds(name, seed, capsys,
+                                                         tmp_path):
+    g = b4_generic() if name == "B4-generic" else catalog_entry(name)
+    assert (cubulate_digests(capsys, tmp_path, g, seed)
+            == CUBULATE_SEED_PINS[name, seed])
 
 
 def test_text_cubulate_renders_no_json_parts(capsys, tmp_path, monkeypatch):
@@ -1020,18 +1063,41 @@ def test_catalog_text_table(capsys):
     assert len(lines) == 22  # header, rule, 20 rows
 
 
-def test_python_dash_m_runs_the_same_main(capsys):
-    """`python -m cubecrys` goes through __main__.py to the same main."""
+def module_env():
+    """The environment for `python -m cubecrys` on this checkout."""
     src = str(Path(cubecrys.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=src if not path else src + os.pathsep + path)
+    return dict(os.environ,
+                PYTHONPATH=src if not path else src + os.pathsep + path)
+
+
+def test_python_dash_m_runs_the_same_main(capsys):
+    """`python -m cubecrys` goes through __main__.py to the same main."""
     proc = subprocess.run([sys.executable, "-m", "cubecrys", "catalog"],
-                          capture_output=True, env=env, timeout=120)
+                          capture_output=True, env=module_env(),
+                          timeout=120)
     code, out, err = run(capsys, "catalog")
     assert (proc.returncode, code) == (0, 0)
     assert proc.stdout == out.encode()
     assert proc.stderr == err.encode() == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ["boundary", "Line*Line*Line*Line*Line*Line*Line*Line", "--json"],
+    ["catalog", "--json"],
+    ["catalog"],
+])
+def test_a_closed_stdout_exits_one_with_an_empty_stderr(argv):
+    """A reader that closed the pipe before any byte was written."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "cubecrys", *argv],
+                              stdout=write, stderr=subprocess.PIPE,
+                              env=module_env(), timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 # -- internal failures ------------------------------------------------

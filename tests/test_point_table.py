@@ -22,7 +22,7 @@ from fractions import Fraction
 import pytest
 
 from cubecrys import crys, walls
-from cubecrys.cli import main
+from cubecrys.cli import _sample_pairs, main
 from cubecrys.crys import (
     CLOSURE_CAP,
     CrystGroup,
@@ -55,6 +55,7 @@ from test_walls import (
     apply,
     fraction_check_linear_separation,
     fraction_dual_matrix,
+    fraction_sample_pairs,
     fraction_separation,
     shrunk,
 )
@@ -65,6 +66,7 @@ from cubecrys.walls import (
     check_linear_separation,
     direction_class_count,
     induced_action_on_RN,
+    scaled_pair,
     separation_count,
     stabilize,
 )
@@ -662,11 +664,55 @@ def test_dual_coordinates_match_the_ratmatrix_product(g):
         for p, q in pairs:
             assert separation_count(p, q, fam) == \
                 fraction_separation(fam, p, q)
-        assert check_linear_separation(g, fam, pairs) == \
+        scaled = [scaled_pair(p, q) for p, q in pairs]
+        assert check_linear_separation(g, fam, scaled) == \
             fraction_check_linear_separation(g, fam, pairs)
         small = shrunk(fam)
-        assert _outcome(check_linear_separation, g, small, pairs) == \
+        assert _outcome(check_linear_separation, g, small, scaled) == \
             _outcome(fraction_check_linear_separation, g, small, pairs)
+
+
+# Ten chosen seeds, negative ones and ones past 2**64 among them, and
+# 190 drawn ones.
+SAMPLE_SEEDS = [0, 1, -1, -3, 987654321, 2 ** 64, 2 ** 64 + 1,
+                -(2 ** 64) - 7, 2 ** 100 + 3, -(2 ** 100)] + \
+    random.Random(24).sample(range(-10 ** 12, 10 ** 12), 190)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_int_sample_draws_the_fraction_oracles_points(n):
+    """cubulate's int draw gives the points of the randrange and
+    Fraction draw, over a common denominator dividing 420."""
+    for seed in SAMPLE_SEEDS:
+        sample = _sample_pairs(n, 25, seed)
+        assert all(420 % c == 0 for c, _, _ in sample)
+        assert [tuple(tuple(Fraction(x, c) for x in v) for v in (p, q))
+                for c, p, q in sample] == \
+            fraction_sample_pairs(n, 25, seed), seed
+
+
+SAMPLE_GROUPS = [("catalog " + g.name, g) for g in load_catalog()] + \
+    [(g.name, g) for g in GROUPS + [wf4(), b4_generic()]]
+
+
+@pytest.mark.parametrize("k", range(len(SAMPLE_GROUPS)),
+                         ids=[name for name, _ in SAMPLE_GROUPS])
+def test_the_cubulate_sample_checks_as_the_fraction_oracle(k):
+    """The report on cubulate's int sample, and with the basis shrunk
+    100-fold the violation message, equal the Fraction check's on the
+    oracle draw."""
+    _, g = SAMPLE_GROUPS[k]
+    seed = 37 * k - 1000
+    fam = direction_class_count(g, zip(*g.lattice_basis))
+    sample = _sample_pairs(g.dimension, 100, seed)
+    pairs = fraction_sample_pairs(g.dimension, 100, seed)
+    assert check_linear_separation(g, fam, sample) == \
+        fraction_check_linear_separation(g, fam, pairs)
+    small = shrunk(fam)
+    message = _outcome(check_linear_separation, g, small, sample)
+    assert isinstance(message, str)
+    assert message == \
+        _outcome(fraction_check_linear_separation, g, small, pairs)
 
 
 def test_a_point_of_the_wrong_length_is_refused():
@@ -679,7 +725,7 @@ def test_a_point_of_the_wrong_length_is_refused():
         with pytest.raises(ShapeError):
             separation_count(bad, point, fam)
         with pytest.raises(ShapeError):
-            check_linear_separation(p4, fam, [(point, bad)])
+            check_linear_separation(p4, fam, [scaled_pair(point, bad)])
 
 
 @pytest.mark.parametrize("g", GROUPS, ids=lambda g: g.name)

@@ -127,3 +127,36 @@ def test_no_production_path_builds_a_ratmatrix(tmp_path, capsys,
     capsys.readouterr()
     # 22 groups validate, classify and cubulate; 14 take a witness basis.
     assert runs == 3 * 22 + 14
+
+
+def test_one_cubulate_call_is_one_separation_span(tmp_path, capsys,
+                                                  monkeypatch):
+    """perfbench's walls.check_linear_separation span covers the whole
+    separation self-test: each cubulate call makes one call of the
+    checker, and every sample pair is counted inside that span."""
+    from cubecrys import walls
+
+    spans = load_spans()
+    group = tmp_path / "p4m.json"
+    save_group(catalog_entry("p4m"), group)
+    tracer = spans.Tracer()
+    inside = []
+    pair_counts = walls._pair_counts
+
+    def watched(*args):
+        top = tracer._stack[-1][2] if tracer._stack else None
+        inside.append(top is not None and tracer.spans[top][0]
+                      == "walls.check_linear_separation")
+        return pair_counts(*args)
+
+    monkeypatch.setattr(walls, "_pair_counts", watched)
+    try:
+        tracer.install()
+        for mode in (["--json"], []):
+            assert cli.main(["cubulate", str(group), *mode]) == 0, \
+                capsys.readouterr().err
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.calls["walls.check_linear_separation"] == 2
+    assert inside == [True] * 200

@@ -2,7 +2,9 @@
 
 The separation count and its linear bounds run on the family's int
 dual rows; the Fraction path they replaced is kept below as the oracle
-(`fraction_separation`, `fraction_check_linear_separation`).
+(`fraction_separation`, `fraction_check_linear_separation`), and so is
+the Fraction draw of the `cubulate` separation sample
+(`fraction_sample_pairs`).
 """
 
 import dataclasses
@@ -32,6 +34,7 @@ from cubecrys.walls import (
     check_linear_separation,
     direction_class_count,
     induced_action_on_RN,
+    scaled_pair,
     separation_count,
     stabilize,
 )
@@ -108,6 +111,18 @@ def fraction_check_linear_separation(g, fam, samples):
         max_basis_norm_sq=max_norm_sq,
         lower_bound_checked=True,
     )
+
+
+def fraction_sample_pairs(n, count, seed):
+    """The `cubulate` separation sample as Fraction pairs: seeded
+    randrange numerators and denominators, point after point."""
+    rng = random.Random(seed)
+
+    def point():
+        return tuple(Fraction(rng.randrange(-2000, 2001), rng.randrange(1, 8))
+                     for _ in range(n))
+
+    return [(point(), point()) for _ in range(count)]
 
 
 def shrunk(fam, factor=100):
@@ -284,7 +299,7 @@ def test_linear_separation_exact_pair():
     fam = direction_class_count(g, identity(2))
     p = (Fraction(1, 4), Fraction(1, 4))
     q = (Fraction(11, 4), Fraction(7, 4))
-    report = check_linear_separation(g, fam, [(p, q)])
+    report = check_linear_separation(g, fam, [scaled_pair(p, q)])
     assert report.pairs_checked == 1
     # |p - q|^2 = 17/2 against max |t|^2 (3 + 2)^2 = 25.
     assert report.worst_ratio == Fraction(17, 2) / 25
@@ -305,7 +320,8 @@ def test_linear_separation_on_catalog_groups():
                 [Fraction(rng.randrange(-50, 51), rng.randrange(1, 11))
                  for _ in range(g.dimension)],
             ))
-        report = check_linear_separation(g, fam, samples)
+        report = check_linear_separation(
+            g, fam, [scaled_pair(p, q) for p, q in samples])
         assert report.pairs_checked == 100
         assert report.worst_ratio <= 1
 
@@ -317,9 +333,16 @@ def test_a_violated_upper_bound_names_the_pair():
     q = (Fraction(11, 4), Fraction(7, 4))
     message = ("separation bound failed for pair ([1/4, 1/4], "
                "[11/4, 7/4]): 17/2 > 49/10000")
-    for check in (check_linear_separation, fraction_check_linear_separation):
+    with pytest.raises(PropertyViolationError) as info:
+        fraction_check_linear_separation(g, fam, [(q, q), (p, q)])
+    assert str(info.value) == message
+    # The int check names the pair in lowest terms, over any common
+    # denominator.
+    for k in (1, 3):
+        samples = [(k * c, [k * x for x in u], [k * x for x in v])
+                   for c, u, v in (scaled_pair(q, q), scaled_pair(p, q))]
         with pytest.raises(PropertyViolationError) as info:
-            check(g, fam, [(q, q), (p, q)])
+            check_linear_separation(g, fam, samples)
         assert str(info.value) == message
 
 
