@@ -8,7 +8,8 @@ or malformed files, out-of-scope sizes.  Exit code 2 signals an
 internal invariant failure and should be reported as a bug.  A stdout
 closed by its reader (`cubecrys catalog --json | head -c 1`) also gives
 exit code 1, the code Python itself exits with on EPIPE, with nothing
-written to stderr.
+written to stderr; so does `--help`, at the top or after a subcommand,
+since help text goes out through the same path as a report.
 
 main(argv) may be called repeatedly in one process.  It builds its
 argument parser on the first call and reuses it, so importing this
@@ -78,6 +79,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
+
+    def print_help(self, file=None):
+        """--help goes through _emit, as a report does: argparse's own
+        write would swallow a closed pipe and exit 0."""
+        if file is not None:
+            return super().print_help(file)
+        if _emit(self.format_help().rstrip("\n")):
+            raise SystemExit(1)
 
 
 def _digest_file(path: str) -> str:
@@ -440,7 +449,7 @@ def main(argv=None) -> int:
         print("usage error: %s" % exc, file=sys.stderr)
         return 1
     except SystemExit as exc:
-        # argparse --help path; preserve its code.
+        # argparse --help path; preserve its code (1 on a closed pipe).
         return exc.code if isinstance(exc.code, int) else 0
 
     try:

@@ -96,9 +96,73 @@ def integral(rows):
 
 
 def int_mul(a, b) -> tuple:
-    """Product of two integer matrices given as rows of ints."""
+    """Product of two matrices given as sequences of rows of ints (or
+    Fractions); ShapeError on ragged rows or an inner-dimension
+    mismatch.  Two n x n factors, 1 <= n <= STRAIGHT_LINE_MAX, go
+    through n's straight-line kernel, every other shape through
+    _loop_mul."""
+    n = len(a)
+    if 0 < n <= STRAIGHT_LINE_MAX and len(b) == n:
+        product = _KERNELS[n](a, b)
+        if product is not None:
+            return product
+    return _loop_mul(a, b)
+
+
+def _loop_mul(a, b) -> tuple:
+    """The generic product loop, for every shape that fits: the oracle
+    of the straight-line kernels."""
     cols = tuple(zip(*b))
+    if any(len(row) != len(cols) for row in b):
+        raise ShapeError("ragged rows in a matrix product")
+    for row in a:
+        if len(row) != len(b):
+            raise ShapeError("cannot multiply a row of %d entries by %d rows"
+                             % (len(row), len(b)))
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
+# Square products up to this size (every dimension classify admits) run
+# through one straight-line function per n: the rows unpacked into
+# locals and the n**2 sums written out, made from _straight_line_source
+# on first use, so importing the module compiles none.
+STRAIGHT_LINE_MAX = 4
+
+
+def _straight_line_source(n: int) -> str:
+    """Source of `mul(a, b)` for n x n factors: their product, or None
+    when a row does not have n entries, for _loop_mul to check."""
+    def rows(name):
+        return ", ".join("(%s,)" % ", ".join("%s%d_%d" % (name, i, j)
+                                            for j in range(n))
+                         for i in range(n)) + ","
+
+    product = ", ".join(
+        "(%s,)" % ", ".join(" + ".join("a%d_%d * b%d_%d" % (i, k, k, j)
+                                       for k in range(n))
+                            for j in range(n))
+        for i in range(n))
+    return ("def mul(a, b):\n"
+            "    try:\n"
+            "        %s = a\n"
+            "        %s = b\n"
+            "    except ValueError:\n"
+            "        return None\n"
+            "    return (%s,)\n" % (rows("a"), rows("b"), product))
+
+
+class _Kernels(dict):
+    """n -> the compiled straight-line product of n x n factors."""
+
+    def __missing__(self, n):
+        namespace = {}
+        exec(compile(_straight_line_source(n), "<int_mul %dx%d>" % (n, n),
+                     "exec"), namespace)
+        kernel = self[n] = namespace["mul"]
+        return kernel
+
+
+_KERNELS = _Kernels()
 
 
 def int_det(rows) -> int:
@@ -126,28 +190,40 @@ def int_det(rows) -> int:
 
 def inverse(rows) -> tuple:
     """Exact inverse of a square matrix given as rows of ints or
-    Fractions, as Fraction rows, by Gauss-Jordan elimination."""
+    Fractions, as Fraction rows, by fraction-free Gauss-Jordan
+    elimination on the integral multiple A = d * rows.
+
+    After the step on column k, each entry right of column k is a minor
+    of [A | I] (Bareiss), so every division by the previous pivot is
+    exact, and the last pivot D leaves D * A^-1 in the right half:
+    rows^-1 = d * A^-1.  Columns up to k are never read again and are
+    not updated; a row with 0 in column k is only rescaled, and not
+    even that when the pivot equals the previous one."""
     n = _square(rows, "inverse")
-    aug = [[Fraction(e) for e in rows[i]] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if aug[r][col] != 0:
-                pivot = r
+    d, ints = integral(rows)
+    aug = [list(row) + [0] * i + [1] + [0] * (n - 1 - i)
+           for i, row in enumerate(ints)]
+    prev = 1
+    for k in range(n):
+        for r in range(k, n):
+            if aug[r][k]:
                 break
-        if pivot is None:
+        else:
             raise SingularMatrixError(
                 "matrix is singular: determinant = %s"
                 % format_rational(det(rows)))
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [e / pv for e in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [e - f * p for e, p in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+        aug[k], aug[r] = aug[r], aug[k]
+        pivot_tail = aug[k][k + 1:]
+        p = aug[k][k]
+        for i, row in enumerate(aug):
+            f = row[k]
+            if i == k or (not f and p == prev):
+                continue
+            row[k + 1:] = [(p * x - f * y) // prev
+                           for x, y in zip(row[k + 1:], pivot_tail)]
+        prev = p
+    return tuple(tuple(Fraction(d * x, prev) for x in row[n:])
+                 for row in aug)
 
 
 def vector_to_json(v) -> list:

@@ -1086,6 +1086,8 @@ def test_python_dash_m_runs_the_same_main(capsys):
     ["boundary", "Line*Line*Line*Line*Line*Line*Line*Line", "--json"],
     ["catalog", "--json"],
     ["catalog"],
+    ["--help"],
+    ["classify", "--help"],
 ])
 def test_a_closed_stdout_exits_one_with_an_empty_stderr(argv):
     """A reader that closed the pipe before any byte was written."""

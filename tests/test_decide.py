@@ -57,7 +57,7 @@ from cubecrys.sgnperm import (
     signed_permutation_of,
     to_matrix,
 )
-from test_point_table import D4_BASIS, GROUPS, wf4
+from test_point_table import D4_BASIS, GROUPS, b4_generic, wf4
 
 
 def is_signed_permutation_matrix(m: RatMatrix) -> bool:
@@ -658,13 +658,34 @@ CLASSIFY_DIGESTS = {
     "m-skew": "03f2f1aefe1e5429f873f6291d142b59930057d179e87395b0666a91d163a1d1",
     "C2^2.p-skew":
         "511b3b846569f97e9967de79b63937cc1b3511711ff35981dc2a00e9d71e83c0",
+    # Recorded before int_mul took straight-line kernels for n <= 4 and
+    # inverse went fraction-free.
+    "W(F4)":
+        "9a822be9452af4dd6c8e3214e0f40f846e462691ab7b91d720f6af1d57cbb63e",
+    "B4-generic":
+        "7a2d7bddcf1b32c7c8b0b6b122782bf75fc85f88b75b5e67139c741f4567b334",
+    "WF4-sub48":
+        "8cd1829392c5e038d720f41a7668750c97447b7bfa69d3584ecd11a586e3cb56",
 }
+
+
+def _four_dimensional_groups():
+    """W(F4) (1,152 elements, rejected on order), B4 in a generic
+    basis (accepted) and an order-48 subgroup of W(F4) in the D4
+    lattice, rejected on its character: an order-3 element without
+    fixed vectors, which no element of B4 is."""
+    wf = wf4()
+    sub48 = CrystGroup("WF4-sub48", 4, wf.lattice_basis, [
+        [[0, 0, -1, 0], [1, -1, -1, 1], [1, 0, -1, 0], [1, -1, 0, 0]],
+        [[0, 0, -1, 1], [-1, 0, -1, 1], [-1, 1, -1, 0], [-1, 0, 0, 1]],
+    ], [[0] * 4] * 2)
+    return {g.name: g for g in (wf, b4_generic(), sub48)}
 
 
 @pytest.mark.parametrize("name", sorted(CLASSIFY_DIGESTS))
 def test_classify_json_is_pinned(tmp_path, capsys, name):
     g = (catalog_entry(name) if name in CATALOG_NAMES
-         else _pinned_groups()[name])
+         else {**_pinned_groups(), **_four_dimensional_groups()}[name])
     path = tmp_path / "group.json"
     save_group(g, path)
     assert main(["classify", "--json", str(path)]) == 0

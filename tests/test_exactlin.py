@@ -2,11 +2,17 @@
 
 import enum
 import json
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cubecrys
 from cubecrys.exactlin import (
     IndexPairs,
     RatMatrix,
@@ -15,7 +21,11 @@ from cubecrys.exactlin import (
     average_intertwiner,
     det,
     format_rational,
+    STRAIGHT_LINE_MAX,
+    _KERNELS,
+    _loop_mul,
     identity,
+    int_mul,
     inverse,
     json_text,
     matrix_from_json,
@@ -158,6 +168,142 @@ def test_inverse_is_exact(m):
 def test_inverse_with_fractions():
     m = RatMatrix([["1", "-1/2"], ["0", "6/7"]])
     assert m * RatMatrix(inverse(m.entries)) == RatMatrix(identity(2))
+
+
+def fraction_inverse(rows) -> tuple:
+    """The inverse by Gauss-Jordan elimination on Fractions, as
+    exactlin.inverse computed it before it went fraction-free: the
+    oracle, with the same SingularMatrixError text."""
+    n = len(rows)
+    aug = [[Fraction(e) for e in rows[i]]
+           + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = None
+        for r in range(col, n):
+            if aug[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            raise SingularMatrixError(
+                "matrix is singular: determinant = %s"
+                % format_rational(det(rows)))
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [e / pv for e in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [e - f * p for e, p in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def _inverse_or_error(inv, rows):
+    try:
+        return inv(rows)
+    except SingularMatrixError as exc:
+        return "singular", str(exc)
+
+
+def _random_rows(rng, n, zero_share):
+    """n x n rows of ints and Fractions, each entry 0 with zero_share;
+    sparse draws are often singular, and a repeated row makes one
+    singular for sure."""
+    def entry():
+        if rng.random() < zero_share:
+            return 0
+        if rng.random() < 0.5:
+            return rng.randint(-9, 9)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    rows = [tuple(entry() for _ in range(n)) for _ in range(n)]
+    if n > 1 and rng.random() < 0.1:
+        rows[rng.randrange(n)] = rows[rng.randrange(n)]
+    return tuple(rows)
+
+
+def test_inverse_matches_the_fraction_oracle():
+    """n = 1-8, dense and sparse, singular ones included: the same
+    Fraction rows or the same error text."""
+    rng = random.Random(25)
+    singular = 0
+    for k in range(1200):
+        rows = _random_rows(rng, 1 + k % 8, (0.0, 0.4, 0.7)[k % 3])
+        got = _inverse_or_error(inverse, rows)
+        assert got == _inverse_or_error(fraction_inverse, rows), rows
+        if got[0] == "singular":
+            singular += 1
+        else:
+            assert all(type(x) is Fraction for row in got for x in row)
+    assert 50 <= singular <= 1000
+
+
+@pytest.mark.parametrize("size", [30, 80])
+def test_inverse_of_sparse_identity_like_matrices(size):
+    """Permuted, rescaled identities with a few entries off the diagonal,
+    and one made singular by a zero row."""
+    rng = random.Random(size)
+    for trial in range(4):
+        rows = [[0] * size for _ in range(size)]
+        for i, j in enumerate(rng.sample(range(size), size)):
+            rows[i][j] = rng.choice((1, -1, 2, Fraction(1, 3)))
+        for _ in range(size // 10):
+            rows[rng.randrange(size)][rng.randrange(size)] = rng.randint(-3, 3)
+        if trial == 3:
+            rows[rng.randrange(size)] = [0] * size
+        rows = tuple(map(tuple, rows))
+        assert _inverse_or_error(inverse, rows) == \
+            _inverse_or_error(fraction_inverse, rows)
+
+
+def test_each_straight_line_kernel_matches_the_loop():
+    """Random ints up to past 2**63, and Fractions, for n = 1-4."""
+    rng = random.Random(4)
+    for n in range(1, STRAIGHT_LINE_MAX + 1):
+        for bits in (3, 62, 64, 130):
+            for _ in range(50):
+                a, b = ([[rng.randint(-2 ** bits, 2 ** bits)
+                          for _ in range(n)] for _ in range(n)]
+                        for _ in range(2))
+                assert _KERNELS[n](a, b) == int_mul(a, b) == _loop_mul(a, b)
+        a = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+              for _ in range(n)] for _ in range(n)]
+        assert int_mul(a, identity(n)) == _loop_mul(a, identity(n)) \
+            == tuple(map(tuple, a))
+
+
+def test_int_mul_refuses_ragged_rows_on_the_straight_line_path():
+    # Square row counts, so the straight-line kernel is tried first.
+    for a, b in ((((1, 2), (3,)), ((1, 0), (0, 1))),
+                 (((1, 0), (0, 1)), ((1, 2), (3, 4, 5))),
+                 (((1, 2, 3), (4, 5, 6)), ((1, 0), (0, 1)))):
+        assert _KERNELS[2](a, b) is None
+        with pytest.raises(ShapeError):
+            int_mul(a, b)
+    # n x n by n x k is a product that fits: the loop computes it.
+    assert int_mul(((1, 2), (3, 4)), ((1, 0, 1), (0, 1, 1))) == \
+        ((1, 2, 3), (3, 4, 7))
+
+
+def test_int_mul_refuses_shape_mismatches_on_the_loop_path():
+    with pytest.raises(ShapeError, match="a row of 3 entries by 2 rows"):
+        int_mul(((1, 2, 3),), ((1, 0), (0, 1)))
+    with pytest.raises(ShapeError, match="ragged rows"):
+        int_mul(((1, 2),), ((1, 2), (3,)))
+    five = identity(5)
+    with pytest.raises(ShapeError):
+        int_mul(five, five[:4])
+    assert int_mul(five, five) == five
+    assert int_mul(((1, 2, 3),), ((1,), (1,), (1,))) == ((6,),)
+
+
+def test_importing_the_package_compiles_no_kernel():
+    code = ("import cubecrys.cli, cubecrys.exactlin as e; "
+            "assert not e._KERNELS; "
+            "e.int_mul(((1, 2), (3, 4)), e.identity(2)); "
+            "assert sorted(e._KERNELS) == [2]")
+    src = str(Path(cubecrys.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env=dict(os.environ, PYTHONPATH=src))
 
 
 def test_json_round_trips():

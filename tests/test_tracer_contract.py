@@ -61,6 +61,8 @@ def test_every_target_resolves_counts_and_is_restored(tmp_path, capsys):
                      ["dual", str(walls)],
                      ["boundary", "Line*Line", "--json"]):
             assert cli.main(argv) == 0, capsys.readouterr().err
+            if argv[0] == "classify":
+                classify_inverses = tracer.calls.get("exactlin.inverse", 0)
     finally:
         tracer.uninstall()
     capsys.readouterr()
@@ -76,6 +78,9 @@ def test_every_target_resolves_counts_and_is_restored(tmp_path, capsys):
                    for original in originals), name
     for name in ("crys.closure.elements", "walls.classes", "dual.zero_cubes"):
         assert tracer.counters.get(name, 0) > 0, name
+    # The real forms invert the lattice basis through the traced name:
+    # no caller reaches the inverse around its span.
+    assert classify_inverses > 0
     # Every run above, cubulate included, works on integer real forms.
     for name in ("crys.point_group_real", "exactlin.matmul"):
         assert tracer.calls.get(name, 0) == 0, name
