@@ -18,7 +18,8 @@ import json
 import math
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 from operator import and_, eq, mul, rshift
 
 Rational = Fraction
@@ -265,18 +266,37 @@ def matrix_from_json(data) -> tuple:
     return grid
 
 
-_LEAF_ENCODERS = {}
+# pad -> an encoder with "," + pad as its item separator (_new_encoder).
+_ENCODERS = {}
 # Exact types only: a subclass of a scalar type takes the slow path.
 _SCALAR_TYPES = {str, int, float, bool, type(None)}
+_ROW_TYPES = {list, tuple}
+# Raises the TypeError json.dumps raises on an object it cannot encode.
+_DEFAULT = json.JSONEncoder().default
 
 
-def _leaf_encode(pad: str):
-    """The C encoder's `encode`, with `pad` after every item separator."""
-    encode = _LEAF_ENCODERS.get(pad)
-    if encode is None:
-        encode = _LEAF_ENCODERS[pad] = json.JSONEncoder(
-            separators=("," + pad, ": ")).encode
-    return encode
+def _new_encoder(pad: str):
+    """Make and cache the encoder for `pad`: called as enc(obj, 0), it
+    returns the chunks of obj's text with sorted keys and `pad` after
+    every item separator.  It is `json`'s C encoder; an interpreter
+    without `_json` gets the pure-Python one behind the same call."""
+    make = json.encoder.c_make_encoder
+    if make is None:
+        iterencode = json.JSONEncoder(separators=("," + pad, ": "),
+                                      sort_keys=True).iterencode
+
+        def enc(obj, _level):
+            return iterencode(obj, _one_shot=True)
+    else:
+        enc = make(None, _DEFAULT, encode_basestring_ascii, None, ": ",
+                   "," + pad, True, False, True)
+    _ENCODERS[pad] = enc
+    return enc
+
+
+def _encode(obj, pad: str = "") -> str:
+    """The text of obj from the cached encoder for `pad`, in one call."""
+    return "".join((_ENCODERS.get(pad) or _new_encoder(pad))(obj, 0))
 
 
 class IndexPairs(Sequence):
@@ -322,17 +342,64 @@ def json_text(obj) -> str:
     """Exactly json.dumps(obj, indent=2, sort_keys=True), only faster.
 
     An `indent` makes `json` fall back to its pure-Python encoder.  Here
-    dicts and lists are walked in Python, but a list of scalars goes to
-    the C encoder in one call, with the newline and indent carried in
-    its item separator.  An IndexPairs is one join over its keys.
+    dicts and lists are walked in Python, but every leaf goes to one
+    cached C encoder per indent in one call, with the newline and indent
+    carried in its item separator: a scalar, a list of scalars, a whole
+    matrix (a list of non-empty lists of scalars) and a dict of scalars.
+    An IndexPairs is one join over its keys.
     """
     out = []
-    _emit(obj, "\n", out.append)
+    if not _put_leaf(obj, "\n", "", out.append):
+        _emit(obj, "\n", out.append)
     return "".join(out)
 
 
+def _put_leaf(obj, pad: str, head: str, put) -> bool:
+    """Put head and the indent-2 text of obj, nested at indent `pad`,
+    from one encoder call, if obj is a scalar or a list, matrix or dict
+    of scalars, each of an exact type; else put nothing and say so."""
+    kind = type(obj)
+    if kind is str:
+        put(head + encode_basestring_ascii(obj))
+    elif kind in _SCALAR_TYPES:
+        put(head + _encode(obj))
+    elif kind is list or kind is tuple:
+        if not obj:
+            put(head + "[]")
+            return True
+        inner = pad + "  "
+        kinds = set(map(type, obj))
+        if kinds <= _SCALAR_TYPES:
+            put(head + "[" + inner + _encode(obj, inner)[1:-1] + pad + "]")
+        elif (kinds <= _ROW_TYPES and all(obj)
+              and set(map(type, chain.from_iterable(obj))) <= _SCALAR_TYPES):
+            # Encoded at the entries' indent; no encoded string holds a
+            # raw newline, so each "]," + item + "[" is a row break.  The
+            # rows go in a put of their own, so that a large matrix's
+            # text is not copied once more to join it to head and tail.
+            item = inner + "  "
+            put(head + "[" + inner + "[" + item)
+            put(_encode(obj, item)[2:-2].replace(
+                "]," + item + "[", inner + "]," + inner + "[" + item))
+            put(inner + "]" + pad + "]")
+        else:
+            return False
+    elif kind is dict:
+        if not obj:
+            put(head + "{}")
+        elif set(map(type, obj.values())) <= _SCALAR_TYPES:
+            inner = pad + "  "
+            put(head + "{" + inner + _encode(obj, inner)[1:-1] + pad + "}")
+        else:
+            return False
+    else:
+        return False
+    return True
+
+
 def _emit(obj, pad: str, put) -> None:
-    """Append the indent-2 text of obj, nested at indent `pad`, to put."""
+    """Append the indent-2 text of obj, nested at indent `pad`, to put;
+    each leaf value (see _put_leaf) goes with its key or item break."""
     inner = pad + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -344,24 +411,25 @@ def _emit(obj, pad: str, put) -> None:
                 if not (key is None or isinstance(key, (int, float))):
                     raise TypeError("keys must be str, int, float, bool or "
                                     "None, not %s" % type(key).__name__)
-                key = _leaf_encode("")(key)
-            put(sep + _leaf_encode("")(key) + ": ")
-            _emit(value, inner, put)
+                key = _encode(key)
+            head = sep + encode_basestring_ascii(key) + ": "
+            if not _put_leaf(value, inner, head, put):
+                put(head)
+                _emit(value, inner, put)
             sep = "," + inner
         put(pad + "}")
     elif isinstance(obj, IndexPairs):
         _emit_pairs(obj, pad, put)
     elif not isinstance(obj, (list, tuple)):
-        put(_leaf_encode("")(obj))
+        put(_encode(obj))
     elif not obj:
         put("[]")
-    elif set(map(type, obj)) <= _SCALAR_TYPES:
-        put("[" + inner + _leaf_encode(inner)(obj)[1:-1] + pad + "]")
     else:
         sep = "[" + inner
         for value in obj:
-            put(sep)
-            _emit(value, inner, put)
+            if not _put_leaf(value, inner, sep, put):
+                put(sep)
+                _emit(value, inner, put)
             sep = "," + inner
         put(pad + "]")
 
@@ -394,7 +462,8 @@ def write_json(path, data) -> None:
     """Write a file format's JSON form: sorted keys, indent 2, newline."""
     text = json_text(data)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.write(text)
+        fh.write("\n")
 
 
 def read_json(path, error):

@@ -10,9 +10,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 import cubecrys
+from cubecrys import exactlin
 from cubecrys.exactlin import (
     IndexPairs,
     RatMatrix,
@@ -316,9 +317,11 @@ def test_json_round_trips():
     assert matrix_to_json(((1, 0), (-2, 3))) == [["1", "0"], ["-2", "3"]]
 
 
-# Strings that look like the separators and brackets json_text splices.
+# Strings that look like the separators and brackets json_text splices,
+# the row break of a matrix at each of its first indents included.
 _TRICKY = st.sampled_from(['"', "]", ",", "\n", "\u00e9\u6f22", "[]",
-                           "],\n  [", "{", "a\\b"])
+                           "],\n  [", "{", "a\\b"]
+                          + ["],\n" + " " * k + "[" for k in (4, 6, 8, 10)])
 _TEXT = st.one_of(st.text(max_size=6), _TRICKY)
 _NUMBERS = st.one_of(
     st.integers(min_value=-3, max_value=3),
@@ -333,17 +336,25 @@ _KEY_FAMILIES = st.sampled_from([
     st.one_of(st.integers(min_value=-10 ** 30, max_value=10 ** 30),
               st.floats(allow_nan=False), st.booleans()),
     st.none()])
-# Rows of numbers (json_text's one-call path), some empty, some ragged,
-# and some nested one level deeper, which must fall back.
+# Matrices (json_text's one-call path): rows of numbers or strings, as
+# lists or tuples, 1 x 1 and single rows included; some rows empty or
+# ragged, and some nested one level deeper, which must fall back.
 _ROWS = st.lists(st.one_of(
     st.lists(_NUMBERS, max_size=4),
     st.lists(_NUMBERS, max_size=3).map(tuple),
+    st.lists(_TEXT, min_size=1, max_size=3),
+    st.lists(_SCALARS, min_size=1, max_size=2).map(tuple),
     st.lists(st.lists(_NUMBERS, max_size=2), max_size=2)), max_size=4)
+_MATRICES = st.one_of(_ROWS, _ROWS.map(tuple))
+# Dicts whose values are all scalars (the other one-call path).
+_SCALAR_DICTS = _KEY_FAMILIES.flatmap(
+    lambda keys: st.dictionaries(keys, _SCALARS, max_size=4))
 
 
 def _json_trees():
     return st.recursive(
-        st.one_of(_SCALARS, _ROWS, st.just([]), st.just({}), st.just(())),
+        st.one_of(_SCALARS, _MATRICES, _SCALAR_DICTS, st.just([]),
+                  st.just({}), st.just(())),
         lambda children: st.one_of(
             st.lists(children, max_size=4),
             st.lists(children, max_size=3).map(tuple),
@@ -358,16 +369,34 @@ def test_json_text_is_json_dumps_indent_2(tree):
     assert json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
 
 
+_HAND_CASES = [
+    [], {}, (), 0, "x", None, [[]], [[], []], [[1], []], [[1, [2]]],
+    [[1, 2], [3, 4, 5]], ([1.5, -2], (3,)), [["a", 1]], [[{"a": 1}]],
+    {1: [], 2.5: {}, True: [[0]]}, {None: [1e300, float("nan")]},
+    {"edges": [[0, 1], [1, 2]], "zero_cubes": ["01", "11"]},
+    [10 ** 40, -10 ** 40, [10 ** 40]],
+    # Matrices: strings that look like a row break, tuple rows, 1 x 1,
+    # and one empty row (the fallback).
+    [["],\n    [", "1/2"], ["a\nb", "],\n  ["]], {"m": [["],\n      ["]]},
+    ((1, 2), (3, 4)), [[0]], [(True, None, -0.0)], [[1, 2], [], [3]],
+    # Dicts of scalars under each key family, and nested.
+    {"b": 1, "a": "],\n  [", "c": None}, {2: "x", 1.5: True, False: 0},
+    {None: float("inf")}, {"x": {"y": {"z": -1}}}, [{"k": 1}, {"k": 2}],
+]
+
+
 def test_json_text_hand_cases():
-    cases = [
-        [], {}, (), 0, "x", None, [[]], [[], []], [[1], []], [[1, [2]]],
-        [[1, 2], [3, 4, 5]], ([1.5, -2], (3,)), [["a", 1]], [[{"a": 1}]],
-        {1: [], 2.5: {}, True: [[0]]}, {None: [1e300, float("nan")]},
-        {"edges": [[0, 1], [1, 2]], "zero_cubes": ["01", "11"]},
-        [10 ** 40, -10 ** 40, [10 ** 40]],
-    ]
-    for x in cases:
+    for x in _HAND_CASES:
         assert json_text(x) == json.dumps(x, indent=2, sort_keys=True), x
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SCALAR_DICTS, st.integers(min_value=0, max_value=3))
+def test_json_text_of_nested_scalar_dicts(leaf, depth):
+    tree = leaf
+    for level in range(depth):
+        tree = {"k%d" % level: tree, "other": [level]}
+    assert json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
 
 
 def test_json_text_rejects_what_json_rejects():
@@ -376,6 +405,67 @@ def test_json_text_rejects_what_json_rejects():
             json.dumps(bad, indent=2, sort_keys=True)
         with pytest.raises(TypeError):
             json_text(bad)
+
+
+def test_json_text_writes_each_leaf_in_one_encoder_call(monkeypatch):
+    # A classify-shaped report: each matrix, scalar list and scalar dict
+    # must reach an encoder whole, never row by row or entry by entry.
+    calls = []
+    make = exactlin._new_encoder
+
+    def counting(pad):
+        enc = make(pad)
+
+        def counted(obj, level):
+            calls.append(obj)
+            return enc(obj, level)
+        exactlin._ENCODERS[pad] = counted
+        return counted
+
+    monkeypatch.setattr(exactlin, "_ENCODERS", {})
+    monkeypatch.setattr(exactlin, "_new_encoder", counting)
+    elements = [{"point_element": [["0", "-1"], ["1", "0"]],
+                 "image": {"perm": [2, 1], "signs": [1, -1]},
+                 "conjugation_residual": [["0", "0"], ["0", "0"]]}
+                for _ in range(3)]
+    tree = {"command": "classify", "group": "p4", "verdict": "accepted",
+            "classification": {"basis": [["1", "0"], ["0", "1"]],
+                               "conjugator": [["1", "1"], ["0", "1"]],
+                               "elements": elements,
+                               "verdict": "accepted"},
+            "counts": {"elements": 3, "generators": 1, "missing": None}}
+    leaves = [tree["classification"]["basis"],
+              tree["classification"]["conjugator"], tree["counts"]]
+    for e in elements:
+        leaves += [e["point_element"], e["image"]["perm"],
+                   e["image"]["signs"], e["conjugation_residual"]]
+    assert json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+    assert sorted(map(id, calls)) == sorted(map(id, leaves))
+
+
+def test_json_text_without_the_c_encoder():
+    # An interpreter without `_json` has no C encoder: the same factory
+    # then makes pure-Python encoders, with the same text.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(json.encoder, "c_make_encoder", None)
+        mp.setattr(exactlin, "_ENCODERS", {})
+        for x in _HAND_CASES:
+            assert json_text(x) == json.dumps(x, indent=2, sort_keys=True), x
+
+        @seed(0)
+        @settings(max_examples=100, deadline=None)
+        @given(_json_trees())
+        def same_text(tree):
+            assert json_text(tree) == json.dumps(tree, indent=2,
+                                                 sort_keys=True)
+
+        same_text()
+        for bad in ({(1, 2): 0}, {"a": object()}, [[object()]]):
+            with pytest.raises(TypeError):
+                json_text(bad)
+        assert exactlin._ENCODERS
+        assert not any(type(enc).__module__ == "_json"
+                       for enc in exactlin._ENCODERS.values())
 
 
 # IndexPairs: (count, shift, sorted keys u << shift | v with u, v below
