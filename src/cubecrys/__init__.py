@@ -9,6 +9,4 @@ boundaries of products of elementary complexes.
 
 __version__ = "0.1.0"
 
-from cubecrys.exactlin import Rational
-
-__all__ = ["Rational", "__version__"]
+__all__ = ["__version__"]

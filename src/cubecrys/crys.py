@@ -58,7 +58,8 @@ from cubecrys.exactlin import (
 # |W(F4)|, the largest finite subgroup of GL(4, Z).  It bounds every
 # point group in scope: dimension at most 4, and the groups built by
 # semidirect_extend and stabilize, which are isomorphic to one of those
-# (each checks that on its input's table and closes nothing).
+# (checked on the input's table by semidirect_extend and by the wall
+# family, and neither closes anything).
 CLOSURE_CAP = 1152
 
 GROUP_FORMAT = "cubecrys-group/1"
@@ -113,8 +114,12 @@ class PointTable:
         images[j]) the first time element k * j is reached, compared
         with it every later time; a mismatch (None) means the images
         break a relation of the point group.  Breadth-first order sets
-        values[k] before row k is walked.
+        values[k] before row k is walked.  There must be one image per
+        generator (else ValueError).
         """
+        if len(images) != len(self.next[0]):
+            raise ValueError("%d generator images for %d generators"
+                             % (len(images), len(self.next[0])))
         values = [None] * len(self.elements)
         values[0] = one
         for k, row in enumerate(self.next):

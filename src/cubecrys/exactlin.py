@@ -1,8 +1,5 @@
 """Exact rational scalars and matrices as plain rows.
 
-`Rational` is the standard library `fractions.Fraction`: it already
-guarantees lowest terms, a positive denominator and arbitrary-precision
-integer arithmetic, which is the entire contract we need from a scalar.
 A vector is a tuple and a matrix is a tuple of row tuples, of ints or
 Fractions; every rational entry that comes from a file or a library
 constructor is read by parse_rational, which refuses bools and floats.
@@ -21,8 +18,6 @@ from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import and_, eq, mul, rshift
-
-Rational = Fraction
 
 
 class ShapeError(ValueError):

@@ -300,22 +300,10 @@ class SimplicialComplex:
             "edges": [list(e) for e in edge_list],
         }
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "SimplicialComplex":
-        verts = [_label_from_json(v) for v in d["vertices"]]
-        edges = [(verts[i], verts[j]) for i, j in d["edges"]]
-        return SimplicialComplex(verts, edges)
-
 
 def _label_to_json(v):
     if isinstance(v, tuple):
         return [_label_to_json(x) for x in v]
-    return v
-
-
-def _label_from_json(v):
-    if isinstance(v, list):
-        return tuple(_label_from_json(x) for x in v)
     return v
 
 

@@ -16,18 +16,18 @@ crys.integer_real_forms, the ones the decider reads: the scale d never
 changes a line, and the dual coordinates are int rows over one
 denominator.  Only the generators' forms are applied to the classes;
 the action of every other element, a signed permutation of the N
-classes, follows along the point table (crys.PointTable.extend), as
-the decider's embedding does.
+classes, follows along the point table (crys.PointTable.extend) once
+per WallFamily, which checks that it is an injective homomorphism.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
-from cubecrys.crys import CrystGroup, integer_real_forms, validate
+from cubecrys.crys import CrystGroup, PointTable, integer_real_forms, validate
 from cubecrys.exactlin import (
     ShapeError,
     SingularMatrixError,
@@ -128,18 +128,35 @@ class GeometricWall:
 
 @dataclass(frozen=True)
 class WallFamily:
-    """Base walls of a basis plus the point-group direction classes."""
+    """Base walls of a basis plus the point-group direction classes.
+
+    generators, the point generators' signed permutations of the
+    classes, extend along table to action, one per point element, which
+    must be an injective homomorphism (else InternalError).  action and
+    class_count are derived, so no family holds an unchecked action.
+    """
 
     basis: tuple
     # (e, rows): the inverse basis matrix as e times it in int rows.
     dual_matrix: tuple
     base_walls: tuple
     classes: tuple
-    class_count: int
-    # The integer real forms (d, forms) the family was built for and, in
-    # the same order, the signed permutation each induces on the classes.
+    # The integer real forms (d, forms) and point table it was built on.
     forms: tuple
-    action: tuple
+    generators: tuple
+    table: PointTable = field(compare=False, repr=False)
+    class_count: int = field(init=False)
+    action: tuple = field(init=False)
+
+    def __post_init__(self):
+        count = len(self.classes)
+        action = self.table.extend(
+            SignedPermutation.identity(count), self.generators, mul)
+        if action is None or len(set(action)) != len(action):
+            raise InternalError("the action on the classes is not %s" % (
+                "a homomorphism" if action is None else "injective"))
+        object.__setattr__(self, "class_count", count)
+        object.__setattr__(self, "action", tuple(action))
 
     def to_json_dict(self) -> dict:
         return {
@@ -181,8 +198,7 @@ def direction_class_count(g: CrystGroup, basis) -> WallFamily:
     basis lines first, then each basis line's orbit in point_elements
     order, where element k moves a class along its generator word,
     last letter first.  The generators' signed permutations, relabelled
-    into that numbering, are extended to every element once by
-    PointTable.extend, which also checks that they form a homomorphism.
+    into that numbering, go to WallFamily, which extends and checks them.
     """
     basis, b_inv = _basis_and_inverse(g, basis)
     _, forms = integer_real_forms(g)
@@ -227,22 +243,18 @@ def direction_class_count(g: CrystGroup, basis) -> WallFamily:
             if position[x] is None:
                 position[x] = len(order)
                 order.append(x)
-    action = table.extend(
-        SignedPermutation.identity(count),
-        [SignedPermutation([position[perm[c]] + 1 for c in order],
-                           [sign[c] for c in order])
-         for perm, sign in zip(perms, signs)], mul)
-    if action is None:
-        raise InternalError("the action on the classes is not a homomorphism")
     dual_matrix = integral(b_inv)
     return WallFamily(
         basis=tuple(basis),
         dual_matrix=dual_matrix,
         base_walls=tuple(GeometricWall(row, 0) for row in dual_matrix[1]),
         classes=tuple(walked[c] for c in order),
-        class_count=count,
         forms=integer_real_forms(g),
-        action=tuple(action),
+        generators=tuple(
+            SignedPermutation([position[perm[c]] + 1 for c in order],
+                              [sign[c] for c in order])
+            for perm, sign in zip(perms, signs)),
+        table=table,
     )
 
 
@@ -373,9 +385,9 @@ def induced_action_on_RN(g: CrystGroup, fam: WallFamily) -> tuple:
     an element's sign on a class is the sign of the rational scalar
     relating the image of the representative to the canonical
     representative of the image line.  The result is a homomorphism
-    into the signed permutations on N letters, recorded by
-    direction_class_count: one signed permutation per point element,
-    in point_elements order.
+    into the signed permutations on N letters, extended and checked
+    by the WallFamily: one signed permutation per point element, in
+    point_elements order.
     """
     if integer_real_forms(g) != fam.forms:
         raise InternalError("the wall family was built for another group")
@@ -390,27 +402,16 @@ def stabilize(g: CrystGroup, fam: WallFamily = None) -> CrystGroup:
     the identity as conjugator, because its real form already consists
     of signed permutation matrices.  N is computed from the lattice
     basis unless a wall family of g for another basis is supplied, and
-    the output carries m = N - n extra translation directions.
-
-    The output's point group is the image of the induced action, so it
-    is isomorphic to g's exactly when the action is an injective
-    homomorphism.  fam is the caller's, so that is checked here: the
-    generators' signed permutations, extended along g's point table by
-    PointTable.extend, must give fam's action, with |P| distinct
-    images.  The output's own table is never built.
+    the output carries m = N - n extra translation directions.  Its
+    point generators are fam's, whose checked injective action makes
+    its point group isomorphic to g's without building its table.
     """
     validate(g)
     if fam is None:
         fam = direction_class_count(g, zip(*g.lattice_basis))
-    action = induced_action_on_RN(g, fam)
-    table = g.point_table()
-    gens = [action[k] for k in table.next[0]]
-    if table.extend(action[0], gens, mul) != list(action):
-        raise InternalError("the induced action is not a homomorphism")
-    if len(set(action)) != len(table.elements):
-        raise InternalError("the induced action is not injective")
+    induced_action_on_RN(g, fam)  # refuses a family of another group
     n_classes = fam.class_count
-    new_gens = [to_matrix(s) for s in gens]
+    new_gens = [to_matrix(s) for s in fam.generators]
     return CrystGroup(
         name=g.name + "-stab",
         dimension=n_classes,

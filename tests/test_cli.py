@@ -16,8 +16,14 @@ import pytest
 import cubecrys
 from cubecrys import boundary, cli, dual
 from cubecrys.boundary import parse_product, product_boundary
-from cubecrys.crys import catalog_entry, save_group
-from cubecrys.decide import HyperoctahedralWitness
+from cubecrys.crys import (
+    PointTable,
+    catalog_entry,
+    group_from_json_dict,
+    save_group,
+    validate,
+)
+from cubecrys.decide import HyperoctahedralWitness, is_hyperoctahedral
 from cubecrys.dual import (
     CubeComplex,
     FiniteWallspace,
@@ -25,6 +31,8 @@ from cubecrys.dual import (
     save_wallspace,
     seeded_wallspaces,
 )
+from cubecrys.exactlin import identity
+from cubecrys.sgnperm import SignedPermutation
 from cubecrys.walls import GeometricWall
 from stored_edge_complex import stored_edge_dual
 from test_decide import _pinned_groups
@@ -401,6 +409,35 @@ def test_cubulate_builds_the_wall_family_once(capsys, tmp_path, monkeypatch):
     report = run_json(capsys, "cubulate", group_file(tmp_path, "p6"))
     assert report["N"] == 3
     assert len(calls) == 1
+
+
+def test_cubulate_extends_the_class_action_once(capsys, tmp_path,
+                                                monkeypatch):
+    """The wall family extends the generators' signed permutations of
+    B4-generic's 268 classes; stabilize does not extend them again."""
+    extend = PointTable.extend
+    ones = []
+
+    def counted(self, one, images, product):
+        ones.append(one)
+        return extend(self, one, images, product)
+
+    monkeypatch.setattr(PointTable, "extend", counted)
+    path = tmp_path / "b4-generic.json"
+    save_group(b4_generic(), path)
+    assert run_json(capsys, "cubulate", str(path))["N"] == 268
+    assert ones.count(SignedPermutation.identity(268)) == 1
+
+
+def test_cubulate_stabilized_groups_read_back_as_accepted_group_files(
+        capsys, tmp_path):
+    for name in ("p3", "p3m1", "p31m", "p6", "p6m", "W", "ZxW"):
+        report = run_json(capsys, "cubulate", group_file(tmp_path, name))
+        s = group_from_json_dict(report["stabilized_group"])
+        assert validate(s).dimension == report["N"], name
+        witness = is_hyperoctahedral(s)
+        assert isinstance(witness, HyperoctahedralWitness), name
+        assert witness.conjugator == identity(report["N"]), name
 
 
 def test_cubulate_witness_basis_checks_the_witness_once(capsys, tmp_path,

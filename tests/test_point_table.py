@@ -27,6 +27,7 @@ from cubecrys.crys import (
     CLOSURE_CAP,
     CrystGroup,
     StructureError,
+    catalog_entry,
     load_catalog,
     point_group_real,
     save_group,
@@ -392,6 +393,24 @@ def test_the_class_action_checks_only_the_generators(monkeypatch):
     assert len(calls) <= len(g.point_generators) + 1 == 4
 
 
+def test_stabilize_makes_no_product_on_a_built_family(monkeypatch):
+    """The family made and checked the action; stabilize only reads
+    its generators."""
+    g = b4_generic()
+    fam = direction_class_count(g, zip(*g.lattice_basis))
+    calls = []
+    product = SignedPermutation.__mul__
+
+    def counting_mul(self, other):
+        calls.append(len(self.perm))
+        return product(self, other)
+
+    monkeypatch.setattr(SignedPermutation, "__mul__", counting_mul)
+    s = stabilize(g, fam)
+    assert calls == []
+    assert s.point_generators == tuple(to_matrix(t) for t in fam.generators)
+
+
 def test_a_stabilized_group_shares_its_three_entry_values():
     """Its lattice basis, generators and translation parts hold only 0,
     1 and -1, read by parse_rational as one shared Fraction each."""
@@ -413,6 +432,20 @@ def test_extension_matches_the_words_oracle(g):
         for images in itertools.product(*candidates):
             assert _extend_assignment(g, images) == \
                 words_extend_assignment(g, images)
+
+
+def test_extend_needs_one_image_per_generator():
+    """A wrong count is refused before the walk, not cut short by zip."""
+    p4 = catalog_entry("p4").point_table()
+    r = p4.elements[p4.next[0][0]]
+    for images, message in (([r, r], "2 generator images for 1"),
+                            ([], "0 generator images for 1")):
+        with pytest.raises(ValueError, match=message):
+            p4.extend(identity(2), images, int_mul)
+    p4m = catalog_entry("p4m").point_table()
+    with pytest.raises(ValueError, match="1 generator images for 2"):
+        p4m.extend(identity(2), [r], int_mul)
+    assert p4.extend(identity(2), [r], int_mul) == list(p4.elements)
 
 
 def test_b4_closes_validates_and_is_accepted():

@@ -193,8 +193,8 @@ def test_relabel_and_json_round_trip():
     c = SimplicialComplex([(1, "x"), (2, "y")], [((1, "x"), (2, "y"))])
     shifted = c.relabel(lambda v: ("tag",) + v)
     assert ("tag", 1, "x") in shifted.vertices
-    back = SimplicialComplex.from_json_dict(c.to_json_dict())
-    assert back == c
+    assert c.to_json_dict() == {"vertices": [[1, "x"], [2, "y"]],
+                                "edges": [[0, 1]]}
 
 
 def test_qn_f_vectors():

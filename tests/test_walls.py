@@ -431,25 +431,39 @@ def test_stabilize_every_rejected_catalog_group():
 
 
 def test_stabilize_refuses_an_action_that_is_no_homomorphism():
-    # Swapping two images off the generators keeps the generators, so
-    # the closure of the stabilized group still has 8 elements; only the
-    # check along the input's point table sees the broken action.
+    # stabilize reads the family's checked generators, and a family
+    # whose generator images break a relation of the point group is
+    # never built: swapping p4m's two images does.  Nor can a family's
+    # action be replaced after the check.
     g = catalog_entry("p4m")
     fam = direction_class_count(g, zip(*g.lattice_basis))
+    a, b = fam.generators
+    with pytest.raises(InternalError, match="not a homomorphism"):
+        dataclasses.replace(fam, generators=(b, a))
     gens = set(g.point_table().next[0])
     p, q = [k for k in range(1, len(fam.action)) if k not in gens][:2]
     action = list(fam.action)
     action[p], action[q] = action[q], action[p]
-    broken = dataclasses.replace(fam, action=tuple(action))
-    with pytest.raises(InternalError, match="not a homomorphism"):
-        stabilize(g, broken)
+    with pytest.raises(ValueError):
+        dataclasses.replace(fam, action=tuple(action))
 
 
 def test_stabilize_refuses_an_action_that_is_not_injective():
     g = catalog_entry("p4m")
     fam = direction_class_count(g, zip(*g.lattice_basis))
-    flat = dataclasses.replace(
-        fam, action=(SignedPermutation.identity(fam.class_count),)
-        * len(fam.action))
+    one = SignedPermutation.identity(fam.class_count)
     with pytest.raises(InternalError, match="not injective"):
-        stabilize(g, flat)
+        dataclasses.replace(fam, generators=(one,) * len(fam.generators))
+    with pytest.raises(ValueError):
+        dataclasses.replace(fam, action=(one,) * len(fam.action))
+
+
+def test_a_family_refuses_an_extra_generator_image():
+    # Without the count check, the extension would ignore the extra
+    # image and stabilize would make it a generator of its output.
+    g = catalog_entry("p4")
+    fam = direction_class_count(g, zip(*g.lattice_basis))
+    extra = SignedPermutation([2, 1], [1, 1])
+    with pytest.raises(ValueError, match="2 generator images for 1"):
+        dataclasses.replace(fam, generators=fam.generators + (extra,))
+    assert dataclasses.replace(fam, generators=fam.generators) == fam
