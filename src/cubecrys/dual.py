@@ -14,7 +14,10 @@ convex combination of them is, and only n + 2 combinations need
 checking), run on integers: the window and both sides of each wall are
 scaled to integers once, by positive factors.  Orientations are
 enumerated by breadth-first wall flipping from the base point's
-orientation, never by scanning all 2^W side choices.
+orientation, never by scanning all 2^W side choices, and only outward:
+flip distance between 0-cubes is the number of walls they differ on,
+so a wall on which an orientation already differs from the base
+point's is never flipped back.
 
 A complex is the dual that the flip walk enumerated, stored as its
 0-cube bitmasks and one 8-byte code per edge.  Two 0-cubes of a dual
@@ -23,8 +26,9 @@ subgraph of the hypercube induced on its 0-cubes; Chepoi), so
 adjacency and links are derived on demand.  The flip walk keeps each
 edge as it crosses it; the edge list and the JSON layout sort those
 codes when asked.  The JSON edge list is an IndexPairs over the sorted
-codes, which json_text renders in one join, with no [u, v] list per
-edge.  The complex file is written, never read.
+codes, which json_text renders in one join over index-string tables
+made once, with no [u, v] list per edge.  The complex file is written,
+never read.
 
 A complex is in turn the dual of its own hyperplanes: two hyperplane
 sides meet exactly when some 0-cube lies on both, so their
@@ -44,7 +48,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from itertools import repeat
 from math import gcd
-from operator import mul, xor
+from operator import mul
 
 from cubecrys.exactlin import (
     IndexPairs,
@@ -384,21 +388,6 @@ class CubeComplex:
                 out[j] = nb
         return out
 
-    def bfs_distances(self, start: int) -> list:
-        bits = self._bits
-        get = self._index.get
-        flips = [1 << j for j in range(self.num_walls)]
-        dist = [-1] * len(bits)
-        dist[start] = 0
-        queue = [start]
-        for at in queue:
-            step = dist[at] + 1
-            for nb in map(get, map(xor, repeat(bits[at]), flips)):
-                if nb is not None and dist[nb] < 0:
-                    dist[nb] = step
-                    queue.append(nb)
-        return dist
-
     def to_json_dict(self) -> dict:
         """The complex file's dict.  Its "edges" is an IndexPairs over
         the sorted edge codes: it equals the list of [u, v] rows, and
@@ -457,19 +446,37 @@ def _flip_closure(forbid, start: int, within=None):
     """All bitmasks reached from start by flips that meet every clause.
 
     Bit k of forbid[j][s][t] is set when side s of wall j rules out
-    side t of wall k.  start must meet every clause, so a flip of wall
-    j is tested against wall j's clauses only, and only when it reaches
-    a new bitmask: a flip between two reached bitmasks is valid, as both
-    ends meet every clause.  Returns (queue, index, codes, realized):
-    queue[k] is the k-th bitmask reached in breadth-first order and
-    index[queue[k]] == k; codes is an array("q") holding each flip
-    between reached bitmasks once, as u << W | v with u < v and W the
-    wall count, in walk order; realized has bit j set when some flip
-    crosses wall j.  With `within`, the walk only checks membership:
-    codes stays empty, and None is returned as soon as a bitmask
-    outside `within` is reached.
+    side t of wall k, and the table is symmetric: bit j of forbid[k][t][s]
+    is then set too.  start must meet every clause, so a flip of wall j
+    is tested against wall j's clauses only, and only when it reaches a
+    new bitmask: a flip between two reached bitmasks is valid, as both
+    ends meet every clause.
+
+    Only outward flips are tried: a wall on which the bitmask at hand
+    already differs from start is never flipped back.  The reached
+    bitmasks are the solutions of the table that are flip-connected to
+    start.  Solutions of 2-clauses are closed under the wallwise
+    majority (Schaefer), so on them flip distance is Hamming distance:
+    map each point p of a path from u to v to maj(u, v, p); the images
+    are solutions in the interval between u and v, consecutive images
+    differ on at most one wall, and the first image other than u is one
+    wall of u ^ v nearer v.  So the bitmask at breadth-first level d
+    differs from start on d walls, and a flip toward start lands either
+    on level d - 1, where the walk already kept that flip, or on a
+    non-solution.  An outward flip lands on level d + 1, so it is never
+    a back edge, and it gives wall j the side that start lacks, so one
+    clause pair per wall is read.
+
+    Returns (queue, index, codes, realized): queue[k] is the k-th
+    bitmask reached in breadth-first order and index[queue[k]] == k;
+    codes is an array("q") holding each flip between reached bitmasks
+    once, as u << W | v with u < v and W the wall count, in walk order;
+    realized has bit j set when some flip crosses wall j.  With
+    `within`, the walk only checks membership: codes stays empty, and
+    None is returned as soon as a bitmask outside `within` is reached.
     """
-    flips = [(1 << j, *minus, *plus) for j, (minus, plus) in enumerate(forbid)]
+    flips = [(1 << j, *rules[0 if start >> j & 1 else 1])
+             for j, rules in enumerate(forbid)]
     shift = len(forbid)
     queue = [start]
     index = {start: 0}
@@ -480,14 +487,14 @@ def _flip_closure(forbid, start: int, within=None):
     realized = 0
     for at, bits in enumerate(queue):
         code = at << shift
-        for bit, minus0, minus1, plus0, plus1 in flips:
+        out = bits ^ start
+        for bit, rule0, rule1 in flips:
+            if out & bit:
+                continue
             flipped = bits ^ bit
             to = get(flipped)
             if to is None:
-                if flipped & bit:
-                    if flipped & plus1 or ~flipped & plus0:
-                        continue
-                elif flipped & minus1 or ~flipped & minus0:
+                if flipped & rule1 or ~flipped & rule0:
                     continue
                 if within is not None and flipped not in within:
                     return None
@@ -497,9 +504,6 @@ def _flip_closure(forbid, start: int, within=None):
                 # breadth-first tree too: a tree path joins the flip's
                 # two ends.
                 realized |= bit
-            elif to < at:
-                # Kept when the walk stood at `to`.
-                continue
             keep(code | to)
     return queue, index, codes, realized
 
@@ -539,7 +543,10 @@ def dual_complex(ws: FiniteWallspace) -> CubeComplex:
 
 
 def distance(c: CubeComplex, x: Orientation, y: Orientation) -> int:
-    """Number of walls on which x and y differ (= graph distance)."""
+    """Number of walls on which x and y differ (= graph distance: the
+    0-cubes are majority-closed, so a path from x to y mapped by
+    maj(x, y, .) shortens to one that flips each separating wall once;
+    see _flip_closure)."""
     c.index_of(x)
     c.index_of(y)
     return (x.bits ^ y.bits).bit_count()

@@ -17,7 +17,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from operator import and_, eq, mul, rshift
+from operator import add, and_, eq, mul, rshift
 
 
 class ShapeError(ValueError):
@@ -432,9 +432,12 @@ def _emit(obj, pad: str, put) -> None:
 def _emit_pairs(pairs: IndexPairs, pad: str, put) -> None:
     """Emit the rows of pairs in one join over two string tables.
 
-    Row u's head is str(u) and the item break; row v's tail is str(v)
-    and the break to the next row.  The keys pick a head and a tail
-    each, and the last break is cut.
+    The index strings are made once.  Row u's head is str(u) and the
+    item break; row v's tail is str(v) and the break to the next row.
+    Both tables, and the flat list of the keys' heads and tails, are
+    built by C-level maps.  The last row's tail ends the rows instead,
+    and the opening, the joined rows and the closing are put apart, so
+    the rows' text is never copied to cut or to wrap it.
     """
     keys, count, shift = pairs._keys, pairs._count, pairs._shift
     if not keys:
@@ -442,15 +445,18 @@ def _emit_pairs(pairs: IndexPairs, pad: str, put) -> None:
         return
     row_pad = pad + "  "
     item_pad = row_pad + "  "
-    step = "," + row_pad + "[" + item_pad
-    heads = [s + "," + item_pad for s in map(str, range(count))]
-    tails = [s + row_pad + "]" + step for s in map(str, range(count))]
+    mask = (1 << shift) - 1
+    strs = list(map(str, range(count)))
+    heads = list(map(add, strs, repeat("," + item_pad)))
+    tails = list(map(add, strs,
+                     repeat(row_pad + "]," + row_pad + "[" + item_pad)))
     flat = [None] * (2 * len(keys))
     flat[0::2] = map(heads.__getitem__, map(rshift, keys, repeat(shift)))
-    flat[1::2] = map(tails.__getitem__, map(and_, keys,
-                                            repeat((1 << shift) - 1)))
-    put("[" + row_pad + "[" + item_pad + "".join(flat)[:-len(step)]
-        + pad + "]")
+    flat[1::2] = map(tails.__getitem__, map(and_, keys, repeat(mask)))
+    flat[-1] = strs[keys[-1] & mask] + row_pad + "]"
+    put("[" + row_pad + "[" + item_pad)
+    put("".join(flat))
+    put(pad + "]")
 
 
 def write_json(path, data) -> None:

@@ -237,9 +237,6 @@ class SimplicialComplex:
     def has_edge(self, a, b) -> bool:
         return frozenset((a, b)) in self.edges
 
-    def degree_sequence(self) -> tuple:
-        return tuple(sorted(len(self._adjacency[v]) for v in self.vertices))
-
     def cliques(self):
         """Every nonempty clique of the 1-skeleton, i.e. every simplex,
         generated one at a time."""

@@ -10,6 +10,10 @@ It is also the one complex that may leave out induced edges: the tests
 build hand-made and edge-dropped complexes as StoredEdgeComplex, and
 is_median_complex judges them by dual.is_median_set on their 0-cubes
 plus the check for left-out edges.
+
+It also keeps what only the tests read off a complex: breadth-first
+distances along a complex's edges, and a simplicial complex's degree
+sequence.
 """
 
 from cubecrys.dual import (
@@ -85,20 +89,6 @@ class StoredEdgeComplex:
     def neighbors(self, idx: int) -> dict:
         return dict(self._adjacency[idx])
 
-    def bfs_distances(self, start: int) -> list:
-        dist = [-1] * len(self.orientations)
-        dist[start] = 0
-        queue = [start]
-        head = 0
-        while head < len(queue):
-            at = queue[head]
-            head += 1
-            for nb in self._adjacency[at].values():
-                if dist[nb] < 0:
-                    dist[nb] = dist[at] + 1
-                    queue.append(nb)
-        return dist
-
     def to_json_dict(self) -> dict:
         if self.wallspace is not None:
             walls_json = [w.to_json_dict() for w in self.wallspace.walls]
@@ -110,6 +100,27 @@ class StoredEdgeComplex:
             "zero_cubes": [o.to_bitstring() for o in self.orientations],
             "edges": [[u, v] for u, v, _ in self.edges],
         }
+
+
+def bfs_distances(c, start: int) -> list:
+    """Breadth-first distances from 0-cube `start` along the edges of c,
+    a walked dual or a StoredEdgeComplex; -1 marks an unreached 0-cube.
+    A real search over c.neighbors, not a count of separating walls."""
+    dist = [-1] * c.vertex_count()
+    dist[start] = 0
+    queue = [start]
+    for at in queue:
+        step = dist[at] + 1
+        for nb in c.neighbors(at).values():
+            if dist[nb] < 0:
+                dist[nb] = step
+                queue.append(nb)
+    return dist
+
+
+def degree_sequence(c) -> tuple:
+    """The sorted vertex degrees of a SimplicialComplex."""
+    return tuple(sorted(map(c.degree, c.vertices)))
 
 
 def stored_edge_walk(forbid, start, within=None):

@@ -41,6 +41,7 @@ from cubecrys.sgnperm import build_Qn
 from cubecrys.walls import GeometricWall
 from stored_edge_complex import (
     StoredEdgeComplex,
+    bfs_distances,
     is_median_complex,
     left_out_edges,
     stored_edge_dual,
@@ -477,7 +478,7 @@ def test_distance_agrees_with_the_edge_graph():
     for ws in seeded_wallspaces(count=5, seed=21, max_walls=7):
         c = dual_complex(ws)
         for start in range(c.vertex_count()):
-            bfs = c.bfs_distances(start)
+            bfs = bfs_distances(c, start)
             o = c.orientations[start]
             for j, d in enumerate(bfs):
                 assert d == distance(c, o, c.orientations[j])
@@ -532,7 +533,7 @@ def cubic_is_median_graph(c):
     count = c.vertex_count()
     bits_list = [o.bits for o in c.orientations]
     index = c._index
-    dist = [c.bfs_distances(i) for i in range(count)]
+    dist = [bfs_distances(c, i) for i in range(count)]
     for i in range(count):
         bi = bits_list[i]
         for j in range(i, count):
@@ -1081,7 +1082,7 @@ def assert_matches_stored_edges(c, old, starts=(0,), step=1, median=True):
         assert c.neighbors(k) == old.neighbors(k)
         assert link_of_vertex(c, o) == stored_link_of_vertex(old, o)
     for start in starts:
-        assert c.bfs_distances(start) == old.bfs_distances(start)
+        assert bfs_distances(c, start) == bfs_distances(old, start)
     if median:
         assert is_median_graph(c) == stored_is_median_graph(old)
     assert json_text(c.to_json_dict()) == json_text(old.to_json_dict())
@@ -1224,6 +1225,60 @@ def test_a_walk_inside_members_stops_where_the_stored_edge_walk_does():
     assert walked[True] > 50 and walked[False] > 100, walked
 
 
+def random_clause_table(rng, nwalls, start):
+    """A random symmetric clause table in _flip_closure's layout that
+    start meets: each side pair that start does not use is forbidden
+    at random, a single side of a wall now and then, and x_i != x_j
+    (both equal pairs forbidden: no single flip joins its solutions)
+    where start allows it."""
+    forbid = [[[0, 1 << j], [1 << j, 0]] for j in range(nwalls)]
+    density = rng.choice((0.01, 0.03, 0.1))
+    for i in range(nwalls):
+        si = start >> i & 1
+        if rng.random() < density / 2:
+            forbid[i][1 - si][1 - si] |= 1 << i
+        for j in range(i + 1, nwalls):
+            sj = start >> j & 1
+            pairs = [(ti, tj) for ti in (0, 1) for tj in (0, 1)
+                     if (ti, tj) != (si, sj) and rng.random() < density]
+            if si != sj and rng.random() < density:
+                pairs += [(0, 0), (1, 1)]
+            for ti, tj in pairs:
+                forbid[i][ti][tj] |= 1 << j
+                forbid[j][tj][ti] |= 1 << i
+    return forbid
+
+
+def test_the_outward_walk_agrees_with_the_full_walk_on_random_tables():
+    rng = random.Random(2828)
+    left = 0
+    for _ in range(300):
+        nwalls = rng.randrange(11)
+        start = rng.randrange(1 << nwalls)
+        forbid = random_clause_table(rng, nwalls, start)
+        queue, _, _, _ = assert_walk_matches_stored_edges(forbid, start)
+        solutions = {b for b in range(1 << nwalls)
+                     if all(not (forbid[j][b >> j & 1][t] & (b if t else ~b))
+                            for j in range(nwalls) for t in (0, 1))}
+        assert set(queue) <= solutions
+        left += len(queue) < len(solutions)
+        # The isometry: breadth-first level along the full walk's
+        # edges is the number of walls that differ from start.
+        old_queue, old_edges = stored_edge_walk(forbid, start)
+        old = StoredEdgeComplex(
+            nwalls, [Orientation(b, nwalls) for b in old_queue], old_edges)
+        levels = bfs_distances(old, 0)
+        assert levels == [(b ^ start).bit_count() for b in old_queue]
+        # Inside every solution, inside the reached ones, and inside a
+        # random part of them that holds start.
+        assert_walk_matches_stored_edges(forbid, start, within=solutions)
+        assert_walk_matches_stored_edges(forbid, start, within=set(queue))
+        part = {b for b in queue if b == start or rng.random() < 0.8}
+        assert_walk_matches_stored_edges(forbid, start, within=part)
+    # Some tables have solutions that no flip walk from start reaches.
+    assert left > 20, left
+
+
 class CountedRule(int):
     """A clause bitmask that counts the clause tests reading it."""
 
@@ -1235,9 +1290,10 @@ class CountedRule(int):
 
 
 def test_the_flip_walk_tests_clauses_only_on_flips_to_new_bitmasks():
-    # Every 2^10 side choice of ten crossing lines is a 0-cube, so only
-    # the 1,023 discovery flips reach a new bitmask; the other 9,217 of
-    # the 10 * 1024 flips join two reached ones and read no clause.
+    # Every 2^10 side choice of ten crossing lines is a 0-cube.  Only
+    # outward flips are tried, 10 - d at level d, so 5,120 flips in all
+    # (not 10 * 1024): the 1,023 discovery flips reach a new bitmask,
+    # and the other 4,097 join two reached ones and read no clause.
     forbid, base = window_clauses(ten_crossing_lines())
     counted = [[[CountedRule(t) for t in row] for row in rules]
                for rules in forbid]
