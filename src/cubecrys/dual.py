@@ -24,11 +24,11 @@ A complex is the dual that the flip walk enumerated, stored as its
 are joined exactly when they differ on one wall (its 1-skeleton is the
 subgraph of the hypercube induced on its 0-cubes; Chepoi), so
 adjacency and links are derived on demand.  The flip walk keeps each
-edge as it crosses it; the edge list and the JSON layout sort those
-codes when asked.  The JSON edge list is an IndexPairs over the sorted
-codes, which json_text renders in one join over index-string tables
-made once, with no [u, v] list per edge.  The complex file is written,
-never read.
+edge as it crosses it, and the JSON layout sorts those codes when
+asked: its edge list is an IndexPairs over the sorted codes, which
+json_text renders in one join over index-string tables made once,
+with no [u, v] list per edge.  The complex file is written, never
+read.
 
 A complex is in turn the dual of its own hyperplanes: two hyperplane
 sides meet exactly when some 0-cube lies on both, so their
@@ -44,9 +44,7 @@ from __future__ import annotations
 import random
 from array import array
 from collections import deque
-from collections.abc import Sequence
 from fractions import Fraction
-from itertools import repeat
 from math import gcd
 from operator import mul
 
@@ -182,14 +180,14 @@ class FiniteWallspace:
                 raise WallspaceError("degenerate window interval [%s, %s]"
                                      % (lo, hi))
         scale, box = integral(self.window)
+        if not all(isinstance(w, GeometricWall) for w in self.walls):
+            raise WallspaceError("geometric wallspace needs GeometricWall "
+                                 "entries")
         if len(set(self.walls)) != len(self.walls):
             raise WallspaceError("walls must be pairwise distinct "
                                  "after canonicalization")
         sides = []
         for w in self.walls:
-            if not isinstance(w, GeometricWall):
-                raise WallspaceError("geometric wallspace needs GeometricWall "
-                                     "entries")
             if len(w.normal) != n:
                 raise WallspaceError("wall normal has wrong dimension")
             sides.append(_wall_sides(w, scale))
@@ -219,10 +217,6 @@ class FiniteWallspace:
         object.__setattr__(self, "_base", base)
 
     # -- side primitives ----------------------------------------------
-
-    def base_side(self, i: int) -> int:
-        """0 or 1: which side of wall i the base point lies on."""
-        return self._base >> i & 1
 
     def sides_compatible(self, i: int, si: int, j: int, sj: int) -> bool:
         """Do the chosen open sides of walls i and j meet?"""
@@ -282,9 +276,6 @@ class Orientation:
     def __setattr__(self, name, value):
         raise AttributeError("Orientation is immutable")
 
-    def side(self, i: int) -> int:
-        return (self.bits >> i) & 1
-
     def flip(self, i: int) -> "Orientation":
         return Orientation(self.bits ^ (1 << i), self.n)
 
@@ -322,11 +313,11 @@ class CubeComplex:
     of wall i) in the walk's breadth-first order, and the walk's code
     u << W | v per edge (u < v, W the wall count) in an array("q").  Its
     1-skeleton is the subgraph of the hypercube induced on its 0-cubes:
-    two 0-cubes that differ on one wall are joined.  Edges (u, v, wall)
-    in sorted order and the JSON layout sort the codes when asked;
-    adjacency and links are derived on demand.  Cubes above dimension
-    one are never stored: a k-cube at a vertex is a k-clique of pairwise
-    jointly flippable walls, which link_of_vertex exposes.
+    two 0-cubes that differ on one wall are joined.  The JSON layout
+    sorts the codes when asked; adjacency and links are derived on
+    demand.  Cubes above dimension one are never stored: a k-cube at a
+    vertex is a k-clique of pairwise jointly flippable walls, which
+    link_of_vertex exposes.
 
     The constructor checks nothing: the walk makes the 0-cubes
     distinct, of one width and connected, and keeps every induced pair
@@ -341,21 +332,6 @@ class CubeComplex:
         self._index = index
         # One code u << num_walls | v per edge, u < v, in walk order.
         self._edges = codes
-        self._orientations = _Orientations(bits, self.num_walls)
-
-    @property
-    def orientations(self) -> "_Orientations":
-        """The 0-cubes as Orientations, in index order."""
-        return self._orientations
-
-    @property
-    def edges(self) -> tuple:
-        """Every edge (u, v, wall), u < v, in sorted order."""
-        bits, shift = self._bits, self.num_walls
-        mask = (1 << shift) - 1
-        return tuple((u, v, (bits[u] ^ bits[v]).bit_length() - 1)
-                     for u, v in ((k >> shift, k & mask)
-                                  for k in self._edge_keys()))
 
     def _edge_keys(self) -> list:
         """The edge codes u << W | v (u < v), sorted, which sorts the
@@ -402,24 +378,6 @@ class CubeComplex:
             "edges": IndexPairs(self._edge_keys(), len(self._bits),
                                 self.num_walls),
         }
-
-
-class _Orientations(Sequence):
-    """The 0-cubes of a complex as Orientations, each made when read."""
-
-    __slots__ = ("_bits", "_n")
-
-    def __init__(self, bits, n):
-        self._bits = bits
-        self._n = n
-
-    def __len__(self):
-        return len(self._bits)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(map(Orientation, self._bits[k], repeat(self._n)))
-        return Orientation(self._bits[k], self._n)
 
 
 def _member_clauses(members, nwalls: int) -> list:
@@ -602,7 +560,7 @@ def duality_check(c: CubeComplex) -> bool:
     an edge, so its hyperplanes are its walls.  Every edge of c is a
     flip between two 0-cubes that both meet every clause, so the dual's
     walk from 0-cube 0 reaches all 0-cubes, and the edges it finds are
-    all the hypercube edges between them, which are c.edges.  So the
+    all the hypercube edges between them, which are c's edges.  So the
     round trip holds exactly when the walk finds no other 0-cube, which
     is the median test.
     """

@@ -5,7 +5,8 @@ Fractions; every rational entry that comes from a file or a library
 constructor is read by parse_rational, which refuses bools and floats.
 Point-group elements are int rows (crys.PointTable), as the integer
 kernels take.  RatMatrix survives only as the type of the test oracles
-and of average_intertwiner.  The JSON forms of rationals and the one
+and of average_intertwiner, and as a target of perfbench's tracer
+(RatMatrix.__mul__).  The JSON forms of rationals and the one
 read/write path for the package's file formats live here too.
 """
 

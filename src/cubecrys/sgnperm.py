@@ -70,15 +70,6 @@ class SignedPermutation:
             tuple([sign * signs[i - 1]
                    for sign, i in zip(other.signs, other.perm)]))
 
-    def inverse(self) -> "SignedPermutation":
-        perm = [0] * self.n
-        signs = [0] * self.n
-        for i in range(self.n):
-            j = self.perm[i] - 1
-            perm[j] = i + 1
-            signs[j] = self.signs[i]
-        return SignedPermutation(perm, signs)
-
     def is_identity(self) -> bool:
         return all(self.perm[i] == i + 1 and self.signs[i] == 1 for i in range(self.n))
 
@@ -230,12 +221,6 @@ class SimplicialComplex:
 
     def neighbors(self, v) -> set:
         return set(self._adjacency[v])
-
-    def degree(self, v) -> int:
-        return len(self._adjacency[v])
-
-    def has_edge(self, a, b) -> bool:
-        return frozenset((a, b)) in self.edges
 
     def cliques(self):
         """Every nonempty clique of the 1-skeleton, i.e. every simplex,

@@ -96,18 +96,6 @@ class GeometricWall:
     def __setattr__(self, name, value):
         raise AttributeError("GeometricWall is immutable")
 
-    def side(self, point) -> int:
-        """-1, 0 or +1 according to <normal, point> - offset."""
-        if len(point) != len(self.normal):
-            raise ShapeError("vector lengths differ: %d vs %d"
-                             % (len(self.normal), len(point)))
-        value = sum(map(mul, self.normal, point)) - self.offset
-        if value < 0:
-            return -1
-        if value > 0:
-            return 1
-        return 0
-
     def __eq__(self, other):
         return (isinstance(other, GeometricWall)
                 and self.normal == other.normal

@@ -3,8 +3,8 @@
 Every test here prints one [PASS] line after its assertions, so a
 plain run with -v (or -s) gives a per-criterion verdict.  Nothing in
 this file reuses the classifier's own search internals; criterion 7
-carries an independent exhaustive embedding oracle built from raw
-integer matrices.
+runs the independent exhaustive embedding oracle of tests/oracles.py
+(`embedding_exists`), built from raw integer matrices.
 """
 
 import contextlib
@@ -54,7 +54,7 @@ from cubecrys.walls import (
     scaled_pair,
     stabilize,
 )
-from stored_edge_complex import bfs_distances
+from oracles import bfs_distances, embedding_exists, zero_cubes
 
 WALLPAPER = [
     "p1", "p2", "pm", "pg", "cm", "pmm", "pmg", "pgg", "cmm",
@@ -138,73 +138,6 @@ def test_criterion_06_stabilization_accepts_every_rejection():
           "an accepted group with identity conjugator")
 
 
-# -- criterion 7: an independent embedding oracle ----------------------
-
-def signed_perm_matrices(n):
-    """All 2^n n! signed permutation matrices as integer tuples."""
-    mats = []
-    for perm in itertools.permutations(range(n)):
-        for signs in itertools.product((1, -1), repeat=n):
-            rows = [[0] * n for _ in range(n)]
-            for col in range(n):
-                rows[perm[col]][col] = signs[col]
-            mats.append(tuple(tuple(r) for r in rows))
-    return mats
-
-
-def int_mul(a, b):
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n))
-                       for j in range(n)) for i in range(n))
-
-
-def extend_generator_images(g, gen_images):
-    """Breadth-first extension of a generator assignment, or None.
-
-    Walks every (element, generator) product once, so a returned map is
-    a genuine homomorphism on the whole point group.
-    """
-    n = g.dimension
-    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    img = {RatMatrix(ident): ident}
-    frontier = [RatMatrix(ident)]
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for gen, image in zip(g.point_generators, gen_images):
-                b = a * RatMatrix(gen)
-                bb = int_mul(img[a], image)
-                if b in img:
-                    if img[b] != bb:
-                        return None
-                else:
-                    img[b] = bb
-                    fresh.append(b)
-        frontier = fresh
-    return img
-
-
-def embedding_exists(g):
-    """Is some injective homomorphism into O(n,Z) real-conjugate to the
-    point action?  Trace equality on every element decides conjugacy,
-    and the trace of the real form equals the trace of the integer
-    matrix, so the scan needs nothing beyond the group file data."""
-    candidates = signed_perm_matrices(g.dimension)
-    order = g.point_group_order()
-    for assignment in itertools.product(candidates,
-                                        repeat=len(g.point_generators)):
-        img = extend_generator_images(g, assignment)
-        if img is None or len(img) != order:
-            continue
-        if len(set(img.values())) != order:
-            continue
-        if all(sum(m[i][i] for i in range(len(m)))
-               == sum(p.entries[i][i] for i in range(len(m)))
-               for p, m in img.items()):
-            return True
-    return False
-
-
 def test_criterion_07_witness_soundness_and_exhaustive_oracle():
     accepted = rejected = 0
     for g in load_catalog():
@@ -230,18 +163,19 @@ def test_criterion_07_witness_soundness_and_exhaustive_oracle():
 def test_criterion_08_sageev_duality_properties():
     spaces = seeded_wallspaces(count=50, seed=0, max_walls=10)
     assert len(spaces) == 50
-    zero_cubes = 0
+    vertices = 0
     for ws in spaces:
         c = dual_complex(ws)
-        zero_cubes += c.vertex_count()
+        vertices += c.vertex_count()
         assert is_median_graph(c)
         assert duality_check(c)
+        cubes = zero_cubes(c)
         for start in range(c.vertex_count()):
-            o = c.orientations[start]
+            o = cubes[start]
             for j, d in enumerate(bfs_distances(c, start)):
-                assert d == distance(c, o, c.orientations[j])
+                assert d == distance(c, o, cubes[j])
     print("[PASS] criterion 8: 50 seeded wallspaces (%d 0-cubes) are "
-          "median, Hamming-metric, and self-dual" % zero_cubes)
+          "median, Hamming-metric, and self-dual" % vertices)
 
 
 def test_criterion_09_linear_separation_bounds():

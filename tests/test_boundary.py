@@ -21,7 +21,7 @@ from cubecrys.boundary import (
     product_boundary,
 )
 from cubecrys.sgnperm import SimplicialComplex, SizeCapError, build_Qn
-from stored_edge_complex import degree_sequence
+from oracles import degree_sequence
 
 LINE_F = FactorDescriptor(LINE)
 HALF_F = FactorDescriptor(HALF_LINE)

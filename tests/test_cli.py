@@ -34,9 +34,16 @@ from cubecrys.dual import (
 from cubecrys.exactlin import identity
 from cubecrys.sgnperm import SignedPermutation
 from cubecrys.walls import GeometricWall
-from stored_edge_complex import stored_edge_dual
-from test_decide import _pinned_groups
-from test_point_table import b4_generic, wf4, wf4_generic
+from groups import (
+    b4_generic,
+    fourteen_crossing_lines,
+    pinned_groups,
+    spatial_arrangement,
+    ten_crossing_lines,
+    wf4,
+    wf4_generic,
+)
+from oracles import stored_edge_dual
 
 
 def run(capsys, *argv):
@@ -486,39 +493,6 @@ def test_dual_of_ten_crossing_lines(capsys, tmp_path):
     }
 
 
-def ten_crossing_lines():
-    return FiniteWallspace.geometric(
-        2, [(-2, 2), (-2, 2)],
-        [GeometricWall([1, i], Fraction(0)) for i in range(10)],
-        [Fraction(1, 2), Fraction(1, 3)])
-
-
-def spatial_arrangement():
-    """15 planes in a 3-D box: eleven through the origin, and two pairs
-    of parallel planes; planes of different directions cross in the
-    box, so there are 2^11 * 3 * 3 = 18,432 0-cubes, above
-    MEDIAN_VERTEX_CAP."""
-    normals = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 0),
-               (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1), (1, 1, 1),
-               (1, 1, -1)]
-    walls = [GeometricWall(n, Fraction(0)) for n in normals]
-    walls += [GeometricWall(n, Fraction(c))
-              for n in ((1, -1, 1), (-1, 1, 1)) for c in (-1, 1)]
-    return FiniteWallspace.geometric(
-        3, [(-10, 10)] * 3, walls,
-        [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)])
-
-
-def fourteen_crossing_lines():
-    """14 lines through (7/100, 1/100), so they cross pairwise: 2^14 =
-    16,384 0-cubes, exactly MEDIAN_VERTEX_CAP, the largest complex that
-    `cubecrys dual` still checks."""
-    return FiniteWallspace.geometric(
-        2, [(-2, 2), (-2, 2)],
-        [GeometricWall([1, i - 7], Fraction(i, 100)) for i in range(14)],
-        [Fraction(1, 2), Fraction(1, 3)])
-
-
 # sha256 of `dual walls.json --json --out complex.json` stdout and of
 # complex.json, recorded before the report and the complex files moved
 # to exactlin.json_text; every byte must stay the same.
@@ -536,7 +510,9 @@ DUAL_PINS = {
 def test_dual_report_and_complex_file_bytes_are_pinned(
         name, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    save_wallspace(globals()[name](), "walls.json")
+    spaces = {"ten_crossing_lines": ten_crossing_lines,
+              "spatial_arrangement": spatial_arrangement}
+    save_wallspace(spaces[name](), "walls.json")
     code, out, err = run(capsys, "dual", "walls.json", "--json",
                          "--out", "complex.json")
     assert code == 0, err
@@ -908,7 +884,7 @@ def _pinned_group(name):
     if name == "W(F4)":
         return wf4()
     if name == "m-skew":
-        return _pinned_groups()[name]
+        return pinned_groups()[name]
     return catalog_entry(name)
 
 

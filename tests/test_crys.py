@@ -25,27 +25,12 @@ from cubecrys.crys import (
     validate,
 )
 from cubecrys.exactlin import RatMatrix, ShapeError, det, identity, inverse
-
-
-def trace(rows):
-    """The trace of a square matrix given as rows."""
-    return sum(rows[i][i] for i in range(len(rows)))
-
-
-def square_group(name, gens, parts=None):
-    if parts is None:
-        parts = [[0, 0] for _ in gens]
-    return CrystGroup(
-        name=name,
-        dimension=2,
-        lattice_basis=identity(2),
-        point_generators=gens,
-        translation_parts=parts,
-    )
+from groups import I2, group
+from oracles import trace
 
 
 def test_closure_and_successor_table():
-    g = square_group("p4", [[[0, -1], [1, 0]]])
+    g = group("p4", I2, [[[0, -1], [1, 0]]])
     elements = g.point_elements()
     assert len(elements) == 4
     assert elements[0] == ((1, 0), (0, 1))
@@ -64,19 +49,19 @@ def test_closure_and_successor_table():
 
 
 def test_closure_cap_rejects_infinite_order():
-    shear = square_group("bad", [[[1, 1], [0, 1]]])
+    shear = group("bad", I2, [[[1, 1], [0, 1]]])
     with pytest.raises(StructureError):
         shear.point_elements()
 
 
 def test_group_is_immutable():
-    g = square_group("p2", [[[-1, 0], [0, -1]]])
+    g = group("p2", I2, [[[-1, 0], [0, -1]]])
     with pytest.raises(AttributeError):
         g.name = "other"
 
 
 def test_validate_reports_orders():
-    g = square_group("p4", [[[0, -1], [1, 0]]])
+    g = group("p4", I2, [[[0, -1], [1, 0]]])
     report = validate(g)
     assert report.point_group_order == 4
     assert report.element_orders == (1, 2, 4, 4)
@@ -92,13 +77,13 @@ def test_validate_rejects_bad_data():
     with pytest.raises(BasisError):
         validate(CrystGroup("g", 2, [[1, 0]], [], []))
     with pytest.raises(StructureError):
-        validate(square_group("g", [[[-1, 0], [0, -1]]], parts=[]))
+        validate(group("g", I2, [[[-1, 0], [0, -1]]], parts=[]))
     with pytest.raises(LatticeInvarianceError):
-        validate(square_group("g", [[["1/2", 0], [0, 1]]]))
+        validate(group("g", I2, [[["1/2", 0], [0, 1]]]))
     with pytest.raises(LatticeInvarianceError):
-        validate(square_group("g", [[[2, 0], [0, 1]]]))
+        validate(group("g", I2, [[[2, 0], [0, 1]]]))
     with pytest.raises(StructureError):
-        validate(square_group("g", [[[0, -1], [1, 0]]],
+        validate(group("g", I2, [[[0, -1], [1, 0]]],
                               parts=[[0, 0, 0]]))
 
 

@@ -2,7 +2,6 @@
 
 import dataclasses
 import hashlib
-import itertools
 import json
 import math
 import random
@@ -42,14 +41,10 @@ from cubecrys.exactlin import (
     RatMatrix,
     average_intertwiner,
     det,
-    format_rational,
     identity,
-    int_mul,
-    integral,
     inverse,
     matrix_from_json,
     matrix_to_json,
-    vector_to_json,
 )
 from cubecrys.sgnperm import (
     SignedPermutation,
@@ -57,7 +52,19 @@ from cubecrys.sgnperm import (
     signed_permutation_of,
     to_matrix,
 )
-from test_point_table import D4_BASIS, GROUPS, b4_generic, wf4
+from groups import (
+    D4_BASIS,
+    GROUPS,
+    b4_generic,
+    pinned_groups,
+    wf4,
+    wf4_subgroups,
+)
+from oracles import (
+    inverse_route_report,
+    old_build_conjugator,
+    ratmatrix_real_forms,
+)
 
 
 def is_signed_permutation_matrix(m: RatMatrix) -> bool:
@@ -278,25 +285,6 @@ def test_a_replaced_witness_reports_its_own_residuals():
     assert report == fresh.to_json_dict(g)
 
 
-def inverse_route_report(w, g):
-    """to_json_dict as it was: every residual the defect times A^-1 over
-    d c, by inverse, int_mul and one Fraction per entry."""
-    scale, defects = w._defects(g)
-    h, a_inv = integral(inverse(w.conjugator))
-    return {
-        "verdict": "accepted",
-        "conjugator": matrix_to_json(w.conjugator),
-        "basis": [vector_to_json(v) for v in w.basis],
-        "elements": [{
-            "point_element": matrix_to_json(p),
-            "image": s.to_json_dict(),
-            "conjugation_residual": [
-                [format_rational(Fraction(x, scale * h)) for x in row]
-                for row in int_mul(defect, a_inv)],
-        } for p, s, defect in zip(g.point_elements(), w.iota, defects)],
-    }
-
-
 def _accepted_groups():
     """The nontrivial accepted groups among those the tests build."""
     return [g for g in GROUPS if g.dimension <= 4
@@ -424,59 +412,6 @@ def test_a_witness_one_image_short_fails_verification(name):
 # The conjugator against the seed-by-seed averaging it replaced
 
 
-def old_seed_matrices(n):
-    """The earlier seed schedule: identity, then small dense grids, cut
-    off at 1000 seeds."""
-    yield RatMatrix(identity(n))
-    emitted = 1
-    for alphabet in ((0, 1), (-1, 0, 1)):
-        for flat in itertools.product(alphabet, repeat=n * n):
-            m = RatMatrix([list(flat[i * n:(i + 1) * n]) for i in range(n)])
-            yield m
-            emitted += 1
-            if emitted >= 1000:
-                return
-
-
-def old_build_conjugator(theta_images, iota_matrices):
-    """The earlier conjugator: average every seed over the whole group.
-    Returns None where it used to raise on an exhausted schedule."""
-    for seed in old_seed_matrices(theta_images[0].rows):
-        a = average_intertwiner(theta_images, iota_matrices, seed)
-        if det(a.entries) != 0:
-            return a
-    return None
-
-
-def _skewed(name, gens):
-    """perfbench's skew file without the seeded reframing: lattice basis
-    R U, generators U^-1 g U."""
-    n = len(gens[0])
-    skew = {3: [[2, 1, 0], [0, 1, 1], [1, 0, 1]],
-            4: [[2, 1, 0, 0], [0, 1, 1, 0], [0, 0, 2, 1], [1, 0, 0, 1]]}[n]
-    shear = {3: [[1, 1, 0], [0, 1, 0], [0, 0, 1]],
-             4: [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1],
-                 [0, 0, 0, 1]]}[n]
-    u = RatMatrix(shear)
-    u_inv = RatMatrix(inverse(shear))
-    r = RatMatrix([[Fraction(x, 2) for x in row] for row in skew])
-    return CrystGroup(name, n, (r * u).entries,
-                      [(u_inv * RatMatrix(g) * u).entries for g in gens],
-                      [[0] * n] * len(gens))
-
-
-def _pinned_groups():
-    return {
-        "Z:W": catalog_entry("Z:W"),
-        "p4-skew": CrystGroup("p4-skew", 2, [[2, 1], [1, 1]],
-                              [[[0, -1], [1, 0]]], [[0, 0]]),
-        "m-skew": _skewed("m-skew", [[[1, 0, 0], [0, 1, 0], [0, 0, -1]]]),
-        "C2^2.p-skew": _skewed("C2^2.p-skew", [
-            [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-            [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]]),
-    }
-
-
 # Conjugator rows of every accepted group that takes the search path:
 # the catalog's only one (Z:W), p4-skew, and two groups whose identity
 # seed averages to a singular matrix (the old loop needed 72 and 17
@@ -495,7 +430,7 @@ PINNED_CONJUGATORS = {
 @lru_cache(maxsize=None)
 def _pinned_case(name):
     """(group, real forms, iota list) of a pinned group's witness."""
-    g = _pinned_groups()[name]
+    g = pinned_groups()[name]
     witness = is_hyperoctahedral(g)
     return g, point_group_real(g), list(witness.iota)
 
@@ -577,15 +512,9 @@ def test_wf4_subgroup_fuzz():
     character) type: every verdict is a verified witness or a
     certificate, and every conjugator the old loop finds is unchanged.
     The draws reach a group where the old loop found none."""
-    wf = wf4()
-    elements = wf.point_elements()
-    rng = random.Random(0)
     seen = set()
     old_failures = 0
-    for _ in range(60):
-        gens = rng.sample(elements, rng.randint(1, 3))
-        g = CrystGroup("sub", 4, wf.lattice_basis, gens,
-                       [[0] * 4] * len(gens))
+    for g in wf4_subgroups():
         table = g.point_table()
         key = (len(table.elements), tuple(sorted(table.trace)))
         if key in seen:
@@ -606,16 +535,8 @@ def test_wf4_subgroup_fuzz():
 # The integer real forms against the RatMatrix products they replaced
 
 
-def ratmatrix_real_forms(g):
-    """L * M_p * L^-1 for every point element, by RatMatrix products."""
-    basis = RatMatrix(g.lattice_basis)
-    basis_inv = RatMatrix(inverse(g.lattice_basis))
-    return tuple(basis * RatMatrix(m) * basis_inv
-                 for m in g.point_elements())
-
-
 @pytest.mark.parametrize(
-    "g", GROUPS + [wf4()] + [_pinned_groups()[name]
+    "g", GROUPS + [wf4()] + [pinned_groups()[name]
                              for name in sorted(PINNED_CONJUGATORS)],
     ids=lambda g: g.name)
 def test_integer_real_forms_match_the_ratmatrix_products(g):
@@ -685,7 +606,7 @@ def _four_dimensional_groups():
 @pytest.mark.parametrize("name", sorted(CLASSIFY_DIGESTS))
 def test_classify_json_is_pinned(tmp_path, capsys, name):
     g = (catalog_entry(name) if name in CATALOG_NAMES
-         else {**_pinned_groups(), **_four_dimensional_groups()}[name])
+         else {**pinned_groups(), **_four_dimensional_groups()}[name])
     path = tmp_path / "group.json"
     save_group(g, path)
     assert main(["classify", "--json", str(path)]) == 0

@@ -7,7 +7,7 @@ from array import array
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from cubecrys.boundary import is_isomorphic
@@ -39,21 +39,35 @@ from cubecrys.dual import (
 from cubecrys.exactlin import IndexPairs, integral, json_text, write_json
 from cubecrys.sgnperm import build_Qn
 from cubecrys.walls import GeometricWall
-from stored_edge_complex import (
+from groups import (
+    fourteen_crossing_lines,
+    spatial_arrangement,
+    ten_crossing_lines,
+)
+from oracles import (
     StoredEdgeComplex,
     bfs_distances,
+    brute_force_masks,
+    counted_edges_is_median_graph,
+    crossed_walls,
+    cubic_is_median_graph,
+    edge_triples,
+    fourier_motzkin_feasible,
+    fraction_base_sides,
+    fraction_feasible,
+    fraction_halfspace,
+    fraction_side,
+    frozenset_duality_check,
     is_median_complex,
     left_out_edges,
+    per_wall_keys,
     stored_edge_dual,
     stored_edge_walk,
     stored_is_median_graph,
     stored_link_of_vertex,
+    walls_cross_by_scan,
     window_clauses,
-)
-from test_cli import (
-    fourteen_crossing_lines,
-    spatial_arrangement,
-    ten_crossing_lines,
+    zero_cubes,
 )
 
 
@@ -67,64 +81,6 @@ def horizontal(offset):
 
 def plane_space(walls, base, window=((-2, 2), (-2, 2))):
     return FiniteWallspace.geometric(2, window, walls, base)
-
-
-def fourier_motzkin_feasible(constraints, nvars: int) -> bool:
-    """Oracle: the Fourier-Motzkin elimination that _feasible replaced.
-
-    Each constraint is (coeffs, rhs, strict) for sum(c*x) <= / < rhs.
-    Exact over Fractions.
-    """
-    cons = [(tuple(Fraction(c) for c in coeffs), Fraction(rhs), strict)
-            for coeffs, rhs, strict in constraints]
-    for var in range(nvars):
-        pos, neg, rest = [], [], []
-        for coeffs, rhs, strict in cons:
-            c = coeffs[var]
-            if c > 0:
-                pos.append((coeffs, rhs, strict))
-            elif c < 0:
-                neg.append((coeffs, rhs, strict))
-            else:
-                rest.append((coeffs, rhs, strict))
-        combined = rest
-        for pc, pr, ps in pos:
-            for nc, nr, ns in neg:
-                a = pc[var]
-                b = -nc[var]
-                coeffs = tuple(pc[i] / a + nc[i] / b for i in range(nvars))
-                combined.append((coeffs, pr / a + nr / b, ps or ns))
-        cons = list(dict.fromkeys(combined))
-    for _, rhs, strict in cons:
-        if rhs < 0 or (strict and rhs == 0):
-            return False
-    return True
-
-
-def fraction_feasible(window, f, g) -> bool:
-    """Oracle: the minimax test over Fractions that _feasible replaced.
-
-    The window holds rational (lo, hi) pairs and f, g rational (a, b)
-    pairs for <a, x> + b; the breaks t are Fractions.
-    """
-    (a, b), (c, d) = f, g
-    breaks = {Fraction(ci, ci - ai) for ai, ci in zip(a, c) if ai * ci < 0}
-    for t in (0, 1, *breaks):
-        s = 1 - t
-        value = t * b + s * d
-        for ai, ci, (lo, hi) in zip(a, c, window):
-            k = t * ai + s * ci
-            value += k * (hi if k > 0 else lo)
-        if value <= 0:
-            return False
-    return True
-
-
-def fraction_halfspace(wall, side):
-    """Side 1 (plus) or 0 (minus) of a wall as rational (a, b)."""
-    if side:
-        return wall.normal, -wall.offset
-    return tuple(-e for e in wall.normal), wall.offset
 
 
 def test_feasibility_elimination():
@@ -264,8 +220,17 @@ def test_integer_side_table_matches_the_fraction_table():
 
 def test_geometric_wallspace_accepts_a_crossing_pair():
     ws = plane_space([vertical(0), horizontal(0)], ["1/2", "1/3"])
-    assert ws.base_side(0) == 1
-    assert ws.base_side(1) == 1
+    # The walk starts at the base point's 0-cube.
+    assert dual_complex(ws).to_json_dict()["zero_cubes"][0] == "11"
+
+
+def test_an_entry_that_is_no_wall_is_refused_before_hashing():
+    # A list is unhashable: the type check must come before the
+    # distinctness check, so it fails as a tuple does.
+    for entries in ([[1, 0]], [(1, 0)], [vertical(0), [0, 1]]):
+        with pytest.raises(WallspaceError,
+                           match="needs GeometricWall entries"):
+            plane_space(entries, ["1/2", "1/3"])
 
 
 def test_wall_outside_the_window_is_rejected():
@@ -276,15 +241,6 @@ def test_wall_outside_the_window_is_rejected():
 def test_base_point_on_a_wall_is_rejected():
     with pytest.raises(WallspaceError, match="on wall"):
         plane_space([vertical(0), horizontal(0)], [0, "1/3"])
-
-
-def fraction_base_sides(walls, point):
-    """Oracle: the base point's bit per wall by GeometricWall.side, or
-    the first wall it lies on."""
-    sides = [w.side(point) for w in walls]
-    if 0 in sides:
-        return walls[sides.index(0)]
-    return [int(side > 0) for side in sides]
 
 
 def test_integer_base_sides_match_the_fraction_side_test():
@@ -317,8 +273,6 @@ def test_integer_base_sides_match_the_fraction_side_test():
                     on_wall += 1
                     continue
                 built = FiniteWallspace(dimension, ws.window, ws.walls, q)
-                assert [built.base_side(i)
-                        for i in range(len(ws.walls))] == expected
                 assert built._base == sum(bit << i for i, bit
                                           in enumerate(expected))
                 checked += 1
@@ -356,7 +310,7 @@ def test_wall_cap():
 def test_orientation_basics():
     o = Orientation.from_bitstring("0110")
     assert o.n == 4
-    assert [o.side(i) for i in range(4)] == [0, 1, 1, 0]
+    assert [o.bits >> i & 1 for i in range(4)] == [0, 1, 1, 0]
     assert o.flip(0).to_bitstring() == "1110"
     assert o.flip(0).flip(0) == o
     with pytest.raises(ValueError):
@@ -372,7 +326,7 @@ def test_to_bitstring_matches_the_per_bit_join():
         for bits in range(1 << n):
             o = Orientation(bits, n)
             assert o.to_bitstring() == "".join(
-                "1" if o.side(i) else "0" for i in range(n))
+                "1" if o.bits >> i & 1 else "0" for i in range(n))
 
 
 @given(st.lists(st.sampled_from("01"), min_size=0, max_size=20))
@@ -391,7 +345,7 @@ def test_dual_of_a_crossing_pair_is_a_square():
     c = dual_complex(ws)
     assert c.vertex_count() == 4
     assert c.edge_count() == 4
-    assert {o.to_bitstring() for o in c.orientations} == {"00", "01", "10", "11"}
+    assert set(c.to_json_dict()["zero_cubes"]) == {"00", "01", "10", "11"}
 
 
 def test_dual_of_parallel_walls_is_a_path():
@@ -416,22 +370,12 @@ def test_dual_of_a_grid():
         assert is_median_graph(c)
 
 
-def brute_force_masks(ws):
-    """Every pairwise-consistent side choice, by exhaustive scan."""
-    nwalls = len(ws.walls)
-    found = set()
-    for bits in range(1 << nwalls):
-        if all(ws.sides_compatible(i, bits >> i & 1, j, bits >> j & 1)
-               for i in range(nwalls) for j in range(i + 1, nwalls)):
-            found.add(bits)
-    return found
-
-
 def test_dual_matches_the_exhaustive_scan():
     for ws in seeded_wallspaces(count=6, seed=3, max_walls=7):
         c = dual_complex(ws)
         expected = brute_force_masks(ws)
-        assert {o.bits for o in c.orientations} == expected
+        cubes = zero_cubes(c)
+        assert {o.bits for o in cubes} == expected
         expected_edges = set()
         for b in expected:
             for j in range(len(ws.walls)):
@@ -439,15 +383,10 @@ def test_dual_matches_the_exhaustive_scan():
                 if other in expected:
                     edge = (min(b, other), max(b, other), j)
                     expected_edges.add(edge)
-        got = {(min(c.orientations[u].bits, c.orientations[v].bits),
-                max(c.orientations[u].bits, c.orientations[v].bits), w)
-               for u, v, w in c.edges}
+        got = {(min(cubes[u].bits, cubes[v].bits),
+                max(cubes[u].bits, cubes[v].bits), w)
+               for u, v, w in edge_triples(c)}
         assert got == expected_edges
-
-
-def crossed_walls(c):
-    """The walls that label some edge of c, sorted."""
-    return sorted({wall for _, _, wall in c.edges})
 
 
 def test_every_wall_is_realized_by_some_edge():
@@ -477,16 +416,17 @@ def test_distance_counts_separating_walls():
 def test_distance_agrees_with_the_edge_graph():
     for ws in seeded_wallspaces(count=5, seed=21, max_walls=7):
         c = dual_complex(ws)
+        cubes = zero_cubes(c)
         for start in range(c.vertex_count()):
             bfs = bfs_distances(c, start)
-            o = c.orientations[start]
+            o = cubes[start]
             for j, d in enumerate(bfs):
-                assert d == distance(c, o, c.orientations[j])
+                assert d == distance(c, o, cubes[j])
 
 
 def test_membership_errors():
     c = grid_complex()
-    inside = c.orientations[0]
+    inside = zero_cubes(c)[0]
     outside = Orientation.from_bitstring("0101")  # x < -1/2 and x > 1/2
     assert not c.contains(outside)
     with pytest.raises(MembershipError):
@@ -510,104 +450,19 @@ def test_median_is_the_majority_vote():
     assert median(c, x, x, z) == x
 
 
+def stored_complex(bitstrings, pairs):
+    """The StoredEdgeComplex on the given bitstrings and [u, v] pairs."""
+    orientations = [Orientation.from_bitstring(z) for z in bitstrings]
+    return StoredEdgeComplex(
+        len(bitstrings[0]), orientations,
+        [(u, v, (orientations[u].bits ^ orientations[v].bits).bit_length()
+          - 1) for u, v in pairs])
+
+
 def hexagon_complex():
     """A 6-cycle over three walls; a valid complex but not median."""
-    strings = ["000", "100", "110", "111", "011", "001"]
-    orientations = [Orientation.from_bitstring(s) for s in strings]
-    edges = []
-    for u in range(6):
-        v = (u + 1) % 6
-        wall = (orientations[u].bits ^ orientations[v].bits).bit_length() - 1
-        edges.append((u, v, wall))
-    return StoredEdgeComplex(3, orientations, edges)
-
-
-def cubic_is_median_graph(c):
-    """Oracle: the vertex-triple scan that is_median_graph replaced.
-
-    For every vertex triple, the wallwise majority must be a vertex
-    lying on graph geodesics between each of the three pairs.  Uses
-    breadth-first distances, so it does not presuppose that graph
-    distance equals wall-counting distance.
-    """
-    count = c.vertex_count()
-    bits_list = [o.bits for o in c.orientations]
-    index = c._index
-    dist = [bfs_distances(c, i) for i in range(count)]
-    for i in range(count):
-        bi = bits_list[i]
-        for j in range(i, count):
-            bj = bits_list[j]
-            dij = dist[i][j]
-            for k in range(j, count):
-                bk = bits_list[k]
-                m = (bi & bj) | (bi & bk) | (bj & bk)
-                at = index.get(m)
-                if at is None:
-                    return False
-                if dist[i][at] + dist[at][j] != dij:
-                    return False
-                if dist[i][at] + dist[at][k] != dist[i][k]:
-                    return False
-                if dist[j][at] + dist[at][k] != dist[j][k]:
-                    return False
-    return True
-
-
-def frozenset_duality_check(c):
-    """Oracle: the hyperplane round trip that duality_check replaced.
-
-    Each realized wall splits the 0-cube indices into two side classes,
-    kept as frozensets, and two sides are compatible when their classes
-    intersect.  The consistent orientations are found by breadth-first
-    flipping from 0-cube 0's sides, with no bound on how far the walk
-    goes, and compared with the 0-cubes projected onto the realized
-    walls: vertex sets, then labelled edge sets.
-    """
-    realized = crossed_walls(c)
-    n = len(realized)
-    sides = [(frozenset(k for k, o in enumerate(c.orientations)
-                        if not o.side(wall)),
-              frozenset(k for k, o in enumerate(c.orientations)
-                        if o.side(wall)))
-             for wall in realized]
-    meet = {(p, s, q, t): bool(sides[p][s] & sides[q][t])
-            for p in range(n) for q in range(n) for s in (0, 1)
-            for t in (0, 1)}
-
-    def project(bits):
-        return sum(1 << p for p, wall in enumerate(realized)
-                   if bits >> wall & 1)
-
-    start = project(c.orientations[0].bits)
-    queue, found, edges = [start], {start}, set()
-    for bits in queue:
-        for p in range(n):
-            flipped = bits ^ 1 << p
-            if all(meet[p, flipped >> p & 1, q, flipped >> q & 1]
-                   for q in range(n) if q != p):
-                edges.add((min(bits, flipped), max(bits, flipped), p))
-                if flipped not in found:
-                    found.add(flipped)
-                    queue.append(flipped)
-    vertices = {project(o.bits) for o in c.orientations}
-    position = {wall: p for p, wall in enumerate(realized)}
-    original_edges = set()
-    for u, v, wall in c.edges:
-        bu, bv = project(c.orientations[u].bits), project(c.orientations[v].bits)
-        original_edges.add((min(bu, bv), max(bu, bv), position[wall]))
-    return (len(vertices) == c.vertex_count() and found == vertices
-            and edges == original_edges)
-
-
-def counted_edges_is_median_graph(c):
-    """Oracle: the verdict that counted the bounded walk's edges.
-
-    The walk inside the 0-cubes lists every hypercube edge between
-    them, and c must carry them all."""
-    walk = stored_edge_walk(_member_clauses(c._index, c.num_walls),
-                            c.orientations[0].bits, within=c._index)
-    return walk is not None and len(walk[1]) == c.edge_count()
+    return stored_complex(["000", "100", "110", "111", "011", "001"],
+                          [(u, (u + 1) % 6) for u in range(6)])
 
 
 def median_verdicts(c):
@@ -622,13 +477,20 @@ def median_verdicts(c):
     return verdicts.pop()
 
 
-def complex_of(num_walls, bit_sets, drop=()):
-    """The complex on the given 0-cubes with every hypercube edge but drop."""
+def hypercube_edges(num_walls, bit_sets):
+    """(orientations, edges): the given 0-cubes and every hypercube edge
+    (u, v, wall) between them."""
     orientations = [Orientation(b, num_walls) for b in bit_sets]
     index = {b: k for k, b in enumerate(bit_sets)}
     edges = [(index[b], index[b ^ 1 << j], j)
              for b in bit_sets for j in range(num_walls)
              if b >> j & 1 and b ^ 1 << j in index]
+    return orientations, edges
+
+
+def complex_of(num_walls, bit_sets, drop=()):
+    """The complex on the given 0-cubes with every hypercube edge but drop."""
+    orientations, edges = hypercube_edges(num_walls, bit_sets)
     return StoredEdgeComplex(num_walls, orientations,
                              [e for k, e in enumerate(edges) if k not in drop])
 
@@ -677,11 +539,11 @@ def test_a_lone_vertex_meets_its_one_wall_clause():
 
 def test_a_stored_edge_endpoint_must_be_a_zero_cube():
     """-1 would wrap to the last 0-cube and 2 would index past it."""
-    zero_cubes = [Orientation(0, 2), Orientation(1, 2)]
+    cubes = [Orientation(0, 2), Orientation(1, 2)]
     for edge in ((-1, 0, 0), (0, -1, 0), (2, 0, 1), (0, 2, 1)):
         with pytest.raises(ValueError, match="outside the 2 0-cubes"):
-            StoredEdgeComplex(2, zero_cubes, [edge])
-    assert StoredEdgeComplex(2, zero_cubes, [(1, 0, 0)]).edges == \
+            StoredEdgeComplex(2, cubes, [edge])
+    assert StoredEdgeComplex(2, cubes, [(1, 0, 0)]).edges == \
         ((0, 1, 0),)
 
 
@@ -735,14 +597,15 @@ def two_clause_solutions(rng, n):
 
 def drop_edges(rng, c):
     """Drop random edges of c as long as the 1-skeleton stays connected."""
-    edges = list(c.edges)
+    edges = list(edge_triples(c))
+    cubes = zero_cubes(c)
     for _ in range(rng.randrange(1, 4)):
         if not edges:
             break
         trial = list(edges)
         del trial[rng.randrange(len(trial))]
         try:
-            c = StoredEdgeComplex(c.num_walls, c.orientations, trial)
+            c = StoredEdgeComplex(c.num_walls, cubes, trial)
         except ValueError:
             continue
         edges = trial
@@ -804,19 +667,6 @@ def test_median_check_agrees_with_the_edge_count_on_duals():
 # -- unions of separations --------------------------------------------
 
 
-def walls_cross_by_scan(c, i, j):
-    """Oracle: the per-pair scan that union_orientation used to run.
-
-    Two walls cross when all four side combinations occur.
-    """
-    seen = set()
-    for o in c.orientations:
-        seen.add((o.side(i), o.side(j)))
-        if len(seen) == 4:
-            return True
-    return False
-
-
 def test_clause_table_crossing_matches_the_pairwise_scan():
     verdicts = {True: 0, False: 0}
     for ws in seeded_wallspaces(count=8, seed=13, max_walls=7):
@@ -832,7 +682,7 @@ def test_clause_table_crossing_matches_the_pairwise_scan():
                 verdicts[cross] += 1
                 # union_orientation reads the same table wherever a
                 # 0-cube has both flips.
-                for x in c.orientations:
+                for x in zero_cubes(c):
                     y, z = x.flip(i), x.flip(j)
                     if c.contains(y) and c.contains(z):
                         if cross:
@@ -893,8 +743,8 @@ def test_link_of_an_interior_grid_vertex_is_a_four_cycle():
     assert link.f_vector() == (4, 4)
     assert is_isomorphic(link, build_Qn(2))
     # Parallel walls never bound a common square.
-    assert not link.has_edge(0, 1)
-    assert not link.has_edge(2, 3)
+    assert frozenset((0, 1)) not in link.edges
+    assert frozenset((2, 3)) not in link.edges
 
 
 def test_link_of_a_corner_vertex():
@@ -959,7 +809,7 @@ def test_seeded_wallspaces_are_valid_and_bounded():
     for ws in spaces:
         assert 3 <= len(ws.walls) <= 6
         for w in ws.walls:
-            assert w.side(ws.base_point) != 0
+            assert fraction_side(w, ws.base_point) != 0
 
 
 # -- file round trips -------------------------------------------------
@@ -1013,7 +863,7 @@ def test_complex_file_round_trip(tmp_path):
     back = json.loads(path.read_text())
     assert back == c.to_json_dict()
     bits = {Orientation.from_bitstring(s).bits for s in back["zero_cubes"]}
-    assert bits == {o.bits for o in c.orientations}
+    assert bits == {o.bits for o in stored_edge_dual(ws).orientations}
     assert is_median_set(bits, len(back["walls"]))
 
 
@@ -1045,15 +895,17 @@ def test_cube_complex_sorts_and_dedupes_edges_like_sorted_set():
                      ["1/2", "1/3"])
     c = dual_complex(ws)
     rng = random.Random(0)
+    triples, cubes = edge_triples(c), zero_cubes(c)
     for _ in range(20):
-        edges = list(c.edges) + rng.sample(c.edges, len(c.edges) // 2)
+        edges = list(triples) + rng.sample(triples, len(triples) // 2)
         edges = [(v, u, w) if rng.random() < 0.5 else (u, v, w)
                  for u, v, w in edges]
         rng.shuffle(edges)
-        # The walk keeps each edge once, in walk order; edges sorts them.
-        assert c.edges == tuple(sorted(set(
+        # The walk keeps each edge once, in walk order; the JSON edge
+        # list sorts them.
+        assert triples == tuple(sorted(set(
             (min(u, v), max(u, v), w) for u, v, w in edges)))
-        assert c.edges == StoredEdgeComplex(c.num_walls, c.orientations,
+        assert triples == StoredEdgeComplex(c.num_walls, cubes,
                                             edges).edges
 
 
@@ -1064,17 +916,14 @@ def assert_matches_stored_edges(c, old, starts=(0,), step=1, median=True):
     """c derives what old stores: vertices, edges, adjacency, links (at
     every step-th vertex), distances from each start, the median verdict
     and the JSON bytes."""
-    assert tuple(c.orientations) == old.orientations
+    assert tuple(zero_cubes(c)) == old.orientations
     rows, old_rows = c.to_json_dict()["edges"], old.to_json_dict()["edges"]
     assert rows == old_rows
     n = old.vertex_count()
     for cut in (slice(None), slice(1, None, 2), slice(-3, None),
                 slice(None, None, -1), slice(n, None)):
-        assert c.orientations[cut] == old.orientations[cut]
         assert rows[cut] == old_rows[cut]
-    for k in (-1, -n):
-        assert c.orientations[k] == old.orientations[k]
-    assert c.edges == old.edges
+    assert edge_triples(c) == old.edges
     assert (c.vertex_count(), c.edge_count()) == (old.vertex_count(),
                                                   old.edge_count())
     for k in range(0, old.vertex_count(), step):
@@ -1098,16 +947,16 @@ def test_a_walked_dual_stores_its_zero_cubes_and_one_code_per_edge():
                for x in (*a, b))
     c = dual_complex(ws)
     assert set(vars(c)) == {"num_walls", "wallspace", "_bits", "_index",
-                            "_edges", "_orientations"}
+                            "_edges"}
     assert all(type(b) is int for b in c._bits)
     assert all(type(b) is int and type(k) is int
                for b, k in c._index.items())
-    assert c._orientations._bits is c._bits
     # The walk's edges, one 8-byte code u << W | v each, u < v.
     assert type(c._edges) is array and c._edges.typecode == "q"
     assert c._edges.itemsize == 8 and c.num_walls == 4
     assert len(c._edges) == c.edge_count()
-    assert sorted((u << 4 | v) for u, v, _ in c.edges) == sorted(c._edges)
+    assert sorted((u << 4 | v) for u, v, _ in edge_triples(c)) == \
+        sorted(c._edges)
     assert (c.vertex_count(), c.edge_count()) == (9, 12)
 
 
@@ -1134,11 +983,7 @@ def fuzzed_complex_input(rng):
     n = rng.randrange(1, 6)
     bit_sets = (connected_subset(rng, n) if rng.random() < 0.5
                 else two_clause_solutions(rng, n))
-    orientations = [Orientation(b, n) for b in bit_sets]
-    index = {b: k for k, b in enumerate(bit_sets)}
-    edges = [(index[b], index[b ^ 1 << j], j)
-             for b in bit_sets for j in range(n)
-             if b >> j & 1 and b ^ 1 << j in index]
+    orientations, edges = hypercube_edges(n, bit_sets)
     rng.shuffle(edges)
     del edges[:rng.choice((0, 0, 1, 2))]
     edges += [(v, u, w) for u, v, w in rng.sample(edges, len(edges) // 3)]
@@ -1146,15 +991,6 @@ def fuzzed_complex_input(rng):
 
 
 # -- the flip walk's edge codes against the stored-edge walk ---------
-
-
-def per_wall_keys(bits, nwalls):
-    """Oracle: the sorted codes u << W | v (u < v) of the induced edges,
-    found by one index lookup per 0-cube and wall."""
-    index = {b: k for k, b in enumerate(bits)}
-    return sorted(u << nwalls | v for u, b in enumerate(bits)
-                  for j in range(nwalls)
-                  if (v := index.get(b ^ 1 << j, -1)) > u)
 
 
 def assert_walk_matches_stored_edges(forbid, start, within=None):
@@ -1306,17 +1142,9 @@ def test_the_flip_walk_tests_clauses_only_on_flips_to_new_bitmasks():
 # -- hand-made complexes ---------------------------------------------
 
 
-def square(zero_cubes, pairs):
-    """The StoredEdgeComplex on the given bitstrings and [u, v] pairs."""
-    orientations = [Orientation.from_bitstring(z) for z in zero_cubes]
-    return StoredEdgeComplex(
-        len(zero_cubes[0]), orientations,
-        [(u, v, (orientations[u].bits ^ orientations[v].bits).bit_length()
-          - 1) for u, v in pairs])
-
-
 def test_loaded_zero_cubes_need_no_breadth_first_order():
-    c = square(["11", "00", "10", "01"], [[1, 2], [1, 3], [0, 2], [3, 0]])
+    c = stored_complex(["11", "00", "10", "01"],
+                       [[1, 2], [1, 3], [0, 2], [3, 0]])
     assert [o.to_bitstring() for o in c.orientations] == ["11", "00",
                                                          "10", "01"]
     assert c.edges == ((0, 2, 1), (0, 3, 0), (1, 2, 0), (1, 3, 1))
@@ -1324,27 +1152,12 @@ def test_loaded_zero_cubes_need_no_breadth_first_order():
 
 
 def test_loaded_repeated_and_reversed_edges_count_once():
-    c = square(["00", "10", "11", "01"],
-               [[1, 0], [0, 1], [1, 2], [2, 1], [2, 3], [0, 3], [3, 0], [1, 2]])
+    c = stored_complex(["00", "10", "11", "01"],
+                       [[1, 0], [0, 1], [1, 2], [2, 1], [2, 3], [0, 3],
+                        [3, 0], [1, 2]])
     assert c.edge_count() == 4
     assert c.to_json_dict()["edges"] == [[0, 1], [0, 3], [1, 2], [2, 3]]
     assert median_verdicts(c) is True
-
-
-def test_orientation_slices_are_tuples_like_the_stored_tuple():
-    c = grid_complex()
-    old = stored_edge_dual(c.wallspace)
-    assert c.orientations[0:2] == old.orientations[0:2]
-    assert type(c.orientations[0:2]) is tuple
-    assert c.orientations[-2:] == old.orientations[-2:]
-    assert c.orientations[::-3] == old.orientations[::-3]
-    assert c.orientations[-1] == old.orientations[-1] \
-        == Orientation.from_bitstring(old.orientations[-1].to_bitstring())
-    assert c.orientations[5:2] == ()
-    with pytest.raises(IndexError):
-        c.orientations[c.vertex_count()]
-    with pytest.raises(IndexError):
-        c.orientations[-c.vertex_count() - 1]
 
 
 def test_complex_dicts_round_trip():

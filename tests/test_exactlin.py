@@ -35,6 +35,7 @@ from cubecrys.exactlin import (
     vector_from_json,
     vector_to_json,
 )
+from oracles import fraction_inverse
 
 
 def test_rational_formatting_round_trip():
@@ -169,33 +170,6 @@ def test_inverse_is_exact(m):
 def test_inverse_with_fractions():
     m = RatMatrix([["1", "-1/2"], ["0", "6/7"]])
     assert m * RatMatrix(inverse(m.entries)) == RatMatrix(identity(2))
-
-
-def fraction_inverse(rows) -> tuple:
-    """The inverse by Gauss-Jordan elimination on Fractions, as
-    exactlin.inverse computed it before it went fraction-free: the
-    oracle, with the same SingularMatrixError text."""
-    n = len(rows)
-    aug = [[Fraction(e) for e in rows[i]]
-           + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if aug[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            raise SingularMatrixError(
-                "matrix is singular: determinant = %s"
-                % format_rational(det(rows)))
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [e / pv for e in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [e - f * p for e, p in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 def _inverse_or_error(inv, rows):

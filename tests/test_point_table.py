@@ -1,20 +1,20 @@
 """The integer point table and the wall family against the RatMatrix
 code they replaced.
 
-The oracles below are the earlier implementations, kept verbatim in
-spirit: a breadth-first closure over RatMatrix with one generator word
-per element, the RatMatrix order loop, the words-based extension of
-generator images, the per-element loop that computed the action on the
-wall direction classes, the class walk over RatMatrix real forms, and
-dual coordinates as one RatMatrix product.  The point table, the
-table-driven extension and the wall family built on integer real forms
-must agree with them on every group the tests build.
+The oracles, in tests/oracles.py, are the earlier implementations,
+kept verbatim in spirit: a breadth-first closure over RatMatrix with
+one generator word per element, the RatMatrix order loop, the
+words-based extension of generator images, the per-element loop that
+computed the action on the wall direction classes, the class walk over
+RatMatrix real forms, and dual coordinates as one RatMatrix product.
+The point table, the table-driven extension and the wall family built
+on integer real forms must agree with them on every group the tests
+build.
 """
 
 import contextlib
 import itertools
 import math
-import operator
 import random
 import signal
 from fractions import Fraction
@@ -29,9 +29,7 @@ from cubecrys.crys import (
     StructureError,
     catalog_entry,
     load_catalog,
-    point_group_real,
     save_group,
-    semidirect_extend,
     validate,
 )
 from cubecrys.decide import (
@@ -52,14 +50,6 @@ from cubecrys.exactlin import (
     inverse,
 )
 from cubecrys.sgnperm import SignedPermutation, enumerate_group, to_matrix
-from test_walls import (
-    apply,
-    fraction_check_linear_separation,
-    fraction_dual_matrix,
-    fraction_sample_pairs,
-    fraction_separation,
-    shrunk,
-)
 from cubecrys.walls import (
     InternalError,
     PropertyViolationError,
@@ -71,213 +61,31 @@ from cubecrys.walls import (
     separation_count,
     stabilize,
 )
-
-# ---------------------------------------------------------------------------
-# Oracles
-
-
-def trace(m: RatMatrix):
-    """The trace of a square RatMatrix, as a Fraction."""
-    return sum((m.entries[i][i] for i in range(m.rows)), Fraction(0))
-
-
-def ratmatrix_order(m, cap):
-    """Least k <= cap with m**k = identity, by RatMatrix powers; else None."""
-    ident = RatMatrix(identity(m.rows))
-    power = m
-    for k in range(1, cap + 1):
-        if power == ident:
-            return k
-        power = power * m
-    return None
-
-
-def matrix_power_order(m, ident, bound):
-    """The order loop the table walk replaced: least k >= 1 with
-    m**k = identity, by int_mul powers; StructureError past bound = |P|."""
-    power = m
-    for k in range(1, bound + 1):
-        if power == ident:
-            return k
-        power = int_mul(power, m)
-    raise StructureError("an element has no power equal to the identity "
-                         "within %d steps; a generator is singular" % bound)
-
-
-def ratmatrix_closure(g):
-    """Breadth-first closure over RatMatrix: (elements, words)."""
-    ident = RatMatrix(identity(g.dimension))
-    elements, words, index = [ident], [()], {ident: 0}
-    head = 0
-    while head < len(elements):
-        for j, gen in enumerate(g.point_generators):
-            product = elements[head] * RatMatrix(gen)
-            if product not in index:
-                assert len(elements) < CLOSURE_CAP
-                index[product] = len(elements)
-                elements.append(product)
-                words.append(words[head] + (j,))
-        head += 1
-    return elements, words
-
-
-def words_candidates(g):
-    """Per generator, the signed permutations with its order, det, trace."""
-    order = len(ratmatrix_closure(g)[0])
-    out = []
-    for gen in map(RatMatrix, g.point_generators):
-        key = (ratmatrix_order(gen, order), int(det(gen.entries)),
-               int(trace(gen)))
-        out.append([s for s in enumerate_group(g.dimension)
-                    if (s.order(), s.determinant(), s.trace()) == key])
-    return out
-
-
-def words_extend_assignment(g, images):
-    """Extension of generator images along generator words, checked to
-    be an injective homomorphism preserving order, det and trace."""
-    elements, words = ratmatrix_closure(g)
-    index = {p: k for k, p in enumerate(elements)}
-    n_letters = images[0].n if images else g.dimension
-    iota = []
-    for word in words:
-        s = SignedPermutation.identity(n_letters)
-        for j in word:
-            s = s * images[j]
-        iota.append(s)
-    for k, p in enumerate(elements):
-        for j, gen in enumerate(g.point_generators):
-            if iota[k] * images[j] != iota[index[p * RatMatrix(gen)]]:
-                return None
-    if len(set(iota)) != len(elements):
-        return None
-    for k, p in enumerate(elements):
-        if iota[k].trace() != int(trace(p)):
-            return None
-        if iota[k].determinant() != int(det(p.entries)):
-            return None
-        if iota[k].order() != ratmatrix_order(p, len(elements)):
-            return None
-    return iota
-
-
-def loop_induced_action(g, fam):
-    """Per point element, in point_elements order, the signed
-    permutation of the direction classes, from one product t * rep per
-    element and class."""
-    index = {rep: k for k, rep in enumerate(fam.classes)}
-    action = []
-    for t in point_group_real(g):
-        perm = [0] * fam.class_count
-        signs = [0] * fam.class_count
-        for k, rep in enumerate(fam.classes):
-            image = apply(t, rep)
-            canonical = _primitive(image)
-            j = index.get(canonical)
-            if j is None:
-                raise InternalError(
-                    "point element did not preserve the direction classes")
-            for i, e in enumerate(canonical):
-                if e != 0:
-                    scale = image[i] / e
-                    break
-            perm[k] = j + 1
-            signs[k] = 1 if scale > 0 else -1
-        action.append(SignedPermutation(perm, signs))
-    return tuple(action)
-
-
-def ratmatrix_direction_classes(g, basis):
-    """(classes, class_count, action) of the breadth-first class walk
-    over the RatMatrix real forms, one product t * rep per element and
-    class."""
-    theta = point_group_real(g)
-    index, classes = {}, []
-
-    def class_of(v):
-        rep = _primitive(v)
-        if rep not in index:
-            index[rep] = len(classes)
-            classes.append(rep)
-        return index[rep]
-
-    for v in basis:
-        class_of(v)
-    perms = [[] for _ in theta]
-    signs = [[] for _ in theta]
-    k = 0
-    while k < len(classes):
-        rep = classes[k]
-        k += 1
-        for perm, sign, t in zip(perms, signs, theta):
-            image = apply(t, rep)
-            perm.append(class_of(image) + 1)
-            sign.append(1 if next(e for e in image if e != 0) > 0 else -1)
-    return (tuple(classes), len(classes),
-            tuple(SignedPermutation(p, s) for p, s in zip(perms, signs)))
-
-
-# ---------------------------------------------------------------------------
-# Groups
-
-
-def group(name, basis, gens, parts=None):
-    n = len(basis)
-    if parts is None:
-        parts = [[0] * n for _ in gens]
-    return CrystGroup(name, n, basis, gens, parts)
-
-
-I2 = [[1, 0], [0, 1]]
-I4 = [[int(i == j) for j in range(4)] for i in range(4)]
-CYCLE4 = [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
-SWAP12 = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-FLIP1 = [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-# Columns: simple roots of D4, a basis of {x in Z^4 : sum x even}.
-D4_BASIS = [[1, 0, 0, 0], [-1, 1, 0, 0], [0, -1, 1, 1], [0, 0, -1, 1]]
-
-
-def b4():
-    return group("B4", I4, [CYCLE4, SWAP12, FLIP1])
-
-
-def wf4():
-    """W(F4): B4 and the reflection in (1, 1, 1, 1), in the D4 lattice."""
-    half = RatMatrix([[int(i == j) - Fraction(1, 2) for j in range(4)]
-                      for i in range(4)])
-    basis = RatMatrix(D4_BASIS)
-    basis_inv = RatMatrix(inverse(D4_BASIS))
-    gens = [(basis_inv * m * basis).entries
-            for m in map(RatMatrix, (CYCLE4, SWAP12, FLIP1))]
-    gens.append((basis_inv * half * basis).entries)
-    assert all(e.denominator == 1 for m in gens for row in m for e in row)
-    return CrystGroup("W(F4)", 4, D4_BASIS, gens, [[0] * 4] * 4)
-
-
-def _tested_groups():
-    """The catalog, its stabilizations, and the groups built in tests/."""
-    catalog = load_catalog()
-    by_name = {g.name: g for g in catalog}
-    built = [
-        group("p4", I2, [[[0, -1], [1, 0]]]),
-        group("free", I2, []),
-        group("p4-skew", [[2, 1], [1, 1]], [[[0, -1], [1, 0]]]),
-        semidirect_extend(by_name["W"], 2, [identity(2)], name="Z2xW"),
-        group("big", [[int(i == j) for j in range(5)] for i in range(5)],
-              [[[-1 if i == j else 0 for j in range(5)] for i in range(5)]]),
-        b4(),
-    ]
-    c = RatMatrix([[1, 2], [1, 3]])
-    for name in ("p6", "p4", "pgg"):
-        g = by_name[name]
-        built.append(CrystGroup(g.name + "-moved", 2,
-                                (c * RatMatrix(g.lattice_basis)).entries,
-                                g.point_generators, g.translation_parts))
-    return catalog + [stabilize(g) for g in catalog] + built
-
-
-GROUPS = _tested_groups()
-
+from groups import (
+    GROUPS,
+    I2,
+    b4,
+    b4_generic,
+    group,
+    shrunk,
+    wf4,
+    wf4_subgroups,
+)
+from oracles import (
+    affine_closure_size,
+    fraction_check_linear_separation,
+    fraction_dual_matrix,
+    fraction_sample_pairs,
+    fraction_separation,
+    loop_induced_action,
+    matrix_power_order,
+    ratmatrix_closure,
+    ratmatrix_direction_classes,
+    ratmatrix_order,
+    trace,
+    words_candidates,
+    words_extend_assignment,
+)
 
 # ---------------------------------------------------------------------------
 # Tests
@@ -315,7 +123,7 @@ def test_table_matches_the_ratmatrix_closure(g):
             word = word * RatMatrix(g.point_generators[j])
         assert word == p
         assert table.det[k] == det(p.entries)
-        assert table.trace[k] == trace(p)
+        assert table.trace[k] == trace(p.entries)
 
 
 @pytest.mark.parametrize("g", GROUPS, ids=lambda g: g.name)
@@ -323,33 +131,6 @@ def test_the_stabilized_point_group_has_the_input_order(g):
     s = stabilize(g)
     assert s._elements is None
     assert s.point_group_order() == g.point_group_order()
-
-
-# A unimodular change of lattice basis that puts the lattice basis
-# columns of B4 and W(F4) in hundreds of direction classes.
-GENERIC_U = ((1, 2, 3, 5), (0, 1, 1, 2), (0, 0, 1, 3), (0, 0, 0, 1))
-
-
-def in_generic_basis(name, g):
-    """g with lattice basis L * U and generators U^-1 M U, U = GENERIC_U:
-    the same group and real forms."""
-    u_inv = tuple(tuple(int(e) for e in row) for row in inverse(GENERIC_U))
-    gens = [int_mul(int_mul(u_inv, [[int(e) for e in row] for row in m]),
-                    GENERIC_U)
-            for m in g.point_generators]
-    return CrystGroup(name, 4, int_mul(g.lattice_basis, GENERIC_U), gens,
-                      [[0] * 4] * len(gens))
-
-
-def b4_generic():
-    """B4 in the lattice basis U: the lattice basis columns fall into
-    268 direction classes."""
-    return in_generic_basis("B4-generic", b4())
-
-
-def wf4_generic():
-    """W(F4) in the lattice basis D4 * U: 444 direction classes."""
-    return in_generic_basis("W(F4)-D4U", wf4())
 
 
 def test_stabilize_b4_in_a_generic_basis_builds_no_point_table():
@@ -547,16 +328,9 @@ def test_table_orders_match_matrix_powers(g):
 
 
 def test_table_orders_match_matrix_powers_on_wf4_subgroups():
-    """Subgroups of W(F4) on 1-3 random elements, drawn as in the
-    decider's W(F4) fuzz."""
-    wf = wf4()
-    elements = wf.point_elements()
-    rng = random.Random(0)
+    """The subgroups of W(F4) of the decider's W(F4) fuzz."""
     orders = set()
-    for _ in range(60):
-        gens = rng.sample(elements, rng.randint(1, 3))
-        g = CrystGroup("sub", 4, wf.lattice_basis, gens,
-                       [[0] * 4] * len(gens))
+    for g in wf4_subgroups():
         _assert_orders_match_matrix_powers(g)
         orders.add(g.point_group_order())
     assert len(orders) > 5
@@ -587,27 +361,6 @@ def test_translation_parts_must_close_over_the_lattice(tmp_path, capsys):
     assert validate(pg).point_group_order == 2
     for g in load_catalog():
         validate(g)
-
-
-def affine_closure_size(g):
-    """The number of affine maps (M, t mod Z^n) the generators close to,
-    by a breadth-first closure over Fractions: the check the table walk
-    replaced."""
-    n = g.dimension
-    gens = [(tuple(tuple(int(e) for e in row) for row in m),
-             tuple(x % 1 for x in t))
-            for m, t in zip(g.point_generators, g.translation_parts)]
-    elements = [(identity(n), (Fraction(0),) * n)]
-    seen = set(elements)
-    for m, u in elements:
-        for a, t in gens:
-            image = (int_mul(m, a),
-                     tuple((sum(map(operator.mul, row, t)) + x) % 1
-                           for row, x in zip(m, u)))
-            if image not in seen:
-                seen.add(image)
-                elements.append(image)
-    return len(elements)
 
 
 @pytest.mark.parametrize("base", load_catalog(), ids=lambda g: g.name)

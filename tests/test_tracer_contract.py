@@ -96,10 +96,9 @@ def test_no_production_path_builds_a_ratmatrix(tmp_path, capsys,
     from cubecrys.crys import _catalog, load_catalog
     from cubecrys.dual import seeded_wallspaces
     from cubecrys.exactlin import RatMatrix
-    from test_decide import _pinned_groups
-    from test_point_table import wf4
+    from groups import pinned_groups, wf4
 
-    groups = load_catalog() + [wf4(), _pinned_groups()["m-skew"]]
+    groups = load_catalog() + [wf4(), pinned_groups()["m-skew"]]
     group_files = []
     for k, g in enumerate(groups):
         group_files.append(str(tmp_path / ("g%d.json" % k)))

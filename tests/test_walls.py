@@ -1,33 +1,25 @@
 """Tests for the standard wall family and its direction classes.
 
 The separation count and its linear bounds run on the family's int
-dual rows; the Fraction path they replaced is kept below as the oracle
+dual rows; the Fraction path they replaced is kept in tests/oracles.py
 (`fraction_separation`, `fraction_check_linear_separation`), and so is
 the Fraction draw of the `cubulate` separation sample
 (`fraction_sample_pairs`).
 """
 
 import dataclasses
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from cubecrys.crys import CrystGroup, catalog_entry, load_catalog, validate
+from cubecrys.crys import catalog_entry, load_catalog, validate
 from cubecrys.decide import HyperoctahedralWitness, is_hyperoctahedral
-from cubecrys.exactlin import (
-    RatMatrix,
-    ShapeError,
-    format_rational,
-    identity,
-    int_mul,
-)
+from cubecrys.exactlin import ShapeError, identity, int_mul
 from cubecrys.sgnperm import SignedPermutation, signed_permutation_of
 from cubecrys.walls import (
     GeometricWall,
     InternalError,
-    LinearSeparationReport,
     PropertyViolationError,
     RankError,
     _primitive,
@@ -38,108 +30,13 @@ from cubecrys.walls import (
     separation_count,
     stabilize,
 )
-
-
-# ---------------------------------------------------------------------------
-# The Fraction separation path, as an oracle
-
-
-def fraction_dual_matrix(fam):
-    """B^-1 as a RatMatrix, from the family's int rows e B^-1."""
-    e, rows = fam.dual_matrix
-    return RatMatrix([[Fraction(x, e) for x in row] for row in rows])
-
-
-def apply(m: RatMatrix, v) -> tuple:
-    """m * v for a column vector v, as a tuple of Fractions."""
-    if m.cols != len(v):
-        raise ShapeError("matrix-vector size mismatch")
-    return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0))
-                 for row in m.entries)
-
-
-def pair_text(p, q):
-    return "(%s)" % ", ".join(
-        "[%s]" % ", ".join(map(format_rational, v)) for v in (p, q))
-
-
-def _integers_strictly_between(a, b):
-    if a == b:
-        return 0
-    lo, hi = (a, b) if a < b else (b, a)
-    return max(0, math.ceil(hi) - math.floor(lo) - 1)
-
-
-def fraction_separation(fam, p, q):
-    """The separation count over the Fraction dual coordinates
-    b_inv * p and b_inv * q."""
-    b_inv = fraction_dual_matrix(fam)
-    return sum(_integers_strictly_between(a, b)
-               for a, b in zip(apply(b_inv, p), apply(b_inv, q)))
-
-
-def fraction_check_linear_separation(g, fam, samples):
-    """check_linear_separation with every quantity a Fraction."""
-    samples = list(samples)
-    if not samples:
-        raise ValueError("need at least one sample pair")
-    n = g.dimension
-    b_inv = fraction_dual_matrix(fam)
-    max_norm_sq = max(sum(x * x for x in v) for v in fam.basis)
-    worst = Fraction(0)
-    for r1, r2 in samples:
-        nu1 = apply(b_inv, r1)
-        nu2 = apply(b_inv, r2)
-        sep = sum(_integers_strictly_between(a, b) for a, b in zip(nu1, nu2))
-        lhs = sum((a - b) ** 2 for a, b in zip(r1, r2))
-        rhs = max_norm_sq * (sep + n) ** 2
-        if lhs > rhs:
-            raise PropertyViolationError(
-                "separation bound failed for pair %s: %s > %s"
-                % (pair_text(r1, r2), lhs, rhs))
-        lower = sum(abs(a - b) for a, b in zip(nu1, nu2)) - n
-        if sep < lower:
-            raise PropertyViolationError(
-                "separation undercount for pair %s: %d < %s"
-                % (pair_text(r1, r2), sep, lower))
-        ratio = lhs / rhs
-        if ratio > worst:
-            worst = ratio
-    return LinearSeparationReport(
-        pairs_checked=len(samples),
-        worst_ratio=worst,
-        max_basis_norm_sq=max_norm_sq,
-        lower_bound_checked=True,
-    )
-
-
-def fraction_sample_pairs(n, count, seed):
-    """The `cubulate` separation sample as Fraction pairs: seeded
-    randrange numerators and denominators, point after point."""
-    rng = random.Random(seed)
-
-    def point():
-        return tuple(Fraction(rng.randrange(-2000, 2001), rng.randrange(1, 8))
-                     for _ in range(n))
-
-    return [(point(), point()) for _ in range(count)]
-
-
-def shrunk(fam, factor=100):
-    """The family with its basis divided by factor and its walls kept,
-    so the upper separation bound fails on any far-apart pair."""
-    return dataclasses.replace(fam, basis=tuple(
-        tuple(x / factor for x in v) for v in fam.basis))
-
-
-def trivial_group(n=2, name="free"):
-    return CrystGroup(
-        name=name,
-        dimension=n,
-        lattice_basis=identity(n),
-        point_generators=[],
-        translation_parts=[],
-    )
+from groups import I2, group, shrunk
+from oracles import (
+    apply,
+    fraction_check_linear_separation,
+    fraction_dual_matrix,
+    fraction_side,
+)
 
 
 def test_canonicalize_direction():
@@ -158,11 +55,11 @@ def test_geometric_wall_is_canonically_scaled():
     assert w.normal == (1, -2)
     assert w.offset == Fraction(3, 2)
     assert w == GeometricWall(["-1", 2], "-3/2")
-    assert w.side((0, 0)) == -1
-    assert w.side((2, 0)) == 1
-    assert w.side((Fraction(3, 2), 0)) == 0
+    assert fraction_side(w, (0, 0)) == -1
+    assert fraction_side(w, (2, 0)) == 1
+    assert fraction_side(w, (Fraction(3, 2), 0)) == 0
     with pytest.raises(ShapeError):
-        w.side((1, 0, 0))
+        fraction_side(w, (1, 0, 0))
 
 
 @pytest.mark.parametrize("value", [True, False])
@@ -172,18 +69,18 @@ def test_a_wall_refuses_bools(value):
     with pytest.raises(ValueError, match="not a serialized rational"):
         GeometricWall([1, 0], value)
     with pytest.raises(ValueError, match="not a serialized rational"):
-        direction_class_count(trivial_group(), [[1, 0], [0, value]])
+        direction_class_count(group("free", I2, []), [[1, 0], [0, value]])
 
 
 def test_standard_walls_square_basis():
-    g = trivial_group()
+    g = group("free", I2, [])
     walls = direction_class_count(g, [(1, 0), (0, 1)]).base_walls
     assert walls[0] == GeometricWall((1, 0), 0)
     assert walls[1] == GeometricWall((0, 1), 0)
 
 
 def test_standard_walls_one_dimension():
-    g = trivial_group(n=1)
+    g = group("free", [[1]], [])
     walls = direction_class_count(g, [(2,)]).base_walls
     assert len(walls) == 1
     assert walls[0] == GeometricWall((1,), 0)
@@ -191,7 +88,7 @@ def test_standard_walls_one_dimension():
 
 def test_standard_walls_are_dual_to_the_basis():
     """Wall i must contain every basis vector except the i-th."""
-    g = trivial_group()
+    g = group("free", I2, [])
     basis = [(1, Fraction(1, 2)), (1, Fraction(-1, 2))]
     walls = direction_class_count(g, basis).base_walls
     for i, w in enumerate(walls):
@@ -200,7 +97,7 @@ def test_standard_walls_are_dual_to_the_basis():
 
 
 def test_standard_walls_need_a_basis():
-    g = trivial_group()
+    g = group("free", I2, [])
     with pytest.raises(RankError):
         direction_class_count(g, [(1, 0), (2, 0)])
     with pytest.raises(RankError):
@@ -208,7 +105,7 @@ def test_standard_walls_need_a_basis():
 
 
 def test_direction_classes_trivial_group():
-    fam = direction_class_count(trivial_group(), identity(2))
+    fam = direction_class_count(group("free", I2, []), identity(2))
     assert fam.class_count == 2
     assert fam.classes == ((1, 0), (0, 1))
     assert fam.basis == ((1, 0), (0, 1))
@@ -245,7 +142,7 @@ def test_witness_basis_gives_minimal_class_count():
 
 
 def test_separation_count_square_lattice():
-    fam = direction_class_count(trivial_group(), identity(2))
+    fam = direction_class_count(group("free", I2, []), identity(2))
     p = (Fraction(1, 4), Fraction(1, 4))
     q = (Fraction(11, 4), Fraction(7, 4))
     # Crosses x=1, x=2 and y=1.
@@ -258,7 +155,7 @@ def test_separation_count_square_lattice():
 
 
 def test_separation_ignores_walls_through_endpoints():
-    fam = direction_class_count(trivial_group(), identity(2))
+    fam = direction_class_count(group("free", I2, []), identity(2))
     # q sits on the wall x = 1; that wall separates nothing.
     p = (Fraction(1, 2), Fraction(1, 2))
     q = (1, Fraction(1, 2))
@@ -268,7 +165,7 @@ def test_separation_ignores_walls_through_endpoints():
 
 
 def test_separation_vanishes_iff_no_wall_separates():
-    fam = direction_class_count(trivial_group(), identity(2))
+    fam = direction_class_count(group("free", I2, []), identity(2))
     inside = [(Fraction(1, 3), Fraction(2, 3)),
               (Fraction(2, 3), Fraction(1, 5))]
     assert separation_count(inside[0], inside[1], fam) == 0
@@ -279,7 +176,7 @@ def test_separation_vanishes_iff_no_wall_separates():
 def test_separation_triangle_inequality_on_collinear_triples():
     """For q between p and r (and on no wall), every wall separating
     p from r separates one of the half segments."""
-    fam = direction_class_count(trivial_group(), identity(2))
+    fam = direction_class_count(group("free", I2, []), identity(2))
     rng = random.Random(5)
     checked = 0
     while checked < 50:
@@ -295,7 +192,7 @@ def test_separation_triangle_inequality_on_collinear_triples():
 
 
 def test_linear_separation_exact_pair():
-    g = trivial_group()
+    g = group("free", I2, [])
     fam = direction_class_count(g, identity(2))
     p = (Fraction(1, 4), Fraction(1, 4))
     q = (Fraction(11, 4), Fraction(7, 4))
@@ -347,7 +244,7 @@ def test_a_violated_upper_bound_names_the_pair():
 
 
 def test_check_linear_separation_needs_samples():
-    g = trivial_group()
+    g = group("free", I2, [])
     fam = direction_class_count(g, identity(2))
     with pytest.raises(ValueError):
         check_linear_separation(g, fam, [])
