@@ -6,10 +6,11 @@ where a group is rejected by the classifier (a rejection is an answer,
 not a failure).  Exit code 1 is for bad input: unknown flags, missing
 or malformed files, out-of-scope sizes.  Exit code 2 signals an
 internal invariant failure and should be reported as a bug.  A stdout
-closed by its reader (`cubecrys catalog --json | head -c 1`) also gives
-exit code 1, the code Python itself exits with on EPIPE, with nothing
-written to stderr; so does `--help`, at the top or after a subcommand,
-since help text goes out through the same path as a report.
+closed by its reader (`cubecrys catalog --json | head -c 1`), before or
+while a report streams out, also gives exit code 1, the code Python
+itself exits with on EPIPE, with nothing written to stderr; so does
+`--help`, at the top or after a subcommand, since help text goes out
+through the same path as a report.
 
 main(argv) may be called repeatedly in one process.  It builds its
 argument parser on the first call and reuses it, so importing this
@@ -45,8 +46,8 @@ from cubecrys.dual import (
     load_wallspace,
 )
 from cubecrys.exactlin import (
+    dump_json,
     format_rational,
-    json_text,
     matrix_to_json,
     write_json,
 )
@@ -109,11 +110,14 @@ def _resolve_seed(flag_value):
             "environment variable %s=%r is not an integer" % (SEED_ENV, raw))
 
 
-def _emit(text: str) -> int:
-    """Print text to stdout and flush it: exit code 0, or 1 when the
-    reader has closed the pipe."""
+def _emit(text: str = "", *, report=None) -> int:
+    """Print text, or stream report's JSON, to stdout and flush it: exit
+    code 0, or 1 when the reader has closed the pipe."""
     try:
-        print(text)
+        if report is None:
+            print(text)
+        else:
+            dump_json(report, sys.stdout.write)
         sys.stdout.flush()
     except BrokenPipeError:
         # Python flushes stdout again at exit: send that to devnull.
@@ -440,11 +444,9 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = parser.parse_args(argv)
     except _UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 1
@@ -463,7 +465,7 @@ def main(argv=None) -> int:
         return 2
 
     if getattr(args, "json", False):
-        return _emit(json_text(report))
+        return _emit(report=report)
     return _emit("\n".join(lines))
 
 

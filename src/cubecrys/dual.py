@@ -26,7 +26,7 @@ subgraph of the hypercube induced on its 0-cubes; Chepoi), so
 adjacency and links are derived on demand.  The flip walk keeps each
 edge as it crosses it, and the JSON layout sorts those codes when
 asked: its edge list is an IndexPairs over the sorted codes, which
-json_text renders in one join over index-string tables made once,
+dump_json renders in one join over index-string tables made once,
 with no [u, v] list per edge.  The complex file is written, never
 read.
 
@@ -367,7 +367,7 @@ class CubeComplex:
     def to_json_dict(self) -> dict:
         """The complex file's dict.  Its "edges" is an IndexPairs over
         the sorted edge codes: it equals the list of [u, v] rows, and
-        json_text renders it in one join without making them, but
+        dump_json renders it in one join without making them, but
         json.dumps needs default=list to write it."""
         # Orientation.to_bitstring, on the bare bitmasks.
         top = 1 << self.num_walls

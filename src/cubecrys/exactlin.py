@@ -300,7 +300,7 @@ class IndexPairs(Sequence):
     u << shift | v (count <= 2 ** shift) and each made when read.
 
     It equals a list of the same rows, and a slice is a list of rows,
-    as for the list it stands in for.  json_text renders it from the
+    as for the list it stands in for.  dump_json renders it from the
     keys without making the rows; json.dumps needs default=list.
     """
 
@@ -334,8 +334,9 @@ class IndexPairs(Sequence):
                                            self._shift)
 
 
-def json_text(obj) -> str:
-    """Exactly json.dumps(obj, indent=2, sort_keys=True), only faster.
+def dump_json(obj, write) -> None:
+    """Write exactly json.dumps(obj, indent=2, sort_keys=True) and a
+    newline through write, one leaf at most in a chunk.
 
     An `indent` makes `json` fall back to its pure-Python encoder.  Here
     dicts and lists are walked in Python, but every leaf goes to one
@@ -344,10 +345,8 @@ def json_text(obj) -> str:
     matrix (a list of non-empty lists of scalars) and a dict of scalars.
     An IndexPairs is one join over its keys.
     """
-    out = []
-    if not _put_leaf(obj, "\n", "", out.append):
-        _emit(obj, "\n", out.append)
-    return "".join(out)
+    _emit(obj, "\n", "", write)
+    write("\n")
 
 
 def _put_leaf(obj, pad: str, head: str, put) -> bool:
@@ -393,9 +392,12 @@ def _put_leaf(obj, pad: str, head: str, put) -> bool:
     return True
 
 
-def _emit(obj, pad: str, put) -> None:
-    """Append the indent-2 text of obj, nested at indent `pad`, to put;
-    each leaf value (see _put_leaf) goes with its key or item break."""
+def _emit(obj, pad: str, head: str, put) -> None:
+    """Put head and the indent-2 text of obj, nested at indent `pad`;
+    a leaf (see _put_leaf) goes in one chunk with its head."""
+    if _put_leaf(obj, pad, head, put):
+        return
+    put(head)
     inner = pad + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -408,10 +410,8 @@ def _emit(obj, pad: str, put) -> None:
                     raise TypeError("keys must be str, int, float, bool or "
                                     "None, not %s" % type(key).__name__)
                 key = _encode(key)
-            head = sep + encode_basestring_ascii(key) + ": "
-            if not _put_leaf(value, inner, head, put):
-                put(head)
-                _emit(value, inner, put)
+            _emit(value, inner, sep + encode_basestring_ascii(key) + ": ",
+                  put)
             sep = "," + inner
         put(pad + "}")
     elif isinstance(obj, IndexPairs):
@@ -423,9 +423,7 @@ def _emit(obj, pad: str, put) -> None:
     else:
         sep = "[" + inner
         for value in obj:
-            if not _put_leaf(value, inner, sep, put):
-                put(sep)
-                _emit(value, inner, put)
+            _emit(value, inner, sep, put)
             sep = "," + inner
         put(pad + "]")
 
@@ -462,10 +460,8 @@ def _emit_pairs(pairs: IndexPairs, pad: str, put) -> None:
 
 def write_json(path, data) -> None:
     """Write a file format's JSON form: sorted keys, indent 2, newline."""
-    text = json_text(data)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+        dump_json(data, fh.write)
 
 
 def read_json(path, error):

@@ -494,8 +494,8 @@ def test_dual_of_ten_crossing_lines(capsys, tmp_path):
 
 
 # sha256 of `dual walls.json --json --out complex.json` stdout and of
-# complex.json, recorded before the report and the complex files moved
-# to exactlin.json_text; every byte must stay the same.
+# complex.json, recorded before exactlin rendered the report and the
+# complex file; every byte must stay the same.
 DUAL_PINS = {
     "ten_crossing_lines": (
         "8d31decc51e8af3dd37841e70c44b68621125d17ed90138b6a56a3a82bde276a",
@@ -1113,6 +1113,64 @@ def test_a_closed_stdout_exits_one_with_an_empty_stderr(argv):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def big_report_input(tmp_path, command):
+    """An input whose `--json` report is far larger than a 64 KiB pipe
+    buffer: 581,189 bytes from dual, and B4-generic's cubulate report."""
+    path = tmp_path / "input.json"
+    if command == "dual":
+        save_wallspace(seeded_wallspaces(count=2, seed=1, dimension=3,
+                                         max_walls=12)[1], path)
+    else:
+        save_group(b4_generic(), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["dual", "cubulate"])
+def test_a_pipe_closed_partway_through_a_report_exits_one(command, tmp_path):
+    """A reader that takes a few bytes of the report, then closes the
+    pipe while the rest is still being written."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cubecrys", command, "--json",
+         big_report_input(tmp_path, command)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=module_env())
+    try:
+        head = proc.stdout.read(16)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert len(head) == 16 and head.startswith(b'{\n  "')
+    assert (code, err) == (1, b"")
+
+
+@pytest.mark.parametrize("case", [
+    "validate-missing", "classify-malformed", "cubulate-witness-basis",
+    "cubulate-seed-env", "dual-out-dir", "boundary-plane"])
+@pytest.mark.parametrize("mode", ["--json", "--text"])
+def test_an_exit_one_leaves_stdout_empty(case, mode, capsys, tmp_path,
+                                         monkeypatch):
+    """Every handler fails before its output begins."""
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"format": "cubecrys-group/1"}')
+    argv = {
+        "validate-missing": ["validate", str(tmp_path / "missing.json")],
+        "classify-malformed": ["classify", str(bad)],
+        "cubulate-witness-basis": ["cubulate", "--use-witness-basis",
+                                   group_file(tmp_path, "p6")],
+        "cubulate-seed-env": ["cubulate", group_file(tmp_path, "p4m")],
+        "dual-out-dir": ["dual", walls_file(tmp_path), "--out",
+                         str(tmp_path / "no-such-dir" / "c.json")],
+        "boundary-plane": ["boundary", "Plane"],
+    }[case]
+    monkeypatch.setenv(cli.SEED_ENV, "x" if case == "cubulate-seed-env"
+                       else "0")
+    code, out, err = run(capsys, *argv, mode)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # -- internal failures ------------------------------------------------

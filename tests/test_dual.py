@@ -36,7 +36,7 @@ from cubecrys.dual import (
     union_orientation,
     wallspace_from_json_dict,
 )
-from cubecrys.exactlin import IndexPairs, integral, json_text, write_json
+from cubecrys.exactlin import IndexPairs, dump_json, integral, write_json
 from cubecrys.sgnperm import build_Qn
 from cubecrys.walls import GeometricWall
 from groups import (
@@ -847,6 +847,13 @@ def test_wallspace_file_dimension_must_be_a_positive_json_integer(dimension):
         wallspace_from_json_dict(d)
 
 
+def joined(obj) -> str:
+    """The chunks that dump_json writes for obj, joined."""
+    chunks = []
+    dump_json(obj, chunks.append)
+    return "".join(chunks)
+
+
 def stored_edge_file_text(ws) -> str:
     """The complex file of ws's dual, as json.dumps writes the
     stored-edge oracle's dict."""
@@ -934,7 +941,7 @@ def assert_matches_stored_edges(c, old, starts=(0,), step=1, median=True):
         assert bfs_distances(c, start) == bfs_distances(old, start)
     if median:
         assert is_median_graph(c) == stored_is_median_graph(old)
-    assert json_text(c.to_json_dict()) == json_text(old.to_json_dict())
+    assert joined(c.to_json_dict()) == joined(old.to_json_dict())
 
 
 def test_a_walked_dual_stores_its_zero_cubes_and_one_code_per_edge():
@@ -1167,7 +1174,7 @@ def test_complex_dicts_round_trip():
         d = c.to_json_dict()
         assert isinstance(d["edges"], IndexPairs)
         assert d == stored_edge_dual(c.wallspace).to_json_dict()
-        assert json.loads(json_text(d)) == d
+        assert json.loads(joined(d)) == d
 
 
 def test_writing_a_complex_makes_no_edge_row(tmp_path, monkeypatch):
@@ -1179,7 +1186,7 @@ def test_writing_a_complex_makes_no_edge_row(tmp_path, monkeypatch):
                               default=list)
         with monkeypatch.context() as m:
             m.setattr(IndexPairs, "__getitem__", refuse)
-            assert json_text(c.to_json_dict()) == expected
+            assert joined(c.to_json_dict()) == expected + "\n"
             write_json(tmp_path / "c.json", c.to_json_dict())
         assert (tmp_path / "c.json").read_text() == expected + "\n"
 

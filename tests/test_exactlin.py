@@ -21,6 +21,7 @@ from cubecrys.exactlin import (
     SingularMatrixError,
     average_intertwiner,
     det,
+    dump_json,
     format_rational,
     STRAIGHT_LINE_MAX,
     _KERNELS,
@@ -28,7 +29,6 @@ from cubecrys.exactlin import (
     identity,
     int_mul,
     inverse,
-    json_text,
     matrix_from_json,
     matrix_to_json,
     parse_rational,
@@ -291,7 +291,20 @@ def test_json_round_trips():
     assert matrix_to_json(((1, 0), (-2, 3))) == [["1", "0"], ["-2", "3"]]
 
 
-# Strings that look like the separators and brackets json_text splices,
+def joined(obj) -> str:
+    """The chunks that dump_json writes for obj, joined."""
+    chunks = []
+    dump_json(obj, chunks.append)
+    return "".join(chunks)
+
+
+def dumps(obj) -> str:
+    """The oracle for joined(obj): json's text at indent 2 and a
+    newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+# Strings that look like the separators and brackets dump_json splices,
 # the row break of a matrix at each of its first indents included.
 _TRICKY = st.sampled_from(['"', "]", ",", "\n", "\u00e9\u6f22", "[]",
                            "],\n  [", "{", "a\\b"]
@@ -310,7 +323,7 @@ _KEY_FAMILIES = st.sampled_from([
     st.one_of(st.integers(min_value=-10 ** 30, max_value=10 ** 30),
               st.floats(allow_nan=False), st.booleans()),
     st.none()])
-# Matrices (json_text's one-call path): rows of numbers or strings, as
+# Matrices (dump_json's one-call path): rows of numbers or strings, as
 # lists or tuples, 1 x 1 and single rows included; some rows empty or
 # ragged, and some nested one level deeper, which must fall back.
 _ROWS = st.lists(st.one_of(
@@ -340,7 +353,7 @@ def _json_trees():
 @settings(max_examples=400, deadline=None)
 @given(_json_trees())
 def test_json_text_is_json_dumps_indent_2(tree):
-    assert json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+    assert joined(tree) == dumps(tree)
 
 
 _HAND_CASES = [
@@ -361,7 +374,7 @@ _HAND_CASES = [
 
 def test_json_text_hand_cases():
     for x in _HAND_CASES:
-        assert json_text(x) == json.dumps(x, indent=2, sort_keys=True), x
+        assert joined(x) == dumps(x), x
 
 
 @settings(max_examples=200, deadline=None)
@@ -370,7 +383,7 @@ def test_json_text_of_nested_scalar_dicts(leaf, depth):
     tree = leaf
     for level in range(depth):
         tree = {"k%d" % level: tree, "other": [level]}
-    assert json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+    assert joined(tree) == dumps(tree)
 
 
 def test_json_text_rejects_what_json_rejects():
@@ -378,7 +391,7 @@ def test_json_text_rejects_what_json_rejects():
         with pytest.raises(TypeError):
             json.dumps(bad, indent=2, sort_keys=True)
         with pytest.raises(TypeError):
-            json_text(bad)
+            joined(bad)
 
 
 def test_json_text_writes_each_leaf_in_one_encoder_call(monkeypatch):
@@ -413,7 +426,7 @@ def test_json_text_writes_each_leaf_in_one_encoder_call(monkeypatch):
     for e in elements:
         leaves += [e["point_element"], e["image"]["perm"],
                    e["image"]["signs"], e["conjugation_residual"]]
-    assert json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+    assert joined(tree) == dumps(tree)
     assert sorted(map(id, calls)) == sorted(map(id, leaves))
 
 
@@ -424,22 +437,33 @@ def test_json_text_without_the_c_encoder():
         mp.setattr(json.encoder, "c_make_encoder", None)
         mp.setattr(exactlin, "_ENCODERS", {})
         for x in _HAND_CASES:
-            assert json_text(x) == json.dumps(x, indent=2, sort_keys=True), x
+            assert joined(x) == dumps(x), x
 
         @seed(0)
         @settings(max_examples=100, deadline=None)
         @given(_json_trees())
         def same_text(tree):
-            assert json_text(tree) == json.dumps(tree, indent=2,
-                                                 sort_keys=True)
+            assert joined(tree) == dumps(tree)
 
         same_text()
         for bad in ({(1, 2): 0}, {"a": object()}, [[object()]]):
             with pytest.raises(TypeError):
-                json_text(bad)
+                joined(bad)
         assert exactlin._ENCODERS
         assert not any(type(enc).__module__ == "_json"
                        for enc in exactlin._ENCODERS.values())
+
+
+def test_dump_json_never_holds_two_leaves_in_one_chunk():
+    # A cubulate-shaped report of three equal matrices: each goes out in
+    # a chunk of its own, so no chunk comes near the whole text.
+    m = [[str(i * j - 7) for j in range(40)] for i in range(40)]
+    tree = {"basis": m, "generators": [m, m], "name": "G"}
+    chunks = []
+    dump_json(tree, chunks.append)
+    text = "".join(chunks)
+    assert text == dumps(tree)
+    assert max(map(len, chunks)) < len(text) // 2
 
 
 # IndexPairs: (count, shift, sorted keys u << shift | v with u, v below
@@ -478,10 +502,9 @@ def _rows(shift, keys):
 def test_json_text_renders_index_pairs_as_their_rows(pair_keys, nestings):
     count, shift, keys = pair_keys
     tree = _nest(IndexPairs(keys, count, shift), nestings)
-    expected = json.dumps(_nest(_rows(shift, keys), nestings), indent=2,
-                          sort_keys=True)
-    assert json_text(tree) == expected
-    assert json.dumps(tree, indent=2, sort_keys=True, default=list) \
+    expected = dumps(_nest(_rows(shift, keys), nestings))
+    assert joined(tree) == expected
+    assert json.dumps(tree, indent=2, sort_keys=True, default=list) + "\n" \
         == expected
 
 
@@ -517,11 +540,10 @@ def test_json_text_of_index_pairs_makes_no_row(monkeypatch):
     tree = {"edges": IndexPairs([1, 6, 8], 3, 2),
             "empty": [IndexPairs([], 0, 0)],
             "nested": [[IndexPairs([2], 2, 1)], [1]]}
-    expected = json.dumps({"edges": [[0, 1], [1, 2], [2, 0]], "empty": [[]],
-                           "nested": [[[[1, 0]]], [1]]},
-                          indent=2, sort_keys=True)
+    expected = dumps({"edges": [[0, 1], [1, 2], [2, 0]], "empty": [[]],
+                      "nested": [[[[1, 0]]], [1]]})
     monkeypatch.setattr(IndexPairs, "__getitem__", refuse)
-    assert json_text(tree) == expected
+    assert joined(tree) == expected
 
 
 def test_average_intertwiner_single_element():

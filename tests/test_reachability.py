@@ -8,10 +8,14 @@ somewhere the CLI, the demos or the benchmark reach: in module-level
 code, a private helper, a demo, perfbench, or a definition that is
 itself reached, but not inside the definition it names.  So a helper
 that only an unreached function calls is unreached too.  The tests do
-not count, and neither does an import.  The attribute paths of
-perfbench/spans.py's TARGETS count as both names and attributes, since
-the tracer patches them by name.  Names are matched by spelling, not by
-type: a method is reached when an attribute of its name is read.
+not count, and neither does an import.  Each entry of
+perfbench/spans.py's TARGETS, which the tracer patches by name, reaches
+exactly the definition that its module and attribute path name, and the
+class that the path starts with.  Other references are matched by
+spelling, not by type: a method is reached when an attribute of its
+name is read.  So a test-only method whose name a live attribute read
+shares (for example `edges`) still passes; telling them apart needs
+the receiver's type, which ast alone does not give.
 
 ALLOWED lists README-documented API that nothing calls, at most five
 names, each with a one-line reason.  An entry that is reached, or that
@@ -77,12 +81,23 @@ def tracer_targets(tree) -> ast.List:
     raise LookupError("no TARGETS list")
 
 
+def traced(trees) -> set:
+    """The qualified names that the tracer's TARGETS reach: for each
+    entry (span, module, path, ...), module.path and module.head, where
+    head is the path's first part, the class of a traced method."""
+    out = set()
+    for entry in tracer_targets(trees[SPANS]).elts:
+        module, path = (e.value for e in entry.elts[1:3])
+        out |= {"%s.%s" % (module, path),
+                "%s.%s" % (module, path.split(".")[0])}
+    return out
+
+
 def references(trees, defs) -> dict:
     """{spelling: [(is_attribute, enclosing)]} for every name and
-    attribute read, and every part of a tracer path, which counts as
-    both; enclosing is the frozenset of definitions in defs that the
-    reference lies in.  An import is no reference: what it binds is
-    used by name."""
+    attribute read; enclosing is the frozenset of definitions in defs
+    that the reference lies in.  An import is no reference: what it
+    binds is used by name."""
     spans = {}
     for qualified, (path, node, _) in defs.items():
         spans.setdefault(path, []).append(
@@ -101,24 +116,19 @@ def references(trees, defs) -> dict:
             elif isinstance(node, ast.Attribute) \
                     and isinstance(node.ctx, ast.Load):
                 add(node.attr, True, path, node.lineno)
-        if path == SPANS:
-            for entry in tracer_targets(tree).elts:
-                target = entry.elts[2]
-                for part in target.value.split("."):
-                    add(part, False, path, target.lineno)
-                    add(part, True, path, target.lineno)
     return out
 
 
 def reached(trees, defs) -> set:
     """The definitions that the CLI, the demos and the benchmark reach.
 
-    A reference counts when every definition it lies in is reached
-    itself (module-level code, private helpers and the demos and
-    benchmark count from the start), and not when it lies in the
-    definition it names.  A method needs an attribute read."""
+    The tracer's targets are reached from the start.  A reference
+    counts when every definition it lies in is reached itself
+    (module-level code, private helpers and the demos and benchmark
+    count from the start), and not when it lies in the definition it
+    names.  A method needs an attribute read."""
     refs = references(trees, defs)
-    done = set()
+    done = traced(trees) & defs.keys()
     grew = True
     while grew:
         grew = False
@@ -258,6 +268,33 @@ def test_only_the_tracer_targets_keep_the_ratmatrix_code():
         "exactlin.RatMatrix.zeros is reached only from the tests",
         "exactlin.average_intertwiner is reached only from the tests",
     ]
+
+
+def test_a_tracer_path_reaches_only_the_definition_it_names():
+    """The tracer path `inverse` means exactlin.inverse: it reaches no
+    method of that name on another class.  A path to a method reaches
+    the method and its class."""
+    trees = _with_module(scanned_trees(), PACKAGE + "extra.py", (
+        "class Perm:\n"
+        "    def inverse(self):\n"
+        "        return self\n"
+        "\n"
+        "class Traced:\n"
+        "    def step(self):\n"
+        "        return self\n"))
+    trees = _with_module(trees, "demos/99_extra.py", (
+        "from cubecrys.extra import Perm\n"
+        "Perm()\n"))
+    assert unreached(trees, ALLOWED) == [
+        "extra.Perm.inverse is reached only from the tests",
+        "extra.Traced is reached only from the tests",
+        "extra.Traced.step is reached only from the tests",
+    ]
+    tracer_targets(trees[SPANS]).elts.append(ast.parse(
+        '("extra.step", "extra", "Traced.step", None, None)',
+        mode="eval").body)
+    assert unreached(trees, ALLOWED) == [
+        "extra.Perm.inverse is reached only from the tests"]
 
 
 def test_a_test_module_importing_another_fails_the_check():
