@@ -118,14 +118,9 @@ class BoundaryDescriptor:
         return self.parts[0]
 
     def describe(self) -> str:
-        labels = []
-        for p in self.parts:
-            if p == INFINITE_DISCRETE:
-                labels.append(INFINITE_DISCRETE)
-            else:
-                labels.append("complex(%d vertices, %d edges)"
-                              % (len(p.vertices), len(p.edges)))
-        return " * ".join(labels)
+        return " * ".join(
+            p if p == INFINITE_DISCRETE else "complex(%d vertices, %d edges)"
+            % (len(p.vertices), len(p.edges)) for p in self.parts)
 
     def __eq__(self, other):
         return (isinstance(other, BoundaryDescriptor)
@@ -165,8 +160,7 @@ def product_boundary(factors) -> BoundaryDescriptor:
         raise ValueError("factor list must be nonempty")
     parts = []
     for i, f in enumerate(factors):
-        atom = atomic_boundary(f)
-        for p in atom.parts:
+        for p in atomic_boundary(f).parts:
             if p == INFINITE_DISCRETE:
                 parts.append(p)
             else:
@@ -188,12 +182,7 @@ def boundary_of_Rn(n: int) -> SimplicialComplex:
 
 def _adjacency_sets(c: SimplicialComplex):
     index = {v: i for i, v in enumerate(c.vertices)}
-    adj = [set() for _ in c.vertices]
-    for e in c.edges:
-        u, v = tuple(e)
-        adj[index[u]].add(index[v])
-        adj[index[v]].add(index[u])
-    return adj
+    return [{index[u] for u in c.neighbors(v)} for v in c.vertices]
 
 
 def is_isomorphic(a: SimplicialComplex, b: SimplicialComplex) -> bool:
@@ -238,13 +227,8 @@ def is_isomorphic(a: SimplicialComplex, b: SimplicialComplex) -> bool:
         for j in by_sig_b[sig_a[i]]:
             if used[j]:
                 continue
-            consistent = True
-            for k in range(pos):
-                i2 = order[k]
-                if (i2 in adj_a[i]) != (mapping[i2] in adj_b[j]):
-                    consistent = False
-                    break
-            if not consistent:
+            if any((i2 in adj_a[i]) != (mapping[i2] in adj_b[j])
+                   for i2 in order[:pos]):
                 continue
             mapping[i] = j
             used[j] = True

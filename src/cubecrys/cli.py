@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -90,9 +91,11 @@ class _Parser(argparse.ArgumentParser):
             raise SystemExit(1)
 
 
-def _digest_file(path: str) -> str:
+def _load(loader, path: str):
+    """(loader's value, sha256 of the bytes it parsed) for the file."""
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        raw = fh.read()
+    return loader(io.BytesIO(raw)), hashlib.sha256(raw).hexdigest()
 
 
 def _digest_text(text: str) -> str:
@@ -165,11 +168,11 @@ def _sample_pairs(n: int, count: int, seed: int):
 
 
 def _cmd_validate(args):
-    g = load_group(args.group_file)
+    g, digest = _load(load_group, args.group_file)
     vr = validate(g)
     report = {
         "command": "validate",
-        "input_digest": _digest_file(args.group_file),
+        "input_digest": digest,
         "validation": vr.to_json_dict(),
     }
     lines = [
@@ -183,13 +186,13 @@ def _cmd_validate(args):
 
 
 def _cmd_classify(args):
-    g = load_group(args.group_file)
+    g, digest = _load(load_group, args.group_file)
     result = is_hyperoctahedral(g)
     accepted = isinstance(result, HyperoctahedralWitness)
     verdict = "accepted" if accepted else "rejected"
     report = {
         "command": "classify",
-        "input_digest": _digest_file(args.group_file),
+        "input_digest": digest,
         "group": g.name,
         "verdict": verdict,
     }
@@ -211,7 +214,7 @@ def _cmd_classify(args):
 
 
 def _cmd_cubulate(args):
-    g = load_group(args.group_file)
+    g, digest = _load(load_group, args.group_file)
     validate(g)
     seed = _resolve_seed(args.seed)
     if args.use_witness_basis:
@@ -232,7 +235,7 @@ def _cmd_cubulate(args):
         g, fam, _sample_pairs(g.dimension, 100, seed))
     report = {
         "command": "cubulate",
-        "input_digest": _digest_file(args.group_file),
+        "input_digest": digest,
         "group": g.name,
         "basis_source": basis_source,
         "seed": seed,
@@ -267,7 +270,7 @@ def _cmd_cubulate(args):
 
 
 def _cmd_dual(args):
-    ws = load_wallspace(args.walls_file)
+    ws, digest = _load(load_wallspace, args.walls_file)
     c = dual_complex(ws)
     summary = {
         "zero_cubes": c.vertex_count(),
@@ -283,7 +286,7 @@ def _cmd_dual(args):
     summary["median_graph"] = summary["duality_round_trip"] = verdict
     report = {
         "command": "dual",
-        "input_digest": _digest_file(args.walls_file),
+        "input_digest": digest,
         "summary": summary,
     }
     lines = [

@@ -6,10 +6,9 @@ generator describing its action on lattice coordinates, and one rational
 translation part per generator.  Matrices are Fraction rows and vectors
 Fraction tuples; the constructor reads every entry with
 exactlin.parse_rational, and the group file reader hands it the file's
-entries as they are.  The real,
-geometric form of a point element p is theta_bar(p) = L * M_p * L^-1,
-computed once per group as the integer matrix d * theta_bar(p) for one
-common scale d.
+entries as they are.  The real, geometric form of a point element p is
+theta_bar(p) = L * M_p * L^-1, computed once per group as the integer
+matrix d * theta_bar(p) for one common scale d.
 
 The point group itself is held as integer data (PointTable): the
 elements as int rows (their only form), how each generator moves them,
@@ -461,8 +460,8 @@ def save_group(g: CrystGroup, path) -> None:
     write_json(path, group_to_json_dict(g))
 
 
-def load_group(path) -> CrystGroup:
-    return group_from_json_dict(read_json(path, FormatError))
+def load_group(file) -> CrystGroup:
+    return group_from_json_dict(read_json(file, FormatError))
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,12 @@ cubes are implicit in the flag structure (cliques of pairwise
 flippable walls at a vertex).
 
 Consistency of a pair of chosen sides is decided exactly: for affine
-walls by one closed-form minimax test (the smaller of two affine
+walls by a closed-form minimax test (the smaller of two affine
 functions is positive somewhere in the window box exactly when every
 convex combination of them is, and only n + 2 combinations need
 checking), run on integers: the window and both sides of each wall are
-scaled to integers once, by positive factors.  Orientations are
+scaled to integers once, by positive factors; one pass of it decides
+a pair of sides and the opposite pair.  Orientations are
 enumerated by breadth-first wall flipping from the base point's
 orientation, never by scanning all 2^W side choices, and only outward:
 flip distance between 0-cubes is the number of walls they differ on,
@@ -89,8 +90,8 @@ class CrossingConditionError(ValueError):
 # Exact meeting of two open halfspaces in the window box
 
 
-def _feasible(window, f, g) -> bool:
-    """Do the open halfspaces f > 0 and g > 0 meet the closed window?
+def _feasible(window, f, g) -> tuple:
+    """(f > 0 and g > 0 meet the closed window, f < 0 and g < 0 do).
 
     The window is a box of int (lo, hi) pairs, and f and g are int pairs
     (a, b) standing for <a, x> + b.  The window is compact and convex,
@@ -101,7 +102,9 @@ def _feasible(window, f, g) -> bool:
     linear in t and bends only where such a coefficient changes sign:
     at t = c_i / (c_i - a_i) for a_i c_i < 0.  The sides meet exactly
     when it is positive at t = 0, at t = 1 and at every such break.
-    With t = p / q in lowest terms, q times it is an integer.
+    -f and -g bend at the same t, and their maximum there is minus the
+    minimum, which takes each axis at its other end.  With t = p / q in
+    lowest terms, q times each value is an integer.
     """
     (a, b), (c, d) = f, g
     breaks = set()
@@ -110,15 +113,19 @@ def _feasible(window, f, g) -> bool:
             p, q = abs(ci), abs(ci) + abs(ai)
             r = gcd(p, q)
             breaks.add((p // r, q // r))
+    plus = minus = True
     for p, q in ((0, 1), (1, 1), *breaks):
         s = q - p
-        value = p * b + s * d
+        top = bottom = p * b + s * d
         for ai, ci, (lo, hi) in zip(a, c, window):
             k = p * ai + s * ci
-            value += k * (hi if k > 0 else lo)
-        if value <= 0:
-            return False
-    return True
+            top += k * (hi if k > 0 else lo)
+            bottom += k * (lo if k > 0 else hi)
+        plus = plus and top > 0
+        minus = minus and bottom < 0
+        if not (plus or minus):
+            break
+    return plus, minus
 
 
 def _wall_sides(wall: GeometricWall, scale):
@@ -191,10 +198,10 @@ class FiniteWallspace:
             if len(w.normal) != n:
                 raise WallspaceError("wall normal has wrong dimension")
             sides.append(_wall_sides(w, scale))
-            for h in sides[-1]:
-                if not _feasible(box, h, h):
-                    raise WallspaceError(
-                        "wall %r does not split the window" % (w,))
+            # (max h > 0, min h < 0) for the plus side h.
+            if not all(_feasible(box, sides[-1][1], sides[-1][1])):
+                raise WallspaceError(
+                    "wall %r does not split the window" % (w,))
         object.__setattr__(self, "_box", box)
         object.__setattr__(self, "_sides", tuple(sides))
         p = self.base_point
@@ -215,14 +222,6 @@ class FiniteWallspace:
             if value > 0:
                 base |= 1 << i
         object.__setattr__(self, "_base", base)
-
-    # -- side primitives ----------------------------------------------
-
-    def sides_compatible(self, i: int, si: int, j: int, sj: int) -> bool:
-        """Do the chosen open sides of walls i and j meet?"""
-        if i == j:
-            return si == sj
-        return _feasible(self._box, self._sides[i][si], self._sides[j][sj])
 
     def to_json_dict(self) -> dict:
         return {
@@ -250,8 +249,8 @@ def save_wallspace(ws: FiniteWallspace, path) -> None:
     write_json(path, ws.to_json_dict())
 
 
-def load_wallspace(path) -> FiniteWallspace:
-    return wallspace_from_json_dict(read_json(path, WallspaceError))
+def load_wallspace(file) -> FiniteWallspace:
+    return wallspace_from_json_dict(read_json(file, WallspaceError))
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +465,25 @@ def _flip_closure(forbid, start: int, within=None):
     return queue, index, codes, realized
 
 
+def _window_clauses(ws: FiniteWallspace) -> list:
+    """forbid[j][s][t] has bit k set when (wall j, side s) and (wall k,
+    side t) do not meet; a side meets itself, never the other side.
+    A wall's minus side is minus its plus side, so two _feasible calls
+    decide the four side pairs of two walls."""
+    box, sides = ws._box, ws._sides
+    forbid = [[[0, 1 << j], [1 << j, 0]] for j in range(len(sides))]
+    for i, (_, plus) in enumerate(sides):
+        for j in range(i + 1, len(sides)):
+            for sj, side in enumerate(sides[j]):
+                # Sides (1, sj) and (0, 1 - sj) of walls i and j.
+                same, opposite = _feasible(box, plus, side)
+                for si, tj, met in ((1, sj, same), (0, 1 - sj, opposite)):
+                    if not met:
+                        forbid[i][si][tj] |= 1 << j
+                        forbid[j][tj][si] |= 1 << i
+    return forbid
+
+
 def dual_complex(ws: FiniteWallspace) -> CubeComplex:
     """All consistent orientations, found by breadth-first wall flipping.
 
@@ -476,22 +494,10 @@ def dual_complex(ws: FiniteWallspace) -> CubeComplex:
     them without touching the 2^W search space.
     """
     nwalls = len(ws.walls)
-
-    # Per-wall bitmasks from the pairwise compatibility tables:
-    # forbid[j][s][t] has bit k set when (wall j, side s) and (wall k,
-    # side t) do not meet.  A side meets itself, never the other side.
-    forbid = [[[0, 1 << j], [1 << j, 0]] for j in range(nwalls)]
-    for i in range(nwalls):
-        for j in range(i + 1, nwalls):
-            for si in (0, 1):
-                for sj in (0, 1):
-                    if not ws.sides_compatible(i, si, j, sj):
-                        forbid[i][si][sj] |= 1 << j
-                        forbid[j][sj][si] |= 1 << i
-
     # The search walks int bitmasks from the base point's; queue[k] is
     # 0-cube k.
-    queue, index, codes, realized = _flip_closure(forbid, ws._base)
+    queue, index, codes, realized = _flip_closure(_window_clauses(ws),
+                                                  ws._base)
     if realized != (1 << nwalls) - 1:
         missing = [j for j in range(nwalls) if not realized >> j & 1]
         raise InternalError(
@@ -651,7 +657,8 @@ def seeded_wallspaces(count: int = 50, seed: int = 0, max_walls: int = 10,
             wall = GeometricWall(normal, offset)
             if wall in seen:
                 continue
-            if not all(_feasible(box, h, h) for h in _wall_sides(wall, scale)):
+            plus = _wall_sides(wall, scale)[1]
+            if not all(_feasible(box, plus, plus)):
                 continue
             seen.add(wall)
             walls.append(wall)

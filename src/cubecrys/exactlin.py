@@ -12,6 +12,7 @@ read/write path for the package's file formats live here too.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from collections.abc import Sequence
@@ -44,20 +45,26 @@ _SHARED.update({str(k): f for k, f in _SHARED.items()})
 def parse_rational(s) -> Fraction:
     """The one reader of a rational entry: a Fraction, an int that is
     not a bool, or a string like '3/4'.  Inverse of format_rational.
-    0, 1 and -1, as ints or strings, give one shared Fraction each."""
+    0, 1 and -1, as ints or strings, give one shared Fraction each.
+    int() reads an ASCII '-?digits' or '-?digits/digits' with a nonzero
+    denominator, and Fraction every other string."""
     if type(s) is int:
         shared = _SHARED.get(s)
         return Fraction(s) if shared is None else shared
-    if isinstance(s, Fraction):
-        return s
     if isinstance(s, str):
         shared = _SHARED.get(s)
         if shared is not None:
             return shared
+        num, slash, den = s.partition("/")
+        if s.isascii() and num.removeprefix("-").isdigit() and (
+                not slash or den.isdigit() and den.strip("0")):
+            return Fraction(int(num), int(den) if slash else 1)
         try:
             return Fraction(s)
         except ZeroDivisionError:
             raise ValueError("zero denominator in %r" % (s,)) from None
+    if isinstance(s, Fraction):
+        return s
     raise ValueError("not a serialized rational: %r" % (s,))
 
 
@@ -464,9 +471,11 @@ def write_json(path, data) -> None:
         dump_json(data, fh.write)
 
 
-def read_json(path, error):
-    """Parse a JSON file; a syntax error raises `error` with its position."""
-    with open(path, "r", encoding="utf-8") as fh:
+def read_json(file, error):
+    """Parse a JSON file (a path or a binary file) as text mode decodes
+    it, UTF-8 with universal newlines; a syntax error raises `error`."""
+    with io.TextIOWrapper(file if hasattr(file, "read") else
+                          open(file, "rb"), encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:

@@ -191,19 +191,16 @@ class SimplicialComplex:
 
     def __init__(self, vertices: Iterable[Hashable], edges: Iterable[tuple]):
         verts = tuple(vertices)
-        if len(set(verts)) != len(verts):
+        adjacency = {v: set() for v in verts}
+        if len(adjacency) != len(verts):
             raise ValueError("duplicate vertex labels")
-        vert_set = set(verts)
         canon = set()
         for a, b in edges:
             if a == b:
                 raise ValueError("loop edge at %r" % (a,))
-            if a not in vert_set or b not in vert_set:
+            if a not in adjacency or b not in adjacency:
                 raise ValueError("edge endpoint %r is not a vertex" % ((a, b),))
             canon.add(frozenset((a, b)))
-        adjacency = {v: set() for v in verts}
-        for e in canon:
-            a, b = tuple(e)
             adjacency[a].add(b)
             adjacency[b].add(a)
         object.__setattr__(self, "vertices", verts)

@@ -85,13 +85,12 @@ class GeometricWall:
         normal = vector_from_json(normal)
         offset = parse_rational(offset)
         canonical = _primitive(normal)
-        # The scale relating the input normal to its canonical form.
-        for i, e in enumerate(canonical):
-            if e != 0:
-                scale = e / normal[i]
-                break
+        # The offset times canonical[i] / normal[i], i the first nonzero.
+        e, x = next((e, x) for e, x in zip(canonical, normal) if e)
         object.__setattr__(self, "normal", canonical)
-        object.__setattr__(self, "offset", offset * scale)
+        object.__setattr__(self, "offset", Fraction(
+            offset.numerator * e * x.denominator,
+            offset.denominator * x.numerator))
 
     def __setattr__(self, name, value):
         raise AttributeError("GeometricWall is immutable")

@@ -6,7 +6,8 @@ stored edges where the package now runs on ints and bitmasks.  The test
 modules compare the package with them; nothing in the package calls
 them.  The sections follow the package's modules:
 
-- exactlin: the Fraction Gauss-Jordan inverse;
+- exactlin: Fraction's string parser and the Fraction Gauss-Jordan
+  inverse;
 - crys and decide: the RatMatrix closure and order loop, the words
   extension of generator images, the affine closure of the translation
   parts, the RatMatrix real forms, the residual report by inverse and
@@ -15,6 +16,7 @@ them.  The sections follow the package's modules:
   real forms, and the Fraction side test, separation count, separation
   check and sample draw;
 - dual: Fourier-Motzkin elimination and the Fraction window test, the
+  one-call-per-side-pair wallspace test, the Fraction wall offset, the
   exhaustive 0-cube scan, the cubic median scan, the frozenset duality
   round trip, the per-pair crossing scan, and the cube complex that
   stores its edges (StoredEdgeComplex) with its flip walk;
@@ -33,6 +35,7 @@ from cubecrys.dual import (
     COMPLEX_FORMAT,
     MembershipError,
     Orientation,
+    _feasible,
     _member_clauses,
     is_median_set,
 )
@@ -70,6 +73,15 @@ def trace(rows):
 
 # ---------------------------------------------------------------------------
 # exactlin
+
+
+def fraction_parse(s) -> Fraction:
+    """A rational string as parse_rational read every string before its
+    int path: Fraction(s), with a zero denominator a ValueError."""
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (s,)) from None
 
 
 def fraction_inverse(rows) -> tuple:
@@ -466,6 +478,25 @@ def fraction_feasible(window, f, g) -> bool:
     return True
 
 
+def sides_compatible(ws, i, si, j, sj) -> bool:
+    """Do side si of wall i and side sj of wall j meet in ws's window?
+    The FiniteWallspace method that the two-call clause table replaced:
+    one _feasible call per side pair, reading its first verdict only."""
+    if i == j:
+        return si == sj
+    return _feasible(ws._box, ws._sides[i][si], ws._sides[j][sj])[0]
+
+
+def fraction_wall_offset(normal, offset):
+    """GeometricWall's offset by the Fraction formula that the int
+    rescaling replaced: the offset times e / x, for the first nonzero
+    entries e of the canonical normal and x of the given one."""
+    normal = tuple(map(Fraction, normal))
+    for e, x in zip(_primitive(normal), normal):
+        if e != 0:
+            return Fraction(offset) * (e / x)
+
+
 def fraction_halfspace(wall, side):
     """Side 1 (plus) or 0 (minus) of a wall as rational (a, b)."""
     if side:
@@ -487,7 +518,7 @@ def brute_force_masks(ws):
     nwalls = len(ws.walls)
     found = set()
     for bits in range(1 << nwalls):
-        if all(ws.sides_compatible(i, bits >> i & 1, j, bits >> j & 1)
+        if all(sides_compatible(ws, i, bits >> i & 1, j, bits >> j & 1)
                for i in range(nwalls) for j in range(i + 1, nwalls)):
             found.add(bits)
     return found
@@ -777,7 +808,7 @@ def window_clauses(ws):
         for j in range(i + 1, nwalls):
             for si in (0, 1):
                 for sj in (0, 1):
-                    if not ws.sides_compatible(i, si, j, sj):
+                    if not sides_compatible(ws, i, si, j, sj):
                         forbid[i][si][sj] |= 1 << j
                         forbid[j][sj][si] |= 1 << i
     base = sum(1 << i for i, w in enumerate(ws.walls)

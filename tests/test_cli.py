@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line frontend."""
 
 import argparse
+import builtins
 import hashlib
 import itertools
 import json
@@ -199,12 +200,14 @@ def test_validate_text(capsys, tmp_path):
 
 
 def test_validate_json(capsys, tmp_path):
-    report = run_json(capsys, "validate", group_file(tmp_path, "p6m"))
+    path = group_file(tmp_path, "p6m")
+    report = run_json(capsys, "validate", path)
     assert report["command"] == "validate"
     assert report["validation"]["point_group_order"] == 12
     assert report["validation"]["element_orders"] == [1, 2, 2, 2, 2, 2, 2, 2,
                                                       3, 3, 6, 6]
-    assert len(report["input_digest"]) == 64
+    assert report["input_digest"] == hashlib.sha256(
+        Path(path).read_bytes()).hexdigest()
 
 
 def test_validate_missing_file(capsys):
@@ -313,6 +316,63 @@ def count_defect_passes(monkeypatch):
 
     monkeypatch.setattr(HyperoctahedralWitness, "_defects", counted)
     return calls
+
+
+# -- input files ------------------------------------------------------
+
+
+def input_file(tmp_path, command) -> Path:
+    """A walls file for dual, a group file (p4) for the others."""
+    if command == "dual":
+        return Path(walls_file(tmp_path))
+    return Path(group_file(tmp_path, "p4"))
+
+
+@pytest.mark.parametrize("command",
+                         ["validate", "classify", "cubulate", "dual"])
+def test_the_digest_is_of_the_one_read_of_the_input(capsys, tmp_path,
+                                                    monkeypatch, command):
+    path = input_file(tmp_path, command)
+    opened = []
+    original = builtins.open
+
+    def counted(file, *args, **kwargs):
+        opened.append(str(file))
+        return original(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted)
+    report = run_json(capsys, command, str(path))
+    assert opened.count(str(path)) == 1
+    assert report["input_digest"] == hashlib.sha256(
+        path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("command",
+                         ["validate", "classify", "cubulate", "dual"])
+def test_input_files_decode_as_text_mode_does(capsys, tmp_path, command):
+    # UTF-8 with universal newlines: CRLF and lone CR line ends read as
+    # LF ones, and count as one line each in a syntax error's position;
+    # a BOM is a syntax error, and invalid UTF-8 a decoding error.
+    path = input_file(tmp_path, command)
+    raw = path.read_bytes()
+    expected = run(capsys, command, str(path))
+    assert expected[0] == 0
+    cases = [
+        (raw.replace(b"\n", b"\r\n"), expected),
+        (raw.replace(b"\n", b"\r"), expected),
+        (b"\xef\xbb\xbf" + raw,
+         (1, "", "error: not valid JSON at line 1 column 1: Unexpected "
+                 "UTF-8 BOM (decode using utf-8-sig)\n")),
+        (raw[:40] + b"\xff" + raw[40:],
+         (1, "", "error: 'utf-8' codec can't decode byte 0xff in position "
+                 "40: invalid start byte\n")),
+        (b"\r\n\r\r\n  ]" + raw,
+         (1, "", "error: not valid JSON at line 4 column 3: Expecting "
+                 "value\n")),
+    ]
+    for data, outcome in cases:
+        path.write_bytes(data)
+        assert run(capsys, command, str(path)) == outcome, data[:12]
 
 
 # -- classify ---------------------------------------------------------

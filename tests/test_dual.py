@@ -1,6 +1,7 @@
 """Tests for finite wallspaces and their dual cube complexes."""
 
 import hashlib
+import itertools
 import json
 import random
 from array import array
@@ -23,6 +24,7 @@ from cubecrys.dual import (
     _feasible,
     _flip_closure,
     _member_clauses,
+    _window_clauses,
     distance,
     dual_complex,
     duality_check,
@@ -57,10 +59,12 @@ from oracles import (
     fraction_feasible,
     fraction_halfspace,
     fraction_side,
+    fraction_wall_offset,
     frozenset_duality_check,
     is_median_complex,
     left_out_edges,
     per_wall_keys,
+    sides_compatible,
     stored_edge_dual,
     stored_edge_walk,
     stored_is_median_graph,
@@ -96,12 +100,16 @@ def test_feasibility_elimination():
 
 
 def three_verdicts(window, f, g):
-    """_feasible, and both oracles, on f > 0, g > 0 in the closed window.
+    """_feasible's two verdicts, each beside both oracles' on the same
+    question: ((f > 0 and g > 0 meet the closed window, by _feasible,
+    fraction_feasible and Fourier-Motzkin), (the same for f < 0 and
+    g < 0)).
 
     f and g are (coefficients, offset) pairs for <a, x> + b; entries may
     be anything Fraction accepts.  _feasible gets the window scaled to
     integers the way FiniteWallspace scales it, and each side, over the
-    scaled window, times the lcm of its denominators.
+    scaled window, times the lcm of its denominators.  The oracles get
+    -f and -g for the second verdict.
     """
     window = tuple((Fraction(lo), Fraction(hi)) for lo, hi in window)
     f, g = ((tuple(map(Fraction, a)), Fraction(b)) for a, b in (f, g))
@@ -111,17 +119,20 @@ def three_verdicts(window, f, g):
         *a, b = integral(((*a, b * scale),))[1][0]
         return tuple(a), b
 
-    integer = _feasible(box, ints(*f), ints(*g))
     n = len(window)
-    cons = []
+    box_cons = []
     for k, (lo, hi) in enumerate(window):
         unit = tuple(int(i == k) for i in range(n))
-        cons.append((unit, hi, False))
-        cons.append((tuple(-e for e in unit), -lo, False))
-    for a, b in (f, g):
-        cons.append((tuple(-e for e in a), b, True))
-    return (integer, fraction_feasible(window, f, g),
-            fourier_motzkin_feasible(cons, n))
+        box_cons.append((unit, hi, False))
+        box_cons.append((tuple(-e for e in unit), -lo, False))
+    out = []
+    for sign, integer in zip((1, -1), _feasible(box, ints(*f), ints(*g))):
+        fs, gs = ((tuple(sign * e for e in a), sign * b) for a, b in (f, g))
+        cons = box_cons + [(tuple(-e for e in a), b, True)
+                           for a, b in (fs, gs)]
+        out.append((integer, fraction_feasible(window, fs, gs),
+                    fourier_motzkin_feasible(cons, n)))
+    return tuple(out)
 
 
 def random_halfspace_pair(rng, n):
@@ -147,7 +158,7 @@ def random_halfspace_pair(rng, n):
 
 def test_closed_form_feasibility_agrees_with_fourier_motzkin():
     rng = random.Random(5)
-    met = 0
+    met = met_opposite = 0
     for _ in range(5000):
         n = rng.randrange(1, 5)
         window = []
@@ -156,30 +167,34 @@ def test_closed_form_feasibility_agrees_with_fourier_motzkin():
             window.append((lo, lo + Fraction(rng.randrange(1, 9),
                                              rng.choice((1, 2)))))
         f, g = random_halfspace_pair(rng, n)
-        closed, fraction, oracle = three_verdicts(window, f, g)
-        assert closed == fraction == oracle, (window, f, g)
-        met += closed
-    assert 1000 < met < 4000
+        same, opposite = three_verdicts(window, f, g)
+        assert len(set(same)) == len(set(opposite)) == 1, (window, f, g)
+        met += same[0]
+        met_opposite += opposite[0]
+    assert 1000 < met < 4000 and 1000 < met_opposite < 4000
     square = ((-1, 1), (-1, 1))
+    # (window, f, g, verdict for f, g > 0, verdict for f, g < 0)
     hand = [
         # x + y > 2 touches the square only at its corner (1, 1).
-        (square, ((1, 1), -2), ((1, 1), -2), False),
-        (square, ((1, 1), -2), ((0, 0), 1), False),
-        (square, ((1, 1), "-19/10"), ((1, 1), "-19/10"), True),
-        # x > 0 and -x > 0 never meet.
-        (((-1, 1),), ((1,), 0), ((-1,), 0), False),
+        (square, ((1, 1), -2), ((1, 1), -2), False, True),
+        # 1 < 0 nowhere.
+        (square, ((1, 1), -2), ((0, 0), 1), False, False),
+        (square, ((1, 1), "-19/10"), ((1, 1), "-19/10"), True, True),
+        # x > 0 and -x > 0 never meet, and neither do x < 0 and -x < 0.
+        (((-1, 1),), ((1,), 0), ((-1,), 0), False, False),
         # x > 3 and 8 - 3x > 0 are disjoint, yet each is positive at its
         # own end of [1/2, 7/2]: only the break t = 3/4 rules them out.
-        ((("1/2", "7/2"),), ((1,), -3), ((-3,), 8), False),
-        ((("1/2", "7/2"),), ((1,), -2), ((-3,), 8), True),
+        # x < 3 and 8 - 3x < 0 meet on (8/3, 3) at the same break.
+        ((("1/2", "7/2"),), ((1,), -3), ((-3,), 8), False, True),
+        ((("1/2", "7/2"),), ((1,), -2), ((-3,), 8), True, False),
     ]
-    for window, f, g, expected in hand:
-        assert three_verdicts(window, f, g) == (expected,) * 3
+    for window, f, g, same, opposite in hand:
+        assert three_verdicts(window, f, g) == ((same,) * 3, (opposite,) * 3)
 
 
 def test_integer_side_test_on_windows_with_thirds_and_fifths():
     rng = random.Random(11)
-    met = 0
+    met = met_opposite = 0
     for _ in range(600):
         n = rng.randrange(1, 4)
         window = []
@@ -188,10 +203,11 @@ def test_integer_side_test_on_windows_with_thirds_and_fifths():
             window.append((lo, lo + Fraction(rng.randrange(1, 20),
                                              rng.choice((2, 3, 5)))))
         f, g = random_halfspace_pair(rng, n)
-        closed, fraction, oracle = three_verdicts(window, f, g)
-        assert closed == fraction == oracle, (window, f, g)
-        met += closed
-    assert 100 < met < 500
+        same, opposite = three_verdicts(window, f, g)
+        assert len(set(same)) == len(set(opposite)) == 1, (window, f, g)
+        met += same[0]
+        met_opposite += opposite[0]
+    assert 100 < met < 500 and 100 < met_opposite < 500
 
 
 def test_integer_side_table_matches_the_fraction_table():
@@ -208,11 +224,23 @@ def test_integer_side_table_matches_the_fraction_table():
                     for si in (0, 1):
                         for sj in (0, 1):
                             pairs += 1
-                            assert ws.sides_compatible(i, si, j, sj) == (
+                            assert sides_compatible(ws, i, si, j, sj) == (
                                 si == sj if i == j else fraction_feasible(
                                     ws.window, fraction_halfspace(wi, si),
                                     fraction_halfspace(wj, sj)))
     assert pairs > 2000
+
+
+def test_the_two_call_clause_table_matches_the_four_call_table():
+    # dual_complex reads each pair of walls with two _feasible calls,
+    # each deciding a pair of sides and the opposite pair; the oracle
+    # makes one call per side pair and reads its first verdict only.
+    spaces = [ws for seed in range(3) for dimension in range(1, 5)
+              for ws in seeded_wallspaces(seed=seed, dimension=dimension)]
+    spaces += [ten_crossing_lines(), fourteen_crossing_lines()]
+    for ws in spaces:
+        assert _window_clauses(ws) == window_clauses(ws)[0]
+    assert len(spaces) == 602
 
 
 # -- wallspace validation ---------------------------------------------
@@ -289,6 +317,32 @@ def test_duplicate_walls_are_rejected():
     dup = GeometricWall([-2, 0], Fraction(0))
     with pytest.raises(WallspaceError, match="distinct"):
         plane_space([vertical(0), dup], ["1/2", "1/3"])
+
+
+def test_wall_offsets_match_the_fraction_rescaling():
+    # Int, string and Fraction entries; zero and negative leading
+    # entries; normals that are not primitive.
+    rng = random.Random(31)
+    hand = [([-2, 0], "1/3"), (["-3/4", "1/2"], "5/7"), ([0, "-2/3"], -4),
+            ([Fraction(6, 5), Fraction(-9, 10)], Fraction(-7, 3)),
+            (["-1/2", 0, "3/2"], "0"), ([-5], "10/3")]
+
+    def entry():
+        num, den = rng.randrange(-9, 10), rng.randrange(1, 7)
+        return rng.choice((0, num, Fraction(num, den), "%d/%d" % (num, den)))
+
+    drawn = [([entry() for _ in range(n)], entry())
+             for n in itertools.islice(itertools.cycle((1, 2, 3, 4)), 400)]
+    checked = negative = 0
+    for normal, offset in hand + drawn:
+        if not any(Fraction(e) for e in normal):
+            continue
+        wall = GeometricWall(normal, offset)
+        assert wall.offset == fraction_wall_offset(normal, offset)
+        assert type(wall.offset) is Fraction
+        checked += 1
+        negative += next(Fraction(e) for e in normal if Fraction(e)) < 0
+    assert checked > 350 and negative > 150, (checked, negative)
 
 
 def test_degenerate_window_is_rejected():

@@ -35,7 +35,7 @@ from cubecrys.exactlin import (
     vector_from_json,
     vector_to_json,
 )
-from oracles import fraction_inverse
+from oracles import fraction_inverse, fraction_parse
 
 
 def test_rational_formatting_round_trip():
@@ -71,6 +71,43 @@ def test_zero_denominator_is_a_value_error():
             parse_rational(text)
     with pytest.raises(ValueError, match=r"zero denominator in '1/0'"):
         vector_from_json(["1/0"])
+
+
+def parse_outcome(read, s):
+    """(value, its type) from read(s), or (exception type, message)."""
+    try:
+        value = read(s)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return value, type(value)
+
+
+# Strings near the int path's '-?digits' and '-?digits/digits', and
+# strings from anywhere.
+_RATIONAL_TEXT = st.one_of(
+    st.from_regex(r"[-+ ]?[0-9]{1,40}(/[-+ ]?[0-9]{1,40})?", fullmatch=True),
+    st.from_regex(r"[-+ ./e_0-9\u0663]{0,12}", fullmatch=True),
+    st.text(max_size=12))
+
+
+@given(_RATIONAL_TEXT)
+def test_parse_rational_reads_a_string_as_fraction_does(s):
+    assert parse_outcome(parse_rational, s) == parse_outcome(fraction_parse, s)
+
+
+def test_parse_rational_hand_strings_match_fraction():
+    # Each one is off the int path but one: a sign, a space, a zero
+    # denominator, underscores, a decimal point, an exponent, a
+    # non-ASCII digit and a numerator past int()'s 4,300-digit limit;
+    # "-0/5" and "007/010" take the int path.
+    hand = ["+3", " 3", "3/0", "-0/5", "007/010", "1_0", "0.5", "1e3",
+            "\u0663", "7" * 4301, "-" + "7" * 4301 + "/3"]
+    outcomes = [parse_outcome(parse_rational, s) for s in hand]
+    assert outcomes == [parse_outcome(fraction_parse, s) for s in hand]
+    assert [kind for kind, _ in outcomes].count(ValueError) == 3
+    for k in (0, 1, -1):
+        assert parse_rational(str(k)) is parse_rational(k) \
+            is parse_rational(str(k)) is exactlin._SHARED[k]
 
 
 def test_rat_rejects_floats():
