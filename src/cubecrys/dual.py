@@ -21,15 +21,17 @@ so a wall on which an orientation already differs from the base
 point's is never flipped back.
 
 A complex is the dual that the flip walk enumerated, stored as its
-0-cube bitmasks and one 8-byte code per edge.  Two 0-cubes of a dual
-are joined exactly when they differ on one wall (its 1-skeleton is the
-subgraph of the hypercube induced on its 0-cubes; Chepoi), so
-adjacency and links are derived on demand.  The flip walk keeps each
-edge as it crosses it, and the JSON layout sorts those codes when
-asked: its edge list is an IndexPairs over the sorted codes, which
+0-cube bitmasks and its edges by source: one out-degree per 0-cube
+and one target index per edge.  Two 0-cubes of a dual are joined
+exactly when they differ on one wall (its 1-skeleton is the subgraph
+of the hypercube induced on its 0-cubes; Chepoi), so adjacency and
+links are derived on demand.  Every edge is an outward flip from its
+lower-indexed end, so the walk keeps the edges grouped by source in
+index order and sorts only a group whose targets arrive out of order.
+The JSON edge list is an IndexPairs over those two columns, which
 dump_json renders in one join over index-string tables made once,
-with no [u, v] list per edge.  The complex file is written, never
-read.
+with no [u, v] list per edge and no sort.  The complex file is
+written, never read.
 
 A complex is in turn the dual of its own hyperplanes: two hyperplane
 sides meet exactly when some 0-cube lies on both, so their
@@ -46,7 +48,6 @@ import random
 from array import array
 from collections import deque
 from fractions import Fraction
-from math import gcd
 from operator import mul
 
 from cubecrys.exactlin import (
@@ -91,7 +92,8 @@ class CrossingConditionError(ValueError):
 
 
 def _feasible(window, f, g) -> tuple:
-    """(f > 0 and g > 0 meet the closed window, f < 0 and g < 0 do).
+    """(f > 0 and g > 0 meet the closed window, f < 0 and g < 0 do),
+    for two functions that each split the window.
 
     The window is a box of int (lo, hi) pairs, and f and g are int pairs
     (a, b) standing for <a, x> + b.  The window is compact and convex,
@@ -101,24 +103,23 @@ def _feasible(window, f, g) -> tuple:
     the sign of t a_i + (1 - t) c_i picks, so it is convex and piecewise
     linear in t and bends only where such a coefficient changes sign:
     at t = c_i / (c_i - a_i) for a_i c_i < 0.  The sides meet exactly
-    when it is positive at t = 0, at t = 1 and at every such break.
+    when it is positive at t = 0, at t = 1 and at every such break; at
+    t = 0 and t = 1 it is the maximum of g or f alone, which is positive
+    for a function that splits the window, so only the breaks are read.
     -f and -g bend at the same t, and their maximum there is minus the
-    minimum, which takes each axis at its other end.  With t = p / q in
-    lowest terms, q times each value is an integer.
+    minimum, which takes each axis at its other end.  With
+    t = p / (p + s), p + s > 0 times each value is an integer of the
+    same sign, so a break is read unreduced.  No break: (True, True).
     """
     (a, b), (c, d) = f, g
-    breaks = set()
-    for ai, ci in zip(a, c):
-        if ai * ci < 0:
-            p, q = abs(ci), abs(ci) + abs(ai)
-            r = gcd(p, q)
-            breaks.add((p // r, q // r))
     plus = minus = True
-    for p, q in ((0, 1), (1, 1), *breaks):
-        s = q - p
+    for ai, ci in zip(a, c):
+        if ai * ci >= 0:
+            continue
+        p, s = abs(ci), abs(ai)
         top = bottom = p * b + s * d
-        for ai, ci, (lo, hi) in zip(a, c, window):
-            k = p * ai + s * ci
+        for aj, cj, (lo, hi) in zip(a, c, window):
+            k = p * aj + s * cj
             top += k * (hi if k > 0 else lo)
             bottom += k * (lo if k > 0 else hi)
         plus = plus and top > 0
@@ -126,6 +127,17 @@ def _feasible(window, f, g) -> tuple:
         if not (plus or minus):
             break
     return plus, minus
+
+
+def _extremes(window, h) -> tuple:
+    """(max, min) of the int function h = (a, b), <a, x> + b, over the
+    int window box: each axis at the end its coefficient's sign picks."""
+    a, b = h
+    top = bottom = b
+    for ai, (lo, hi) in zip(a, window):
+        top += ai * (hi if ai > 0 else lo)
+        bottom += ai * (lo if ai > 0 else hi)
+    return top, bottom
 
 
 def _wall_sides(wall: GeometricWall, scale):
@@ -198,8 +210,8 @@ class FiniteWallspace:
             if len(w.normal) != n:
                 raise WallspaceError("wall normal has wrong dimension")
             sides.append(_wall_sides(w, scale))
-            # (max h > 0, min h < 0) for the plus side h.
-            if not all(_feasible(box, sides[-1][1], sides[-1][1])):
+            top, bottom = _extremes(box, sides[-1][1])
+            if not top > 0 > bottom:
                 raise WallspaceError(
                     "wall %r does not split the window" % (w,))
         object.__setattr__(self, "_box", box)
@@ -309,14 +321,14 @@ class CubeComplex:
     and the implicit flag structure.
 
     A complex is its list of 0-cube bitmasks (bit i set: the plus side
-    of wall i) in the walk's breadth-first order, and the walk's code
-    u << W | v per edge (u < v, W the wall count) in an array("q").  Its
+    of wall i) in the walk's breadth-first order, and the walk's edges
+    (u, v), u < v, in sorted order as two columns: the out-degree of
+    each 0-cube u in an array("l") and the targets v in one list.  Its
     1-skeleton is the subgraph of the hypercube induced on its 0-cubes:
-    two 0-cubes that differ on one wall are joined.  The JSON layout
-    sorts the codes when asked; adjacency and links are derived on
-    demand.  Cubes above dimension one are never stored: a k-cube at a
-    vertex is a k-clique of pairwise jointly flippable walls, which
-    link_of_vertex exposes.
+    two 0-cubes that differ on one wall are joined.  Adjacency and links
+    are derived on demand.  Cubes above dimension one are never stored:
+    a k-cube at a vertex is a k-clique of pairwise jointly flippable
+    walls, which link_of_vertex exposes.
 
     The constructor checks nothing: the walk makes the 0-cubes
     distinct, of one width and connected, and keeps every induced pair
@@ -324,24 +336,19 @@ class CubeComplex:
     edge.
     """
 
-    def __init__(self, wallspace, bits, index, codes):
+    def __init__(self, wallspace, bits, index, degrees, targets):
         self.num_walls = len(wallspace.walls)
         self.wallspace = wallspace
         self._bits = bits
         self._index = index
-        # One code u << num_walls | v per edge, u < v, in walk order.
-        self._edges = codes
-
-    def _edge_keys(self) -> list:
-        """The edge codes u << W | v (u < v), sorted, which sorts the
-        edges by (u, v)."""
-        return sorted(self._edges)
+        self._degrees = degrees
+        self._targets = targets
 
     def vertex_count(self) -> int:
         return len(self._bits)
 
     def edge_count(self) -> int:
-        return len(self._edges)
+        return len(self._targets)
 
     def index_of(self, x: Orientation) -> int:
         if x.n != self.num_walls or x.bits not in self._index:
@@ -365,7 +372,7 @@ class CubeComplex:
 
     def to_json_dict(self) -> dict:
         """The complex file's dict.  Its "edges" is an IndexPairs over
-        the sorted edge codes: it equals the list of [u, v] rows, and
+        the edge columns: it equals the sorted list of [u, v] rows, and
         dump_json renders it in one join without making them, but
         json.dumps needs default=list to write it."""
         # Orientation.to_bitstring, on the bare bitmasks.
@@ -374,8 +381,8 @@ class CubeComplex:
             "format": COMPLEX_FORMAT,
             "walls": [w.to_json_dict() for w in self.wallspace.walls],
             "zero_cubes": [bin(b | top)[:2:-1] for b in self._bits],
-            "edges": IndexPairs(self._edge_keys(), len(self._bits),
-                                self.num_walls),
+            "edges": IndexPairs(self._degrees, self._targets,
+                                len(self._bits)),
         }
 
 
@@ -424,27 +431,41 @@ def _flip_closure(forbid, start: int, within=None):
     a back edge, and it gives wall j the side that start lacks, so one
     clause pair per wall is read.
 
-    Returns (queue, index, codes, realized): queue[k] is the k-th
-    bitmask reached in breadth-first order and index[queue[k]] == k;
-    codes is an array("q") holding each flip between reached bitmasks
-    once, as u << W | v with u < v and W the wall count, in walk order;
-    realized has bit j set when some flip crosses wall j.  With
-    `within`, the walk only checks membership: codes stays empty, and
-    None is returned as soon as a bitmask outside `within` is reached.
+    The walk keeps each edge once, from its lower-indexed end: a flip
+    from level d to level d + 1 is outward from its level-d end, and
+    breadth-first order lists level d before level d + 1.  So the edges
+    arrive grouped by source in queue order.  A group's targets arrive
+    in wall order; one comparison per edge spots a group whose targets
+    are out of index order, and only such a group is sorted.
+
+    Returns (queue, index, degrees, targets, realized): queue[k] is the
+    k-th bitmask reached in breadth-first order and index[queue[k]] ==
+    k; degrees[k], in an array("l"), is the number of edges from 0-cube
+    k to higher-indexed ones, and targets lists their other ends,
+    sorted within each group, so the edges (u, v), u < v, in sorted
+    order are degrees[u] rows of u each, beside targets; realized has
+    bit j set when some flip crosses wall j.  With `within`, the walk
+    only checks membership: degrees and targets stay empty, and None is
+    returned as soon as a bitmask outside `within` is reached.
     """
     flips = [(1 << j, *rules[0 if start >> j & 1 else 1])
              for j, rules in enumerate(forbid)]
-    shift = len(forbid)
     queue = [start]
     index = {start: 0}
     get = index.get
-    codes = array("q")
-    # With `within`, a zero-length deque drops each code.
-    keep = codes.append if within is None else deque(maxlen=0).append
+    degrees = array("l")
+    targets = []
+    if within is None:
+        keep, close = targets.append, degrees.append
+    else:
+        # A zero-length deque drops what it is given.
+        keep = close = deque(maxlen=0).append
     realized = 0
-    for at, bits in enumerate(queue):
-        code = at << shift
+    for bits in queue:
         out = bits ^ start
+        mark = len(targets)
+        last = -1
+        tangled = False
         for bit, rule0, rule1 in flips:
             if out & bit:
                 continue
@@ -461,15 +482,22 @@ def _flip_closure(forbid, start: int, within=None):
                 # breadth-first tree too: a tree path joins the flip's
                 # two ends.
                 realized |= bit
-            keep(code | to)
-    return queue, index, codes, realized
+            elif to < last:
+                tangled = True
+            last = to
+            keep(to)
+        close(len(targets) - mark)
+        if tangled:
+            targets[mark:] = sorted(targets[mark:])
+    return queue, index, degrees, targets, realized
 
 
 def _window_clauses(ws: FiniteWallspace) -> list:
     """forbid[j][s][t] has bit k set when (wall j, side s) and (wall k,
     side t) do not meet; a side meets itself, never the other side.
-    A wall's minus side is minus its plus side, so two _feasible calls
-    decide the four side pairs of two walls."""
+    A wall's minus side is minus its plus side, and every wall splits
+    the window, so two _feasible calls decide the four side pairs of
+    two walls."""
     box, sides = ws._box, ws._sides
     forbid = [[[0, 1 << j], [1 << j, 0]] for j in range(len(sides))]
     for i, (_, plus) in enumerate(sides):
@@ -496,14 +524,14 @@ def dual_complex(ws: FiniteWallspace) -> CubeComplex:
     nwalls = len(ws.walls)
     # The search walks int bitmasks from the base point's; queue[k] is
     # 0-cube k.
-    queue, index, codes, realized = _flip_closure(_window_clauses(ws),
-                                                  ws._base)
+    queue, index, degrees, targets, realized = _flip_closure(
+        _window_clauses(ws), ws._base)
     if realized != (1 << nwalls) - 1:
         missing = [j for j in range(nwalls) if not realized >> j & 1]
         raise InternalError(
             "walls %r produced no edge; the flip graph looks disconnected"
             % (missing,))
-    return CubeComplex(ws, queue, index, codes)
+    return CubeComplex(ws, queue, index, degrees, targets)
 
 
 def distance(c: CubeComplex, x: Orientation, y: Orientation) -> int:
@@ -657,8 +685,8 @@ def seeded_wallspaces(count: int = 50, seed: int = 0, max_walls: int = 10,
             wall = GeometricWall(normal, offset)
             if wall in seen:
                 continue
-            plus = _wall_sides(wall, scale)[1]
-            if not all(_feasible(box, plus, plus)):
+            top, bottom = _extremes(box, _wall_sides(wall, scale)[1])
+            if not top > 0 > bottom:
                 continue
             seen.add(wall)
             walls.append(wall)

@@ -15,11 +15,12 @@ from __future__ import annotations
 import io
 import json
 import math
+from bisect import bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from json.encoder import encode_basestring_ascii
-from operator import add, and_, eq, mul, rshift
+from operator import add, eq, mul
 
 
 class ShapeError(ValueError):
@@ -303,33 +304,37 @@ def _encode(obj, pad: str = "") -> str:
 
 
 class IndexPairs(Sequence):
-    """Read-only rows [u, v] of indices below count, held as keys
-    u << shift | v (count <= 2 ** shift) and each made when read.
+    """Read-only rows [u, v] of indices below count, held as two
+    columns and each row made when read: degrees[u] rows of head u, for
+    u in order, beside one list of the rows' tails.
 
     It equals a list of the same rows, and a slice is a list of rows,
     as for the list it stands in for.  dump_json renders it from the
-    keys without making the rows; json.dumps needs default=list.
+    columns without making the rows; json.dumps needs default=list.
     """
 
-    __slots__ = ("_keys", "_count", "_shift")
+    __slots__ = ("_degrees", "_targets", "_count")
 
-    def __init__(self, keys, count: int, shift: int):
-        self._keys = keys
+    def __init__(self, degrees, targets, count: int):
+        self._degrees = degrees
+        self._targets = targets
         self._count = count
-        self._shift = shift
 
     def __len__(self):
-        return len(self._keys)
+        return len(self._targets)
+
+    def __iter__(self):
+        heads = chain.from_iterable(map(repeat, range(len(self._degrees)),
+                                        self._degrees))
+        return map(list, zip(heads, self._targets))
 
     def __getitem__(self, k):
-        shift = self._shift
-        mask = (1 << shift) - 1
         if isinstance(k, slice):
-            keys = self._keys[k]
-            return list(map(list, zip(map(rshift, keys, repeat(shift)),
-                                      map(and_, keys, repeat(mask)))))
-        key = self._keys[k]
-        return [key >> shift, key & mask]
+            return list(self)[k]
+        k = range(len(self))[k]
+        # Row k's head is the first u whose rows end past row k.
+        return [bisect_right(list(accumulate(self._degrees)), k),
+                self._targets[k]]
 
     def __eq__(self, other):
         if not isinstance(other, (list, IndexPairs)):
@@ -337,8 +342,8 @@ class IndexPairs(Sequence):
         return len(self) == len(other) and all(map(eq, self, other))
 
     def __repr__(self):
-        return "IndexPairs(%r, %r, %r)" % (self._keys, self._count,
-                                           self._shift)
+        return "IndexPairs(%r, %r, %r)" % (self._degrees, self._targets,
+                                           self._count)
 
 
 def dump_json(obj, write) -> None:
@@ -350,7 +355,7 @@ def dump_json(obj, write) -> None:
     cached C encoder per indent in one call, with the newline and indent
     carried in its item separator: a scalar, a list of scalars, a whole
     matrix (a list of non-empty lists of scalars) and a dict of scalars.
-    An IndexPairs is one join over its keys.
+    An IndexPairs is one join over its columns.
     """
     _emit(obj, "\n", "", write)
     write("\n")
@@ -440,26 +445,26 @@ def _emit_pairs(pairs: IndexPairs, pad: str, put) -> None:
 
     The index strings are made once.  Row u's head is str(u) and the
     item break; row v's tail is str(v) and the break to the next row.
-    Both tables, and the flat list of the keys' heads and tails, are
-    built by C-level maps.  The last row's tail ends the rows instead,
-    and the opening, the joined rows and the closing are put apart, so
-    the rows' text is never copied to cut or to wrap it.
+    Both tables, and the flat list of the rows' heads (each head
+    repeated by its degree) and tails, are built by C-level maps.  The
+    last row's tail ends the rows instead, and the opening, the joined
+    rows and the closing are put apart, so the rows' text is never
+    copied to cut or to wrap it.
     """
-    keys, count, shift = pairs._keys, pairs._count, pairs._shift
-    if not keys:
+    degrees, targets, count = pairs._degrees, pairs._targets, pairs._count
+    if not targets:
         put("[]")
         return
     row_pad = pad + "  "
     item_pad = row_pad + "  "
-    mask = (1 << shift) - 1
     strs = list(map(str, range(count)))
     heads = list(map(add, strs, repeat("," + item_pad)))
     tails = list(map(add, strs,
                      repeat(row_pad + "]," + row_pad + "[" + item_pad)))
-    flat = [None] * (2 * len(keys))
-    flat[0::2] = map(heads.__getitem__, map(rshift, keys, repeat(shift)))
-    flat[1::2] = map(tails.__getitem__, map(and_, keys, repeat(mask)))
-    flat[-1] = strs[keys[-1] & mask] + row_pad + "]"
+    flat = [None] * (2 * len(targets))
+    flat[0::2] = chain.from_iterable(map(repeat, heads, degrees))
+    flat[1::2] = map(tails.__getitem__, targets)
+    flat[-1] = strs[targets[-1]] + row_pad + "]"
     put("[" + row_pad + "[" + item_pad)
     put("".join(flat))
     put(pad + "]")

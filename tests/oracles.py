@@ -676,11 +676,11 @@ def walls_cross_by_scan(c, i, j):
     return False
 
 
-def per_wall_keys(bits, nwalls):
-    """The sorted codes u << W | v (u < v) of the induced edges, found
-    by one index lookup per 0-cube and wall."""
+def per_wall_rows(bits, nwalls):
+    """The induced edges [u, v] (u < v), sorted, found by one index
+    lookup per 0-cube and wall."""
     index = {b: k for k, b in enumerate(bits)}
-    return sorted(u << nwalls | v for u, b in enumerate(bits)
+    return sorted([u, v] for u, b in enumerate(bits)
                   for j in range(nwalls)
                   if (v := index.get(b ^ 1 << j, -1)) > u)
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cubecrys.dual
 from cubecrys.boundary import is_isomorphic
 from cubecrys.dual import (
     CrossingConditionError,
@@ -21,6 +22,7 @@ from cubecrys.dual import (
     WALL_CAP,
     WallCapError,
     WallspaceError,
+    _extremes,
     _feasible,
     _flip_closure,
     _member_clauses,
@@ -63,7 +65,7 @@ from oracles import (
     frozenset_duality_check,
     is_median_complex,
     left_out_edges,
-    per_wall_keys,
+    per_wall_rows,
     sides_compatible,
     stored_edge_dual,
     stored_edge_walk,
@@ -108,8 +110,12 @@ def three_verdicts(window, f, g):
     f and g are (coefficients, offset) pairs for <a, x> + b; entries may
     be anything Fraction accepts.  _feasible gets the window scaled to
     integers the way FiniteWallspace scales it, and each side, over the
-    scaled window, times the lcm of its denominators.  The oracles get
-    -f and -g for the second verdict.
+    scaled window, times the lcm of its denominators.  It reads only the
+    break points, which decide for two functions that each split the
+    window, so its verdicts are combined with each function's window
+    extremes (max f, max g > 0 for the first; min f, min g < 0 for the
+    second) to answer for any f and g.  The oracles get -f and -g for
+    the second verdict.
     """
     window = tuple((Fraction(lo), Fraction(hi)) for lo, hi in window)
     f, g = ((tuple(map(Fraction, a)), Fraction(b)) for a, b in (f, g))
@@ -125,8 +131,13 @@ def three_verdicts(window, f, g):
         unit = tuple(int(i == k) for i in range(n))
         box_cons.append((unit, hi, False))
         box_cons.append((tuple(-e for e in unit), -lo, False))
+    fi, gi = ints(*f), ints(*g)
+    (f_max, f_min), (g_max, g_min) = _extremes(box, fi), _extremes(box, gi)
+    breaks = _feasible(box, fi, gi)
+    verdicts = (breaks[0] and f_max > 0 and g_max > 0,
+                breaks[1] and f_min < 0 and g_min < 0)
     out = []
-    for sign, integer in zip((1, -1), _feasible(box, ints(*f), ints(*g))):
+    for sign, integer in zip((1, -1), verdicts):
         fs, gs = ((tuple(sign * e for e in a), sign * b) for a, b in (f, g))
         cons = box_cons + [(tuple(-e for e in a), b, True)
                            for a, b in (fs, gs)]
@@ -190,6 +201,22 @@ def test_closed_form_feasibility_agrees_with_fourier_motzkin():
     ]
     for window, f, g, same, opposite in hand:
         assert three_verdicts(window, f, g) == ((same,) * 3, (opposite,) * 3)
+
+
+def test_the_window_test_reads_only_break_points():
+    # Both functions split the box, so t = 0 and t = 1 decide nothing.
+    # With no coefficient of opposite signs there is no break: x - 1
+    # and y - 1, x - 1 and 2x + 1.
+    box = ((-2, 2), (-2, 2))
+    assert _feasible(box, ((1, 0), -1), ((0, 1), -1)) == (True, True)
+    assert _feasible(box, ((1, 0), -1), ((2, 0), 1)) == (True, True)
+    # x + y - 1 and 1 - x - y bend at t = 1/2 (on both axes, each read
+    # unreduced), where their sum is 0 on the whole box: neither pair
+    # of sides meets.
+    assert _feasible(box, ((1, 1), -1), ((-1, -1), 1)) == (False, False)
+    # The split check: max and min of x + y - 1 over the box.
+    assert _extremes(box, ((1, 1), -1)) == (3, -5)
+    assert _extremes(box, ((0, 0), 7)) == (7, 7)
 
 
 def test_integer_side_test_on_windows_with_thirds_and_fifths():
@@ -998,7 +1025,7 @@ def assert_matches_stored_edges(c, old, starts=(0,), step=1, median=True):
     assert joined(c.to_json_dict()) == joined(old.to_json_dict())
 
 
-def test_a_walked_dual_stores_its_zero_cubes_and_one_code_per_edge():
+def test_a_walked_dual_stores_its_zero_cubes_and_one_target_per_edge():
     ws = plane_space([vertical("-1/2"), vertical("1/2"),
                       horizontal("-1/3"), horizontal("1/3")],
                      ["39/20", "3/2"], window=(("-9/4", 2), (-2, "5/3")))
@@ -1008,16 +1035,18 @@ def test_a_walked_dual_stores_its_zero_cubes_and_one_code_per_edge():
                for x in (*a, b))
     c = dual_complex(ws)
     assert set(vars(c)) == {"num_walls", "wallspace", "_bits", "_index",
-                            "_edges"}
+                            "_degrees", "_targets"}
     assert all(type(b) is int for b in c._bits)
     assert all(type(b) is int and type(k) is int
                for b, k in c._index.items())
-    # The walk's edges, one 8-byte code u << W | v each, u < v.
-    assert type(c._edges) is array and c._edges.typecode == "q"
-    assert c._edges.itemsize == 8 and c.num_walls == 4
-    assert len(c._edges) == c.edge_count()
-    assert sorted((u << 4 | v) for u, v, _ in edge_triples(c)) == \
-        sorted(c._edges)
+    # The walk's edges by source: one out-degree per 0-cube, and one
+    # target per edge.
+    assert type(c._degrees) is array and c._degrees.typecode == "l"
+    assert len(c._degrees) == c.vertex_count() and c.num_walls == 4
+    assert type(c._targets) is list and len(c._targets) == c.edge_count()
+    assert sum(c._degrees) == c.edge_count()
+    assert walk_rows(c._degrees, c._targets) == [
+        [u, v] for u, v, _ in edge_triples(c)]
     assert (c.vertex_count(), c.edge_count()) == (9, 12)
 
 
@@ -1051,28 +1080,41 @@ def fuzzed_complex_input(rng):
     return n, orientations, edges
 
 
-# -- the flip walk's edge codes against the stored-edge walk ---------
+# -- the flip walk's edge columns against the stored-edge walk -------
+
+
+def walk_rows(degrees, targets):
+    """The rows [u, v] of a walk's edge columns, read plainly."""
+    rows, at = [], 0
+    for u, d in enumerate(degrees):
+        rows += [[u, v] for v in targets[at:at + d]]
+        at += d
+    assert at == len(targets)
+    return rows
 
 
 def assert_walk_matches_stored_edges(forbid, start, within=None):
     """_flip_closure and stored_edge_walk agree on the queue, the index,
-    the edges (as codes u << W | v; none are kept for a walk `within`)
-    and the walls they cross.  Returns the walk."""
+    the edges (as sorted rows [u, v] from the walk's degrees and
+    targets; nothing is kept for a walk `within`) and the walls they
+    cross.  Returns the walk."""
     walk = _flip_closure(forbid, start, within)
     old = stored_edge_walk(forbid, start, within)
     assert (walk is None) == (old is None)
     if walk is None:
         return None
-    (queue, index, codes, realized), (old_queue, old_edges) = walk, old
-    nwalls = len(forbid)
+    (queue, index, degrees, targets, realized), (old_queue, old_edges) = \
+        walk, old
     assert queue == old_queue
     assert index == {b: k for k, b in enumerate(old_queue)}
-    assert type(codes) is array and codes.typecode == "q"
+    assert type(degrees) is array and degrees.typecode == "l"
+    assert type(targets) is list
     if within is None:
-        assert sorted(codes) == sorted(u << nwalls | v
-                                       for u, v, _ in old_edges)
+        assert len(degrees) == len(queue)
+        assert walk_rows(degrees, targets) == sorted(
+            [u, v] for u, v, _ in old_edges)
     else:
-        assert len(codes) == 0
+        assert len(degrees) == len(targets) == 0
     crossed = 0
     for _, _, j in old_edges:
         crossed |= 1 << j
@@ -1095,11 +1137,16 @@ def test_the_flip_walk_keeps_the_stored_edge_walks_edges():
     sizes = []
     for ws in walk_test_spaces():
         forbid, base = window_clauses(ws)
-        queue, _, codes, _ = assert_walk_matches_stored_edges(forbid, base)
+        queue, index, degrees, targets, _ = \
+            assert_walk_matches_stored_edges(forbid, base)
         c = dual_complex(ws)
-        assert c._bits == queue and sorted(c._edges) == sorted(codes)
-        assert c.edge_count() == len(codes)
-        assert c._edge_keys() == per_wall_keys(c._bits, c.num_walls)
+        assert c._bits == queue and c._degrees == degrees
+        assert c._targets == targets and c.edge_count() == len(targets)
+        assert c.to_json_dict()["edges"] == per_wall_rows(c._bits,
+                                                          c.num_walls)
+        # Each target is the int that the index holds: the walk makes
+        # no int per edge.
+        assert all(v is index[queue[v]] for v in targets)
         sizes.append((len(ws.walls), c.vertex_count(), c.edge_count()))
     assert sizes[-5:] == [(15, 18432, 125952), (10, 1024, 5120),
                           (14, 16384, 114688), (0, 1, 0), (1, 2, 1)]
@@ -1153,7 +1200,7 @@ def test_the_outward_walk_agrees_with_the_full_walk_on_random_tables():
         nwalls = rng.randrange(11)
         start = rng.randrange(1 << nwalls)
         forbid = random_clause_table(rng, nwalls, start)
-        queue, _, _, _ = assert_walk_matches_stored_edges(forbid, start)
+        queue, *_ = assert_walk_matches_stored_edges(forbid, start)
         solutions = {b for b in range(1 << nwalls)
                      if all(not (forbid[j][b >> j & 1][t] & (b if t else ~b))
                             for j in range(nwalls) for t in (0, 1))}
@@ -1176,6 +1223,42 @@ def test_the_outward_walk_agrees_with_the_full_walk_on_random_tables():
     assert left > 20, left
 
 
+def test_the_walk_sorts_only_the_groups_that_arrive_out_of_order(
+        monkeypatch):
+    # A source's outward flips arrive in wall order, and a target that
+    # an earlier source reached can have a lower index than one before
+    # it.  The stored-edge walk tries flips in wall order too, so each
+    # source's edges to higher indices there come in the walk's arrival
+    # order, and exactly the groups that are out of order there are
+    # sorted in place.
+    sorts = []
+
+    def counted_sorted(group):
+        sorts.append(list(group))
+        return sorted(group)
+
+    monkeypatch.setattr(cubecrys.dual, "sorted", counted_sorted,
+                        raising=False)
+    rng = random.Random(3232)
+    tangled_tables = 0
+    for _ in range(300):
+        nwalls = rng.randrange(11)
+        start = rng.randrange(1 << nwalls)
+        forbid = random_clause_table(rng, nwalls, start)
+        sorts.clear()
+        queue, *_ = assert_walk_matches_stored_edges(forbid, start)
+        groups = {}
+        for u, v, _ in stored_edge_walk(forbid, start)[1]:
+            groups.setdefault(u, []).append(v)
+        assert sorts == [g for g in groups.values() if g != sorted(g)]
+        tangled_tables += bool(sorts)
+        # The median check keeps nothing.
+        assert _flip_closure(forbid, start, within=set(queue))[2:4] == (
+            array("l"), [])
+    # About a fifth of such tables put some group out of order.
+    assert 20 < tangled_tables < 150, tangled_tables
+
+
 class CountedRule(int):
     """A clause bitmask that counts the clause tests reading it."""
 
@@ -1195,8 +1278,8 @@ def test_the_flip_walk_tests_clauses_only_on_flips_to_new_bitmasks():
     counted = [[[CountedRule(t) for t in row] for row in rules]
                for rules in forbid]
     CountedRule.reads = 0
-    queue, _, codes, _ = _flip_closure(counted, base)
-    assert (len(queue), len(codes)) == (1024, 5120)
+    queue, _, _, targets, _ = _flip_closure(counted, base)
+    assert (len(queue), len(targets)) == (1024, 5120)
     assert 1023 <= CountedRule.reads <= 2 * 1023
 
 
@@ -1232,7 +1315,7 @@ def test_complex_dicts_round_trip():
 
 
 def test_writing_a_complex_makes_no_edge_row(tmp_path, monkeypatch):
-    def refuse(self, k):
+    def refuse(self, k=None):
         raise AssertionError("an edge row was made")
 
     for c in (grid_complex(), dual_complex(ten_crossing_lines())):
@@ -1240,6 +1323,7 @@ def test_writing_a_complex_makes_no_edge_row(tmp_path, monkeypatch):
                               default=list)
         with monkeypatch.context() as m:
             m.setattr(IndexPairs, "__getitem__", refuse)
+            m.setattr(IndexPairs, "__iter__", refuse)
             assert joined(c.to_json_dict()) == expected + "\n"
             write_json(tmp_path / "c.json", c.to_json_dict())
         assert (tmp_path / "c.json").read_text() == expected + "\n"
