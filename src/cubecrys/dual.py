@@ -372,9 +372,8 @@ class CubeComplex:
 
     def to_json_dict(self) -> dict:
         """The complex file's dict.  Its "edges" is an IndexPairs over
-        the edge columns: it equals the sorted list of [u, v] rows, and
-        dump_json renders it in one join without making them, but
-        json.dumps needs default=list to write it."""
+        the edge columns, which dump_json renders as the sorted list of
+        [u, v] rows in one join without making them."""
         # Orientation.to_bitstring, on the bare bitmasks.
         top = 1 << self.num_walls
         return {

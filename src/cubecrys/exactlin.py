@@ -15,12 +15,10 @@ from __future__ import annotations
 import io
 import json
 import math
-from bisect import bisect_right
-from collections.abc import Sequence
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from operator import add, eq, mul
+from operator import add, mul
 
 
 class ShapeError(ValueError):
@@ -303,15 +301,11 @@ def _encode(obj, pad: str = "") -> str:
     return "".join((_ENCODERS.get(pad) or _new_encoder(pad))(obj, 0))
 
 
-class IndexPairs(Sequence):
-    """Read-only rows [u, v] of indices below count, held as two
-    columns and each row made when read: degrees[u] rows of head u, for
-    u in order, beside one list of the rows' tails.
-
-    It equals a list of the same rows, and a slice is a list of rows,
-    as for the list it stands in for.  dump_json renders it from the
-    columns without making the rows; json.dumps needs default=list.
-    """
+class IndexPairs:
+    """Rows [u, v] of indices below count, held as two columns:
+    degrees[u] rows of head u, for u in order, beside one list of the
+    rows' tails.  dump_json renders it from the columns without making
+    the rows."""
 
     __slots__ = ("_degrees", "_targets", "_count")
 
@@ -319,31 +313,6 @@ class IndexPairs(Sequence):
         self._degrees = degrees
         self._targets = targets
         self._count = count
-
-    def __len__(self):
-        return len(self._targets)
-
-    def __iter__(self):
-        heads = chain.from_iterable(map(repeat, range(len(self._degrees)),
-                                        self._degrees))
-        return map(list, zip(heads, self._targets))
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return list(self)[k]
-        k = range(len(self))[k]
-        # Row k's head is the first u whose rows end past row k.
-        return [bisect_right(list(accumulate(self._degrees)), k),
-                self._targets[k]]
-
-    def __eq__(self, other):
-        if not isinstance(other, (list, IndexPairs)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-    def __repr__(self):
-        return "IndexPairs(%r, %r, %r)" % (self._degrees, self._targets,
-                                           self._count)
 
 
 def dump_json(obj, write) -> None:
@@ -510,10 +479,11 @@ def from_format(d, tag: str, error, build):
 
 def dimension_from_json(value, error) -> int:
     """A "dimension", from a file or a constructor: a JSON integer, not a
-    bool, at least 1."""
+    bool, at least 1.  The message shows a value that is not JSON by its
+    repr."""
     if type(value) is not int or value < 1:
         raise error("dimension must be an integer >= 1, got %s"
-                    % json.dumps(value))
+                    % json.dumps(value, default=repr))
     return value
 
 
@@ -579,8 +549,8 @@ class RatMatrix:
 
 
 def average_intertwiner(
-    theta_images: Sequence[RatMatrix],
-    iota_images: Sequence[RatMatrix],
+    theta_images: list[RatMatrix],
+    iota_images: list[RatMatrix],
     seed_b: RatMatrix,
 ) -> RatMatrix:
     """Group-average a seed into an intertwiner of two representations.

@@ -210,12 +210,6 @@ class SimplicialComplex:
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
 
-    def num_vertices(self) -> int:
-        return len(self.vertices)
-
-    def num_edges(self) -> int:
-        return len(self.edges)
-
     def neighbors(self, v) -> set:
         return set(self._adjacency[v])
 
@@ -264,9 +258,7 @@ class SimplicialComplex:
 
     def __repr__(self):
         return "SimplicialComplex(%d vertices, %d edges)" % (
-            self.num_vertices(),
-            self.num_edges(),
-        )
+            len(self.vertices), len(self.edges))
 
     def to_json_dict(self) -> dict:
         verts = list(self.vertices)

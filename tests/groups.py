@@ -54,6 +54,16 @@ def wf4():
     return CrystGroup("W(F4)", 4, D4_BASIS, gens, [[0] * 4] * 4)
 
 
+def wf4_sub48():
+    """An order-48 subgroup of W(F4) in the D4 lattice, rejected on its
+    character: an order-3 element without fixed vectors, which no
+    element of B4 is."""
+    return CrystGroup("WF4-sub48", 4, D4_BASIS, [
+        [[0, 0, -1, 0], [1, -1, -1, 1], [1, 0, -1, 0], [1, -1, 0, 0]],
+        [[0, 0, -1, 1], [-1, 0, -1, 1], [-1, 1, -1, 0], [-1, 0, 0, 1]],
+    ], [[0] * 4] * 2)
+
+
 def wf4_subgroups(count=60, seed=0):
     """count subgroups of W(F4) in the D4 lattice, each generated by 1-3
     elements drawn by random.Random(seed)."""

