@@ -113,13 +113,21 @@ def entry_name(entry) -> str:
     return "%s%s: %s" % (entry["source"], seed, " ".join(entry["argv"]))
 
 
+def tests_entry(command, input_name, *options, mode="json") -> str:
+    """The name of the entry that runs command on input_name, one of
+    the tests' own inputs, in mode."""
+    argv = [command] + ["--json"] * (mode == "json") + [input_name]
+    return entry_name({"source": "tests", "seed": None,
+                       "argv": argv + list(options)})
+
+
 def _run(source, seed, argv, input_name, where: Path) -> dict:
     return {"source": source, "seed": seed,
             "mode": "json" if "--json" in argv else "text",
             "argv": list(argv), "input_name": input_name, "dir": where}
 
 
-def _file_name(group_name: str) -> str:
+def group_file_name(group_name: str) -> str:
     return "".join(c if c.isalnum() or c in "-_" else "_"
                    for c in group_name) + ".json"
 
@@ -154,7 +162,7 @@ def _tests_runs(root: Path) -> list:
     for g in (wf4(), b4_generic(), wf4_generic(), wf4_sub48()):
         groups[g.name] = g
     for g in groups.values():
-        save_group(g, where / _file_name(g.name))
+        save_group(g, where / group_file_name(g.name))
     spaces = (ten_crossing_lines, spatial_arrangement,
               fourteen_crossing_lines)
     for space in spaces:
@@ -169,20 +177,20 @@ def _tests_runs(root: Path) -> list:
                              input_name, where))
 
     for name in catalog + ["W(F4)", "m-skew"]:
-        add("classify", _file_name(name))
-        add("validate", _file_name(name), modes=("json",))
+        add("classify", group_file_name(name))
+        add("validate", group_file_name(name), modes=("json",))
     for name in ("p4-skew", "C2^2.p-skew", "B4-generic", "WF4-sub48"):
-        add("classify", _file_name(name), modes=("json",))
+        add("classify", group_file_name(name), modes=("json",))
     for name in catalog:
-        add("cubulate", _file_name(name), ["--seed", "0"])
-        add("cubulate", _file_name(name),
+        add("cubulate", group_file_name(name), ["--seed", "0"])
+        add("cubulate", group_file_name(name),
             ["--seed", "0", "--use-witness-basis"])
     for name, seeds in (("W(F4)-D4U", ["0"]),
                         ("B4-generic", ["0", "1", "987654321", "-3"]),
                         ("p4m", ["1", "987654321", "-3"]),
                         ("pg", ["1", "987654321", "-3"])):
         for seed in seeds:
-            add("cubulate", _file_name(name), ["--seed", seed])
+            add("cubulate", group_file_name(name), ["--seed", seed])
     for space in spaces[:2]:
         add("dual", space.__name__ + ".json", ["--out", "complex.json"],
             modes=("json",))
@@ -219,9 +227,10 @@ def execute(run) -> dict:
     return result
 
 
-def results(runs, wanted=None) -> dict:
+def results(runs, wanted=None, stdouts=None) -> dict:
     """Run every entry, or every entry whose name is in wanted: {name:
-    manifest entry}.  The joined entry is made when its parts ran."""
+    manifest entry}.  The joined entry is made when its parts ran.
+    Each run's stdout bytes go into stdouts, when given, by name."""
     needed = wanted
     if wanted is not None and SEEDED_JOIN in wanted:
         needed = set(wanted) | set(SEEDED_PARTS)
@@ -231,6 +240,8 @@ def results(runs, wanted=None) -> dict:
         if needed is not None and name not in needed:
             continue
         result = execute(run)
+        if stdouts is not None:
+            stdouts[name] = result["_stdout"]
         if name in SEEDED_PARTS:
             parts[name] = result
         fresh[name] = {k: run[k] for k in ("source", "seed", "mode", "argv")}
@@ -262,6 +273,19 @@ def compare(manifest: dict, fresh: dict) -> list:
             problems.append("output changed (%s): %s"
                             % (", ".join(differ), name))
     return problems
+
+
+def check(root: Path, names, stdouts=None) -> list:
+    """compare() over the named entries alone, with their inputs written
+    under root: the tests' own inputs, and perfbench's corpus only when a
+    named entry needs it."""
+    runs = _tests_runs(root)
+    if SEEDED_JOIN in names or any(not n.startswith("tests: ")
+                                   for n in names):
+        runs += _perfbench_runs(root)
+    manifest = load()
+    return compare({n: manifest[n] for n in names},
+                   results(runs, names, stdouts))
 
 
 def select(names, patterns) -> set:

@@ -18,6 +18,7 @@ import cubecrys
 from cubecrys import boundary, cli, dual
 from cubecrys.boundary import parse_product, product_boundary
 from cubecrys.crys import (
+    CATALOG_NAMES,
     PointTable,
     catalog_entry,
     group_from_json_dict,
@@ -35,6 +36,7 @@ from cubecrys.dual import (
 from cubecrys.exactlin import identity
 from cubecrys.sgnperm import SignedPermutation
 from cubecrys.walls import GeometricWall
+import golden
 from groups import b4_generic, ten_crossing_lines
 from oracles import stored_edge_dual
 
@@ -543,6 +545,78 @@ def test_dual_of_ten_crossing_lines(capsys, tmp_path):
         "median_graph": True,
         "duality_round_trip": True,
     }
+
+
+# The sha256 pins of these runs sit in tests/golden.json; each test below
+# reproduces its own entries of that manifest.
+def assert_golden(tmp_path, *names, stdouts=None):
+    problems = golden.check(tmp_path, names, stdouts)
+    assert not problems, "\n".join(problems)
+
+
+@pytest.mark.parametrize("name", ["spatial_arrangement",
+                                  "ten_crossing_lines"])
+def test_dual_report_and_complex_file_bytes_are_pinned(name, tmp_path):
+    assert_golden(tmp_path, golden.tests_entry(
+        "dual", name + ".json", "--out", "complex.json"))
+
+
+def test_dual_bytes_at_the_median_vertex_cap_are_pinned(tmp_path):
+    stdouts = {}
+    names = [golden.tests_entry("dual", "fourteen_crossing_lines.json",
+                                mode=mode) for mode in ("json", "text")]
+    assert_golden(tmp_path, *names, stdouts=stdouts)
+    out = stdouts[names[1]].decode("utf-8")
+    assert "16384 0-cubes, 114688 edges" in out and "median graph: True" in out
+
+
+def test_dual_reports_on_seeded_wallspaces_are_pinned(tmp_path):
+    assert_golden(tmp_path, golden.SEEDED_JOIN)
+
+
+# The catalog groups that --use-witness-basis was pinned on: the 13 that
+# are accepted.
+WITNESS_PINNED = ["p1", "p2", "pm", "pg", "cm", "pmm", "pmg", "pgg", "cmm",
+                  "p4", "p4m", "p4g", "Z:W"]
+
+
+def assert_cubulate_golden(tmp_path, group_name, *options):
+    assert_golden(tmp_path, *[
+        golden.tests_entry("cubulate", golden.group_file_name(group_name),
+                           *options, mode=mode)
+        for mode in ("json", "text")])
+
+
+@pytest.mark.parametrize("basis, name", [
+    ("lattice", name) for name in CATALOG_NAMES] + [
+    ("witness", name) for name in WITNESS_PINNED])
+def test_cubulate_report_bytes_are_pinned(basis, name, tmp_path):
+    extra = ["--use-witness-basis"] if basis == "witness" else []
+    assert_cubulate_golden(tmp_path, name, "--seed", "0", *extra)
+
+
+def test_cubulate_report_bytes_are_pinned_in_a_generic_basis(tmp_path):
+    assert_cubulate_golden(tmp_path, "B4-generic", "--seed", "0")
+
+
+def test_cubulate_report_bytes_are_pinned_for_444_classes(tmp_path):
+    assert_cubulate_golden(tmp_path, "W(F4)-D4U", "--seed", "0")
+
+
+@pytest.mark.parametrize("name, seed", [
+    (name, seed) for name in ("p4m", "pg", "B4-generic")
+    for seed in (1, 987654321, -3)])
+def test_cubulate_report_bytes_are_pinned_at_other_seeds(name, seed,
+                                                         tmp_path):
+    assert_cubulate_golden(tmp_path, name, "--seed", str(seed))
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + ["W(F4)", "m-skew"])
+def test_classify_and_validate_report_bytes_are_pinned(name, tmp_path):
+    path = golden.group_file_name(name)
+    assert_golden(tmp_path, golden.tests_entry("classify", path),
+                  golden.tests_entry("classify", path, mode="text"),
+                  golden.tests_entry("validate", path))
 
 
 def test_text_cubulate_renders_no_json_parts(capsys, tmp_path, monkeypatch):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from cubecrys import cli, decide
 from cubecrys.cli import main
 from cubecrys.crys import (
+    CATALOG_NAMES,
     CrystGroup,
     catalog_entry,
     integer_real_forms,
@@ -50,6 +51,7 @@ from cubecrys.sgnperm import (
     signed_permutation_of,
     to_matrix,
 )
+import golden
 from groups import (
     D4_BASIS,
     GROUPS,
@@ -547,3 +549,16 @@ def test_integer_real_forms_match_the_ratmatrix_products(g):
         assert RatMatrix([[Fraction(x, d) for x in row]
                           for row in form]) == real
     assert point_group_real(g) == expected
+
+
+# The sha256 pin of each `classify --json` stdout sits in
+# tests/golden.json; W(F4) is rejected on order, B4-generic (B4 in a
+# generic basis) is accepted, and WF4-sub48, an order-48 subgroup of
+# W(F4) in the D4 lattice, is rejected on its character: an order-3
+# element without fixed vectors, which no element of B4 is.
+@pytest.mark.parametrize("name", sorted(CATALOG_NAMES + [
+    "p4-skew", "m-skew", "C2^2.p-skew", "W(F4)", "B4-generic", "WF4-sub48"]))
+def test_classify_json_is_pinned(tmp_path, name):
+    entry = golden.tests_entry("classify", golden.group_file_name(name))
+    problems = golden.check(tmp_path, [entry])
+    assert not problems, "\n".join(problems)
