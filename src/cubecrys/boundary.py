@@ -18,7 +18,6 @@ from cubecrys.sgnperm import (
     QN_CAP,
     SimplicialComplex,
     SizeCapError,
-    build_Qn,
     simplicial_join,
 )
 

@@ -25,7 +25,6 @@ import functools
 import hashlib
 import io
 import json
-import math
 import os
 import random
 import sys
@@ -131,6 +130,12 @@ def _emit(text: str = "", *, report=None) -> int:
     return 0
 
 
+# Every sample pair is over c = 420, the lcm of the drawn denominators
+# 1..7: _SCALE[d - 1] is 420 / d.
+_SAMPLE_DENOMINATOR = 420
+_SCALE = tuple(_SAMPLE_DENOMINATOR // d for d in range(1, 8))
+
+
 def _sample_pairs(n: int, count: int, seed: int):
     """count pairs of points of Q^n, each as the triple (c, p, q) that
     walls.check_linear_separation reads: the points are p / c and q / c.
@@ -140,14 +145,16 @@ def _sample_pairs(n: int, count: int, seed: int):
     randrange(1, 8)).  Those two randrange calls return getrandbits(12),
     drawn again while >= 4001, minus 2000, and getrandbits(3), drawn
     again while 7, plus 1; that is how the stream is read here, so no
-    Fraction is built.  c is the lcm of the pair's 2n denominators as
-    drawn (at most 420, and not always the least one): the separation
-    report does not depend on it.
+    Fraction is built.  c is 420 for every pair, the lcm of 1..7, so a
+    coordinate x / d is x * (420 / d) from a seven-entry table (often
+    not the least common denominator): the separation report does not
+    depend on c.
     """
     bits = random.Random(seed).getrandbits
+    scale = _SCALE
     pairs = []
     for _ in range(count):
-        nums, dens = [], []
+        ints = []
         for _ in range(2 * n):
             x = bits(12)
             while x >= 4001:
@@ -155,34 +162,32 @@ def _sample_pairs(n: int, count: int, seed: int):
             d = bits(3)
             while d == 7:
                 d = bits(3)
-            nums.append(x - 2000)
-            dens.append(d + 1)
-        c = math.lcm(*dens)
-        ints = [x * (c // d) for x, d in zip(nums, dens)]
-        pairs.append((c, ints[:n], ints[n:]))
+            ints.append((x - 2000) * scale[d])
+        pairs.append((_SAMPLE_DENOMINATOR, ints[:n], ints[n:]))
     return pairs
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (report dict, human text lines)
+# Subcommand handlers: each returns its report dict under --json, else
+# its human text lines, so neither mode builds the other's parts.
 
 
 def _cmd_validate(args):
     g, digest = _load(load_group, args.group_file)
     vr = validate(g)
-    report = {
-        "command": "validate",
-        "input_digest": digest,
-        "validation": vr.to_json_dict(),
-    }
-    lines = [
+    if args.json:
+        return {
+            "command": "validate",
+            "input_digest": digest,
+            "validation": vr.to_json_dict(),
+        }
+    return [
         "group %r is a valid %d-dimensional crystallographic group"
         % (vr.name, vr.dimension),
         "point group order: %d" % vr.point_group_order,
         "element orders: %s" % (list(vr.element_orders),),
         "lattice determinant: %s" % vr.lattice_determinant,
     ]
-    return report, lines
 
 
 def _cmd_classify(args):
@@ -190,15 +195,15 @@ def _cmd_classify(args):
     result = is_hyperoctahedral(g)
     accepted = isinstance(result, HyperoctahedralWitness)
     verdict = "accepted" if accepted else "rejected"
-    report = {
-        "command": "classify",
-        "input_digest": digest,
-        "group": g.name,
-        "verdict": verdict,
-    }
     if args.json:
-        report["classification"] = (result.to_json_dict(g) if accepted
-                                    else result.to_json_dict())
+        return {
+            "command": "classify",
+            "input_digest": digest,
+            "group": g.name,
+            "verdict": verdict,
+            "classification": (result.to_json_dict(g) if accepted
+                               else result.to_json_dict()),
+        }
     lines = ["group %r: %s" % (g.name, verdict)]
     if accepted:
         lines.append("conjugator rows:")
@@ -210,7 +215,7 @@ def _cmd_classify(args):
         lines.append("reason: %s" % result.reason)
         lines.append("detail: %s" % json.dumps(result.detail,
                                                sort_keys=True))
-    return report, lines
+    return lines
 
 
 def _cmd_cubulate(args):
@@ -233,21 +238,22 @@ def _cmd_cubulate(args):
     stabilized = stabilize(g, fam)
     separation = check_linear_separation(
         g, fam, _sample_pairs(g.dimension, 100, seed))
-    report = {
-        "command": "cubulate",
-        "input_digest": digest,
-        "group": g.name,
-        "basis_source": basis_source,
-        "seed": seed,
-        "N": fam.class_count,
-    }
     if args.json:
-        report["wall_family"] = fam.to_json_dict()
-        report["induced_action"] = [
-            {"point_element": matrix_to_json(p), "image": s.to_json_dict()}
-            for p, s in action]
-        report["stabilized_group"] = group_to_json_dict(stabilized)
-        report["linear_separation"] = separation.to_json_dict()
+        return {
+            "command": "cubulate",
+            "input_digest": digest,
+            "group": g.name,
+            "basis_source": basis_source,
+            "seed": seed,
+            "N": fam.class_count,
+            "wall_family": fam.to_json_dict(),
+            "induced_action": [
+                {"point_element": matrix_to_json(p),
+                 "image": s.to_json_dict()}
+                for p, s in action],
+            "stabilized_group": group_to_json_dict(stabilized),
+            "linear_separation": separation.to_json_dict(),
+        }
     lines = [
         "group %r, %s basis" % (g.name, basis_source),
         "wall direction classes: N = %d" % fam.class_count,
@@ -266,7 +272,7 @@ def _cmd_cubulate(args):
         "lower bound held (seed %d)"
         % (separation.pairs_checked,
            format_rational(separation.worst_ratio), seed))
-    return report, lines
+    return lines
 
 
 def _cmd_dual(args):
@@ -284,24 +290,29 @@ def _cmd_dual(args):
     else:
         verdict = "skipped (too many 0-cubes)"
     summary["median_graph"] = summary["duality_round_trip"] = verdict
-    report = {
-        "command": "dual",
-        "input_digest": digest,
-        "summary": summary,
-    }
+    if args.json or args.out:
+        complex_dict = c.to_json_dict()
+    if args.out:
+        write_json(args.out, complex_dict)
+    if args.json:
+        report = {
+            "command": "dual",
+            "input_digest": digest,
+            "summary": summary,
+            "complex": complex_dict,
+        }
+        if args.out:
+            report["written"] = args.out
+        return report
     lines = [
         "dual complex: %d 0-cubes, %d edges from %d walls"
         % (summary["zero_cubes"], summary["edges"], summary["walls"]),
-        "median graph: %s" % summary["median_graph"],
-        "duality round-trip: %s" % summary["duality_round_trip"],
+        "median graph: %s" % verdict,
+        "duality round-trip: %s" % verdict,
     ]
-    if args.json or args.out:
-        report["complex"] = c.to_json_dict()
     if args.out:
-        write_json(args.out, report["complex"])
-        report["written"] = args.out
         lines.append("complex written to %s" % args.out)
-    return report, lines
+    return lines
 
 
 def _join_f_vector(factors) -> list:
@@ -325,31 +336,29 @@ def _join_f_vector(factors) -> list:
 
 def _cmd_boundary(args):
     factors = parse_product(args.expression)
-    report = {
+    product = " * ".join(map(str, factors))
+    if all(atomic_boundary(f).is_finite for f in factors):
+        f_vector = _join_f_vector(factors)
+        if not args.json:
+            return ["boundary of %s: finite complex" % product,
+                    "f-vector: %s" % (f_vector,)]
+        boundary = {
+            "verdict": "finite",
+            "f_vector": f_vector,
+            "complex": product_boundary(factors).as_complex().to_json_dict(),
+        }
+    else:
+        description = product_boundary(factors).describe()
+        if not args.json:
+            return ["boundary of %s: %s" % (product, description)]
+        boundary = {"verdict": "symbolic", "description": description}
+    return {
         "command": "boundary",
         "input_digest": _digest_text(args.expression),
         "expression": args.expression,
         "factors": [str(f) for f in factors],
+        "boundary": boundary,
     }
-    product = " * ".join(map(str, factors))
-    if all(atomic_boundary(f).is_finite for f in factors):
-        f_vector = _join_f_vector(factors)
-        report["boundary"] = {"verdict": "finite", "f_vector": f_vector}
-        if args.json:
-            report["boundary"]["complex"] = (
-                product_boundary(factors).as_complex().to_json_dict())
-        lines = [
-            "boundary of %s: finite complex" % product,
-            "f-vector: %s" % (f_vector,),
-        ]
-    else:
-        description = product_boundary(factors).describe()
-        report["boundary"] = {
-            "verdict": "symbolic",
-            "description": description,
-        }
-        lines = ["boundary of %s: %s" % (product, description)]
-    return report, lines
 
 
 def _cmd_catalog(args):
@@ -369,11 +378,12 @@ def _cmd_catalog(args):
             "reason": reason,
             "N": fam.class_count,
         })
-    report = {
-        "command": "catalog",
-        "input_digest": _digest_text("catalog"),
-        "entries": rows,
-    }
+    if args.json:
+        return {
+            "command": "catalog",
+            "input_digest": _digest_text("catalog"),
+            "entries": rows,
+        }
     header = "%-8s %3s %4s %-9s %2s %s" % ("name", "dim", "|P|", "verdict",
                                            "N", "reason")
     lines = [header, "-" * len(header)]
@@ -381,7 +391,7 @@ def _cmd_catalog(args):
         lines.append("%-8s %3d %4d %-9s %2d %s"
                      % (r["name"], r["dimension"], r["point_group_order"],
                         r["verdict"], r["N"], r["reason"]))
-    return report, lines
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +468,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 0
 
     try:
-        report, lines = _HANDLERS[args.command](args)
+        out = _HANDLERS[args.command](args)
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
@@ -467,9 +477,9 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
 
-    if getattr(args, "json", False):
-        return _emit(report=report)
-    return _emit("\n".join(lines))
+    if args.json:
+        return _emit(report=out)
+    return _emit("\n".join(out))
 
 
 if __name__ == "__main__":

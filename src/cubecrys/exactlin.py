@@ -16,7 +16,7 @@ import io
 import json
 import math
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import add, mul
 
@@ -128,13 +128,14 @@ def _loop_mul(a, b) -> tuple:
 # Square products up to this size (every dimension classify admits) run
 # through one straight-line function per n: the rows unpacked into
 # locals and the n**2 sums written out, made from _straight_line_source
-# on first use, so importing the module compiles none.
+# on first use, so importing the module compiles none.  walls's
+# separation scan is written out up to the same n.
 STRAIGHT_LINE_MAX = 4
 
 
 def _straight_line_source(n: int) -> str:
-    """Source of `mul(a, b)` for n x n factors: their product, or None
-    when a row does not have n entries, for _loop_mul to check."""
+    """Source of `kernel(a, b)` for n x n factors: their product, or
+    None when a row does not have n entries, for _loop_mul to check."""
     def rows(name):
         return ", ".join("(%s,)" % ", ".join("%s%d_%d" % (name, i, j)
                                             for j in range(n))
@@ -145,7 +146,7 @@ def _straight_line_source(n: int) -> str:
                                        for k in range(n))
                             for j in range(n))
         for i in range(n))
-    return ("def mul(a, b):\n"
+    return ("def kernel(a, b):\n"
             "    try:\n"
             "        %s = a\n"
             "        %s = b\n"
@@ -154,18 +155,25 @@ def _straight_line_source(n: int) -> str:
             "    return (%s,)\n" % (rows("a"), rows("b"), product))
 
 
-class _Kernels(dict):
-    """n -> the compiled straight-line product of n x n factors."""
+class Kernels(dict):
+    """n -> the function `kernel` that source(n) defines, compiled on
+    first use and kept: one cache per source, named `name` in
+    tracebacks."""
+
+    def __init__(self, source, name: str):
+        super().__init__()
+        self._source = source
+        self._name = name
 
     def __missing__(self, n):
         namespace = {}
-        exec(compile(_straight_line_source(n), "<int_mul %dx%d>" % (n, n),
+        exec(compile(self._source(n), "<%s n=%d>" % (self._name, n),
                      "exec"), namespace)
-        kernel = self[n] = namespace["mul"]
+        kernel = self[n] = namespace["kernel"]
         return kernel
 
 
-_KERNELS = _Kernels()
+_KERNELS = Kernels(_straight_line_source, "int_mul")
 
 
 def int_det(rows) -> int:
@@ -324,7 +332,7 @@ def dump_json(obj, write) -> None:
     cached C encoder per indent in one call, with the newline and indent
     carried in its item separator: a scalar, a list of scalars, a whole
     matrix (a list of non-empty lists of scalars) and a dict of scalars.
-    An IndexPairs is one join over its columns.
+    An IndexPairs goes out in joins of PAIRS_SLICE rows over its columns.
     """
     _emit(obj, "\n", "", write)
     write("\n")
@@ -409,16 +417,23 @@ def _emit(obj, pad: str, head: str, put) -> None:
         put(pad + "]")
 
 
+# _emit_pairs joins and puts at most this many edge rows at a time, so
+# rendering a complex holds no more than one slice's text.
+PAIRS_SLICE = 2 ** 16
+
+
 def _emit_pairs(pairs: IndexPairs, pad: str, put) -> None:
-    """Emit the rows of pairs in one join over two string tables.
+    """Emit the rows of pairs, PAIRS_SLICE rows to a join over two
+    string tables.
 
     The index strings are made once.  Row u's head is str(u) and the
     item break; row v's tail is str(v) and the break to the next row.
-    Both tables, and the flat list of the rows' heads (each head
-    repeated by its degree) and tails, are built by C-level maps.  The
-    last row's tail ends the rows instead, and the opening, the joined
-    rows and the closing are put apart, so the rows' text is never
-    copied to cut or to wrap it.
+    Both tables, and the stream of the rows' heads (each head repeated
+    by its degree) and tails, come from C-level maps, which each slice
+    reads on from where the last one stopped into one flat list.  The
+    last row's tail ends the rows instead, and the opening, each slice
+    of rows and the closing are put apart, so no row's text is copied
+    to cut or to wrap it.
     """
     degrees, targets, count = pairs._degrees, pairs._targets, pairs._count
     if not targets:
@@ -427,15 +442,22 @@ def _emit_pairs(pairs: IndexPairs, pad: str, put) -> None:
     row_pad = pad + "  "
     item_pad = row_pad + "  "
     strs = list(map(str, range(count)))
-    heads = list(map(add, strs, repeat("," + item_pad)))
-    tails = list(map(add, strs,
-                     repeat(row_pad + "]," + row_pad + "[" + item_pad)))
-    flat = [None] * (2 * len(targets))
-    flat[0::2] = chain.from_iterable(map(repeat, heads, degrees))
-    flat[1::2] = map(tails.__getitem__, targets)
-    flat[-1] = strs[targets[-1]] + row_pad + "]"
+    heads = chain.from_iterable(map(
+        repeat, map(add, strs, repeat("," + item_pad)), degrees))
+    ends = list(map(add, strs,
+                    repeat(row_pad + "]," + row_pad + "[" + item_pad)))
+    tails = map(ends.__getitem__, targets)
     put("[" + row_pad + "[" + item_pad)
-    put("".join(flat))
+    left = len(targets)
+    while left:
+        size = min(left, PAIRS_SLICE)
+        left -= size
+        flat = [None] * (2 * size)
+        flat[0::2] = islice(heads, size)
+        flat[1::2] = islice(tails, size)
+        if not left:
+            flat[-1] = strs[targets[-1]] + row_pad + "]"
+        put("".join(flat))
     put(pad + "]")
 
 

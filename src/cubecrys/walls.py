@@ -29,6 +29,8 @@ from operator import mul
 
 from cubecrys.crys import CrystGroup, PointTable, integer_real_forms, validate
 from cubecrys.exactlin import (
+    STRAIGHT_LINE_MAX,
+    Kernels,
     ShapeError,
     SingularMatrixError,
     format_rational,
@@ -324,38 +326,129 @@ def check_linear_separation(g: CrystGroup, fam: WallFamily, samples) -> LinearSe
     machinery.  The worst ratio of left to right side of the first
     inequality is reported.  Neither the ratio nor a violation message
     depends on which common denominator c a pair is given over.
+
+    A family of dimension at most STRAIGHT_LINE_MAX is checked by one
+    straight-line scan over all the pairs (_scan_source); a larger one,
+    or a sample the scan cannot unpack, by _loop_scan, which raises
+    ShapeError on a point of the wrong length.  Both stop at the first
+    violated pair, whose message _violation builds from _pair_counts.
     """
     samples = list(samples)
     if not samples:
         raise ValueError("need at least one sample pair")
     n = g.dimension
-    max_norm_sq = max(sum(x * x for x in v) for v in fam.basis)
+    d, basis = integral(fam.basis)
+    max_norm_sq = Fraction(max(sum(map(mul, v, v)) for v in basis), d * d)
     num, den = max_norm_sq.numerator, max_norm_sq.denominator
-    # The worst ratio so far, as an int numerator and denominator.
-    top, bottom = 0, 1
-    for c, p, q in samples:
-        sep, gap, m, dist = _pair_counts(fam, c, p, q)
-        # |r1 - r2|^2 = dist / c^2 and max_i |t_i|^2 = num / den.
-        lhs = dist * den
-        rhs = c * c * num * (sep + n) ** 2
-        if lhs > rhs:
-            raise PropertyViolationError(
-                "separation bound failed for pair %s: %s > %s"
-                % (_pair_text(c, p, q), Fraction(dist, c * c),
-                   max_norm_sq * (sep + n) ** 2))
-        # nu is linear, so sum_i |nu_i| = gap / m.
-        if sep * m < gap - n * m:
-            raise PropertyViolationError(
-                "separation undercount for pair %s: %d < %s"
-                % (_pair_text(c, p, q), sep, Fraction(gap - n * m, m)))
-        if lhs * bottom > top * rhs:
-            top, bottom = lhs, rhs
+    e, rows = fam.dual_matrix
+    found = None
+    if 0 < len(rows) <= STRAIGHT_LINE_MAX:
+        found = _SCANS[len(rows)](samples, e, rows, n, num, den)
+    if found is None:
+        found = _loop_scan(samples, fam, n, num, den)
+    k, top, bottom = found
+    if k < len(samples):
+        raise _violation(fam, n, max_norm_sq, *samples[k])
     return LinearSeparationReport(
         pairs_checked=len(samples),
         worst_ratio=Fraction(top, bottom),
         max_basis_norm_sq=max_norm_sq,
         lower_bound_checked=True,
     )
+
+
+def _loop_scan(samples, fam: WallFamily, n: int, num, den) -> tuple:
+    """(k, top, bottom): the pairs before the first violated one, all
+    when none is, and the worst ratio among them as top / bottom (0 / 1
+    for none), with max_i |t_i|^2 = num / den.  The generic loop, one
+    _pair_counts call a pair: the oracle of the straight-line scans."""
+    top, bottom = 0, 1
+    for k, (c, p, q) in enumerate(samples):
+        sep, gap, m, dist = _pair_counts(fam, c, p, q)
+        # |r1 - r2|^2 = dist / c^2, and # >= gap / m - n.
+        lhs = dist * den
+        rhs = c * c * num * (sep + n) ** 2
+        if lhs > rhs or (sep + n) * m < gap:
+            return k, top, bottom
+        if lhs * bottom > top * rhs:
+            top, bottom = lhs, rhs
+    return len(samples), top, bottom
+
+
+def _violation(fam: WallFamily, n: int, max_norm_sq, c, p, q):
+    """The PropertyViolationError of a pair that fails an inequality,
+    naming the first one it fails."""
+    sep, gap, m, dist = _pair_counts(fam, c, p, q)
+    if dist * max_norm_sq.denominator > \
+            c * c * max_norm_sq.numerator * (sep + n) ** 2:
+        return PropertyViolationError(
+            "separation bound failed for pair %s: %s > %s"
+            % (_pair_text(c, p, q), Fraction(dist, c * c),
+               max_norm_sq * (sep + n) ** 2))
+    # nu is linear, so sum_i |nu_i| = gap / m.
+    return PropertyViolationError(
+        "separation undercount for pair %s: %d < %s"
+        % (_pair_text(c, p, q), sep, Fraction(gap - n * m, m)))
+
+
+def _scan_source(n: int) -> str:
+    """Source of `kernel(samples, e, rows, n, num, den)` for a family
+    of dimension n: _loop_scan's (k, top, bottom), with the dual rows
+    e B^-1 unpacked into locals once and each pair's dual coordinates,
+    separation count, l1 gap and squared distance written out; None
+    when rows or a point does not have n entries, for the loop to
+    check.  Row i contributes the integers strictly between a_i / m
+    and b_i / m, none when a_i = b_i."""
+    idx = range(n)
+    rows = ", ".join("(%s,)" % ", ".join("r%d_%d" % (i, j) for j in idx)
+                     for i in idx) + ","
+    p, q = ("(%s,)" % ", ".join("%s%d" % (v, j) for j in idx)
+            for v in "pq")
+    body = []
+    for i in idx:
+        for v in "ab":
+            body.append("%s = %s" % (v, " + ".join(
+                "r%d_%d * %s%d" % (i, j, "p" if v == "a" else "q", j)
+                for j in idx)))
+        first = i == 0
+        body += ["if a < b:",
+                 "    sep %s -(-b // m) - a // m - 1" % ("=" if first
+                                                         else "+="),
+                 "    gap %s b - a" % ("=" if first else "+="),
+                 "elif b < a:",
+                 "    sep %s -(-a // m) - b // m - 1" % ("=" if first
+                                                         else "+="),
+                 "    gap %s a - b" % ("=" if first else "+=")]
+        if first:
+            body += ["else:", "    sep = gap = 0"]
+    body += ["d%d = p%d - q%d" % (j, j, j) for j in idx]
+    body += ["lhs = (%s) * den" % " + ".join("d%d * d%d" % (j, j)
+                                             for j in idx),
+             "s = sep + n",
+             "rhs = c * c * num * s * s",
+             "if lhs > rhs or s * m < gap:",
+             "    return k, top, bottom",
+             "if lhs * bottom > top * rhs:",
+             "    top, bottom = lhs, rhs",
+             "k += 1"]
+    return ("def kernel(samples, e, rows, n, num, den):\n"
+            "    try:\n"
+            "        %s = rows\n"
+            "    except ValueError:\n"
+            "        return None\n"
+            "    top, bottom, k = 0, 1, 0\n"
+            "    try:\n"
+            "        for c, %s, %s in samples:\n"
+            "            m = e * c\n"
+            "%s"
+            "    except ValueError:\n"
+            "        return None\n"
+            "    return k, top, bottom\n"
+            % (rows, p, q, "".join("            %s\n" % line
+                                   for line in body)))
+
+
+_SCANS = Kernels(_scan_source, "separation_scan")
 
 
 def _pair_text(c, p, q) -> str:

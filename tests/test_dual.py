@@ -40,7 +40,13 @@ from cubecrys.dual import (
     union_orientation,
     wallspace_from_json_dict,
 )
-from cubecrys.exactlin import IndexPairs, dump_json, integral, write_json
+from cubecrys.exactlin import (
+    PAIRS_SLICE,
+    IndexPairs,
+    dump_json,
+    integral,
+    write_json,
+)
 from cubecrys.sgnperm import build_Qn
 from cubecrys.walls import GeometricWall
 from groups import (
@@ -1314,6 +1320,24 @@ def test_writing_a_complex_makes_no_edge_row(tmp_path):
         assert joined(c.to_json_dict()) == expected
         write_json(tmp_path / "c.json", c.to_json_dict())
         assert (tmp_path / "c.json").read_text() == expected
+
+
+def test_a_large_edge_list_renders_in_slices():
+    """114,688 edges go out in two joins of at most PAIRS_SLICE rows, so
+    no chunk holds more than one slice's text, and the text is the
+    stored-edge oracle's."""
+    c = dual_complex(fourteen_crossing_lines())
+    assert c.edge_count() == 114688 > PAIRS_SLICE
+    chunks = []
+    dump_json(c.to_json_dict(), chunks.append)
+    rows = [chunk.count("]") for chunk in chunks]
+    assert max(rows) == PAIRS_SLICE
+    assert sorted(rows)[-2:] == [c.edge_count() - PAIRS_SLICE, PAIRS_SLICE]
+    # Each row is at most "[", two 5-digit indices and their breaks.
+    assert max(map(len, chunks)) <= PAIRS_SLICE * len(
+        "\n    [\n      16383,\n      16383\n    ],")
+    assert "".join(chunks) == \
+        stored_edge_file_text(fourteen_crossing_lines())
 
 
 def test_complex_files_round_trip_byte_for_byte(tmp_path):

@@ -310,10 +310,11 @@ def test_int_mul_refuses_shape_mismatches_on_the_loop_path():
 
 
 def test_importing_the_package_compiles_no_kernel():
-    code = ("import cubecrys.cli, cubecrys.exactlin as e; "
-            "assert not e._KERNELS; "
+    code = ("import cubecrys.cli, cubecrys.exactlin as e, "
+            "cubecrys.walls as w; "
+            "assert not e._KERNELS and not w._SCANS; "
             "e.int_mul(((1, 2), (3, 4)), e.identity(2)); "
-            "assert sorted(e._KERNELS) == [2]")
+            "assert sorted(e._KERNELS) == [2] and not w._SCANS")
     src = str(Path(cubecrys.__file__).resolve().parents[1])
     subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
                    env=dict(os.environ, PYTHONPATH=src))

@@ -21,7 +21,11 @@ ALLOWED lists README-documented API that nothing calls, at most five
 names, each with a one-line reason.  An entry that is reached, or that
 names no definition, fails the guard too.
 
-The second check: no tests/test_*.py imports another test module.
+The second check: every name that a module of src/cubecrys imports is
+read in that module, so an import left behind by a deletion fails.
+`from __future__` imports bind no name that is read.
+
+The third check: no tests/test_*.py imports another test module.
 Shared inputs live in tests/groups.py, oracles in tests/oracles.py and
 the golden runner in tests/golden.py.
 """
@@ -161,6 +165,30 @@ def unreached(trees, allowed) -> list:
     return sorted(problems)
 
 
+def unread_imports(trees) -> list:
+    """'module.name is imported and never read' for every name that an
+    import of a package module binds and no name read of that module
+    loads, sorted."""
+    problems = []
+    for path, tree in trees.items():
+        if not path.startswith(PACKAGE):
+            continue
+        module = path[len(PACKAGE):-len(".py")].replace("/", ".")
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        problems.append("%s.%s is imported and never read"
+                                        % (module, name))
+    return sorted(problems)
+
+
 def imported_test_modules(source: str) -> list:
     """The test_* modules that a module's source imports, anywhere in
     it."""
@@ -193,6 +221,10 @@ def test_the_allow_list_is_short_and_reasoned():
     for qualified, reason in ALLOWED.items():
         assert isinstance(reason, str) and reason.strip(), qualified
         assert "\n" not in reason, qualified
+
+
+def test_every_name_the_package_imports_is_read():
+    assert unread_imports(scanned_trees()) == []
 
 
 def test_no_test_module_imports_another():
@@ -296,6 +328,27 @@ def test_a_tracer_path_reaches_only_the_definition_it_names():
         mode="eval").body)
     assert unreached(trees, ALLOWED) == [
         "extra.Perm.inverse is reached only from the tests"]
+
+
+def test_an_import_never_read_fails_the_guard():
+    trees = _with_module(scanned_trees(), PACKAGE + "extra.py", (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import re as regex\n"
+        "import sys\n"
+        "from math import gcd, lcm as least\n"
+        "\n"
+        "def f(x: int):\n"
+        "    from json import dumps\n"
+        "    return sys.argv, gcd(x, 2), os\n"))
+    assert unread_imports(trees) == [
+        "extra.dumps is imported and never read",
+        "extra.least is imported and never read",
+        "extra.regex is imported and never read",
+    ]
+    # Only the package is scanned: a demo's unread import passes.
+    trees = _with_module(scanned_trees(), "demos/99_extra.py", "import os\n")
+    assert unread_imports(trees) == []
 
 
 def test_a_test_module_importing_another_fails_the_check():

@@ -137,23 +137,26 @@ def test_one_cubulate_call_is_one_separation_span(tmp_path, capsys,
                                                   monkeypatch):
     """perfbench's walls.check_linear_separation span covers the whole
     separation self-test: each cubulate call makes one call of the
-    checker, and every sample pair is counted inside that span."""
+    checker, whose straight-line scan runs inside that span and counts
+    every sample pair."""
     from cubecrys import walls
 
     spans = load_spans()
     group = tmp_path / "p4m.json"
     save_group(catalog_entry("p4m"), group)
     tracer = spans.Tracer()
-    inside = []
-    pair_counts = walls._pair_counts
+    scans = []
+    scan = walls._SCANS[2]
 
-    def watched(*args):
+    def watched(samples, *args):
         top = tracer._stack[-1][2] if tracer._stack else None
-        inside.append(top is not None and tracer.spans[top][0]
-                      == "walls.check_linear_separation")
-        return pair_counts(*args)
+        found = scan(samples, *args)
+        scans.append((top is not None and tracer.spans[top][0]
+                      == "walls.check_linear_separation",
+                      len(samples), found[0]))
+        return found
 
-    monkeypatch.setattr(walls, "_pair_counts", watched)
+    monkeypatch.setitem(walls._SCANS, 2, watched)
     try:
         tracer.install()
         for mode in (["--json"], []):
@@ -163,4 +166,5 @@ def test_one_cubulate_call_is_one_separation_span(tmp_path, capsys,
         tracer.uninstall()
     capsys.readouterr()
     assert tracer.calls["walls.check_linear_separation"] == 2
-    assert inside == [True] * 200
+    # Inside the span, and past all 100 pairs with none violated.
+    assert scans == [(True, 100, 100)] * 2

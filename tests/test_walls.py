@@ -4,7 +4,9 @@ The separation count and its linear bounds run on the family's int
 dual rows; the Fraction path they replaced is kept in tests/oracles.py
 (`fraction_separation`, `fraction_check_linear_separation`), and so is
 the Fraction draw of the `cubulate` separation sample
-(`fraction_sample_pairs`).
+(`fraction_sample_pairs`).  Up to STRAIGHT_LINE_MAX dimensions the
+check runs one straight-line scan, whose oracles are the generic loop
+`walls._loop_scan` and the Fraction check.
 """
 
 import dataclasses
@@ -13,15 +15,24 @@ from fractions import Fraction
 
 import pytest
 
+from cubecrys.cli import _sample_pairs
 from cubecrys.crys import catalog_entry, load_catalog, validate
 from cubecrys.decide import HyperoctahedralWitness, is_hyperoctahedral
-from cubecrys.exactlin import ShapeError, identity, int_mul
+from cubecrys.exactlin import (
+    STRAIGHT_LINE_MAX,
+    ShapeError,
+    identity,
+    int_mul,
+    integral,
+)
 from cubecrys.sgnperm import SignedPermutation, signed_permutation_of
 from cubecrys.walls import (
     GeometricWall,
     InternalError,
     PropertyViolationError,
     RankError,
+    _SCANS,
+    _loop_scan,
     _primitive,
     check_linear_separation,
     direction_class_count,
@@ -30,7 +41,7 @@ from cubecrys.walls import (
     separation_count,
     stabilize,
 )
-from groups import I2, group, shrunk
+from groups import I2, b4_generic, group, pinned_groups, shrunk
 from oracles import (
     apply,
     fraction_check_linear_separation,
@@ -241,6 +252,131 @@ def test_a_violated_upper_bound_names_the_pair():
         with pytest.raises(PropertyViolationError) as info:
             check_linear_separation(g, fam, samples)
         assert str(info.value) == message
+
+
+def _shift(n):
+    """The cyclic shift of the coordinates of Z^n, as int rows."""
+    return [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)]
+
+
+def _scan_groups():
+    """Two groups in each dimension 1-4, the separation scan's, and the
+    cyclic shift of Z^5, which takes the loop."""
+    pinned = pinned_groups()
+    return [group("Z:-1", [[Fraction(3, 2)]], [[[-1]]]),
+            group("Z", [[1]], []),
+            catalog_entry("p6"), pinned["p4-skew"],
+            catalog_entry("Z:W"), pinned["m-skew"],
+            b4_generic(), pinned["C2^2.p-skew"],
+            group("C5", identity(5), [_shift(5)])]
+
+
+SCAN_GROUPS = _scan_groups()
+
+
+def _scan_samples(fam, seed):
+    """cubulate's sample, then pairs over assorted c, past 2**64 too:
+    points on walls, equal points and shared coordinates among them,
+    and pairs that differ along one basis vector, whose dual coordinates
+    differ in one place only."""
+    n = len(fam.basis)
+    rng = random.Random(seed)
+    samples = _sample_pairs(n, 100, seed)
+    for _ in range(150):
+        c = rng.choice((1, 2, 3, 12, 420, 2 ** 70 + 1))
+        p = [rng.randint(-3 * c, 3 * c) for _ in range(n)]
+        q = [rng.choice((x, rng.randint(-3 * c, 3 * c))) for x in p]
+        samples.append((c, p, rng.choice((p, q))))
+    d, basis = integral(fam.basis)
+    for _ in range(50):
+        c = d * rng.choice((1, 2, 420))
+        p = [rng.randint(-3 * c, 3 * c) for _ in range(n)]
+        k, t = rng.randint(-40, 40), rng.choice(basis)
+        samples.append((c, p, [x + k * y for x, y in zip(p, t)]))
+    return samples
+
+
+def _fractions(samples):
+    return [tuple(tuple(Fraction(x, c) for x in v) for v in (p, q))
+            for c, p, q in samples]
+
+
+def _scan_and_loop(g, fam, samples):
+    """(the straight-line scan's result, the loop's) on one sample."""
+    e, rows = fam.dual_matrix
+    top = max(sum(x * x for x in v) for v in fam.basis)
+    num, den = top.numerator, top.denominator
+    n = g.dimension
+    return (_SCANS[n](samples, e, rows, n, num, den),
+            _loop_scan(samples, fam, n, num, den))
+
+
+def _outcome(g, fam, samples, check=check_linear_separation):
+    try:
+        return check(g, fam, samples)
+    except PropertyViolationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("g", SCAN_GROUPS, ids=lambda g: g.name)
+def test_the_scan_matches_the_loop_and_the_fraction_check(g):
+    """n = 1-5: the same pairs counted and the same worst ratio.  At
+    n = 5 the check takes the loop; the scan, which _scan_source writes
+    for any n, still agrees with it."""
+    fam = direction_class_count(g, zip(*g.lattice_basis))
+    samples = _scan_samples(fam, 5 * g.dimension + len(fam.classes))
+    scan, loop = _scan_and_loop(g, fam, samples)
+    assert scan == loop and scan[0] == len(samples)
+    # A lone pair of distinct points is the worst: its ratio's two
+    # sides show its separation count.
+    for pair in samples:
+        alone, loop_alone = _scan_and_loop(g, fam, [pair])
+        assert alone == loop_alone
+    report = check_linear_separation(g, fam, samples)
+    assert report == \
+        fraction_check_linear_separation(g, fam, _fractions(samples))
+    assert report.worst_ratio == Fraction(*scan[1:])
+
+
+@pytest.mark.parametrize("g", [g for g in SCAN_GROUPS
+                               if g.dimension <= STRAIGHT_LINE_MAX],
+                         ids=lambda g: g.name)
+def test_the_scan_names_the_first_violated_pair(g):
+    """With the basis shrunk 100-fold, pairs of equal points still pass
+    and the first pair of distinct points fails: the scan stops at it,
+    as the loop does, and the message is the Fraction check's."""
+    n = g.dimension
+    small = shrunk(direction_class_count(g, zip(*g.lattice_basis)))
+    sample = _sample_pairs(n, 20, n)
+    samples = [(c, p, p) for c, p, _ in sample[:3]] + sample
+    scan, loop = _scan_and_loop(g, small, samples)
+    assert scan == loop and scan[0] == 3
+    message = _outcome(g, small, samples)
+    assert message.startswith("separation bound failed for pair (%s)"
+                              % ", ".join("[%s]" % ", ".join(map(str, v))
+                                          for v in _fractions(samples)[3]))
+    assert message == _outcome(g, small, _fractions(samples),
+                               fraction_check_linear_separation)
+
+
+@pytest.mark.parametrize("n", range(1, STRAIGHT_LINE_MAX + 1))
+def test_the_scan_hands_a_point_of_the_wrong_length_to_the_loop(n):
+    """The scan gives up on a pair it cannot unpack, and the loop raises
+    ShapeError there, unless an earlier pair fails first."""
+    g = group("Z^%d" % n, identity(n), [])
+    fam = direction_class_count(g, identity(n))
+    small = shrunk(fam)
+    e, rows = fam.dual_matrix
+    still, far = (1, [1] * n, [1] * n), (1, [0] * n, [9] * n)
+    for bad in ((1, [1] * (n - 1), [2] * n), (1, [1] * n, [2] * (n + 1)),
+                (1, [1] * n)):
+        assert _SCANS[n]([still, bad], e, rows, n, 1, 1) is None
+        with pytest.raises(ShapeError if len(bad) == 3 else ValueError):
+            check_linear_separation(g, fam, [still, bad])
+        with pytest.raises(PropertyViolationError):
+            check_linear_separation(g, small, [still, far, bad])
+        with pytest.raises(ShapeError if len(bad) == 3 else ValueError):
+            check_linear_separation(g, small, [still, bad, far])
 
 
 def test_check_linear_separation_needs_samples():
