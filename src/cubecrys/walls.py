@@ -342,7 +342,7 @@ def check_linear_separation(g: CrystGroup, fam: WallFamily, samples) -> LinearSe
     num, den = max_norm_sq.numerator, max_norm_sq.denominator
     e, rows = fam.dual_matrix
     found = None
-    if 0 < len(rows) <= STRAIGHT_LINE_MAX:
+    if len(rows) <= STRAIGHT_LINE_MAX:
         found = _SCANS[len(rows)](samples, e, rows, n, num, den)
     if found is None:
         found = _loop_scan(samples, fam, n, num, den)
@@ -396,31 +396,25 @@ def _scan_source(n: int) -> str:
     of dimension n: _loop_scan's (k, top, bottom), with the dual rows
     e B^-1 unpacked into locals once and each pair's dual coordinates,
     separation count, l1 gap and squared distance written out; None
-    when rows or a point does not have n entries, for the loop to
+    when a row or a point does not have n entries, for the loop to
     check.  Row i contributes the integers strictly between a_i / m
     and b_i / m, none when a_i = b_i."""
     idx = range(n)
-    rows = ", ".join("(%s,)" % ", ".join("r%d_%d" % (i, j) for j in idx)
-                     for i in idx) + ","
-    p, q = ("(%s,)" % ", ".join("%s%d" % (v, j) for j in idx)
-            for v in "pq")
-    body = []
+
+    def unpack(name):
+        return "(%s,)" % ", ".join("%s%d" % (name, j) for j in idx)
+
+    body = ["sep = gap = 0"]
     for i in idx:
-        for v in "ab":
-            body.append("%s = %s" % (v, " + ".join(
-                "r%d_%d * %s%d" % (i, j, "p" if v == "a" else "q", j)
-                for j in idx)))
-        first = i == 0
+        for value, point in (("a", "p"), ("b", "q")):
+            body.append("%s = %s" % (value, " + ".join(
+                "r%d_%d * %s%d" % (i, j, point, j) for j in idx)))
         body += ["if a < b:",
-                 "    sep %s -(-b // m) - a // m - 1" % ("=" if first
-                                                         else "+="),
-                 "    gap %s b - a" % ("=" if first else "+="),
+                 "    sep += -(-b // m) - a // m - 1",
+                 "    gap += b - a",
                  "elif b < a:",
-                 "    sep %s -(-a // m) - b // m - 1" % ("=" if first
-                                                         else "+="),
-                 "    gap %s a - b" % ("=" if first else "+=")]
-        if first:
-            body += ["else:", "    sep = gap = 0"]
+                 "    sep += -(-a // m) - b // m - 1",
+                 "    gap += a - b"]
     body += ["d%d = p%d - q%d" % (j, j, j) for j in idx]
     body += ["lhs = (%s) * den" % " + ".join("d%d * d%d" % (j, j)
                                              for j in idx),
@@ -432,20 +426,18 @@ def _scan_source(n: int) -> str:
              "    top, bottom = lhs, rhs",
              "k += 1"]
     return ("def kernel(samples, e, rows, n, num, den):\n"
-            "    try:\n"
-            "        %s = rows\n"
-            "    except ValueError:\n"
-            "        return None\n"
             "    top, bottom, k = 0, 1, 0\n"
             "    try:\n"
+            "        %s, = rows\n"
             "        for c, %s, %s in samples:\n"
             "            m = e * c\n"
             "%s"
             "    except ValueError:\n"
             "        return None\n"
             "    return k, top, bottom\n"
-            % (rows, p, q, "".join("            %s\n" % line
-                                   for line in body)))
+            % (", ".join(unpack("r%d_" % i) for i in idx),
+               unpack("p"), unpack("q"),
+               "".join("            %s\n" % line for line in body)))
 
 
 _SCANS = Kernels(_scan_source, "separation_scan")
