@@ -418,8 +418,10 @@ def _emit(obj, pad: str, head: str, put) -> None:
 
 
 # _emit_pairs joins and puts at most this many edge rows at a time, so
-# rendering a complex holds no more than one slice's text.
-PAIRS_SLICE = 2 ** 16
+# rendering a complex holds no more than one slice's text.  A slice of
+# 2**16 rows left perfbench's dual-enum peak RSS 4 MB above one join;
+# 2**14 rows, 1 MB above.
+PAIRS_SLICE = 2 ** 14
 
 
 def _emit_pairs(pairs: IndexPairs, pad: str, put) -> None:
@@ -431,11 +433,9 @@ def _emit_pairs(pairs: IndexPairs, pad: str, put) -> None:
     Both tables, and the stream of the rows' heads (each head repeated
     by its degree) and tails, come from C-level maps, which each slice
     reads on from where the last one stopped into one flat list.  The
-    list is made once: one made and dropped per slice left the heap of
-    a run over several complexes a few MB larger.  The last row's tail
-    ends the rows instead, and the opening, each slice of rows and the
-    closing are put apart, so no row's text is copied to cut or to
-    wrap it.
+    last row's tail ends the rows instead, and the opening, each slice
+    of rows and the closing are put apart, so no row's text is copied
+    to cut or to wrap it.
     """
     degrees, targets, count = pairs._degrees, pairs._targets, pairs._count
     if not targets:
@@ -451,11 +451,10 @@ def _emit_pairs(pairs: IndexPairs, pad: str, put) -> None:
     tails = map(ends.__getitem__, targets)
     put("[" + row_pad + "[" + item_pad)
     left = len(targets)
-    flat = [None] * (2 * min(left, PAIRS_SLICE))
     while left:
         size = min(left, PAIRS_SLICE)
         left -= size
-        del flat[2 * size:]
+        flat = [None] * (2 * size)
         flat[0::2] = islice(heads, size)
         flat[1::2] = islice(tails, size)
         if not left:

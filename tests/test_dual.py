@@ -1323,16 +1323,16 @@ def test_writing_a_complex_makes_no_edge_row(tmp_path):
 
 
 def test_a_large_edge_list_renders_in_slices():
-    """114,688 edges go out in two joins of at most PAIRS_SLICE rows, so
-    no chunk holds more than one slice's text, and the text is the
-    stored-edge oracle's."""
+    """114,688 edges go out in joins of PAIRS_SLICE rows, so no chunk
+    holds more than one slice's text, and the text is the stored-edge
+    oracle's."""
     c = dual_complex(fourteen_crossing_lines())
-    assert c.edge_count() == 114688 > PAIRS_SLICE
+    assert c.edge_count() == 114688 == 7 * PAIRS_SLICE
     chunks = []
     dump_json(c.to_json_dict(), chunks.append)
+    # A row's "]" is in its own slice: 7 chunks of PAIRS_SLICE rows.
     rows = [chunk.count("]") for chunk in chunks]
-    assert max(rows) == PAIRS_SLICE
-    assert sorted(rows)[-2:] == [c.edge_count() - PAIRS_SLICE, PAIRS_SLICE]
+    assert max(rows) == PAIRS_SLICE and rows.count(PAIRS_SLICE) == 7
     # Each row is at most "[", two 5-digit indices and their breaks.
     assert max(map(len, chunks)) <= PAIRS_SLICE * len(
         "\n    [\n      16383,\n      16383\n    ],")
