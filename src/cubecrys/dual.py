@@ -18,7 +18,11 @@ enumerated by breadth-first wall flipping from the base point's
 orientation, never by scanning all 2^W side choices, and only outward:
 flip distance between 0-cubes is the number of walls they differ on,
 so a wall on which an orientation already differs from the base
-point's is never flipped back.
+point's is never flipped back.  The table holds one- and two-wall
+clauses only, so the flips a 0-cube allows are an AND over its walls'
+sides: the walk builds three tables over chunks of the bitmask once,
+and at each 0-cube ANDs three lookups and steps along exactly the
+flips they allow, its edges.
 
 A complex is the dual that the flip walk enumerated, stored as its
 0-cube bitmasks and its edges by source: one out-degree per 0-cube
@@ -405,15 +409,59 @@ def _member_clauses(members, nwalls: int) -> list:
     return [[(full & ~t0, full & ~t1) for t0, t1 in row] for row in ok]
 
 
+# Walls per chunk of a bitmask in the flip walk's tables: a table over
+# a chunk of w walls has 2^w entries, all made up front when
+# w <= CHUNK_BITS, so every width up to 3 * CHUNK_BITS = WALL_CAP walls
+# is built whole.
+CHUNK_BITS = 8
+
+
+class _LazyChunk(dict):
+    """A chunk table too wide to build up front: each entry is made on
+    its first read, so it holds at most one entry per 0-cube."""
+
+    __slots__ = ("_make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, x):
+        self[x] = value = self._make(x)
+        return value
+
+
+def _chunk_tables(allow, low: int, full: int):
+    """(masks, singles) over walls low, low + 1, ... of allow:
+    masks[x] is the AND of allow[low + i][bit i of x] over the chunk
+    (full for an empty chunk), and singles[x] is the tuple of the bits
+    1 << (low + i) for the set bits i of x, in wall order."""
+    if len(allow) <= CHUNK_BITS:
+        masks, singles = [full], [()]
+        for i, (a0, a1) in enumerate(allow, low):
+            masks = [m & a0 for m in masks] + [m & a1 for m in masks]
+            singles += [s + (1 << i,) for s in singles]
+        return masks, singles
+
+    def mask(x):
+        out = full
+        for i, a in enumerate(allow):
+            out &= a[x >> i & 1]
+        return out
+
+    walls = range(len(allow))
+    return (_LazyChunk(mask), _LazyChunk(
+        lambda x: tuple(1 << (low + i) for i in walls if x >> i & 1)))
+
+
 def _flip_closure(forbid, start: int, within=None):
     """All bitmasks reached from start by flips that meet every clause.
 
     Bit k of forbid[j][s][t] is set when side s of wall j rules out
     side t of wall k, and the table is symmetric: bit j of forbid[k][t][s]
     is then set too.  start must meet every clause, so a flip of wall j
-    is tested against wall j's clauses only, and only when it reaches a
-    new bitmask: a flip between two reached bitmasks is valid, as both
-    ends meet every clause.
+    need only meet wall j's clauses, and a flip between two reached
+    bitmasks is valid, as both ends meet every clause.
 
     Only outward flips are tried: a wall on which the bitmask at hand
     already differs from start is never flipped back.  The reached
@@ -427,8 +475,21 @@ def _flip_closure(forbid, start: int, within=None):
     differs from start on d walls, and a flip toward start lands either
     on level d - 1, where the walk already kept that flip, or on a
     non-solution.  An outward flip lands on level d + 1, so it is never
-    a back edge, and it gives wall j the side that start lacks, so one
-    clause pair per wall is read.
+    a back edge.
+
+    An outward flip gives wall j the side that start lacks, so whether
+    bitmask b allows it depends on each other wall k of b alone: side
+    b_k of wall k must not rule it out, which is bit j of
+    forbid[k][b_k][1 - start_j] (the clause read through its
+    transpose).  Wall j's own bit allows it when b_j is still start's
+    side and no one-wall clause rules out the other side.  So the
+    allowed flips of b are the AND over the walls k of allow[k][b_k],
+    made once per walk from the 4 W clause masks; it is read as the AND
+    of three tables over chunks of b's bits, and the flips it allows are
+    read off per-chunk tuples of single bits.  Each 0-cube thus costs
+    three lookups and one step per edge, whatever the number of walls.
+    A chunk of more than CHUNK_BITS walls (only for tables wider than
+    WALL_CAP) is filled as it is read.
 
     The walk keeps each edge once, from its lower-indexed end: a flip
     from level d to level d + 1 is outward from its level-d end, and
@@ -447,8 +508,27 @@ def _flip_closure(forbid, start: int, within=None):
     only checks membership: degrees and targets stay empty, and None is
     returned as soon as a bitmask outside `within` is reached.
     """
-    flips = [(1 << j, *rules[0 if start >> j & 1 else 1])
-             for j, rules in enumerate(forbid)]
+    nwalls = len(forbid)
+    full = (1 << nwalls) - 1
+    outward1 = full & ~start
+    # allow[k][s]: the walls whose outward flip side s of wall k allows.
+    allow = []
+    for k, ((r00, r01), (r10, r11)) in enumerate(forbid):
+        # Bit j of ruled[s]: side s of wall k rules out wall j's outward
+        # side.
+        ruled = (r01 & outward1 | r00 & start, r11 & outward1 | r10 & start)
+        bit = 1 << k
+        own = start >> k & 1
+        sides = [full & ~(rule | bit) for rule in ruled]
+        sides[own] |= bit & ~ruled[1 - own]
+        allow.append(sides)
+    width = min(CHUNK_BITS, -(-nwalls // 3))
+    mid, high = width, 2 * width
+    part = (1 << width) - 1
+    (t0, s0), (t1, s1), (t2, s2) = (
+        _chunk_tables(allow[:mid], 0, full),
+        _chunk_tables(allow[mid:high], mid, full),
+        _chunk_tables(allow[high:], high, full))
     queue = [start]
     index = {start: 0}
     get = index.get
@@ -461,26 +541,20 @@ def _flip_closure(forbid, start: int, within=None):
         keep = close = deque(maxlen=0).append
     realized = 0
     for bits in queue:
-        out = bits ^ start
+        allowed = t0[bits & part] & t1[bits >> mid & part] & t2[bits >> high]
+        realized |= allowed
         mark = len(targets)
         last = -1
         tangled = False
-        for bit, rule0, rule1 in flips:
-            if out & bit:
-                continue
+        for bit in (s0[allowed & part] + s1[allowed >> mid & part]
+                    + s2[allowed >> high]):
             flipped = bits ^ bit
             to = get(flipped)
             if to is None:
-                if flipped & rule1 or ~flipped & rule0:
-                    continue
                 if within is not None and flipped not in within:
                     return None
                 to = index[flipped] = len(queue)
                 queue.append(flipped)
-                # A wall that some flip crosses is crossed on the
-                # breadth-first tree too: a tree path joins the flip's
-                # two ends.
-                realized |= bit
             elif to < last:
                 tangled = True
             last = to

@@ -323,8 +323,13 @@ def check_linear_separation(g: CrystGroup, fam: WallFamily, samples) -> LinearSe
 
     A violated pair raises PropertyViolationError; these inequalities
     are theorems, so the check doubles as a self-test of the wall
-    machinery.  The worst ratio of left to right side of the first
-    inequality is reported.  Neither the ratio nor a violation message
+    machinery.  The second holds for every family and every pair,
+    whatever the walls: for reals x <= y, at least y - x - 1 integers
+    lie strictly between them (ceil(y) - floor(x) - 1 of them when
+    x < y), and summing over the n dual coordinates gives it.  So
+    lower_bound_checked reports that theorem re-checked as a self-test
+    of the arithmetic, not a property of the family.  The worst ratio
+    of left to right side of the first inequality is reported.  Neither the ratio nor a violation message
     depends on which common denominator c a pair is given over.
 
     A family of dimension at most STRAIGHT_LINE_MAX is checked by one

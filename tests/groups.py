@@ -201,3 +201,14 @@ def fourteen_crossing_lines():
         2, [(-2, 2), (-2, 2)],
         [GeometricWall([1, i - 7], Fraction(i, 100)) for i in range(14)],
         [Fraction(1, 2), Fraction(1, 3)])
+
+
+def plane_families():
+    """24 planes in a 3-D box: three families of 8 parallel planes, at
+    offsets (2i - 7)/2 along each axis.  Each family cuts the box into 9
+    slabs, so there are 9^3 = 729 0-cubes and 3 * 8 * 81 = 1,944
+    edges, and the flip walk fills all three chunks of its tables."""
+    walls = [GeometricWall(n, Fraction(2 * i - 7, 2))
+             for n in ((1, 0, 0), (0, 1, 0), (0, 0, 1)) for i in range(8)]
+    return FiniteWallspace.geometric(
+        3, [(-6, 6)] * 3, walls, [Fraction(0)] * 3)

@@ -37,7 +37,7 @@ from cubecrys.exactlin import identity
 from cubecrys.sgnperm import SignedPermutation
 from cubecrys.walls import GeometricWall
 import golden
-from groups import b4_generic, ten_crossing_lines
+from groups import b4_generic, plane_families, ten_crossing_lines
 from oracles import stored_edge_dual
 
 
@@ -542,6 +542,24 @@ def test_dual_of_ten_crossing_lines(capsys, tmp_path):
         "zero_cubes": 1024,
         "edges": 5120,
         "walls": 10,
+        "median_graph": True,
+        "duality_round_trip": True,
+    }
+
+
+def test_dual_of_three_families_of_parallel_planes(capsys, tmp_path):
+    # 24 walls, the wall cap: 9^3 slabs of the box, each a 0-cube.
+    path = tmp_path / "planes.json"
+    save_wallspace(plane_families(), path)
+    code, out, err = run(capsys, "dual", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == [
+        "dual complex: 729 0-cubes, 1944 edges from 24 walls",
+        "median graph: True"]
+    assert run_json(capsys, "dual", str(path))["summary"] == {
+        "zero_cubes": 729,
+        "edges": 1944,
+        "walls": 24,
         "median_graph": True,
         "duality_round_trip": True,
     }

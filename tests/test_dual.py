@@ -51,6 +51,7 @@ from cubecrys.sgnperm import build_Qn
 from cubecrys.walls import GeometricWall
 from groups import (
     fourteen_crossing_lines,
+    plane_families,
     spatial_arrangement,
     ten_crossing_lines,
 )
@@ -1067,6 +1068,20 @@ def test_spatial_arrangement_matches_the_stored_edge_oracle():
                                 step=97, median=False)
 
 
+def test_three_families_of_parallel_planes_fill_every_chunk():
+    # 24 walls, 8 to a chunk: every chunk of the walk's tables holds one
+    # family, and every wall is crossed.
+    ws = plane_families()
+    c = dual_complex(ws)
+    assert (len(ws.walls), c.vertex_count(), c.edge_count()) == (
+        24, 729, 1944)
+    assert is_median_graph(c) and duality_check(c)
+    assert_matches_stored_edges(c, stored_edge_dual(ws), starts=(0, 728),
+                                step=7)
+    forbid, base = window_clauses(ws)
+    assert assert_walk_matches_stored_edges(forbid, base)[4] == 2 ** 24 - 1
+
+
 def fuzzed_complex_input(rng):
     """(walls, orientations, edges): a connected 0-cube set's hypercube
     edges with some dropped, some repeated and some reversed."""
@@ -1260,27 +1275,130 @@ def test_the_walk_sorts_only_the_groups_that_arrive_out_of_order(
 
 
 class CountedRule(int):
-    """A clause bitmask that counts the clause tests reading it."""
+    """A clause bitmask that counts the bitwise operations reading it."""
 
     reads = 0
 
-    def __rand__(self, other):
+    def _read(self, other, op):
         CountedRule.reads += 1
-        return int(other) & int(self)
+        return op(int(self), int(other))
+
+    def __and__(self, other):
+        return self._read(other, int.__and__)
+
+    def __or__(self, other):
+        return self._read(other, int.__or__)
+
+    def __xor__(self, other):
+        return self._read(other, int.__xor__)
+
+    def __rshift__(self, other):
+        return self._read(other, int.__rshift__)
+
+    __rand__, __ror__, __rxor__ = __and__, __or__, __xor__
+
+    def __invert__(self):
+        CountedRule.reads += 1
+        return ~int(self)
 
 
-def test_the_flip_walk_tests_clauses_only_on_flips_to_new_bitmasks():
+def counted_table(forbid):
+    return [[[CountedRule(t) for t in row] for row in rules]
+            for rules in forbid]
+
+
+def test_the_flip_walk_reads_each_clause_mask_a_bounded_number_of_times():
     # Every 2^10 side choice of ten crossing lines is a 0-cube.  Only
     # outward flips are tried, 10 - d at level d, so 5,120 flips in all
-    # (not 10 * 1024): the 1,023 discovery flips reach a new bitmask,
-    # and the other 4,097 join two reached ones and read no clause.
+    # (not 10 * 1024).  The walk reads the 4 * 10 clause masks once to
+    # build its allowed-flip tables, whatever the number of 0-cubes it
+    # reaches, and never again per 0-cube or per flip.
     forbid, base = window_clauses(ten_crossing_lines())
-    counted = [[[CountedRule(t) for t in row] for row in rules]
-               for rules in forbid]
+    counted = counted_table(forbid)
     CountedRule.reads = 0
     queue, _, _, targets, _ = _flip_closure(counted, base)
     assert (len(queue), len(targets)) == (1024, 5120)
-    assert 1023 <= CountedRule.reads <= 2 * 1023
+    assert 0 < CountedRule.reads <= 4 * 10
+    # The same bound from another start, inside the reached 0-cubes,
+    # and on a walk that stops at once.
+    for start, within in ((queue[-1], None), (base, set(queue)),
+                          (base, {base})):
+        CountedRule.reads = 0
+        _flip_closure(counted, start, within)
+        assert 0 < CountedRule.reads <= 4 * 10
+
+
+def implication_table(rng, nwalls, start):
+    """A random symmetric clause table in _flip_closure's layout over
+    nwalls walls that start meets, with few solutions: a one-wall
+    clause keeps all but a few free walls on start's side, random
+    implication chains "wall a on its outward side, so wall b on its
+    too" tie walls in every chunk, and a few random pair clauses that
+    start meets join free walls to each other and to frozen ones."""
+    forbid = [[[0, 1 << j], [1 << j, 0]] for j in range(nwalls)]
+
+    def rule(i, ti, j, tj):
+        forbid[i][ti][tj] |= 1 << j
+        forbid[j][tj][ti] |= 1 << i
+
+    side = [start >> j & 1 for j in range(nwalls)]
+    free = set(rng.sample(range(nwalls), rng.randrange(min(nwalls, 11))))
+    for j in range(nwalls):
+        if j not in free:
+            rule(j, 1 - side[j], j, 1 - side[j])
+    for _ in range(rng.randrange(4)):
+        chain = rng.sample(range(nwalls), rng.randrange(2, 6))
+        for a, b in zip(chain, chain[1:]):
+            # Outward on a and start's side on b cannot both hold.
+            rule(a, 1 - side[a], b, side[b])
+    for _ in range(rng.randrange(nwalls)):
+        i, j = rng.sample(range(nwalls), 2)
+        ti, tj = rng.randrange(2), rng.randrange(2)
+        if (ti, tj) != (side[i], side[j]):
+            rule(i, ti, j, tj)
+    return forbid
+
+
+def test_the_walk_agrees_with_the_full_walk_on_wide_tables():
+    # Tables of 11 to 24 walls fill two or three chunks of up to
+    # CHUNK_BITS walls; 25 to 40 walls leave the top chunk to be filled
+    # as it is read.  Each walk is checked plainly and inside three
+    # member sets: its reached bitmasks, a random part of them that
+    # holds start, and its reached bitmasks less the last one.
+    rng = random.Random(3535)
+    sizes = []
+    for trial in range(240):
+        nwalls = rng.randrange(11, 25) if trial < 200 else \
+            rng.randrange(25, 41)
+        start = rng.getrandbits(nwalls)
+        forbid = implication_table(rng, nwalls, start)
+        queue, *_ = assert_walk_matches_stored_edges(forbid, start)
+        sizes.append(len(queue))
+        assert assert_walk_matches_stored_edges(
+            forbid, start, within=set(queue)) is not None
+        part = {b for b in queue if b == start or rng.random() < 0.8}
+        assert_walk_matches_stored_edges(forbid, start, within=part)
+        if len(queue) > 1:
+            assert assert_walk_matches_stored_edges(
+                forbid, start, within=set(queue[:-1])) is None
+    # Most walks go somewhere, and none is large.
+    assert sum(size > 1 for size in sizes) > 150, sizes
+    assert max(sizes) <= 2 ** 10
+
+
+def test_wide_member_sets_keep_their_chunk_tables_small():
+    # A monotone path in Q_60 is a median graph, and the crossing cycle
+    # over 60 walls is not.  The walk fills its widest chunk table (44
+    # walls) only at the chunk values it reads.
+    path = [(1 << k) - 1 for k in range(61)]
+    assert is_median_set(set(path), 60)
+    cycle = crossing_cycle(60)
+    assert not is_median_set(cycle._index, 60)
+    allow = [[(1 << 60) - 1] * 2 for _ in range(44)]
+    masks, singles = cubecrys.dual._chunk_tables(allow, 16, (1 << 60) - 1)
+    assert len(masks) == len(singles) == 0
+    assert masks[5] == (1 << 60) - 1 and singles[5] == (1 << 16, 1 << 18)
+    assert len(masks) == len(singles) == 1
 
 
 # -- hand-made complexes ---------------------------------------------

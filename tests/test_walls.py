@@ -12,8 +12,11 @@ check runs one straight-line scan, whose oracles are the generic loop
 import dataclasses
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cubecrys.cli import _sample_pairs
 from cubecrys.crys import catalog_entry, load_catalog, validate
@@ -33,6 +36,7 @@ from cubecrys.walls import (
     RankError,
     _SCANS,
     _loop_scan,
+    _pair_counts,
     _primitive,
     check_linear_separation,
     direction_class_count,
@@ -232,6 +236,29 @@ def test_linear_separation_on_catalog_groups():
             g, fam, [scaled_pair(p, q) for p, q in samples])
         assert report.pairs_checked == 100
         assert report.worst_ratio <= 1
+
+
+@st.composite
+def dual_rows_and_pair(draw):
+    """(e, rows, c, p, q): n int dual rows over a denominator e >= 1 and
+    two int points over a common denominator c >= 1."""
+    n = draw(st.integers(1, 5))
+    ints = st.integers(-60, 60)
+    vector = st.lists(ints, min_size=n, max_size=n)
+    rows = draw(st.lists(vector, min_size=n, max_size=n))
+    return (draw(st.integers(1, 12)), rows, draw(st.integers(1, 12)),
+            draw(vector), draw(vector))
+
+
+@given(dual_rows_and_pair())
+def test_the_lower_separation_bound_holds_for_any_dual_rows(case):
+    # # >= sum |nu_i| - n is a theorem, not a property of the walls:
+    # at least |x - y| - 1 integers lie strictly between reals x and y.
+    # So it holds on any int dual rows, singular ones included.
+    e, rows, c, p, q = case
+    sep, gap, m, _ = _pair_counts(SimpleNamespace(dual_matrix=(e, rows)),
+                                  c, p, q)
+    assert (sep + len(rows)) * m >= gap
 
 
 def test_a_violated_upper_bound_names_the_pair():
