@@ -52,6 +52,7 @@ import random
 from array import array
 from collections import deque
 from fractions import Fraction
+from functools import cache
 from operator import mul
 
 from cubecrys.exactlin import (
@@ -431,17 +432,29 @@ class _LazyChunk(dict):
         return value
 
 
+@cache
+def _singles(low: int, n: int) -> list:
+    """singles[x], for x < 2^n, is the tuple of the bits 1 << (low + i)
+    for the set bits i of x, in wall order.  The same for every walk,
+    so kept: n <= CHUNK_BITS and low is 0 or one or two chunk widths,
+    so there are a few hundred such lists at most."""
+    singles = [()]
+    for i in range(low, low + n):
+        singles += [s + (1 << i,) for s in singles]
+    return singles
+
+
 def _chunk_tables(allow, low: int, full: int):
     """(masks, singles) over walls low, low + 1, ... of allow:
     masks[x] is the AND of allow[low + i][bit i of x] over the chunk
     (full for an empty chunk), and singles[x] is the tuple of the bits
     1 << (low + i) for the set bits i of x, in wall order."""
-    if len(allow) <= CHUNK_BITS:
-        masks, singles = [full], [()]
-        for i, (a0, a1) in enumerate(allow, low):
-            masks = [m & a0 for m in masks] + [m & a1 for m in masks]
-            singles += [s + (1 << i,) for s in singles]
-        return masks, singles
+    n = len(allow)
+    if n <= CHUNK_BITS:
+        masks = [full]
+        for sides in allow:
+            masks = [m & a for a in sides for m in masks]
+        return masks, _singles(low, n)
 
     def mask(x):
         out = full
@@ -449,9 +462,8 @@ def _chunk_tables(allow, low: int, full: int):
             out &= a[x >> i & 1]
         return out
 
-    walls = range(len(allow))
     return (_LazyChunk(mask), _LazyChunk(
-        lambda x: tuple(1 << (low + i) for i in walls if x >> i & 1)))
+        lambda x: tuple(1 << (low + i) for i in range(n) if x >> i & 1)))
 
 
 def _flip_closure(forbid, start: int, within=None):
@@ -514,14 +526,18 @@ def _flip_closure(forbid, start: int, within=None):
     # allow[k][s]: the walls whose outward flip side s of wall k allows.
     allow = []
     for k, ((r00, r01), (r10, r11)) in enumerate(forbid):
-        # Bit j of ruled[s]: side s of wall k rules out wall j's outward
-        # side.
-        ruled = (r01 & outward1 | r00 & start, r11 & outward1 | r10 & start)
+        # Bit j of rule0 (rule1): side 0 (1) of wall k rules out wall
+        # j's outward side.  Bit k itself: the one-wall clause on wall
+        # k's outward side, read where wall k is still on start's side.
+        rule0 = r01 & outward1 | r00 & start
+        rule1 = r11 & outward1 | r10 & start
         bit = 1 << k
-        own = start >> k & 1
-        sides = [full & ~(rule | bit) for rule in ruled]
-        sides[own] |= bit & ~ruled[1 - own]
-        allow.append(sides)
+        if start & bit:
+            allow.append((full & ~(rule0 | bit),
+                          full & ~(rule1 & ~bit | rule0 & bit)))
+        else:
+            allow.append((full & ~(rule0 & ~bit | rule1 & bit),
+                          full & ~(rule1 | bit)))
     width = min(CHUNK_BITS, -(-nwalls // 3))
     mid, high = width, 2 * width
     part = (1 << width) - 1
