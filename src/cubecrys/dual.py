@@ -437,7 +437,7 @@ def _singles(low: int, n: int) -> list:
     """singles[x], for x < 2^n, is the tuple of the bits 1 << (low + i)
     for the set bits i of x, in wall order.  The same for every walk,
     so kept: n <= CHUNK_BITS and low is 0 or one or two chunk widths,
-    so there are a few hundred such lists at most."""
+    so there are fewer than 80 such lists."""
     singles = [()]
     for i in range(low, low + n):
         singles += [s + (1 << i,) for s in singles]
@@ -498,10 +498,10 @@ def _flip_closure(forbid, start: int, within=None):
     allowed flips of b are the AND over the walls k of allow[k][b_k],
     made once per walk from the 4 W clause masks; it is read as the AND
     of three tables over chunks of b's bits, and the flips it allows are
-    read off per-chunk tuples of single bits.  Each 0-cube thus costs
-    three lookups and one step per edge, whatever the number of walls.
-    A chunk of more than CHUNK_BITS walls (only for tables wider than
-    WALL_CAP) is filled as it is read.
+    read off per-chunk tuples of single bits (_singles, the same for
+    every walk).  Each 0-cube thus costs three lookups and one step per
+    edge, whatever the number of walls.  A chunk of more than CHUNK_BITS
+    walls (only for tables wider than WALL_CAP) is filled as it is read.
 
     The walk keeps each edge once, from its lower-indexed end: a flip
     from level d to level d + 1 is outward from its level-d end, and
