@@ -6,9 +6,11 @@ generator describing its action on lattice coordinates, and one rational
 translation part per generator.  Matrices are Fraction rows and vectors
 Fraction tuples; the constructor reads every entry with
 exactlin.parse_rational, and the group file reader hands it the file's
-entries as they are.  The real, geometric form of a point element p is
-theta_bar(p) = L * M_p * L^-1, computed once per group as the integer
-matrix d * theta_bar(p) for one common scale d.
+entries as they are, so a file's string entries are read only in the
+grammar the writer uses, '-?digits' or '-?digits/digits'.  The real,
+geometric form of a point element p is theta_bar(p) = L * M_p * L^-1,
+computed once per group as the integer matrix d * theta_bar(p) for one
+common scale d.
 
 The point group itself is held as integer data (PointTable): the
 elements as int rows (their only form), how each generator moves them,

@@ -2,7 +2,10 @@
 
 A vector is a tuple and a matrix is a tuple of row tuples, of ints or
 Fractions; every rational entry that comes from a file or a library
-constructor is read by parse_rational, which refuses bools and floats.
+constructor is read by parse_rational, which refuses bools and floats
+and reads a string only in the grammar format_rational writes, an
+ASCII '-?digits' or '-?digits/digits' with a nonzero denominator, so
+no input string reaches Fraction's own parser.
 Point-group elements are int rows (crys.PointTable), as the integer
 kernels take.  RatMatrix survives only as the type of the test oracles
 and of average_intertwiner, and as a target of perfbench's tracer
@@ -15,6 +18,8 @@ from __future__ import annotations
 import io
 import json
 import math
+import reprlib
+import sys
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
@@ -43,10 +48,12 @@ _SHARED.update({str(k): f for k, f in _SHARED.items()})
 
 def parse_rational(s) -> Fraction:
     """The one reader of a rational entry: a Fraction, an int that is
-    not a bool, or a string like '3/4'.  Inverse of format_rational.
-    0, 1 and -1, as ints or strings, give one shared Fraction each.
-    int() reads an ASCII '-?digits' or '-?digits/digits' with a nonzero
-    denominator, and Fraction every other string."""
+    not a bool, or a string in the grammar format_rational writes, an
+    ASCII '-?digits' or '-?digits/digits' with a nonzero denominator.
+    Inverse of format_rational.  0, 1 and -1, as ints or strings, give
+    one shared Fraction each.  Every other string is a ValueError
+    quoting it cut to QUOTE_CHARS characters; no string reaches
+    Fraction's own parser, which would expand an exponent."""
     if type(s) is int:
         shared = _SHARED.get(s)
         return Fraction(s) if shared is None else shared
@@ -57,14 +64,34 @@ def parse_rational(s) -> Fraction:
         num, slash, den = s.partition("/")
         if s.isascii() and num.removeprefix("-").isdigit() and (
                 not slash or den.isdigit() and den.strip("0")):
-            return Fraction(int(num), int(den) if slash else 1)
-        try:
-            return Fraction(s)
-        except ZeroDivisionError:
-            raise ValueError("zero denominator in %r" % (s,)) from None
+            try:
+                return Fraction(int(num), int(den) if slash else 1)
+            except ValueError:
+                # int() refuses ASCII digits only past its digit limit.
+                limit = sys.get_int_max_str_digits()
+                raise ValueError("%s has more digits than int()'s limit of %d"
+                                 % (_quote(s), limit)) from None
+        if s.isascii() and num.removeprefix("-").isdigit() and den.isdigit():
+            raise ValueError("zero denominator in %s" % _quote(s))
+        raise ValueError("%s is not a rational written -?digits or "
+                         "-?digits/digits" % _quote(s))
     if isinstance(s, Fraction):
         return s
-    raise ValueError("not a serialized rational: %r" % (s,))
+    # reprlib cuts a long list or dict, as _quote cuts a string.
+    raise ValueError("not a serialized rational: %s" % reprlib.repr(s))
+
+
+# A string entry longer than this is quoted in a message by its first
+# QUOTE_CHARS characters and its length.
+QUOTE_CHARS = 40
+
+
+def _quote(s: str) -> str:
+    """repr of a string for an error message, cut to QUOTE_CHARS
+    characters, with its length, when it is longer."""
+    if len(s) <= QUOTE_CHARS:
+        return repr(s)
+    return "%r... (%d characters)" % (s[:QUOTE_CHARS], len(s))
 
 
 def identity(n: int) -> tuple:
@@ -471,7 +498,8 @@ def write_json(path, data) -> None:
 
 def read_json(file, error):
     """Parse a JSON file (a path or a binary file) as text mode decodes
-    it, UTF-8 with universal newlines; a syntax error raises `error`."""
+    it, UTF-8 with universal newlines; a syntax error, or an integer
+    past int()'s digit limit, raises `error`."""
     with io.TextIOWrapper(file if hasattr(file, "read") else
                           open(file, "rb"), encoding="utf-8") as fh:
         try:
@@ -479,6 +507,14 @@ def read_json(file, error):
         except json.JSONDecodeError as exc:
             raise error("not valid JSON at line %d column %d: %s"
                         % (exc.lineno, exc.colno, exc.msg)) from exc
+        except UnicodeDecodeError:
+            raise
+        except ValueError as exc:
+            # Besides a bad UTF-8 byte, only int() raises a ValueError
+            # here: json reads a JSON integer with it, and it refuses
+            # a numeral past its digit limit.
+            raise error("a JSON number has more digits than int()'s limit "
+                        "of %d" % sys.get_int_max_str_digits()) from exc
 
 
 def from_format(d, tag: str, error, build):

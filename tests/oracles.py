@@ -78,8 +78,10 @@ def trace(rows):
 
 
 def fraction_parse(s) -> Fraction:
-    """A rational string as parse_rational read every string before its
-    int path: Fraction(s), with a zero denominator a ValueError."""
+    """A grammar string '-?digits' or '-?digits/digits' as
+    parse_rational read it before its int path: Fraction(s), with a
+    zero denominator a ValueError.  Only for grammar strings: any other
+    string may make Fraction expand an exponent such as '1e100000000'."""
     try:
         return Fraction(s)
     except ZeroDivisionError:

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import cubecrys
-from cubecrys import boundary, cli, dual
+from cubecrys import boundary, cli, dual, exactlin
 from cubecrys.boundary import parse_product, product_boundary
 from cubecrys.crys import (
     CATALOG_NAMES,
@@ -748,6 +749,129 @@ def test_zero_denominator_in_a_walls_file_exits_one(capsys, tmp_path):
     assert "zero denominator" in err
 
 
+# -- the rational grammar ---------------------------------------------
+
+
+def rational_entries(data, path=()):
+    """(key path, text) for every rational entry of a group or walls
+    file: each string but the format tag and the name."""
+    if isinstance(data, dict):
+        items = [(k, v) for k, v in data.items()
+                 if k not in ("format", "name")]
+    elif isinstance(data, list):
+        items = enumerate(data)
+    else:
+        return [(path, data)] if isinstance(data, str) else []
+    return [e for k, v in items for e in rational_entries(v, path + (k,))]
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663"
+                              "\u0664\u0665\u0666\u0667\u0668\u0669")
+
+
+def respell(text, form):
+    """text, a grammar rational, spelled outside the grammar.  Each form
+    keeps the value where Fraction's parser reads it, as it does an
+    integer in every form."""
+    num, slash, den = text.partition("/")
+    sign, digits = num[:num.startswith("-")], num.lstrip("-")
+    return {
+        "exponent": num + "e0" + slash + den,
+        "underscore": sign + "0_" + digits + slash + den,
+        "decimal": num + ".0" + slash + den,
+        "plus": "+" + text,
+        "space": " %s " % text,
+        "non-ascii": text.translate(_ARABIC_INDIC),
+        "long": sign + digits.zfill(4301) + slash + den,
+    }[form]
+
+
+def grammar_fuzz_inputs(tmp_path, kind):
+    """(path, commands, data) for the pg group file or a seeded walls
+    file."""
+    path = tmp_path / ("%s.json" % kind)
+    if kind == "group":
+        save_group(catalog_entry("pg"), path)
+        commands = ("validate", "classify", "cubulate")
+    else:
+        save_wallspace(seeded_wallspaces(count=1)[0], path)
+        commands = ("dual",)
+    with open(path) as fh:
+        return path, commands, json.load(fh)
+
+
+@pytest.mark.parametrize("form", ["exponent", "underscore", "decimal",
+                                  "plus", "space", "non-ascii", "long"])
+@pytest.mark.parametrize("kind", ["group", "walls"])
+def test_every_entry_spelled_outside_the_grammar_exits_one(
+        form, kind, capsys, tmp_path):
+    """Respell each rational entry in turn: every command refuses the
+    file with one line naming the entry, cut to its first characters."""
+    path, commands, data = grammar_fuzz_inputs(tmp_path, kind)
+    entries = rational_entries(data)
+    assert len(entries) == (10 if kind == "group" else 33)
+    for where, text in entries:
+        spelled = respell(text, form)
+        put_entry(path, where, spelled)
+        for command in commands:
+            code, out, err = run(capsys, command, str(path))
+            assert (code, out) == (1, ""), (command, where)
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert repr(spelled[:exactlin.QUOTE_CHARS]) in err, (command,
+                                                                  where)
+        put_entry(path, where, text)
+
+
+# The spellings that kept `validate` and `dual` running for 10 s to
+# past 30 s when Fraction's parser read them.
+@pytest.mark.parametrize("where, text", [
+    (("translation_parts", 0, 0), "1e10000000"),
+    (("translation_parts", 0, 0), "1e100000000"),
+    (("translation_parts", 0, 0), "1e-100000000"),
+    (("walls", 3, "offset"), "1e-100000000"),
+])
+def test_an_exponent_is_refused_at_once(where, text, capsys, tmp_path):
+    if where[0] == "walls":
+        path = tmp_path / "ten_crossing_lines.json"
+        save_wallspace(ten_crossing_lines(), path)
+        commands = ("dual",)
+    else:
+        path = Path(group_file(tmp_path, "pg"))
+        commands = ("validate", "classify", "cubulate")
+    put_entry(path, where, text)
+    for command in commands:
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, str(path))
+        assert time.perf_counter() - start < 0.1, command
+        assert (code, out) == (1, ""), command
+        assert err == ("error: malformed %s file: %r is not a rational "
+                       "written -?digits or -?digits/digits\n"
+                       % ("cubecrys-walls/1" if command == "dual"
+                          else "cubecrys-group/1", text)), command
+
+
+@pytest.mark.parametrize("command", ["validate", "dual"])
+def test_a_numeral_past_the_int_digit_limit_exits_one(command, capsys,
+                                                      tmp_path):
+    """A 4,301-digit string entry and a 5,000-digit JSON number, which
+    json refuses itself, both exit 1 with a message naming the limit."""
+    path = input_file(tmp_path, command)
+    where = (("walls", 0, "offset") if command == "dual"
+             else ("translation_parts", 0, 0))
+    put_entry(path, where, "7" * 4301)
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    assert err.endswith(" (4301 characters) has more digits than int()'s "
+                        "limit of 4300\n")
+    text = path.read_text()
+    path.write_text(text.replace('"%s"' % ("7" * 4301), "7" * 5000))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    assert err == ("error: a JSON number has more digits than int()'s "
+                   "limit of 4300\n")
+    assert "set_int_max_str_digits" not in err
+
+
 # -- boundary ---------------------------------------------------------
 
 
@@ -898,13 +1022,16 @@ def test_a_pipe_closed_partway_through_a_report_exits_one(command, tmp_path):
 
 @pytest.mark.parametrize("case", [
     "validate-missing", "classify-malformed", "cubulate-witness-basis",
-    "cubulate-seed-env", "dual-out-dir", "boundary-plane"])
+    "cubulate-seed-env", "dual-out-dir", "boundary-plane",
+    "validate-exponent"])
 @pytest.mark.parametrize("mode", ["--json", "--text"])
 def test_an_exit_one_leaves_stdout_empty(case, mode, capsys, tmp_path,
                                          monkeypatch):
     """Every handler fails before its output begins."""
     bad = tmp_path / "bad.json"
     bad.write_text('{"format": "cubecrys-group/1"}')
+    exponent = group_file(tmp_path, "pg")
+    put_entry(exponent, ("translation_parts", 0, 0), "1e100000000")
     argv = {
         "validate-missing": ["validate", str(tmp_path / "missing.json")],
         "classify-malformed": ["classify", str(bad)],
@@ -914,6 +1041,7 @@ def test_an_exit_one_leaves_stdout_empty(case, mode, capsys, tmp_path,
         "dual-out-dir": ["dual", walls_file(tmp_path), "--out",
                          str(tmp_path / "no-such-dir" / "c.json")],
         "boundary-plane": ["boundary", "Plane"],
+        "validate-exponent": ["validate", exponent],
     }[case]
     monkeypatch.setenv(cli.SEED_ENV, "x" if case == "cubulate-seed-env"
                        else "0")

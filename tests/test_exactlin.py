@@ -4,11 +4,14 @@ import enum
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from array import array
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -83,32 +86,91 @@ def parse_outcome(read, s):
     return value, type(value)
 
 
-# Strings near the int path's '-?digits' and '-?digits/digits', and
-# strings from anywhere.
+# Strings near the grammar '-?digits' and '-?digits/digits', and
+# strings from anywhere: signs, spaces, decimals, exponents and
+# underscores (as in '4e-8_210_63') among them.
 _RATIONAL_TEXT = st.one_of(
     st.from_regex(r"[-+ ]?[0-9]{1,40}(/[-+ ]?[0-9]{1,40})?", fullmatch=True),
     st.from_regex(r"[-+ ./e_0-9\u0663]{0,12}", fullmatch=True),
     st.text(max_size=12))
 
+# The strings format_rational writes; [0-9] is ASCII only.
+_GRAMMAR = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+@contextmanager
+def fraction_parser_refused():
+    """Inside the block, Fraction(s) for a string s fails the test, so
+    a string that reached Fraction's parser cannot pass unnoticed."""
+    new = Fraction.__new__
+
+    def guarded(cls, *args, **kwargs):
+        assert not any(isinstance(a, str) for a in args), args
+        return new(cls, *args, **kwargs)
+
+    with mock.patch.object(Fraction, "__new__", guarded):
+        yield
+
+
+def read_grammar_only(s):
+    """parse_rational's outcome on s, asserting that a string outside
+    the grammar is a ValueError and a grammar string reads as Fraction
+    reads it; Fraction's parser is never called on s."""
+    with fraction_parser_refused():
+        outcome = parse_outcome(parse_rational, s)
+    if _GRAMMAR.fullmatch(s):
+        assert outcome == parse_outcome(fraction_parse, s), s
+    else:
+        assert outcome[0] is ValueError, s
+    return outcome
+
 
 @given(_RATIONAL_TEXT)
 def test_parse_rational_reads_a_string_as_fraction_does(s):
-    assert parse_outcome(parse_rational, s) == parse_outcome(fraction_parse, s)
+    read_grammar_only(s)
 
 
 def test_parse_rational_hand_strings_match_fraction():
-    # Each one is off the int path but one: a sign, a space, a zero
-    # denominator, underscores, a decimal point, an exponent, a
-    # non-ASCII digit and a numerator past int()'s 4,300-digit limit;
-    # "-0/5" and "007/010" take the int path.
+    # A sign, a space, a zero denominator, underscores, a decimal
+    # point, an exponent and a non-ASCII digit: all refused, "3/0" as a
+    # zero denominator; "-0/5" and "007/010" are in the grammar.
     hand = ["+3", " 3", "3/0", "-0/5", "007/010", "1_0", "0.5", "1e3",
-            "\u0663", "7" * 4301, "-" + "7" * 4301 + "/3"]
-    outcomes = [parse_outcome(parse_rational, s) for s in hand]
-    assert outcomes == [parse_outcome(fraction_parse, s) for s in hand]
-    assert [kind for kind, _ in outcomes].count(ValueError) == 3
+            "\u0663", "1e100000000", "1e-100000000", "4e-8_210_63"]
+    outcomes = [read_grammar_only(s) for s in hand]
+    assert [kind for kind, _ in outcomes].count(ValueError) == 10
+    assert outcomes[2] == (ValueError, "zero denominator in '3/0'")
+    assert outcomes[9] == (ValueError, "'1e100000000' is not a rational "
+                           "written -?digits or -?digits/digits")
     for k in (0, 1, -1):
         assert parse_rational(str(k)) is parse_rational(k) \
             is parse_rational(str(k)) is exactlin._SHARED[k]
+
+
+@pytest.mark.parametrize("text, cut", [
+    ("7" * 4301, "'%s'... (4301 characters)" % ("7" * 40)),
+    ("-" + "7" * 4301 + "/3", "'-%s'... (4304 characters)" % ("7" * 39)),
+    ("1/" + "3" * 4301, "'1/%s'... (4303 characters)" % ("3" * 38)),
+], ids=["numerator", "signed", "denominator"])
+def test_a_numeral_past_the_int_digit_limit_names_the_limit(text, cut):
+    with pytest.raises(ValueError) as info:
+        parse_rational(text)
+    assert str(info.value) == (
+        "%s has more digits than int()'s limit of 4300" % cut)
+
+
+def test_a_long_entry_is_quoted_cut_to_its_first_characters():
+    """A megabyte string, and a million-item list where a rational
+    belongs, each give a message of a line."""
+    text = "x" * (10 ** 6)
+    with pytest.raises(ValueError) as info:
+        parse_rational(text)
+    assert str(info.value) == (
+        "'%s'... (1000000 characters) is not a rational written -?digits "
+        "or -?digits/digits" % ("x" * exactlin.QUOTE_CHARS))
+    with pytest.raises(ValueError) as info:
+        parse_rational([7] * 10 ** 6)
+    assert str(info.value) == (
+        "not a serialized rational: [7, 7, 7, 7, 7, 7, ...]")
 
 
 def test_rat_rejects_floats():
