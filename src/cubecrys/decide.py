@@ -80,7 +80,7 @@ class HyperoctahedralWitness:
     iota: tuple
     conjugator: tuple
     basis: tuple
-    # (g, d c, defects) for the group g the witness was verified on, so
+    # (g, d c, defects) for the group g that verify() last held on, so
     # that its report reuses the defects; None until then, and None in
     # a copy made by dataclasses.replace.
     verified: tuple = field(default=None, init=False, compare=False,
@@ -101,14 +101,16 @@ class HyperoctahedralWitness:
 
     def verify(self, g: CrystGroup) -> bool:
         """theta_bar(p) * A == A * iota(p) for every p (every defect
-        vanishes), iota one injective image per p, A nonsingular."""
-        return self._holds(g, self._defects(g)[1])
-
-    def _holds(self, g: CrystGroup, defects) -> bool:
-        return (len(set(self.iota)) == len(self.iota) == g.point_group_order()
+        vanishes), iota one injective image per p, A nonsingular.  When
+        it holds, the defects are kept for to_json_dict(g)."""
+        scale, defects = self._defects(g)
+        if (len(set(self.iota)) == len(self.iota) == g.point_group_order()
                 and det(self.conjugator) != 0
                 and not any(any(row) for defect in defects
-                            for row in defect))
+                            for row in defect)):
+            object.__setattr__(self, "verified", (g, scale, defects))
+            return True
+        return False
 
     def to_json_dict(self, g: CrystGroup) -> dict:
         """The report; each residual theta_bar(p) - A iota(p) A^-1 is
@@ -298,11 +300,9 @@ def _build_conjugator(d, forms, iota):
 def _verified(g: CrystGroup, iota, a):
     """The witness (iota in point_elements order, A), re-verified."""
     witness = HyperoctahedralWitness(tuple(iota), a, tuple(zip(*a)))
-    scale, defects = witness._defects(g)
-    if not witness._holds(g, defects):
+    if not witness.verify(g):
         raise WitnessCorruptionError(
             "constructed witness failed exact re-verification")
-    object.__setattr__(witness, "verified", (g, scale, defects))
     return witness
 
 

@@ -20,9 +20,9 @@ flip distance between 0-cubes is the number of walls they differ on,
 so a wall on which an orientation already differs from the base
 point's is never flipped back.  The table holds one- and two-wall
 clauses only, so the flips a 0-cube allows are an AND over its walls'
-sides: the walk builds three tables over chunks of the bitmask once,
-and at each 0-cube ANDs three lookups and steps along exactly the
-flips they allow, its edges.
+sides: _flip_tables builds three tables over chunks of the bitmask
+once, and at each 0-cube the walk ANDs three lookups and steps along
+exactly the flips they allow, its edges.
 
 A complex is the dual that the flip walk enumerated, stored as its
 0-cube bitmasks and its edges by source: one out-degree per 0-cube
@@ -41,16 +41,18 @@ A complex is in turn the dual of its own hyperplanes: two hyperplane
 sides meet exactly when some 0-cube lies on both, so their
 compatibility table is the table of one- and two-wall clauses that the
 0-cubes satisfy.  The median check and the crossing test read that one
-table, and the one flip walk that enumerates duals walks it.  The
-duality round trip holds exactly when the 1-skeleton is a median graph
-(Roller; Chepoi), so duality_check is the median check.
+table.  The median check builds the same allowed-flip tables on it as
+the walk does and scans the 0-cubes once: the 0-cubes are
+majority-closed exactly when no flip that the tables allow leads out of
+them.  It walks nothing and keeps nothing.  The duality round trip
+holds exactly when the 1-skeleton is a median graph (Roller; Chepoi),
+so duality_check is the median check.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from collections import deque
 from fractions import Fraction
 from functools import cache
 from operator import mul
@@ -410,26 +412,12 @@ def _member_clauses(members, nwalls: int) -> list:
     return [[(full & ~t0, full & ~t1) for t0, t1 in row] for row in ok]
 
 
-# Walls per chunk of a bitmask in the flip walk's tables: a table over
-# a chunk of w walls has 2^w entries, all made up front when
-# w <= CHUNK_BITS, so every width up to 3 * CHUNK_BITS = WALL_CAP walls
-# is built whole.
+# Walls per chunk of a bitmask in the allowed-flip tables: a table over
+# a chunk of w walls has 2^w entries, all made up front.  A table has
+# at most WALL_CAP = 3 * CHUNK_BITS walls (FiniteWallspace and
+# is_median_set refuse more), and a chunk at most a third of them, so
+# no chunk table has more than 2^CHUNK_BITS entries.
 CHUNK_BITS = 8
-
-
-class _LazyChunk(dict):
-    """A chunk table too wide to build up front: each entry is made on
-    its first read, so it holds at most one entry per 0-cube."""
-
-    __slots__ = ("_make",)
-
-    def __init__(self, make):
-        super().__init__()
-        self._make = make
-
-    def __missing__(self, x):
-        self[x] = value = self._make(x)
-        return value
 
 
 @cache
@@ -444,81 +432,24 @@ def _singles(low: int, n: int) -> list:
     return singles
 
 
-def _chunk_tables(allow, low: int, full: int):
-    """(masks, singles) over walls low, low + 1, ... of allow:
-    masks[x] is the AND of allow[low + i][bit i of x] over the chunk
-    (full for an empty chunk), and singles[x] is the tuple of the bits
-    1 << (low + i) for the set bits i of x, in wall order."""
-    n = len(allow)
-    if n <= CHUNK_BITS:
-        masks = [full]
-        for sides in allow:
-            masks = [m & a for a in sides for m in masks]
-        return masks, _singles(low, n)
-
-    def mask(x):
-        out = full
-        for i, a in enumerate(allow):
-            out &= a[x >> i & 1]
-        return out
-
-    return (_LazyChunk(mask), _LazyChunk(
-        lambda x: tuple(1 << (low + i) for i in range(n) if x >> i & 1)))
-
-
-def _flip_closure(forbid, start: int, within=None):
-    """All bitmasks reached from start by flips that meet every clause.
+def _flip_tables(forbid, start: int) -> tuple:
+    """(width, tables): the outward flips from start that a bitmask b
+    meeting every clause allows, as three lookups over chunks of b.
 
     Bit k of forbid[j][s][t] is set when side s of wall j rules out
     side t of wall k, and the table is symmetric: bit j of forbid[k][t][s]
-    is then set too.  start must meet every clause, so a flip of wall j
-    need only meet wall j's clauses, and a flip between two reached
-    bitmasks is valid, as both ends meet every clause.
-
-    Only outward flips are tried: a wall on which the bitmask at hand
-    already differs from start is never flipped back.  The reached
-    bitmasks are the solutions of the table that are flip-connected to
-    start.  Solutions of 2-clauses are closed under the wallwise
-    majority (Schaefer), so on them flip distance is Hamming distance:
-    map each point p of a path from u to v to maj(u, v, p); the images
-    are solutions in the interval between u and v, consecutive images
-    differ on at most one wall, and the first image other than u is one
-    wall of u ^ v nearer v.  So the bitmask at breadth-first level d
-    differs from start on d walls, and a flip toward start lands either
-    on level d - 1, where the walk already kept that flip, or on a
-    non-solution.  An outward flip lands on level d + 1, so it is never
-    a back edge.
-
-    An outward flip gives wall j the side that start lacks, so whether
-    bitmask b allows it depends on each other wall k of b alone: side
-    b_k of wall k must not rule it out, which is bit j of
-    forbid[k][b_k][1 - start_j] (the clause read through its
-    transpose).  Wall j's own bit allows it when b_j is still start's
-    side and no one-wall clause rules out the other side.  So the
-    allowed flips of b are the AND over the walls k of allow[k][b_k],
-    made once per walk from the 4 W clause masks; it is read as the AND
-    of three tables over chunks of b's bits, and the flips it allows are
-    read off per-chunk tuples of single bits (_singles, the same for
-    every walk).  Each 0-cube thus costs three lookups and one step per
-    edge, whatever the number of walls.  A chunk of more than CHUNK_BITS
-    walls (only for tables wider than WALL_CAP) is filled as it is read.
-
-    The walk keeps each edge once, from its lower-indexed end: a flip
-    from level d to level d + 1 is outward from its level-d end, and
-    breadth-first order lists level d before level d + 1.  So the edges
-    arrive grouped by source in queue order.  A group's targets arrive
-    in wall order; one comparison per edge spots a group whose targets
-    are out of index order, and only such a group is sorted.
-
-    Returns (queue, index, degrees, targets, realized): queue[k] is the
-    k-th bitmask reached in breadth-first order and index[queue[k]] ==
-    k; degrees[k], in an array("l"), is the number of edges from 0-cube
-    k to higher-indexed ones, and targets lists their other ends,
-    sorted within each group, so the edges (u, v), u < v, in sorted
-    order are degrees[u] rows of u each, beside targets; realized has
-    bit j set when some flip crosses wall j.  With `within`, the walk
-    only checks membership: degrees and targets stay empty, and None is
-    returned as soon as a bitmask outside `within` is reached.
+    is then set too.  An outward flip gives wall j the side that start
+    lacks; b allows it when no side b_k of another wall rules it out,
+    which is bit j of forbid[k][b_k][1 - start_j], and wall j's own bit
+    allows it when b_j is still start's side and no one-wall clause
+    rules out the other side.  So b allows the AND over the walls k of
+    allow[k][b_k], made once from the 4 W clause masks.  tables holds
+    (masks, singles) for each chunk of width = ceil(W / 3) walls (the
+    last one shorter): masks[x] is that AND over the chunk's walls with
+    sides x, and singles[x] the tuple of the chunk's single bits set in
+    x, in wall order (_singles).  So b allows exactly the flips in
+    t0[b & part] & t1[b >> width & part] & t2[b >> 2 width], part =
+    2^width - 1, read off the three singles.
     """
     nwalls = len(forbid)
     full = (1 << nwalls) - 1
@@ -538,23 +469,64 @@ def _flip_closure(forbid, start: int, within=None):
         else:
             allow.append((full & ~(rule0 & ~bit | rule1 & bit),
                           full & ~(rule1 | bit)))
-    width = min(CHUNK_BITS, -(-nwalls // 3))
-    mid, high = width, 2 * width
-    part = (1 << width) - 1
-    (t0, s0), (t1, s1), (t2, s2) = (
-        _chunk_tables(allow[:mid], 0, full),
-        _chunk_tables(allow[mid:high], mid, full),
-        _chunk_tables(allow[high:], high, full))
+    width = -(-nwalls // 3)
+    tables = []
+    for low in (0, width, 2 * width):
+        chunk = allow[low:low + width]
+        masks = [full]
+        for sides in chunk:
+            masks = [m & a for a in sides for m in masks]
+        tables.append((masks, _singles(low, len(chunk))))
+    return width, tables
+
+
+def _flip_closure(forbid, start: int):
+    """All bitmasks reached from start by flips that meet every clause.
+
+    forbid is a symmetric clause table that start meets (_flip_tables),
+    so a flip of wall j need only meet wall j's clauses, and a flip
+    between two reached bitmasks is valid, as both ends meet every
+    clause.
+
+    Only outward flips are tried: a wall on which the bitmask at hand
+    already differs from start is never flipped back.  The reached
+    bitmasks are the solutions of the table that are flip-connected to
+    start.  Solutions of 2-clauses are closed under the wallwise
+    majority (Schaefer), so on them flip distance is Hamming distance:
+    map each point p of a path from u to v to maj(u, v, p); the images
+    are solutions in the interval between u and v, consecutive images
+    differ on at most one wall, and the first image other than u is one
+    wall of u ^ v nearer v.  So the bitmask at breadth-first level d
+    differs from start on d walls, and a flip toward start lands either
+    on level d - 1, where the walk already kept that flip, or on a
+    non-solution.  An outward flip lands on level d + 1, so it is never
+    a back edge.  At each bitmask the walk ANDs the three lookups of
+    _flip_tables and steps along exactly the flips they allow: three
+    lookups and one step per edge, whatever the number of walls.
+
+    The walk keeps each edge once, from its lower-indexed end: a flip
+    from level d to level d + 1 is outward from its level-d end, and
+    breadth-first order lists level d before level d + 1.  So the edges
+    arrive grouped by source in queue order.  A group's targets arrive
+    in wall order; one comparison per edge spots a group whose targets
+    are out of index order, and only such a group is sorted.
+
+    Returns (queue, index, degrees, targets, realized): queue[k] is the
+    k-th bitmask reached in breadth-first order and index[queue[k]] ==
+    k; degrees[k], in an array("l"), is the number of edges from 0-cube
+    k to higher-indexed ones, and targets lists their other ends,
+    sorted in each group, so the edges (u, v), u < v, in sorted
+    order are degrees[u] rows of u each, beside targets; realized has
+    bit j set when some flip crosses wall j.
+    """
+    width, ((t0, s0), (t1, s1), (t2, s2)) = _flip_tables(forbid, start)
+    mid, high, part = width, 2 * width, (1 << width) - 1
     queue = [start]
     index = {start: 0}
     get = index.get
     degrees = array("l")
     targets = []
-    if within is None:
-        keep, close = targets.append, degrees.append
-    else:
-        # A zero-length deque drops what it is given.
-        keep = close = deque(maxlen=0).append
+    keep, close = targets.append, degrees.append
     realized = 0
     for bits in queue:
         allowed = t0[bits & part] & t1[bits >> mid & part] & t2[bits >> high]
@@ -567,8 +539,6 @@ def _flip_closure(forbid, start: int, within=None):
             flipped = bits ^ bit
             to = get(flipped)
             if to is None:
-                if within is not None and flipped not in within:
-                    return None
                 to = index[flipped] = len(queue)
                 queue.append(flipped)
             elif to < last:
@@ -652,26 +622,45 @@ def median(c: CubeComplex, x: Orientation, y: Orientation, z: Orientation) -> Or
 
 def is_median_set(members, nwalls: int) -> bool:
     """Do the bitmasks of members, over nwalls walls, span a median
-    graph in the hypercube?  Time O(V * W).
+    graph in the hypercube?  Time O(V * W); WallCapError above WALL_CAP
+    walls.
 
     members is a nonempty set or dict of bitmasks that the hypercube
     edges between them connect.  Such a set spans a median graph
     exactly when it is closed under the wallwise majority vote.
     Majority-closed sets are the solution sets of the one- and two-wall
-    clauses they satisfy (Schaefer).  Every hypercube edge between
-    members is a flip between two solutions, so the flip walk from one
-    member reaches them all, and the set is majority-closed exactly
-    when the walk never leaves it.
+    clauses they satisfy (Schaefer).  The scan builds _flip_tables on
+    the members' clauses from any member as start, and answers False as
+    soon as some member allows a flip to a non-member.  It is exact.
+    Majority-closed members are all the solutions of their clauses, and
+    an allowed flip lands on a solution.  Otherwise some maj(x, y, z)
+    is no member, and maj(x, y, .) maps a path of members from z to x
+    onto flips between solutions, so the flip component of start among
+    the solutions is larger than the members.  _flip_closure's outward
+    walk reaches all of it, so it first leaves the members by an allowed
+    flip from a member, which the scan reads.
     """
-    return _flip_closure(_member_clauses(members, nwalls),
-                         next(iter(members)), within=members) is not None
+    if nwalls > WALL_CAP:
+        raise WallCapError(
+            "at most %d walls supported, got %d" % (WALL_CAP, nwalls))
+    width, ((t0, s0), (t1, s1), (t2, s2)) = _flip_tables(
+        _member_clauses(members, nwalls), next(iter(members)))
+    mid, high, part = width, 2 * width, (1 << width) - 1
+    for bits in members:
+        allowed = t0[bits & part] & t1[bits >> mid & part] & t2[bits >> high]
+        for bit in (s0[allowed & part] + s1[allowed >> mid & part]
+                    + s2[allowed >> high]):
+            if bits ^ bit not in members:
+                return False
+    return True
 
 
 def is_median_graph(c: CubeComplex) -> bool:
     """Is the 1-skeleton a median graph?  Time O(V * W).
 
     The 1-skeleton is the subgraph of the hypercube induced on the
-    connected 0-cubes, so this is is_median_set on them.
+    connected 0-cubes, so this is is_median_set's scan of them; a
+    complex has at most WALL_CAP walls.
     """
     return is_median_set(c._index, c.num_walls)
 
@@ -684,8 +673,8 @@ def duality_check(c: CubeComplex) -> bool:
     flip between two 0-cubes that both meet every clause, so the dual's
     walk from 0-cube 0 reaches all 0-cubes, and the edges it finds are
     all the hypercube edges between them, which are c's edges.  So the
-    round trip holds exactly when the walk finds no other 0-cube, which
-    is the median test.
+    round trip holds exactly when that walk finds no other 0-cube,
+    which is when no allowed flip leaves the 0-cubes: the median scan.
     """
     return is_median_graph(c)
 

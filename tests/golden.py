@@ -9,7 +9,7 @@ in-process in the directory that holds its input file, and is keyed by:
   corpus (corpus.group_corpus and corpus.dual_corpus) at corpus seeds
   0-2; "perfbench-defects" is its KNOWN_DEFECTS items
   (corpus.known_defect_items); "tests" is the inputs built here from
-  tests/groups.py and the catalog;
+  tests/inputs.py and the catalog;
 - seed: the corpus seed, or null;
 - mode: "json" when argv has --json, else "text";
 - argv: the subcommand argv, with the input named by its file name.
@@ -26,9 +26,9 @@ entries written one after another, and of their inputs likewise: the
 form of a pin on a whole sequence of runs.
 
 perfbench's corpus is built by one `python -B` subprocess with
-perfbench/ first on its path: its `import groups` would otherwise find
-tests/groups.py, and -B keeps it from writing a bytecode cache under
-perfbench/.  Nothing under perfbench/ is written.
+perfbench/ first on its path, so that its `import groups` finds
+perfbench/groups.py, and -B keeps it from writing a bytecode cache
+under perfbench/.  Nothing under perfbench/ is written.
 
 Re-record entries, by name or fnmatch pattern, from the root of a
 checkout:
@@ -54,7 +54,7 @@ import cubecrys
 from cubecrys import cli
 from cubecrys.crys import load_catalog, save_group
 from cubecrys.dual import save_wallspace
-from groups import (
+from inputs import (
     b4_generic,
     fourteen_crossing_lines,
     pinned_groups,

@@ -19,7 +19,9 @@ them.  The sections follow the package's modules:
   one-call-per-side-pair wallspace test, the Fraction wall offset, the
   exhaustive 0-cube scan, the cubic median scan, the frozenset duality
   round trip, the per-pair crossing scan, and the cube complex that
-  stores its edges (StoredEdgeComplex) with its flip walk;
+  stores its edges (StoredEdgeComplex) with its flip walk, whose walk
+  inside a member set is the median-set check that the package's scan
+  replaced;
 - acceptance criterion 7: an exhaustive embedding oracle that shares no
   helper with the others.
 """
@@ -38,7 +40,6 @@ from cubecrys.dual import (
     Orientation,
     _feasible,
     _member_clauses,
-    is_median_set,
 )
 from cubecrys.exactlin import (
     RatMatrix,
@@ -706,8 +707,8 @@ def per_wall_rows(bits, nwalls):
 # is the flip walk that appended each edge it found.  It is also the
 # one complex that may leave out induced edges: the tests build
 # hand-made and edge-dropped complexes as StoredEdgeComplex, and
-# is_median_complex judges them by dual.is_median_set on their 0-cubes
-# plus the check for left-out edges.
+# is_median_complex judges them by the walk inside their 0-cubes
+# (walked_is_median_set) plus the check for left-out edges.
 
 
 class StoredEdgeComplex:
@@ -873,10 +874,19 @@ def left_out_edges(c) -> set:
     return induced - set(edge_triples(c))
 
 
+def walked_is_median_set(members, nwalls) -> bool:
+    """The median-set check that dual.is_median_set's scan replaced:
+    the flip walk of the members' own clause table, from one member,
+    never leaves them.  Any number of walls."""
+    return stored_edge_walk(_member_clauses(members, nwalls),
+                            next(iter(members)), within=members) is not None
+
+
 def is_median_complex(c) -> bool:
     """The median verdict on any complex: no induced edge left out, and
-    the 0-cubes a median set by dual.is_median_set."""
-    return not left_out_edges(c) and is_median_set(c._index, c.num_walls)
+    the 0-cubes a median set by walked_is_median_set."""
+    return not left_out_edges(c) and walked_is_median_set(c._index,
+                                                          c.num_walls)
 
 
 # ---------------------------------------------------------------------------

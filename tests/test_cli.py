@@ -38,7 +38,7 @@ from cubecrys.exactlin import identity
 from cubecrys.sgnperm import SignedPermutation
 from cubecrys.walls import GeometricWall
 import golden
-from groups import b4_generic, plane_families, ten_crossing_lines
+from inputs import b4_generic, plane_families, ten_crossing_lines
 from oracles import stored_edge_dual
 
 
@@ -681,19 +681,24 @@ def test_dual_text_mode_builds_no_complex_dict(capsys, tmp_path, monkeypatch):
 
 def test_dual_walks_the_flip_closure_once_per_verdict(capsys, tmp_path,
                                                       monkeypatch):
-    # One walk enumerates the dual and one decides both report fields.
-    calls = []
-    original = dual._flip_closure
+    # One walk enumerates the dual and one median scan decides both
+    # report fields; each builds the allowed-flip tables once.
+    calls = {"_flip_closure": 0, "_flip_tables": 0}
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counted(name):
+        original = getattr(dual, name)
 
-    monkeypatch.setattr(dual, "_flip_closure", counted)
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(dual, name, counted(name))
     code, out, err = run(capsys, "dual", walls_file(tmp_path))
     assert code == 0, err
     assert "median graph: True" in out and "round-trip: True" in out
-    assert len(calls) == 2
+    assert calls == {"_flip_closure": 1, "_flip_tables": 2}
 
 
 def test_dual_missing_and_malformed_files(capsys, tmp_path):

@@ -25,7 +25,7 @@ from cubecrys.crys import (
     validate,
 )
 from cubecrys.exactlin import RatMatrix, ShapeError, det, identity, inverse
-from groups import I2, group
+from inputs import I2, group
 from oracles import trace
 
 

@@ -52,7 +52,7 @@ from cubecrys.sgnperm import (
     to_matrix,
 )
 import golden
-from groups import (
+from inputs import (
     D4_BASIS,
     GROUPS,
     pinned_groups,

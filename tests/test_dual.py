@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 from array import array
 from fractions import Fraction
 
@@ -49,7 +50,7 @@ from cubecrys.exactlin import (
 )
 from cubecrys.sgnperm import build_Qn
 from cubecrys.walls import GeometricWall
-from groups import (
+from inputs import (
     fourteen_crossing_lines,
     plane_families,
     spatial_arrangement,
@@ -79,6 +80,7 @@ from oracles import (
     stored_edge_walk,
     stored_is_median_graph,
     stored_link_of_vertex,
+    walked_is_median_set,
     walls_cross_by_scan,
     window_clauses,
     zero_cubes,
@@ -555,10 +557,13 @@ def hexagon_complex():
 
 
 def median_verdicts(c):
-    """The linear check, the edge-count and cubic oracles and the
-    frozenset duality round trip; on a walked dual also is_median_graph
-    and duality_check."""
-    verdicts = {is_median_complex(c), counted_edges_is_median_graph(c),
+    """The median scan (with no induced edge left out), the walk inside
+    the 0-cubes, the edge-count and cubic oracles and the frozenset
+    duality round trip; on a walked dual also is_median_graph and
+    duality_check."""
+    verdicts = {not left_out_edges(c) and is_median_set(c._index,
+                                                         c.num_walls),
+                is_median_complex(c), counted_edges_is_median_graph(c),
                 cubic_is_median_graph(c), frozenset_duality_check(c)}
     if isinstance(c, CubeComplex):
         verdicts |= {is_median_graph(c), duality_check(c)}
@@ -588,7 +593,7 @@ def test_the_hexagon_is_not_median():
     c = hexagon_complex()
     assert c.vertex_count() == 6
     assert not left_out_edges(c)
-    assert not is_median_set(c._index, 3)
+    assert not assert_scan_matches_the_walk(c._index, 3)
     assert median_verdicts(c) is False
 
 
@@ -609,9 +614,10 @@ def test_a_long_crossing_cycle_is_not_median():
     assert (c.vertex_count(), c.edge_count()) == (60, 60)
     assert len(crossed_walls(c)) == 30 > WALL_CAP
     assert not left_out_edges(c)
-    assert not is_median_set(c._index, 30)
     assert not is_median_complex(c)
     assert not cubic_is_median_graph(c)
+    with pytest.raises(WallCapError, match="at most 24 walls"):
+        is_median_set(c._index, 30)
 
 
 def test_a_lone_vertex_meets_its_one_wall_clause():
@@ -1108,28 +1114,20 @@ def walk_rows(degrees, targets):
     return rows
 
 
-def assert_walk_matches_stored_edges(forbid, start, within=None):
+def assert_walk_matches_stored_edges(forbid, start):
     """_flip_closure and stored_edge_walk agree on the queue, the index,
     the edges (as sorted rows [u, v] from the walk's degrees and
-    targets; nothing is kept for a walk `within`) and the walls they
-    cross.  Returns the walk."""
-    walk = _flip_closure(forbid, start, within)
-    old = stored_edge_walk(forbid, start, within)
-    assert (walk is None) == (old is None)
-    if walk is None:
-        return None
-    (queue, index, degrees, targets, realized), (old_queue, old_edges) = \
-        walk, old
+    targets) and the walls they cross.  Returns the walk."""
+    walk = _flip_closure(forbid, start)
+    queue, index, degrees, targets, realized = walk
+    old_queue, old_edges = stored_edge_walk(forbid, start)
     assert queue == old_queue
     assert index == {b: k for k, b in enumerate(old_queue)}
     assert type(degrees) is array and degrees.typecode == "l"
     assert type(targets) is list
-    if within is None:
-        assert len(degrees) == len(queue)
-        assert walk_rows(degrees, targets) == sorted(
-            [u, v] for u, v, _ in old_edges)
-    else:
-        assert len(degrees) == len(targets) == 0
+    assert len(degrees) == len(queue)
+    assert walk_rows(degrees, targets) == sorted(
+        [u, v] for u, v, _ in old_edges)
     crossed = 0
     for _, _, j in old_edges:
         crossed |= 1 << j
@@ -1167,21 +1165,100 @@ def test_the_flip_walk_keeps_the_stored_edge_walks_edges():
                           (14, 16384, 114688), (0, 1, 0), (1, 2, 1)]
 
 
-def test_a_walk_inside_members_stops_where_the_stored_edge_walk_does():
+# -- the median scan against the walk inside the members -------------
+
+
+def assert_scan_matches_the_walk(members, nwalls):
+    """is_median_set's verdict on a flip-connected member set, which
+    the stored-edge walk inside the members must give too, and the scan
+    again with the members in reverse order, so from another start.
+    Returns it."""
+    verdict = is_median_set(members, nwalls)
+    assert verdict == walked_is_median_set(members, nwalls), sorted(members)
+    reverse = dict.fromkeys(reversed(list(members)))
+    assert is_median_set(reverse, nwalls) == verdict, sorted(members)
+    return verdict
+
+
+def test_the_median_scan_agrees_with_the_walk_inside_members():
     rng = random.Random(4242)
-    walked = {True: 0, False: 0}
-    while sum(walked.values()) < 600:
+    verdicts = {True: 0, False: 0}
+    while sum(verdicts.values()) < 600:
         n, orientations, edges = fuzzed_complex_input(rng)
         try:
             c = StoredEdgeComplex(n, orientations, edges)
         except ValueError:
             continue
-        walk = assert_walk_matches_stored_edges(
-            _member_clauses(c._index, n), orientations[0].bits,
-            within=c._index)
-        assert is_median_set(c._index, n) == (walk is not None)
-        walked[walk is None] += 1
-    assert walked[True] > 50 and walked[False] > 100, walked
+        verdicts[assert_scan_matches_the_walk(c._index, n)] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 50, verdicts
+
+
+def connected_part(rng, bits, nwalls):
+    """A random flip-connected part of the bitmasks bits, which the
+    flips between them connect, grown from a random one a neighbour at
+    a time."""
+    members = set(bits)
+    target = rng.randrange(1, len(bits) + 1)
+    part = [rng.choice(bits)]
+    seen = set(part)
+    while len(part) < target:
+        b = rng.choice(part) ^ 1 << rng.randrange(nwalls)
+        if b in members and b not in seen:
+            seen.add(b)
+            part.append(b)
+    return seen
+
+
+def test_the_median_scan_agrees_with_the_walk_on_duals_and_their_parts():
+    rng = random.Random(3737)
+    verdicts = {True: 0, False: 0}
+    for dimension in range(1, 5):
+        for ws in seeded_wallspaces(count=6, seed=70 + dimension,
+                                    max_walls=8, dimension=dimension):
+            c = dual_complex(ws)
+            assert assert_scan_matches_the_walk(c._index, c.num_walls)
+            for _ in range(10):
+                part = connected_part(rng, c._bits, c.num_walls)
+                verdicts[assert_scan_matches_the_walk(part,
+                                                      c.num_walls)] += 1
+    assert verdicts[True] > 60 and verdicts[False] > 60, verdicts
+
+
+def test_the_median_scan_agrees_with_the_walk_on_crossing_cycles():
+    # The 4-cycle over two walls is the square; every longer one has
+    # the whole cube as its clause closure.
+    for n in range(2, WALL_CAP + 1):
+        c = crossing_cycle(n)
+        assert assert_scan_matches_the_walk(c._index, n) is (n == 2)
+    c = crossing_cycle(WALL_CAP + 1)
+    assert not walked_is_median_set(c._index, WALL_CAP + 1)
+    with pytest.raises(WallCapError,
+                       match="at most 24 walls supported, got 25"):
+        is_median_set(c._index, WALL_CAP + 1)
+
+
+def test_the_median_scan_reads_a_lone_flip_out_of_the_members():
+    # From start 0b0100, the members below leave themselves by one
+    # allowed flip only: 0 to 0b1000 = maj(0, 0b1001, 0b1010).  The
+    # scan must find it wherever that member comes in the scan.
+    rest = [0b0001, 0b0010, 0b1001, 0b1010]
+    for k in range(len(rest) + 1):
+        members = dict.fromkeys([0b0100] + rest[:k] + [0] + rest[k:])
+        assert not assert_scan_matches_the_walk(members, 4)
+
+
+def test_the_median_scan_keeps_nothing_per_zero_cube():
+    # The 16,384 0-cubes of 14 crossing lines: the scan holds its three
+    # chunk tables and the clause table, never a queue or an index.
+    c = dual_complex(fourteen_crossing_lines())
+    assert c.vertex_count() == 2 ** 14
+    tracemalloc.start()
+    try:
+        assert is_median_set(c._index, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 19, peak
 
 
 def random_clause_table(rng, nwalls, start):
@@ -1228,12 +1305,8 @@ def test_the_outward_walk_agrees_with_the_full_walk_on_random_tables():
             nwalls, [Orientation(b, nwalls) for b in old_queue], old_edges)
         levels = bfs_distances(old, 0)
         assert levels == [(b ^ start).bit_count() for b in old_queue]
-        # Inside every solution, inside the reached ones, and inside a
-        # random part of them that holds start.
-        assert_walk_matches_stored_edges(forbid, start, within=solutions)
-        assert_walk_matches_stored_edges(forbid, start, within=set(queue))
-        part = {b for b in queue if b == start or rng.random() < 0.8}
-        assert_walk_matches_stored_edges(forbid, start, within=part)
+        # A flip component of 2-clause solutions is majority-closed.
+        assert assert_scan_matches_the_walk(set(queue), nwalls)
     # Some tables have solutions that no flip walk from start reaches.
     assert left > 20, left
 
@@ -1267,9 +1340,6 @@ def test_the_walk_sorts_only_the_groups_that_arrive_out_of_order(
             groups.setdefault(u, []).append(v)
         assert sorts == [g for g in groups.values() if g != sorted(g)]
         tangled_tables += bool(sorts)
-        # The median check keeps nothing.
-        assert _flip_closure(forbid, start, within=set(queue))[2:4] == (
-            array("l"), [])
     # About a fifth of such tables put some group out of order.
     assert 20 < tangled_tables < 150, tangled_tables
 
@@ -1319,13 +1389,10 @@ def test_the_flip_walk_reads_each_clause_mask_a_bounded_number_of_times():
     queue, _, _, targets, _ = _flip_closure(counted, base)
     assert (len(queue), len(targets)) == (1024, 5120)
     assert 0 < CountedRule.reads <= 4 * 10
-    # The same bound from another start, inside the reached 0-cubes,
-    # and on a walk that stops at once.
-    for start, within in ((queue[-1], None), (base, set(queue)),
-                          (base, {base})):
-        CountedRule.reads = 0
-        _flip_closure(counted, start, within)
-        assert 0 < CountedRule.reads <= 4 * 10
+    # The same bound from another start.
+    CountedRule.reads = 0
+    _flip_closure(counted, queue[-1])
+    assert 0 < CountedRule.reads <= 4 * 10
 
 
 def implication_table(rng, nwalls, start):
@@ -1361,44 +1428,23 @@ def implication_table(rng, nwalls, start):
 
 def test_the_walk_agrees_with_the_full_walk_on_wide_tables():
     # Tables of 11 to 24 walls fill two or three chunks of up to
-    # CHUNK_BITS walls; 25 to 40 walls leave the top chunk to be filled
-    # as it is read.  Each walk is checked plainly and inside three
-    # member sets: its reached bitmasks, a random part of them that
-    # holds start, and its reached bitmasks less the last one.
+    # CHUNK_BITS walls.  The reached bitmasks are a median set, and so
+    # are they less the last one reached, or not, as the walk inside
+    # them says.
     rng = random.Random(3535)
     sizes = []
-    for trial in range(240):
-        nwalls = rng.randrange(11, 25) if trial < 200 else \
-            rng.randrange(25, 41)
+    for _ in range(200):
+        nwalls = rng.randrange(11, 25)
         start = rng.getrandbits(nwalls)
         forbid = implication_table(rng, nwalls, start)
         queue, *_ = assert_walk_matches_stored_edges(forbid, start)
         sizes.append(len(queue))
-        assert assert_walk_matches_stored_edges(
-            forbid, start, within=set(queue)) is not None
-        part = {b for b in queue if b == start or rng.random() < 0.8}
-        assert_walk_matches_stored_edges(forbid, start, within=part)
+        assert assert_scan_matches_the_walk(set(queue), nwalls)
         if len(queue) > 1:
-            assert assert_walk_matches_stored_edges(
-                forbid, start, within=set(queue[:-1])) is None
+            assert_scan_matches_the_walk(set(queue[:-1]), nwalls)
     # Most walks go somewhere, and none is large.
     assert sum(size > 1 for size in sizes) > 150, sizes
     assert max(sizes) <= 2 ** 10
-
-
-def test_wide_member_sets_keep_their_chunk_tables_small():
-    # A monotone path in Q_60 is a median graph, and the crossing cycle
-    # over 60 walls is not.  The walk fills its widest chunk table (44
-    # walls) only at the chunk values it reads.
-    path = [(1 << k) - 1 for k in range(61)]
-    assert is_median_set(set(path), 60)
-    cycle = crossing_cycle(60)
-    assert not is_median_set(cycle._index, 60)
-    allow = [[(1 << 60) - 1] * 2 for _ in range(44)]
-    masks, singles = cubecrys.dual._chunk_tables(allow, 16, (1 << 60) - 1)
-    assert len(masks) == len(singles) == 0
-    assert masks[5] == (1 << 60) - 1 and singles[5] == (1 << 16, 1 << 18)
-    assert len(masks) == len(singles) == 1
 
 
 # -- hand-made complexes ---------------------------------------------

@@ -61,7 +61,7 @@ from cubecrys.walls import (
     separation_count,
     stabilize,
 )
-from groups import (
+from inputs import (
     GROUPS,
     I2,
     b4,

@@ -26,8 +26,11 @@ read in that module, so an import left behind by a deletion fails.
 `from __future__` imports bind no name that is read.
 
 The third check: no tests/test_*.py imports another test module.
-Shared inputs live in tests/groups.py, oracles in tests/oracles.py and
-the golden runner in tests/golden.py.
+Shared inputs live in tests/inputs.py, oracles in tests/oracles.py and
+the golden runner in tests/golden.py.  No tests/*.py module shares its
+name with a perfbench/*.py module: pytest puts both directories on
+sys.path, so in one session with both a shared name would load one
+directory's module for both.
 """
 
 import ast
@@ -204,6 +207,12 @@ def imported_test_modules(source: str) -> list:
     return out
 
 
+def shared_module_names(first, second) -> list:
+    """The module names that the .py files of two directories share."""
+    return sorted({p.stem for p in first.glob("*.py")}
+                  & {p.stem for p in second.glob("*.py")})
+
+
 def _with_module(trees, path, source):
     return {**trees, path: ast.parse(source, path)}
 
@@ -232,6 +241,10 @@ def test_no_test_module_imports_another():
     assert len(modules) > 10
     for path in modules:
         assert imported_test_modules(path.read_text()) == [], path.name
+
+
+def test_no_test_module_shares_a_name_with_a_perfbench_module():
+    assert shared_module_names(ROOT / "tests", ROOT / "perfbench") == []
 
 
 # ---------------------------------------------------------------------------
@@ -360,5 +373,15 @@ def test_a_test_module_importing_another_fails_the_check():
         "def f():\n    from test_point_table import wf4\n") == [
         "test_point_table"]
     assert imported_test_modules(
-        "from groups import wf4\nfrom oracles import trace\n"
+        "from inputs import wf4\nfrom oracles import trace\n"
         "from cubecrys.dual import dual_complex\n") == []
+
+
+def test_a_module_name_in_both_directories_fails_the_check(tmp_path):
+    tests, bench = tmp_path / "tests", tmp_path / "perfbench"
+    for path in (tests / "groups.py", tests / "oracles.py",
+                 bench / "groups.py", bench / "oracle.py",
+                 bench / "groups.txt"):
+        path.parent.mkdir(exist_ok=True)
+        path.write_text("")
+    assert shared_module_names(tests, bench) == ["groups"]

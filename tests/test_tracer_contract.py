@@ -96,7 +96,7 @@ def test_no_production_path_builds_a_ratmatrix(tmp_path, capsys,
     from cubecrys.crys import _catalog, load_catalog
     from cubecrys.dual import seeded_wallspaces
     from cubecrys.exactlin import RatMatrix
-    from groups import pinned_groups, wf4
+    from inputs import pinned_groups, wf4
 
     groups = load_catalog() + [wf4(), pinned_groups()["m-skew"]]
     group_files = []

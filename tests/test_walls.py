@@ -45,7 +45,7 @@ from cubecrys.walls import (
     separation_count,
     stabilize,
 )
-from groups import I2, b4_generic, group, pinned_groups, shrunk
+from inputs import I2, b4_generic, group, pinned_groups, shrunk
 from oracles import (
     apply,
     fraction_check_linear_separation,
