@@ -33,7 +33,7 @@ def horizontal(offset):
 
 # Two crossing walls cut the window into four chambers; the dual is a
 # 4-cycle, which is the boundary of a single square.
-ws = FiniteWallspace.geometric(
+ws = FiniteWallspace(
     2, [(-2, 2), (-2, 2)],
     [vertical(0), horizontal(0)],
     [Fraction(1, 2), Fraction(1, 3)])
@@ -44,7 +44,7 @@ print("two crossing walls: %d 0-cubes, %d edges"
 # A 2 x 2 grid of walls.  The center chamber's 0-cube can flip all
 # four walls, and its link is a 4-cycle: locally this complex looks
 # like the plane tiled by squares.
-grid = FiniteWallspace.geometric(
+grid = FiniteWallspace(
     2, [(-2, 2), (-2, 2)],
     [vertical("-1/2"), vertical("1/2"), horizontal("-1/2"), horizontal("1/2")],
     [Fraction(39, 20), Fraction(39, 20)])

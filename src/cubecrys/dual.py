@@ -1,7 +1,12 @@
 """Dual cube complexes of finite wallspaces.
 
 A finite wallspace is a rational window with finitely many affine
-walls.  The dual complex has one 0-cube per consistent orientation: a
+walls.  It is read on ints: every rational entry of a walls file
+becomes an int pair (exactlin.rational_pair), the walls are made
+primitive and the window, the walls and the base point are checked on
+ints, and a Fraction is built only for the window, the base point and
+the wall offsets that reports print.  The dual complex has one 0-cube
+per consistent orientation: a
 choice of one open side per wall such that all chosen sides pairwise
 meet.  Edges join orientations differing on a single wall, and higher
 cubes are implicit in the flag structure (cliques of pairwise
@@ -40,32 +45,37 @@ written, never read.
 A complex is in turn the dual of its own hyperplanes: two hyperplane
 sides meet exactly when some 0-cube lies on both, so their
 compatibility table is the table of one- and two-wall clauses that the
-0-cubes satisfy.  The median check and the crossing test read that one
-table.  The median check builds the same allowed-flip tables on it as
-the walk does and scans the 0-cubes once: the 0-cubes are
-majority-closed exactly when no flip that the tables allow leads out of
-them.  It walks nothing and keeps nothing.  The duality round trip
+0-cubes satisfy.  It is read off one V-bit int column per wall side:
+two sides meet exactly when their columns AND to a nonzero int, so it
+takes 4 W^2 C-level ANDs and no Python step per 0-cube.  The median
+check and the crossing test read that one table.  The median check
+builds the same allowed-flip tables on it as the walk does and scans
+the 0-cubes once: the 0-cubes are majority-closed exactly when no flip
+that the tables allow leads out of them.  It walks nothing and keeps nothing.  The duality round trip
 holds exactly when the 1-skeleton is a median graph (Roller; Chepoi),
 so duality_check is the median check.
 """
 
 from __future__ import annotations
 
+import math
 import random
+import reprlib
+import sys
 from array import array
 from fractions import Fraction
 from functools import cache
-from operator import mul
+from itertools import chain, product, starmap
+from operator import and_, mul
 
 from cubecrys.exactlin import (
     IndexPairs,
     dimension_from_json,
     format_rational,
     from_format,
-    integral,
     json_array,
+    rational_pair,
     read_json,
-    vector_from_json,
     vector_to_json,
     write_json,
 )
@@ -156,8 +166,8 @@ def _wall_sides(wall: GeometricWall, scale):
     keeps its side.
     """
     p, q = wall.offset.numerator, wall.offset.denominator
-    a = tuple(q * e for e in wall.normal)
-    return (tuple(-e for e in a), scale * p), (a, -scale * p)
+    a = tuple([q * e for e in wall.normal])
+    return (tuple([-e for e in a]), scale * p), (a, -scale * p)
 
 
 # ---------------------------------------------------------------------------
@@ -168,48 +178,59 @@ class FiniteWallspace:
     """A rational window box, finitely many affine walls and a base point.
 
     Every wall splits the window, and the base point lies in the window
-    on no wall.  Side tests run on integers: the window scaled once by
-    the lcm of its denominators, and both sides of each wall as int
-    halfspaces over it.
+    on no wall.  The window is one (lo, hi) pair per axis and the base
+    point one entry per axis, each entry read by exactlin.rational_pair
+    as an int pair, and every check runs on ints: the window scaled
+    once by the lcm of its denominators, both sides of each wall as int
+    halfspaces over it, and the base point over the lcm of its own
+    denominators.  window and base_point are kept as Fractions, which
+    reports print.
     """
 
     __slots__ = ("dimension", "window", "walls", "base_point", "_box",
                  "_sides", "_base")
 
     def __init__(self, dimension, window, walls, base_point):
+        bounds = []
+        for i, pair in enumerate(json_array(window, '"window"')):
+            if type(pair) not in (list, tuple) or len(pair) != 2:
+                raise ValueError('"window" entry %d must be a [lo, hi] pair, '
+                                 "not %s" % (i, reprlib.repr(pair)))
+            bounds.append((rational_pair(pair[0]), rational_pair(pair[1])))
+        point = [rational_pair(x)
+                 for x in json_array(base_point, '"base_point"')]
         if len(walls) > WALL_CAP:
             raise WallCapError(
                 "at most %d walls supported, got %d" % (WALL_CAP, len(walls)))
         object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "window", tuple([
+            (Fraction(*lo), Fraction(*hi)) for lo, hi in bounds]))
         object.__setattr__(self, "walls", tuple(walls))
-        object.__setattr__(self, "base_point", base_point)
-        self._validate()
+        object.__setattr__(self, "base_point", tuple([
+            Fraction(*x) for x in point]))
+        self._validate(bounds, point)
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteWallspace is immutable")
 
-    @staticmethod
-    def geometric(dimension, window, walls, base_point) -> "FiniteWallspace":
-        """The wallspace on a window of (lo, hi) pairs and a base point,
-        each read by exactlin.vector_from_json."""
-        window = tuple((lo, hi) for lo, hi in map(vector_from_json, window))
-        return FiniteWallspace(dimension, window, walls,
-                               vector_from_json(base_point))
-
-    def _validate(self):
+    def _validate(self, bounds, point):
+        """The checks, on the int pairs (p, q) of the window's bounds and
+        of the base point's entries."""
         n = self.dimension
-        if len(self.window) != n:
+        if len(bounds) != n:
             raise WallspaceError("window must give one (lo, hi) pair per axis")
-        for lo, hi in self.window:
-            if not lo < hi:
+        for ((a, b), (c, d)), (lo, hi) in zip(bounds, self.window):
+            if not a * d < c * b:
                 raise WallspaceError("degenerate window interval [%s, %s]"
                                      % (lo, hi))
-        scale, box = integral(self.window)
+        scale = math.lcm(*[q for pair in bounds for _, q in pair])
+        box = tuple([(a * (scale // b), c * (scale // d))
+                     for (a, b), (c, d) in bounds])
         if not all(isinstance(w, GeometricWall) for w in self.walls):
             raise WallspaceError("geometric wallspace needs GeometricWall "
                                  "entries")
-        if len(set(self.walls)) != len(self.walls):
+        if len({(w.normal, w.offset.numerator, w.offset.denominator)
+                for w in self.walls}) != len(self.walls):
             raise WallspaceError("walls must be pairwise distinct "
                                  "after canonicalization")
         sides = []
@@ -223,16 +244,16 @@ class FiniteWallspace:
                     "wall %r does not split the window" % (w,))
         object.__setattr__(self, "_box", box)
         object.__setattr__(self, "_sides", tuple(sides))
-        p = self.base_point
-        if len(p) != n:
+        if len(point) != n:
             raise WallspaceError("base point has wrong dimension")
-        for (lo, hi), x in zip(self.window, p):
-            if not (lo <= x <= hi):
+        # y = scale x in the scaled window, for x = p/q on each axis.
+        for (lo, hi), (p, q) in zip(box, point):
+            if not lo * q <= scale * p <= hi * q:
                 raise WallspaceError("base point lies outside the window")
-        # The base point y = scale * p in the scaled window, as ints
-        # P = c y over the lcm c of y's denominators: it lies on the
-        # plus side (A, B) of a wall when <A, P> + B c > 0.
-        c, (point,) = integral(([x * scale for x in p],))
+        # The base point as ints P = c y over the lcm c of the q: it lies
+        # on the plus side (A, B) of a wall when <A, P> + B c > 0.
+        c = math.lcm(*[q for _, q in point])
+        point = [scale * p * (c // q) for p, q in point]
         base = 0
         for i, (w, (_, (a, b))) in enumerate(zip(self.walls, sides)):
             value = sum(map(mul, a, point)) + b * c
@@ -255,13 +276,24 @@ class FiniteWallspace:
 
 def wallspace_from_json_dict(d: dict) -> FiniteWallspace:
     return from_format(d, WALLS_FORMAT, WallspaceError, lambda d: (
-        FiniteWallspace.geometric(
+        FiniteWallspace(
             dimension=dimension_from_json(d["dimension"], WallspaceError),
             window=d["window"],
-            walls=[GeometricWall(w["normal"], w["offset"])
-                   for w in json_array(d["walls"], '"walls"')],
+            walls=_walls_from_json(d["walls"]),
             base_point=d["base_point"],
         )))
+
+
+def _walls_from_json(data) -> list:
+    """The GeometricWall of each entry of a walls file's "walls"."""
+    walls = []
+    for i, w in enumerate(json_array(data, '"walls"')):
+        if type(w) is not dict:
+            raise ValueError('"walls" entry %d must be an object with '
+                             '"normal" and "offset", not %s'
+                             % (i, reprlib.repr(w)))
+        walls.append(GeometricWall(w["normal"], w["offset"]))
+    return walls
 
 
 def save_wallspace(ws: FiniteWallspace, path) -> None:
@@ -392,6 +424,12 @@ class CubeComplex:
         }
 
 
+# _PLUS_DIGITS[r] maps a byte to the ASCII digit of its bit r, and
+# _DIGITS maps the bytes 0 and 1 to the digits.
+_PLUS_DIGITS = [bytes(48 | x >> r & 1 for x in range(256)) for r in range(8)]
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
 def _member_clauses(members, nwalls: int) -> list:
     """The one- and two-wall clauses that every bitmask of members meets.
 
@@ -399,17 +437,37 @@ def _member_clauses(members, nwalls: int) -> list:
     and side t on wall k (k == j gives the clauses on wall j alone).
     For the 0-cubes of a complex this is the compatibility table of its
     hyperplanes: two sides meet exactly when a 0-cube lies on both.
+
+    members is a nonempty iterable of bitmasks below 2^32.  Each side of
+    each wall is read as a column, the V-bit int with a bit set for each
+    member on that side, made by C-level passes over an array of the
+    members: a strided slice of its bytes, a translate to ASCII digits
+    and int(digits, 2).  Some member has side s on wall j and side t on
+    wall k exactly when those two columns AND to a nonzero int, so the
+    table is 4 W^2 ANDs, streamed through one C-level map into one byte
+    each; a (j, s, t) row of W of them is read as one W-bit field of
+    the int those bytes spell.  Nothing is made per member but its bytes
+    in the array and its bit in each column, and no AND is kept.
     """
+    raw = array("I", members).tobytes()
+    size = array("I").itemsize
+    every = (1 << (len(raw) // size)) - 1
+    minus, plus = [], []
+    for j in range(nwalls):
+        # The byte that holds bit j of each member, in native order.
+        byte = j >> 3 if sys.byteorder == "little" else size - 1 - (j >> 3)
+        column = int(raw[byte::size].translate(_PLUS_DIGITS[j & 7]), 2)
+        minus.append(every ^ column)
+        plus.append(column)
+    # Byte (2 j + s) 2W + t W + k: does side s of wall j meet side t of
+    # wall k?  Reversed, byte i is bit i of met.
+    met = bytes(map(bool, starmap(and_, product(
+        chain.from_iterable(zip(minus, plus)), minus + plus))))
+    met = int(met[::-1].translate(_DIGITS) or b"0", 2)
     full = (1 << nwalls) - 1
-    # ok[j][s][t] has bit k set when some member has side s on wall j
-    # and side t on wall k.
-    ok = [[[0, 0], [0, 0]] for _ in range(nwalls)]
-    for bits in members:
-        for j, row in enumerate(ok):
-            seen = row[bits >> j & 1]
-            seen[0] |= full & ~bits
-            seen[1] |= bits
-    return [[(full & ~t0, full & ~t1) for t0, t1 in row] for row in ok]
+    rows = [full ^ met >> f * nwalls & full for f in range(4 * nwalls)]
+    return [[(rows[i], rows[i + 1]), (rows[i + 2], rows[i + 3])]
+            for i in range(0, 4 * nwalls, 4)]
 
 
 # Walls per chunk of a bitmask in the allowed-flip tables: a table over
@@ -746,8 +804,8 @@ def seeded_wallspaces(count: int = 50, seed: int = 0, max_walls: int = 10,
     on no wall.  Fully determined by the seed.
     """
     rng = random.Random(seed)
-    window = tuple((Fraction(-6), Fraction(6)) for _ in range(dimension))
-    scale, box = integral(window)
+    # The window [-6, 6]^n, which is its own int box (scale 1).
+    window = ((-6, 6),) * dimension
     out = []
     while len(out) < count:
         target = rng.randrange(3, max_walls + 1)
@@ -763,7 +821,7 @@ def seeded_wallspaces(count: int = 50, seed: int = 0, max_walls: int = 10,
             wall = GeometricWall(normal, offset)
             if wall in seen:
                 continue
-            top, bottom = _extremes(box, _wall_sides(wall, scale)[1])
+            top, bottom = _extremes(window, _wall_sides(wall, 1)[1])
             if not top > 0 > bottom:
                 continue
             seen.add(wall)
@@ -774,7 +832,7 @@ def seeded_wallspaces(count: int = 50, seed: int = 0, max_walls: int = 10,
             base = tuple(Fraction(rng.randrange(-550, 551), 97)
                          for _ in range(dimension))
             try:
-                ws = FiniteWallspace.geometric(dimension, window, walls, base)
+                ws = FiniteWallspace(dimension, window, walls, base)
             except WallspaceError:
                 # The base point lies on a wall; draw another.
                 continue

@@ -2,10 +2,11 @@
 
 A vector is a tuple and a matrix is a tuple of row tuples, of ints or
 Fractions; every rational entry that comes from a file or a library
-constructor is read by parse_rational, which refuses bools and floats
-and reads a string only in the grammar format_rational writes, an
-ASCII '-?digits' or '-?digits/digits' with a nonzero denominator, so
-no input string reaches Fraction's own parser.
+constructor is read by parse_rational, or as an int pair by
+rational_pair, which both refuse bools and floats and read a string
+only in the grammar format_rational writes, an ASCII '-?digits' or
+'-?digits/digits' with a nonzero denominator, so no input string
+reaches Fraction's own parser.
 Point-group elements are int rows (crys.PointTable), as the integer
 kernels take.  RatMatrix survives only as the type of the test oracles
 and of average_intertwiner, and as a target of perfbench's tracer
@@ -47,38 +48,69 @@ _SHARED.update({str(k): f for k, f in _SHARED.items()})
 
 
 def parse_rational(s) -> Fraction:
-    """The one reader of a rational entry: a Fraction, an int that is
-    not a bool, or a string in the grammar format_rational writes, an
-    ASCII '-?digits' or '-?digits/digits' with a nonzero denominator.
-    Inverse of format_rational.  0, 1 and -1, as ints or strings, give
-    one shared Fraction each.  Every other string is a ValueError
-    quoting it cut to QUOTE_CHARS characters; no string reaches
-    Fraction's own parser, which would expand an exponent."""
-    if type(s) is int:
-        shared = _SHARED.get(s)
-        return Fraction(s) if shared is None else shared
+    """The one reader of a rational entry as a Fraction: a Fraction, an
+    int that is not a bool, or a string in the grammar format_rational
+    writes (_string_ints).  Inverse of format_rational.  0, 1 and -1,
+    as ints or strings, give one shared Fraction each.  Any other value
+    is a ValueError naming it (_not_rational)."""
     if isinstance(s, str):
         shared = _SHARED.get(s)
         if shared is not None:
             return shared
-        num, slash, den = s.partition("/")
-        if s.isascii() and num.removeprefix("-").isdigit() and (
-                not slash or den.isdigit() and den.strip("0")):
-            try:
-                return Fraction(int(num), int(den) if slash else 1)
-            except ValueError:
-                # int() refuses ASCII digits only past its digit limit.
-                limit = sys.get_int_max_str_digits()
-                raise ValueError("%s has more digits than int()'s limit of %d"
-                                 % (_quote(s), limit)) from None
-        if s.isascii() and num.removeprefix("-").isdigit() and den.isdigit():
-            raise ValueError("zero denominator in %s" % _quote(s))
-        raise ValueError("%s is not a rational written -?digits or "
-                         "-?digits/digits" % _quote(s))
+        p, q = _string_ints(s)
+        return Fraction(p) if q == 1 else Fraction(p, q)
+    if type(s) is int:
+        shared = _SHARED.get(s)
+        return Fraction(s) if shared is None else shared
     if isinstance(s, Fraction):
         return s
-    # reprlib cuts a long list or dict, as _quote cuts a string.
-    raise ValueError("not a serialized rational: %s" % reprlib.repr(s))
+    raise _not_rational(s)
+
+
+def rational_pair(s) -> tuple:
+    """(p, q), q >= 1 and coprime to p: the value parse_rational reads
+    from s, as two ints, under the same grammar and messages."""
+    if isinstance(s, str):
+        p, q = _string_ints(s)
+        if q == 1:
+            return p, 1
+        g = math.gcd(p, q)
+        return p // g, q // g
+    if type(s) is int:
+        return s, 1
+    if isinstance(s, Fraction):
+        return s.numerator, s.denominator
+    raise _not_rational(s)
+
+
+def _string_ints(s: str) -> tuple:
+    """(p, q), q >= 1, not reduced, of a string in the grammar
+    format_rational writes: an ASCII '-?digits' or '-?digits/digits'
+    with a nonzero denominator.  Every other string is a ValueError
+    quoting it cut to QUOTE_CHARS characters, and so is a numeral past
+    int()'s digit limit; no string reaches Fraction's own parser, which
+    would expand an exponent."""
+    num, slash, den = s.partition("/")
+    if s.isascii() and num.removeprefix("-").isdigit() and (
+            not slash or den.isdigit() and den.strip("0")):
+        try:
+            return int(num), int(den) if slash else 1
+        except ValueError:
+            # int() refuses ASCII digits only past its digit limit.
+            limit = sys.get_int_max_str_digits()
+            raise ValueError("%s has more digits than int()'s limit of %d"
+                             % (_quote(s), limit)) from None
+    if s.isascii() and num.removeprefix("-").isdigit() and den.isdigit():
+        raise ValueError("zero denominator in %s" % _quote(s))
+    raise ValueError("%s is not a rational written -?digits or "
+                     "-?digits/digits" % _quote(s))
+
+
+def _not_rational(s) -> ValueError:
+    """The error for an entry that is no Fraction, int or string: a
+    float, a bool, a list or anything else, named by reprlib.repr, which
+    cuts a long list or dict as _quote cuts a string."""
+    return ValueError("not a serialized rational: %s" % reprlib.repr(s))
 
 
 # A string entry longer than this is quoted in a message by its first
@@ -268,13 +300,19 @@ def vector_to_json(v) -> list:
     return [format_rational(e) for e in v]
 
 
+# What a JSON value that is not an array is, by its parsed type.
+_JSON_KINDS = {str: "a string", dict: "an object", int: "a number",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
 def json_array(data, what: str):
-    """data itself where a JSON array belongs: a string or a dict is
-    refused (ValueError naming `what`), not iterated as no items or as
-    its characters or keys."""
-    if isinstance(data, (str, dict)):
-        raise ValueError("%s must be an array, not a %s"
-                         % (what, type(data).__name__))
+    """data itself where a JSON array belongs: a string, an object, a
+    number, a boolean or null is refused (ValueError naming `what`), not
+    iterated as no items or as its characters or keys."""
+    if type(data) not in _ROW_TYPES and (
+            isinstance(data, (str, dict)) or not hasattr(data, "__iter__")):
+        kind = _JSON_KINDS.get(type(data), "a " + type(data).__name__)
+        raise ValueError("%s must be an array, not %s" % (what, kind))
     return data
 
 

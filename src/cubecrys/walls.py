@@ -37,7 +37,8 @@ from cubecrys.exactlin import (
     identity,
     integral,
     inverse,
-    parse_rational,
+    json_array,
+    rational_pair,
     vector_from_json,
     vector_to_json,
 )
@@ -60,39 +61,41 @@ def _primitive(v) -> tuple:
     """The primitive int tuple spanning the line through v, a sequence
     of ints or Fractions.
 
-    Clears denominators, divides by the gcd, and flips sign so the
-    first nonzero coordinate is positive.
+    Clears denominators (an int vector has none), divides by the gcd,
+    and flips sign so the first nonzero coordinate is positive.
     """
-    ints = integral((v,))[1][0]
+    ints = v if all(type(x) is int for x in v) else integral((v,))[1][0]
     g = math.gcd(*ints)
     if g == 0:
         raise ValueError("the zero vector spans no direction")
-    if next(x for x in ints if x) < 0:
+    if next(filter(None, ints)) < 0:
         g = -g
-    return tuple(x // g for x in ints)
+    return tuple([x // g for x in ints])
 
 
 class GeometricWall:
     """An affine wall {x : <normal, x> = offset}, canonically scaled.
 
-    The entries are read by exactlin.parse_rational.  The normal is
-    stored as a primitive int tuple with positive leading entry and the
-    offset is rescaled to match, so two wall descriptions coincide
-    exactly when they describe the same affine subspace.
+    The entries are read by exactlin.rational_pair as int pairs, and the
+    wall is scaled on ints: the normal times the lcm d of its
+    denominators is g times its primitive tuple (_primitive), and the
+    offset p/q is scaled by the same d / g.  So two wall descriptions
+    coincide exactly when they describe the same affine subspace.  The
+    offset is kept as the one Fraction p d / (q g), which reports print.
     """
 
     __slots__ = ("normal", "offset")
 
     def __init__(self, normal, offset):
-        normal = vector_from_json(normal)
-        offset = parse_rational(offset)
-        canonical = _primitive(normal)
-        # The offset times canonical[i] / normal[i], i the first nonzero.
-        e, x = next((e, x) for e, x in zip(canonical, normal) if e)
+        entries = list(map(rational_pair, json_array(normal, "a vector")))
+        p, q = rational_pair(offset)
+        d = math.lcm(*[b for _, b in entries])
+        ints = [a * (d // b) for a, b in entries]
+        canonical = _primitive(ints)
+        # ints is g times canonical.
+        g = next(filter(None, ints)) // next(filter(None, canonical))
         object.__setattr__(self, "normal", canonical)
-        object.__setattr__(self, "offset", Fraction(
-            offset.numerator * e * x.denominator,
-            offset.denominator * x.numerator))
+        object.__setattr__(self, "offset", Fraction(p * d, q * g))
 
     def __setattr__(self, name, value):
         raise AttributeError("GeometricWall is immutable")

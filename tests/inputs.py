@@ -171,7 +171,7 @@ def shrunk(fam, factor=100):
 
 
 def ten_crossing_lines():
-    return FiniteWallspace.geometric(
+    return FiniteWallspace(
         2, [(-2, 2), (-2, 2)],
         [GeometricWall([1, i], Fraction(0)) for i in range(10)],
         [Fraction(1, 2), Fraction(1, 3)])
@@ -188,7 +188,7 @@ def spatial_arrangement():
     walls = [GeometricWall(n, Fraction(0)) for n in normals]
     walls += [GeometricWall(n, Fraction(c))
               for n in ((1, -1, 1), (-1, 1, 1)) for c in (-1, 1)]
-    return FiniteWallspace.geometric(
+    return FiniteWallspace(
         3, [(-10, 10)] * 3, walls,
         [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)])
 
@@ -197,7 +197,7 @@ def fourteen_crossing_lines():
     """14 lines through (7/100, 1/100), so they cross pairwise: 2^14 =
     16,384 0-cubes, exactly MEDIAN_VERTEX_CAP, the largest complex that
     `cubecrys dual` still checks."""
-    return FiniteWallspace.geometric(
+    return FiniteWallspace(
         2, [(-2, 2), (-2, 2)],
         [GeometricWall([1, i - 7], Fraction(i, 100)) for i in range(14)],
         [Fraction(1, 2), Fraction(1, 3)])
@@ -210,5 +210,5 @@ def plane_families():
     edges, and the flip walk fills all three chunks of its tables."""
     walls = [GeometricWall(n, Fraction(2 * i - 7, 2))
              for n in ((1, 0, 0), (0, 1, 0), (0, 0, 1)) for i in range(8)]
-    return FiniteWallspace.geometric(
+    return FiniteWallspace(
         3, [(-6, 6)] * 3, walls, [Fraction(0)] * 3)

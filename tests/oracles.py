@@ -17,7 +17,8 @@ them.  The sections follow the package's modules:
   check and sample draw;
 - dual: Fourier-Motzkin elimination and the Fraction window test, the
   one-call-per-side-pair wallspace test, the Fraction wall offset, the
-  exhaustive 0-cube scan, the cubic median scan, the frozenset duality
+  Fraction-path walls reader, the exhaustive 0-cube scan, the per-member
+  clause-table loop, the cubic median scan, the frozenset duality
   round trip, the per-pair crossing scan, and the cube complex that
   stores its edges (StoredEdgeComplex) with its flip walk, whose walk
   inside a member set is the median-set check that the package's scan
@@ -36,10 +37,14 @@ from operator import mul
 from cubecrys.crys import CLOSURE_CAP, StructureError, point_group_real
 from cubecrys.dual import (
     COMPLEX_FORMAT,
+    WALL_CAP,
+    WALLS_FORMAT,
     MembershipError,
     Orientation,
+    WallCapError,
+    WallspaceError,
+    _extremes,
     _feasible,
-    _member_clauses,
 )
 from cubecrys.exactlin import (
     RatMatrix,
@@ -47,13 +52,18 @@ from cubecrys.exactlin import (
     SingularMatrixError,
     average_intertwiner,
     det,
+    dimension_from_json,
     dump_json,
     format_rational,
+    from_format,
     identity,
     int_mul,
     integral,
     inverse,
+    json_array,
     matrix_to_json,
+    parse_rational,
+    vector_from_json,
     vector_to_json,
 )
 from cubecrys.sgnperm import (
@@ -529,6 +539,92 @@ def brute_force_masks(ws):
     return found
 
 
+def fraction_geometric_wall(normal, offset) -> tuple:
+    """(normal, offset) of GeometricWall as the Fraction path built it:
+    the entries read by parse_rational, the normal made primitive from
+    its Fractions, and the offset rescaled by the first nonzero entries
+    of the canonical normal and the given one."""
+    normal = vector_from_json(normal)
+    offset = parse_rational(offset)
+    canonical = _primitive(normal)
+    e, x = next((e, x) for e, x in zip(canonical, normal) if e)
+    return canonical, Fraction(offset.numerator * e * x.denominator,
+                               offset.denominator * x.numerator)
+
+
+def _wall_repr(wall) -> str:
+    normal, offset = wall
+    return "GeometricWall(<%s, x> = %s)" % (
+        ", ".join(format_rational(e) for e in normal),
+        format_rational(offset))
+
+
+def fraction_wallspace_slots(d) -> dict:
+    """The slots of the FiniteWallspace that the Fraction-path reader
+    built from a walls file's dict, each wall as (normal, offset), or
+    the exception it raised.
+
+    Each entry went through parse_rational, the window through
+    integral() on Fractions, and the checks compared Fractions: the
+    window bounds, the walls by their Fraction hash, and the base point
+    against the window before it was scaled by the lcm of the
+    denominators of scale times it."""
+
+    def build(d):
+        n = dimension_from_json(d["dimension"], WallspaceError)
+        window = d["window"]
+        walls = tuple(fraction_geometric_wall(w["normal"], w["offset"])
+                      for w in json_array(d["walls"], '"walls"'))
+        point = d["base_point"]
+        window = tuple((lo, hi) for lo, hi in map(vector_from_json, window))
+        point = vector_from_json(point)
+        if len(walls) > WALL_CAP:
+            raise WallCapError("at most %d walls supported, got %d"
+                               % (WALL_CAP, len(walls)))
+        if len(window) != n:
+            raise WallspaceError("window must give one (lo, hi) pair per "
+                                 "axis")
+        for lo, hi in window:
+            if not lo < hi:
+                raise WallspaceError("degenerate window interval [%s, %s]"
+                                     % (lo, hi))
+        scale, box = integral(window)
+        if len(set(walls)) != len(walls):
+            raise WallspaceError("walls must be pairwise distinct "
+                                 "after canonicalization")
+        sides = []
+        for wall in walls:
+            normal, offset = wall
+            if len(normal) != n:
+                raise WallspaceError("wall normal has wrong dimension")
+            p, q = offset.numerator, offset.denominator
+            a = tuple(q * e for e in normal)
+            sides.append(((tuple(-e for e in a), scale * p), (a, -scale * p)))
+            top, bottom = _extremes(box, sides[-1][1])
+            if not top > 0 > bottom:
+                raise WallspaceError("wall %s does not split the window"
+                                     % _wall_repr(wall))
+        if len(point) != n:
+            raise WallspaceError("base point has wrong dimension")
+        for (lo, hi), x in zip(window, point):
+            if not (lo <= x <= hi):
+                raise WallspaceError("base point lies outside the window")
+        c, (ints,) = integral(([x * scale for x in point],))
+        base = 0
+        for i, (wall, (_, (a, b))) in enumerate(zip(walls, sides)):
+            value = sum(map(mul, a, ints)) + b * c
+            if value == 0:
+                raise WallspaceError("base point lies on wall %s"
+                                     % _wall_repr(wall))
+            if value > 0:
+                base |= 1 << i
+        return {"dimension": n, "window": window, "walls": walls,
+                "base_point": point, "_box": box, "_sides": tuple(sides),
+                "_base": base}
+
+    return from_format(d, WALLS_FORMAT, WallspaceError, build)
+
+
 # ---------------------------------------------------------------------------
 # dual: complexes read through their public members
 
@@ -666,13 +762,30 @@ def frozenset_duality_check(c):
             and edges == original_edges)
 
 
+def looped_member_clauses(members, nwalls: int) -> list:
+    """dual._member_clauses by the loop it replaced: one Python step per
+    member and wall, ORing each member into the side-pair masks of its
+    side on each wall.  Any number of walls."""
+    full = (1 << nwalls) - 1
+    # ok[j][s][t] has bit k set when some member has side s on wall j
+    # and side t on wall k.
+    ok = [[[0, 0], [0, 0]] for _ in range(nwalls)]
+    for bits in members:
+        for j, row in enumerate(ok):
+            seen = row[bits >> j & 1]
+            seen[0] |= full & ~bits
+            seen[1] |= bits
+    return [[(full & ~t0, full & ~t1) for t0, t1 in row] for row in ok]
+
+
 def counted_edges_is_median_graph(c):
     """The verdict that counted the bounded walk's edges.
 
     The walk inside the 0-cubes lists every hypercube edge between
     them, and c must carry them all."""
-    walk = stored_edge_walk(_member_clauses(c._index, c.num_walls),
-                            zero_cubes(c)[0].bits, within=c._index)
+    walk = stored_edge_walk(
+        looped_member_clauses(c._index, c.num_walls), zero_cubes(c)[0].bits,
+        within=c._index)
     return walk is not None and len(walk[1]) == c.edge_count()
 
 
@@ -839,8 +952,9 @@ def stored_edge_dual(ws) -> StoredEdgeComplex:
 
 def stored_is_median_graph(c: StoredEdgeComplex) -> bool:
     """The linear median check on the stored edges."""
-    closure = stored_edge_walk(_member_clauses(c._index, c.num_walls),
-                               c.orientations[0].bits, within=c._index)
+    closure = stored_edge_walk(
+        looped_member_clauses(c._index, c.num_walls),
+        c.orientations[0].bits, within=c._index)
     return closure is not None and len(closure[1]) == c.edge_count()
 
 
@@ -878,8 +992,9 @@ def walked_is_median_set(members, nwalls) -> bool:
     """The median-set check that dual.is_median_set's scan replaced:
     the flip walk of the members' own clause table, from one member,
     never leaves them.  Any number of walls."""
-    return stored_edge_walk(_member_clauses(members, nwalls),
-                            next(iter(members)), within=members) is not None
+    return stored_edge_walk(looped_member_clauses(members, nwalls),
+                            next(iter(members)),
+                            within=members) is not None
 
 
 def is_median_complex(c) -> bool:

@@ -210,7 +210,7 @@ def interior_grid_vertex_link(n):
             normal[axis] = Fraction(1)
             walls.append(GeometricWall(normal, offset))
     base = [Fraction(39, 20)] * n
-    ws = FiniteWallspace.geometric(n, [(-2, 2)] * n, walls, base)
+    ws = FiniteWallspace(n, [(-2, 2)] * n, walls, base)
     c = dual_complex(ws)
     center_bits = 0
     for k in range(2 * n):

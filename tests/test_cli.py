@@ -2,10 +2,13 @@
 
 import argparse
 import builtins
+import collections
+import copy
 import hashlib
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -38,8 +41,18 @@ from cubecrys.exactlin import identity
 from cubecrys.sgnperm import SignedPermutation
 from cubecrys.walls import GeometricWall
 import golden
-from inputs import b4_generic, plane_families, ten_crossing_lines
-from oracles import stored_edge_dual
+from inputs import (
+    b4_generic,
+    fourteen_crossing_lines,
+    plane_families,
+    spatial_arrangement,
+    ten_crossing_lines,
+)
+from oracles import (
+    fraction_geometric_wall,
+    fraction_wallspace_slots,
+    stored_edge_dual,
+)
 
 
 def run(capsys, *argv):
@@ -61,7 +74,7 @@ def group_file(tmp_path, name):
 
 
 def walls_file(tmp_path):
-    ws = FiniteWallspace.geometric(
+    ws = FiniteWallspace(
         2, [(-2, 2), (-2, 2)],
         [GeometricWall([1, 0], Fraction(0)),
          GeometricWall([0, 1], Fraction(0))],
@@ -875,6 +888,132 @@ def test_a_numeral_past_the_int_digit_limit_exits_one(command, capsys,
     assert err == ("error: a JSON number has more digits than int()'s "
                    "limit of 4300\n")
     assert "set_int_max_str_digits" not in err
+
+
+# Each of these exited 1 with a message that named no entry ("too many
+# values to unpack (expected 2)", "list indices must be integers or
+# slices, not str", "'int' object is not iterable", and "a vector must
+# be an array, not a str" from reading the window through its keys).
+@pytest.mark.parametrize("where, value, message", [
+    (("window", 1), ["-2", "2", "5"],
+     '"window" entry 1 must be a [lo, hi] pair, not [\'-2\', \'2\', \'5\']'),
+    (("walls", 1), ["0", "1"],
+     '"walls" entry 1 must be an object with "normal" and "offset", '
+     "not ['0', '1']"),
+    (("base_point",), 3, '"base_point" must be an array, not a number'),
+    (("window",), {"0": ["-2", "2"], "1": ["-2", "2"]},
+     '"window" must be an array, not an object'),
+])
+def test_a_malformed_walls_file_names_the_entry(where, value, message,
+                                                capsys, tmp_path):
+    path = walls_file(tmp_path)
+    put_entry(path, where, value)
+    code, out, err = run(capsys, "dual", path)
+    assert (code, out) == (1, "")
+    assert err == "error: malformed cubecrys-walls/1 file: %s\n" % message
+
+
+def outcome(build, *args):
+    """build(*args) beside the type of every value in it, so that 1 and
+    Fraction(1) differ, or the type and message of what it raised."""
+    try:
+        return typed(build(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def typed(value):
+    if isinstance(value, dict):
+        return {k: typed(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return tuple(map(typed, value))
+    return type(value), value
+
+
+def wall_values(normal, offset) -> tuple:
+    wall = GeometricWall(normal, offset)
+    return wall.normal, wall.offset
+
+
+def test_walls_match_the_fraction_path_wall():
+    # Each wall's normal and offset, by value and type, or the error,
+    # against GeometricWall as it read its entries into Fractions.
+    rng = random.Random(38)
+    spellings = ["0", "-0", "4/6", "-6/4", "1/0", "07", 3, -2, 0, True,
+                 0.5, "1e3", " 1", "+2", "7" * 4301, Fraction(-9, 12)]
+    hand = [([1, 0], s) for s in spellings] + [
+        ([s, "1/2"], "1/3") for s in spellings] + [
+        ([0, 0], "1"), ([], "1"), ("10", "1"), ({"x": 1}, "1"), (3, "1")]
+
+    def entry():
+        num, den = rng.randrange(-12, 13), rng.randrange(1, 9)
+        return rng.choice((0, num, Fraction(num, den), "%d/%d" % (num, den),
+                           "%d" % num))
+
+    drawn = [([entry() for _ in range(n)], entry())
+             for n in itertools.islice(itertools.cycle((1, 2, 3, 4)), 400)]
+    failed = 0
+    for normal, offset in hand + drawn:
+        old = outcome(fraction_geometric_wall, normal, offset)
+        assert outcome(wall_values, normal, offset) == old, (normal, offset)
+        failed += type(old[0]) is type
+    assert failed > 20, failed
+
+
+def wallspace_slots(d) -> dict:
+    """Every slot of the wallspace the reader builds, each wall as its
+    (normal, offset)."""
+    ws = dual.wallspace_from_json_dict(d)
+    slots = {name: getattr(ws, name) for name in FiniteWallspace.__slots__}
+    slots["walls"] = tuple((w.normal, w.offset) for w in ws.walls)
+    return slots
+
+
+def assert_readers_agree(d):
+    new = outcome(wallspace_slots, d)
+    assert new == outcome(fraction_wallspace_slots, d)
+    return new
+
+
+def test_the_int_reader_matches_the_fraction_path_reader():
+    spaces = [ten_crossing_lines(), spatial_arrangement(),
+              fourteen_crossing_lines(), plane_families()]
+    spaces += [ws for seed in range(3) for dimension in range(1, 5)
+               for ws in seeded_wallspaces(count=10, seed=seed,
+                                           dimension=dimension)]
+    for ws in spaces:
+        read = assert_readers_agree(ws.to_json_dict())
+        assert isinstance(read, dict)
+
+
+def test_the_readers_refuse_every_respelled_entry_alike(tmp_path):
+    """The respelling fuzz, and other values in place of each entry:
+    both readers build the same wallspace or raise the same error."""
+    _, _, data = grammar_fuzz_inputs(tmp_path, "walls")
+    entries = rational_entries(data)
+    forms = ["exponent", "underscore", "decimal", "plus", "space",
+             "non-ascii", "long"]
+    outcomes = collections.Counter()
+    for where, text in entries:
+        exact = Fraction(text)
+        values = [respell(text, form) for form in forms]
+        # The same value unreduced, and as a JSON integer where it is one.
+        values += ["%d/%d" % (6 * exact.numerator, 6 * exact.denominator)]
+        values += [int(exact)] if exact.denominator == 1 else []
+        values += ["-0", "4/6", "-" + text.lstrip("-"), 3, -1, 0, True,
+                   False, 0.5, 2.0, None, [], "7" * 4301, 7 ** 1000]
+        for value in values:
+            d = copy.deepcopy(data)
+            *outer, last = where
+            holder = d
+            for key in outer:
+                holder = holder[key]
+            holder[last] = value
+            read = assert_readers_agree(d)
+            outcomes[read[1].split(":")[0] if type(read) is tuple
+                     else "read"] += 1
+    assert len(entries) == 33
+    assert outcomes["read"] > 33 and len(outcomes) > 5, outcomes
 
 
 # -- boundary ---------------------------------------------------------

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 import tracemalloc
 from array import array
@@ -74,6 +75,7 @@ from oracles import (
     frozenset_duality_check,
     is_median_complex,
     left_out_edges,
+    looped_member_clauses,
     per_wall_rows,
     sides_compatible,
     stored_edge_dual,
@@ -96,7 +98,7 @@ def horizontal(offset):
 
 
 def plane_space(walls, base, window=((-2, 2), (-2, 2))):
-    return FiniteWallspace.geometric(2, window, walls, base)
+    return FiniteWallspace(2, window, walls, base)
 
 
 def test_feasibility_elimination():
@@ -384,8 +386,7 @@ def test_wall_offsets_match_the_fraction_rescaling():
 
 def test_degenerate_window_is_rejected():
     with pytest.raises(WallspaceError, match="degenerate"):
-        FiniteWallspace.geometric(2, [(0, 0), (-1, 1)],
-                                  [vertical(0)], [1, 0])
+        FiniteWallspace(2, [(0, 0), (-1, 1)], [vertical(0)], [1, 0])
 
 
 def test_wall_cap():
@@ -1259,6 +1260,99 @@ def test_the_median_scan_keeps_nothing_per_zero_cube():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 19, peak
+
+
+# -- the clause table against the per-member loop ---------------------
+
+
+def assert_clauses_match_the_loop(members, nwalls):
+    assert _member_clauses(members, nwalls) == looped_member_clauses(
+        members, nwalls)
+
+
+def family_members(sizes) -> set:
+    """The 0-cubes of families of m_i parallel walls that cross every
+    wall of the other families: the walls take the bits family by
+    family; along a family of m walls a 0-cube is on the plus side of
+    the first r of them, r = 0..m, and the families combine freely."""
+    members = {0}
+    low = 0
+    for m in sizes:
+        members = {b | ((1 << r) - 1) << low for b in members
+                   for r in range(m + 1)}
+        low += m
+    return members
+
+
+# The family shapes of perfbench's dual-check corpus (k crossing lines,
+# k = 2..8, and its grids) and of its dual-enum corpus.
+CHECK_SHAPES = [(1,) * k for k in range(2, 9)] + [
+    (2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (2, 2, 2), (4, 4), (3, 5),
+    (2, 2, 3), (4, 5), (5, 5), (2, 3, 3), (2, 2, 4), (7, 7), (3, 3, 3),
+    (2, 2, 2, 2)]
+ENUM_SHAPES = [(1,) * 11 + (2, 2), (1,) * 12 + (4,), (1,) * 13 + (2,),
+               (1,) * 10 + (2, 5), (1,) * 10 + (3, 4), (1,) * 8 + (2,) * 4]
+
+
+def test_the_clause_table_matches_the_loop_on_seeded_duals():
+    for seed in range(3):
+        for dimension in range(1, 5):
+            for ws in seeded_wallspaces(seed=seed, dimension=dimension):
+                c = dual_complex(ws)
+                assert_clauses_match_the_loop(c._index, c.num_walls)
+
+
+def test_the_clause_table_matches_the_loop_on_crossing_lines():
+    lines = fourteen_crossing_lines()
+    for k in range(15):
+        # Any k of the fourteen lines pass through one point.
+        c = dual_complex(FiniteWallspace(2, lines.window, lines.walls[:k],
+                                         lines.base_point))
+        assert c.vertex_count() == 2 ** k
+        assert_clauses_match_the_loop(c._index, k)
+
+
+@pytest.mark.parametrize("sizes", CHECK_SHAPES + ENUM_SHAPES, ids=str)
+def test_the_clause_table_matches_the_loop_on_the_corpus_shapes(sizes):
+    members = family_members(sizes)
+    assert len(members) == math.prod(m + 1 for m in sizes)
+    assert_clauses_match_the_loop(members, sum(sizes))
+
+
+def is_majority_closed(members) -> bool:
+    return all(x & y | x & z | y & z in members
+               for x, y, z in itertools.combinations(members, 3))
+
+
+def test_the_clause_table_matches_the_loop_on_sets_that_are_not_median():
+    rng = random.Random(38)
+    tried = 0
+    for ws in seeded_wallspaces(count=20, seed=7, max_walls=9):
+        c = dual_complex(ws)
+        bits = list(c._index)
+        for _ in range(10):
+            size = rng.randrange(1, min(20, len(bits)) + 1)
+            members = set(rng.sample(bits, size))
+            if is_majority_closed(members):
+                continue
+            assert_clauses_match_the_loop(members, c.num_walls)
+            tried += 1
+    assert tried > 100
+
+
+def test_the_clause_table_matches_the_loop_on_one_wall_and_on_24():
+    for members in ({0}, {1}, {0, 1}):
+        assert_clauses_match_the_loop(members, 1)
+    c = dual_complex(plane_families())
+    assert c.num_walls == WALL_CAP == 24
+    assert_clauses_match_the_loop(c._index, 24)
+    top = (1 << 24) - 1
+    for members in ({0}, {top}, {1 << 23}, {0, top}, {1 << 7, 1 << 8}):
+        assert_clauses_match_the_loop(members, 24)
+    rng = random.Random(24)
+    for _ in range(40):
+        members = {rng.getrandbits(24) for _ in range(rng.randrange(1, 300))}
+        assert_clauses_match_the_loop(members, 24)
 
 
 def random_clause_table(rng, nwalls, start):

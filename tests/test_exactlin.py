@@ -36,6 +36,7 @@ from cubecrys.exactlin import (
     matrix_from_json,
     matrix_to_json,
     parse_rational,
+    rational_pair,
     vector_from_json,
     vector_to_json,
 )
@@ -144,6 +145,39 @@ def test_parse_rational_hand_strings_match_fraction():
     for k in (0, 1, -1):
         assert parse_rational(str(k)) is parse_rational(k) \
             is parse_rational(str(k)) is exactlin._SHARED[k]
+
+
+def assert_pair_matches_parse_rational(s):
+    """rational_pair(s) is parse_rational(s) as (numerator, denominator)
+    ints, or the same error, and reads no string through Fraction."""
+    expected = parse_outcome(parse_rational, s)
+    with fraction_parser_refused():
+        got = parse_outcome(rational_pair, s)
+    if expected[1] is Fraction:
+        value = expected[0]
+        assert got == ((value.numerator, value.denominator), tuple), s
+        assert all(type(x) is int for x in got[0]), s
+    else:
+        assert got == expected, s
+
+
+@given(st.one_of(_RATIONAL_TEXT, st.integers(), st.fractions(),
+                 st.floats(), st.booleans(), st.none()))
+def test_rational_pair_reads_what_parse_rational_reads(s):
+    assert_pair_matches_parse_rational(s)
+
+
+def test_rational_pair_hand_values_match_parse_rational():
+    hand = ["+3", " 3", "3/0", "-0/5", "007/010", "1_0", "0.5", "1e3",
+            "\u0663", "1e100000000", "4e-8_210_63", "-0", "4/6", "-12/18",
+            "0/7", "7" * 4301, "1/" + "3" * 4301, "x" * 10 ** 6, 0, 1, -1,
+            7 ** 1000, True, False, 0.5, None, [1, 2], {"a": 1},
+            Fraction(-4, 6), Small.ONE]
+    for s in hand:
+        assert_pair_matches_parse_rational(s)
+    assert rational_pair("-12/18") == (-2, 3)
+    assert rational_pair("4/6") == (2, 3)
+    assert rational_pair("-0/5") == (0, 1)
 
 
 @pytest.mark.parametrize("text, cut", [

@@ -47,7 +47,7 @@ def test_every_target_resolves_counts_and_is_restored(tmp_path, capsys):
     group = tmp_path / "zw.json"
     save_group(catalog_entry("Z:W"), group)
     walls = tmp_path / "walls.json"
-    save_wallspace(FiniteWallspace.geometric(
+    save_wallspace(FiniteWallspace(
         2, [(-2, 2), (-2, 2)],
         [GeometricWall([1, 0], 0), GeometricWall([0, 1], 0)],
         ["1/2", "1/3"]), walls)
