@@ -39,21 +39,27 @@ lower-indexed end, so the walk keeps the edges grouped by source in
 index order and sorts only a group whose targets arrive out of order.
 The JSON edge list is an IndexPairs over those two columns, which
 dump_json renders in one join over index-string tables made once,
-with no [u, v] list per edge and no sort.  The complex file is
-written, never read.
+with no [u, v] list per edge and no sort.  The 0-cubes are read as
+one column per wall, _digit_columns: the V ASCII digits of the wall's
+bit in every 0-cube, as one bytes made by C-level passes over an
+array of the bitmasks.  The JSON 0-cube list is a DigitColumns over
+those columns, which dump_json renders by strided slice assignment
+into a repeated template row, with no string per 0-cube.  The complex
+file is written, never read.
 
 A complex is in turn the dual of its own hyperplanes: two hyperplane
 sides meet exactly when some 0-cube lies on both, so their
 compatibility table is the table of one- and two-wall clauses that the
-0-cubes satisfy.  It is read off one V-bit int column per wall side:
-two sides meet exactly when their columns AND to a nonzero int, so it
-takes 4 W^2 C-level ANDs and no Python step per 0-cube.  The median
-check and the crossing test read that one table.  The median check
-builds the same allowed-flip tables on it as the walk does and scans
-the 0-cubes once: the 0-cubes are majority-closed exactly when no flip
-that the tables allow leads out of them.  It walks nothing and keeps nothing.  The duality round trip
-holds exactly when the 1-skeleton is a median graph (Roller; Chepoi),
-so duality_check is the median check.
+0-cubes satisfy.  It is read off one V-bit int column per wall side,
+int(digits, 2) of the same digit columns: two sides meet exactly when
+their columns AND to a nonzero int, so it takes 4 W^2 C-level ANDs and
+no Python step per 0-cube.  The median check and the crossing test
+read that one table.  The median check builds the same allowed-flip
+tables on it as the walk does and scans the 0-cubes once: the 0-cubes
+are majority-closed exactly when no flip that the tables allow leads
+out of them.  It walks nothing and keeps nothing.  The duality round
+trip holds exactly when the 1-skeleton is a median graph (Roller;
+Chepoi), so duality_check is the median check.
 """
 
 from __future__ import annotations
@@ -69,6 +75,7 @@ from itertools import chain, product, starmap
 from operator import and_, mul
 
 from cubecrys.exactlin import (
+    DigitColumns,
     IndexPairs,
     dimension_from_json,
     format_rational,
@@ -410,15 +417,18 @@ class CubeComplex:
         return out
 
     def to_json_dict(self) -> dict:
-        """The complex file's dict.  Its "edges" is an IndexPairs over
-        the edge columns, which dump_json renders as the sorted list of
-        [u, v] rows in one join without making them."""
-        # Orientation.to_bitstring, on the bare bitmasks.
-        top = 1 << self.num_walls
+        """The complex file's dict.  Its "zero_cubes" is a DigitColumns
+        over one digit column per wall (_digit_columns), which dump_json
+        renders as the list of Orientation.to_bitstring strings without
+        making them, and its "edges" an IndexPairs over the edge
+        columns, which dump_json renders as the sorted list of [u, v]
+        rows in one join without making them."""
         return {
             "format": COMPLEX_FORMAT,
             "walls": [w.to_json_dict() for w in self.wallspace.walls],
-            "zero_cubes": [bin(b | top)[:2:-1] for b in self._bits],
+            "zero_cubes": DigitColumns(
+                list(_digit_columns(self._bits, self.num_walls)),
+                len(self._bits)),
             "edges": IndexPairs(self._degrees, self._targets,
                                 len(self._bits)),
         }
@@ -430,6 +440,24 @@ _PLUS_DIGITS = [bytes(48 | x >> r & 1 for x in range(256)) for r in range(8)]
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
+def _digit_columns(members, nwalls: int):
+    """For each wall j in order, the ASCII digit ("0" or "1") of bit j
+    of every bitmask of members, in order, as one bytes.
+
+    members is an iterable of bitmasks below 2^32, read into an array
+    at the call; the columns are made as they are read, by C-level
+    passes over its bytes: a strided slice, the bytes that hold bit j
+    of each member, and a translate to ASCII digits.  Nothing is made
+    per member but its bytes in the array and its digit in each column.
+    """
+    raw = array("I", members).tobytes()
+    size = array("I").itemsize
+    little = sys.byteorder == "little"
+    # The byte that holds bit j of each member, in native order.
+    return (raw[j >> 3 if little else size - 1 - (j >> 3)::size]
+            .translate(_PLUS_DIGITS[j & 7]) for j in range(nwalls))
+
+
 def _member_clauses(members, nwalls: int) -> list:
     """The one- and two-wall clauses that every bitmask of members meets.
 
@@ -438,27 +466,20 @@ def _member_clauses(members, nwalls: int) -> list:
     For the 0-cubes of a complex this is the compatibility table of its
     hyperplanes: two sides meet exactly when a 0-cube lies on both.
 
-    members is a nonempty iterable of bitmasks below 2^32.  Each side of
-    each wall is read as a column, the V-bit int with a bit set for each
-    member on that side, made by C-level passes over an array of the
-    members: a strided slice of its bytes, a translate to ASCII digits
-    and int(digits, 2).  Some member has side s on wall j and side t on
-    wall k exactly when those two columns AND to a nonzero int, so the
-    table is 4 W^2 ANDs, streamed through one C-level map into one byte
-    each; a (j, s, t) row of W of them is read as one W-bit field of
-    the int those bytes spell.  Nothing is made per member but its bytes
-    in the array and its bit in each column, and no AND is kept.
+    members is a nonempty collection of V bitmasks below 2^32.  Each
+    side of each wall is read as a column, the V-bit int with a bit set
+    for each member on that side: int(digits, 2) of the wall's
+    _digit_columns column, one wall at a time, and its complement.
+    Some member has side s on wall j and side t on wall k exactly when
+    those two columns AND to a nonzero int, so the table is 4 W^2 ANDs,
+    streamed through one C-level map into one byte each; a (j, s, t)
+    row of W of them is read as one W-bit field of the int those bytes
+    spell.  Nothing is made per member but its bytes in the array and
+    its bit in each column, and no AND is kept.
     """
-    raw = array("I", members).tobytes()
-    size = array("I").itemsize
-    every = (1 << (len(raw) // size)) - 1
-    minus, plus = [], []
-    for j in range(nwalls):
-        # The byte that holds bit j of each member, in native order.
-        byte = j >> 3 if sys.byteorder == "little" else size - 1 - (j >> 3)
-        column = int(raw[byte::size].translate(_PLUS_DIGITS[j & 7]), 2)
-        minus.append(every ^ column)
-        plus.append(column)
+    every = (1 << len(members)) - 1
+    plus = [int(digits, 2) for digits in _digit_columns(members, nwalls)]
+    minus = [every ^ column for column in plus]
     # Byte (2 j + s) 2W + t W + k: does side s of wall j meet side t of
     # wall k?  Reversed, byte i is bit i of met.
     met = bytes(map(bool, starmap(and_, product(
@@ -794,6 +815,12 @@ def link_of_vertex(c: CubeComplex, v: Orientation) -> SimplicialComplex:
 # ---------------------------------------------------------------------------
 # Seeded wallspace generation (for property sweeps and fuzzing)
 
+# Rounds that seeded_wallspaces may spend per wallspace asked for.  A
+# round fails only when 300 wall draws give fewer than 3 walls or 500
+# base points all lie on a wall: dimensions 1-4, max_walls 3-12 and
+# seeds 0-39 spend no failed round at count = 50.
+SEEDED_ROUNDS_PER_SPACE = 4
+
 
 def seeded_wallspaces(count: int = 50, seed: int = 0, max_walls: int = 10,
                       dimension: int = 2) -> list:
@@ -801,13 +828,23 @@ def seeded_wallspaces(count: int = 50, seed: int = 0, max_walls: int = 10,
 
     Produces `count` wallspaces with between 3 and max_walls distinct
     walls, each genuinely splitting a fixed window, with a base point
-    on no wall.  Fully determined by the seed.
+    on no wall.  Fully determined by the seed.  Each round draws one
+    wall set and up to 500 base points, and drops the set when it has
+    fewer than 3 walls or every base point lies on a wall; after
+    SEEDED_ROUNDS_PER_SPACE * count rounds a ValueError names the seed,
+    count and rounds spent.
     """
     rng = random.Random(seed)
     # The window [-6, 6]^n, which is its own int box (scale 1).
     window = ((-6, 6),) * dimension
     out = []
+    rounds = 0
     while len(out) < count:
+        if rounds == SEEDED_ROUNDS_PER_SPACE * count:
+            raise ValueError(
+                "seeded_wallspaces(seed=%r) made %d of count=%d wallspaces "
+                "in %d rounds" % (seed, len(out), count, rounds))
+        rounds += 1
         target = rng.randrange(3, max_walls + 1)
         walls = []
         seen = set()

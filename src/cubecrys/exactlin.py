@@ -388,6 +388,19 @@ class IndexPairs:
         self._count = count
 
 
+class DigitColumns:
+    """count strings of equal width W, held as W columns: column i is
+    one bytes of the count strings' characters at position i, each an
+    ASCII digit.  dump_json renders it from the columns without making
+    the strings."""
+
+    __slots__ = ("_columns", "_count")
+
+    def __init__(self, columns, count: int):
+        self._columns = columns
+        self._count = count
+
+
 def dump_json(obj, write) -> None:
     """Write exactly json.dumps(obj, indent=2, sort_keys=True) and a
     newline through write, one leaf at most in a chunk.
@@ -397,7 +410,9 @@ def dump_json(obj, write) -> None:
     cached C encoder per indent in one call, with the newline and indent
     carried in its item separator: a scalar, a list of scalars, a whole
     matrix (a list of non-empty lists of scalars) and a dict of scalars.
-    An IndexPairs goes out in joins of PAIRS_SLICE rows over its columns.
+    An IndexPairs goes out in joins of PAIRS_SLICE rows over its columns,
+    and a DigitColumns in slices of PAIRS_SLICE strings filled from its
+    columns.
     """
     _emit(obj, "\n", "", write)
     write("\n")
@@ -470,6 +485,8 @@ def _emit(obj, pad: str, head: str, put) -> None:
         put(pad + "}")
     elif isinstance(obj, IndexPairs):
         _emit_pairs(obj, pad, put)
+    elif isinstance(obj, DigitColumns):
+        _emit_columns(obj, pad, put)
     elif not isinstance(obj, (list, tuple)):
         put(_encode(obj))
     elif not obj:
@@ -482,10 +499,10 @@ def _emit(obj, pad: str, head: str, put) -> None:
         put(pad + "]")
 
 
-# _emit_pairs joins and puts at most this many edge rows at a time, so
-# rendering a complex holds no more than one slice's text.  A slice of
-# 2**16 rows left perfbench's dual-enum peak RSS 4 MB above one join;
-# 2**14 rows, 1 MB above.
+# _emit_pairs joins and puts at most this many edge rows at a time, and
+# _emit_columns this many strings, so rendering a complex holds no more
+# than one slice's text.  A slice of 2**16 edge rows left perfbench's
+# dual-enum peak RSS 4 MB above one join; 2**14 rows, 1 MB above.
 PAIRS_SLICE = 2 ** 14
 
 
@@ -525,6 +542,36 @@ def _emit_pairs(pairs: IndexPairs, pad: str, put) -> None:
         if not left:
             flat[-1] = strs[targets[-1]] + row_pad + "]"
         put("".join(flat))
+    put(pad + "]")
+
+
+def _emit_columns(rows: DigitColumns, pad: str, put) -> None:
+    """Emit the strings of rows, PAIRS_SLICE strings to a slice.
+
+    A slice is one template row, the item break, a quote, W placeholder
+    bytes and '",', repeated; each column's digits for the slice go in
+    by one strided slice assignment, so nothing is made per string.
+    The last slice drops its last comma, and the opening, each slice
+    and the closing are put apart.
+    """
+    columns, count = rows._columns, rows._count
+    if not count:
+        put("[]")
+        return
+    lead = (pad + '  "').encode()
+    template = lead + bytes(len(columns)) + b'",'
+    step = len(template)
+    put("[")
+    start = 0
+    while start < count:
+        size = min(count - start, PAIRS_SLICE)
+        text = bytearray(template) * size
+        for at, column in enumerate(columns, len(lead)):
+            text[at::step] = memoryview(column)[start:start + size]
+        start += size
+        if start == count:
+            del text[-1]
+        put(text.decode("ascii"))
     put(pad + "]")
 
 

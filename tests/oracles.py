@@ -639,9 +639,16 @@ def complex_json(c) -> dict:
 
 def zero_cubes(c) -> list:
     """The 0-cubes of a walked dual or a StoredEdgeComplex as
-    Orientations, in index order, read off its JSON dict."""
+    Orientations, in index order, read off its complex file."""
     return [Orientation.from_bitstring(s)
-            for s in c.to_json_dict()["zero_cubes"]]
+            for s in complex_json(c)["zero_cubes"]]
+
+
+def listed_zero_cubes(bits, nwalls: int) -> list:
+    """The strings of bitmasks over nwalls walls, one bin() each: for a
+    walked dual's c._bits, the list CubeComplex.to_json_dict put under
+    "zero_cubes" before it rendered them from digit columns."""
+    return [bin(b | 1 << nwalls)[:2:-1] for b in bits]
 
 
 def edge_triples(c) -> tuple:

@@ -21,12 +21,14 @@ from cubecrys.dual import (
     FiniteWallspace,
     MembershipError,
     Orientation,
+    SEEDED_ROUNDS_PER_SPACE,
     WALL_CAP,
     WallCapError,
     WallspaceError,
     _extremes,
     _feasible,
     _flip_closure,
+    _digit_columns,
     _member_clauses,
     _window_clauses,
     distance,
@@ -44,6 +46,7 @@ from cubecrys.dual import (
 )
 from cubecrys.exactlin import (
     PAIRS_SLICE,
+    DigitColumns,
     IndexPairs,
     dump_json,
     integral,
@@ -75,6 +78,7 @@ from oracles import (
     frozenset_duality_check,
     is_median_complex,
     left_out_edges,
+    listed_zero_cubes,
     looped_member_clauses,
     per_wall_rows,
     sides_compatible,
@@ -288,7 +292,7 @@ def test_the_two_call_clause_table_matches_the_four_call_table():
 def test_geometric_wallspace_accepts_a_crossing_pair():
     ws = plane_space([vertical(0), horizontal(0)], ["1/2", "1/3"])
     # The walk starts at the base point's 0-cube.
-    assert dual_complex(ws).to_json_dict()["zero_cubes"][0] == "11"
+    assert complex_json(dual_complex(ws))["zero_cubes"][0] == "11"
 
 
 def test_an_entry_that_is_no_wall_is_refused_before_hashing():
@@ -437,7 +441,7 @@ def test_dual_of_a_crossing_pair_is_a_square():
     c = dual_complex(ws)
     assert c.vertex_count() == 4
     assert c.edge_count() == 4
-    assert set(c.to_json_dict()["zero_cubes"]) == {"00", "01", "10", "11"}
+    assert set(complex_json(c)["zero_cubes"]) == {"00", "01", "10", "11"}
 
 
 def test_dual_of_parallel_walls_is_a_path():
@@ -906,6 +910,20 @@ def test_seeded_wallspaces_are_valid_and_bounded():
         assert 3 <= len(ws.walls) <= 6
         for w in ws.walls:
             assert fraction_side(w, ws.base_point) != 0
+
+
+def test_seeded_wallspaces_stop_when_every_draw_fails(monkeypatch):
+    # Every base-point draw fails, so every round drops its wall set.
+    def refuse(*args):
+        raise WallspaceError("base point lies on a wall")
+
+    monkeypatch.setattr(cubecrys.dual, "FiniteWallspace", refuse)
+    with pytest.raises(ValueError) as caught:
+        seeded_wallspaces(count=3, seed=5)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == (
+        "seeded_wallspaces(seed=5) made 0 of count=3 wallspaces in %d "
+        "rounds" % (3 * SEEDED_ROUNDS_PER_SPACE))
 
 
 # -- file round trips -------------------------------------------------
@@ -1567,6 +1585,7 @@ def test_complex_dicts_round_trip():
         count=4, seed=7, max_walls=8, dimension=3)]
     for c in (grid_complex(), *seeded):
         assert isinstance(c.to_json_dict()["edges"], IndexPairs)
+        assert isinstance(c.to_json_dict()["zero_cubes"], DigitColumns)
         assert complex_json(c) == stored_edge_dual(c.wallspace).to_json_dict()
 
 
@@ -1596,6 +1615,75 @@ def test_a_large_edge_list_renders_in_slices():
         "\n    [\n      16383,\n      16383\n    ],")
     assert "".join(chunks) == \
         stored_edge_file_text(fourteen_crossing_lines())
+
+
+# -- the 0-cube list rendered from digit columns ----------------------
+
+
+def assert_zero_cubes_render_as_listed(c):
+    assert complex_json(c)["zero_cubes"] == listed_zero_cubes(
+        c._bits, c.num_walls) == [Orientation(b, c.num_walls).to_bitstring()
+                                  for b in c._bits]
+
+
+def assert_columns_render_as_listed(members, nwalls):
+    columns = DigitColumns(list(_digit_columns(members, nwalls)),
+                           len(members))
+    assert joined(columns) == json.dumps(
+        listed_zero_cubes(members, nwalls), indent=2) + "\n"
+
+
+def test_rendered_zero_cubes_match_the_listing_on_seeded_duals():
+    for seed in range(3):
+        for dimension in range(1, 5):
+            for ws in seeded_wallspaces(seed=seed, dimension=dimension):
+                assert_zero_cubes_render_as_listed(dual_complex(ws))
+
+
+def test_rendered_zero_cubes_match_the_listing_on_the_corpus_shapes():
+    # The dual-check and dual-enum family shapes as 0-cube lists, in
+    # sorted and in shuffled order: the dual-enum ones have 13-17 walls,
+    # so their digits come from two bytes of each word.
+    rng = random.Random(5)
+    for sizes in CHECK_SHAPES + ENUM_SHAPES:
+        members = sorted(family_members(sizes))
+        assert_columns_render_as_listed(members, sum(sizes))
+        rng.shuffle(members)
+        assert_columns_render_as_listed(members, sum(sizes))
+
+
+def test_rendered_zero_cubes_match_the_listing_on_24_walls():
+    # Three families of 8 parallel planes: walls 16-23 sit in the third
+    # byte of each 32-bit word.
+    c = dual_complex(plane_families())
+    assert c.num_walls == 24 and c.vertex_count() == 729
+    assert_zero_cubes_render_as_listed(c)
+    assert_columns_render_as_listed([1 << 23, 0xFF0000, 2 ** 24 - 1], 24)
+
+
+def test_rendered_zero_cubes_with_no_wall_and_with_one():
+    window = ((-1, 1), (-1, 1))
+    empty = dual_complex(plane_space([], ["1/2", 0], window))
+    assert complex_json(empty)["zero_cubes"] == [""]
+    assert_zero_cubes_render_as_listed(empty)
+    one = dual_complex(plane_space([vertical(0)], ["1/2", 0], window))
+    assert complex_json(one)["zero_cubes"] == ["1", "0"]
+    assert_zero_cubes_render_as_listed(one)
+
+
+def test_a_large_zero_cube_list_renders_in_slices():
+    """18,432 0-cubes go out in slices of at most PAIRS_SLICE strings,
+    so no chunk holds more than one slice's text."""
+    c = dual_complex(spatial_arrangement())
+    assert c.vertex_count() == 18432 == PAIRS_SLICE + 2048
+    chunks = []
+    dump_json(c.to_json_dict()["zero_cubes"], chunks.append)
+    strings = [chunk.count('"') // 2 for chunk in chunks]
+    assert [n for n in strings if n] == [PAIRS_SLICE, 2048]
+    assert max(map(len, chunks)) == PAIRS_SLICE * len('\n  "' + "0" * 15
+                                                       + '",')
+    assert "".join(chunks) == json.dumps(
+        listed_zero_cubes(c._bits, 15), indent=2) + "\n"
 
 
 def test_complex_files_round_trip_byte_for_byte(tmp_path):

@@ -14,11 +14,13 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 import cubecrys
 from cubecrys import exactlin
 from cubecrys.exactlin import (
+    PAIRS_SLICE,
+    DigitColumns,
     IndexPairs,
     RatMatrix,
     ShapeError,
@@ -657,6 +659,54 @@ def test_json_text_of_index_pairs_makes_no_row():
             "nested": [[IndexPairs([0, 1], [0], 2)], [1]]}
     expected = dumps({"edges": [[0, 1], [0, 2], [2, 0]], "empty": [[]],
                       "nested": [[[[1, 0]]], [1]]})
+    assert joined(tree) == expected
+
+
+# DigitColumns: (width, rows) for count strings of width digits, the
+# empty list, one string and width 0 included.
+_DIGIT_ROWS = st.integers(min_value=0, max_value=8).flatmap(
+    lambda width: st.tuples(st.just(width), st.lists(
+        st.text("0123456789", min_size=width, max_size=width),
+        max_size=40)))
+
+
+def _as_digit_columns(width, rows):
+    """The DigitColumns of rows, strings of width digits."""
+    return DigitColumns([bytes("".join(row[i] for row in rows), "ascii")
+                         for i in range(width)], len(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DIGIT_ROWS, _NESTINGS.filter(lambda nestings: len(nestings) <= 2))
+@example((0, [""]), [])
+@example((3, ["012"]), [("list", 0, [])])
+@example((0, ["", "", ""]), [("dict", "zero_cubes", {"edges": 1})])
+def test_json_text_renders_digit_columns_as_their_strings(digit_rows,
+                                                          nestings):
+    width, rows = digit_rows
+    tree = _nest(_as_digit_columns(width, rows), nestings)
+    assert joined(tree) == dumps(_nest(rows, nestings))
+
+
+@pytest.mark.parametrize("count", [PAIRS_SLICE - 1, PAIRS_SLICE,
+                                   PAIRS_SLICE + 1, 2 * PAIRS_SLICE + 1])
+def test_digit_columns_render_across_a_slice_boundary(count):
+    rng = random.Random(count)
+    rows = ["".join(rng.choices("01", k=5)) for _ in range(count)]
+    for nestings in ([], [("dict", "zero_cubes", {"format": "x"})],
+                     [("list", 1, [2]), ("dict", "k", {})]):
+        tree = _nest(_as_digit_columns(5, rows), nestings)
+        assert joined(tree) == dumps(_nest(rows, nestings))
+
+
+def test_json_text_of_digit_columns_makes_no_string():
+    # DigitColumns has no member that makes a string: dump_json reads
+    # its columns.
+    tree = {"cubes": DigitColumns([b"0110", b"0011"], 4),
+            "empty": [DigitColumns([b"", b""], 0)],
+            "nested": [[DigitColumns([], 2)], [1]]}
+    expected = dumps({"cubes": ["00", "10", "11", "01"], "empty": [[]],
+                      "nested": [[["", ""]], [1]]})
     assert joined(tree) == expected
 
 
