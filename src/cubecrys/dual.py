@@ -25,9 +25,9 @@ flip distance between 0-cubes is the number of walls they differ on,
 so a wall on which an orientation already differs from the base
 point's is never flipped back.  The table holds one- and two-wall
 clauses only, so the flips a 0-cube allows are an AND over its walls'
-sides: _flip_tables builds three tables over chunks of the bitmask
-once, and at each 0-cube the walk ANDs three lookups and steps along
-exactly the flips they allow, its edges.
+sides: _flip_tables builds two tables over the two halves of the
+bitmask once, and at each 0-cube the walk ANDs two lookups and steps
+along exactly the flips they allow, its edges.
 
 A complex is the dual that the flip walk enumerated, stored as its
 0-cube bitmasks and its edges by source: one out-degree per 0-cube
@@ -38,14 +38,14 @@ links are derived on demand.  Every edge is an outward flip from its
 lower-indexed end, so the walk keeps the edges grouped by source in
 index order and sorts only a group whose targets arrive out of order.
 The JSON edge list is an IndexPairs over those two columns, which
-dump_json renders in one join over index-string tables made once,
-with no [u, v] list per edge and no sort.  The 0-cubes are read as
-one column per wall, _digit_columns: the V ASCII digits of the wall's
-bit in every 0-cube, as one bytes made by C-level passes over an
-array of the bitmasks.  The JSON 0-cube list is a DigitColumns over
-those columns, which dump_json renders by strided slice assignment
-into a repeated template row, with no string per 0-cube.  The complex
-file is written, never read.
+dump_json renders in joins of PAIRS_SLICE rows over index-string
+tables made once, with no [u, v] list per edge and no sort.  The
+0-cubes are read as one column per wall, _digit_columns: the V ASCII
+digits of the wall's bit in every 0-cube, as one bytes made by C-level
+passes over an array of the bitmasks.  The JSON 0-cube list is a
+DigitColumns over those columns, which dump_json renders by strided
+slice assignment into a repeated template row, with no string per
+0-cube.  The complex file is written, never read.
 
 A complex is in turn the dual of its own hyperplanes: two hyperplane
 sides meet exactly when some 0-cube lies on both, so their
@@ -422,7 +422,7 @@ class CubeComplex:
         renders as the list of Orientation.to_bitstring strings without
         making them, and its "edges" an IndexPairs over the edge
         columns, which dump_json renders as the sorted list of [u, v]
-        rows in one join without making them."""
+        rows in joins of PAIRS_SLICE rows without making them."""
         return {
             "format": COMPLEX_FORMAT,
             "walls": [w.to_json_dict() for w in self.wallspace.walls],
@@ -493,18 +493,18 @@ def _member_clauses(members, nwalls: int) -> list:
 
 # Walls per chunk of a bitmask in the allowed-flip tables: a table over
 # a chunk of w walls has 2^w entries, all made up front.  A table has
-# at most WALL_CAP = 3 * CHUNK_BITS walls (FiniteWallspace and
-# is_median_set refuse more), and a chunk at most a third of them, so
+# at most WALL_CAP = 2 * CHUNK_BITS walls (FiniteWallspace and
+# is_median_set refuse more), and a chunk at most half of them, so
 # no chunk table has more than 2^CHUNK_BITS entries.
-CHUNK_BITS = 8
+CHUNK_BITS = 12
 
 
 @cache
 def _singles(low: int, n: int) -> list:
     """singles[x], for x < 2^n, is the tuple of the bits 1 << (low + i)
     for the set bits i of x, in wall order.  The same for every walk,
-    so kept: n <= CHUNK_BITS and low is 0 or one or two chunk widths,
-    so there are fewer than 80 such lists."""
+    so kept: n <= CHUNK_BITS and low is 0 or the first chunk's width,
+    so there are fewer than 40 such lists, of at most 4,096 tuples."""
     singles = [()]
     for i in range(low, low + n):
         singles += [s + (1 << i,) for s in singles]
@@ -513,7 +513,7 @@ def _singles(low: int, n: int) -> list:
 
 def _flip_tables(forbid, start: int) -> tuple:
     """(width, tables): the outward flips from start that a bitmask b
-    meeting every clause allows, as three lookups over chunks of b.
+    meeting every clause allows, as two lookups over chunks of b.
 
     Bit k of forbid[j][s][t] is set when side s of wall j rules out
     side t of wall k, and the table is symmetric: bit j of forbid[k][t][s]
@@ -523,12 +523,12 @@ def _flip_tables(forbid, start: int) -> tuple:
     allows it when b_j is still start's side and no one-wall clause
     rules out the other side.  So b allows the AND over the walls k of
     allow[k][b_k], made once from the 4 W clause masks.  tables holds
-    (masks, singles) for each chunk of width = ceil(W / 3) walls (the
-    last one shorter): masks[x] is that AND over the chunk's walls with
-    sides x, and singles[x] the tuple of the chunk's single bits set in
-    x, in wall order (_singles).  So b allows exactly the flips in
-    t0[b & part] & t1[b >> width & part] & t2[b >> 2 width], part =
-    2^width - 1, read off the three singles.
+    (masks, singles) for each of two chunks, the first width =
+    ceil(W / 2) walls and the rest: masks[x] is that AND over the
+    chunk's walls with sides x, and singles[x] the tuple of the chunk's
+    single bits set in x, in wall order (_singles).  So b allows exactly
+    the flips in t0[b & part] & t1[b >> width], part = 2^width - 1,
+    read off the two singles.
     """
     nwalls = len(forbid)
     full = (1 << nwalls) - 1
@@ -548,9 +548,9 @@ def _flip_tables(forbid, start: int) -> tuple:
         else:
             allow.append((full & ~(rule0 & ~bit | rule1 & bit),
                           full & ~(rule1 | bit)))
-    width = -(-nwalls // 3)
+    width = -(-nwalls // 2)
     tables = []
-    for low in (0, width, 2 * width):
+    for low in (0, width):
         chunk = allow[low:low + width]
         masks = [full]
         for sides in chunk:
@@ -579,16 +579,17 @@ def _flip_closure(forbid, start: int):
     differs from start on d walls, and a flip toward start lands either
     on level d - 1, where the walk already kept that flip, or on a
     non-solution.  An outward flip lands on level d + 1, so it is never
-    a back edge.  At each bitmask the walk ANDs the three lookups of
-    _flip_tables and steps along exactly the flips they allow: three
+    a back edge.  At each bitmask the walk ANDs the two lookups of
+    _flip_tables and steps along exactly the flips they allow: two
     lookups and one step per edge, whatever the number of walls.
 
     The walk keeps each edge once, from its lower-indexed end: a flip
     from level d to level d + 1 is outward from its level-d end, and
     breadth-first order lists level d before level d + 1.  So the edges
-    arrive grouped by source in queue order.  A group's targets arrive
-    in wall order; one comparison per edge spots a group whose targets
-    are out of index order, and only such a group is sorted.
+    arrive grouped by source in queue order, as many as the source's
+    allowed flips, their mask's popcount.  A group's targets arrive in
+    wall order; one comparison per edge spots a group whose targets are
+    out of index order, and only such a group is sorted.
 
     Returns (queue, index, degrees, targets, realized): queue[k] is the
     k-th bitmask reached in breadth-first order and index[queue[k]] ==
@@ -598,8 +599,8 @@ def _flip_closure(forbid, start: int):
     order are degrees[u] rows of u each, beside targets; realized has
     bit j set when some flip crosses wall j.
     """
-    width, ((t0, s0), (t1, s1), (t2, s2)) = _flip_tables(forbid, start)
-    mid, high, part = width, 2 * width, (1 << width) - 1
+    width, ((t0, s0), (t1, s1)) = _flip_tables(forbid, start)
+    part = (1 << width) - 1
     queue = [start]
     index = {start: 0}
     get = index.get
@@ -608,13 +609,12 @@ def _flip_closure(forbid, start: int):
     keep, close = targets.append, degrees.append
     realized = 0
     for bits in queue:
-        allowed = t0[bits & part] & t1[bits >> mid & part] & t2[bits >> high]
+        allowed = t0[bits & part] & t1[bits >> width]
         realized |= allowed
-        mark = len(targets)
+        close(allowed.bit_count())
         last = -1
         tangled = False
-        for bit in (s0[allowed & part] + s1[allowed >> mid & part]
-                    + s2[allowed >> high]):
+        for bit in s0[allowed & part] + s1[allowed >> width]:
             flipped = bits ^ bit
             to = get(flipped)
             if to is None:
@@ -624,8 +624,8 @@ def _flip_closure(forbid, start: int):
                 tangled = True
             last = to
             keep(to)
-        close(len(targets) - mark)
         if tangled:
+            mark = len(targets) - degrees[-1]
             targets[mark:] = sorted(targets[mark:])
     return queue, index, degrees, targets, realized
 
@@ -722,13 +722,12 @@ def is_median_set(members, nwalls: int) -> bool:
     if nwalls > WALL_CAP:
         raise WallCapError(
             "at most %d walls supported, got %d" % (WALL_CAP, nwalls))
-    width, ((t0, s0), (t1, s1), (t2, s2)) = _flip_tables(
+    width, ((t0, s0), (t1, s1)) = _flip_tables(
         _member_clauses(members, nwalls), next(iter(members)))
-    mid, high, part = width, 2 * width, (1 << width) - 1
+    part = (1 << width) - 1
     for bits in members:
-        allowed = t0[bits & part] & t1[bits >> mid & part] & t2[bits >> high]
-        for bit in (s0[allowed & part] + s1[allowed >> mid & part]
-                    + s2[allowed >> high]):
+        allowed = t0[bits & part] & t1[bits >> width]
+        for bit in s0[allowed & part] + s1[allowed >> width]:
             if bits ^ bit not in members:
                 return False
     return True

@@ -5,6 +5,8 @@ oracle comparisons run over, is built once on import.
 """
 
 import dataclasses
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -193,21 +195,46 @@ def spatial_arrangement():
         [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)])
 
 
-def fourteen_crossing_lines():
-    """14 lines through (7/100, 1/100), so they cross pairwise: 2^14 =
-    16,384 0-cubes, exactly MEDIAN_VERTEX_CAP, the largest complex that
-    `cubecrys dual` still checks."""
+def crossing_lines(k):
+    """k <= 14 lines through (7/100, 1/100), so they cross pairwise:
+    2^k 0-cubes."""
     return FiniteWallspace(
         2, [(-2, 2), (-2, 2)],
-        [GeometricWall([1, i - 7], Fraction(i, 100)) for i in range(14)],
+        [GeometricWall([1, i - 7], Fraction(i, 100)) for i in range(k)],
         [Fraction(1, 2), Fraction(1, 3)])
+
+
+def fourteen_crossing_lines():
+    """14 crossing lines: 2^14 = 16,384 0-cubes, exactly
+    MEDIAN_VERTEX_CAP, the largest complex that `cubecrys dual` still
+    checks."""
+    return crossing_lines(14)
+
+
+def parallel_families(dimension, sizes):
+    """Families of parallel walls in the window [-1000, 1000]^dimension:
+    family i has sizes[i] walls, at offsets 0, 1, ..., on the i-th
+    primitive normal with entries in [-2, 2] and a positive first
+    nonzero entry, in lexicographic order.  Two walls of different
+    families cross within 400 of the origin, so the dual has
+    prod(m_i + 1) 0-cubes.  The base point (1/97, 1/89, 1/83) lies on
+    no wall."""
+    normals = [n for n in itertools.product(range(-2, 3), repeat=dimension)
+               if any(n) and next(x for x in n if x) > 0
+               and math.gcd(*n) == 1]
+    walls = [GeometricWall(n, Fraction(c))
+             for n, m in zip(normals, sizes) for c in range(m)]
+    return FiniteWallspace(
+        dimension, [(-1000, 1000)] * dimension, walls,
+        [Fraction(1, p) for p in (97, 89, 83)[:dimension]])
 
 
 def plane_families():
     """24 planes in a 3-D box: three families of 8 parallel planes, at
     offsets (2i - 7)/2 along each axis.  Each family cuts the box into 9
     slabs, so there are 9^3 = 729 0-cubes and 3 * 8 * 81 = 1,944
-    edges, and the flip walk fills all three chunks of its tables."""
+    edges, and the flip walk's two tables take 12 walls each, as many
+    as a chunk holds."""
     walls = [GeometricWall(n, Fraction(2 * i - 7, 2))
              for n in ((1, 0, 0), (0, 1, 0), (0, 0, 1)) for i in range(8)]
     return FiniteWallspace(

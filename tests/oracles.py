@@ -22,7 +22,8 @@ them.  The sections follow the package's modules:
   round trip, the per-pair crossing scan, and the cube complex that
   stores its edges (StoredEdgeComplex) with its flip walk, whose walk
   inside a member set is the median-set check that the package's scan
-  replaced;
+  replaced, and the allowed-flip tables over three chunks with the
+  flip walk and the median scan that read them;
 - acceptance criterion 7: an exhaustive embedding oracle that shares no
   helper with the others.
 """
@@ -31,7 +32,9 @@ import itertools
 import json
 import math
 import random
+from array import array
 from fractions import Fraction
+from functools import cache
 from operator import mul
 
 from cubecrys.crys import CLOSURE_CAP, StructureError, point_group_real
@@ -45,6 +48,7 @@ from cubecrys.dual import (
     WallspaceError,
     _extremes,
     _feasible,
+    _member_clauses,
 )
 from cubecrys.exactlin import (
     RatMatrix,
@@ -1009,6 +1013,107 @@ def is_median_complex(c) -> bool:
     the 0-cubes a median set by walked_is_median_set."""
     return not left_out_edges(c) and walked_is_median_set(c._index,
                                                           c.num_walls)
+
+
+# ---------------------------------------------------------------------------
+# dual: the allowed-flip tables over three chunks
+#
+# dual._flip_tables, _flip_closure and is_median_set's scan as they were
+# when the tables split a bitmask into three chunks of ceil(W / 3) walls:
+# three lookups, two ANDs and a join of three singles tuples per
+# bitmask, and each out-degree read as the growth of the target list.
+
+
+@cache
+def three_chunk_singles(low: int, n: int) -> list:
+    """singles[x], for x < 2^n: the bits 1 << (low + i) for the set
+    bits i of x, in wall order."""
+    singles = [()]
+    for i in range(low, low + n):
+        singles += [s + (1 << i,) for s in singles]
+    return singles
+
+
+def three_chunk_flip_tables(forbid, start: int) -> tuple:
+    """(width, tables): (masks, singles) for each of three chunks of
+    width = ceil(W / 3) walls, the last one shorter, so that a bitmask b
+    that meets every clause allows the outward flips from start in
+    t0[b & part] & t1[b >> width & part] & t2[b >> 2 width]."""
+    nwalls = len(forbid)
+    full = (1 << nwalls) - 1
+    outward1 = full & ~start
+    allow = []
+    for k, ((r00, r01), (r10, r11)) in enumerate(forbid):
+        rule0 = r01 & outward1 | r00 & start
+        rule1 = r11 & outward1 | r10 & start
+        bit = 1 << k
+        if start & bit:
+            allow.append((full & ~(rule0 | bit),
+                          full & ~(rule1 & ~bit | rule0 & bit)))
+        else:
+            allow.append((full & ~(rule0 & ~bit | rule1 & bit),
+                          full & ~(rule1 | bit)))
+    width = -(-nwalls // 3)
+    tables = []
+    for low in (0, width, 2 * width):
+        chunk = allow[low:low + width]
+        masks = [full]
+        for sides in chunk:
+            masks = [m & a for a in sides for m in masks]
+        tables.append((masks, three_chunk_singles(low, len(chunk))))
+    return width, tables
+
+
+def three_chunk_flip_closure(forbid, start: int):
+    """(queue, index, degrees, targets, realized), as dual._flip_closure
+    returns them, from the walk over the three-chunk tables."""
+    width, ((t0, s0), (t1, s1), (t2, s2)) = three_chunk_flip_tables(
+        forbid, start)
+    mid, high, part = width, 2 * width, (1 << width) - 1
+    queue = [start]
+    index = {start: 0}
+    degrees = array("l")
+    targets = []
+    realized = 0
+    for bits in queue:
+        allowed = t0[bits & part] & t1[bits >> mid & part] & t2[bits >> high]
+        realized |= allowed
+        mark = len(targets)
+        last = -1
+        tangled = False
+        for bit in (s0[allowed & part] + s1[allowed >> mid & part]
+                    + s2[allowed >> high]):
+            flipped = bits ^ bit
+            to = index.get(flipped)
+            if to is None:
+                to = index[flipped] = len(queue)
+                queue.append(flipped)
+            elif to < last:
+                tangled = True
+            last = to
+            targets.append(to)
+        degrees.append(len(targets) - mark)
+        if tangled:
+            targets[mark:] = sorted(targets[mark:])
+    return queue, index, degrees, targets, realized
+
+
+def three_chunk_is_median_set(members, nwalls: int) -> bool:
+    """dual.is_median_set's scan over the three-chunk tables of the
+    members' clause table: no member allows a flip out of them."""
+    if nwalls > WALL_CAP:
+        raise WallCapError(
+            "at most %d walls supported, got %d" % (WALL_CAP, nwalls))
+    width, ((t0, s0), (t1, s1), (t2, s2)) = three_chunk_flip_tables(
+        _member_clauses(members, nwalls), next(iter(members)))
+    mid, high, part = width, 2 * width, (1 << width) - 1
+    for bits in members:
+        allowed = t0[bits & part] & t1[bits >> mid & part] & t2[bits >> high]
+        for bit in (s0[allowed & part] + s1[allowed >> mid & part]
+                    + s2[allowed >> high]):
+            if bits ^ bit not in members:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import cubecrys.dual
 from cubecrys.boundary import is_isomorphic
 from cubecrys.dual import (
+    CHUNK_BITS,
     CrossingConditionError,
     CubeComplex,
     FiniteWallspace,
@@ -28,8 +29,10 @@ from cubecrys.dual import (
     _extremes,
     _feasible,
     _flip_closure,
+    _flip_tables,
     _digit_columns,
     _member_clauses,
+    _singles,
     _window_clauses,
     distance,
     dual_complex,
@@ -55,7 +58,9 @@ from cubecrys.exactlin import (
 from cubecrys.sgnperm import build_Qn
 from cubecrys.walls import GeometricWall
 from inputs import (
+    crossing_lines,
     fourteen_crossing_lines,
+    parallel_families,
     plane_families,
     spatial_arrangement,
     ten_crossing_lines,
@@ -86,6 +91,8 @@ from oracles import (
     stored_edge_walk,
     stored_is_median_graph,
     stored_link_of_vertex,
+    three_chunk_flip_closure,
+    three_chunk_is_median_set,
     walked_is_median_set,
     walls_cross_by_scan,
     window_clauses,
@@ -1094,8 +1101,8 @@ def test_spatial_arrangement_matches_the_stored_edge_oracle():
 
 
 def test_three_families_of_parallel_planes_fill_every_chunk():
-    # 24 walls, 8 to a chunk: every chunk of the walk's tables holds one
-    # family, and every wall is crossed.
+    # 24 walls, 12 to a chunk: both of the walk's tables are as large as
+    # CHUNK_BITS allows, and every wall is crossed.
     ws = plane_families()
     c = dual_complex(ws)
     assert (len(ws.walls), c.vertex_count(), c.edge_count()) == (
@@ -1267,7 +1274,7 @@ def test_the_median_scan_reads_a_lone_flip_out_of_the_members():
 
 
 def test_the_median_scan_keeps_nothing_per_zero_cube():
-    # The 16,384 0-cubes of 14 crossing lines: the scan holds its three
+    # The 16,384 0-cubes of 14 crossing lines: the scan holds its two
     # chunk tables and the clause table, never a queue or an index.
     c = dual_complex(fourteen_crossing_lines())
     assert c.vertex_count() == 2 ** 14
@@ -1539,8 +1546,8 @@ def implication_table(rng, nwalls, start):
 
 
 def test_the_walk_agrees_with_the_full_walk_on_wide_tables():
-    # Tables of 11 to 24 walls fill two or three chunks of up to
-    # CHUNK_BITS walls.  The reached bitmasks are a median set, and so
+    # Tables of 11 to 24 walls fill two chunks of 6 to CHUNK_BITS
+    # walls.  The reached bitmasks are a median set, and so
     # are they less the last one reached, or not, as the walk inside
     # them says.
     rng = random.Random(3535)
@@ -1557,6 +1564,108 @@ def test_the_walk_agrees_with_the_full_walk_on_wide_tables():
     # Most walks go somewhere, and none is large.
     assert sum(size > 1 for size in sizes) > 150, sizes
     assert max(sizes) <= 2 ** 10
+
+
+# -- the two-chunk tables against the three-chunk oracle ---------------
+
+
+def test_the_flip_tables_are_two_chunks_of_at_most_chunk_bits_walls():
+    # Unconstrained tables from 0 to WALL_CAP walls: two chunks, the
+    # first of ceil(W / 2) walls, each table at most 2^CHUNK_BITS
+    # entries, and every flip allowed from start 0.
+    assert WALL_CAP == 2 * CHUNK_BITS
+    for nwalls in range(WALL_CAP + 1):
+        forbid = [[[0, 1 << j], [1 << j, 0]] for j in range(nwalls)]
+        width, tables = _flip_tables(forbid, 0)
+        assert width == -(-nwalls // 2) and len(tables) == 2
+        for masks, singles in tables:
+            assert len(masks) == len(singles) <= 2 ** CHUNK_BITS
+        (t0, _), (t1, _) = tables
+        assert len(t0) * len(t1) == 2 ** nwalls
+        assert t0[0] & t1[0] == (1 << nwalls) - 1
+    assert _singles.cache_info().currsize < 40
+    with pytest.raises(WallCapError,
+                       match="at most 24 walls supported, got 25"):
+        is_median_set({0}, WALL_CAP + 1)
+
+
+def assert_matches_the_three_chunk_oracle(forbid, start, nwalls):
+    """_flip_closure and the three-chunk walk give the same queue,
+    index, degrees, targets and crossed walls, and is_median_set and
+    the three-chunk scan the same verdict on the reached bitmasks and
+    on them less the last one reached.  Returns the walk."""
+    walk = _flip_closure(forbid, start)
+    old = three_chunk_flip_closure(forbid, start)
+    for got, want in zip(walk, old):
+        assert type(got) is type(want) and got == want
+    queue = walk[0]
+    assert is_median_set(walk[1], nwalls)
+    assert three_chunk_is_median_set(walk[1], nwalls)
+    if len(queue) > 1:
+        part = set(queue[:-1])
+        assert is_median_set(part, nwalls) == three_chunk_is_median_set(
+            part, nwalls)
+    return walk
+
+
+def three_chunk_oracle_spaces():
+    """(wallspace, 0-cubes or None): seeded wallspaces, perfbench's
+    dual-check (2-D) and dual-enum (3-D) family shapes, crossing lines
+    and the three families of parallel planes."""
+    for seed in range(3):
+        for dimension in range(1, 5):
+            for ws in seeded_wallspaces(count=12, seed=seed,
+                                        dimension=dimension):
+                yield ws, None
+    shapes = ([(2, (1,) * k) for k in range(2, 9)]
+              + [(2, sizes) for sizes in (
+                  (2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (2, 2, 2), (4, 4),
+                  (3, 5), (2, 2, 3), (4, 5), (5, 5), (2, 3, 3), (2, 2, 4),
+                  (7, 7), (3, 3, 3), (2, 2, 2, 2))]
+              + [(3, (1,) * 11 + (2, 2)), (3, (1,) * 12 + (4,)),
+                 (3, (1,) * 13 + (2,)), (3, (1,) * 10 + (2, 5)),
+                 (3, (1,) * 10 + (3, 4)), (3, (1,) * 8 + (2,) * 4)])
+    for dimension, sizes in shapes:
+        yield (parallel_families(dimension, sizes),
+               math.prod(m + 1 for m in sizes))
+    for k in range(15):
+        yield crossing_lines(k), 2 ** k
+    yield plane_families(), 9 ** 3
+
+
+def test_the_two_chunk_walk_matches_the_three_chunk_oracle():
+    walls = set()
+    for ws, cubes in three_chunk_oracle_spaces():
+        nwalls = len(ws.walls)
+        queue, *_ = assert_matches_the_three_chunk_oracle(
+            _window_clauses(ws), ws._base, nwalls)
+        assert cubes in (None, len(queue))
+        walls.add(nwalls)
+    # Every wall count up to 17, and the cap.
+    assert walls >= set(range(18)) | {WALL_CAP}, sorted(walls)
+
+
+def test_the_two_chunk_walk_sorts_the_same_tangled_groups(monkeypatch):
+    # At seed 1, seven of the 32 small seeded wallspaces that
+    # perfbench's dual-check saves walk some group of targets out of
+    # index order, and both walks sort it into the same edge columns.
+    sorts = []
+
+    def counted_sorted(group):
+        sorts.append(list(group))
+        return sorted(group)
+
+    monkeypatch.setattr(cubecrys.dual, "sorted", counted_sorted,
+                        raising=False)
+    tangled = []
+    for i, ws in enumerate(seeded_wallspaces(count=32, seed=1,
+                                             max_walls=5)):
+        sorts.clear()
+        assert_matches_the_three_chunk_oracle(
+            _window_clauses(ws), ws._base, len(ws.walls))
+        if sorts:
+            tangled.append(i)
+    assert tangled == [2, 6, 15, 25, 28, 30, 31]
 
 
 # -- hand-made complexes ---------------------------------------------
